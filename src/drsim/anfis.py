@@ -494,18 +494,29 @@ class AnfisBundle:
         self.h_ref = float(h_ref)
         self.feature_tick = float(feature_tick)
 
-    def corrections(self, dev, vel, orient, horizon: float) -> np.ndarray:
-        """Residual corrections (N, 3) for batched features at one horizon."""
+    def residuals(self, dev, vel, orient) -> np.ndarray:
+        """Learned corrections (N, 3) at the reference horizon for batched features."""
         dev = np.atleast_2d(np.asarray(dev, dtype=float))
         vel = np.atleast_2d(np.asarray(vel, dtype=float))
         orient = np.atleast_1d(np.asarray(orient, dtype=float))
-        scale = (horizon / self.h_ref) ** 3
         cols = []
         for k, net in enumerate(self.networks):
             feats = np.column_stack([dev[:, k], vel[:, k], orient])
             out, _ = forward_batch(net, feats)
-            cols.append(out * scale)
+            cols.append(out)
         return np.column_stack(cols)
+
+    def corrections(self, dev, vel, orient, horizon: float) -> np.ndarray:
+        """Residual corrections (N, 3) for batched features at one horizon."""
+        return self.residuals(dev, vel, orient) * (horizon / self.h_ref) ** 3
+
+    def scales(self, horizons: np.ndarray) -> np.ndarray:
+        """The correction scale (horizon / h_ref)^3 for each horizon.
+
+        Computed in Python floats: numpy's power rounds some cubes differently.
+        """
+        h_ref = self.h_ref
+        return np.array([(h / h_ref) ** 3 for h in horizons.tolist()])
 
     def predict(self, history: list[EntityState], horizon: float) -> np.ndarray:
         """Predicted position horizon seconds past the newest history sample."""

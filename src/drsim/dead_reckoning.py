@@ -4,17 +4,31 @@ The sender runs a mirror of the receiver's predictor and emits an update only
 when the mirror deviates from truth beyond the configured thresholds, or when
 the heartbeat timer expires. The receiver extrapolates between updates and
 either snaps to an arriving update or blends toward it over a short window.
+
+:class:`SenderModel` and :class:`ReceiverModel` step one tick at a time.
+:func:`gate` and :func:`display` compute the same results for a whole run
+from truth arrays, and are what runs use; the per-tick classes are the
+reference that tests hold them to.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import RangeError, ValidationError
-from .kinematics import EntityState, Order, angle_diff, extrapolate, wrap_angle
+from .kinematics import (
+    EntityState,
+    Order,
+    StateArrays,
+    angle_diff,
+    extrapolate,
+    wrap_angle,
+    wrap_angles,
+)
 
 _TIME_EPS = 1e-9
 
@@ -172,6 +186,162 @@ class ReceiverModel:
                 pos, state.velocity, state.acceleration, theta, state.angular_rate, now
             )
         return state
+
+
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of d (N, 3), rounded as np.linalg.norm
+    rounds one 3-vector: a BLAS dot per row (np.linalg.norm(d, axis=1) sums
+    differently)."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
+def predict_positions(
+    base: StateArrays, t: np.ndarray, config: DrConfig, residual: np.ndarray
+) -> np.ndarray:
+    """Positions (K, 3) :func:`predict` gives at times t (K,), with the same rounding.
+
+    base holds one state (fields (3,) and scalars) or one state per time.
+    residual is the bundle's reference-horizon correction of each base state;
+    only the anfis predictor reads it.
+    """
+    dt = t - base.time
+    if config.predictor == "anfis":
+        # AnfisBundle.predict extrapolates to base.time + dt, which can round away from t.
+        h = ((base.time + dt) - base.time)[:, None]
+        pos = base.position + base.velocity * h + 0.5 * base.acceleration * h * h
+        return pos + residual * config.anfis_bundle.scales(dt)[:, None]
+    dtc = dt[:, None]
+    if config.order is Order.FIRST:
+        return base.position + base.velocity * dtc
+    return base.position + base.velocity * dtc + 0.5 * base.acceleration * dtc * dtc
+
+
+def predict_headings(base: StateArrays, t: np.ndarray, config: DrConfig) -> np.ndarray:
+    """Headings (K,) :func:`predict` gives at times t (K,), with the same rounding:
+    extrapolate() wraps, its EntityState wraps again, and the anfis path builds
+    one more EntityState."""
+    theta = wrap_angles(wrap_angles(base.orientation + base.angular_rate * (t - base.time)))
+    return wrap_angles(theta) if config.predictor == "anfis" else theta
+
+
+@dataclass
+class SendLog:
+    """The updates a sender emits over a run, in sequence order."""
+
+    rows: list[int]  # truth row of each update; its seq is its index here
+    residuals: list[np.ndarray]  # anfis correction (3,) of each update; zero otherwise
+    heartbeats: int = 0
+    v_dev_max: float = 0.0
+
+
+def gate(truth: StateArrays, config: DrConfig) -> SendLog:
+    """:meth:`SenderModel.step` at every row of truth (one row per tick).
+
+    After each update, the mirror deviation at every tick up to the next
+    heartbeat is one array expression, and the first tick over a threshold,
+    else the heartbeat tick, sends the next update.
+    """
+    t = truth.time
+    times = t.tolist()
+    n = len(times)
+    heartbeat_due = config.heartbeat - _TIME_EPS
+    check_or = config.th_or < math.inf
+    log = SendLog([], [])
+    row = 0
+    while True:
+        log.rows.append(row)
+        residual = np.zeros(3)
+        if config.predictor == "anfis":
+            # The feature row of a one-state history: no observed deviation.
+            residual = config.anfis_bundle.residuals(
+                np.zeros((1, 3)), truth.velocity[row][None, :], [truth.orientation[row]]
+            )[0]
+        log.residuals.append(residual)
+        last, base = row, truth.take(row)
+        if last == n - 1:
+            return log
+        # The first tick due for a heartbeat (n if none is). The test is
+        # monotone in time; the steps after the bisection apply it exactly.
+        beat = bisect.bisect_left(times, times[last] + heartbeat_due, last + 1)
+        while beat > last + 1 and times[beat - 1] - times[last] >= heartbeat_due:
+            beat -= 1
+        while beat < n and times[beat] - times[last] < heartbeat_due:
+            beat += 1
+        span = slice(last + 1, min(beat + 1, n))
+        tt = t[span]
+        over = row_norms(truth.position[span] - predict_positions(base, tt, config, residual))
+        over = over >= config.th_pos
+        if check_or:
+            theta = predict_headings(base, tt, config)
+            over |= np.abs(wrap_angles(truth.orientation[span] - theta)) >= config.th_or
+        first_over = int(over.argmax())
+        if over[first_over]:
+            row = last + 1 + first_over
+        elif beat < n:
+            row = beat
+            log.heartbeats += 1
+        else:
+            return log
+        mirror_vel = base.velocity
+        if config.predictor == "anfis" or config.order is Order.SECOND:
+            mirror_vel = base.velocity + base.acceleration * (t[row] - t[last])
+        v_dev = float(np.linalg.norm(truth.velocity[row] - mirror_vel))
+        log.v_dev_max = max(log.v_dev_max, v_dev)
+
+
+def display(
+    truth: StateArrays, log: SendLog, due: np.ndarray, config: DrConfig
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """:meth:`ReceiverModel.read` at every row of truth, given each update's
+    delivery time (inf when lost).
+
+    Returns the first row with a displayed state, and the displayed positions
+    and headings from that row on. The receiver shows the highest seq among
+    the deliveries due so far: a running maximum over the deliveries in
+    dispatch order, which also passes over stale ones.
+    """
+    order = np.argsort(due, kind="stable")  # dispatch order: by due, then seq
+    order = order[np.isfinite(due[order])]
+    newest = np.maximum.accumulate(order)  # seq shown after each dispatch
+    rows = np.asarray(log.rows)
+    residuals = np.array(log.residuals)
+    n_msgs = len(rows)
+    offset_pos = np.zeros((n_msgs, 3))
+    offset_or = np.zeros(n_msgs)
+    blend_start = np.zeros(n_msgs)
+    blend_until = np.full(n_msgs, -math.inf)
+
+    def shown(seqs: np.ndarray, now: np.ndarray):
+        base = truth.take(rows[seqs])
+        at = np.maximum(now, base.time)
+        pos = predict_positions(base, at, config, residuals[seqs])
+        theta = predict_headings(base, at, config)
+        blending = now < blend_until[seqs]
+        if blending.any():
+            s = seqs[blending]
+            remain = 1.0 - (now[blending] - blend_start[s]) / config.blend_window
+            pos[blending] = pos[blending] + offset_pos[s] * remain[:, None]
+            # ReceiverModel.read wraps, and its EntityState wraps again.
+            theta[blending] = wrap_angles(wrap_angles(theta[blending] + offset_or[s] * remain))
+        return pos, theta
+
+    if config.convergence == "blend":
+        # Each applied delivery after the first blends from what was shown before it.
+        applied = order[np.flatnonzero(np.diff(newest, prepend=-1) > 0)]
+        for prev, new in zip(applied[:-1], applied[1:]):
+            now = due[[new]]
+            shown_pos, shown_or = shown(np.array([prev]), now)
+            target = truth.take(rows[[new]])
+            target_pos = predict_positions(target, now, config, residuals[[new]])
+            offset_pos[new] = (shown_pos - target_pos)[0]
+            offset_or[new] = wrap_angles(shown_or - predict_headings(target, now, config))[0]
+            blend_start[new] = now[0]
+            blend_until[new] = now[0] + config.blend_window
+
+    delivered = np.searchsorted(due[order], truth.time, side="right")
+    first = int(np.searchsorted(delivered, 1))
+    pos, theta = shown(newest[delivered[first:] - 1], truth.time[first:])
+    return first, pos, theta
 
 
 def sender_step(model: SenderModel, truth: EntityState, now: float) -> UpdateMessage | None:

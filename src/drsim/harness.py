@@ -19,10 +19,11 @@ import yaml
 
 from . import anfis
 from .anfis import AnfisBundle, AnfisNetwork, TrainingSet, build_network
-from .dead_reckoning import DrConfig, ReceiverModel, SenderModel
-from .errors import SimulationError, ValidationError
-from .kinematics import Order, Trajectory, sample_truth
-from .netsim import Channel, ChannelConfig, EventQueue
+from .dead_reckoning import DrConfig, display, gate, row_norms
+from .errors import ValidationError
+from .kinematics import Order, Trajectory, truth_arrays, wrap_angles
+from .kinematics import sample_truth  # noqa: F401 -- bench/tracer.py wraps it here
+from .netsim import Channel, ChannelConfig
 from .qos_metrics import (
     CoherenceReport,
     ErrorSeries,
@@ -55,6 +56,17 @@ class Scenario:
             raise ValidationError("duration must cover at least one tick")
         if self.message_size_bytes <= 0:
             raise ValidationError("message_size_bytes must be positive")
+        last_tick = self.n_ticks * self.tick
+        if not self.trajectory.covers(last_tick):
+            raise ValidationError(
+                f"scenario duration {self.duration} s is longer than its trajectory's "
+                f"duration {self.trajectory.duration} s (last tick at t={last_tick})"
+            )
+
+    @property
+    def n_ticks(self) -> int:
+        """Ticks after t = 0; the run samples n_ticks + 1 times."""
+        return int(round(self.duration / self.tick))
 
 
 def _trajectory_from_config(cfg: dict, duration: float, tick: float) -> Trajectory:
@@ -127,57 +139,45 @@ class RunResult:
 
 
 def run_scenario(sc: Scenario) -> RunResult:
-    """Tick-by-tick simulation of one sender/receiver pair over one channel."""
-    sender = SenderModel(sc.dr, entity_id=sc.name)
-    receiver = ReceiverModel(sc.dr)
+    """Simulate one sender/receiver pair over one channel on the tick grid.
+
+    Each stage works on the whole run at once: truth for every tick, then
+    the sender's updates segment by segment, the channel's fate for each
+    update in send order, and the receiver's display for every tick.
+    """
+    truth = truth_arrays(sc.trajectory, np.arange(sc.n_ticks + 1) * sc.tick)
+    log = gate(truth, sc.dr)
+    send_times = truth.time[log.rows].tolist()
     channel = Channel(sc.channel)
-    queue = EventQueue()
-    series = ErrorSeries(sc.tick)
-    result = RunResult(report=CoherenceReport(), series=series)
-    max_prop = 0.0
+    fates = [channel.transit(now) for now in send_times]
+    due = np.array([math.inf if d is None else d for d in fates])
+    first, shown_pos, shown_or = display(truth, log, due, sc.dr)
+    series = ErrorSeries.from_arrays(
+        sc.tick,
+        truth.time[first:],
+        row_norms(truth.position[first:] - shown_pos),
+        np.abs(wrap_angles(truth.orientation[first:] - shown_or)),
+    )
 
-    def on_deliver(msg, due):
-        nonlocal max_prop
-        receiver.apply(msg, due)
-        result.report.messages_delivered += 1
-        result.delivery_times.append(due)
-        max_prop = max(max_prop, due - msg.sent_at)
-
-    handlers = {"deliver": on_deliver}
-    n_ticks = int(round(sc.duration / sc.tick))
-    for i in range(n_ticks + 1):
-        now = i * sc.tick
-        try:
-            truth = sample_truth(sc.trajectory, now)
-            msg = sender.step(truth, truth.time)
-            if msg is not None:
-                channel.send(queue, msg, truth.time)
-                result.send_times.append(truth.time)
-            queue.run_until(truth.time, handlers)
-            displayed = receiver.read(truth.time)
-            if displayed is not None:
-                series.record(truth, displayed)
-        except SimulationError:
-            raise
-        except Exception as exc:
-            raise SimulationError(f"tick {i} (t={now}) failed: {exc}") from exc
-    # Flush in-flight deliveries so the message accounting balances.
-    queue.run_until(math.inf, handlers)
-
-    report = result.report
+    delivered = np.flatnonzero(np.isfinite(due))
+    delivery_times = np.sort(due[delivered]).tolist()
+    report = CoherenceReport()
     report.messages_sent = channel.sent
+    report.messages_delivered = len(delivered)
     report.messages_dropped = channel.dropped
     report.bytes_sent = channel.sent * sc.message_size_bytes
-    report.heartbeats = sender.heartbeat_emissions
-    report.v_dev_max_send = sender.v_dev_max
-    report.max_prop_delay = max_prop
+    report.heartbeats = log.heartbeats
+    report.v_dev_max_send = log.v_dev_max
+    if len(delivered):
+        transit = due[delivered] - truth.time[np.asarray(log.rows)[delivered]]
+        report.max_prop_delay = max(0.0, float(np.max(transit)))
     if len(series):
         report.max_error = max(series.e_pos)
         report.integrated_error = integrated_error(series)
         report.violation_windows = violation_windows(series, sc.dr.th_pos)
         report.total_violation_time = sum(w.length for w in report.violation_windows)
     report.passed, report.reasons = verdict(report, sc.profile, sc.channel)
-    return result
+    return RunResult(report, series, send_times, delivery_times)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +335,9 @@ def build_motion_table(
 ) -> MotionTable:
     n = int(round(duration / tick)) + 1
     times = np.arange(n) * tick
-    states = [sample_truth(traj, min(t, traj.duration)) for t in times]
-    truth_pos = np.array([s.position for s in states])
-    vel = np.array([s.velocity for s in states])
-    acc = np.array([s.acceleration for s in states])
-    orient = np.array([s.orientation for s in states])
+    truth = truth_arrays(traj, np.minimum(times, traj.duration))
+    truth_pos, vel, acc = truth.position, truth.velocity, truth.acceleration
+    orient = truth.orientation
     obs_pos = truth_pos
     if obs_noise_pos > 0.0:
         rng = np.random.default_rng(seed)
@@ -404,11 +402,21 @@ def _train_axis_net(
     return net
 
 
-def train_bundle(study: ComparisonStudy, horizon_ticks: int) -> AnfisBundle:
-    """Train the per-axis corrector networks for one prediction horizon."""
-    table = build_motion_table(
+def _study_table(study: ComparisonStudy) -> MotionTable:
+    return build_motion_table(
         study.trajectory, study.tick, study.duration, study.train.obs_noise_pos, study.seed
     )
+
+
+def train_bundle(
+    study: ComparisonStudy, horizon_ticks: int, table: MotionTable | None = None
+) -> AnfisBundle:
+    """Train the per-axis corrector networks for one prediction horizon.
+
+    table is the study's motion table, built here when not given.
+    """
+    if table is None:
+        table = _study_table(study)
     n = len(table.times)
     split_idx = int(n * study.train.split)
     train_idx = np.arange(1, split_idx - horizon_ticks)
@@ -440,9 +448,7 @@ class ComparisonResult:
 
 def run_comparison(study: ComparisonStudy) -> ComparisonResult:
     """Score each configured predictor at each horizon on held-out time."""
-    table = build_motion_table(
-        study.trajectory, study.tick, study.duration, study.train.obs_noise_pos, study.seed
-    )
+    table = _study_table(study)
     n = len(table.times)
     split_idx = int(n * study.train.split)
     mae: dict[str, list[float]] = {p: [] for p in study.predictors}
@@ -452,7 +458,7 @@ def run_comparison(study: ComparisonStudy) -> ComparisonResult:
             raise ValidationError(f"no test samples left at horizon {h}")
         h_sec = h * study.tick
         truth_ahead = table.truth_pos[test_idx + h]
-        bundle = train_bundle(study, h) if "anfis" in study.predictors else None
+        bundle = train_bundle(study, h, table) if "anfis" in study.predictors else None
         for p in study.predictors:
             if p == "anfis":
                 base = _base_prediction(table, test_idx, h_sec, Order.SECOND)

@@ -101,6 +101,11 @@ class Trajectory:
         object.__setattr__(self, "params", dict(self.params))
         sample_truth(self, 0.0)  # fail fast on malformed parameters
 
+    def covers(self, t: float) -> bool:
+        """Whether t lies in [0, duration], allowing for rounding in tick times."""
+        tol = 1e-9 * max(1.0, self.duration)
+        return -tol <= t <= self.duration + tol
+
 
 def _p(params: Mapping[str, object], key: str, default=None):
     if key in params:
@@ -110,35 +115,70 @@ def _p(params: Mapping[str, object], key: str, default=None):
     raise ValidationError(f"trajectory parameters missing {key!r}")
 
 
-def _theta_law(params: Mapping[str, object], t: float) -> tuple[float, float]:
+def _theta_law(params: Mapping[str, object], t: np.ndarray) -> tuple[np.ndarray, float]:
     """Default orientation law: constant angular rate."""
     theta0 = float(_p(params, "theta0", 0.0))
     omega = float(_p(params, "omega", 0.0))
     return theta0 + omega * t, omega
 
 
-def sample_truth(traj: Trajectory, t: float) -> EntityState:
-    """Exact entity state at time t in [0, duration]."""
-    tol = 1e-9 * max(1.0, traj.duration)
-    if t < -tol or t > traj.duration + tol:
-        raise RangeError(f"t={t} outside [0, {traj.duration}]")
-    t = min(max(t, 0.0), traj.duration)
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` over an array, rounding exactly as the scalar does."""
+    wrapped = np.remainder(theta + math.pi, TWO_PI) - math.pi
+    return np.where(wrapped >= math.pi, wrapped - TWO_PI, wrapped)
+
+
+@dataclass(frozen=True, eq=False)
+class StateArrays:
+    """EntityState over N times: one row per time, each field as EntityState holds it."""
+
+    position: np.ndarray  # (N, 3)
+    velocity: np.ndarray  # (N, 3)
+    acceleration: np.ndarray  # (N, 3)
+    orientation: np.ndarray  # (N,)
+    angular_rate: np.ndarray  # (N,)
+    time: np.ndarray  # (N,)
+
+    def take(self, rows) -> "StateArrays":
+        """The rows at the given indices."""
+        return StateArrays(
+            self.position[rows],
+            self.velocity[rows],
+            self.acceleration[rows],
+            self.orientation[rows],
+            self.angular_rate[rows],
+            self.time[rows],
+        )
+
+
+def _rows(vec: np.ndarray, n: int, name: str) -> np.ndarray:
+    """A constant 3-vector repeated over n rows."""
+    if vec.shape != (3,):
+        raise ValidationError(f"{name} must be a 3-vector, got shape {vec.shape}")
+    return np.broadcast_to(vec, (n, 3))
+
+
+def _motion(traj: Trajectory, t: np.ndarray):
+    """The motion law at clamped times t (N,): position, velocity and
+    acceleration (N, 3), heading (N,) wrapped once, angular rate (N,)."""
     params = traj.params
     kind = traj.kind
+    n = len(t)
+    tc = t[:, None]
 
     if kind == "constant-velocity":
         p0 = np.asarray(_p(params, "p0"), dtype=float)
         v = np.asarray(_p(params, "v"), dtype=float)
-        pos, vel, acc = p0 + v * t, v, np.zeros(3)
+        pos, vel, acc = p0 + v * tc, _rows(v, n, "velocity"), np.zeros((n, 3))
         theta, omega = _theta_law(params, t)
 
     elif kind == "constant-acceleration":
         p0 = np.asarray(_p(params, "p0"), dtype=float)
         v0 = np.asarray(_p(params, "v0"), dtype=float)
         a = np.asarray(_p(params, "a"), dtype=float)
-        pos = p0 + v0 * t + 0.5 * a * t * t
-        vel = v0 + a * t
-        acc = a
+        pos = p0 + v0 * tc + 0.5 * a * tc * tc
+        vel = v0 + a * tc
+        acc = _rows(a, n, "acceleration")
         theta, omega = _theta_law(params, t)
 
     elif kind == "sinusoid-weave":
@@ -148,16 +188,17 @@ def sample_truth(traj: Trajectory, t: float) -> EntityState:
         freq = float(_p(params, "freq"))
         phase = float(_p(params, "phase", 0.0))
         arg = freq * t + phase
-        pos = p0 + drift * t + amp * math.sin(arg)
-        vel = drift + amp * freq * math.cos(arg)
-        acc = -amp * freq * freq * math.sin(arg)
+        sin_arg = np.sin(arg)[:, None]
+        pos = p0 + drift * tc + amp * sin_arg
+        vel = drift + amp * freq * np.cos(arg)[:, None]
+        acc = -amp * freq * freq * sin_arg
         # Yaw may follow the weave so that heading carries the weave phase.
         yaw_amp = float(_p(params, "yaw_amp", 0.0))
         yaw_phase = float(_p(params, "yaw_phase", 0.0))
         theta0 = float(_p(params, "theta0", 0.0))
         omega0 = float(_p(params, "omega", 0.0))
-        theta = theta0 + omega0 * t + yaw_amp * math.sin(arg + yaw_phase)
-        omega = omega0 + yaw_amp * freq * math.cos(arg + yaw_phase)
+        theta = theta0 + omega0 * t + yaw_amp * np.sin(arg + yaw_phase)
+        omega = omega0 + yaw_amp * freq * np.cos(arg + yaw_phase)
 
     elif kind == "circular":
         center = np.asarray(_p(params, "center", [0.0, 0.0, 0.0]), dtype=float)
@@ -165,10 +206,10 @@ def sample_truth(traj: Trajectory, t: float) -> EntityState:
         om = float(_p(params, "omega"))
         phase0 = float(_p(params, "phase0", 0.0))
         ang = om * t + phase0
-        c, s = math.cos(ang), math.sin(ang)
-        pos = center + radius * np.array([c, s, 0.0])
-        vel = radius * om * np.array([-s, c, 0.0])
-        acc = -radius * om * om * np.array([c, s, 0.0])
+        c, s, zero = np.cos(ang), np.sin(ang), np.zeros(n)
+        pos = center + radius * np.column_stack([c, s, zero])
+        vel = radius * om * np.column_stack([-s, c, zero])
+        acc = -radius * om * om * np.column_stack([c, s, zero])
         # Heading = velocity direction; its rate is exactly om.
         theta = ang + (0.5 * math.pi if om >= 0 else -0.5 * math.pi)
         omega = om
@@ -179,20 +220,56 @@ def sample_truth(traj: Trajectory, t: float) -> EntityState:
         points = np.asarray([w[1:4] for w in wps], dtype=float)
         if len(times) < 1 or np.any(np.diff(times) <= 0):
             raise ValidationError("waypoints need strictly increasing times")
-        if t <= times[0]:
-            pos, vel = points[0], np.zeros(3)
-        elif t >= times[-1]:
-            pos, vel = points[-1], np.zeros(3)
-        else:
-            i = int(np.searchsorted(times, t, side="right")) - 1
+        pos = np.where(tc <= times[0], points[0], points[-1])
+        vel = np.zeros((n, 3))
+        inner = (t > times[0]) & (t < times[-1])
+        if inner.any():
+            ti = t[inner]
+            i = np.searchsorted(times, ti, side="right") - 1
             span = times[i + 1] - times[i]
-            frac = (t - times[i]) / span
-            vel = (points[i + 1] - points[i]) / span
-            pos = points[i] + frac * (points[i + 1] - points[i])
-        acc = np.zeros(3)
+            frac = (ti - times[i]) / span
+            step = points[i + 1] - points[i]
+            vel[inner] = step / span[:, None]
+            pos[inner] = points[i] + frac[:, None] * step
+        acc = np.zeros((n, 3))
         theta, omega = _theta_law(params, t)
 
-    return EntityState(pos, vel, acc, wrap_angle(theta), omega, t)
+    omega = np.broadcast_to(np.asarray(omega, dtype=float), (n,))
+    return pos, vel, acc, wrap_angles(theta), omega
+
+
+def _clamped(traj: Trajectory, t: np.ndarray) -> np.ndarray:
+    for bound in (t.min(initial=0.0), t.max(initial=0.0)):
+        if not traj.covers(bound):
+            raise RangeError(f"t={bound} outside [0, {traj.duration}]")
+    return np.minimum(np.maximum(t, 0.0), traj.duration)
+
+
+def sample_truth(traj: Trajectory, t: float) -> EntityState:
+    """Exact entity state at time t in [0, duration]."""
+    t = _clamped(traj, np.array([float(t)]))
+    pos, vel, acc, theta, omega = _motion(traj, t)
+    return EntityState(pos[0], vel[0], acc[0], theta[0], omega[0], t[0])
+
+
+def truth_arrays(traj: Trajectory, times: np.ndarray) -> StateArrays:
+    """Exact entity states at every time in [0, duration]: sample_truth by rows."""
+    t = _clamped(traj, np.asarray(times, dtype=float))
+    pos, vel, acc, theta, omega = _motion(traj, t)
+    n = len(t)
+    for name, arr, shape in (
+        ("position", pos, (n, 3)),
+        ("velocity", vel, (n, 3)),
+        ("acceleration", acc, (n, 3)),
+        ("orientation", theta, (n,)),
+        ("angular_rate", omega, (n,)),
+    ):
+        if arr.shape != shape:
+            raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{name} must be finite")
+    # EntityState wraps the heading it is given once more.
+    return StateArrays(pos, vel, acc, wrap_angles(theta), omega, t)
 
 
 def extrapolate(base: EntityState, t: float, order: Order = Order.SECOND) -> EntityState:

@@ -97,12 +97,13 @@ class Channel:
         self.scheduled = 0
         self._last_due = -math.inf
 
-    def send(self, queue: EventQueue, msg, now: float) -> bool:
-        """Drop or enqueue one message; returns True when delivery is scheduled."""
+    def transit(self, now: float) -> float | None:
+        """Draw the fate of one message sent at now: its delivery time, or None
+        when it is lost. Draws one random() and, with jitter, one uniform()."""
         self.sent += 1
         if self.rng.random() < self.config.loss:
             self.dropped += 1
-            return False
+            return None
         delay = self.config.base_delay
         if self.config.jitter > 0.0:
             delay += self.rng.uniform(-self.config.jitter, self.config.jitter)
@@ -110,6 +111,13 @@ class Channel:
         if not self.config.reorder_allowed:
             due = max(due, self._last_due)
         self._last_due = due
+        return due
+
+    def send(self, queue: EventQueue, msg, now: float) -> bool:
+        """Drop or enqueue one message; returns True when delivery is scheduled."""
+        due = self.transit(now)
+        if due is None:
+            return False
         queue.schedule(due, "deliver", msg)
         self.scheduled += 1
         return True

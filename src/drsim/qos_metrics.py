@@ -7,7 +7,6 @@ a-priori worst-case error bound, and grades the run against a QoS profile.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -21,9 +20,13 @@ from .netsim import ChannelConfig
 _TIME_EPS = 1e-9
 
 
+_SIG = "%.9g"
+_SERIES_ROW = f"{_SIG},{_SIG},{_SIG}\n"
+
+
 def format_sig(x: float) -> str:
     """Stable 9-significant-digit float rendering used in every CSV."""
-    return f"{x:.9g}"
+    return _SIG % x
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,15 @@ class ErrorSeries:
         self.e_pos: list[float] = []
         self.e_or: list[float] = []
 
+    @classmethod
+    def from_arrays(cls, tick: float, times, e_pos, e_or) -> "ErrorSeries":
+        """A series holding samples already computed on the tick grid."""
+        series = cls(tick)
+        series.times = np.asarray(times, dtype=float).tolist()
+        series.e_pos = np.asarray(e_pos, dtype=float).tolist()
+        series.e_or = np.asarray(e_or, dtype=float).tolist()
+        return series
+
     def __len__(self) -> int:
         return len(self.times)
 
@@ -90,11 +102,8 @@ class ErrorSeries:
         self.e_or.append(abs(angle_diff(truth.orientation, displayed.orientation)))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,e_pos,e_or\n")
-        for t, ep, eo in zip(self.times, self.e_pos, self.e_or):
-            buf.write(f"{format_sig(t)},{format_sig(ep)},{format_sig(eo)}\n")
-        return buf.getvalue()
+        rows = map(_SERIES_ROW.__mod__, zip(self.times, self.e_pos, self.e_or))
+        return "t,e_pos,e_or\n" + "".join(rows)
 
 
 def record_error(series: ErrorSeries, truth: EntityState, displayed: EntityState) -> None:

@@ -1,0 +1,222 @@
+"""The array engine in run_scenario against the per-tick models.
+
+The reference steps SenderModel, Channel.send, EventQueue, ReceiverModel and
+ErrorSeries.record once per tick, as a simulation reads most naturally. The
+engine must give exactly the same report, series, send times and delivery
+times: threshold tests are exact comparisons, so one rounding difference can
+move a send by a tick.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drsim.anfis import AnfisBundle, build_network
+from drsim.dead_reckoning import DrConfig, ReceiverModel, SenderModel
+from drsim.harness import RunResult, Scenario, run_scenario
+from drsim.kinematics import Order, Trajectory, sample_truth
+from drsim.netsim import Channel, ChannelConfig, EventQueue
+from drsim.qos_metrics import (
+    CoherenceReport,
+    ErrorSeries,
+    QosProfile,
+    integrated_error,
+    verdict,
+    violation_windows,
+)
+
+DURATION = 60.0
+
+TRAJECTORIES = {
+    "constant-velocity": {"p0": [0, 0, 0], "v": [5.0, 1.0, 0.0], "omega": 0.2},
+    "constant-acceleration": {"p0": [0, 0, 0], "v0": [3.0, 0.0, 0.0], "a": [1.0, 0.3, 0.0]},
+    "sinusoid-weave": {
+        "drift": [1.0, 0.0, 0.0],
+        "amplitude": [0.0, 2.0, 0.0],
+        "freq": 0.8,
+        "phase": 0.4,
+        "yaw_amp": 0.6,
+    },
+    "circular": {"radius": 30.0, "omega": 0.3, "phase0": 1.0},
+    "waypoint-script": {
+        "waypoints": [[0, 0, 0, 0], [12, 40, 0, 0], [24, 40, 35, 0], [40, 0, 35, 0], [60, 0, 0, 0]],
+        "omega": 0.1,
+    },
+}
+
+# Delays that spread over seconds let later updates overtake earlier ones.
+JITTERY = ChannelConfig(base_delay=1.0, jitter=0.9, loss=0.1, seed=11, reorder_allowed=True)
+
+
+def reference_run(sc: Scenario, stale_counts: list | None = None) -> RunResult:
+    """One tick at a time through the per-tick models."""
+    sender = SenderModel(sc.dr, entity_id=sc.name)
+    receiver = ReceiverModel(sc.dr)
+    channel = Channel(sc.channel)
+    queue = EventQueue()
+    series = ErrorSeries(sc.tick)
+    result = RunResult(report=CoherenceReport(), series=series)
+    max_prop = 0.0
+
+    def on_deliver(msg, due):
+        nonlocal max_prop
+        receiver.apply(msg, due)
+        result.report.messages_delivered += 1
+        result.delivery_times.append(due)
+        max_prop = max(max_prop, due - msg.sent_at)
+
+    handlers = {"deliver": on_deliver}
+    for i in range(int(round(sc.duration / sc.tick)) + 1):
+        truth = sample_truth(sc.trajectory, i * sc.tick)
+        msg = sender.step(truth, truth.time)
+        if msg is not None:
+            channel.send(queue, msg, truth.time)
+            result.send_times.append(truth.time)
+        queue.run_until(truth.time, handlers)
+        displayed = receiver.read(truth.time)
+        if displayed is not None:
+            series.record(truth, displayed)
+    queue.run_until(math.inf, handlers)
+    if stale_counts is not None:
+        stale_counts.append(receiver.stale_discarded)
+
+    report = result.report
+    report.messages_sent = channel.sent
+    report.messages_dropped = channel.dropped
+    report.bytes_sent = channel.sent * sc.message_size_bytes
+    report.heartbeats = sender.heartbeat_emissions
+    report.v_dev_max_send = sender.v_dev_max
+    report.max_prop_delay = max_prop
+    if len(series):
+        report.max_error = max(series.e_pos)
+        report.integrated_error = integrated_error(series)
+        report.violation_windows = violation_windows(series, sc.dr.th_pos)
+        report.total_violation_time = sum(w.length for w in report.violation_windows)
+    report.passed, report.reasons = verdict(report, sc.profile, sc.channel)
+    return result
+
+
+def scenario(kind: str, dr: DrConfig, channel: ChannelConfig = JITTERY, tick=0.1) -> Scenario:
+    traj = Trajectory(kind, TRAJECTORIES[kind], duration=DURATION)
+    return Scenario(
+        name=kind,
+        trajectory=traj,
+        dr=dr,
+        channel=channel,
+        profile=QosProfile.loosely_coupled(),
+        tick=tick,
+        duration=DURATION,
+    )
+
+
+def assert_same_run(sc: Scenario, stale_counts: list | None = None) -> RunResult:
+    ref = reference_run(sc, stale_counts)
+    run = run_scenario(sc)
+    assert dataclasses.asdict(run.report) == dataclasses.asdict(ref.report)
+    assert run.series.times == ref.series.times
+    assert run.series.e_pos == ref.series.e_pos
+    assert run.series.e_or == ref.series.e_or
+    assert run.send_times == ref.send_times
+    assert run.delivery_times == ref.delivery_times
+    return ref
+
+
+def test_every_kind_and_order_over_a_jittery_lossy_reordering_link():
+    stale = []
+    for kind in TRAJECTORIES:
+        for order in (Order.FIRST, Order.SECOND):
+            dr = DrConfig(th_pos=0.5, th_or=0.2, order=order, convergence="blend", blend_window=0.5)
+            ref = assert_same_run(scenario(kind, dr), stale)
+            assert ref.report.messages_dropped > 0
+    # The link must reach the stale discard, or the running maximum goes untested.
+    assert sum(stale) > 0
+
+
+@pytest.mark.parametrize(
+    "dr, channel",
+    [
+        (DrConfig(th_pos=0.3), ChannelConfig(base_delay=0.1, jitter=0.08, loss=0.2, seed=3)),
+        (DrConfig(th_pos=0.3, convergence="blend"), ChannelConfig(base_delay=0.1, seed=3)),
+        (DrConfig(th_pos=0.0), ChannelConfig()),
+        (DrConfig(th_pos=math.inf, th_or=math.inf), ChannelConfig(base_delay=0.3)),
+        (DrConfig(th_pos=0.5), ChannelConfig(base_delay=0.2, loss=1.0)),
+    ],
+    ids=["fifo-jitter", "blend-fixed-delay", "every-tick", "heartbeats-only", "all-lost"],
+)
+def test_channel_and_gate_corners(dr, channel):
+    assert_same_run(scenario("sinusoid-weave", dr, channel))
+
+
+def test_fine_tick():
+    dr = DrConfig(th_pos=0.4, th_or=0.3, convergence="blend", blend_window=0.3)
+    assert_same_run(scenario("circular", dr, tick=0.02))
+
+
+def fixed_bundle(h_ref: float = 0.5) -> AnfisBundle:
+    """Three small networks with fixed nonzero consequents, trained by nothing."""
+    nets = []
+    for axis in range(3):
+        net = build_network(
+            [("deviation", -1.0, 1.0), ("velocity", -40.0, 40.0), ("orientation", -4.0, 4.0)],
+            n_terms=3,
+            rule_base="grid",
+            seed=axis,
+        )
+        net.z = np.linspace(-0.02, 0.03, net.n_rules) * (axis + 1)
+        nets.append(net)
+    return AnfisBundle(nets, h_ref=h_ref, feature_tick=0.1)
+
+
+@pytest.mark.parametrize("convergence", ["snap", "blend"])
+@pytest.mark.parametrize("kind", ["sinusoid-weave", "circular"])
+def test_anfis_predictor(kind, convergence):
+    dr = DrConfig(
+        th_pos=0.5,
+        th_or=0.3,
+        predictor="anfis",
+        anfis_bundle=fixed_bundle(),
+        convergence=convergence,
+    )
+    ref = assert_same_run(scenario(kind, dr))
+    assert ref.report.messages_sent > ref.report.heartbeats + 1  # threshold sends happen
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(TRAJECTORIES)),
+    tick=st.sampled_from([0.1, 0.05, 0.25]),
+    th_pos=st.floats(0.05, 3.0),
+    th_or=st.one_of(st.just(math.inf), st.floats(0.05, 1.0)),
+    heartbeat=st.floats(0.3, 6.0),
+    order=st.sampled_from(list(Order)),
+    blend_window=st.one_of(st.none(), st.floats(0.05, 2.0)),
+    base_delay=st.floats(0.0, 2.0),
+    jitter_share=st.floats(0.0, 1.0),
+    loss=st.floats(0.0, 0.5),
+    reorder=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_random_configurations(
+    kind, tick, th_pos, th_or, heartbeat, order, blend_window, base_delay, jitter_share, loss,
+    reorder, seed,
+):
+    dr = DrConfig(
+        th_pos=th_pos,
+        th_or=th_or,
+        heartbeat=heartbeat,
+        order=order,
+        convergence="snap" if blend_window is None else "blend",
+        blend_window=blend_window or 0.5,
+    )
+    channel = ChannelConfig(
+        base_delay=base_delay,
+        jitter=base_delay * jitter_share,
+        loss=loss,
+        seed=seed,
+        reorder_allowed=reorder,
+    )
+    assert_same_run(scenario(kind, dr, channel, tick=tick))

@@ -1,0 +1,48 @@
+"""Golden outputs: sha256 digests of what the CLI writes for each stock file.
+
+A change that moves any digest changes the program's output for a shipped
+scenario; such a change must say why in CHANGES.md and update golden.json.
+The compare digest covers the polynomial columns only, so no corrector is
+trained here and the digest does not depend on the BLAS build.
+"""
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from drsim import cli
+from drsim.harness import load_study, run_comparison
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = json.loads(Path(__file__).with_name("golden.json").read_text(encoding="utf-8"))
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["run"]))
+def test_run_outputs_match_golden(name, tmp_path, capsys):
+    cli.main(["run", str(SCENARIO_DIR / f"{name}.yaml"), "--out", str(tmp_path)])
+    capsys.readouterr()
+    written = (tmp_path / "report.csv").read_text(encoding="utf-8") + (
+        tmp_path / "errors.csv"
+    ).read_text(encoding="utf-8")
+    assert sha256(written) == GOLDEN["run"][name]
+
+
+def test_every_stock_run_file_is_pinned():
+    run_files = {
+        p.stem for p in SCENARIO_DIR.glob("*.yaml") if p.stem not in GOLDEN["compare"]
+    }
+    assert run_files == set(GOLDEN["run"])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["compare"]))
+def test_compare_polynomial_columns_match_golden(name):
+    study = load_study(SCENARIO_DIR / f"{name}.yaml")
+    result = run_comparison(dataclasses.replace(study, predictors=("first", "second")))
+    assert sha256(result.to_csv()) == GOLDEN["compare"][name]

@@ -278,6 +278,18 @@ class TestConfigFiles:
         path.write_text(text, encoding="utf-8")
         assert math.isinf(load_scenario(path).dr.th_pos)
 
+    def test_scenario_longer_than_trajectory_rejected(self, tmp_path):
+        cfg = yaml.safe_load((SCENARIO_DIR / "sinusoid_tight.yaml").read_text(encoding="utf-8"))
+        cfg["trajectory"]["duration"] = 60.0
+        cfg["duration"] = 90.0
+        path = tmp_path / "long.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"duration 90\.0 s .* duration 60\.0 s"):
+            load_scenario(path)
+        cfg["duration"] = 60.0
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert load_scenario(path).n_ticks == 600
+
 
 def tiny_study_file(tmp_path):
     cfg = {

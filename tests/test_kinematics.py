@@ -13,7 +13,9 @@ from drsim.kinematics import (
     extrapolate,
     max_speed_bound,
     sample_truth,
+    truth_arrays,
     wrap_angle,
+    wrap_angles,
 )
 
 
@@ -38,6 +40,11 @@ class TestWrapAngle:
         # 3.1 vs -3.1 differ by 0.0832 rad the short way around, not 6.2
         d = abs(wrap_angle(3.1 - (-3.1)))
         assert d == pytest.approx(2 * math.pi - 6.2, abs=1e-12)
+
+
+@given(st.floats(-1e6, 1e6))
+def test_wrap_angles_rounds_as_the_scalar(theta):
+    assert wrap_angles(np.array([theta]))[0] == wrap_angle(theta)
 
 
 class TestEntityState:
@@ -132,6 +139,35 @@ class TestSampleTruth:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
             Trajectory("spline", {}, duration=1.0)
+
+
+class TestTruthArrays:
+    KINDS = [
+        ("constant-velocity", {"p0": [1, 2, 3], "v": [1.5, -0.5, 0], "omega": 0.3}),
+        ("constant-acceleration", {"p0": [0, 0, 0], "v0": [1, 0, 0], "a": [0, 1, 0.2]}),
+        ("sinusoid-weave", {"amplitude": [0, 2, 0], "freq": 0.7, "yaw_amp": 0.5}),
+        ("circular", {"radius": 5.0, "omega": -0.4, "phase0": 1.0}),
+        ("waypoint-script", {"waypoints": [[2, 0, 0, 0], [9, 14, 0, 0], [15, 14, 7, 0]]}),
+    ]
+
+    def test_rows_are_sample_truth(self):
+        times = np.arange(201) * 0.1
+        for kind, params in self.KINDS:
+            traj = Trajectory(kind, params, duration=20.0)
+            rows = truth_arrays(traj, times)
+            for i, t in enumerate(times.tolist()):
+                s = sample_truth(traj, t)
+                assert np.array_equal(rows.position[i], s.position)
+                assert np.array_equal(rows.velocity[i], s.velocity)
+                assert np.array_equal(rows.acceleration[i], s.acceleration)
+                assert rows.orientation[i] == s.orientation
+                assert rows.angular_rate[i] == s.angular_rate
+                assert rows.time[i] == s.time
+
+    def test_out_of_range_raises(self):
+        traj = Trajectory("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0]}, duration=10.0)
+        with pytest.raises(RangeError):
+            truth_arrays(traj, [0.0, 10.5])
 
 
 class TestExtrapolate:
