@@ -14,8 +14,6 @@ from .anfis import (
     build_network,
     forward,
     load_network,
-    mf_eval,
-    predict_state,
     save_network,
     train_gd,
     train_hybrid,
@@ -25,9 +23,6 @@ from .dead_reckoning import (
     ReceiverModel,
     SenderModel,
     UpdateMessage,
-    receiver_apply,
-    receiver_read,
-    sender_step,
 )
 from .errors import (
     DegenerateFiringError,
@@ -48,14 +43,13 @@ from .harness import (
     train_bundle,
 )
 from .kinematics import EntityState, Order, Trajectory, extrapolate, sample_truth, wrap_angle
-from .netsim import Channel, ChannelConfig, EventQueue, channel_send, run_until
+from .netsim import Channel, ChannelConfig, EventQueue
 from .qos_metrics import (
     CoherenceReport,
     ErrorSeries,
     QosProfile,
     check_emax_bound,
     integrated_error,
-    record_error,
     verdict,
     violation_windows,
 )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +26,12 @@ from .kinematics import EntityState, Order, extrapolate
 SEVEN_LABELS = ("NB", "NM", "NS", "ZE", "PS", "PM", "PB")
 
 _EXP_CLIP = 60.0
+_BLOCK_ELEMENTS = 1 << 15  # per row block of an (N, R) stage, so that it stays in cache
+
+
+def _pow(u, b):
+    """u ** b, squaring where b == 2 as numpy's power does for a scalar 2."""
+    return np.where(b == 2.0, u * u, u**b)
 
 
 class SigmoidMF:
@@ -40,14 +47,20 @@ class SigmoidMF:
         self.c = float(c)
 
     def eval(self, x):
-        arg = np.clip(self.a * (np.asarray(x, dtype=float) - self.c), -_EXP_CLIP, _EXP_CLIP)
+        return self.degrees(np.asarray(x, dtype=float), self.a, self.c)
+
+    # Parameters may be arrays that broadcast against x: one call, many terms.
+    @staticmethod
+    def degrees(x, a, c):
+        arg = np.clip(a * (x - c), -_EXP_CLIP, _EXP_CLIP)
         return 1.0 / (1.0 + np.exp(-arg))
 
-    def param_grads(self, x):
-        x = np.asarray(x, dtype=float)
-        mu = self.eval(x)
+    @staticmethod
+    def grads(x, a, c):
+        """d(mu)/d(param) for each parameter name."""
+        mu = SigmoidMF.degrees(x, a, c)
         g = mu * (1.0 - mu)
-        return {"a": g * (x - self.c), "c": -self.a * g}
+        return {"a": g * (x - c), "c": -a * g}
 
     def constrain(self):
         if self.a == 0.0:
@@ -75,22 +88,27 @@ class BellMF:
         self.c = float(c)
 
     def eval(self, x):
-        with np.errstate(over="ignore", divide="ignore"):
-            u = ((np.asarray(x, dtype=float) - self.c) / self.a) ** 2
-            return 1.0 / (1.0 + u**self.b)
+        return self.degrees(np.asarray(x, dtype=float), self.a, self.b, self.c)
 
-    def param_grads(self, x):
-        x = np.asarray(x, dtype=float)
+    @staticmethod
+    def degrees(x, a, b, c):
+        with np.errstate(over="ignore", divide="ignore"):
+            u = ((x - c) / a) ** 2
+            return 1.0 / (1.0 + _pow(u, b))
+
+    @staticmethod
+    def grads(x, a, b, c):
+        """d(mu)/d(param) for each parameter name."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            d = x - self.c
-            u = (d / self.a) ** 2
-            ub = u**self.b
+            d = x - c
+            u = (d / a) ** 2
+            ub = _pow(u, b)
             mu = 1.0 / (1.0 + ub)
             mu2ub = mu * mu * ub
-            da = 2.0 * self.b * mu2ub / self.a
+            da = 2.0 * b * mu2ub / a
             db = np.where(u > 0.0, -mu2ub * np.log(np.where(u > 0.0, u, 1.0)), 0.0)
             # u^(b-1) (x-c) / a^2 simplifies to u^b / (x-c); odd limit 0 at the center
-            dc = np.where(d != 0.0, 2.0 * self.b * mu2ub / np.where(d != 0.0, d, 1.0), 0.0)
+            dc = np.where(d != 0.0, 2.0 * b * mu2ub / np.where(d != 0.0, d, 1.0), 0.0)
         return {"a": da, "b": db, "c": dc}
 
     def constrain(self):
@@ -109,12 +127,6 @@ def mf_from_dict(d) -> SigmoidMF | BellMF:
     if shape == "bell":
         return BellMF(d["a"], d["b"], d["c"])
     raise ValidationError(f"unknown membership shape {shape!r}")
-
-
-def mf_eval(mf, x):
-    """Membership degree of x; scalar in (0, 1] for scalar x."""
-    out = mf.eval(x)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 @dataclass
@@ -136,6 +148,18 @@ class InputSpec:
     def normalize(self, x):
         return 2.0 * (np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo) - 1.0
 
+    def shape_groups(self) -> list[tuple[type, list[int], np.ndarray]]:
+        """Per membership shape: its class, its term indices and its parameters,
+        one row per parameter name and one column per term."""
+        by_kind: dict[type, list[int]] = {}
+        for t, term in enumerate(self.terms):
+            by_kind.setdefault(type(term), []).append(t)
+        groups = []
+        for kind, idx in by_kind.items():
+            get = operator.attrgetter(*kind.param_names)
+            groups.append((kind, idx, np.array([get(self.terms[t]) for t in idx]).T))
+        return groups
+
 
 class AnfisNetwork:
     """Mutable network: inputs with terms, a rule list and constant consequents."""
@@ -151,6 +175,14 @@ class AnfisNetwork:
             col = self.rules[:, i]
             if col.min(initial=0) < 0 or col.max(initial=0) >= len(spec.terms):
                 raise ValidationError(f"rule antecedent index out of range for input {spec.name!r}")
+        # selectors[i][t, r] is 1.0 where rule r uses term t of input i: degrees @
+        # selectors[i] gathers each rule's degree exactly. term_sums[i] is its
+        # transpose in C order, which fixes how BLAS rounds the sums over a term's rules.
+        self.selectors = [
+            (np.arange(len(spec.terms))[:, None] == self.rules[:, i]).astype(float)
+            for i, spec in enumerate(self.inputs)
+        ]
+        self.term_sums = [np.ascontiguousarray(sel.T) for sel in self.selectors]
         self.z = np.array(consequents, dtype=float)
         if self.z.shape != (self.rules.shape[0],):
             raise ValidationError(f"need one consequent per rule, got {self.z.shape}")
@@ -270,20 +302,35 @@ class ForwardTrace:
 
 
 def layer1(net: AnfisNetwork, x) -> list[np.ndarray]:
-    """Membership degree of each input against each of its terms."""
+    """Membership degree of each input against each of its terms, all terms of
+    one shape in one call on the input's (N, 1) column."""
     batch = net._as_batch(x)
     out = []
     for i, spec in enumerate(net.inputs):
-        xn = spec.normalize(batch[:, i])
-        out.append(np.column_stack([term.eval(xn) for term in spec.terms]))
+        xn = spec.normalize(batch[:, i])[:, None]
+        deg = np.empty((len(xn), len(spec.terms)))
+        for kind, idx, params in spec.shape_groups():
+            deg[:, idx] = kind.degrees(xn, *params)
+        out.append(deg)
     return out
 
 
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Row slices of about _BLOCK_ELEMENTS elements each."""
+    step = max(1, _BLOCK_ELEMENTS // n_cols)
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
 def layer2_firing(net: AnfisNetwork, degrees: list[np.ndarray]) -> np.ndarray:
-    """Product T-norm of each rule's antecedent degrees."""
-    alpha = degrees[0][:, net.rules[:, 0]].copy()
-    for i in range(1, net.n_inputs):
-        alpha *= degrees[i][:, net.rules[:, i]]
+    """Product T-norm of each rule's antecedent degrees, as a C-ordered (N, R)
+    array: layer 3's row sums depend on that order for their exact value."""
+    n = len(degrees[0])
+    alpha = np.empty((n, net.n_rules))
+    for rows in _row_blocks(n, net.n_rules):
+        block = alpha[rows]
+        np.matmul(degrees[0][rows], net.selectors[0], out=block)
+        for i in range(1, net.n_inputs):
+            block *= degrees[i][rows] @ net.selectors[i]
     return alpha
 
 
@@ -339,50 +386,61 @@ class TrainingSet:
         return self.inputs.shape[0]
 
 
-def loss(net: AnfisNetwork, data: TrainingSet) -> float:
-    """Sum over samples of half squared error."""
-    out, _ = forward_batch(net, data.inputs)
+def _half_sse(data: TrainingSet, out: np.ndarray) -> float:
     return float(0.5 * np.sum((data.targets - out) ** 2))
 
 
-def _gradients(net: AnfisNetwork, data: TrainingSet):
-    """Batch gradients of the set loss w.r.t. consequents and premise params."""
+def loss(net: AnfisNetwork, data: TrainingSet) -> float:
+    """Sum over samples of half squared error."""
+    out, _ = forward_batch(net, data.inputs)
+    return _half_sse(data, out)
+
+
+def _gradients(net: AnfisNetwork, data: TrainingSet, trace: ForwardTrace | None = None):
+    """Batch gradients of the set loss w.r.t. consequents and premise params.
+
+    trace is the forward pass of data at the network's current parameters,
+    computed here when not given. Raises TrainingError on a non-finite gradient.
+    """
     x = net._as_batch(data.inputs)
-    out, trace = forward_batch(net, x)
+    if trace is None:
+        _, trace = forward_batch(net, x)
+    out = trace.output
     err = out - data.targets  # dE/d(output) per sample
     dz = trace.beta.T @ err
-
-    total = trace.alpha.sum(axis=1)
-    dE_dalpha = err[:, None] * (net.z[None, :] - out[:, None]) / total[:, None]
-
-    # Per-input gathered degrees and product-of-others, for the chain to layer 1.
-    gathered = [trace.degrees[i][:, net.rules[:, i]] for i in range(net.n_inputs)]
-    dmf: list[list[dict]] = []
-    for i, spec in enumerate(net.inputs):
-        prod_others = np.ones_like(trace.alpha)
-        for j in range(net.n_inputs):
-            if j != i:
-                prod_others *= gathered[j]
-        dE_dDi = dE_dalpha * prod_others  # (N, R)
-        xn = spec.normalize(x[:, i])
-        term_grads = []
-        for t, term in enumerate(spec.terms):
-            mask = net.rules[:, i] == t
-            dE_ddeg = dE_dDi[:, mask].sum(axis=1)  # (N,)
-            pg = term.param_grads(xn)
-            term_grads.append({k: float(np.dot(dE_ddeg, v)) for k, v in pg.items()})
-        dmf.append(term_grads)
-    return dz, dmf, out
-
-
-def _check_finite_grads(dz, dmf) -> None:
     if not np.all(np.isfinite(dz)):
         raise TrainingError("non-finite consequent gradient; lower eta or rescale inputs")
-    for term_grads in dmf:
-        for g in term_grads:
-            for name, val in g.items():
-                if not math.isfinite(val):
+
+    # dE/d(degree) per input and term: dE/d(alpha) = err (z - out) / total times
+    # the product of the other inputs' degrees (that product first), summed
+    # over each term's rules.
+    total = trace.alpha.sum(axis=1)
+    dE_ddeg = [np.empty((len(x), len(spec.terms))) for spec in net.inputs]
+    for rows in _row_blocks(len(x), net.n_rules):
+        dE_dalpha = net.z - out[rows, None]
+        dE_dalpha *= err[rows, None]
+        dE_dalpha /= total[rows, None]
+        gathered = [d[rows] @ sel for d, sel in zip(trace.degrees, net.selectors)]
+        for i, sums in enumerate(net.term_sums):
+            others = [g for j, g in enumerate(gathered) if j != i]
+            dE_dDi = math.prod(others[1:], start=others[0]) * dE_dalpha if others else dE_dalpha
+            np.matmul(dE_dDi, sums, out=dE_ddeg[i][rows])
+
+    dmf: list[list[dict]] = []
+    for i, spec in enumerate(net.inputs):
+        by_term = np.ascontiguousarray(dE_ddeg[i].T)  # (n_terms, N)
+        xn = spec.normalize(x[:, i])
+        term_grads: list[dict] = [{} for _ in spec.terms]
+        for kind, idx, params in spec.shape_groups():
+            dE_dk = by_term[idx][:, None, :]
+            for name, v in kind.grads(xn, *params[:, :, None]).items():
+                g = (dE_dk @ v[:, :, None])[:, 0, 0]  # one BLAS dot per term
+                if not np.all(np.isfinite(g)):
                     raise TrainingError(f"non-finite gradient for premise parameter {name!r}")
+                for t, val in zip(idx, g.tolist()):
+                    term_grads[t][name] = val
+        dmf.append(term_grads)
+    return dz, dmf, out
 
 
 def _apply_premise_step(net: AnfisNetwork, dmf, eta: float) -> None:
@@ -394,20 +452,27 @@ def _apply_premise_step(net: AnfisNetwork, dmf, eta: float) -> None:
 
 
 def train_gd(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[float]:
-    """Batch gradient descent on every parameter; returns loss after each epoch."""
+    """Batch gradient descent on every parameter; returns loss after each epoch.
+
+    Each epoch's one forward pass, after its step, also serves the next gradient.
+    """
     if epochs < 1:
         raise ValidationError("epochs must be >= 1")
     losses = []
+    _, trace = forward_batch(net, data.inputs)
     for _ in range(epochs):
-        dz, dmf, _ = _gradients(net, data)
-        _check_finite_grads(dz, dmf)
+        dz, dmf, _ = _gradients(net, data, trace)
+        del trace  # frees its (N, R) arrays before the next forward pass
         net.z = net.z - net.eta * dz
         _apply_premise_step(net, dmf, net.eta)
-        losses.append(loss(net, data))
+        out, trace = forward_batch(net, data.inputs)
+        losses.append(_half_sse(data, out))
     return losses
 
 
-def _solve_consequents(net: AnfisNetwork, data: TrainingSet) -> None:
+def _solve_consequents(net: AnfisNetwork, data: TrainingSet) -> ForwardTrace:
+    """Solve the consequents by least squares; returns the forward pass with
+    its output at the solved consequents."""
     _, trace = forward_batch(net, data.inputs)
     sol, _, rank, _ = np.linalg.lstsq(trace.beta, data.targets, rcond=None)
     if rank < net.n_rules:
@@ -418,6 +483,8 @@ def _solve_consequents(net: AnfisNetwork, data: TrainingSet) -> None:
             stacklevel=3,
         )
     net.z = sol
+    trace.output = trace.beta @ sol
+    return trace
 
 
 def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[float]:
@@ -426,7 +493,8 @@ def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[floa
     The recorded epoch loss is the post-least-squares loss, i.e. the loss at
     that epoch's premise parameters with the consequents solved optimally. The
     final epoch skips the premise step, so the returned network realizes the
-    last recorded loss exactly.
+    last recorded loss exactly. The solve's forward pass serves the loss and
+    the gradient, since the premises do not change in between.
     """
     if epochs < 1:
         raise ValidationError("epochs must be >= 1")
@@ -436,12 +504,12 @@ def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[floa
         )
     losses = []
     for epoch in range(epochs):
-        _solve_consequents(net, data)
-        losses.append(loss(net, data))
+        trace = _solve_consequents(net, data)
+        losses.append(_half_sse(data, trace.output))
         if net.eta > 0.0 and epoch < epochs - 1:
-            dz, dmf, _ = _gradients(net, data)
-            _check_finite_grads(dz, dmf)
+            _, dmf, _ = _gradients(net, data, trace)
             _apply_premise_step(net, dmf, net.eta)
+        del trace  # frees its (N, R) arrays before the next solve
     return losses
 
 
@@ -559,7 +627,3 @@ class AnfisBundle:
     def load(cls, path) -> "AnfisBundle":
         with open(path, encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
-
-
-def predict_state(bundle: AnfisBundle, history: list[EntityState], horizon: float) -> np.ndarray:
-    return bundle.predict(history, horizon)

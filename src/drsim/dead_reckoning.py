@@ -342,15 +342,3 @@ def display(
     first = int(np.searchsorted(delivered, 1))
     pos, theta = shown(newest[delivered[first:] - 1], truth.time[first:])
     return first, pos, theta
-
-
-def sender_step(model: SenderModel, truth: EntityState, now: float) -> UpdateMessage | None:
-    return model.step(truth, now)
-
-
-def receiver_apply(model: ReceiverModel, msg: UpdateMessage, now: float) -> None:
-    model.apply(msg, now)
-
-
-def receiver_read(model: ReceiverModel, now: float) -> EntityState | None:
-    return model.read(now)

@@ -383,10 +383,10 @@ def _axis_training_set(
     return TrainingSet(feats, targets)
 
 
-def _train_axis_net(
-    spec: TrainSpec, ranges: list[tuple[float, float]], data: TrainingSet, seed: int
-) -> AnfisNetwork:
-    net = build_network(
+def _axis_network(spec: TrainSpec, ranges: list[tuple[float, float]], seed: int) -> AnfisNetwork:
+    """The untrained corrector of one axis over its (deviation, velocity,
+    orientation) input ranges."""
+    return build_network(
         [("deviation", *ranges[0]), ("velocity", *ranges[1]), ("orientation", *ranges[2])],
         n_terms=spec.n_terms,
         shape=spec.shape,
@@ -395,11 +395,6 @@ def _train_axis_net(
         seed=seed,
         center_jitter=spec.center_jitter,
     )
-    if spec.regime == "hybrid":
-        anfis.train_hybrid(net, data, spec.epochs)
-    else:
-        anfis.train_gd(net, data, spec.epochs)
-    return net
 
 
 def _study_table(study: ComparisonStudy) -> MotionTable:
@@ -423,11 +418,13 @@ def train_bundle(
     if len(train_idx) < 2:
         raise ValidationError("study too short for this horizon/split")
     ranges = _axis_ranges(table, train_idx)
+    train = anfis.train_hybrid if study.train.regime == "hybrid" else anfis.train_gd
     nets = []
     for axis in range(3):
         data = _axis_training_set(table, train_idx, horizon_ticks, axis)
         seed = study.seed + 7919 * axis + 104729 * horizon_ticks
-        nets.append(_train_axis_net(study.train, ranges[axis], data, seed))
+        nets.append(_axis_network(study.train, ranges[axis], seed))
+        train(nets[-1], data, study.train.epochs)
     return AnfisBundle(nets, h_ref=horizon_ticks * study.tick, feature_tick=study.tick)
 
 
@@ -497,13 +494,7 @@ def make_residual_task(
     idx = idx[:n_samples]
     ranges = _axis_ranges(table, idx)[axis]
     data = _axis_training_set(table, idx, horizon_ticks, axis)
-    net = build_network(
-        [("deviation", *ranges[0]), ("velocity", *ranges[1]), ("orientation", *ranges[2])],
-        n_terms=n_terms,
-        shape=shape,
-        rule_base=rule_base,
-        eta=eta,
-        seed=seed,
-        center_jitter=center_jitter,
+    spec = TrainSpec(
+        n_terms=n_terms, rule_base=rule_base, shape=shape, eta=eta, center_jitter=center_jitter
     )
-    return net, data
+    return _axis_network(spec, ranges, seed), data

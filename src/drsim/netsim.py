@@ -121,11 +121,3 @@ class Channel:
         queue.schedule(due, "deliver", msg)
         self.scheduled += 1
         return True
-
-
-def channel_send(channel: Channel, queue: EventQueue, msg, now: float) -> bool:
-    return channel.send(queue, msg, now)
-
-
-def run_until(queue: EventQueue, t_end: float, handlers: Mapping[str, Callable]) -> int:
-    return queue.run_until(t_end, handlers)

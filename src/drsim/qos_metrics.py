@@ -106,10 +106,6 @@ class ErrorSeries:
         return "t,e_pos,e_or\n" + "".join(rows)
 
 
-def record_error(series: ErrorSeries, truth: EntityState, displayed: EntityState) -> None:
-    series.record(truth, displayed)
-
-
 def integrated_error(series: ErrorSeries) -> float:
     """Left Riemann sum of positional error over the sampled span."""
     if len(series) < 1:

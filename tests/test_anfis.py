@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from drsim import anfis
 from drsim.anfis import (
     AnfisBundle,
     AnfisNetwork,
@@ -20,8 +21,6 @@ from drsim.anfis import (
     layer3_normalize,
     load_network,
     loss,
-    mf_eval,
-    predict_state,
     save_network,
     train_gd,
     train_hybrid,
@@ -44,14 +43,14 @@ def tiny_net(n_terms=3, n_inputs=1, rule_base="compact", shape="bell", eta=0.05,
 
 class TestMembership:
     def test_sigmoid_center_is_half(self):
-        assert mf_eval(SigmoidMF(a=1.0, c=0.0), 0.0) == pytest.approx(0.5)
+        assert SigmoidMF(a=1.0, c=0.0).eval(0.0) == pytest.approx(0.5)
 
     def test_bell_peak_is_one(self):
-        assert mf_eval(BellMF(a=2.0, b=1.0, c=3.0), 3.0) == pytest.approx(1.0)
+        assert BellMF(a=2.0, b=1.0, c=3.0).eval(3.0) == pytest.approx(1.0)
 
     def test_bell_half_at_one_width(self):
         # 1 / (1 + |2/2|^2) = 0.5
-        assert mf_eval(BellMF(a=2.0, b=1.0, c=3.0), 5.0) == pytest.approx(0.5)
+        assert BellMF(a=2.0, b=1.0, c=3.0).eval(5.0) == pytest.approx(0.5)
 
     def test_output_ranges(self):
         xs = np.linspace(-50, 50, 1001)
@@ -233,21 +232,188 @@ def _fd_check(net, data, rel_tol=1e-4, abs_floor=1e-5, h=1e-6):
 
 
 class TestGradients:
-    @pytest.mark.parametrize("shape", ["bell", "sigmoid"])
-    def test_matches_finite_differences(self, shape):
+    @pytest.mark.parametrize(
+        "shape, rule_base",
+        [("bell", "compact"), ("sigmoid", "compact"), ("bell", "grid"), ("sigmoid", "grid")],
+        ids=["bell", "sigmoid", "bell-grid", "sigmoid-grid"],
+    )
+    def test_matches_finite_differences(self, shape, rule_base):
         rng = np.random.default_rng(7)
         net = build_network(
             [("a", -1, 1), ("b", -2, 2), ("c", -3, 3)],
             n_terms=5,
             shape=shape,
-            rule_base="compact",
+            rule_base=rule_base,
             seed=7,
             center_jitter=0.01,
         )
         net.z = rng.normal(0, 1, net.n_rules)
         X = rng.uniform(-0.9, 0.9, (24, 3)) * np.array([1.0, 2.0, 3.0])
         Y = rng.normal(0, 1, 24)
-        _fd_check(net, TrainingSet(X, Y))
+        # A grid's 125 rules each fire weakly, so some consequent gradients are
+        # about 1e-5, where the differences' roundoff (~2e-9) is 1e-4 of them.
+        _fd_check(net, TrainingSet(X, Y), abs_floor=1e-4 if rule_base == "grid" else 1e-5)
+
+
+# Per-term reference of layer 1 and the gradients: each membership term in its
+# own call and each term's gradient from a masked sum over the rules that use
+# it. The kernel evaluates all terms of an input at once and sums through a
+# one-hot product. Layer 1 must match exactly; the gradient sums may run in
+# another order, so they get a tolerance of a few thousand float64 ulps of the
+# largest gradient.
+GRAD_TOL = 1e-12
+
+
+def _ref_degree(term, x):
+    if term.shape == "sigmoid":
+        arg = np.clip(term.a * (x - term.c), -60.0, 60.0)
+        return 1.0 / (1.0 + np.exp(-arg))
+    with np.errstate(over="ignore", divide="ignore"):
+        u = ((x - term.c) / term.a) ** 2
+        return 1.0 / (1.0 + u**term.b)
+
+
+def _ref_param_grads(term, x):
+    if term.shape == "sigmoid":
+        mu = _ref_degree(term, x)
+        g = mu * (1.0 - mu)
+        return {"a": g * (x - term.c), "c": -term.a * g}
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = x - term.c
+        u = (d / term.a) ** 2
+        ub = u**term.b
+        mu = 1.0 / (1.0 + ub)
+        mu2ub = mu * mu * ub
+        da = 2.0 * term.b * mu2ub / term.a
+        db = np.where(u > 0.0, -mu2ub * np.log(np.where(u > 0.0, u, 1.0)), 0.0)
+        dc = np.where(d != 0.0, 2.0 * term.b * mu2ub / np.where(d != 0.0, d, 1.0), 0.0)
+    return {"a": da, "b": db, "c": dc}
+
+
+def reference_layer1(net, x):
+    batch = np.atleast_2d(np.asarray(x, dtype=float))
+    out = []
+    for i, spec in enumerate(net.inputs):
+        xn = spec.normalize(batch[:, i])
+        out.append(np.column_stack([_ref_degree(term, xn) for term in spec.terms]))
+    return out
+
+
+def reference_gradients(net, data):
+    x = data.inputs
+    degrees = reference_layer1(net, x)
+    alpha = degrees[0][:, net.rules[:, 0]].copy()
+    for i in range(1, net.n_inputs):
+        alpha *= degrees[i][:, net.rules[:, i]]
+    total = alpha.sum(axis=1)
+    beta = alpha / total[:, None]
+    out = beta @ net.z
+    err = out - data.targets
+    dz = beta.T @ err
+    dE_dalpha = err[:, None] * (net.z[None, :] - out[:, None]) / total[:, None]
+    gathered = [degrees[i][:, net.rules[:, i]] for i in range(net.n_inputs)]
+    dmf = []
+    for i, spec in enumerate(net.inputs):
+        prod_others = np.ones_like(alpha)
+        for j in range(net.n_inputs):
+            if j != i:
+                prod_others *= gathered[j]
+        dE_dDi = dE_dalpha * prod_others
+        xn = spec.normalize(x[:, i])
+        term_grads = []
+        for t, term in enumerate(spec.terms):
+            dE_ddeg = dE_dDi[:, net.rules[:, i] == t].sum(axis=1)
+            pg = _ref_param_grads(term, xn)
+            term_grads.append({k: float(np.dot(dE_ddeg, v)) for k, v in pg.items()})
+        dmf.append(term_grads)
+    return dz, dmf, out
+
+
+def kernel_case(shape, n_inputs, rule_base):
+    """A network with jittered terms and trained-looking bell exponents (every
+    third one left at exactly 2), plus samples reaching past the input range."""
+    rng = np.random.default_rng(13)
+    net = tiny_net(n_terms=4, n_inputs=n_inputs, rule_base=rule_base, shape="bell", seed=13)
+    for spec in net.inputs:
+        for t, term in enumerate(spec.terms):
+            if shape == "sigmoid" or (shape == "mixed" and t % 2 == 1):
+                spec.terms[t] = SigmoidMF(a=rng.uniform(2.0, 6.0) * rng.choice([-1, 1]), c=term.c)
+            elif t % 3:
+                term.b = rng.uniform(1.2, 3.0)
+    net.z = rng.normal(0, 1, net.n_rules)
+    X = rng.uniform(-1.3, 1.3, (80, n_inputs))
+    return net, TrainingSet(X, rng.normal(0, 1, 80))
+
+
+KERNEL_CASES = [
+    (shape, n_inputs, rule_base)
+    for shape in ("bell", "sigmoid", "mixed")
+    for n_inputs in (1, 3)
+    for rule_base in ("compact", "grid")
+]
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("shape, n_inputs, rule_base", KERNEL_CASES)
+    def test_layer1_equals_per_term(self, shape, n_inputs, rule_base):
+        net, data = kernel_case(shape, n_inputs, rule_base)
+        for x in (data.inputs, data.inputs[:1]):
+            new, ref = layer1(net, x), reference_layer1(net, x)
+            assert len(new) == len(ref)
+            for a, b in zip(new, ref):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape, n_inputs, rule_base", KERNEL_CASES)
+    def test_gradients_match_per_term(self, shape, n_inputs, rule_base):
+        from drsim.anfis import _gradients
+
+        net, data = kernel_case(shape, n_inputs, rule_base)
+        dz, dmf, out = _gradients(net, data)
+        ref_dz, ref_dmf, ref_out = reference_gradients(net, data)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(dz, ref_dz)
+        for spec, terms, ref_terms in zip(net.inputs, dmf, ref_dmf):
+            for term, g, ref_g in zip(spec.terms, terms, ref_terms):
+                assert set(g) == set(ref_g) == set(term.param_names)
+            for name in ("a", "b", "c"):
+                got = [g[name] for g in terms if name in g]
+                want = [g[name] for g in ref_terms if name in g]
+                scale = max((abs(w) for w in want), default=0.0)
+                np.testing.assert_allclose(got, want, rtol=0, atol=GRAD_TOL * scale)
+
+    def test_given_trace_is_reused(self):
+        from drsim.anfis import _gradients
+
+        net, data = kernel_case("mixed", 3, "grid")
+        _, trace = forward_batch(net, data.inputs)
+        fresh = _gradients(net, data)
+        reused = _gradients(net, data, trace)
+        assert np.array_equal(fresh[0], reused[0])
+        assert fresh[1] == reused[1]
+
+
+class TestForwardPasses:
+    """Training runs one forward pass per epoch (plus one to start descent)."""
+
+    @pytest.mark.parametrize("train, extra", [(train_hybrid, 0), (train_gd, 1)])
+    def test_passes_per_epoch(self, monkeypatch, train, extra):
+        net, data = kernel_case("bell", 3, "grid")
+        net.eta = 0.01
+        calls = []
+        real = anfis.forward_batch
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(anfis, "forward_batch", counting)
+        epochs = 4
+        losses = train(net, data, epochs)
+        assert len(calls) == epochs + extra
+        monkeypatch.undo()
+        # the reused passes report the loss the trained network really has
+        assert losses[-1] == loss(net, data)
 
 
 class TestTrainGd:
@@ -388,7 +554,7 @@ class TestBundle:
         bundle = self._bundle()
         s = EntityState([1, 2, 0], [0.5, -1, 0], [0.2, 0, 0], 0.3, 0.05, 4.0)
         for horizon in (0.0, 0.5, 2.0):
-            pos = predict_state(bundle, [s], horizon)
+            pos = bundle.predict([s], horizon)
             expected = extrapolate(s, 4.0 + horizon, Order.SECOND).position
             assert np.array_equal(pos, expected)
 
@@ -396,9 +562,9 @@ class TestBundle:
         bundle = self._bundle(h_ref=0.5)
         bundle.networks[0].z[:] = 1.0  # constant +1 m correction at h_ref on x
         s = EntityState([0, 0, 0], [1, 0, 0], [0, 0, 0], 0.0, 0.0, 0.0)
-        pos = predict_state(bundle, [s], 0.5)
+        pos = bundle.predict([s], 0.5)
         assert pos[0] == pytest.approx(1.5)  # 0.5 extrapolated + 1.0 corrected
-        pos2 = predict_state(bundle, [s], 1.0)
+        pos2 = bundle.predict([s], 1.0)
         assert pos2[0] == pytest.approx(1.0 + 8.0)  # cubic horizon scaling
 
     def test_empty_history_rejected(self):

@@ -9,8 +9,6 @@ from drsim.dead_reckoning import (
     SenderModel,
     UpdateMessage,
     predict,
-    receiver_read,
-    sender_step,
 )
 from drsim.errors import RangeError, ValidationError
 from drsim.kinematics import EntityState, Order, Trajectory, sample_truth
@@ -193,11 +191,11 @@ class TestMirrorSymmetry:
         for i in range(201):
             now = i * 0.1
             truth = sample_truth(traj, now)
-            msg = sender_step(sender, truth, truth.time)
+            msg = sender.step(truth, truth.time)
             if msg is not None:
                 recv.apply(msg, truth.time)
             mirror = predict(sender.last_sent.state, truth.time, cfg)
-            shown = receiver_read(recv, truth.time)
+            shown = recv.read(truth.time)
             assert np.array_equal(mirror.position, shown.position)
             assert mirror.orientation == shown.orientation
 

@@ -2,8 +2,10 @@
 
 A change that moves any digest changes the program's output for a shipped
 scenario; such a change must say why in CHANGES.md and update golden.json.
-The compare digest covers the polynomial columns only, so no corrector is
-trained here and the digest does not depend on the BLAS build.
+The compare digest covers the polynomial columns only, which do not depend on
+the BLAS build. The corrector's column is pinned by value instead, at a
+relative tolerance of 1e-6: its least-squares solve rounds differently with
+the BLAS build and thread count (1 and 2 OpenBLAS threads differ by 3.5e-8).
 """
 
 import dataclasses
@@ -11,6 +13,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from drsim import cli
@@ -46,3 +49,11 @@ def test_compare_polynomial_columns_match_golden(name):
     study = load_study(SCENARIO_DIR / f"{name}.yaml")
     result = run_comparison(dataclasses.replace(study, predictors=("first", "second")))
     assert sha256(result.to_csv()) == GOLDEN["compare"][name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["compare_anfis"]))
+def test_compare_anfis_column_matches_golden(name):
+    study = load_study(SCENARIO_DIR / f"{name}.yaml")
+    result = run_comparison(dataclasses.replace(study, predictors=("anfis",)))
+    expected = GOLDEN["compare_anfis"][name]
+    np.testing.assert_allclose(result.mae["anfis"], expected, rtol=1e-6, atol=0)

@@ -6,7 +6,7 @@ import pytest
 from drsim.dead_reckoning import UpdateMessage
 from drsim.errors import RangeError, SimulationError, ValidationError
 from drsim.kinematics import EntityState
-from drsim.netsim import Channel, ChannelConfig, EventQueue, channel_send
+from drsim.netsim import Channel, ChannelConfig, EventQueue
 
 
 def msg(t, seq=0):
@@ -81,7 +81,7 @@ class TestChannel:
     def test_deterministic_delay(self):
         q = EventQueue()
         chan = Channel(ChannelConfig(base_delay=0.1))
-        channel_send(chan, q, msg(1.0), 1.0)
+        chan.send(q, msg(1.0), 1.0)
         deliveries = []
         q.run_until(2.0, {"deliver": lambda m, due: deliveries.append(due)})
         assert deliveries == [pytest.approx(1.1)]
@@ -90,7 +90,7 @@ class TestChannel:
         q = EventQueue()
         chan = Channel(ChannelConfig(loss=1.0))
         for i in range(100):
-            channel_send(chan, q, msg(float(i), i), float(i))
+            chan.send(q, msg(float(i), i), float(i))
         assert chan.dropped == 100
         assert len(q) == 0
 
@@ -99,7 +99,7 @@ class TestChannel:
         chan = Channel(ChannelConfig(loss=tau, seed=99))
         q = EventQueue()
         for i in range(n):
-            channel_send(chan, q, msg(0.0, i), 0.0)
+            chan.send(q, msg(0.0, i), 0.0)
         rate = chan.dropped / n
         assert abs(rate - tau) <= 4 * math.sqrt(tau * (1 - tau) / n)
 
@@ -108,7 +108,7 @@ class TestChannel:
         chan = Channel(ChannelConfig(base_delay=0.1, jitter=0.04, seed=5, reorder_allowed=True))
         n = 2000
         for i in range(n):
-            channel_send(chan, q, msg(0.0, i), 0.0)
+            chan.send(q, msg(0.0, i), 0.0)
         dues = []
         q.run_until(1.0, {"deliver": lambda m, due: dues.append(due)})
         assert len(dues) == n
@@ -122,7 +122,7 @@ class TestChannel:
         for i in range(500):
             t = i * 0.01
             q.run_until(t, {"deliver": lambda m, due: pairs.append((m.sent_at, due))})
-            channel_send(chan, q, msg(t, i), t)
+            chan.send(q, msg(t, i), t)
         q.run_until(100.0, {"deliver": lambda m, due: pairs.append((m.sent_at, due))})
         assert all(due >= sent for sent, due in pairs)
 
@@ -133,7 +133,7 @@ class TestChannel:
         for i in range(300):
             t = i * 0.01
             q.run_until(t, {"deliver": lambda m, due: order.append(m.seq)})
-            channel_send(chan, q, msg(t, i), t)
+            chan.send(q, msg(t, i), t)
         q.run_until(10.0, {"deliver": lambda m, due: order.append(m.seq)})
         assert order == sorted(order)
 
@@ -144,7 +144,7 @@ class TestChannel:
         for i in range(300):
             t = i * 0.01
             q.run_until(t, {"deliver": lambda m, due: order.append(m.seq)})
-            channel_send(chan, q, msg(t, i), t)
+            chan.send(q, msg(t, i), t)
         q.run_until(10.0, {"deliver": lambda m, due: order.append(m.seq)})
         assert order != sorted(order)
 
@@ -154,7 +154,7 @@ class TestChannel:
             q = EventQueue()
             events = []
             for i in range(200):
-                channel_send(chan, q, msg(0.0, i), 0.0)
+                chan.send(q, msg(0.0, i), 0.0)
             q.run_until(1.0, {"deliver": lambda m, due: events.append((m.seq, due))})
             return events, chan.dropped
 

@@ -15,7 +15,6 @@ from drsim.qos_metrics import (
     QosProfile,
     check_emax_bound,
     integrated_error,
-    record_error,
     verdict,
     violation_windows,
 )
@@ -29,36 +28,36 @@ def series_from_errors(errors, tick=0.1, t0=0.0):
     s = ErrorSeries(tick)
     for i, e in enumerate(errors):
         t = t0 + i * tick
-        record_error(s, state([e, 0, 0], t=t), state([0, 0, 0], t=t))
+        s.record(state([e, 0, 0], t=t), state([0, 0, 0], t=t))
     return s
 
 
 class TestRecordError:
     def test_identical_states_record_zero(self):
         s = ErrorSeries(0.1)
-        record_error(s, state([1, 2, 3], theta=0.4), state([1, 2, 3], theta=0.4))
+        s.record(state([1, 2, 3], theta=0.4), state([1, 2, 3], theta=0.4))
         assert s.e_pos == [0.0]
         assert s.e_or == [0.0]
 
     def test_euclidean_345(self):
         s = ErrorSeries(0.1)
-        record_error(s, state([0, 0, 0]), state([3, 4, 0]))
+        s.record(state([0, 0, 0]), state([3, 4, 0]))
         assert s.e_pos[0] == pytest.approx(5.0)
 
     def test_orientation_wraps_short_way(self):
         s = ErrorSeries(0.1)
-        record_error(s, state([0, 0, 0], theta=3.1), state([0, 0, 0], theta=-3.1))
+        s.record(state([0, 0, 0], theta=3.1), state([0, 0, 0], theta=-3.1))
         assert s.e_or[0] == pytest.approx(2 * math.pi - 6.2, abs=1e-12)
 
     def test_time_mismatch_rejected(self):
         s = ErrorSeries(0.1)
         with pytest.raises(ValidationError):
-            record_error(s, state([0, 0, 0], t=1.0), state([0, 0, 0], t=1.5))
+            s.record(state([0, 0, 0], t=1.0), state([0, 0, 0], t=1.5))
 
     def test_grid_break_rejected(self):
         s = series_from_errors([1.0, 1.0])
         with pytest.raises(ValidationError):
-            record_error(s, state([0, 0, 0], t=5.0), state([0, 0, 0], t=5.0))
+            s.record(state([0, 0, 0], t=5.0), state([0, 0, 0], t=5.0))
 
     def test_csv_shape(self):
         s = series_from_errors([0.25, 0.5])
