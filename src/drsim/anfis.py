@@ -27,6 +27,7 @@ SEVEN_LABELS = ("NB", "NM", "NS", "ZE", "PS", "PM", "PB")
 
 _EXP_CLIP = 60.0
 _BLOCK_ELEMENTS = 1 << 15  # per row block of an (N, R) stage, so that it stays in cache
+_RESIDUAL_ROWS = 1024  # rows per forward pass of AnfisBundle.residuals, so memory stays bounded
 
 
 def _pow(u, b):
@@ -563,16 +564,23 @@ class AnfisBundle:
         self.feature_tick = float(feature_tick)
 
     def residuals(self, dev, vel, orient) -> np.ndarray:
-        """Learned corrections (N, 3) at the reference horizon for batched features."""
+        """Learned corrections (N, 3) at the reference horizon for batched features.
+
+        Each row's output is its own dot of firing strengths and consequents, so
+        it equals a one-row call bit for bit (a matrix-vector product over many
+        rows rounds differently). Rows go through the networks in blocks.
+        """
         dev = np.atleast_2d(np.asarray(dev, dtype=float))
         vel = np.atleast_2d(np.asarray(vel, dtype=float))
         orient = np.atleast_1d(np.asarray(orient, dtype=float))
-        cols = []
-        for k, net in enumerate(self.networks):
-            feats = np.column_stack([dev[:, k], vel[:, k], orient])
-            out, _ = forward_batch(net, feats)
-            cols.append(out)
-        return np.column_stack(cols)
+        out = np.empty((len(orient), 3))
+        for lo in range(0, len(orient), _RESIDUAL_ROWS):
+            rows = slice(lo, lo + _RESIDUAL_ROWS)
+            for k, net in enumerate(self.networks):
+                feats = np.column_stack([dev[rows, k], vel[rows, k], orient[rows]])
+                beta = forward_batch(net, feats)[1].beta
+                out[rows, k] = (beta[:, None, :] @ net.z[:, None])[:, 0, 0]
+        return out
 
     def corrections(self, dev, vel, orient, horizon: float) -> np.ndarray:
         """Residual corrections (N, 3) for batched features at one horizon."""

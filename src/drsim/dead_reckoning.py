@@ -246,16 +246,18 @@ def gate(truth: StateArrays, config: DrConfig) -> SendLog:
     n = len(times)
     heartbeat_due = config.heartbeat - _TIME_EPS
     check_or = config.th_or < math.inf
+    residuals = np.zeros((n, 3))
+    if config.predictor == "anfis":
+        # A one-state history's features (no observed deviation) depend only on
+        # its truth row, so one batched evaluation serves every update.
+        residuals = config.anfis_bundle.residuals(
+            np.zeros((n, 3)), truth.velocity, truth.orientation
+        )
     log = SendLog([], [])
     row = 0
     while True:
         log.rows.append(row)
-        residual = np.zeros(3)
-        if config.predictor == "anfis":
-            # The feature row of a one-state history: no observed deviation.
-            residual = config.anfis_bundle.residuals(
-                np.zeros((1, 3)), truth.velocity[row][None, :], [truth.orientation[row]]
-            )[0]
+        residual = residuals[row]
         log.residuals.append(residual)
         last, base = row, truth.take(row)
         if last == n - 1:

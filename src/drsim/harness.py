@@ -69,6 +69,34 @@ class Scenario:
         return int(round(self.duration / self.tick))
 
 
+# The keys each section of a config file may hold; trajectory keys depend on the kind.
+_RUN_KEYS = frozenset(
+    "name seed tick duration message_size_bytes trajectory dr channel profile".split()
+)
+_STUDY_KEYS = frozenset("seed tick duration trajectory horizons predictors train".split())
+_DR_KEYS = frozenset(
+    "th_pos th_or heartbeat order convergence blend_window predictor anfis_net".split()
+)
+_CHANNEL_KEYS = frozenset("base_delay jitter loss seed reorder_allowed".split())
+
+
+def _checked(cfg, allowed: frozenset, where: str) -> dict:
+    """cfg, if it is a mapping with keys from allowed only; otherwise a
+    ValidationError that names where, and the first key not allowed."""
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"{where} must be a mapping, got {type(cfg).__name__}")
+    for key in cfg:
+        if key not in allowed:
+            if where == "run file" and key in _STUDY_KEYS:
+                raise ValidationError(
+                    f"key {key!r} belongs to a study file; use drsim compare or drsim train"
+                )
+            raise ValidationError(
+                f"unknown key {key!r} in {where}; expected one of {', '.join(sorted(allowed))}"
+            )
+    return cfg
+
+
 def _trajectory_from_config(cfg: dict, duration: float, tick: float) -> Trajectory:
     cfg = dict(cfg)
     kind = cfg.pop("kind")
@@ -78,7 +106,7 @@ def _trajectory_from_config(cfg: dict, duration: float, tick: float) -> Trajecto
 
 
 def _dr_from_config(cfg: dict, base_dir: Path | None) -> DrConfig:
-    cfg = dict(cfg)
+    cfg = dict(_checked(cfg, _DR_KEYS, "dr"))
     bundle = None
     net_path = cfg.pop("anfis_net", None)
     if net_path is not None:
@@ -99,10 +127,11 @@ def _dr_from_config(cfg: dict, base_dir: Path | None) -> DrConfig:
 
 
 def scenario_from_dict(cfg: dict, base_dir: Path | None = None) -> Scenario:
+    _checked(cfg, _RUN_KEYS, "run file")
     tick = float(cfg["tick"])
     duration = float(cfg["duration"])
     seed = int(cfg.get("seed", 0))
-    chan_cfg = dict(cfg.get("channel", {}))
+    chan_cfg = dict(_checked(cfg.get("channel", {}), _CHANNEL_KEYS, "channel"))
     chan_cfg.setdefault("seed", seed)
     return Scenario(
         name=str(cfg.get("name", "scenario")),
@@ -287,9 +316,11 @@ class ComparisonStudy:
 
 
 def study_from_dict(cfg: dict) -> ComparisonStudy:
+    _checked(cfg, _STUDY_KEYS, "study file")
     tick = float(cfg["tick"])
     duration = float(cfg["duration"])
-    train_cfg = dict(cfg.get("train", {}))
+    train_fields = frozenset(f.name for f in dataclasses.fields(TrainSpec))
+    train_cfg = dict(_checked(cfg.get("train", {}), train_fields, "train"))
     return ComparisonStudy(
         trajectory=_trajectory_from_config(cfg["trajectory"], duration, tick),
         tick=tick,

@@ -539,6 +539,41 @@ class TestSerialization:
         assert net.inputs[0].labels == ["NB", "NM", "NS", "ZE", "PS", "PM", "PB"]
 
 
+def batch_case_bundle(shape, n_terms, rule_base):
+    """A bundle of jittered 3-input networks with nonzero consequents; sigmoid
+    terms replace all (sigmoid) or every other (mixed) bell term."""
+    rng = np.random.default_rng(29)
+    nets = []
+    for axis in range(3):
+        net = tiny_net(n_terms=n_terms, n_inputs=3, rule_base=rule_base, seed=axis)
+        for spec in net.inputs:
+            for t, term in enumerate(spec.terms):
+                if shape == "sigmoid" or (shape == "mixed" and t % 2 == 1):
+                    slope = rng.uniform(2.0, 6.0) * rng.choice([-1, 1])
+                    spec.terms[t] = SigmoidMF(a=slope, c=term.c)
+        net.z = rng.normal(0, 1, net.n_rules)
+        nets.append(net)
+    return AnfisBundle(nets, h_ref=0.5, feature_tick=0.1)
+
+
+class TestBundleBatchInvariance:
+    """A row's correction must not depend on the rows evaluated beside it."""
+
+    @pytest.mark.parametrize("shape", ["bell", "sigmoid", "mixed"])
+    @pytest.mark.parametrize("n_terms, rule_base", [(7, "grid"), (5, "compact")])
+    def test_rows_equal_one_row_calls(self, monkeypatch, shape, n_terms, rule_base):
+        monkeypatch.setattr(anfis, "_RESIDUAL_ROWS", 64)  # 200 rows: three full blocks and a part
+        bundle = batch_case_bundle(shape, n_terms, rule_base)
+        assert bundle.networks[0].n_rules == (n_terms**3 if rule_base == "grid" else n_terms)
+        rng = np.random.default_rng(31)
+        dev, vel = rng.uniform(-1.2, 1.2, (2, 200, 3))
+        orient = rng.uniform(-1.2, 1.2, 200)
+        batch = bundle.residuals(dev, vel, orient)
+        rows = [bundle.residuals(dev[[i]], vel[[i]], orient[[i]])[0] for i in range(200)]
+        assert batch.shape == (200, 3)
+        assert np.array_equal(batch, rows)
+
+
 class TestBundle:
     def _bundle(self, h_ref=1.0):
         nets = [

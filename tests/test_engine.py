@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drsim import anfis
 from drsim.anfis import AnfisBundle, build_network
 from drsim.dead_reckoning import DrConfig, ReceiverModel, SenderModel
 from drsim.harness import RunResult, Scenario, run_scenario
@@ -156,13 +157,13 @@ def test_fine_tick():
     assert_same_run(scenario("circular", dr, tick=0.02))
 
 
-def fixed_bundle(h_ref: float = 0.5) -> AnfisBundle:
-    """Three small networks with fixed nonzero consequents, trained by nothing."""
+def fixed_bundle(h_ref: float = 0.5, n_terms: int = 3) -> AnfisBundle:
+    """Three grid networks with fixed nonzero consequents, trained by nothing."""
     nets = []
     for axis in range(3):
         net = build_network(
             [("deviation", -1.0, 1.0), ("velocity", -40.0, 40.0), ("orientation", -4.0, 4.0)],
-            n_terms=3,
+            n_terms=n_terms,
             rule_base="grid",
             seed=axis,
         )
@@ -171,18 +172,33 @@ def fixed_bundle(h_ref: float = 0.5) -> AnfisBundle:
     return AnfisBundle(nets, h_ref=h_ref, feature_tick=0.1)
 
 
-@pytest.mark.parametrize("convergence", ["snap", "blend"])
-@pytest.mark.parametrize("kind", ["sinusoid-weave", "circular"])
-def test_anfis_predictor(kind, convergence):
+ANFIS_CASES = [
+    pytest.param(kind, convergence, 3, 0.1, 1, id=f"{kind}-{convergence}")
+    for kind in ("sinusoid-weave", "circular")
+    for convergence in ("snap", "blend")
+] + [
+    # 343 rules: a matrix-vector product over many rows rounds unlike one row's dot.
+    pytest.param("sinusoid-weave", "blend", 7, 0.1, 1, id="grid-343-rules"),
+    # 1,201 rows: the gate's corrections come from two row blocks.
+    pytest.param("circular", "snap", 3, 0.05, 2, id="rows-past-one-block"),
+]
+
+
+@pytest.mark.parametrize("kind, convergence, n_terms, tick, blocks", ANFIS_CASES)
+def test_anfis_predictor(kind, convergence, n_terms, tick, blocks):
     dr = DrConfig(
         th_pos=0.5,
         th_or=0.3,
         predictor="anfis",
-        anfis_bundle=fixed_bundle(),
+        anfis_bundle=fixed_bundle(n_terms=n_terms),
         convergence=convergence,
     )
-    ref = assert_same_run(scenario(kind, dr))
+    sc = scenario(kind, dr, tick=tick)
+    ref = assert_same_run(sc)
     assert ref.report.messages_sent > ref.report.heartbeats + 1  # threshold sends happen
+    assert -(-(sc.n_ticks + 1) // anfis._RESIDUAL_ROWS) == blocks
+    # Every block sends an update, so the block edges are held to the reference.
+    assert len({round(t / tick) // anfis._RESIDUAL_ROWS for t in ref.send_times}) == blocks
 
 
 @settings(max_examples=25, deadline=None)

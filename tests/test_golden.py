@@ -6,6 +6,8 @@ The compare digest covers the polynomial columns only, which do not depend on
 the BLAS build. The corrector's column is pinned by value instead, at a
 relative tolerance of 1e-6: its least-squares solve rounds differently with
 the BLAS build and thread count (1 and 2 OpenBLAS threads differ by 3.5e-8).
+The gated anfis runs use a bundle with fixed consequents, built here and
+trained by nothing, so no least-squares solve reaches their digest.
 """
 
 import dataclasses
@@ -15,8 +17,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from drsim import cli
+from drsim.anfis import AnfisBundle, build_network
 from drsim.harness import load_study, run_comparison
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -27,14 +31,51 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def run_digest(scenario_path: Path, out: Path) -> str:
+    """sha256 of the report.csv + errors.csv that `drsim run --out` writes."""
+    cli.main(["run", str(scenario_path), "--out", str(out)])
+    written = (out / "report.csv").read_text(encoding="utf-8") + (
+        out / "errors.csv"
+    ).read_text(encoding="utf-8")
+    return sha256(written)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN["run"]))
 def test_run_outputs_match_golden(name, tmp_path, capsys):
-    cli.main(["run", str(SCENARIO_DIR / f"{name}.yaml"), "--out", str(tmp_path)])
+    assert run_digest(SCENARIO_DIR / f"{name}.yaml", tmp_path) == GOLDEN["run"][name]
     capsys.readouterr()
-    written = (tmp_path / "report.csv").read_text(encoding="utf-8") + (
-        tmp_path / "errors.csv"
-    ).read_text(encoding="utf-8")
-    assert sha256(written) == GOLDEN["run"][name]
+
+
+def fixed_grid_bundle() -> AnfisBundle:
+    """Three 7^3-grid networks with fixed nonzero consequents."""
+    nets = []
+    for axis in range(3):
+        net = build_network(
+            [("deviation", -1.0, 1.0), ("velocity", -12.0, 12.0), ("orientation", -4.0, 4.0)],
+            n_terms=7,
+            rule_base="grid",
+            seed=axis,
+            center_jitter=0.1,
+        )
+        net.z = np.linspace(-0.05, 0.05, net.n_rules) * (axis + 1)
+        nets.append(net)
+    return AnfisBundle(nets, h_ref=0.3, feature_tick=0.1)
+
+
+def anfis_run_digest(name: str, tmp_path: Path) -> str:
+    """The stock run file gated by the fixed grid bundle, saved and loaded as the CLI does."""
+    fixed_grid_bundle().save(tmp_path / "bundle.json")
+    cfg = yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text(encoding="utf-8"))
+    cfg["dr"].update(predictor="anfis", anfis_net="bundle.json")
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    return run_digest(path, tmp_path / "out")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["run_anfis"]))
+def test_gated_anfis_run_matches_golden(name, tmp_path, capsys):
+    assert anfis_run_digest(name, tmp_path) == GOLDEN["run_anfis"][name]
+    capsys.readouterr()
 
 
 def test_every_stock_run_file_is_pinned():

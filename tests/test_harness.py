@@ -13,6 +13,7 @@ from drsim.harness import (
     Scenario,
     TrainSpec,
     load_scenario,
+    load_study,
     make_residual_task,
     run_comparison,
     run_scenario,
@@ -24,6 +25,7 @@ from drsim.harness import (
 from drsim.kinematics import Order, Trajectory
 from drsim.netsim import ChannelConfig
 from drsim.qos_metrics import QosProfile
+from test_engine import assert_same_run
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -291,6 +293,66 @@ class TestConfigFiles:
         assert load_scenario(path).n_ticks == 600
 
 
+RUN_CFG = {
+    "tick": 0.1,
+    "duration": 1.0,
+    "trajectory": {"kind": "constant-velocity", "p0": [0, 0, 0], "v": [1, 0, 0]},
+    "dr": {"th_pos": 0.5},
+    "channel": {"base_delay": 0.1},
+}
+
+
+class TestConfigKeys:
+    """A misspelt or misplaced key fails at load time and names the key."""
+
+    @pytest.mark.parametrize(
+        "section, key", [(None, "tick_size"), ("dr", "th_pso"), ("channel", "lost")]
+    )
+    def test_unknown_run_key_rejected(self, tmp_path, section, key):
+        cfg = yaml.safe_load(yaml.safe_dump(RUN_CFG))
+        (cfg if section is None else cfg[section])[key] = 1.0
+        path = tmp_path / "sc.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        where = "run file" if section is None else section
+        with pytest.raises(ValidationError, match=f"unknown key '{key}' in {where}"):
+            load_scenario(path)
+
+    def test_trajectory_keys_are_left_to_the_kind(self, tmp_path):
+        cfg = yaml.safe_load(yaml.safe_dump(RUN_CFG))
+        cfg["trajectory"]["freq"] = 1.0  # not a constant-velocity parameter
+        path = tmp_path / "sc.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert load_scenario(path).n_ticks == 10
+
+    @pytest.mark.parametrize("key", ["horizons", "train", "predictors"])
+    def test_study_key_in_run_file_rejected(self, tmp_path, key):
+        cfg = dict(RUN_CFG, **{key: [1]})
+        path = tmp_path / "sc.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"key '{key}' belongs to a study file"):
+            load_scenario(path)
+
+    def test_stock_study_file_does_not_run(self, capsys):
+        assert cli.main(["run", str(SCENARIO_DIR / "sinusoid_comparison.yaml")]) == 1
+        assert "'horizons' belongs to a study file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [(None, "dr"), ("train", "epoch")])
+    def test_unknown_study_key_rejected(self, tmp_path, section, key):
+        cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
+        (cfg if section is None else cfg[section])[key] = 1
+        path = tmp_path / "bad_study.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        where = "study file" if section is None else section
+        with pytest.raises(ValidationError, match=f"unknown key '{key}' in {where}"):
+            load_study(path)
+
+    def test_section_must_be_a_mapping(self, tmp_path):
+        path = tmp_path / "sc.yaml"
+        path.write_text(yaml.safe_dump(dict(RUN_CFG, dr=[0.5])), encoding="utf-8")
+        with pytest.raises(ValidationError, match="dr must be a mapping"):
+            load_scenario(path)
+
+
 def tiny_study_file(tmp_path):
     cfg = {
         "seed": 3,
@@ -345,10 +407,11 @@ class TestCli:
         assert lines[0] == "horizon,second,anfis"
         assert len(lines) == 3
 
-    def test_train_then_run_with_bundle(self, tmp_path):
+    def test_train_then_run_with_bundle(self, tmp_path, capsys):
         study = tiny_study_file(tmp_path)
         bundle_path = tmp_path / "bundle.json"
         assert cli.main(["train", str(study), "--save", str(bundle_path), "--horizon", "3"]) == 0
+        capsys.readouterr()
         cfg = {
             "tick": 0.1,
             "duration": 10.0,
@@ -363,6 +426,11 @@ class TestCli:
         sc_path = tmp_path / "anfis_run.yaml"
         sc_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
         assert cli.main(["run", str(sc_path)]) == 0
+        printed = capsys.readouterr().out
+        # The CLI-trained bundle gates the run as the per-tick reference does.
+        ref = assert_same_run(load_scenario(sc_path))
+        assert printed == ref.report.to_text()
+        assert ref.report.messages_sent > ref.report.heartbeats + 1  # threshold sends happen
 
     def test_sweep_csv_output(self, tmp_path):
         out = tmp_path / "sweep.csv"
