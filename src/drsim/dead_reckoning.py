@@ -31,6 +31,10 @@ from .kinematics import (
 )
 
 _TIME_EPS = 1e-9
+# A one-row corrector pass costs about as much as a batched pass over 30 rows, so
+# the gate batches the rows ahead only while updates come fewer rows apart.
+_DENSE_GAP = 32
+_AHEAD_ROWS = 1024
 
 CONVERGENCE_MODES = ("snap", "blend")
 PREDICTOR_KINDS = ("polynomial", "anfis")
@@ -246,16 +250,18 @@ def gate(truth: StateArrays, config: DrConfig) -> SendLog:
     n = len(times)
     heartbeat_due = config.heartbeat - _TIME_EPS
     check_or = config.th_or < math.inf
-    residuals = np.zeros((n, 3))
-    if config.predictor == "anfis":
-        # A one-state history's features (no observed deviation) depend only on
-        # its truth row, so one batched evaluation serves every update.
-        residuals = config.anfis_bundle.residuals(
-            np.zeros((n, 3)), truth.velocity, truth.orientation
-        )
+    residuals, ready = np.zeros((n, 3)), 0  # the corrector's output, known up to row ready
     log = SendLog([], [])
-    row = 0
+    row = last = 0
     while True:
+        if config.predictor == "anfis" and row >= ready:
+            # A one-state history's features (no observed deviation) depend only
+            # on its truth row, so one pass can serve the updates in the rows ahead.
+            ready = min(n, row + (_AHEAD_ROWS if 0 < row - last < _DENSE_GAP else 1))
+            rows = slice(row, ready)
+            residuals[rows] = config.anfis_bundle.residuals(
+                np.zeros((ready - row, 3)), truth.velocity[rows], truth.orientation[rows]
+            )
         log.rows.append(row)
         residual = residuals[row]
         log.residuals.append(residual)

@@ -69,15 +69,9 @@ class Scenario:
         return int(round(self.duration / self.tick))
 
 
-# The keys each section of a config file may hold; trajectory keys depend on the kind.
-_RUN_KEYS = frozenset(
-    "name seed tick duration message_size_bytes trajectory dr channel profile".split()
-)
-_STUDY_KEYS = frozenset("seed tick duration trajectory horizons predictors train".split())
-_DR_KEYS = frozenset(
-    "th_pos th_or heartbeat order convergence blend_window predictor anfis_net".split()
-)
-_CHANNEL_KEYS = frozenset("base_delay jitter loss seed reorder_allowed".split())
+def _keys(cls) -> frozenset:
+    """The keys a config section read into dataclass cls may hold: its field names."""
+    return frozenset(f.name for f in dataclasses.fields(cls))
 
 
 def _checked(cfg, allowed: frozenset, where: str) -> dict:
@@ -87,10 +81,6 @@ def _checked(cfg, allowed: frozenset, where: str) -> dict:
         raise ValidationError(f"{where} must be a mapping, got {type(cfg).__name__}")
     for key in cfg:
         if key not in allowed:
-            if where == "run file" and key in _STUDY_KEYS:
-                raise ValidationError(
-                    f"key {key!r} belongs to a study file; use drsim compare or drsim train"
-                )
             raise ValidationError(
                 f"unknown key {key!r} in {where}; expected one of {', '.join(sorted(allowed))}"
             )
@@ -106,7 +96,7 @@ def _trajectory_from_config(cfg: dict, duration: float, tick: float) -> Trajecto
 
 
 def _dr_from_config(cfg: dict, base_dir: Path | None) -> DrConfig:
-    cfg = dict(_checked(cfg, _DR_KEYS, "dr"))
+    cfg = dict(_checked(cfg, _keys(DrConfig) - {"anfis_bundle"} | {"anfis_net"}, "dr"))
     bundle = None
     net_path = cfg.pop("anfis_net", None)
     if net_path is not None:
@@ -127,11 +117,17 @@ def _dr_from_config(cfg: dict, base_dir: Path | None) -> DrConfig:
 
 
 def scenario_from_dict(cfg: dict, base_dir: Path | None = None) -> Scenario:
-    _checked(cfg, _RUN_KEYS, "run file")
+    if isinstance(cfg, dict):
+        study_only = sorted(cfg.keys() & (_keys(ComparisonStudy) - _keys(Scenario)))
+        if study_only:
+            raise ValidationError(
+                f"key {study_only[0]!r} belongs to a study file; use drsim compare or drsim train"
+            )
+    _checked(cfg, _keys(Scenario), "run file")
     tick = float(cfg["tick"])
     duration = float(cfg["duration"])
     seed = int(cfg.get("seed", 0))
-    chan_cfg = dict(_checked(cfg.get("channel", {}), _CHANNEL_KEYS, "channel"))
+    chan_cfg = dict(_checked(cfg.get("channel", {}), _keys(ChannelConfig), "channel"))
     chan_cfg.setdefault("seed", seed)
     return Scenario(
         name=str(cfg.get("name", "scenario")),
@@ -316,11 +312,10 @@ class ComparisonStudy:
 
 
 def study_from_dict(cfg: dict) -> ComparisonStudy:
-    _checked(cfg, _STUDY_KEYS, "study file")
+    _checked(cfg, _keys(ComparisonStudy), "study file")
     tick = float(cfg["tick"])
     duration = float(cfg["duration"])
-    train_fields = frozenset(f.name for f in dataclasses.fields(TrainSpec))
-    train_cfg = dict(_checked(cfg.get("train", {}), train_fields, "train"))
+    train_cfg = dict(_checked(cfg.get("train", {}), _keys(TrainSpec), "train"))
     return ComparisonStudy(
         trajectory=_trajectory_from_config(cfg["trajectory"], duration, tick),
         tick=tick,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsim import anfis
+from drsim import dead_reckoning
 from drsim.anfis import AnfisBundle, build_network
 from drsim.dead_reckoning import DrConfig, ReceiverModel, SenderModel
 from drsim.harness import RunResult, Scenario, run_scenario
@@ -172,6 +172,20 @@ def fixed_bundle(h_ref: float = 0.5, n_terms: int = 3) -> AnfisBundle:
     return AnfisBundle(nets, h_ref=h_ref, feature_tick=0.1)
 
 
+def gate_passes(sc: Scenario) -> list[int]:
+    """The rows in each corrector pass of the gate in run_scenario(sc)."""
+    bundle, passes = sc.dr.anfis_bundle, []
+
+    def residuals(dev, vel, orient, inner=bundle.residuals):
+        passes.append(len(orient))
+        return inner(dev, vel, orient)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bundle, "residuals", residuals)
+        run_scenario(sc)
+    return passes
+
+
 ANFIS_CASES = [
     pytest.param(kind, convergence, 3, 0.1, 1, id=f"{kind}-{convergence}")
     for kind in ("sinusoid-weave", "circular")
@@ -179,13 +193,13 @@ ANFIS_CASES = [
 ] + [
     # 343 rules: a matrix-vector product over many rows rounds unlike one row's dot.
     pytest.param("sinusoid-weave", "blend", 7, 0.1, 1, id="grid-343-rules"),
-    # 1,201 rows: the gate's corrections come from two row blocks.
+    # 1,201 rows: updates past the end of the gate's first batched pass.
     pytest.param("circular", "snap", 3, 0.05, 2, id="rows-past-one-block"),
 ]
 
 
-@pytest.mark.parametrize("kind, convergence, n_terms, tick, blocks", ANFIS_CASES)
-def test_anfis_predictor(kind, convergence, n_terms, tick, blocks):
+@pytest.mark.parametrize("kind, convergence, n_terms, tick, batched", ANFIS_CASES)
+def test_anfis_predictor(kind, convergence, n_terms, tick, batched):
     dr = DrConfig(
         th_pos=0.5,
         th_or=0.3,
@@ -196,9 +210,31 @@ def test_anfis_predictor(kind, convergence, n_terms, tick, blocks):
     sc = scenario(kind, dr, tick=tick)
     ref = assert_same_run(sc)
     assert ref.report.messages_sent > ref.report.heartbeats + 1  # threshold sends happen
-    assert -(-(sc.n_ticks + 1) // anfis._RESIDUAL_ROWS) == blocks
-    # Every block sends an update, so the block edges are held to the reference.
-    assert len({round(t / tick) // anfis._RESIDUAL_ROWS for t in ref.send_times}) == blocks
+    # The first update evaluates its own row, then updates come densely.
+    passes = gate_passes(sc)
+    assert passes[0] == 1 and len(passes) == 1 + batched
+    assert passes[1:-1] == [dead_reckoning._AHEAD_ROWS] * (batched - 1)
+
+
+@pytest.mark.parametrize(
+    "kind, th_pos, one_row, batched",
+    [
+        ("circular", math.inf, 13, 0),  # heartbeats only, 100 rows apart
+        ("sinusoid-weave", 2.0, 27, 0),  # updates 39-51 rows apart
+        ("sinusoid-weave", 1.0, 5, 1),  # 31-40 rows apart: batched after a close pair
+        ("circular", 0.5, 1, 2),  # 25-33 rows apart
+    ],
+)
+def test_anfis_gate_passes_follow_update_density(kind, th_pos, one_row, batched):
+    """After a sparse stretch an update evaluates the corrector at its own row,
+    as the per-tick sender does; while updates come densely, one batched pass
+    serves the rows ahead. Either way the run equals the reference."""
+    dr = DrConfig(th_pos=th_pos, predictor="anfis", anfis_bundle=fixed_bundle())
+    sc = scenario(kind, dr, tick=0.05)
+    assert_same_run(sc)
+    passes = gate_passes(sc)
+    assert passes.count(1) == one_row
+    assert len(passes) - one_row == batched
 
 
 @settings(max_examples=25, deadline=None)
