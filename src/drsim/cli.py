@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    SWEEP_AXES,
     load_scenario,
     load_study,
     run_comparison,
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="re-run a scenario across one axis")
     p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--axis", required=True, choices=("th_pos", "base_delay", "loss"))
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--out", help="output CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,26 +35,20 @@ from .qos_metrics import (
     violation_windows,
 )
 
-DEFAULT_MESSAGE_SIZE = 144  # bytes per update, order of a full entity-state packet
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    name: str
+    name: str = "scenario"
     trajectory: Trajectory
-    dr: DrConfig
-    channel: ChannelConfig
-    profile: QosProfile
+    dr: DrConfig = field(default_factory=DrConfig)
+    channel: ChannelConfig = field(default_factory=ChannelConfig)
+    profile: QosProfile = field(default_factory=QosProfile.loosely_coupled)
     tick: float
     duration: float
     seed: int = 0
-    message_size_bytes: int = DEFAULT_MESSAGE_SIZE
+    message_size_bytes: int = 144  # bytes per update, order of a full entity-state packet
 
     def __post_init__(self):
-        if not (math.isfinite(self.tick) and self.tick > 0.0):
-            raise ValidationError(f"tick must be positive, got {self.tick}")
-        if self.duration < self.tick:
-            raise ValidationError("duration must cover at least one tick")
+        _check_time_grid(self.tick, self.duration)
         if self.message_size_bytes <= 0:
             raise ValidationError("message_size_bytes must be positive")
         last_tick = self.n_ticks * self.tick
@@ -69,51 +64,100 @@ class Scenario:
         return int(round(self.duration / self.tick))
 
 
+def _check_time_grid(tick: float, duration: float) -> None:
+    if not (math.isfinite(tick) and tick > 0.0):
+        raise ValidationError(f"tick must be positive, got {tick}")
+    if not duration >= tick:
+        raise ValidationError("duration must cover at least one tick")
+
+
 def _keys(cls) -> frozenset:
-    """The keys a config section read into dataclass cls may hold: its field names."""
     return frozenset(f.name for f in dataclasses.fields(cls))
 
 
-def _checked(cfg, allowed: frozenset, where: str) -> dict:
-    """cfg, if it is a mapping with keys from allowed only; otherwise a
-    ValidationError that names where, and the first key not allowed."""
+# Field types a config file holds; a tuple field reads a list of one of them.
+_SCALARS = (bool, int, float, str, Order)
+
+
+def _from_file(tp) -> bool:
+    return tp in _SCALARS or (typing.get_origin(tp) is tuple and typing.get_args(tp)[0] in _SCALARS)
+
+
+def _convert(tp, value):
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(_convert(typing.get_args(tp)[0], v) for v in value)
+    if tp is bool and not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return tp(value)
+
+
+def _mapping(cfg, where: str) -> dict:
     if not isinstance(cfg, dict):
         raise ValidationError(f"{where} must be a mapping, got {type(cfg).__name__}")
-    for key in cfg:
+    return cfg
+
+
+def _read_section(cls, cfg, where: str, raw=()) -> dict:
+    """The keyword arguments for dataclass cls that cfg, a config file's section
+    where, sets. A key is a field of cls of a type in _SCALARS, its value
+    converted by that type, or one of raw, left for the caller to read. Fields
+    cfg leaves out take their defaults. Errors name where and the key."""
+    cfg = _mapping(cfg, where)
+    types = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name in raw or _from_file(types[f.name])]
+    allowed = {f.name for f in fields} | set(raw)
+    values = {}
+    for key, value in cfg.items():
         if key not in allowed:
             raise ValidationError(
                 f"unknown key {key!r} in {where}; expected one of {', '.join(sorted(allowed))}"
             )
-    return cfg
+        try:
+            values[key] = value if key in raw else _convert(types[key], value)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad value for {key!r} in {where}: {exc}") from None
+    for f in fields:
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and f.name not in cfg:
+            raise ValidationError(f"missing key {f.name!r} in {where}")
+    return values
 
 
-def _trajectory_from_config(cfg: dict, duration: float, tick: float) -> Trajectory:
-    cfg = dict(cfg)
-    kind = cfg.pop("kind")
-    duration = float(cfg.pop("duration", duration))
-    tick = float(cfg.pop("tick", tick))
-    return Trajectory(kind=kind, params=cfg, duration=duration, tick=tick)
-
-
-def _dr_from_config(cfg: dict, base_dir: Path | None) -> DrConfig:
-    cfg = dict(_checked(cfg, _keys(DrConfig) - {"anfis_bundle"} | {"anfis_net"}, "dr"))
-    bundle = None
-    net_path = cfg.pop("anfis_net", None)
-    if net_path is not None:
-        path = Path(net_path)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        bundle = AnfisBundle.load(path)
-    return DrConfig(
-        th_pos=float(cfg.get("th_pos", 1.0)),
-        th_or=float(cfg.get("th_or", math.inf)),
-        heartbeat=float(cfg.get("heartbeat", 5.0)),
-        order=Order(cfg.get("order", "second")),
-        convergence=cfg.get("convergence", "snap"),
-        blend_window=float(cfg.get("blend_window", 0.5)),
-        predictor=cfg.get("predictor", "polynomial"),
-        anfis_bundle=bundle,
+def _trajectory_from_config(cfg, duration: float) -> Trajectory:
+    """kind and duration, by default the run's, are the section's own keys;
+    the others are parameters of the kind, which Trajectory checks."""
+    cfg = _mapping(cfg, "trajectory")
+    own = {key: cfg[key] for key in ("kind", "duration") if key in cfg}
+    params = {key: value for key, value in cfg.items() if key not in own}
+    return Trajectory(
+        **_read_section(Trajectory, {"duration": duration, **own}, "trajectory"), params=params
     )
+
+
+def _dr_from_config(cfg, base_dir: Path | None) -> DrConfig:
+    dr = _read_section(DrConfig, cfg, "dr", raw=("anfis_net",))
+    net_path = dr.pop("anfis_net", None)
+    if net_path is not None:  # relative to the run file; an absolute path stays as it is
+        dr["anfis_bundle"] = AnfisBundle.load(Path(base_dir or ".", net_path))
+    return DrConfig(**dr)
+
+
+# A named profile's bounds are fixed; a file sets bounds only in a custom one.
+_NAMED_PROFILES = (QosProfile.tightly_coupled(), QosProfile.loosely_coupled())
+
+
+def _profile_from_config(cfg) -> QosProfile:
+    cfg = _mapping(cfg, "profile")
+    named = [p for p in _NAMED_PROFILES if p.name == cfg.get("name")]
+    extra = [key for key in cfg if key != "name"]
+    if named and extra:
+        raise ValidationError(
+            f"key {extra[0]!r} in profile: the {named[0].name} profile has fixed bounds; "
+            "set them in a custom profile"
+        )
+    return named[0] if named else QosProfile(**_read_section(QosProfile, cfg, "profile"))
 
 
 def scenario_from_dict(cfg: dict, base_dir: Path | None = None) -> Scenario:
@@ -123,29 +167,18 @@ def scenario_from_dict(cfg: dict, base_dir: Path | None = None) -> Scenario:
             raise ValidationError(
                 f"key {study_only[0]!r} belongs to a study file; use drsim compare or drsim train"
             )
-    _checked(cfg, _keys(Scenario), "run file")
-    tick = float(cfg["tick"])
-    duration = float(cfg["duration"])
-    seed = int(cfg.get("seed", 0))
-    chan_cfg = dict(_checked(cfg.get("channel", {}), _keys(ChannelConfig), "channel"))
-    chan_cfg.setdefault("seed", seed)
-    return Scenario(
-        name=str(cfg.get("name", "scenario")),
-        trajectory=_trajectory_from_config(cfg["trajectory"], duration, tick),
-        dr=_dr_from_config(cfg.get("dr", {}), base_dir),
-        channel=ChannelConfig(
-            base_delay=float(chan_cfg.get("base_delay", 0.0)),
-            jitter=float(chan_cfg.get("jitter", 0.0)),
-            loss=float(chan_cfg.get("loss", 0.0)),
-            seed=int(chan_cfg["seed"]),
-            reorder_allowed=bool(chan_cfg.get("reorder_allowed", False)),
-        ),
-        profile=QosProfile.from_config(cfg.get("profile", {"name": "loosely-coupled"})),
-        tick=tick,
-        duration=duration,
-        seed=seed,
-        message_size_bytes=int(cfg.get("message_size_bytes", DEFAULT_MESSAGE_SIZE)),
-    )
+    run = _read_section(Scenario, cfg, "run file", raw=("trajectory", "dr", "channel", "profile"))
+    run["trajectory"] = _trajectory_from_config(run["trajectory"], run["duration"])
+    if "dr" in run:
+        run["dr"] = _dr_from_config(run["dr"], base_dir)
+    if "profile" in run:
+        run["profile"] = _profile_from_config(run["profile"])
+    channel = _read_section(ChannelConfig, run.pop("channel", {}), "channel")
+    sc = Scenario(**run, channel=ChannelConfig(**channel))
+    if "seed" in channel:
+        return sc
+    # A channel without a seed of its own draws from the run's.
+    return dataclasses.replace(sc, channel=dataclasses.replace(sc.channel, seed=sc.seed))
 
 
 def load_scenario(path) -> Scenario:
@@ -201,7 +234,7 @@ def run_scenario(sc: Scenario) -> RunResult:
         report.integrated_error = integrated_error(series)
         report.violation_windows = violation_windows(series, sc.dr.th_pos)
         report.total_violation_time = sum(w.length for w in report.violation_windows)
-    report.passed, report.reasons = verdict(report, sc.profile, sc.channel)
+    report.passed, report.reasons = verdict(report, sc.profile, sc.channel, len(series) > 0)
     return RunResult(report, series, send_times, delivery_times)
 
 
@@ -209,7 +242,8 @@ def run_scenario(sc: Scenario) -> RunResult:
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
-SWEEP_AXES = ("th_pos", "base_delay", "loss")
+# Each axis a sweep can vary, with the Scenario section it is a key of.
+SWEEP_AXES = {"th_pos": "dr", "base_delay": "channel", "loss": "channel"}
 
 
 @dataclass(frozen=True)
@@ -222,19 +256,14 @@ class SweepRow:
 
 
 def _scenario_with(sc: Scenario, axis: str, value: float) -> Scenario:
-    if axis == "th_pos":
-        return dataclasses.replace(sc, dr=dataclasses.replace(sc.dr, th_pos=value))
-    if axis == "base_delay":
-        return dataclasses.replace(sc, channel=dataclasses.replace(sc.channel, base_delay=value))
-    if axis == "loss":
-        return dataclasses.replace(sc, channel=dataclasses.replace(sc.channel, loss=value))
-    raise ValidationError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    section = dataclasses.replace(getattr(sc, SWEEP_AXES[axis]), **{axis: value})
+    return dataclasses.replace(sc, **{SWEEP_AXES[axis]: section})
 
 
 def sweep(base: Scenario, axis: str, values: list[float]) -> list[SweepRow]:
     """One seeded run per value; per-row failures are reported, not fatal."""
     if axis not in SWEEP_AXES:
-        raise ValidationError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+        raise ValidationError(f"unknown sweep axis {axis!r}; choose from {', '.join(SWEEP_AXES)}")
     if not values:
         raise ValidationError("sweep needs at least one value")
     rows = []
@@ -304,6 +333,7 @@ class ComparisonStudy:
     seed: int = 0
 
     def __post_init__(self):
+        _check_time_grid(self.tick, self.duration)
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise ValidationError("horizons must be positive tick counts")
         for p in self.predictors:
@@ -312,29 +342,10 @@ class ComparisonStudy:
 
 
 def study_from_dict(cfg: dict) -> ComparisonStudy:
-    _checked(cfg, _keys(ComparisonStudy), "study file")
-    tick = float(cfg["tick"])
-    duration = float(cfg["duration"])
-    train_cfg = dict(_checked(cfg.get("train", {}), _keys(TrainSpec), "train"))
-    return ComparisonStudy(
-        trajectory=_trajectory_from_config(cfg["trajectory"], duration, tick),
-        tick=tick,
-        duration=duration,
-        horizons=tuple(int(h) for h in cfg.get("horizons", range(1, 11))),
-        predictors=tuple(cfg.get("predictors", ["second", "anfis"])),
-        train=TrainSpec(
-            epochs=int(train_cfg.get("epochs", 4)),
-            eta=float(train_cfg.get("eta", 0.01)),
-            regime=train_cfg.get("regime", "hybrid"),
-            split=float(train_cfg.get("split", 0.7)),
-            n_terms=int(train_cfg.get("n_terms", 7)),
-            rule_base=train_cfg.get("rule_base", "grid"),
-            shape=train_cfg.get("shape", "bell"),
-            obs_noise_pos=float(train_cfg.get("obs_noise_pos", 0.0)),
-            center_jitter=float(train_cfg.get("center_jitter", 0.0)),
-        ),
-        seed=int(cfg.get("seed", 0)),
-    )
+    study = _read_section(ComparisonStudy, cfg, "study file", raw=("trajectory", "train"))
+    study["trajectory"] = _trajectory_from_config(study["trajectory"], study["duration"])
+    study["train"] = TrainSpec(**_read_section(TrainSpec, study.get("train", {}), "train"))
+    return ComparisonStudy(**study)
 
 
 def load_study(path) -> ComparisonStudy:

@@ -73,32 +73,49 @@ class EntityState:
         object.__setattr__(self, "orientation", wrap_angle(self.orientation))
 
 
-TRAJECTORY_KINDS = (
-    "constant-velocity",
-    "constant-acceleration",
-    "sinusoid-weave",
-    "circular",
-    "waypoint-script",
-)
+_ORIGIN = (0.0, 0.0, 0.0)
+
+# Each kind's parameters with their defaults; None marks a required parameter.
+TRAJECTORY_PARAMS = {
+    "constant-velocity": {"p0": None, "v": None, "theta0": 0.0, "omega": 0.0},
+    "constant-acceleration": {"p0": None, "v0": None, "a": None, "theta0": 0.0, "omega": 0.0},
+    "sinusoid-weave": {
+        "amplitude": None, "freq": None, "p0": _ORIGIN, "drift": _ORIGIN, "phase": 0.0,
+        "yaw_amp": 0.0, "yaw_phase": 0.0, "theta0": 0.0, "omega": 0.0,
+    },
+    "circular": {"radius": None, "omega": None, "center": _ORIGIN, "phase0": 0.0},
+    "waypoint-script": {"waypoints": None, "theta0": 0.0, "omega": 0.0},
+}
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Analytic motion law: kind plus a kind-specific numeric parameter record."""
+    """Analytic motion law: kind plus a kind-specific numeric parameter record.
+
+    params may hold only the parameters TRAJECTORY_PARAMS lists for the kind;
+    after construction it holds all of them, defaults filled in.
+    """
 
     kind: str
     params: Mapping[str, object]
     duration: float
-    tick: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in TRAJECTORY_KINDS:
+        table = TRAJECTORY_PARAMS.get(self.kind)
+        if table is None:
             raise ValidationError(f"unknown trajectory kind {self.kind!r}")
-        if not (self.tick > 0.0 and math.isfinite(self.tick)):
-            raise ValidationError(f"tick must be positive, got {self.tick}")
-        if not (self.duration >= self.tick and math.isfinite(self.duration)):
-            raise ValidationError(f"duration must be >= tick, got {self.duration}")
-        object.__setattr__(self, "params", dict(self.params))
+        for key in self.params:
+            if key not in table:
+                raise ValidationError(
+                    f"unknown key {key!r} in a {self.kind} trajectory; "
+                    f"expected one of {', '.join(sorted(table))}"
+                )
+        for key, default in table.items():
+            if default is None and key not in self.params:
+                raise ValidationError(f"missing key {key!r} in a {self.kind} trajectory")
+        if not (self.duration > 0.0 and math.isfinite(self.duration)):
+            raise ValidationError(f"duration must be positive, got {self.duration}")
+        object.__setattr__(self, "params", {**table, **self.params})
         sample_truth(self, 0.0)  # fail fast on malformed parameters
 
     def covers(self, t: float) -> bool:
@@ -107,18 +124,10 @@ class Trajectory:
         return -tol <= t <= self.duration + tol
 
 
-def _p(params: Mapping[str, object], key: str, default=None):
-    if key in params:
-        return params[key]
-    if default is not None:
-        return default
-    raise ValidationError(f"trajectory parameters missing {key!r}")
-
-
 def _theta_law(params: Mapping[str, object], t: np.ndarray) -> tuple[np.ndarray, float]:
     """Default orientation law: constant angular rate."""
-    theta0 = float(_p(params, "theta0", 0.0))
-    omega = float(_p(params, "omega", 0.0))
+    theta0 = float(params["theta0"])
+    omega = float(params["omega"])
     return theta0 + omega * t, omega
 
 
@@ -167,44 +176,43 @@ def _motion(traj: Trajectory, t: np.ndarray):
     tc = t[:, None]
 
     if kind == "constant-velocity":
-        p0 = np.asarray(_p(params, "p0"), dtype=float)
-        v = np.asarray(_p(params, "v"), dtype=float)
+        p0 = np.asarray(params["p0"], dtype=float)
+        v = np.asarray(params["v"], dtype=float)
         pos, vel, acc = p0 + v * tc, _rows(v, n, "velocity"), np.zeros((n, 3))
         theta, omega = _theta_law(params, t)
 
     elif kind == "constant-acceleration":
-        p0 = np.asarray(_p(params, "p0"), dtype=float)
-        v0 = np.asarray(_p(params, "v0"), dtype=float)
-        a = np.asarray(_p(params, "a"), dtype=float)
+        p0 = np.asarray(params["p0"], dtype=float)
+        v0 = np.asarray(params["v0"], dtype=float)
+        a = np.asarray(params["a"], dtype=float)
         pos = p0 + v0 * tc + 0.5 * a * tc * tc
         vel = v0 + a * tc
         acc = _rows(a, n, "acceleration")
         theta, omega = _theta_law(params, t)
 
     elif kind == "sinusoid-weave":
-        p0 = np.asarray(_p(params, "p0", [0.0, 0.0, 0.0]), dtype=float)
-        drift = np.asarray(_p(params, "drift", [0.0, 0.0, 0.0]), dtype=float)
-        amp = np.asarray(_p(params, "amplitude"), dtype=float)
-        freq = float(_p(params, "freq"))
-        phase = float(_p(params, "phase", 0.0))
+        p0 = np.asarray(params["p0"], dtype=float)
+        drift = np.asarray(params["drift"], dtype=float)
+        amp = np.asarray(params["amplitude"], dtype=float)
+        freq = float(params["freq"])
+        phase = float(params["phase"])
         arg = freq * t + phase
         sin_arg = np.sin(arg)[:, None]
         pos = p0 + drift * tc + amp * sin_arg
         vel = drift + amp * freq * np.cos(arg)[:, None]
         acc = -amp * freq * freq * sin_arg
         # Yaw may follow the weave so that heading carries the weave phase.
-        yaw_amp = float(_p(params, "yaw_amp", 0.0))
-        yaw_phase = float(_p(params, "yaw_phase", 0.0))
-        theta0 = float(_p(params, "theta0", 0.0))
-        omega0 = float(_p(params, "omega", 0.0))
-        theta = theta0 + omega0 * t + yaw_amp * np.sin(arg + yaw_phase)
+        yaw_amp = float(params["yaw_amp"])
+        yaw_phase = float(params["yaw_phase"])
+        theta, omega0 = _theta_law(params, t)
+        theta = theta + yaw_amp * np.sin(arg + yaw_phase)
         omega = omega0 + yaw_amp * freq * np.cos(arg + yaw_phase)
 
     elif kind == "circular":
-        center = np.asarray(_p(params, "center", [0.0, 0.0, 0.0]), dtype=float)
-        radius = float(_p(params, "radius"))
-        om = float(_p(params, "omega"))
-        phase0 = float(_p(params, "phase0", 0.0))
+        center = np.asarray(params["center"], dtype=float)
+        radius = float(params["radius"])
+        om = float(params["omega"])
+        phase0 = float(params["phase0"])
         ang = om * t + phase0
         c, s, zero = np.cos(ang), np.sin(ang), np.zeros(n)
         pos = center + radius * np.column_stack([c, s, zero])
@@ -215,7 +223,7 @@ def _motion(traj: Trajectory, t: np.ndarray):
         omega = om
 
     else:  # waypoint-script
-        wps = _p(params, "waypoints")
+        wps = params["waypoints"]
         times = np.asarray([w[0] for w in wps], dtype=float)
         points = np.asarray([w[1:4] for w in wps], dtype=float)
         if len(times) < 1 or np.any(np.diff(times) <= 0):
@@ -298,19 +306,19 @@ def max_speed_bound(traj: Trajectory) -> float:
     """Analytic upper bound on ||velocity|| over the trajectory."""
     params = traj.params
     if traj.kind == "constant-velocity":
-        return float(np.linalg.norm(np.asarray(_p(params, "v"), dtype=float)))
+        return float(np.linalg.norm(np.asarray(params["v"], dtype=float)))
     if traj.kind == "constant-acceleration":
-        v0 = np.asarray(_p(params, "v0"), dtype=float)
-        a = np.asarray(_p(params, "a"), dtype=float)
+        v0 = np.asarray(params["v0"], dtype=float)
+        a = np.asarray(params["a"], dtype=float)
         return float(np.linalg.norm(v0) + np.linalg.norm(a) * traj.duration)
     if traj.kind == "sinusoid-weave":
-        drift = np.asarray(_p(params, "drift", [0.0, 0.0, 0.0]), dtype=float)
-        amp = np.asarray(_p(params, "amplitude"), dtype=float)
-        freq = float(_p(params, "freq"))
+        drift = np.asarray(params["drift"], dtype=float)
+        amp = np.asarray(params["amplitude"], dtype=float)
+        freq = float(params["freq"])
         return float(np.linalg.norm(drift) + np.linalg.norm(amp) * abs(freq))
     if traj.kind == "circular":
-        return abs(float(_p(params, "radius"))) * abs(float(_p(params, "omega")))
-    wps = _p(params, "waypoints")
+        return abs(float(params["radius"])) * abs(float(params["omega"]))
+    wps = params["waypoints"]
     times = np.asarray([w[0] for w in wps], dtype=float)
     points = np.asarray([w[1:4] for w in wps], dtype=float)
     if len(times) < 2:
@@ -331,13 +339,13 @@ def accel_deviation_bound(traj: Trajectory, order: Order = Order.SECOND) -> floa
     if traj.kind in ("constant-velocity", "waypoint-script"):
         peak = 0.0
     elif traj.kind == "constant-acceleration":
-        peak = float(np.linalg.norm(np.asarray(_p(params, "a"), dtype=float)))
+        peak = float(np.linalg.norm(np.asarray(params["a"], dtype=float)))
     elif traj.kind == "sinusoid-weave":
-        amp = np.asarray(_p(params, "amplitude"), dtype=float)
-        freq = float(_p(params, "freq"))
+        amp = np.asarray(params["amplitude"], dtype=float)
+        freq = float(params["freq"])
         peak = float(np.linalg.norm(amp)) * freq * freq
     else:  # circular
-        peak = abs(float(_p(params, "radius"))) * float(_p(params, "omega")) ** 2
+        peak = abs(float(params["radius"])) * float(params["omega"]) ** 2
     if Order(order) is Order.FIRST:
         return peak
     if traj.kind == "constant-acceleration":

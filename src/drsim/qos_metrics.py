@@ -29,39 +29,27 @@ def format_sig(x: float) -> str:
     return _SIG % x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class QosProfile:
-    name: str
+    """The bounds a run is graded against: one of the two named classes, or
+    custom bounds (the default name)."""
+
+    name: str = "custom"
     max_latency: float
     max_loss: float
     max_error: float = math.inf
 
+    def __post_init__(self):
+        if self.name not in ("tightly-coupled", "loosely-coupled", "custom"):
+            raise ValidationError(f"unknown QoS profile {self.name!r}")
+
     @classmethod
     def tightly_coupled(cls) -> "QosProfile":
-        return cls("tightly-coupled", max_latency=0.100, max_loss=0.02)
+        return cls(name="tightly-coupled", max_latency=0.100, max_loss=0.02)
 
     @classmethod
     def loosely_coupled(cls) -> "QosProfile":
-        return cls("loosely-coupled", max_latency=0.300, max_loss=0.05)
-
-    @classmethod
-    def custom(cls, max_latency: float, max_loss: float, max_error: float) -> "QosProfile":
-        return cls("custom", max_latency, max_loss, max_error)
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "QosProfile":
-        name = cfg.get("name", "custom")
-        if name == "tightly-coupled":
-            return cls.tightly_coupled()
-        if name == "loosely-coupled":
-            return cls.loosely_coupled()
-        if name == "custom":
-            return cls.custom(
-                float(cfg["max_latency"]),
-                float(cfg["max_loss"]),
-                float(cfg.get("max_error", math.inf)),
-            )
-        raise ValidationError(f"unknown QoS profile {name!r}")
+        return cls(name="loosely-coupled", max_latency=0.300, max_loss=0.05)
 
 
 class ErrorSeries:
@@ -243,9 +231,10 @@ def check_emax_bound(
 
 
 def verdict(
-    report: CoherenceReport, profile: QosProfile, channel: ChannelConfig
+    report: CoherenceReport, profile: QosProfile, channel: ChannelConfig, displayed: bool = True
 ) -> tuple[bool, list[str]]:
-    """Grade the run's channel and observed error against a QoS profile."""
+    """Grade the run's channel and observed error against a QoS profile. A run
+    whose receiver never displayed a state (displayed false) observed no error."""
     reasons = []
     worst_latency = channel.base_delay + channel.jitter
     if worst_latency > profile.max_latency:
@@ -263,4 +252,6 @@ def verdict(
             f"max error {format_sig(report.max_error)} m exceeds "
             f"budget {format_sig(profile.max_error)} m"
         )
+    if not displayed:
+        reasons.append("the receiver displayed nothing: no update arrived before the run ended")
     return (not reasons), reasons

@@ -97,7 +97,7 @@ def reference_run(sc: Scenario, stale_counts: list | None = None) -> RunResult:
         report.integrated_error = integrated_error(series)
         report.violation_windows = violation_windows(series, sc.dr.th_pos)
         report.total_violation_time = sum(w.length for w in report.violation_windows)
-    report.passed, report.reasons = verdict(report, sc.profile, sc.channel)
+    report.passed, report.reasons = verdict(report, sc.profile, sc.channel, len(series) > 0)
     return result
 
 

@@ -18,11 +18,12 @@ from drsim.harness import (
     run_comparison,
     run_scenario,
     scenario_from_dict,
+    study_from_dict,
     sweep,
     sweep_csv,
     train_bundle,
 )
-from drsim.kinematics import Order, Trajectory
+from drsim.kinematics import TRAJECTORY_PARAMS, Order, Trajectory
 from drsim.netsim import ChannelConfig
 from drsim.qos_metrics import QosProfile
 from test_engine import assert_same_run
@@ -293,6 +294,15 @@ class TestConfigFiles:
         assert load_scenario(path).n_ticks == 600
 
 
+# Each trajectory kind with only the parameters it requires.
+MINIMAL_PARAMS = {
+    "constant-velocity": {"p0": [0, 0, 0], "v": [1, 0, 0]},
+    "constant-acceleration": {"p0": [0, 0, 0], "v0": [1, 0, 0], "a": [0, 1, 0]},
+    "sinusoid-weave": {"amplitude": [1, 0, 0], "freq": 1.0},
+    "circular": {"radius": 2.0, "omega": 0.5},
+    "waypoint-script": {"waypoints": [[0, 0, 0, 0], [5, 1, 0, 0]]},
+}
+
 RUN_CFG = {
     "tick": 0.1,
     "duration": 1.0,
@@ -317,12 +327,59 @@ class TestConfigKeys:
         with pytest.raises(ValidationError, match=f"unknown key '{key}' in {where}"):
             load_scenario(path)
 
-    def test_trajectory_keys_are_left_to_the_kind(self, tmp_path):
+    def test_trajectory_key_outside_its_kind_rejected(self, tmp_path):
         cfg = yaml.safe_load(yaml.safe_dump(RUN_CFG))
         cfg["trajectory"]["freq"] = 1.0  # not a constant-velocity parameter
         path = tmp_path / "sc.yaml"
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
-        assert load_scenario(path).n_ticks == 10
+        with pytest.raises(ValidationError, match="unknown key 'freq' in a constant-velocity"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("kind", sorted(MINIMAL_PARAMS))
+    def test_each_kind_loads_with_only_its_required_parameters(self, kind):
+        required = {k for k, default in TRAJECTORY_PARAMS[kind].items() if default is None}
+        assert set(MINIMAL_PARAMS[kind]) == required
+        cfg = dict(RUN_CFG, trajectory={"kind": kind, **MINIMAL_PARAMS[kind]})
+        traj = scenario_from_dict(cfg).trajectory
+        assert traj.params == {**TRAJECTORY_PARAMS[kind], **MINIMAL_PARAMS[kind]}
+        for key in required:
+            cfg = dict(RUN_CFG, trajectory={"kind": kind, **MINIMAL_PARAMS[kind]})
+            del cfg["trajectory"][key]
+            with pytest.raises(ValidationError, match=f"missing key '{key}' in a {kind}"):
+                scenario_from_dict(cfg)
+
+    @pytest.mark.parametrize(
+        "section, value, key",
+        [
+            ("profile", {"name": "custom", "max_latency": 0.5, "max_loss": 0.1, "max_eror": 0.01},
+             "max_eror"),
+            ("profile", {"name": "tightly-coupled", "max_loss": 0.5}, "max_loss"),
+            ("dr", {"th_pos": "abc"}, "th_pos"),
+            ("channel", {"reorder_allowed": "false"}, "reorder_allowed"),
+        ],
+        ids=["profile-typo", "named-profile-override", "non-numeric", "quoted-bool"],
+    )
+    def test_bad_section_rejected(self, tmp_path, section, value, key):
+        path = tmp_path / "sc.yaml"
+        path.write_text(yaml.safe_dump(dict(RUN_CFG, **{section: value})), encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"'{key}' in {section}"):
+            load_scenario(path)
+
+    def test_minimal_files_take_the_dataclass_defaults(self, tmp_path):
+        cfg = {"seed": 5, "tick": 0.1, "duration": 1.0, "trajectory": RUN_CFG["trajectory"]}
+        sc = scenario_from_dict(cfg)
+        assert sc.dr == DrConfig()
+        assert sc.channel == ChannelConfig(seed=5)
+        assert sc.profile == QosProfile.loosely_coupled()
+        study_cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
+        del study_cfg["train"]
+        assert study_from_dict(study_cfg).train == TrainSpec()
+
+    @pytest.mark.parametrize("tick", [0.0, -0.1, math.nan])
+    def test_study_tick_must_be_positive(self, tmp_path, tick):
+        cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
+        with pytest.raises(ValidationError, match="tick must be positive"):
+            study_from_dict(dict(cfg, tick=tick))
 
     @pytest.mark.parametrize("key", ["horizons", "train", "predictors"])
     def test_study_key_in_run_file_rejected(self, tmp_path, key):
@@ -394,6 +451,19 @@ class TestCli:
         path = tmp_path / "fail.yaml"
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
         assert cli.main(["run", str(path)]) == 2
+
+    def test_run_that_displays_nothing_exit_two(self, tmp_path, capsys):
+        cfg = {
+            "tick": 0.1,
+            "duration": 2.0,
+            "trajectory": {"kind": "constant-velocity", "p0": [0, 0, 0], "v": [1, 0, 0]},
+            "channel": {"loss": 1.0},
+            "profile": {"name": "custom", "max_latency": 0.5, "max_loss": 1.0, "max_error": 0.5},
+        }
+        path = tmp_path / "lost.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert cli.main(["run", str(path)]) == 2
+        assert "the receiver displayed nothing" in capsys.readouterr().out
 
     def test_error_exit_one(self, capsys):
         assert cli.main(["run", "/nonexistent/path.yaml"]) == 1

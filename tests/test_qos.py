@@ -217,7 +217,7 @@ class TestVerdict:
         assert ok
 
     def test_custom_error_budget(self):
-        profile = QosProfile.custom(max_latency=1.0, max_loss=1.0, max_error=0.5)
+        profile = QosProfile(max_latency=1.0, max_loss=1.0, max_error=0.5)
         ok, reasons = verdict(CoherenceReport(max_error=0.6), profile, ChannelConfig())
         assert not ok
         assert "error" in reasons[0]
