@@ -4,7 +4,7 @@ Layer 1 fuzzifies each normalized input against its linguistic terms, layer 2
 takes the product T-norm per rule, layer 3 normalizes firing strengths, layer
 4 weights the constant consequents and layer 5 sums them. Premise parameters
 train by batch gradient descent; consequents train either by the same descent
-or by an exact least-squares pass (hybrid regime).
+or by a ridge-regularized least-squares pass (hybrid regime).
 
 All math is batched over samples: x is (N, n_inputs), outputs are (N,).
 """
@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,8 @@ SEVEN_LABELS = ("NB", "NM", "NS", "ZE", "PS", "PM", "PB")
 _EXP_CLIP = 60.0
 _BLOCK_ELEMENTS = 1 << 15  # per row block of an (N, R) stage, so that it stays in cache
 _RESIDUAL_ROWS = 1024  # rows per forward pass of AnfisBundle.residuals, so memory stays bounded
+# Ridge weight of the consequent solve per unit of mean Gram diagonal, fixed by rule.
+RIDGE = math.sqrt(np.finfo(np.float64).eps)
 
 
 def _pow(u, b):
@@ -472,27 +473,24 @@ def train_gd(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[float]:
 
 
 def _solve_consequents(net: AnfisNetwork, data: TrainingSet) -> ForwardTrace:
-    """Solve the consequents by least squares; returns the forward pass with
-    its output at the solved consequents."""
+    """Solve (B'B + lam I) z = B'y for the consequents, lam = RIDGE * trace(B'B) / n_rules.
+
+    The rows of B sum to one, so the trace is positive and the system positive
+    definite even where rules never fire apart (ridge regression, Hoerl &
+    Kennard 1970). Returns the forward pass, its output at the solved z."""
     _, trace = forward_batch(net, data.inputs)
-    sol, _, rank, _ = np.linalg.lstsq(trace.beta, data.targets, rcond=None)
-    if rank < net.n_rules:
-        warnings.warn(
-            f"consequent system is rank deficient ({rank}/{net.n_rules}); "
-            "using the minimum-norm solution",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    net.z = sol
-    trace.output = trace.beta @ sol
+    gram = trace.beta.T @ trace.beta
+    gram.flat[:: net.n_rules + 1] += RIDGE * np.trace(gram) / net.n_rules
+    net.z = np.linalg.solve(gram, trace.beta.T @ data.targets)
+    trace.output = trace.beta @ net.z
     return trace
 
 
 def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[float]:
-    """Per epoch: exact least-squares consequents, then one premise descent step.
+    """Per epoch: ridge least-squares consequents, then one premise descent step.
 
-    The recorded epoch loss is the post-least-squares loss, i.e. the loss at
-    that epoch's premise parameters with the consequents solved optimally. The
+    The recorded epoch loss is the post-solve loss, i.e. the loss at that
+    epoch's premise parameters with the consequents solved for them. The
     final epoch skips the premise step, so the returned network realizes the
     last recorded loss exactly. The solve's forward pass serves the loss and
     the gradient, since the premises do not change in between.

@@ -48,15 +48,9 @@ class Scenario:
     message_size_bytes: int = 144  # bytes per update, order of a full entity-state packet
 
     def __post_init__(self):
-        _check_time_grid(self.tick, self.duration)
+        _check_time_grid(self.tick, self.duration, self.trajectory, "scenario")
         if self.message_size_bytes <= 0:
             raise ValidationError("message_size_bytes must be positive")
-        last_tick = self.n_ticks * self.tick
-        if not self.trajectory.covers(last_tick):
-            raise ValidationError(
-                f"scenario duration {self.duration} s is longer than its trajectory's "
-                f"duration {self.trajectory.duration} s (last tick at t={last_tick})"
-            )
 
     @property
     def n_ticks(self) -> int:
@@ -64,11 +58,18 @@ class Scenario:
         return int(round(self.duration / self.tick))
 
 
-def _check_time_grid(tick: float, duration: float) -> None:
+def _check_time_grid(tick: float, duration: float, trajectory: Trajectory, what: str) -> None:
+    """A positive tick, at least one tick, and truth defined up to the last one."""
     if not (math.isfinite(tick) and tick > 0.0):
         raise ValidationError(f"tick must be positive, got {tick}")
     if not duration >= tick:
         raise ValidationError("duration must cover at least one tick")
+    last_tick = int(round(duration / tick)) * tick
+    if not trajectory.covers(last_tick):
+        raise ValidationError(
+            f"{what} duration {duration} s is longer than its trajectory's "
+            f"duration {trajectory.duration} s (last tick at t={last_tick})"
+        )
 
 
 def _keys(cls) -> frozenset:
@@ -333,7 +334,7 @@ class ComparisonStudy:
     seed: int = 0
 
     def __post_init__(self):
-        _check_time_grid(self.tick, self.duration)
+        _check_time_grid(self.tick, self.duration, self.trajectory, "study")
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise ValidationError("horizons must be positive tick counts")
         for p in self.predictors:

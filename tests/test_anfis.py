@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -506,14 +507,66 @@ class TestTrainHybrid:
             hy_losses = train_hybrid(hy_net, data, 1)
             assert hy_losses[0] <= gd_losses[0]
 
-    def test_rank_deficient_warns_and_solves(self):
+    def test_rank_deficient_solves_without_warning(self):
         net = tiny_net(n_terms=5, n_inputs=2, rule_base="grid", eta=0.0)
         # all samples at the same point: only a few rules ever fire
         X = np.zeros((30, 2))
         Y = np.ones(30)
-        with pytest.warns(RuntimeWarning, match="rank deficient"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             train_hybrid(net, TrainingSet(X, Y), 1)
         assert np.all(np.isfinite(net.z))
+        _, trace = forward_batch(net, X)
+        sol, *_ = np.linalg.lstsq(trace.beta, Y, rcond=None)
+        assert np.max(np.abs(trace.beta @ net.z - trace.beta @ sol)) <= 1e-6 * np.max(np.abs(Y))
+
+
+def ridge_fit(net, X, Y):
+    """Consequents from one hybrid epoch with fixed premises, and the design B."""
+    train_hybrid(net, TrainingSet(X, Y), 1)
+    _, trace = forward_batch(net, X)
+    return net.z.copy(), trace.beta
+
+
+class TestRidgeConsequents:
+    def test_full_rank_matches_lstsq(self):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-1, 1, (300, 2))
+        Y = np.sin(2 * X[:, 0]) * np.cos(X[:, 1])
+        z, beta = ridge_fit(tiny_net(n_terms=4, n_inputs=2, rule_base="grid", eta=0.0), X, Y)
+        assert np.linalg.matrix_rank(beta) == beta.shape[1]
+        sol, *_ = np.linalg.lstsq(beta, Y, rcond=None)
+        assert np.allclose(z, sol)
+
+    @pytest.mark.parametrize("zero_column", [False, True])
+    def test_targets_scaled_by_k_scale_consequents_by_k(self, zero_column):
+        rng = np.random.default_rng(13)
+        X = rng.uniform(-1, 1, (300, 2))
+        if zero_column:
+            X[:, 1] = 0.0  # rank deficient, as for a constant velocity input
+        Y = np.sin(2 * X[:, 0]) + 0.5 * X[:, 1]
+        k = 2.0**20  # exact in binary, so only the solve itself could break linearity
+        z, _ = ridge_fit(tiny_net(n_terms=4, n_inputs=2, rule_base="grid", eta=0.0), X, Y)
+        zk, _ = ridge_fit(tiny_net(n_terms=4, n_inputs=2, rule_base="grid", eta=0.0), X, k * Y)
+        assert np.allclose(zk, k * z, rtol=1e-9, atol=0)
+
+    def test_constant_input_on_seven_cubed_grid_fits_with_bounded_consequents(self):
+        # like the stock study's y axis: the velocity input never changes, so
+        # the 343 rules fire in only 49 distinct column patterns
+        rng = np.random.default_rng(14)
+        X = rng.uniform(-1, 1, (1500, 3))
+        X[:, 1] = 0.3
+        Y = 0.01 * (np.sin(3 * X[:, 0]) + X[:, 0] * X[:, 2] ** 2)
+        net = tiny_net(n_terms=7, n_inputs=3, rule_base="grid", eta=0.0, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, beta = ridge_fit(net, X, Y)
+        sol, _, rank, _ = np.linalg.lstsq(beta, Y, rcond=None)
+        assert rank < net.n_rules
+        scale = np.max(np.abs(Y))
+        assert np.max(np.abs(beta @ z - beta @ sol)) <= 1e-6 * scale
+        # ridge never exceeds the minimum-norm least-squares solution
+        assert np.linalg.norm(z) <= np.linalg.norm(sol) * (1 + 1e-6)
 
 
 class TestSerialization:

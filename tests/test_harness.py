@@ -381,6 +381,16 @@ class TestConfigKeys:
         with pytest.raises(ValidationError, match="tick must be positive"):
             study_from_dict(dict(cfg, tick=tick))
 
+    def test_study_longer_than_trajectory_rejected(self):
+        study_file = SCENARIO_DIR / "sinusoid_comparison.yaml"
+        cfg = yaml.safe_load(study_file.read_text(encoding="utf-8"))
+        cfg["trajectory"]["duration"] = 10.0
+        cfg["duration"] = 60.0
+        with pytest.raises(ValidationError, match=r"duration 60\.0 s .* duration 10\.0 s"):
+            study_from_dict(cfg)
+        cfg["duration"] = 10.0
+        assert study_from_dict(cfg).duration == 10.0
+
     @pytest.mark.parametrize("key", ["horizons", "train", "predictors"])
     def test_study_key_in_run_file_rejected(self, tmp_path, key):
         cfg = dict(RUN_CFG, **{key: [1]})
