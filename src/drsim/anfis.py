@@ -178,13 +178,13 @@ class AnfisNetwork:
             if col.min(initial=0) < 0 or col.max(initial=0) >= len(spec.terms):
                 raise ValidationError(f"rule antecedent index out of range for input {spec.name!r}")
         # selectors[i][t, r] is 1.0 where rule r uses term t of input i: degrees @
-        # selectors[i] gathers each rule's degree exactly. term_sums[i] is its
-        # transpose in C order, which fixes how BLAS rounds the sums over a term's rules.
+        # selectors[i] gathers each rule's degree exactly. term_sums, their transposes side
+        # by side in C order, fixes how BLAS rounds the sums over a term's rules.
         self.selectors = [
             (np.arange(len(spec.terms))[:, None] == self.rules[:, i]).astype(float)
             for i, spec in enumerate(self.inputs)
         ]
-        self.term_sums = [np.ascontiguousarray(sel.T) for sel in self.selectors]
+        self.term_sums = np.concatenate([sel.T for sel in self.selectors], axis=1)
         self.z = np.array(consequents, dtype=float)
         if self.z.shape != (self.rules.shape[0],):
             raise ValidationError(f"need one consequent per rule, got {self.z.shape}")
@@ -297,8 +297,9 @@ def build_network(
 
 @dataclass
 class ForwardTrace:
+    """One forward pass. beta is layer 2's firing, normalized in place: no alpha is kept."""
+
     degrees: list[np.ndarray]  # per input: (N, n_terms_i)
-    alpha: np.ndarray  # (N, R)
     beta: np.ndarray  # (N, R)
     output: np.ndarray  # (N,)
 
@@ -337,7 +338,7 @@ def layer2_firing(net: AnfisNetwork, degrees: list[np.ndarray]) -> np.ndarray:
 
 
 def layer3_normalize(alpha: np.ndarray) -> np.ndarray:
-    """Normalized firing strengths; rows summing to zero are an error."""
+    """Divides alpha's rows by their sums in place, returning that buffer; zero-sum rows raise."""
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     total = alpha.sum(axis=1)
     bad = ~(total > 0.0) | ~np.isfinite(total)
@@ -346,15 +347,15 @@ def layer3_normalize(alpha: np.ndarray) -> np.ndarray:
             f"{int(bad.sum())} sample(s) fired no rule (sum alpha = 0); "
             "inputs are too far outside every term"
         )
-    return alpha / total[:, None]
+    alpha /= total[:, None]
+    return alpha
 
 
 def forward_batch(net: AnfisNetwork, x) -> tuple[np.ndarray, ForwardTrace]:
     degrees = layer1(net, x)
-    alpha = layer2_firing(net, degrees)
-    beta = layer3_normalize(alpha)
+    beta = layer3_normalize(layer2_firing(net, degrees))
     output = beta @ net.z
-    return output, ForwardTrace(degrees, alpha, beta, output)
+    return output, ForwardTrace(degrees, beta, output)
 
 
 def forward(net: AnfisNetwork, x) -> tuple[float, ForwardTrace]:
@@ -402,7 +403,10 @@ def _gradients(net: AnfisNetwork, data: TrainingSet, trace: ForwardTrace | None 
     """Batch gradients of the set loss w.r.t. consequents and premise params.
 
     trace is the forward pass of data at the network's current parameters,
-    computed here when not given. Raises TrainingError on a non-finite gradient.
+    computed here when not given. dE/dD_i[n,t] D_i[n,t] = err_n sum_{r uses t}
+    (z_r - out_n) beta[n,r]: one product and one GEMM with term_sums per row block,
+    then the degrees divided back out (0/0 at a zero degree, whose membership
+    gradient is NaN anyway). Raises TrainingError on a non-finite gradient.
     """
     x = net._as_batch(data.inputs)
     if trace is None:
@@ -413,24 +417,17 @@ def _gradients(net: AnfisNetwork, data: TrainingSet, trace: ForwardTrace | None 
     if not np.all(np.isfinite(dz)):
         raise TrainingError("non-finite consequent gradient; lower eta or rescale inputs")
 
-    # dE/d(degree) per input and term: dE/d(alpha) = err (z - out) / total times
-    # the product of the other inputs' degrees (that product first), summed
-    # over each term's rules.
-    total = trace.alpha.sum(axis=1)
-    dE_ddeg = [np.empty((len(x), len(spec.terms))) for spec in net.inputs]
+    dE_ddeg = np.empty((len(x), net.term_sums.shape[1]))
     for rows in _row_blocks(len(x), net.n_rules):
-        dE_dalpha = net.z - out[rows, None]
-        dE_dalpha *= err[rows, None]
-        dE_dalpha /= total[rows, None]
-        gathered = [d[rows] @ sel for d, sel in zip(trace.degrees, net.selectors)]
-        for i, sums in enumerate(net.term_sums):
-            others = [g for j, g in enumerate(gathered) if j != i]
-            dE_dDi = math.prod(others[1:], start=others[0]) * dE_dalpha if others else dE_dalpha
-            np.matmul(dE_dDi, sums, out=dE_ddeg[i][rows])
+        p = (net.z - out[rows, None]) * trace.beta[rows]
+        np.matmul(p, net.term_sums, out=dE_ddeg[rows])
+    dE_ddeg *= err[:, None]
+    with np.errstate(invalid="ignore"):
+        dE_ddeg /= np.concatenate(trace.degrees, axis=1)
+    by_input = np.split(dE_ddeg.T, np.cumsum([len(s.terms) for s in net.inputs])[:-1])
 
     dmf: list[list[dict]] = []
-    for i, spec in enumerate(net.inputs):
-        by_term = np.ascontiguousarray(dE_ddeg[i].T)  # (n_terms, N)
+    for i, (spec, by_term) in enumerate(zip(net.inputs, by_input)):
         xn = spec.normalize(x[:, i])
         term_grads: list[dict] = [{} for _ in spec.terms]
         for kind, idx, params in spec.shape_groups():
@@ -464,7 +461,7 @@ def train_gd(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[float]:
     _, trace = forward_batch(net, data.inputs)
     for _ in range(epochs):
         dz, dmf, _ = _gradients(net, data, trace)
-        del trace  # frees its (N, R) arrays before the next forward pass
+        del trace  # frees its (N, R) array before the next forward pass
         net.z = net.z - net.eta * dz
         _apply_premise_step(net, dmf, net.eta)
         out, trace = forward_batch(net, data.inputs)
@@ -508,7 +505,7 @@ def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[floa
         if net.eta > 0.0 and epoch < epochs - 1:
             _, dmf, _ = _gradients(net, data, trace)
             _apply_premise_step(net, dmf, net.eta)
-        del trace  # frees its (N, R) arrays before the next solve
+        del trace  # frees its (N, R) array before the next solve
     return losses
 
 

@@ -55,7 +55,13 @@ class Scenario:
     @property
     def n_ticks(self) -> int:
         """Ticks after t = 0; the run samples n_ticks + 1 times."""
-        return int(round(self.duration / self.tick))
+        return _tick_count(self.duration, self.tick)
+
+
+def _tick_count(duration: float, tick: float) -> int:
+    """Whole ticks in duration, floored (3.5 s at a 1 s tick is 3) after a relative
+    1e-9 allowance so that a multiple whose quotient rounds low counts (0.3 / 0.1)."""
+    return math.floor(duration / tick * (1.0 + 1e-9))
 
 
 def _check_time_grid(tick: float, duration: float, trajectory: Trajectory, what: str) -> None:
@@ -64,7 +70,7 @@ def _check_time_grid(tick: float, duration: float, trajectory: Trajectory, what:
         raise ValidationError(f"tick must be positive, got {tick}")
     if not duration >= tick:
         raise ValidationError("duration must cover at least one tick")
-    last_tick = int(round(duration / tick)) * tick
+    last_tick = _tick_count(duration, tick) * tick
     if not trajectory.covers(last_tick):
         raise ValidationError(
             f"{what} duration {duration} s is longer than its trajectory's "
@@ -371,7 +377,7 @@ class MotionTable:
 def build_motion_table(
     traj: Trajectory, tick: float, duration: float, obs_noise_pos: float, seed: int
 ) -> MotionTable:
-    n = int(round(duration / tick)) + 1
+    n = _tick_count(duration, tick) + 1
     times = np.arange(n) * tick
     truth = truth_arrays(traj, np.minimum(times, traj.duration))
     truth_pos, vel, acc = truth.position, truth.velocity, truth.acceleration

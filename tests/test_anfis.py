@@ -127,6 +127,20 @@ class TestLayers:
         with pytest.raises(DegenerateFiringError):
             layer3_normalize(np.array([0.0, 0.0]))
 
+    def test_layer3_counts_every_degenerate_row(self):
+        # rows far enough apart to fall in different row blocks of an (N, 4) stage
+        alpha = np.full((3 * anfis._BLOCK_ELEMENTS, 4), 0.25)
+        alpha[[0, anfis._BLOCK_ELEMENTS // 2, len(alpha) - 1]] = 0.0
+        alpha[anfis._BLOCK_ELEMENTS, 1] = np.inf
+        with pytest.raises(DegenerateFiringError, match=r"^4 sample\(s\) fired no rule"):
+            layer3_normalize(alpha)
+
+    def test_layer3_normalizes_the_given_buffer(self):
+        alpha = np.array([[2.0, 3.0, 5.0], [1.0, 1.0, 2.0]])
+        beta = layer3_normalize(alpha)
+        assert beta is alpha
+        assert np.array_equal(beta, [[0.2, 0.3, 0.5], [0.25, 0.25, 0.5]])
+
 
 class TestForward:
     def test_partition_of_unity_constant_output(self):
@@ -300,12 +314,17 @@ def reference_layer1(net, x):
     return out
 
 
-def reference_gradients(net, data):
-    x = data.inputs
-    degrees = reference_layer1(net, x)
+def reference_firing(net, degrees):
     alpha = degrees[0][:, net.rules[:, 0]].copy()
     for i in range(1, net.n_inputs):
         alpha *= degrees[i][:, net.rules[:, i]]
+    return alpha
+
+
+def reference_gradients(net, data):
+    x = data.inputs
+    degrees = reference_layer1(net, x)
+    alpha = reference_firing(net, degrees)
     total = alpha.sum(axis=1)
     beta = alpha / total[:, None]
     out = beta @ net.z
@@ -366,6 +385,13 @@ class TestKernelAgainstReference:
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("shape, n_inputs, rule_base", KERNEL_CASES)
+    def test_beta_equals_alpha_over_total(self, shape, n_inputs, rule_base):
+        net, data = kernel_case(shape, n_inputs, rule_base)
+        alpha = reference_firing(net, reference_layer1(net, data.inputs))
+        beta = forward_batch(net, data.inputs)[1].beta
+        assert np.array_equal(beta, alpha / alpha.sum(axis=1)[:, None])
+
+    @pytest.mark.parametrize("shape, n_inputs, rule_base", KERNEL_CASES)
     def test_gradients_match_per_term(self, shape, n_inputs, rule_base):
         from drsim.anfis import _gradients
 
@@ -382,6 +408,22 @@ class TestKernelAgainstReference:
                 want = [g[name] for g in ref_terms if name in g]
                 scale = max((abs(w) for w in want), default=0.0)
                 np.testing.assert_allclose(got, want, rtol=0, atol=GRAD_TOL * scale)
+
+    def test_zero_degree_raises_on_bell_width(self):
+        # the narrow term's u^b overflows, so its degree is exactly 0 at the
+        # sample; the wide term still fires, so the forward pass succeeds
+        from drsim.anfis import _gradients
+
+        terms = [BellMF(1e-80, 2.0, 0.0), BellMF(2.0, 2.0, 0.5)]
+        spec = InputSpec("x", -1.0, 1.0, terms, ["N", "W"])
+        net = AnfisNetwork([spec], [[0], [1]], [1.0, -1.0])
+        data = TrainingSet(np.array([[1.0], [0.0]]), np.array([0.5, 0.5]))
+        degrees = forward_batch(net, data.inputs)[1].degrees[0]
+        assert degrees[0, 0] == 0.0 and degrees[0, 1] > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match="premise parameter 'a'"):
+                _gradients(net, data)
 
     def test_given_trace_is_reused(self):
         from drsim.anfis import _gradients

@@ -12,6 +12,7 @@ from drsim.harness import (
     ComparisonStudy,
     Scenario,
     TrainSpec,
+    build_motion_table,
     load_scenario,
     load_study,
     make_residual_task,
@@ -113,6 +114,22 @@ class TestRunScenario:
         sc = scenario(traj=traj, dr=DrConfig(th_pos=math.inf), duration=10.0)
         run = run_scenario(sc)
         assert run.report.max_error < 1e-12
+
+
+class TestTickCount:
+    """A run's last tick falls at or before its duration, never past it: round()
+    took 3.5 s at a 1 s tick to 4 ticks, past the trajectory's end."""
+
+    @pytest.mark.parametrize(
+        "duration, tick, n_ticks",
+        [(2.5, 1.0, 2), (3.5, 1.0, 3), (3.0, 1.0, 3), (0.3, 0.1, 3), (30.0, 0.1, 300)],
+    )
+    def test_whole_ticks_within_duration(self, duration, tick, n_ticks):
+        sc = scenario(tick=tick, duration=duration)
+        assert sc.n_ticks == n_ticks
+        assert run_scenario(sc).series.times[-1] == pytest.approx(n_ticks * tick)
+        table = build_motion_table(sc.trajectory, tick, duration, 0.0, 0)
+        assert len(table.times) == n_ticks + 1
 
 
 class TestSweep:
