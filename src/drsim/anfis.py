@@ -250,7 +250,7 @@ def default_labels(n_terms: int) -> list[str]:
 
 def build_network(
     inputs: list[tuple[str, float, float]],
-    n_terms: int = 7,
+    n_terms: int | list[int] = 7,
     shape: str = "bell",
     rule_base: str = "compact",
     eta: float = 0.05,
@@ -259,32 +259,40 @@ def build_network(
 ) -> AnfisNetwork:
     """Standard initialization: term centers equally spaced over each range.
 
-    Bell widths are half the center spacing with exponent 2; consequents start
-    at zero. With a seed, centers get uniform jitter of +-center_jitter times
-    the spacing. The compact rule base pairs term j of every input into rule j;
-    the grid rule base takes the full cross product.
+    n_terms is one term count for every input, or a list of one count per
+    input. Bell widths are half the center spacing with exponent 2;
+    consequents start at zero. With a seed, each input's centers get uniform
+    jitter of +-center_jitter times its spacing, one draw per term. The grid
+    rule base takes the full cross product of the inputs' terms. The compact
+    rule base pairs term j of every input into rule j; a one-term input gives
+    its only term to every rule, and the other inputs must share one count.
     """
-    if n_terms < 1:
+    counts = [n_terms] * len(inputs) if isinstance(n_terms, int) else list(n_terms)
+    if len(counts) != len(inputs):
+        raise ValidationError(f"need one term count per input, got {counts} for {len(inputs)}")
+    if min(counts) < 1:
         raise ValidationError("n_terms must be >= 1")
     rng = np.random.default_rng(seed) if seed is not None else None
-    spacing = 2.0 / (n_terms - 1) if n_terms > 1 else 2.0
     specs = []
-    for name, lo, hi in inputs:
-        centers = np.linspace(-1.0, 1.0, n_terms) if n_terms > 1 else np.zeros(1)
+    for (name, lo, hi), n in zip(inputs, counts):
+        spacing = 2.0 / (n - 1) if n > 1 else 2.0
+        centers = np.linspace(-1.0, 1.0, n) if n > 1 else np.zeros(1)
         if rng is not None and center_jitter > 0.0:
-            centers = centers + rng.uniform(-center_jitter, center_jitter, n_terms) * spacing
+            centers = centers + rng.uniform(-center_jitter, center_jitter, n) * spacing
         if shape == "bell":
             terms = [BellMF(a=spacing / 2.0, b=2.0, c=float(c)) for c in centers]
         elif shape == "sigmoid":
             terms = [SigmoidMF(a=4.0 / spacing, c=float(c)) for c in centers]
         else:
             raise ValidationError(f"unknown membership shape {shape!r}")
-        specs.append(InputSpec(name, float(lo), float(hi), terms, default_labels(n_terms)))
+        specs.append(InputSpec(name, float(lo), float(hi), terms, default_labels(n)))
 
     if rule_base == "compact":
-        rules = [(j,) * len(specs) for j in range(n_terms)]
+        if len(set(counts) - {1}) > 1:
+            raise ValidationError(f"a compact rule base needs one count besides 1, got {counts}")
+        rules = [tuple(min(j, n - 1) for n in counts) for j in range(max(counts))]
     elif rule_base == "grid":
-        rules = list(itertools.product(range(n_terms), repeat=len(specs)))
+        rules = list(itertools.product(*(range(n) for n in counts)))
     else:
         raise ValidationError(f"unknown rule base {rule_base!r}")
     return AnfisNetwork(specs, rules, np.zeros(len(rules)), eta=eta)
@@ -541,7 +549,8 @@ class AnfisBundle:
     reference horizon ``h_ref``. Queries at other horizons scale the learned
     correction by (horizon / h_ref)^3, the leading-order growth of the
     second-order remainder. All-zero consequents therefore reproduce plain
-    second-order extrapolation exactly.
+    second-order extrapolation exactly. The axis networks may differ in size:
+    training gives an input one term on an axis where it holds one value.
     """
 
     def __init__(self, networks: list[AnfisNetwork], h_ref: float, feature_tick: float):

@@ -10,6 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .anfis import AXIS_NAMES
 from .harness import (
     SWEEP_AXES,
     load_scenario,
@@ -45,6 +46,9 @@ def _cmd_train(args) -> int:
     bundle = train_bundle(study, horizon)
     bundle.save(args.save)
     print(f"trained corrector bundle at horizon {horizon} ticks -> {args.save}")
+    for axis, net in zip(AXIS_NAMES, bundle.networks):
+        terms = ", ".join(f"{spec.name} {len(spec.terms)}" for spec in net.inputs)
+        print(f"  {axis}: {net.n_rules} rules; terms {terms}")
     return 0
 
 

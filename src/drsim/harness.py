@@ -427,12 +427,16 @@ def _axis_training_set(
     return TrainingSet(feats, targets)
 
 
-def _axis_network(spec: TrainSpec, ranges: list[tuple[float, float]], seed: int) -> AnfisNetwork:
+def _axis_network(
+    spec: TrainSpec, data: TrainingSet, ranges: list[tuple[float, float]], seed: int
+) -> AnfisNetwork:
     """The untrained corrector of one axis over its (deviation, velocity,
-    orientation) input ranges."""
+    orientation) input ranges. An input that holds one value over data gets
+    one term, the others spec.n_terms: terms of an input that never varies
+    fire at fixed degrees, so their rules would only repeat each other."""
     return build_network(
         [("deviation", *ranges[0]), ("velocity", *ranges[1]), ("orientation", *ranges[2])],
-        n_terms=spec.n_terms,
+        n_terms=[1 if np.ptp(col) == 0.0 else spec.n_terms for col in data.inputs.T],
         shape=spec.shape,
         rule_base=spec.rule_base,
         eta=spec.eta,
@@ -467,7 +471,7 @@ def train_bundle(
     for axis in range(3):
         data = _axis_training_set(table, train_idx, horizon_ticks, axis)
         seed = study.seed + 7919 * axis + 104729 * horizon_ticks
-        nets.append(_axis_network(study.train, ranges[axis], seed))
+        nets.append(_axis_network(study.train, data, ranges[axis], seed))
         train(nets[-1], data, study.train.epochs)
     return AnfisBundle(nets, h_ref=horizon_ticks * study.tick, feature_tick=study.tick)
 
@@ -541,4 +545,4 @@ def make_residual_task(
     spec = TrainSpec(
         n_terms=n_terms, rule_base=rule_base, shape=shape, eta=eta, center_jitter=center_jitter
     )
-    return _axis_network(spec, ranges, seed), data
+    return _axis_network(spec, data, ranges, seed), data

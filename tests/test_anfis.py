@@ -715,3 +715,65 @@ class TestBundle:
         assert loaded.h_ref == bundle.h_ref
         assert loaded.feature_tick == bundle.feature_tick
         assert np.array_equal(loaded.networks[1].z, bundle.networks[1].z)
+
+
+class TestTermCounts:
+    """build_network with one term count per input, as training builds a network
+    with an input that holds one value."""
+
+    INPUTS = [("deviation", -1, 1), ("velocity", -5, 5), ("orientation", -2, 2)]
+
+    def test_grid_is_the_product_of_the_counts(self):
+        net = build_network(self.INPUTS, n_terms=[7, 1, 5], rule_base="grid")
+        assert [len(spec.terms) for spec in net.inputs] == [7, 1, 5]
+        assert net.n_rules == 35
+        assert len({tuple(rule) for rule in net.rules.tolist()}) == 35
+        assert np.all(net.rules[:, 1] == 0)
+
+    def test_compact_gives_the_one_term_to_every_rule(self):
+        net = build_network(self.INPUTS, n_terms=[5, 1, 5], rule_base="compact")
+        assert net.rules.tolist() == [[j, 0, j] for j in range(5)]
+        assert net.inputs[1].labels == ["T0"]
+
+    @pytest.mark.parametrize("rule_base", ["grid", "compact"])
+    def test_one_count_equals_the_same_count_per_input(self, rule_base):
+        same = build_network(self.INPUTS, n_terms=4, rule_base=rule_base, seed=3, center_jitter=0.1)
+        listed = build_network(
+            self.INPUTS, n_terms=[4, 4, 4], rule_base=rule_base, seed=3, center_jitter=0.1
+        )
+        assert listed.to_dict() == same.to_dict()
+
+    def test_jitter_draws_one_value_per_term(self):
+        net = build_network(self.INPUTS, n_terms=[3, 1, 3], seed=5, center_jitter=0.1)
+        draws = np.random.default_rng(5).uniform(-0.1, 0.1, 7)
+        centers = [term.c for spec in net.inputs for term in spec.terms]
+        expected = np.concatenate(
+            [np.linspace(-1, 1, 3) + draws[:3], draws[3:4] * 2.0, np.linspace(-1, 1, 3) + draws[4:]]
+        )
+        assert centers == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "counts, rule_base, match",
+        [
+            ([7, 1], "grid", "one term count per input"),
+            ([7, 0, 7], "grid", "n_terms must be >= 1"),
+            ([7, 1, 5], "compact", "one count besides 1"),
+        ],
+    )
+    def test_bad_counts_rejected(self, counts, rule_base, match):
+        with pytest.raises(ValidationError, match=match):
+            build_network(self.INPUTS, n_terms=counts, rule_base=rule_base)
+
+    @pytest.mark.parametrize("shape", ["bell", "sigmoid"])
+    def test_one_term_input_does_not_move_the_output(self, shape):
+        rng = np.random.default_rng(41)
+        net = build_network(
+            self.INPUTS, n_terms=[7, 1, 7], shape=shape, rule_base="grid", seed=4, center_jitter=0.1
+        )
+        net.z = rng.uniform(1.0, 2.0, net.n_rules)
+        x = rng.uniform(-1.0, 1.0, (200, 3)) * [1.0, 5.0, 2.0]
+        out = forward_batch(net, x)[0]
+        for value in (-5.0, 0.0, 2.5, 40.0):
+            moved = x.copy()
+            moved[:, 1] = value
+            np.testing.assert_allclose(forward_batch(net, moved)[0], out, rtol=1e-12, atol=0)

@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from drsim import cli
+from drsim.anfis import AnfisBundle, forward_batch
 from drsim.dead_reckoning import DrConfig
 from drsim.errors import ValidationError
 from drsim.harness import (
@@ -249,6 +250,75 @@ class TestResidualTask:
         traj = Trajectory("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 1.0}, duration=5.0)
         with pytest.raises(ValidationError):
             make_residual_task(traj, 0.1, 5.0, horizon_ticks=10, n_samples=500)
+
+
+def term_counts(bundle) -> list[list[int]]:
+    return [[len(spec.terms) for spec in net.inputs] for net in bundle.networks]
+
+
+@pytest.fixture(scope="module")
+def stock_bundle():
+    return train_bundle(load_study(SCENARIO_DIR / "sinusoid_comparison.yaml"), 10)
+
+
+@pytest.fixture(scope="module")
+def tight_study():
+    """The sinusoid_tight trajectory over 300 s, trained on a 7^3 grid at h = 10."""
+    src = yaml.safe_load((SCENARIO_DIR / "sinusoid_tight.yaml").read_text(encoding="utf-8"))
+    return study_from_dict(
+        {
+            "seed": src["seed"],
+            "tick": src["tick"],
+            "duration": 300.0,
+            "trajectory": src["trajectory"],
+            "horizons": [10],
+            "train": {"epochs": 2, "eta": 0.001, "n_terms": 7, "rule_base": "grid"},
+        }
+    )
+
+
+@pytest.fixture(scope="module")
+def tight_bundle(tight_study):
+    return train_bundle(tight_study, 10)
+
+
+class TestOneTermInputs:
+    """An input that holds one value over the training rows gets one term."""
+
+    def test_stock_study_velocity_of_y_and_z(self, stock_bundle):
+        # amplitude [1, 0, 0]: the y and z velocity is 0 on every row
+        assert [net.n_rules for net in stock_bundle.networks] == [343, 49, 49]
+        assert term_counts(stock_bundle) == [[7, 7, 7], [7, 1, 7], [7, 1, 7]]
+
+    def test_sinusoid_tight_trajectory(self, tight_bundle):
+        # x velocity is the 1 m/s drift; z deviation and velocity are both 0
+        assert [net.n_rules for net in tight_bundle.networks] == [49, 343, 7]
+        assert term_counts(tight_bundle) == [[7, 1, 7], [7, 7, 7], [1, 1, 7]]
+
+    def test_mixed_bundle_round_trips_bit_identical(self, tight_study, tight_bundle, tmp_path):
+        bundle = tight_bundle
+        bundle.save(tmp_path / "bundle.json")
+        loaded = AnfisBundle.load(tmp_path / "bundle.json")
+        assert term_counts(loaded) == term_counts(bundle)
+        table = build_motion_table(tight_study.trajectory, 0.1, 300.0, 0.0, 0)
+        rng = np.random.default_rng(17)
+        dev = np.vstack([table.dev, rng.normal(0.0, 0.01, (100, 3))])
+        vel = np.vstack([table.vel, rng.normal(0.0, 2.0, (100, 3))])
+        orient = np.concatenate([table.orient, rng.uniform(-1.0, 1.0, 100)])
+        expected = bundle.residuals(dev, vel, orient)
+        assert np.array_equal(loaded.residuals(dev, vel, orient), expected)
+
+    def test_one_term_input_value_does_not_move_the_output(self, stock_bundle):
+        net = stock_bundle.networks[1]  # y: deviation, velocity (one term), orientation
+        rng = np.random.default_rng(23)
+        x = np.column_stack(
+            [rng.normal(0.0, 1e-3, 300), np.zeros(300), rng.uniform(-1.5, 1.5, 300)]
+        )
+        out = forward_batch(net, x)[0]
+        assert np.ptp(out) > 0.0
+        for value in (-3.0, 0.5, 12.0):
+            x[:, 1] = value
+            np.testing.assert_allclose(forward_batch(net, x)[0], out, rtol=1e-12, atol=0)
 
 
 class TestConfigFiles:
@@ -528,6 +598,18 @@ class TestCli:
         ref = assert_same_run(load_scenario(sc_path))
         assert printed == ref.report.to_text()
         assert ref.report.messages_sent > ref.report.heartbeats + 1  # threshold sends happen
+
+    def test_train_prints_rule_and_term_counts(self, tmp_path, capsys):
+        bundle_path = tmp_path / "bundle.json"
+        study = SCENARIO_DIR / "sinusoid_comparison.yaml"
+        assert cli.main(["train", str(study), "--save", str(bundle_path), "--horizon", "10"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"trained corrector bundle at horizon 10 ticks -> {bundle_path}",
+            "  x: 343 rules; terms deviation 7, velocity 7, orientation 7",
+            "  y: 49 rules; terms deviation 7, velocity 1, orientation 7",
+            "  z: 49 rules; terms deviation 7, velocity 1, orientation 7",
+        ]
+        assert term_counts(AnfisBundle.load(bundle_path)) == [[7, 7, 7], [7, 1, 7], [7, 1, 7]]
 
     def test_sweep_csv_output(self, tmp_path):
         out = tmp_path / "sweep.csv"
