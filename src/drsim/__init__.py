@@ -8,13 +8,8 @@ compares polynomial extrapolation against a trained neuro-fuzzy corrector.
 from .anfis import (
     AnfisBundle,
     AnfisNetwork,
-    BellMF,
-    SigmoidMF,
     TrainingSet,
     build_network,
-    forward,
-    load_network,
-    save_network,
     train_gd,
     train_hybrid,
 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,131 +36,126 @@ def _pow(u, b):
     return np.where(b == 2.0, u * u, u**b)
 
 
-class SigmoidMF:
+def _sigmoid_degrees(x, a, c):
     """mu(x) = 1 / (1 + exp(-a (x - c)))."""
-
-    shape = "sigmoid"
-    param_names = ("a", "c")
-
-    def __init__(self, a: float, c: float):
-        if not (math.isfinite(a) and a != 0.0 and math.isfinite(c)):
-            raise ValidationError(f"sigmoid needs finite nonzero slope, got a={a}, c={c}")
-        self.a = float(a)
-        self.c = float(c)
-
-    def eval(self, x):
-        return self.degrees(np.asarray(x, dtype=float), self.a, self.c)
-
-    # Parameters may be arrays that broadcast against x: one call, many terms.
-    @staticmethod
-    def degrees(x, a, c):
-        arg = np.clip(a * (x - c), -_EXP_CLIP, _EXP_CLIP)
-        return 1.0 / (1.0 + np.exp(-arg))
-
-    @staticmethod
-    def grads(x, a, c):
-        """d(mu)/d(param) for each parameter name."""
-        mu = SigmoidMF.degrees(x, a, c)
-        g = mu * (1.0 - mu)
-        return {"a": g * (x - c), "c": -a * g}
-
-    def constrain(self):
-        if self.a == 0.0:
-            self.a = 1e-9
-
-    def to_dict(self):
-        return {"shape": self.shape, "a": self.a, "c": self.c}
+    arg = np.clip(a * (x - c), -_EXP_CLIP, _EXP_CLIP)
+    return 1.0 / (1.0 + np.exp(-arg))
 
 
-class BellMF:
+def _sigmoid_grads(x, a, c):
+    mu = _sigmoid_degrees(x, a, c)
+    g = mu * (1.0 - mu)
+    return g * (x - c), -a * g
+
+
+def _sigmoid_constrain(params):
+    params[0, params[0] == 0.0] = 1e-9
+
+
+def _bell_degrees(x, a, b, c):
     """Generalized bell mu(x) = 1 / (1 + |(x - c) / a|^(2b))."""
-
-    shape = "bell"
-    param_names = ("a", "b", "c")
-
-    def __init__(self, a: float, b: float, c: float):
-        if not (math.isfinite(a) and a > 0.0):
-            raise ValidationError(f"bell width must be positive, got a={a}")
-        if not (math.isfinite(b) and b > 0.0):
-            raise ValidationError(f"bell exponent must be positive, got b={b}")
-        if not math.isfinite(c):
-            raise ValidationError(f"bell center must be finite, got c={c}")
-        self.a = float(a)
-        self.b = float(b)
-        self.c = float(c)
-
-    def eval(self, x):
-        return self.degrees(np.asarray(x, dtype=float), self.a, self.b, self.c)
-
-    @staticmethod
-    def degrees(x, a, b, c):
-        with np.errstate(over="ignore", divide="ignore"):
-            u = ((x - c) / a) ** 2
-            return 1.0 / (1.0 + _pow(u, b))
-
-    @staticmethod
-    def grads(x, a, b, c):
-        """d(mu)/d(param) for each parameter name."""
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            d = x - c
-            u = (d / a) ** 2
-            ub = _pow(u, b)
-            mu = 1.0 / (1.0 + ub)
-            mu2ub = mu * mu * ub
-            da = 2.0 * b * mu2ub / a
-            db = np.where(u > 0.0, -mu2ub * np.log(np.where(u > 0.0, u, 1.0)), 0.0)
-            # u^(b-1) (x-c) / a^2 simplifies to u^b / (x-c); odd limit 0 at the center
-            dc = np.where(d != 0.0, 2.0 * b * mu2ub / np.where(d != 0.0, d, 1.0), 0.0)
-        return {"a": da, "b": db, "c": dc}
-
-    def constrain(self):
-        # the function is even in a, and b must stay positive to keep the peak
-        self.a = max(abs(self.a), 1e-9)
-        self.b = max(self.b, 1e-9)
-
-    def to_dict(self):
-        return {"shape": self.shape, "a": self.a, "b": self.b, "c": self.c}
+    with np.errstate(over="ignore", divide="ignore"):
+        u = ((x - c) / a) ** 2
+        return 1.0 / (1.0 + _pow(u, b))
 
 
-def mf_from_dict(d) -> SigmoidMF | BellMF:
-    shape = d["shape"]
-    if shape == "sigmoid":
-        return SigmoidMF(d["a"], d["c"])
-    if shape == "bell":
-        return BellMF(d["a"], d["b"], d["c"])
-    raise ValidationError(f"unknown membership shape {shape!r}")
+def _bell_grads(x, a, b, c):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = x - c
+        u = (d / a) ** 2
+        ub = _pow(u, b)
+        mu = 1.0 / (1.0 + ub)
+        mu2ub = mu * mu * ub
+        da = 2.0 * b * mu2ub / a
+        db = np.where(u > 0.0, -mu2ub * np.log(np.where(u > 0.0, u, 1.0)), 0.0)
+        # u^(b-1) (x-c) / a^2 simplifies to u^b / (x-c); odd limit 0 at the center
+        dc = np.where(d != 0.0, 2.0 * b * mu2ub / np.where(d != 0.0, d, 1.0), 0.0)
+    return da, db, dc
 
 
-@dataclass
+def _bell_constrain(params):
+    # the function is even in a, and b must stay positive to keep the peak
+    np.maximum(np.abs(params[0]), 1e-9, out=params[0])
+    np.maximum(params[1], 1e-9, out=params[1])
+
+
+@dataclass(frozen=True)
+class Shape:
+    """A membership function family. degrees(x, *params) and grads(x, *params)
+    take one parameter array per name, broadcast against x, so one call
+    evaluates many terms; grads gives d(mu)/d(param) in param_names order.
+    constrain(params) moves a (P, T) parameter array back into the family."""
+
+    param_names: tuple[str, ...]
+    degrees: Callable
+    grads: Callable
+    constrain: Callable
+
+
+SHAPES = {
+    "sigmoid": Shape(("a", "c"), _sigmoid_degrees, _sigmoid_grads, _sigmoid_constrain),
+    "bell": Shape(("a", "b", "c"), _bell_degrees, _bell_grads, _bell_constrain),
+}
+
+
+@dataclass(eq=False)
 class InputSpec:
+    """One input's range and terms, all of one shape: params has one row per
+    parameter name of the shape and one column per term."""
+
     name: str
     lo: float
     hi: float
-    terms: list
+    shape: str
+    params: np.ndarray
     labels: list[str]
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
             raise ValidationError(f"bad range [{self.lo}, {self.hi}] for input {self.name!r}")
-        if len(self.terms) < 1:
-            raise ValidationError(f"input {self.name!r} needs at least one term")
-        if len(self.labels) != len(self.terms) or len(set(self.labels)) != len(self.labels):
+        if self.shape not in SHAPES:
+            raise ValidationError(f"input {self.name!r} has unknown shape {self.shape!r}")
+        p = self.params = np.array(self.params, dtype=float)
+        names = SHAPES[self.shape].param_names
+        if p.ndim != 2 or p.shape[0] != len(names) or p.shape[1] < 1:
+            raise ValidationError(f"input {self.name!r} needs {names} rows and at least one term")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError(f"membership parameters of input {self.name!r} must be finite")
+        if self.shape == "bell" and not np.all(p[:2] > 0.0):
+            raise ValidationError(f"bell width and exponent of input {self.name!r} must be > 0")
+        if self.shape == "sigmoid" and not np.all(p[0] != 0.0):
+            raise ValidationError(f"sigmoid slope of input {self.name!r} must be nonzero")
+        if len(self.labels) != self.n_terms or len(set(self.labels)) != len(self.labels):
             raise ValidationError(f"labels for input {self.name!r} must be unique per term")
+
+    @property
+    def n_terms(self) -> int:
+        return self.params.shape[1]
 
     def normalize(self, x):
         return 2.0 * (np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo) - 1.0
 
-    def shape_groups(self) -> list[tuple[type, list[int], np.ndarray]]:
-        """Per membership shape: its class, its term indices and its parameters,
-        one row per parameter name and one column per term."""
-        by_kind: dict[type, list[int]] = {}
-        for t, term in enumerate(self.terms):
-            by_kind.setdefault(type(term), []).append(t)
-        groups = []
-        for kind, idx in by_kind.items():
-            get = operator.attrgetter(*kind.param_names)
-            groups.append((kind, idx, np.array([get(self.terms[t]) for t in idx]).T))
-        return groups
+    def to_dict(self) -> dict:
+        names = SHAPES[self.shape].param_names
+        return {
+            "name": self.name,
+            "lo": self.lo,
+            "hi": self.hi,
+            "labels": list(self.labels),
+            "terms": [
+                {"shape": self.shape, **dict(zip(names, col))} for col in self.params.T.tolist()
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "InputSpec":
+        """Reads one {"shape", <parameters>} record per term; all terms share one shape."""
+        shapes = sorted({t["shape"] for t in d["terms"]})
+        if len(shapes) != 1:
+            raise ValidationError(f"input {d['name']!r} needs terms of one shape, got {shapes}")
+        names = SHAPES[shapes[0]].param_names if shapes[0] in SHAPES else ()
+        params = [[t[name] for t in d["terms"]] for name in names]
+        return cls(d["name"], d["lo"], d["hi"], shapes[0], params, list(d["labels"]))
 
 
 class AnfisNetwork:
@@ -175,13 +170,13 @@ class AnfisNetwork:
             )
         for i, spec in enumerate(self.inputs):
             col = self.rules[:, i]
-            if col.min(initial=0) < 0 or col.max(initial=0) >= len(spec.terms):
+            if col.min(initial=0) < 0 or col.max(initial=0) >= spec.n_terms:
                 raise ValidationError(f"rule antecedent index out of range for input {spec.name!r}")
         # selectors[i][t, r] is 1.0 where rule r uses term t of input i: degrees @
         # selectors[i] gathers each rule's degree exactly. term_sums, their transposes side
         # by side in C order, fixes how BLAS rounds the sums over a term's rules.
         self.selectors = [
-            (np.arange(len(spec.terms))[:, None] == self.rules[:, i]).astype(float)
+            (np.arange(spec.n_terms)[:, None] == self.rules[:, i]).astype(float)
             for i, spec in enumerate(self.inputs)
         ]
         self.term_sums = np.concatenate([sel.T for sel in self.selectors], axis=1)
@@ -212,16 +207,7 @@ class AnfisNetwork:
 
     def to_dict(self) -> dict:
         return {
-            "inputs": [
-                {
-                    "name": s.name,
-                    "lo": s.lo,
-                    "hi": s.hi,
-                    "labels": list(s.labels),
-                    "terms": [t.to_dict() for t in s.terms],
-                }
-                for s in self.inputs
-            ],
+            "inputs": [s.to_dict() for s in self.inputs],
             "rules": self.rules.tolist(),
             "consequents": self.z.tolist(),
             "eta": self.eta,
@@ -229,16 +215,7 @@ class AnfisNetwork:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnfisNetwork":
-        inputs = [
-            InputSpec(
-                name=s["name"],
-                lo=s["lo"],
-                hi=s["hi"],
-                terms=[mf_from_dict(t) for t in s["terms"]],
-                labels=list(s["labels"]),
-            )
-            for s in d["inputs"]
-        ]
+        inputs = [InputSpec.from_dict(s) for s in d["inputs"]]
         return cls(inputs, d["rules"], d["consequents"], d["eta"])
 
 
@@ -280,12 +257,12 @@ def build_network(
         if rng is not None and center_jitter > 0.0:
             centers = centers + rng.uniform(-center_jitter, center_jitter, n) * spacing
         if shape == "bell":
-            terms = [BellMF(a=spacing / 2.0, b=2.0, c=float(c)) for c in centers]
+            params = [np.full(n, spacing / 2.0), np.full(n, 2.0), centers]
         elif shape == "sigmoid":
-            terms = [SigmoidMF(a=4.0 / spacing, c=float(c)) for c in centers]
+            params = [np.full(n, 4.0 / spacing), centers]
         else:
             raise ValidationError(f"unknown membership shape {shape!r}")
-        specs.append(InputSpec(name, float(lo), float(hi), terms, default_labels(n)))
+        specs.append(InputSpec(name, float(lo), float(hi), shape, params, default_labels(n)))
 
     if rule_base == "compact":
         if len(set(counts) - {1}) > 1:
@@ -313,17 +290,13 @@ class ForwardTrace:
 
 
 def layer1(net: AnfisNetwork, x) -> list[np.ndarray]:
-    """Membership degree of each input against each of its terms, all terms of
-    one shape in one call on the input's (N, 1) column."""
+    """Membership degree of each input against each of its terms: one call per
+    input, on its (N, 1) column against its parameter rows."""
     batch = net._as_batch(x)
-    out = []
-    for i, spec in enumerate(net.inputs):
-        xn = spec.normalize(batch[:, i])[:, None]
-        deg = np.empty((len(xn), len(spec.terms)))
-        for kind, idx, params in spec.shape_groups():
-            deg[:, idx] = kind.degrees(xn, *params)
-        out.append(deg)
-    return out
+    return [
+        SHAPES[spec.shape].degrees(spec.normalize(batch[:, i])[:, None], *spec.params)
+        for i, spec in enumerate(net.inputs)
+    ]
 
 
 def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
@@ -366,12 +339,6 @@ def forward_batch(net: AnfisNetwork, x) -> tuple[np.ndarray, ForwardTrace]:
     return output, ForwardTrace(degrees, beta, output)
 
 
-def forward(net: AnfisNetwork, x) -> tuple[float, ForwardTrace]:
-    """Single-sample inference: weighted average of rule consequents."""
-    out, trace = forward_batch(net, x)
-    return float(out[0]), trace
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -408,7 +375,8 @@ def loss(net: AnfisNetwork, data: TrainingSet) -> float:
 
 
 def _gradients(net: AnfisNetwork, data: TrainingSet, trace: ForwardTrace | None = None):
-    """Batch gradients of the set loss w.r.t. consequents and premise params.
+    """Batch gradients of the set loss w.r.t. consequents and premise params:
+    dz (R,), then per input a (P, T) array laid out as its params.
 
     trace is the forward pass of data at the network's current parameters,
     computed here when not given. dE/dD_i[n,t] D_i[n,t] = err_n sum_{r uses t}
@@ -432,30 +400,27 @@ def _gradients(net: AnfisNetwork, data: TrainingSet, trace: ForwardTrace | None 
     dE_ddeg *= err[:, None]
     with np.errstate(invalid="ignore"):
         dE_ddeg /= np.concatenate(trace.degrees, axis=1)
-    by_input = np.split(dE_ddeg.T, np.cumsum([len(s.terms) for s in net.inputs])[:-1])
+    by_input = np.split(dE_ddeg.T, np.cumsum([s.n_terms for s in net.inputs])[:-1])
 
-    dmf: list[list[dict]] = []
+    dmf = []
     for i, (spec, by_term) in enumerate(zip(net.inputs, by_input)):
-        xn = spec.normalize(x[:, i])
-        term_grads: list[dict] = [{} for _ in spec.terms]
-        for kind, idx, params in spec.shape_groups():
-            dE_dk = by_term[idx][:, None, :]
-            for name, v in kind.grads(xn, *params[:, :, None]).items():
-                g = (dE_dk @ v[:, :, None])[:, 0, 0]  # one BLAS dot per term
-                if not np.all(np.isfinite(g)):
-                    raise TrainingError(f"non-finite gradient for premise parameter {name!r}")
-                for t, val in zip(idx, g.tolist()):
-                    term_grads[t][name] = val
-        dmf.append(term_grads)
+        shape = SHAPES[spec.shape]
+        # a C-ordered (T, 1, N) copy: a term's dot rounds by its operand's layout
+        dE_dk = np.ascontiguousarray(by_term)[:, None, :]
+        dmu = shape.grads(spec.normalize(x[:, i]), *spec.params[:, :, None])
+        g = np.array([(dE_dk @ d[:, :, None])[:, 0, 0] for d in dmu])  # one dot per term
+        for name, row in zip(shape.param_names, g):
+            if not np.all(np.isfinite(row)):
+                raise TrainingError(f"non-finite gradient for premise parameter {name!r}")
+        dmf.append(g)
     return dz, dmf, out
 
 
 def _apply_premise_step(net: AnfisNetwork, dmf, eta: float) -> None:
-    for spec, term_grads in zip(net.inputs, dmf):
-        for term, g in zip(spec.terms, term_grads):
-            for name, val in g.items():
-                setattr(term, name, getattr(term, name) - eta * val)
-            term.constrain()
+    """One descent step on each input's (P, T) parameters, then its shape's constraint."""
+    for spec, g in zip(net.inputs, dmf):
+        spec.params -= eta * g
+        SHAPES[spec.shape].constrain(spec.params)
 
 
 def train_gd(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[float]:
@@ -515,22 +480,6 @@ def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[floa
             _apply_premise_step(net, dmf, net.eta)
         del trace  # frees its (N, R) array before the next solve
     return losses
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def save_network(net: AnfisNetwork, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(net.to_dict(), f, indent=2)
-        f.write("\n")
-
-
-def load_network(path) -> AnfisNetwork:
-    with open(path, encoding="utf-8") as f:
-        return AnfisNetwork.from_dict(json.load(f))
 
 
 # ---------------------------------------------------------------------------

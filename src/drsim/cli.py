@@ -47,7 +47,7 @@ def _cmd_train(args) -> int:
     bundle.save(args.save)
     print(f"trained corrector bundle at horizon {horizon} ticks -> {args.save}")
     for axis, net in zip(AXIS_NAMES, bundle.networks):
-        terms = ", ".join(f"{spec.name} {len(spec.terms)}" for spec in net.inputs)
+        terms = ", ".join(f"{spec.name} {spec.n_terms}" for spec in net.inputs)
         print(f"  {axis}: {net.n_rules} rules; terms {terms}")
     return 0
 

@@ -94,7 +94,6 @@ class Channel:
         self.rng = np.random.default_rng(config.seed)
         self.sent = 0
         self.dropped = 0
-        self.scheduled = 0
         self._last_due = -math.inf
 
     def transit(self, now: float) -> float | None:
@@ -119,5 +118,4 @@ class Channel:
         if due is None:
             return False
         queue.schedule(due, "deliver", msg)
-        self.scheduled += 1
         return True

@@ -210,16 +210,15 @@ def test_criterion_06_anfis_algebra():
             fd = fd_for(lambda v, r=r: small.z.__setitem__(r, v), lambda r=r: small.z[r])
             scale = max(abs(fd), abs(dz[r]))
             assert (abs(fd - dz[r]) / scale < 1e-4) if scale >= 1e-5 else (abs(fd - dz[r]) < 1e-8)
-        for i, spec in enumerate(small.inputs):
-            for t, term in enumerate(spec.terms):
-                for pname in term.param_names:
-                    fd = fd_for(
-                        lambda v, term=term, pname=pname: setattr(term, pname, v),
-                        lambda term=term, pname=pname: getattr(term, pname),
-                    )
-                    g = dmf[i][t][pname]
-                    scale = max(abs(fd), abs(g))
-                    assert (abs(fd - g) / scale < 1e-4) if scale >= 1e-5 else (abs(fd - g) < 1e-8)
+        for spec, grads in zip(small.inputs, dmf):
+            assert grads.shape == spec.params.shape
+            for (p, t), g in np.ndenumerate(grads):
+                fd = fd_for(
+                    lambda v, p=p, t=t: spec.params.__setitem__((p, t), v),
+                    lambda p=p, t=t: spec.params[p, t],
+                )
+                scale = max(abs(fd), abs(g))
+                assert (abs(fd - g) / scale < 1e-4) if scale >= 1e-5 else (abs(fd - g) < 1e-8)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(6, f"partition of unity, hull bound, gradient classes vs FD ({elapsed:.2f}s)")

@@ -253,7 +253,7 @@ class TestResidualTask:
 
 
 def term_counts(bundle) -> list[list[int]]:
-    return [[len(spec.terms) for spec in net.inputs] for net in bundle.networks]
+    return [[spec.n_terms for spec in net.inputs] for net in bundle.networks]
 
 
 @pytest.fixture(scope="module")
