@@ -115,7 +115,10 @@ class InputSpec:
             raise ValidationError(f"bad range [{self.lo}, {self.hi}] for input {self.name!r}")
         if self.shape not in SHAPES:
             raise ValidationError(f"input {self.name!r} has unknown shape {self.shape!r}")
-        p = self.params = np.array(self.params, dtype=float)
+        try:
+            p = self.params = np.array(self.params, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"parameters of input {self.name!r} must be numbers") from None
         names = SHAPES[self.shape].param_names
         if p.ndim != 2 or p.shape[0] != len(names) or p.shape[1] < 1:
             raise ValidationError(f"input {self.name!r} needs {names} rows and at least one term")
@@ -149,13 +152,19 @@ class InputSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InputSpec":
-        """Reads one {"shape", <parameters>} record per term; all terms share one shape."""
-        shapes = sorted({t["shape"] for t in d["terms"]})
+        """Reads one record per term: "shape" and exactly that shape's parameters."""
+        name = d.get("name")
+        if d.keys() != {"name", "lo", "hi", "labels", "terms"}:
+            raise ValidationError(f"input {name!r} needs keys name, lo, hi, labels, terms")
+        shapes = sorted({t.get("shape") for t in d["terms"]}, key=str)
         if len(shapes) != 1:
-            raise ValidationError(f"input {d['name']!r} needs terms of one shape, got {shapes}")
+            raise ValidationError(f"input {name!r} needs terms of one shape, got {shapes}")
         names = SHAPES[shapes[0]].param_names if shapes[0] in SHAPES else ()
-        params = [[t[name] for t in d["terms"]] for name in names]
-        return cls(d["name"], d["lo"], d["hi"], shapes[0], params, list(d["labels"]))
+        bad = [sorted(t) for t in d["terms"] if names and t.keys() != {"shape", *names}]
+        if bad:
+            raise ValidationError(f"a term of input {name!r} needs shape and {names}, got {bad[0]}")
+        params = [[t[n] for t in d["terms"]] for n in names]
+        return cls(name, d["lo"], d["hi"], shapes[0], params, list(d["labels"]))
 
 
 class AnfisNetwork:

@@ -321,12 +321,21 @@ class TrainSpec:
     center_jitter: float = 0.0
 
     def __post_init__(self):
-        if self.regime not in ("gd", "hybrid"):
-            raise ValidationError(f"unknown training regime {self.regime!r}")
+        for key, value, allowed in (
+            ("regime", self.regime, ("gd", "hybrid")),
+            ("rule_base", self.rule_base, ("grid", "compact")),
+            ("shape", self.shape, tuple(anfis.SHAPES)),
+        ):
+            if value not in allowed:
+                raise ValidationError(f"unknown {key!r} in train: {value!r}; choose from {allowed}")
         if not 0.0 < self.split < 1.0:
             raise ValidationError(f"split must be in (0, 1), got {self.split}")
-        if self.obs_noise_pos < 0.0:
-            raise ValidationError("observation noise must be >= 0")
+        for key, low in (
+            ("epochs", 1), ("n_terms", 1), ("eta", 0), ("obs_noise_pos", 0), ("center_jitter", 0)
+        ):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= low):
+                raise ValidationError(f"{key!r} in train must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -341,6 +350,8 @@ class ComparisonStudy:
 
     def __post_init__(self):
         _check_time_grid(self.tick, self.duration, self.trajectory, "study")
+        if self.seed < 0:
+            raise ValidationError(f"'seed' in study file must be >= 0, got {self.seed}")
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise ValidationError("horizons must be positive tick counts")
         for p in self.predictors:
@@ -524,25 +535,15 @@ def make_residual_task(
     duration: float,
     horizon_ticks: int,
     n_samples: int,
-    axis: int = 0,
-    obs_noise_pos: float = 0.0,
-    seed: int = 0,
-    n_terms: int = 7,
-    rule_base: str = "compact",
-    shape: str = "bell",
     eta: float = 0.05,
-    center_jitter: float = 0.0,
 ) -> tuple[AnfisNetwork, TrainingSet]:
-    """Desk-scale residual-learning task: untrained network plus its data."""
-    table = build_motion_table(traj, tick, duration, obs_noise_pos, seed)
-    last = len(table.times) - horizon_ticks
-    idx = np.arange(1, last)
+    """Desk-scale residual-learning task on the x axis, noise-free, seed 0: an
+    untrained compact-rule network of 7 bell terms per input plus its data."""
+    table = build_motion_table(traj, tick, duration, 0.0, 0)
+    idx = np.arange(1, len(table.times) - horizon_ticks)
     if len(idx) < n_samples:
         raise ValidationError(f"trajectory yields only {len(idx)} samples, need {n_samples}")
     idx = idx[:n_samples]
-    ranges = _axis_ranges(table, idx)[axis]
-    data = _axis_training_set(table, idx, horizon_ticks, axis)
-    spec = TrainSpec(
-        n_terms=n_terms, rule_base=rule_base, shape=shape, eta=eta, center_jitter=center_jitter
-    )
-    return _axis_network(spec, data, ranges, seed), data
+    data = _axis_training_set(table, idx, horizon_ticks, 0)
+    spec = TrainSpec(rule_base="compact", eta=eta)
+    return _axis_network(spec, data, _axis_ranges(table, idx)[0], 0), data

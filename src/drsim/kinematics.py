@@ -39,7 +39,10 @@ class Order(str, Enum):
 
 
 def _vec3(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a 3-vector, got {value!r}") from None
     if arr.shape != (3,):
         raise ValidationError(f"{name} must be a 3-vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -74,6 +77,7 @@ class EntityState:
 
 
 _ORIGIN = (0.0, 0.0, 0.0)
+_VECTORS = frozenset({"p0", "v", "v0", "a", "amplitude", "drift", "center"})
 
 # Each kind's parameters with their defaults; None marks a required parameter.
 TRAJECTORY_PARAMS = {
@@ -88,12 +92,33 @@ TRAJECTORY_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
+def _param(kind: str, key: str, value):
+    """A trajectory parameter as the motion law reads it: a read-only 3-vector if
+    key is in _VECTORS, the read-only (K, 4) waypoint table, else a finite float."""
+    name = f"{key!r} in a {kind} trajectory"
+    if key in _VECTORS:
+        return _vec3(value, name)
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = np.array(math.nan)  # fails the checks below
+    if key != "waypoints":
+        if arr.shape != () or not np.isfinite(arr):
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        return float(arr)
+    if not (arr.ndim == 2 and arr.shape[1] == 4 and len(arr) and np.all(np.isfinite(arr))
+            and np.all(np.diff(arr[:, 0]) > 0.0)):
+        raise ValidationError(f"{name} must be finite [t, x, y, z] rows, t increasing, got {value!r}")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Analytic motion law: kind plus a kind-specific numeric parameter record.
 
     params may hold only the parameters TRAJECTORY_PARAMS lists for the kind;
-    after construction it holds all of them, defaults filled in.
+    after construction it holds all of them, defaults filled in, as _param converts them.
     """
 
     kind: str
@@ -115,8 +140,9 @@ class Trajectory:
                 raise ValidationError(f"missing key {key!r} in a {self.kind} trajectory")
         if not (self.duration > 0.0 and math.isfinite(self.duration)):
             raise ValidationError(f"duration must be positive, got {self.duration}")
-        object.__setattr__(self, "params", {**table, **self.params})
-        sample_truth(self, 0.0)  # fail fast on malformed parameters
+        params = {**table, **self.params}
+        object.__setattr__(self, "params", {k: _param(self.kind, k, v) for k, v in params.items()})
+        sample_truth(self, 0.0)  # fail fast on a motion law that overflows at t = 0
 
     def covers(self, t: float) -> bool:
         """Whether t lies in [0, duration], allowing for rounding in tick times."""
@@ -126,9 +152,7 @@ class Trajectory:
 
 def _theta_law(params: Mapping[str, object], t: np.ndarray) -> tuple[np.ndarray, float]:
     """Default orientation law: constant angular rate."""
-    theta0 = float(params["theta0"])
-    omega = float(params["omega"])
-    return theta0 + omega * t, omega
+    return params["theta0"] + params["omega"] * t, params["omega"]
 
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
@@ -160,62 +184,39 @@ class StateArrays:
         )
 
 
-def _rows(vec: np.ndarray, n: int, name: str) -> np.ndarray:
-    """A constant 3-vector repeated over n rows."""
-    if vec.shape != (3,):
-        raise ValidationError(f"{name} must be a 3-vector, got shape {vec.shape}")
-    return np.broadcast_to(vec, (n, 3))
-
-
 def _motion(traj: Trajectory, t: np.ndarray):
     """The motion law at clamped times t (N,): position, velocity and
     acceleration (N, 3), heading (N,) wrapped once, angular rate (N,)."""
-    params = traj.params
-    kind = traj.kind
-    n = len(t)
+    p, kind, n = traj.params, traj.kind, len(t)
     tc = t[:, None]
 
     if kind == "constant-velocity":
-        p0 = np.asarray(params["p0"], dtype=float)
-        v = np.asarray(params["v"], dtype=float)
-        pos, vel, acc = p0 + v * tc, _rows(v, n, "velocity"), np.zeros((n, 3))
-        theta, omega = _theta_law(params, t)
+        pos, vel, acc = p["p0"] + p["v"] * tc, np.broadcast_to(p["v"], (n, 3)), np.zeros((n, 3))
+        theta, omega = _theta_law(p, t)
 
     elif kind == "constant-acceleration":
-        p0 = np.asarray(params["p0"], dtype=float)
-        v0 = np.asarray(params["v0"], dtype=float)
-        a = np.asarray(params["a"], dtype=float)
-        pos = p0 + v0 * tc + 0.5 * a * tc * tc
-        vel = v0 + a * tc
-        acc = _rows(a, n, "acceleration")
-        theta, omega = _theta_law(params, t)
+        pos = p["p0"] + p["v0"] * tc + 0.5 * p["a"] * tc * tc
+        vel = p["v0"] + p["a"] * tc
+        acc = np.broadcast_to(p["a"], (n, 3))
+        theta, omega = _theta_law(p, t)
 
     elif kind == "sinusoid-weave":
-        p0 = np.asarray(params["p0"], dtype=float)
-        drift = np.asarray(params["drift"], dtype=float)
-        amp = np.asarray(params["amplitude"], dtype=float)
-        freq = float(params["freq"])
-        phase = float(params["phase"])
-        arg = freq * t + phase
+        amp, freq = p["amplitude"], p["freq"]
+        arg = freq * t + p["phase"]
         sin_arg = np.sin(arg)[:, None]
-        pos = p0 + drift * tc + amp * sin_arg
-        vel = drift + amp * freq * np.cos(arg)[:, None]
+        pos = p["p0"] + p["drift"] * tc + amp * sin_arg
+        vel = p["drift"] + amp * freq * np.cos(arg)[:, None]
         acc = -amp * freq * freq * sin_arg
         # Yaw may follow the weave so that heading carries the weave phase.
-        yaw_amp = float(params["yaw_amp"])
-        yaw_phase = float(params["yaw_phase"])
-        theta, omega0 = _theta_law(params, t)
-        theta = theta + yaw_amp * np.sin(arg + yaw_phase)
-        omega = omega0 + yaw_amp * freq * np.cos(arg + yaw_phase)
+        theta, omega0 = _theta_law(p, t)
+        theta = theta + p["yaw_amp"] * np.sin(arg + p["yaw_phase"])
+        omega = omega0 + p["yaw_amp"] * freq * np.cos(arg + p["yaw_phase"])
 
     elif kind == "circular":
-        center = np.asarray(params["center"], dtype=float)
-        radius = float(params["radius"])
-        om = float(params["omega"])
-        phase0 = float(params["phase0"])
-        ang = om * t + phase0
+        radius, om = p["radius"], p["omega"]
+        ang = om * t + p["phase0"]
         c, s, zero = np.cos(ang), np.sin(ang), np.zeros(n)
-        pos = center + radius * np.column_stack([c, s, zero])
+        pos = p["center"] + radius * np.column_stack([c, s, zero])
         vel = radius * om * np.column_stack([-s, c, zero])
         acc = -radius * om * om * np.column_stack([c, s, zero])
         # Heading = velocity direction; its rate is exactly om.
@@ -223,11 +224,7 @@ def _motion(traj: Trajectory, t: np.ndarray):
         omega = om
 
     else:  # waypoint-script
-        wps = params["waypoints"]
-        times = np.asarray([w[0] for w in wps], dtype=float)
-        points = np.asarray([w[1:4] for w in wps], dtype=float)
-        if len(times) < 1 or np.any(np.diff(times) <= 0):
-            raise ValidationError("waypoints need strictly increasing times")
+        times, points = p["waypoints"][:, 0], p["waypoints"][:, 1:]
         pos = np.where(tc <= times[0], points[0], points[-1])
         vel = np.zeros((n, 3))
         inner = (t > times[0]) & (t < times[-1])
@@ -240,7 +237,7 @@ def _motion(traj: Trajectory, t: np.ndarray):
             vel[inner] = step / span[:, None]
             pos[inner] = points[i] + frac[:, None] * step
         acc = np.zeros((n, 3))
-        theta, omega = _theta_law(params, t)
+        theta, omega = _theta_law(p, t)
 
     omega = np.broadcast_to(np.asarray(omega, dtype=float), (n,))
     return pos, vel, acc, wrap_angles(theta), omega
@@ -264,16 +261,9 @@ def truth_arrays(traj: Trajectory, times: np.ndarray) -> StateArrays:
     """Exact entity states at every time in [0, duration]: sample_truth by rows."""
     t = _clamped(traj, np.asarray(times, dtype=float))
     pos, vel, acc, theta, omega = _motion(traj, t)
-    n = len(t)
-    for name, arr, shape in (
-        ("position", pos, (n, 3)),
-        ("velocity", vel, (n, 3)),
-        ("acceleration", acc, (n, 3)),
-        ("orientation", theta, (n,)),
-        ("angular_rate", omega, (n,)),
-    ):
-        if arr.shape != shape:
-            raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
+    # Typed parameters fix every shape, but a product of finite ones can overflow.
+    names = ("position", "velocity", "acceleration", "orientation", "angular_rate")
+    for name, arr in zip(names, (pos, vel, acc, theta, omega)):
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{name} must be finite")
     # EntityState wraps the heading it is given once more.
@@ -304,26 +294,19 @@ def extrapolate(base: EntityState, t: float, order: Order = Order.SECOND) -> Ent
 
 def max_speed_bound(traj: Trajectory) -> float:
     """Analytic upper bound on ||velocity|| over the trajectory."""
-    params = traj.params
+    p = traj.params
     if traj.kind == "constant-velocity":
-        return float(np.linalg.norm(np.asarray(params["v"], dtype=float)))
+        return float(np.linalg.norm(p["v"]))
     if traj.kind == "constant-acceleration":
-        v0 = np.asarray(params["v0"], dtype=float)
-        a = np.asarray(params["a"], dtype=float)
-        return float(np.linalg.norm(v0) + np.linalg.norm(a) * traj.duration)
+        return float(np.linalg.norm(p["v0"]) + np.linalg.norm(p["a"]) * traj.duration)
     if traj.kind == "sinusoid-weave":
-        drift = np.asarray(params["drift"], dtype=float)
-        amp = np.asarray(params["amplitude"], dtype=float)
-        freq = float(params["freq"])
-        return float(np.linalg.norm(drift) + np.linalg.norm(amp) * abs(freq))
+        return float(np.linalg.norm(p["drift"]) + np.linalg.norm(p["amplitude"]) * abs(p["freq"]))
     if traj.kind == "circular":
-        return abs(float(params["radius"])) * abs(float(params["omega"]))
-    wps = params["waypoints"]
-    times = np.asarray([w[0] for w in wps], dtype=float)
-    points = np.asarray([w[1:4] for w in wps], dtype=float)
-    if len(times) < 2:
+        return abs(p["radius"]) * abs(p["omega"])
+    wps = p["waypoints"]
+    if len(wps) < 2:
         return 0.0
-    seg_v = np.diff(points, axis=0) / np.diff(times)[:, None]
+    seg_v = np.diff(wps[:, 1:], axis=0) / np.diff(wps[:, 0])[:, None]
     return float(np.max(np.linalg.norm(seg_v, axis=1)))
 
 
@@ -335,17 +318,15 @@ def accel_deviation_bound(traj: Trajectory, order: Order = Order.SECOND) -> floa
     first-order model holds zero acceleration, so the bound is the peak
     magnitude itself.
     """
-    params = traj.params
+    p = traj.params
     if traj.kind in ("constant-velocity", "waypoint-script"):
         peak = 0.0
     elif traj.kind == "constant-acceleration":
-        peak = float(np.linalg.norm(np.asarray(params["a"], dtype=float)))
+        peak = float(np.linalg.norm(p["a"]))
     elif traj.kind == "sinusoid-weave":
-        amp = np.asarray(params["amplitude"], dtype=float)
-        freq = float(params["freq"])
-        peak = float(np.linalg.norm(amp)) * freq * freq
+        peak = float(np.linalg.norm(p["amplitude"])) * p["freq"] * p["freq"]
     else:  # circular
-        peak = abs(float(params["radius"])) * float(params["omega"]) ** 2
+        peak = abs(p["radius"]) * p["omega"] ** 2
     if Order(order) is Order.FIRST:
         return peak
     if traj.kind == "constant-acceleration":

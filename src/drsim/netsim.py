@@ -37,6 +37,8 @@ class ChannelConfig:
             )
         if not 0.0 <= self.loss <= 1.0:
             raise ValidationError(f"loss must be in [0, 1], got {self.loss}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(order=True)

@@ -42,6 +42,9 @@ class QosProfile:
     def __post_init__(self):
         if self.name not in ("tightly-coupled", "loosely-coupled", "custom"):
             raise ValidationError(f"unknown QoS profile {self.name!r}")
+        for key in ("max_latency", "max_loss", "max_error"):
+            if not getattr(self, key) >= 0.0:  # NaN too: the verdict would skip its check
+                raise ValidationError(f"{key!r} in profile must be >= 0, got {getattr(self, key)}")
 
     @classmethod
     def tightly_coupled(cls) -> "QosProfile":

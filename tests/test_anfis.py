@@ -696,6 +696,9 @@ class TestBundleBatchInvariance:
         assert np.array_equal(batch, rows)
 
 
+DELETE = object()  # test_bad_terms_rejected_at_load: remove the key
+
+
 class TestBundle:
     def _bundle(self, h_ref=1.0, shape="bell"):
         nets = [
@@ -754,16 +757,31 @@ class TestBundle:
             ("bell", [1], "c", math.inf, "parameters of input 'velocity' must be finite"),
             ("sigmoid", [3], "a", math.nan, "parameters of input 'velocity' must be finite"),
             ("sigmoid", [1], "a", 0.0, "sigmoid slope of input 'velocity'"),
+            ("sigmoid", [2], "a", DELETE, "a term of input 'velocity' needs shape and"),
+            ("bell", [3], "c", "left", "parameters of input 'velocity' must be numbers"),
+            ("sigmoid", [0], "b", 2.0, "a term of input 'velocity' needs shape and"),
+            ("bell", None, "lo", DELETE, "input 'velocity' needs keys"),
+            ("bell", [1], "shape", DELETE, "input 'velocity' needs terms of one shape"),
         ],
-        ids=["mixed", "unknown", "bell-width", "bell-exponent", "inf", "nan", "sigmoid-slope"],
+        ids=[
+            "mixed", "unknown", "bell-width", "bell-exponent", "inf", "nan", "sigmoid-slope",
+            "missing-parameter", "text-parameter", "extra-parameter", "missing-lo",
+            "missing-shape",
+        ],
     )
     def test_bad_terms_rejected_at_load(self, tmp_path, shape, terms, key, value, match):
+        """terms lists the term records of input 1 of network 2 to edit, or is
+        None for the input record itself; DELETE removes the key."""
         path = tmp_path / "bundle.json"
         self._bundle(shape=shape).save(path)
         AnfisBundle.load(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        for t in terms:
-            doc["networks"][2]["inputs"][1]["terms"][t][key] = value
+        spec = doc["networks"][2]["inputs"][1]
+        for record in [spec] if terms is None else [spec["terms"][t] for t in terms]:
+            if value is DELETE:
+                del record[key]
+            else:
+                record[key] = value
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValidationError, match=match):
             AnfisBundle.load(path)

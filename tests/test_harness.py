@@ -428,7 +428,10 @@ class TestConfigKeys:
         assert set(MINIMAL_PARAMS[kind]) == required
         cfg = dict(RUN_CFG, trajectory={"kind": kind, **MINIMAL_PARAMS[kind]})
         traj = scenario_from_dict(cfg).trajectory
-        assert traj.params == {**TRAJECTORY_PARAMS[kind], **MINIMAL_PARAMS[kind]}
+        expected = {**TRAJECTORY_PARAMS[kind], **MINIMAL_PARAMS[kind]}
+        assert traj.params.keys() == expected.keys()
+        for key, value in expected.items():
+            assert np.array_equal(traj.params[key], value), key
         for key in required:
             cfg = dict(RUN_CFG, trajectory={"kind": kind, **MINIMAL_PARAMS[kind]})
             del cfg["trajectory"][key]
@@ -443,14 +446,89 @@ class TestConfigKeys:
             ("profile", {"name": "tightly-coupled", "max_loss": 0.5}, "max_loss"),
             ("dr", {"th_pos": "abc"}, "th_pos"),
             ("channel", {"reorder_allowed": "false"}, "reorder_allowed"),
+            ("profile", {"max_latency": math.nan, "max_loss": 0.1}, "max_latency"),
+            ("profile", {"max_latency": 0.5, "max_loss": 0.1, "max_error": math.nan}, "max_error"),
+            ("profile", {"max_latency": 0.5, "max_loss": -0.5}, "max_loss"),
         ],
-        ids=["profile-typo", "named-profile-override", "non-numeric", "quoted-bool"],
+        ids=[
+            "profile-typo", "named-profile-override", "non-numeric", "quoted-bool",
+            "nan-latency", "nan-error", "negative-loss",
+        ],
     )
     def test_bad_section_rejected(self, tmp_path, section, value, key):
         path = tmp_path / "sc.yaml"
         path.write_text(yaml.safe_dump(dict(RUN_CFG, **{section: value})), encoding="utf-8")
         with pytest.raises(ValidationError, match=f"'{key}' in {section}"):
             load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "kind, params, key, match",
+        [
+            ("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0]}, "v", "3-vector"),
+            ("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0, 0]}, "v", "3-vector"),
+            ("constant-velocity", {"p0": [0, 0], "v": [1, 0, 0]}, "p0", "3-vector"),
+            ("constant-velocity", {"p0": [0, 0, 0, 0], "v": [1, 0, 0]}, "p0", "3-vector"),
+            ("constant-velocity", {"p0": [0, 0, 0], "v": "fast"}, "v", "3-vector"),
+            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": "abc"}, "freq", "finite number"),
+            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": math.nan}, "freq", "finite number"),
+            ("sinusoid-weave", {"amplitude": [1, 0], "freq": 1.0}, "amplitude", "3-vector"),
+            ("circular", {"radius": [1, 2], "omega": 1.0}, "radius", "finite number"),
+            ("circular", {"radius": 1, "omega": 1, "center": [0, math.nan, 0]}, "center", "finite"),
+            ("constant-acceleration", {"p0": [0, 0, 0], "v0": [0, 0, 0], "a": [math.inf, 0, 0]},
+             "a", "finite"),
+            ("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0], "theta0": "x"}, "theta0",
+             "finite number"),
+            ("waypoint-script", {"waypoints": []}, "waypoints", "rows"),
+            ("waypoint-script", {"waypoints": [[0, 0, 0], [1, 1, 0]]}, "waypoints", "rows"),
+            ("waypoint-script", {"waypoints": [[1, 0, 0, 0], [0, 1, 0, 0]]}, "waypoints",
+             "t increasing"),
+        ],
+        ids=[
+            "v-2", "v-4", "p0-2", "p0-4", "v-text", "freq-text", "freq-nan", "amplitude-2",
+            "radius-list", "center-nan", "a-inf", "theta0-text", "waypoints-empty",
+            "waypoints-3-columns", "waypoints-decreasing",
+        ],
+    )
+    def test_bad_trajectory_parameter_rejected(self, kind, params, key, match):
+        cfg = dict(RUN_CFG, trajectory={"kind": kind, **params})
+        with pytest.raises(ValidationError, match=f"'{key}' in a {kind} trajectory must .*{match}"):
+            scenario_from_dict(cfg)
+
+    def test_trajectory_parameters_are_read_only_arrays_and_floats(self):
+        traj = Trajectory("waypoint-script", {"waypoints": [[0, 0, 0, 0], [2, 1, 0, 0]]}, 2.0)
+        assert traj.params["waypoints"].shape == (2, 4)
+        assert not traj.params["waypoints"].flags.writeable
+        assert type(traj.params["omega"]) is float
+        circle = Trajectory("circular", {"radius": 1, "omega": 2}, 2.0)
+        assert not circle.params["center"].flags.writeable
+        assert type(circle.params["radius"]) is float
+
+    @pytest.mark.parametrize(
+        "where, key, value, match",
+        [
+            ("train", "epochs", 0, "'epochs' in train must be >= 1"),
+            ("train", "n_terms", 0, "'n_terms' in train must be >= 1"),
+            ("train", "eta", -1.0, "'eta' in train must be >= 0"),
+            ("train", "rule_base", "grdi", "unknown 'rule_base' in train: 'grdi'"),
+            ("train", "shape", "bel", "unknown 'shape' in train: 'bel'"),
+            ("train", "obs_noise_pos", math.nan, "'obs_noise_pos' in train must be >= 0"),
+            ("train", "center_jitter", -1.0, "'center_jitter' in train must be >= 0"),
+            ("study file", "seed", -1, "'seed' in study file must be >= 0"),
+            ("run file", "seed", -1, "seed must be >= 0"),  # the channel inherits it
+            ("channel", "seed", -1, "seed must be >= 0"),
+        ],
+    )
+    def test_bad_setting_rejected_at_load(self, tmp_path, where, key, value, match):
+        if where in ("train", "study file"):
+            cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
+            (cfg["train"] if where == "train" else cfg)[key] = value
+            load = study_from_dict
+        else:
+            cfg = yaml.safe_load(yaml.safe_dump(RUN_CFG))
+            (cfg["channel"] if where == "channel" else cfg)[key] = value
+            load = scenario_from_dict
+        with pytest.raises(ValidationError, match=match):
+            load(cfg)
 
     def test_minimal_files_take_the_dataclass_defaults(self, tmp_path):
         cfg = {"seed": 5, "tick": 0.1, "duration": 1.0, "trajectory": RUN_CFG["trajectory"]}
