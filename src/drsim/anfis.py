@@ -111,6 +111,10 @@ class InputSpec:
     labels: list[str]
 
     def __post_init__(self):
+        try:
+            self.lo, self.hi = float(self.lo), float(self.hi)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"range of input {self.name!r} must be numbers") from None
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
             raise ValidationError(f"bad range [{self.lo}, {self.hi}] for input {self.name!r}")
         if self.shape not in SHAPES:

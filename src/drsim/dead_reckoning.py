@@ -307,6 +307,12 @@ def display(
     and headings from that row on. The receiver shows the highest seq among
     the deliveries due so far: a running maximum over the deliveries in
     dispatch order, which also passes over stale ones.
+
+    With blend convergence, each applied delivery after the first blends from
+    what the previous one showed. All offsets are one array pass over the
+    (previous, new) pairs; only a delivery inside the previous one's open
+    window, whose display still carries that offset, then takes a Python step
+    in seq order.
     """
     order = np.argsort(due, kind="stable")  # dispatch order: by due, then seq
     order = order[np.isfinite(due[order])]
@@ -319,34 +325,41 @@ def display(
     blend_start = np.zeros(n_msgs)
     blend_until = np.full(n_msgs, -math.inf)
 
-    def shown(seqs: np.ndarray, now: np.ndarray):
+    def predicted(seqs: np.ndarray, now: np.ndarray):
         base = truth.take(rows[seqs])
         at = np.maximum(now, base.time)
         pos = predict_positions(base, at, config, residuals[seqs])
-        theta = predict_headings(base, at, config)
-        blending = now < blend_until[seqs]
-        if blending.any():
-            s = seqs[blending]
-            remain = 1.0 - (now[blending] - blend_start[s]) / config.blend_window
-            pos[blending] = pos[blending] + offset_pos[s] * remain[:, None]
-            # ReceiverModel.read wraps, and its EntityState wraps again.
-            theta[blending] = wrap_angles(wrap_angles(theta[blending] + offset_or[s] * remain))
-        return pos, theta
+        return pos, predict_headings(base, at, config)
 
     if config.convergence == "blend":
-        # Each applied delivery after the first blends from what was shown before it.
         applied = order[np.flatnonzero(np.diff(newest, prepend=-1) > 0)]
-        for prev, new in zip(applied[:-1], applied[1:]):
-            now = due[[new]]
-            shown_pos, shown_or = shown(np.array([prev]), now)
-            target = truth.take(rows[[new]])
-            target_pos = predict_positions(target, now, config, residuals[[new]])
-            offset_pos[new] = (shown_pos - target_pos)[0]
-            offset_or[new] = wrap_angles(shown_or - predict_headings(target, now, config))[0]
-            blend_start[new] = now[0]
-            blend_until[new] = now[0] + config.blend_window
+        prev, new = applied[:-1], applied[1:]
+        now = due[new]
+        blend_start[new] = now
+        blend_until[new] = now + config.blend_window
+        shown_pos, shown_or = predicted(prev, now)
+        target = truth.take(rows[new])
+        target_pos = predict_positions(target, now, config, residuals[new])
+        target_or = predict_headings(target, now, config)
+        offset_pos[new] = shown_pos - target_pos
+        offset_or[new] = wrap_angles(shown_or - target_or)
+        for k in np.flatnonzero(now < blend_until[prev]).tolist():
+            # As ReceiverModel.read: the display still carries the previous offset.
+            p, q = prev[k], new[k]
+            remain = 1.0 - (now[k] - blend_start[p]) / config.blend_window
+            theta = wrap_angles(wrap_angles(shown_or[k] + offset_or[p] * remain))
+            offset_pos[q] = shown_pos[k] + offset_pos[p] * remain - target_pos[k]
+            offset_or[q] = wrap_angles(theta - target_or[k])
 
     delivered = np.searchsorted(due[order], truth.time, side="right")
     first = int(np.searchsorted(delivered, 1))
-    pos, theta = shown(newest[delivered[first:] - 1], truth.time[first:])
+    seqs, now = newest[delivered[first:] - 1], truth.time[first:]
+    pos, theta = predicted(seqs, now)
+    blending = now < blend_until[seqs]
+    if blending.any():
+        s = seqs[blending]
+        remain = 1.0 - (now[blending] - blend_start[s]) / config.blend_window
+        pos[blending] = pos[blending] + offset_pos[s] * remain[:, None]
+        # ReceiverModel.read wraps, and its EntityState wraps again.
+        theta[blending] = wrap_angles(wrap_angles(theta[blending] + offset_or[s] * remain))
     return first, pos, theta

@@ -142,7 +142,14 @@ class Trajectory:
             raise ValidationError(f"duration must be positive, got {self.duration}")
         params = {**table, **self.params}
         object.__setattr__(self, "params", {k: _param(self.kind, k, v) for k, v in params.items()})
-        sample_truth(self, 0.0)  # fail fast on a motion law that overflows at t = 0
+        try:  # fail fast, and without numpy's warning, on a motion law that overflows
+            with np.errstate(all="ignore"):
+                truth_arrays(self, np.array([0.0, self.duration]))
+        except ValidationError as exc:
+            given = ", ".join(f"{k}={np.asarray(v).tolist()}" for k, v in self.params.items())
+            raise ValidationError(
+                f"a {self.kind} trajectory with {given} overflows by t = {self.duration}: {exc}"
+            ) from None
 
     def covers(self, t: float) -> bool:
         """Whether t lies in [0, duration], allowing for rounding in tick times."""

@@ -762,11 +762,13 @@ class TestBundle:
             ("sigmoid", [0], "b", 2.0, "a term of input 'velocity' needs shape and"),
             ("bell", None, "lo", DELETE, "input 'velocity' needs keys"),
             ("bell", [1], "shape", DELETE, "input 'velocity' needs terms of one shape"),
+            ("bell", None, "lo", "left", "range of input 'velocity' must be numbers"),
+            ("sigmoid", None, "hi", None, "range of input 'velocity' must be numbers"),
         ],
         ids=[
             "mixed", "unknown", "bell-width", "bell-exponent", "inf", "nan", "sigmoid-slope",
             "missing-parameter", "text-parameter", "extra-parameter", "missing-lo",
-            "missing-shape",
+            "missing-shape", "text-lo", "null-hi",
         ],
     )
     def test_bad_terms_rejected_at_load(self, tmp_path, shape, terms, key, value, match):

@@ -157,6 +157,45 @@ def test_fine_tick():
     assert_same_run(scenario("circular", dr, tick=0.02))
 
 
+def blend_chain_depth(sc: Scenario) -> int:
+    """assert_same_run(sc), returning the longest run of consecutive applied
+    deliveries that each land inside the previous one's open blend window, as
+    the reference receiver sees them."""
+    depth = longest = 0
+
+    def apply(self, msg, now, inner=ReceiverModel.apply):
+        nonlocal depth, longest
+        if msg.seq > self.last_seq:  # applied, not stale
+            depth = depth + 1 if now < self._blend_until else 0
+            longest = max(longest, depth)
+        inner(self, msg, now)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReceiverModel, "apply", apply)
+        assert_same_run(sc)
+    return longest
+
+
+@pytest.mark.parametrize(
+    "th_pos, blend_window, channel, depth",
+    [
+        (0.05, 2.0, ChannelConfig(base_delay=0.3, seed=5), 70),
+        (
+            0.1,
+            1.5,
+            ChannelConfig(base_delay=0.5, jitter=0.4, loss=0.05, seed=9, reorder_allowed=True),
+            18,
+        ),
+    ],
+    ids=["fixed-delay", "jittery-lossy-reordering"],
+)
+def test_deep_blend_chains(th_pos, blend_window, channel, depth):
+    """Each delivery in a chain blends from a display that still carries the
+    previous offset, so the offsets form a recurrence the whole chain deep."""
+    dr = DrConfig(th_pos=th_pos, th_or=0.2, convergence="blend", blend_window=blend_window)
+    assert blend_chain_depth(scenario("sinusoid-weave", dr, channel)) == depth
+
+
 def fixed_bundle(h_ref: float = 0.5, n_terms: int = 3) -> AnfisBundle:
     """Three grid networks with fixed nonzero consequents, trained by nothing."""
     nets = []

@@ -8,6 +8,11 @@ relative tolerance of 1e-6: the Gram product of its consequent solve rounds
 differently with the BLAS build and thread count (1 and 2 OpenBLAS threads
 differ by about 1e-11). The gated anfis runs use a bundle with fixed
 consequents, built here and trained by nothing, so no solve reaches their digest.
+
+So the anfis column of `drsim compare` is byte-identical only at a pinned BLAS
+thread count: its 9-digit text can differ between thread counts wherever a value
+lies near a rounding boundary (README, "Golden outputs"). The tolerance covers
+that rounding alone; a change that moves the column by more must re-pin it.
 """
 
 import dataclasses

@@ -494,6 +494,27 @@ class TestConfigKeys:
         with pytest.raises(ValidationError, match=f"'{key}' in a {kind} trajectory must .*{match}"):
             scenario_from_dict(cfg)
 
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            (
+                {"kind": "constant-acceleration", "p0": [0, 0, 0], "v0": [0, 0, 0],
+                 "a": [1e307, 0, 0]},
+                r"a=\[1e\+307, 0.0, 0.0\]",
+            ),
+            ({"kind": "constant-velocity", "p0": [0, 0, 0], "v": [0, 1e308, 0]},
+             r"v=\[0.0, 1e\+308, 0.0\]"),
+        ],
+        ids=["acceleration", "velocity"],
+    )
+    def test_trajectory_that_overflows_by_its_end_rejected(self, params, named):
+        """Finite at t = 0, not at the duration: rejected at load, naming the
+        kind and parameters, with no numpy warning (a warning fails the suite)."""
+        cfg = dict(RUN_CFG, duration=10.0, trajectory=params)
+        match = f"a {params['kind']} trajectory with .*{named}.* overflows by t = 10.0"
+        with pytest.raises(ValidationError, match=match):
+            scenario_from_dict(cfg)
+
     def test_trajectory_parameters_are_read_only_arrays_and_floats(self):
         traj = Trajectory("waypoint-script", {"waypoints": [[0, 0, 0, 0], [2, 1, 0, 0]]}, 2.0)
         assert traj.params["waypoints"].shape == (2, 4)
