@@ -26,6 +26,7 @@ from .kinematics import (
     StateArrays,
     angle_diff,
     extrapolate,
+    project,
     wrap_angle,
     wrap_angles,
 )
@@ -211,13 +212,9 @@ def predict_positions(
     dt = t - base.time
     if config.predictor == "anfis":
         # AnfisBundle.predict extrapolates to base.time + dt, which can round away from t.
-        h = ((base.time + dt) - base.time)[:, None]
-        pos = base.position + base.velocity * h + 0.5 * base.acceleration * h * h
+        pos = project(base, (base.time + dt) - base.time, Order.SECOND)
         return pos + residual * config.anfis_bundle.scales(dt)[:, None]
-    dtc = dt[:, None]
-    if config.order is Order.FIRST:
-        return base.position + base.velocity * dtc
-    return base.position + base.velocity * dtc + 0.5 * base.acceleration * dtc * dtc
+    return project(base, dt, config.order)
 
 
 def predict_headings(base: StateArrays, t: np.ndarray, config: DrConfig) -> np.ndarray:

@@ -22,7 +22,7 @@ from . import anfis
 from .anfis import AnfisBundle, AnfisNetwork, TrainingSet, build_network
 from .dead_reckoning import DrConfig, display, gate, row_norms
 from .errors import ValidationError
-from .kinematics import Order, Trajectory, truth_arrays, wrap_angles
+from .kinematics import Order, StateArrays, Trajectory, project, truth_arrays, wrap_angles
 from .kinematics import sample_truth  # noqa: F401 -- bench/tracer.py wraps it here
 from .netsim import Channel, ChannelConfig
 from .qos_metrics import (
@@ -64,18 +64,32 @@ def _tick_count(duration: float, tick: float) -> int:
     return math.floor(duration / tick * (1.0 + 1e-9))
 
 
+def _tick_times(duration: float, tick: float) -> np.ndarray:
+    """The times a run or study samples truth at: t = 0 and each whole tick."""
+    return np.arange(_tick_count(duration, tick) + 1) * tick
+
+
 def _check_time_grid(tick: float, duration: float, trajectory: Trajectory, what: str) -> None:
-    """A positive tick, at least one tick, and truth defined up to the last one."""
+    """A positive tick, at least one tick, and truth defined and finite at every one."""
     if not (math.isfinite(tick) and tick > 0.0):
         raise ValidationError(f"tick must be positive, got {tick}")
     if not duration >= tick:
         raise ValidationError("duration must cover at least one tick")
-    last_tick = _tick_count(duration, tick) * tick
+    times = _tick_times(duration, tick)
+    last_tick = float(times[-1])
     if not trajectory.covers(last_tick):
         raise ValidationError(
             f"{what} duration {duration} s is longer than its trajectory's "
             f"duration {trajectory.duration} s (last tick at t={last_tick})"
         )
+    try:  # fail at load, and without numpy's warning, on a motion law that overflows
+        with np.errstate(all="ignore"):
+            truth_arrays(trajectory, times)
+    except ValidationError as exc:
+        given = ", ".join(f"{k}={np.asarray(v).tolist()}" for k, v in trajectory.params.items())
+        raise ValidationError(
+            f"a {trajectory.kind} trajectory with {given} overflows by t = {last_tick}: {exc}"
+        ) from None
 
 
 def _keys(cls) -> frozenset:
@@ -181,11 +195,9 @@ def scenario_from_dict(cfg: dict, base_dir: Path | None = None) -> Scenario:
     if "profile" in run:
         run["profile"] = _profile_from_config(run["profile"])
     channel = _read_section(ChannelConfig, run.pop("channel", {}), "channel")
-    sc = Scenario(**run, channel=ChannelConfig(**channel))
-    if "seed" in channel:
-        return sc
     # A channel without a seed of its own draws from the run's.
-    return dataclasses.replace(sc, channel=dataclasses.replace(sc.channel, seed=sc.seed))
+    channel.setdefault("seed", run.get("seed", 0))
+    return Scenario(**run, channel=ChannelConfig(**channel))
 
 
 def load_scenario(path) -> Scenario:
@@ -210,7 +222,7 @@ def run_scenario(sc: Scenario) -> RunResult:
     the sender's updates segment by segment, the channel's fate for each
     update in send order, and the receiver's display for every tick.
     """
-    truth = truth_arrays(sc.trajectory, np.arange(sc.n_ticks + 1) * sc.tick)
+    truth = truth_arrays(sc.trajectory, _tick_times(sc.duration, sc.tick))
     log = gate(truth, sc.dr)
     send_times = truth.time[log.rows].tolist()
     channel = Channel(sc.channel)
@@ -373,92 +385,66 @@ def load_study(path) -> ComparisonStudy:
 
 @dataclass
 class MotionTable:
-    """Per-tick truth arrays plus the (possibly noisy) observed positions."""
+    """A study's truth on its tick grid, and the same rows as observed."""
 
-    times: np.ndarray  # (N,)
-    truth_pos: np.ndarray  # (N, 3)
-    vel: np.ndarray  # (N, 3)
-    acc: np.ndarray  # (N, 3)
-    orient: np.ndarray  # (N,)
-    obs_pos: np.ndarray  # (N, 3)
+    truth: StateArrays
+    observed: StateArrays  # truth with the (possibly noisy) observed positions
     dev: np.ndarray  # (N, 3); one-tick second-order deviation, row 0 is zero
-    tick: float
 
 
-def build_motion_table(
-    traj: Trajectory, tick: float, duration: float, obs_noise_pos: float, seed: int
-) -> MotionTable:
-    n = _tick_count(duration, tick) + 1
-    times = np.arange(n) * tick
-    truth = truth_arrays(traj, np.minimum(times, traj.duration))
-    truth_pos, vel, acc = truth.position, truth.velocity, truth.acceleration
-    orient = truth.orientation
-    obs_pos = truth_pos
-    if obs_noise_pos > 0.0:
-        rng = np.random.default_rng(seed)
-        obs_pos = truth_pos + rng.normal(0.0, obs_noise_pos, truth_pos.shape)
+def build_motion_table(study: ComparisonStudy) -> MotionTable:
+    truth = truth_arrays(study.trajectory, _tick_times(study.duration, study.tick))
+    observed = truth
+    if study.train.obs_noise_pos > 0.0:
+        rng = np.random.default_rng(study.seed)
+        noise = rng.normal(0.0, study.train.obs_noise_pos, truth.position.shape)
+        observed = dataclasses.replace(truth, position=truth.position + noise)
     # Observed one-tick residual of the second-order model; the feature that
     # tells the corrector how wrong plain extrapolation currently is.
-    dev = np.zeros_like(obs_pos)
-    extrap_prev = obs_pos[:-1] + vel[:-1] * tick + 0.5 * acc[:-1] * tick * tick
-    dev[1:] = obs_pos[1:] - extrap_prev
-    return MotionTable(times, truth_pos, vel, acc, orient, obs_pos, dev, tick)
+    dev = np.zeros_like(truth.position)
+    previous = observed.take(slice(None, -1))
+    dev[1:] = observed.position[1:] - project(previous, study.tick, Order.SECOND)
+    return MotionTable(truth, observed, dev)
 
 
-def _base_prediction(table: MotionTable, idx: np.ndarray, h_sec: float, order: Order) -> np.ndarray:
-    pos = table.obs_pos[idx]
-    vel = table.vel[idx]
-    if Order(order) is Order.FIRST:
-        return pos + vel * h_sec
-    return pos + vel * h_sec + 0.5 * table.acc[idx] * h_sec * h_sec
-
-
-def _axis_ranges(table: MotionTable, train_idx: np.ndarray) -> list[list[tuple[float, float]]]:
-    """Declared input ranges per axis: deviation, velocity, orientation."""
-    ranges = []
-    orient_span = max(0.5 * math.pi, float(np.max(np.abs(table.orient[train_idx]))) * 1.001)
-    for k in range(3):
-        dev_span = float(np.max(np.abs(table.dev[train_idx, k]))) or 1.0
-        vel_span = float(np.max(np.abs(table.vel[train_idx, k]))) or 1.0
-        ranges.append(
-            [(-dev_span, dev_span), (-vel_span, vel_span), (-orient_span, orient_span)]
+def _training_sets(
+    table: MotionTable, idx: np.ndarray, horizon_ticks: int, tick: float
+) -> list[TrainingSet]:
+    """Each axis's (deviation, velocity, orientation) features at rows idx, with
+    the residual of second-order projection horizon_ticks ahead as target."""
+    base = table.observed.take(idx)
+    ahead = table.truth.position[idx + horizon_ticks]
+    targets = ahead - project(base, horizon_ticks * tick, Order.SECOND)
+    return [
+        TrainingSet(
+            np.column_stack([table.dev[idx, k], base.velocity[:, k], base.orientation]),
+            targets[:, k],
         )
-    return ranges
+        for k in range(3)
+    ]
 
 
-def _axis_training_set(
-    table: MotionTable, train_idx: np.ndarray, horizon_ticks: int, axis: int
-) -> TrainingSet:
-    h_sec = horizon_ticks * table.tick
-    base = _base_prediction(table, train_idx, h_sec, Order.SECOND)
-    targets = table.truth_pos[train_idx + horizon_ticks, axis] - base[:, axis]
-    feats = np.column_stack(
-        [table.dev[train_idx, axis], table.vel[train_idx, axis], table.orient[train_idx]]
-    )
-    return TrainingSet(feats, targets)
+def _axis_network(spec: TrainSpec, data: TrainingSet, seed: int) -> AnfisNetwork:
+    """The untrained corrector of one axis for the (deviation, velocity,
+    orientation) inputs of data.
 
-
-def _axis_network(
-    spec: TrainSpec, data: TrainingSet, ranges: list[tuple[float, float]], seed: int
-) -> AnfisNetwork:
-    """The untrained corrector of one axis over its (deviation, velocity,
-    orientation) input ranges. An input that holds one value over data gets
-    one term, the others spec.n_terms: terms of an input that never varies
-    fire at fixed degrees, so their rules would only repeat each other."""
+    Each input's range is symmetric about zero and reaches its largest
+    magnitude in data, or 1 for an input that is zero throughout; the
+    orientation's reaches 0.1% past it, and at least pi/2. An input that holds
+    one value over data gets one term, the others spec.n_terms: terms of an
+    input that never varies fire at fixed degrees, so their rules would only
+    repeat each other."""
+    dev_span, vel_span, orient_span = np.max(np.abs(data.inputs), axis=0).tolist()
+    spans = (dev_span or 1.0, vel_span or 1.0, max(0.5 * math.pi, orient_span * 1.001))
+    names = ("deviation", "velocity", "orientation")
     return build_network(
-        [("deviation", *ranges[0]), ("velocity", *ranges[1]), ("orientation", *ranges[2])],
+        [(name, -span, span) for name, span in zip(names, spans)],
         n_terms=[1 if np.ptp(col) == 0.0 else spec.n_terms for col in data.inputs.T],
         shape=spec.shape,
         rule_base=spec.rule_base,
         eta=spec.eta,
         seed=seed,
         center_jitter=spec.center_jitter,
-    )
-
-
-def _study_table(study: ComparisonStudy) -> MotionTable:
-    return build_motion_table(
-        study.trajectory, study.tick, study.duration, study.train.obs_noise_pos, study.seed
     )
 
 
@@ -470,19 +456,16 @@ def train_bundle(
     table is the study's motion table, built here when not given.
     """
     if table is None:
-        table = _study_table(study)
-    n = len(table.times)
-    split_idx = int(n * study.train.split)
+        table = build_motion_table(study)
+    split_idx = int(len(table.dev) * study.train.split)
     train_idx = np.arange(1, split_idx - horizon_ticks)
     if len(train_idx) < 2:
         raise ValidationError("study too short for this horizon/split")
-    ranges = _axis_ranges(table, train_idx)
     train = anfis.train_hybrid if study.train.regime == "hybrid" else anfis.train_gd
     nets = []
-    for axis in range(3):
-        data = _axis_training_set(table, train_idx, horizon_ticks, axis)
+    for axis, data in enumerate(_training_sets(table, train_idx, horizon_ticks, study.tick)):
         seed = study.seed + 7919 * axis + 104729 * horizon_ticks
-        nets.append(_axis_network(study.train, data, ranges[axis], seed))
+        nets.append(_axis_network(study.train, data, seed))
         train(nets[-1], data, study.train.epochs)
     return AnfisBundle(nets, h_ref=horizon_ticks * study.tick, feature_tick=study.tick)
 
@@ -504,8 +487,8 @@ class ComparisonResult:
 
 def run_comparison(study: ComparisonStudy) -> ComparisonResult:
     """Score each configured predictor at each horizon on held-out time."""
-    table = _study_table(study)
-    n = len(table.times)
+    table = build_motion_table(study)
+    n = len(table.dev)
     split_idx = int(n * study.train.split)
     mae: dict[str, list[float]] = {p: [] for p in study.predictors}
     for h in study.horizons:
@@ -513,37 +496,15 @@ def run_comparison(study: ComparisonStudy) -> ComparisonResult:
         if len(test_idx) < 1:
             raise ValidationError(f"no test samples left at horizon {h}")
         h_sec = h * study.tick
-        truth_ahead = table.truth_pos[test_idx + h]
+        base = table.observed.take(test_idx)
+        truth_ahead = table.truth.position[test_idx + h]
         bundle = train_bundle(study, h, table) if "anfis" in study.predictors else None
         for p in study.predictors:
+            pred = project(base, h_sec, Order.SECOND if p == "anfis" else Order(p))
             if p == "anfis":
-                base = _base_prediction(table, test_idx, h_sec, Order.SECOND)
-                corr = bundle.corrections(
-                    table.dev[test_idx], table.vel[test_idx], table.orient[test_idx], h_sec
+                pred = pred + bundle.corrections(
+                    table.dev[test_idx], base.velocity, base.orientation, h_sec
                 )
-                pred = base + corr
-            else:
-                pred = _base_prediction(table, test_idx, h_sec, Order(p))
             err = np.linalg.norm(pred - truth_ahead, axis=1)
             mae[p].append(float(np.mean(err)))
     return ComparisonResult(tuple(study.horizons), tuple(study.predictors), mae)
-
-
-def make_residual_task(
-    traj: Trajectory,
-    tick: float,
-    duration: float,
-    horizon_ticks: int,
-    n_samples: int,
-    eta: float = 0.05,
-) -> tuple[AnfisNetwork, TrainingSet]:
-    """Desk-scale residual-learning task on the x axis, noise-free, seed 0: an
-    untrained compact-rule network of 7 bell terms per input plus its data."""
-    table = build_motion_table(traj, tick, duration, 0.0, 0)
-    idx = np.arange(1, len(table.times) - horizon_ticks)
-    if len(idx) < n_samples:
-        raise ValidationError(f"trajectory yields only {len(idx)} samples, need {n_samples}")
-    idx = idx[:n_samples]
-    data = _axis_training_set(table, idx, horizon_ticks, 0)
-    spec = TrainSpec(rule_base="compact", eta=eta)
-    return _axis_network(spec, data, _axis_ranges(table, idx)[0], 0), data

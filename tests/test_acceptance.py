@@ -17,7 +17,6 @@ from drsim.dead_reckoning import DrConfig
 from drsim.harness import (
     load_scenario,
     load_study,
-    make_residual_task,
     run_comparison,
     run_scenario,
     sweep,
@@ -32,6 +31,7 @@ from drsim.kinematics import (
 )
 from drsim.netsim import Channel, ChannelConfig, EventQueue
 from drsim.qos_metrics import CoherenceReport, QosProfile, check_emax_bound, verdict
+from reference import make_residual_task
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

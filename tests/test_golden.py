@@ -13,11 +13,18 @@ So the anfis column of `drsim compare` is byte-identical only at a pinned BLAS
 thread count: its 9-digit text can differ between thread counts wherever a value
 lies near a rounding boundary (README, "Golden outputs"). The tolerance covers
 that rounding alone; a change that moves the column by more must re-pin it.
+
+The bundle `drsim train` writes is pinned by digest, bit for bit, at one
+OpenBLAS thread: the training runs in a child process started with the thread
+count pinned, whatever count the suite itself runs at.
 """
 
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +35,8 @@ from drsim import cli
 from drsim.anfis import AnfisBundle, build_network
 from drsim.harness import load_study, run_comparison
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+REPO = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = REPO / "scenarios"
 GOLDEN = json.loads(Path(__file__).with_name("golden.json").read_text(encoding="utf-8"))
 
 
@@ -103,3 +111,19 @@ def test_compare_anfis_column_matches_golden(name):
     result = run_comparison(dataclasses.replace(study, predictors=("anfis",)))
     expected = GOLDEN["compare_anfis"][name]
     np.testing.assert_allclose(result.mae["anfis"], expected, rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["train"]))
+def test_trained_bundle_matches_golden(name, tmp_path):
+    """`drsim train <study> --save` at one BLAS thread writes the pinned bundle."""
+    saved = tmp_path / "bundle.json"
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
+    study = SCENARIO_DIR / f"{name}.yaml"
+    subprocess.run(
+        [sys.executable, "-m", "drsim.cli", "train", str(study), "--save", str(saved)],
+        env=env,
+        check=True,
+        capture_output=True,
+    )
+    assert hashlib.sha256(saved.read_bytes()).hexdigest() == GOLDEN["train"][name]

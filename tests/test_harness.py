@@ -16,7 +16,6 @@ from drsim.harness import (
     build_motion_table,
     load_scenario,
     load_study,
-    make_residual_task,
     run_comparison,
     run_scenario,
     scenario_from_dict,
@@ -28,6 +27,7 @@ from drsim.harness import (
 from drsim.kinematics import TRAJECTORY_PARAMS, Order, Trajectory
 from drsim.netsim import ChannelConfig
 from drsim.qos_metrics import QosProfile
+from reference import make_residual_task
 from test_engine import assert_same_run
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -129,8 +129,8 @@ class TestTickCount:
         sc = scenario(tick=tick, duration=duration)
         assert sc.n_ticks == n_ticks
         assert run_scenario(sc).series.times[-1] == pytest.approx(n_ticks * tick)
-        table = build_motion_table(sc.trajectory, tick, duration, 0.0, 0)
-        assert len(table.times) == n_ticks + 1
+        table = build_motion_table(ComparisonStudy(sc.trajectory, tick, duration))
+        assert len(table.truth.time) == n_ticks + 1
 
 
 class TestSweep:
@@ -300,11 +300,11 @@ class TestOneTermInputs:
         bundle.save(tmp_path / "bundle.json")
         loaded = AnfisBundle.load(tmp_path / "bundle.json")
         assert term_counts(loaded) == term_counts(bundle)
-        table = build_motion_table(tight_study.trajectory, 0.1, 300.0, 0.0, 0)
+        table = build_motion_table(tight_study)
         rng = np.random.default_rng(17)
         dev = np.vstack([table.dev, rng.normal(0.0, 0.01, (100, 3))])
-        vel = np.vstack([table.vel, rng.normal(0.0, 2.0, (100, 3))])
-        orient = np.concatenate([table.orient, rng.uniform(-1.0, 1.0, 100)])
+        vel = np.vstack([table.truth.velocity, rng.normal(0.0, 2.0, (100, 3))])
+        orient = np.concatenate([table.truth.orientation, rng.uniform(-1.0, 1.0, 100)])
         expected = bundle.residuals(dev, vel, orient)
         assert np.array_equal(loaded.residuals(dev, vel, orient), expected)
 
@@ -504,8 +504,15 @@ class TestConfigKeys:
             ),
             ({"kind": "constant-velocity", "p0": [0, 0, 0], "v": [0, 1e308, 0]},
              r"v=\[0.0, 1e\+308, 0.0\]"),
+            # Finite at both ends (sin is 0 at t = 0, about 1e-16 at 10 s), not
+            # in between: the whole tick grid is checked.
+            (
+                {"kind": "sinusoid-weave", "p0": [1e308, 0, 0], "amplitude": [1e308, 0, 0],
+                 "freq": math.pi / 10},
+                r"amplitude=\[1e\+308, 0.0, 0.0\]",
+            ),
         ],
-        ids=["acceleration", "velocity"],
+        ids=["acceleration", "velocity", "sinusoid-midway"],
     )
     def test_trajectory_that_overflows_by_its_end_rejected(self, params, named):
         """Finite at t = 0, not at the duration: rejected at load, naming the
