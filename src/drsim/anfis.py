@@ -79,6 +79,24 @@ def _bell_constrain(params):
     np.maximum(params[1], 1e-9, out=params[1])
 
 
+def _record(d, keys: tuple[str, ...], where: str) -> dict:
+    """d, a saved record, if it is a mapping with exactly keys; errors name where."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where} must be a mapping, got {type(d).__name__}")
+    odd = sorted(d.keys() ^ set(keys), key=str)
+    if odd:
+        state = "missing" if odd[0] in keys else "unknown"
+        raise ValidationError(f"{where} needs keys {', '.join(keys)}; {state} key {odd[0]!r}")
+    return d
+
+
+def _float(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key!r} must be a number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Shape:
     """A membership function family. degrees(x, *params) and grads(x, *params)
@@ -157,9 +175,8 @@ class InputSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "InputSpec":
         """Reads one record per term: "shape" and exactly that shape's parameters."""
-        name = d.get("name")
-        if d.keys() != {"name", "lo", "hi", "labels", "terms"}:
-            raise ValidationError(f"input {name!r} needs keys name, lo, hi, labels, terms")
+        name = d.get("name") if isinstance(d, dict) else None
+        _record(d, ("name", "lo", "hi", "labels", "terms"), f"input {name!r}")
         shapes = sorted({t.get("shape") for t in d["terms"]}, key=str)
         if len(shapes) != 1:
             raise ValidationError(f"input {name!r} needs terms of one shape, got {shapes}")
@@ -176,7 +193,10 @@ class AnfisNetwork:
 
     def __init__(self, inputs: list[InputSpec], rules, consequents, eta: float = 0.05):
         self.inputs = list(inputs)
-        self.rules = np.asarray(rules, dtype=int)
+        try:
+            self.rules = np.asarray(rules, dtype=int)
+        except (TypeError, ValueError):
+            raise ValidationError("'rules' must hold term indices") from None
         if self.rules.ndim != 2 or self.rules.shape[1] != len(self.inputs):
             raise ValidationError(
                 f"rules must be (n_rules, {len(self.inputs)}), got {self.rules.shape}"
@@ -193,14 +213,17 @@ class AnfisNetwork:
             for i, spec in enumerate(self.inputs)
         ]
         self.term_sums = np.concatenate([sel.T for sel in self.selectors], axis=1)
-        self.z = np.array(consequents, dtype=float)
+        try:
+            self.z = np.array(consequents, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError("'consequents' must be numbers") from None
         if self.z.shape != (self.rules.shape[0],):
             raise ValidationError(f"need one consequent per rule, got {self.z.shape}")
         if not np.all(np.isfinite(self.z)):
             raise ValidationError("consequents must be finite")
-        if not (math.isfinite(eta) and eta >= 0.0):
+        self.eta = _float(eta, "eta")
+        if not (math.isfinite(self.eta) and self.eta >= 0.0):
             raise ValidationError(f"learning rate must be >= 0, got {eta}")
-        self.eta = float(eta)
 
     @property
     def n_inputs(self) -> int:
@@ -228,6 +251,7 @@ class AnfisNetwork:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnfisNetwork":
+        d = _record(d, ("inputs", "rules", "consequents", "eta"), "network record")
         inputs = [InputSpec.from_dict(s) for s in d["inputs"]]
         return cls(inputs, d["rules"], d["consequents"], d["eta"])
 
@@ -521,13 +545,12 @@ class AnfisBundle:
         for net in networks:
             if net.n_inputs != 3:
                 raise ValidationError("axis networks must take the 3-feature input triple")
-        if not (math.isfinite(h_ref) and h_ref > 0.0):
-            raise ValidationError(f"reference horizon must be positive, got {h_ref}")
-        if not (math.isfinite(feature_tick) and feature_tick > 0.0):
-            raise ValidationError(f"feature tick must be positive, got {feature_tick}")
         self.networks = list(networks)
-        self.h_ref = float(h_ref)
-        self.feature_tick = float(feature_tick)
+        self.h_ref = _float(h_ref, "h_ref")
+        self.feature_tick = _float(feature_tick, "feature_tick")
+        for what, value in (("reference horizon", self.h_ref), ("feature tick", self.feature_tick)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValidationError(f"{what} must be positive, got {value}")
 
     def residuals(self, dev, vel, orient) -> np.ndarray:
         """Learned corrections (N, 3) at the reference horizon for batched features.
@@ -547,10 +570,6 @@ class AnfisBundle:
                 beta = forward_batch(net, feats)[1].beta
                 out[rows, k] = (beta[:, None, :] @ net.z[:, None])[:, 0, 0]
         return out
-
-    def corrections(self, dev, vel, orient, horizon: float) -> np.ndarray:
-        """Residual corrections (N, 3) for batched features at one horizon."""
-        return self.residuals(dev, vel, orient) * (horizon / self.h_ref) ** 3
 
     def scales(self, horizons: np.ndarray) -> np.ndarray:
         """The correction scale (horizon / h_ref)^3 for each horizon.
@@ -573,8 +592,8 @@ class AnfisBundle:
         else:
             dev = np.zeros(3)
         base = extrapolate(last, last.time + horizon, Order.SECOND)
-        corr = self.corrections(dev[None, :], last.velocity[None, :], [last.orientation], horizon)
-        return base.position + corr[0]
+        residual = self.residuals(dev[None, :], last.velocity[None, :], [last.orientation])
+        return base.position + residual[0] * self.scales(np.array([horizon]))
 
     def to_dict(self) -> dict:
         return {
@@ -587,8 +606,9 @@ class AnfisBundle:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnfisBundle":
-        if d.get("kind") != "anfis-bundle":
+        if not (isinstance(d, dict) and d.get("kind") == "anfis-bundle"):
             raise ValidationError("not an anfis bundle document")
+        d = _record(d, ("kind", "axes", "h_ref", "feature_tick", "networks"), "anfis bundle")
         nets = [AnfisNetwork.from_dict(nd) for nd in d["networks"]]
         return cls(nets, d["h_ref"], d["feature_tick"])
 

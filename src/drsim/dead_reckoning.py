@@ -32,8 +32,8 @@ from .kinematics import (
 )
 
 _TIME_EPS = 1e-9
-# A one-row corrector pass costs about as much as a batched pass over 30 rows, so
-# the gate batches the rows ahead only while updates come fewer rows apart.
+# One corrector row alone costs about as much as 90-110 rows of a batched pass; the
+# gate batches the rows ahead while updates come fewer than _DENSE_GAP rows apart.
 _DENSE_GAP = 32
 _AHEAD_ROWS = 1024
 

@@ -46,36 +46,30 @@ class Scenario:
     duration: float
     seed: int = 0
     message_size_bytes: int = 144  # bytes per update, order of a full entity-state packet
+    truth: StateArrays = field(init=False, repr=False, compare=False)  # at every tick
 
     def __post_init__(self):
-        _check_time_grid(self.tick, self.duration, self.trajectory, "scenario")
+        object.__setattr__(self, "truth", _checked_truth(self, "scenario"))
         if self.message_size_bytes <= 0:
             raise ValidationError("message_size_bytes must be positive")
 
     @property
     def n_ticks(self) -> int:
         """Ticks after t = 0; the run samples n_ticks + 1 times."""
-        return _tick_count(self.duration, self.tick)
+        return len(self.truth.time) - 1
 
 
-def _tick_count(duration: float, tick: float) -> int:
-    """Whole ticks in duration, floored (3.5 s at a 1 s tick is 3) after a relative
-    1e-9 allowance so that a multiple whose quotient rounds low counts (0.3 / 0.1)."""
-    return math.floor(duration / tick * (1.0 + 1e-9))
-
-
-def _tick_times(duration: float, tick: float) -> np.ndarray:
-    """The times a run or study samples truth at: t = 0 and each whole tick."""
-    return np.arange(_tick_count(duration, tick) + 1) * tick
-
-
-def _check_time_grid(tick: float, duration: float, trajectory: Trajectory, what: str) -> None:
-    """A positive tick, at least one tick, and truth defined and finite at every one."""
+def _checked_truth(config: Scenario | ComparisonStudy, what: str) -> StateArrays:
+    """The truth of config, a run or a study, at t = 0 and each whole tick, after
+    checking that there is a tick and that truth is finite at every one. The
+    tick count is floored (3.5 s at a 1 s tick is 3) after a relative 1e-9
+    allowance, so that a multiple whose quotient rounds low counts (0.3 / 0.1)."""
+    tick, duration, trajectory = config.tick, config.duration, config.trajectory
     if not (math.isfinite(tick) and tick > 0.0):
         raise ValidationError(f"tick must be positive, got {tick}")
     if not duration >= tick:
         raise ValidationError("duration must cover at least one tick")
-    times = _tick_times(duration, tick)
+    times = np.arange(math.floor(duration / tick * (1.0 + 1e-9)) + 1) * tick
     last_tick = float(times[-1])
     if not trajectory.covers(last_tick):
         raise ValidationError(
@@ -84,7 +78,7 @@ def _check_time_grid(tick: float, duration: float, trajectory: Trajectory, what:
         )
     try:  # fail at load, and without numpy's warning, on a motion law that overflows
         with np.errstate(all="ignore"):
-            truth_arrays(trajectory, times)
+            return truth_arrays(trajectory, times)
     except ValidationError as exc:
         given = ", ".join(f"{k}={np.asarray(v).tolist()}" for k, v in trajectory.params.items())
         raise ValidationError(
@@ -93,7 +87,7 @@ def _check_time_grid(tick: float, duration: float, trajectory: Trajectory, what:
 
 
 def _keys(cls) -> frozenset:
-    return frozenset(f.name for f in dataclasses.fields(cls))
+    return frozenset(f.name for f in dataclasses.fields(cls) if f.init)
 
 
 # Field types a config file holds; a tuple field reads a list of one of them.
@@ -218,11 +212,11 @@ class RunResult:
 def run_scenario(sc: Scenario) -> RunResult:
     """Simulate one sender/receiver pair over one channel on the tick grid.
 
-    Each stage works on the whole run at once: truth for every tick, then
+    Each stage works on the whole run at once: the truth sampled at load, then
     the sender's updates segment by segment, the channel's fate for each
     update in send order, and the receiver's display for every tick.
     """
-    truth = truth_arrays(sc.trajectory, _tick_times(sc.duration, sc.tick))
+    truth = sc.truth
     log = gate(truth, sc.dr)
     send_times = truth.time[log.rows].tolist()
     channel = Channel(sc.channel)
@@ -359,9 +353,10 @@ class ComparisonStudy:
     predictors: tuple[str, ...] = ("second", "anfis")
     train: TrainSpec = field(default_factory=TrainSpec)
     seed: int = 0
+    table: MotionTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_time_grid(self.tick, self.duration, self.trajectory, "study")
+        truth = _checked_truth(self, "study")
         if self.seed < 0:
             raise ValidationError(f"'seed' in study file must be >= 0, got {self.seed}")
         if not self.horizons or any(h < 1 for h in self.horizons):
@@ -369,6 +364,8 @@ class ComparisonStudy:
         for p in self.predictors:
             if p not in PREDICTOR_NAMES:
                 raise ValidationError(f"unknown predictor {p!r}")
+        # Last: the observation noise draws from the seed checked above.
+        object.__setattr__(self, "table", build_motion_table(self, truth))
 
 
 def study_from_dict(cfg: dict) -> ComparisonStudy:
@@ -392,8 +389,7 @@ class MotionTable:
     dev: np.ndarray  # (N, 3); one-tick second-order deviation, row 0 is zero
 
 
-def build_motion_table(study: ComparisonStudy) -> MotionTable:
-    truth = truth_arrays(study.trajectory, _tick_times(study.duration, study.tick))
+def build_motion_table(study: ComparisonStudy, truth: StateArrays) -> MotionTable:
     observed = truth
     if study.train.obs_noise_pos > 0.0:
         rng = np.random.default_rng(study.seed)
@@ -448,15 +444,9 @@ def _axis_network(spec: TrainSpec, data: TrainingSet, seed: int) -> AnfisNetwork
     )
 
 
-def train_bundle(
-    study: ComparisonStudy, horizon_ticks: int, table: MotionTable | None = None
-) -> AnfisBundle:
-    """Train the per-axis corrector networks for one prediction horizon.
-
-    table is the study's motion table, built here when not given.
-    """
-    if table is None:
-        table = build_motion_table(study)
+def train_bundle(study: ComparisonStudy, horizon_ticks: int) -> AnfisBundle:
+    """Train the per-axis corrector networks for one prediction horizon."""
+    table = study.table
     split_idx = int(len(table.dev) * study.train.split)
     train_idx = np.arange(1, split_idx - horizon_ticks)
     if len(train_idx) < 2:
@@ -487,7 +477,7 @@ class ComparisonResult:
 
 def run_comparison(study: ComparisonStudy) -> ComparisonResult:
     """Score each configured predictor at each horizon on held-out time."""
-    table = build_motion_table(study)
+    table = study.table
     n = len(table.dev)
     split_idx = int(n * study.train.split)
     mae: dict[str, list[float]] = {p: [] for p in study.predictors}
@@ -498,13 +488,12 @@ def run_comparison(study: ComparisonStudy) -> ComparisonResult:
         h_sec = h * study.tick
         base = table.observed.take(test_idx)
         truth_ahead = table.truth.position[test_idx + h]
-        bundle = train_bundle(study, h, table) if "anfis" in study.predictors else None
+        bundle = train_bundle(study, h) if "anfis" in study.predictors else None
         for p in study.predictors:
             pred = project(base, h_sec, Order.SECOND if p == "anfis" else Order(p))
             if p == "anfis":
-                pred = pred + bundle.corrections(
-                    table.dev[test_idx], base.velocity, base.orientation, h_sec
-                )
+                residuals = bundle.residuals(table.dev[test_idx], base.velocity, base.orientation)
+                pred = pred + residuals * bundle.scales(np.array([h_sec]))
             err = np.linalg.norm(pred - truth_ahead, axis=1)
             mae[p].append(float(np.mean(err)))
     return ComparisonResult(tuple(study.horizons), tuple(study.predictors), mae)

@@ -155,40 +155,28 @@ class CoherenceReport:
     passed: bool = True
     reasons: list[str] = field(default_factory=list)
 
-    CSV_FIELDS = (
-        "messages_sent",
-        "messages_delivered",
-        "messages_dropped",
-        "bytes_sent",
-        "heartbeats",
-        "max_error",
-        "integrated_error",
-        "violation_count",
-        "total_violation_time",
-        "max_prop_delay",
-        "verdict",
-    )
+    def _csv_columns(self) -> dict[str, str]:
+        """report.csv's columns in order: name -> this report's text."""
+        return {
+            "messages_sent": str(self.messages_sent),
+            "messages_delivered": str(self.messages_delivered),
+            "messages_dropped": str(self.messages_dropped),
+            "bytes_sent": str(self.bytes_sent),
+            "heartbeats": str(self.heartbeats),
+            "max_error": format_sig(self.max_error),
+            "integrated_error": format_sig(self.integrated_error),
+            "violation_count": str(len(self.violation_windows)),
+            "total_violation_time": format_sig(self.total_violation_time),
+            "max_prop_delay": format_sig(self.max_prop_delay),
+            "verdict": "pass" if self.passed else "fail",
+        }
 
     @classmethod
     def csv_header(cls) -> str:
-        return ",".join(cls.CSV_FIELDS)
+        return ",".join(cls()._csv_columns())
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.messages_sent),
-                str(self.messages_delivered),
-                str(self.messages_dropped),
-                str(self.bytes_sent),
-                str(self.heartbeats),
-                format_sig(self.max_error),
-                format_sig(self.integrated_error),
-                str(len(self.violation_windows)),
-                format_sig(self.total_violation_time),
-                format_sig(self.max_prop_delay),
-                "pass" if self.passed else "fail",
-            ]
-        )
+        return ",".join(self._csv_columns().values())
 
     def to_text(self) -> str:
         lines = [

@@ -5,13 +5,7 @@ import numpy as np
 
 from drsim.anfis import AnfisNetwork, TrainingSet
 from drsim.errors import ValidationError
-from drsim.harness import (
-    ComparisonStudy,
-    TrainSpec,
-    _axis_network,
-    _training_sets,
-    build_motion_table,
-)
+from drsim.harness import ComparisonStudy, TrainSpec, _axis_network, _training_sets
 from drsim.kinematics import Trajectory
 
 
@@ -25,7 +19,7 @@ def make_residual_task(
 ) -> tuple[AnfisNetwork, TrainingSet]:
     """Desk-scale residual-learning task on the x axis, noise-free, seed 0: an
     untrained compact-rule network of 7 bell terms per input plus its data."""
-    table = build_motion_table(ComparisonStudy(traj, tick, duration))
+    table = ComparisonStudy(traj, tick, duration).table
     idx = np.arange(1, len(table.dev) - horizon_ticks)
     if len(idx) < n_samples:
         raise ValidationError(f"trajectory yields only {len(idx)} samples, need {n_samples}")

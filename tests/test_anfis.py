@@ -764,28 +764,51 @@ class TestBundle:
             ("bell", [1], "shape", DELETE, "input 'velocity' needs terms of one shape"),
             ("bell", None, "lo", "left", "range of input 'velocity' must be numbers"),
             ("sigmoid", None, "hi", None, "range of input 'velocity' must be numbers"),
+            ("bell", "bundle", "networks", DELETE, "bundle needs keys .*; missing key 'networks'"),
+            ("bell", "bundle", "feature_tick", DELETE, "missing key 'feature_tick'"),
+            ("bell", "bundle", "note", "edited", "bundle needs keys .*; unknown key 'note'"),
+            ("bell", "bundle", "h_ref", "ten", "'h_ref' must be a number, got 'ten'"),
+            ("bell", "bundle", "networks", [[1, 2]], "network record must be a mapping"),
+            ("bell", "network", "eta", DELETE, "network record needs keys .*; missing key 'eta'"),
+            ("bell", "network", "note", 1, "network record needs keys .*; unknown key 'note'"),
+            ("bell", "network", "eta", "fast", "'eta' must be a number, got 'fast'"),
+            ("bell", "network", "rules", [[0, "two", 0]], "'rules' must hold term indices"),
+            ("bell", "network", "consequents", ["x"], "'consequents' must be numbers"),
         ],
         ids=[
             "mixed", "unknown", "bell-width", "bell-exponent", "inf", "nan", "sigmoid-slope",
             "missing-parameter", "text-parameter", "extra-parameter", "missing-lo",
-            "missing-shape", "text-lo", "null-hi",
+            "missing-shape", "text-lo", "null-hi", "missing-networks", "missing-feature-tick",
+            "extra-bundle-key", "text-h_ref", "list-network", "missing-eta",
+            "extra-network-key", "text-eta", "text-rule-index", "text-consequent",
         ],
     )
     def test_bad_terms_rejected_at_load(self, tmp_path, shape, terms, key, value, match):
-        """terms lists the term records of input 1 of network 2 to edit, or is
-        None for the input record itself; DELETE removes the key."""
+        """terms lists the term records of input 1 of network 2 to edit, or names
+        a record: None that input's, "network" network 2's, "bundle" the
+        document; DELETE removes the key."""
         path = tmp_path / "bundle.json"
         self._bundle(shape=shape).save(path)
         AnfisBundle.load(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         spec = doc["networks"][2]["inputs"][1]
-        for record in [spec] if terms is None else [spec["terms"][t] for t in terms]:
+        if terms is None or isinstance(terms, str):
+            records = [{None: spec, "network": doc["networks"][2], "bundle": doc}[terms]]
+        else:
+            records = [spec["terms"][t] for t in terms]
+        for record in records:
             if value is DELETE:
                 del record[key]
             else:
                 record[key] = value
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValidationError, match=match):
+            AnfisBundle.load(path)
+
+    def test_document_that_is_not_a_mapping_rejected(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps([self._bundle().to_dict()]), encoding="utf-8")
+        with pytest.raises(ValidationError, match="not an anfis bundle document"):
             AnfisBundle.load(path)
 
 

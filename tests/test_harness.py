@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from drsim import cli
+from drsim import cli, harness
 from drsim.anfis import AnfisBundle, forward_batch
 from drsim.dead_reckoning import DrConfig
 from drsim.errors import ValidationError
@@ -13,7 +14,6 @@ from drsim.harness import (
     ComparisonStudy,
     Scenario,
     TrainSpec,
-    build_motion_table,
     load_scenario,
     load_study,
     run_comparison,
@@ -24,7 +24,7 @@ from drsim.harness import (
     sweep_csv,
     train_bundle,
 )
-from drsim.kinematics import TRAJECTORY_PARAMS, Order, Trajectory
+from drsim.kinematics import TRAJECTORY_PARAMS, Order, Trajectory, truth_arrays
 from drsim.netsim import ChannelConfig
 from drsim.qos_metrics import QosProfile
 from reference import make_residual_task
@@ -129,8 +129,43 @@ class TestTickCount:
         sc = scenario(tick=tick, duration=duration)
         assert sc.n_ticks == n_ticks
         assert run_scenario(sc).series.times[-1] == pytest.approx(n_ticks * tick)
-        table = build_motion_table(ComparisonStudy(sc.trajectory, tick, duration))
+        table = ComparisonStudy(sc.trajectory, tick, duration).table
         assert len(table.truth.time) == n_ticks + 1
+
+
+class TestTruthSampledOnce:
+    """A run or a study samples truth once, when it loads; running, sweeping
+    and training read what the load sampled."""
+
+    @pytest.fixture
+    def samples(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return truth_arrays(*args)
+
+        monkeypatch.setattr(harness, "truth_arrays", counted)
+        return calls
+
+    def test_run_file(self, samples):
+        sc = load_scenario(SCENARIO_DIR / "maneuver_inflight.yaml")
+        assert len(samples) == 1
+        run_scenario(sc)
+        assert len(samples) == 1
+
+    def test_sweep_samples_once_per_value(self, samples):
+        base = scenario()
+        samples.clear()
+        sweep(base, "th_pos", [0.2, 0.5, 1.0])
+        assert len(samples) == 3
+
+    def test_study_file(self, samples, tmp_path):
+        study = load_study(tiny_study_file(tmp_path))
+        assert len(samples) == 1
+        train_bundle(study, 3)
+        run_comparison(study)
+        assert len(samples) == 1
 
 
 class TestSweep:
@@ -300,7 +335,7 @@ class TestOneTermInputs:
         bundle.save(tmp_path / "bundle.json")
         loaded = AnfisBundle.load(tmp_path / "bundle.json")
         assert term_counts(loaded) == term_counts(bundle)
-        table = build_motion_table(tight_study)
+        table = tight_study.table
         rng = np.random.default_rng(17)
         dev = np.vstack([table.dev, rng.normal(0.0, 0.01, (100, 3))])
         vel = np.vstack([table.truth.velocity, rng.normal(0.0, 2.0, (100, 3))])
@@ -403,7 +438,8 @@ class TestConfigKeys:
     """A misspelt or misplaced key fails at load time and names the key."""
 
     @pytest.mark.parametrize(
-        "section, key", [(None, "tick_size"), ("dr", "th_pso"), ("channel", "lost")]
+        "section, key",
+        [(None, "tick_size"), ("dr", "th_pso"), ("channel", "lost"), (None, "truth"), (None, "table")],
     )
     def test_unknown_run_key_rejected(self, tmp_path, section, key):
         cfg = yaml.safe_load(yaml.safe_dump(RUN_CFG))
@@ -596,7 +632,9 @@ class TestConfigKeys:
         assert cli.main(["run", str(SCENARIO_DIR / "sinusoid_comparison.yaml")]) == 1
         assert "'horizons' belongs to a study file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, key", [(None, "dr"), ("train", "epoch")])
+    @pytest.mark.parametrize(
+        "section, key", [(None, "dr"), ("train", "epoch"), (None, "truth"), (None, "table")]
+    )
     def test_unknown_study_key_rejected(self, tmp_path, section, key):
         cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
         (cfg if section is None else cfg[section])[key] = 1
@@ -605,6 +643,12 @@ class TestConfigKeys:
         where = "study file" if section is None else section
         with pytest.raises(ValidationError, match=f"unknown key '{key}' in {where}"):
             load_study(path)
+
+    def test_noisy_study_checks_its_seed_before_drawing(self, tmp_path):
+        cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
+        cfg["seed"], cfg["train"]["obs_noise_pos"] = -1, 0.01
+        with pytest.raises(ValidationError, match="'seed' in study file must be >= 0"):
+            study_from_dict(cfg)
 
     def test_section_must_be_a_mapping(self, tmp_path):
         path = tmp_path / "sc.yaml"
@@ -671,6 +715,15 @@ class TestCli:
     def test_error_exit_one(self, capsys):
         assert cli.main(["run", "/nonexistent/path.yaml"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_bundle_error_names_the_key(self, tmp_path, capsys):
+        bundle = {"kind": "anfis-bundle", "axes": ["x", "y", "z"], "h_ref": 1.0, "feature_tick": 0.1}
+        (tmp_path / "bundle.json").write_text(json.dumps(bundle), encoding="utf-8")
+        cfg = dict(RUN_CFG, dr={"predictor": "anfis", "anfis_net": "bundle.json"})
+        path = tmp_path / "sc.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert cli.main(["run", str(path)]) == 1
+        assert "missing key 'networks'" in capsys.readouterr().err
 
     def test_compare_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
