@@ -252,6 +252,12 @@ class AnfisNetwork:
     @classmethod
     def from_dict(cls, d: dict) -> "AnfisNetwork":
         d = _record(d, ("inputs", "rules", "consequents", "eta"), "network record")
+        rows = d["rules"]
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            rows = [[rows]]  # not a list of rows: the whole value is one bad index
+        bad = [v for row in rows for v in row if type(v) is not int]
+        if bad:
+            raise ValidationError(f"network record: 'rules' must hold term indices, got {bad[0]!r}")
         inputs = [InputSpec.from_dict(s) for s in d["inputs"]]
         return cls(inputs, d["rules"], d["consequents"], d["eta"])
 
@@ -411,12 +417,27 @@ def loss(net: AnfisNetwork, data: TrainingSet) -> float:
     return _half_sse(data, out)
 
 
-def _gradients(net: AnfisNetwork, data: TrainingSet, trace: ForwardTrace | None = None):
+def _membership_grads(net: AnfisNetwork, x: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """d(mu)/d(param) of each input's terms at each row of the batch x: per input,
+    one (T, N) array per parameter name of its shape."""
+    return [
+        SHAPES[spec.shape].grads(spec.normalize(x[:, i]), *spec.params[:, :, None])
+        for i, spec in enumerate(net.inputs)
+    ]
+
+
+def _gradients(
+    net: AnfisNetwork,
+    data: TrainingSet,
+    trace: ForwardTrace | None = None,
+    dmu: list[tuple[np.ndarray, ...]] | None = None,
+):
     """Batch gradients of the set loss w.r.t. consequents and premise params:
     dz (R,), then per input a (P, T) array laid out as its params.
 
-    trace is the forward pass of data at the network's current parameters,
-    computed here when not given. dE/dD_i[n,t] D_i[n,t] = err_n sum_{r uses t}
+    trace is the forward pass of data at the network's current parameters and
+    dmu its membership derivatives (_membership_grads), each computed here when
+    not given. dE/dD_i[n,t] D_i[n,t] = err_n sum_{r uses t}
     (z_r - out_n) beta[n,r]: one product and one GEMM with term_sums per row block,
     then the degrees divided back out (0/0 at a zero degree, whose membership
     gradient is NaN anyway). Raises TrainingError on a non-finite gradient.
@@ -424,6 +445,8 @@ def _gradients(net: AnfisNetwork, data: TrainingSet, trace: ForwardTrace | None 
     x = net._as_batch(data.inputs)
     if trace is None:
         _, trace = forward_batch(net, x)
+    if dmu is None:
+        dmu = _membership_grads(net, x)
     out = trace.output
     err = out - data.targets  # dE/d(output) per sample
     dz = trace.beta.T @ err
@@ -440,13 +463,11 @@ def _gradients(net: AnfisNetwork, data: TrainingSet, trace: ForwardTrace | None 
     by_input = np.split(dE_ddeg.T, np.cumsum([s.n_terms for s in net.inputs])[:-1])
 
     dmf = []
-    for i, (spec, by_term) in enumerate(zip(net.inputs, by_input)):
-        shape = SHAPES[spec.shape]
+    for spec, by_term, by_param in zip(net.inputs, by_input, dmu):
         # a C-ordered (T, 1, N) copy: a term's dot rounds by its operand's layout
         dE_dk = np.ascontiguousarray(by_term)[:, None, :]
-        dmu = shape.grads(spec.normalize(x[:, i]), *spec.params[:, :, None])
-        g = np.array([(dE_dk @ d[:, :, None])[:, 0, 0] for d in dmu])  # one dot per term
-        for name, row in zip(shape.param_names, g):
+        g = np.array([(dE_dk @ d[:, :, None])[:, 0, 0] for d in by_param])  # one dot per term
+        for name, row in zip(SHAPES[spec.shape].param_names, g):
             if not np.all(np.isfinite(row)):
                 raise TrainingError(f"non-finite gradient for premise parameter {name!r}")
         dmf.append(g)
@@ -460,37 +481,137 @@ def _apply_premise_step(net: AnfisNetwork, dmf, eta: float) -> None:
         SHAPES[spec.shape].constrain(spec.params)
 
 
+def _premises(net: AnfisNetwork) -> tuple:
+    """All that a forward pass's firing and the membership derivatives read of net."""
+    return net.rules.tobytes(), [(s.shape, s.lo, s.hi, s.params.tobytes()) for s in net.inputs]
+
+
+class _FirstPass:
+    """Epoch 0's forward pass of one network over one training set, and its
+    membership derivatives, computed when a premise step first asks for them.
+
+    Neither reads the consequents or the targets. So the pass serves every network
+    whose premises equal those of the network that made it and whose set's
+    inputs are a prefix of its rows. A row prefix of a C-ordered array is contiguous, so each
+    product over it is the same BLAS call on the same bits as over a pass of the
+    prefix's own.
+    """
+
+    def __init__(self, net: AnfisNetwork, data: TrainingSet):
+        self.premises = _premises(net)
+        self.inputs = data.inputs
+        self.trace = forward_batch(net, data.inputs)[1]
+        self._dmu = None
+
+    def serves(self, net: AnfisNetwork, data: TrainingSet) -> bool:
+        n = len(data)
+        return (
+            n <= len(self.inputs)
+            and _premises(net) == self.premises
+            and np.array_equal(data.inputs, self.inputs[:n])
+        )
+
+    def trace_for(self, net: AnfisNetwork, n: int) -> ForwardTrace:
+        """The pass over the first n rows, with net's output."""
+        beta = self.trace.beta[:n]
+        return ForwardTrace([d[:n] for d in self.trace.degrees], beta, beta @ net.z)
+
+    def dmu_for(self, net: AnfisNetwork, n: int) -> list[tuple[np.ndarray, ...]]:
+        """The membership derivatives at the first n rows; net is one the pass serves."""
+        if self._dmu is None:
+            self._dmu = _membership_grads(net, self.inputs)
+        return [tuple(d[:, :n] for d in by_param) for by_param in self._dmu]
+
+
+def _solve_consequents(net: AnfisNetwork, data: TrainingSet, trace: ForwardTrace) -> None:
+    """Solve (B'B + lam I) z = B'y for the consequents, lam = RIDGE * trace(B'B) / n_rules,
+    B the firing of trace, data's forward pass; trace.output becomes the output at z.
+
+    The rows of B sum to one, so the trace is positive and the system positive
+    definite even where rules never fire apart (ridge regression, Hoerl &
+    Kennard 1970)."""
+    gram = trace.beta.T @ trace.beta
+    gram.flat[:: net.n_rules + 1] += RIDGE * np.trace(gram) / net.n_rules
+    net.z = np.linalg.solve(gram, trace.beta.T @ data.targets)
+    trace.output = trace.beta @ net.z
+
+
+def _hybrid_pass(net, data, trace, first, last) -> float:
+    """One hybrid epoch from trace, data's forward pass at net's premises: the
+    ridge consequent solve, then, unless last, one premise descent step. Returns
+    the post-solve loss, the loss at these premises with the consequents solved
+    for them."""
+    _solve_consequents(net, data, trace)
+    if net.eta > 0.0 and not last:
+        dmu = None if first is None else first.dmu_for(net, len(data))
+        _apply_premise_step(net, _gradients(net, data, trace, dmu)[1], net.eta)
+    return _half_sse(data, trace.output)
+
+
+def _gd_pass(net, data, trace, first, last) -> float:
+    """Returns the loss at trace, data's forward pass at net's parameters, and,
+    unless last, takes one descent step on every parameter."""
+    if not last:
+        dmu = None if first is None else first.dmu_for(net, len(data))
+        dz, dmf, _ = _gradients(net, data, trace, dmu)
+        net.z = net.z - net.eta * dz
+        _apply_premise_step(net, dmf, net.eta)
+    return _half_sse(data, trace.output)
+
+
+# Each regime's epoch, and its forward passes beyond one per epoch: descent
+# takes one more, as its loss is read after the step.
+REGIMES = {"gd": (_gd_pass, 1), "hybrid": (_hybrid_pass, 0)}
+
+
+def train_networks(
+    nets: list[AnfisNetwork], sets: list[TrainingSet], epochs: int, regime: str
+) -> list[list[float]]:
+    """Trains each network on its set in regime; returns each one's loss after each epoch.
+
+    Every epoch runs one forward pass per network (hybrid: the consequent solve,
+    its loss and the premise step; gd: the loss of the last step and the next
+    step). Epoch 0's forward pass and membership derivatives do not depend on the
+    targets, so networks train together for it, in order, and share them: a
+    pass made for one network serves each later one it can (_FirstPass.serves,
+    decided by comparison), and a network it cannot serve makes the next. Only
+    one shared pass is alive at a time, and none once epoch 0 is done. Each
+    network then runs its later epochs on its own.
+    """
+    if regime not in REGIMES:
+        raise ValidationError(f"unknown training regime {regime!r}")
+    if epochs < 1:
+        raise ValidationError("epochs must be >= 1")
+    if regime == "hybrid":
+        for net, data in zip(nets, sets):
+            if len(data) < net.n_rules:
+                raise ValidationError(
+                    f"hybrid training needs at least {net.n_rules} samples, got {len(data)}"
+                )
+    step, extra = REGIMES[regime]
+    passes = epochs + extra
+    losses = [[] for _ in nets]
+    first = None
+    for net, data, record in zip(nets, sets, losses):
+        if first is None or not first.serves(net, data):
+            first = None  # frees the previous pass before the next is made
+            first = _FirstPass(net, data)
+        record.append(step(net, data, first.trace_for(net, len(data)), first, passes == 1))
+    first = None
+    for net, data, record in zip(nets, sets, losses):
+        for k in range(1, passes):
+            trace = forward_batch(net, data.inputs)[1]
+            record.append(step(net, data, trace, None, k == passes - 1))
+            del trace  # frees its (N, R) array before the next pass
+    return [record[extra:] for record in losses]
+
+
 def train_gd(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[float]:
     """Batch gradient descent on every parameter; returns loss after each epoch.
 
     Each epoch's one forward pass, after its step, also serves the next gradient.
     """
-    if epochs < 1:
-        raise ValidationError("epochs must be >= 1")
-    losses = []
-    _, trace = forward_batch(net, data.inputs)
-    for _ in range(epochs):
-        dz, dmf, _ = _gradients(net, data, trace)
-        del trace  # frees its (N, R) array before the next forward pass
-        net.z = net.z - net.eta * dz
-        _apply_premise_step(net, dmf, net.eta)
-        out, trace = forward_batch(net, data.inputs)
-        losses.append(_half_sse(data, out))
-    return losses
-
-
-def _solve_consequents(net: AnfisNetwork, data: TrainingSet) -> ForwardTrace:
-    """Solve (B'B + lam I) z = B'y for the consequents, lam = RIDGE * trace(B'B) / n_rules.
-
-    The rows of B sum to one, so the trace is positive and the system positive
-    definite even where rules never fire apart (ridge regression, Hoerl &
-    Kennard 1970). Returns the forward pass, its output at the solved z."""
-    _, trace = forward_batch(net, data.inputs)
-    gram = trace.beta.T @ trace.beta
-    gram.flat[:: net.n_rules + 1] += RIDGE * np.trace(gram) / net.n_rules
-    net.z = np.linalg.solve(gram, trace.beta.T @ data.targets)
-    trace.output = trace.beta @ net.z
-    return trace
+    return train_networks([net], [data], epochs, "gd")[0]
 
 
 def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[float]:
@@ -502,21 +623,7 @@ def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[floa
     last recorded loss exactly. The solve's forward pass serves the loss and
     the gradient, since the premises do not change in between.
     """
-    if epochs < 1:
-        raise ValidationError("epochs must be >= 1")
-    if len(data) < net.n_rules:
-        raise ValidationError(
-            f"hybrid training needs at least {net.n_rules} samples, got {len(data)}"
-        )
-    losses = []
-    for epoch in range(epochs):
-        trace = _solve_consequents(net, data)
-        losses.append(_half_sse(data, trace.output))
-        if net.eta > 0.0 and epoch < epochs - 1:
-            _, dmf, _ = _gradients(net, data, trace)
-            _apply_premise_step(net, dmf, net.eta)
-        del trace  # frees its (N, R) array before the next solve
-    return losses
+    return train_networks([net], [data], epochs, "hybrid")[0]
 
 
 # ---------------------------------------------------------------------------

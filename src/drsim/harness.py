@@ -8,6 +8,7 @@ single-threaded, so identical configs produce byte-identical CSV output.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import io
 import math
@@ -269,8 +270,12 @@ class SweepRow:
 
 
 def _scenario_with(sc: Scenario, axis: str, value: float) -> Scenario:
-    section = dataclasses.replace(getattr(sc, SWEEP_AXES[axis]), **{axis: value})
-    return dataclasses.replace(sc, **{SWEEP_AXES[axis]: section})
+    """sc with axis set to value. Only its dr or channel section changes, which
+    checks itself, so the copy keeps sc's truth instead of sampling it again."""
+    name = SWEEP_AXES[axis]
+    run = copy.copy(sc)
+    object.__setattr__(run, name, dataclasses.replace(getattr(sc, name), **{axis: value}))
+    return run
 
 
 def sweep(base: Scenario, axis: str, values: list[float]) -> list[SweepRow]:
@@ -328,7 +333,7 @@ class TrainSpec:
 
     def __post_init__(self):
         for key, value, allowed in (
-            ("regime", self.regime, ("gd", "hybrid")),
+            ("regime", self.regime, tuple(anfis.REGIMES)),
             ("rule_base", self.rule_base, ("grid", "compact")),
             ("shape", self.shape, tuple(anfis.SHAPES)),
         ):
@@ -404,20 +409,27 @@ def build_motion_table(study: ComparisonStudy, truth: StateArrays) -> MotionTabl
 
 
 def _training_sets(
-    table: MotionTable, idx: np.ndarray, horizon_ticks: int, tick: float
-) -> list[TrainingSet]:
-    """Each axis's (deviation, velocity, orientation) features at rows idx, with
-    the residual of second-order projection horizon_ticks ahead as target."""
-    base = table.observed.take(idx)
-    ahead = table.truth.position[idx + horizon_ticks]
-    targets = ahead - project(base, horizon_ticks * tick, Order.SECOND)
-    return [
-        TrainingSet(
-            np.column_stack([table.dev[idx, k], base.velocity[:, k], base.orientation]),
-            targets[:, k],
-        )
+    table: MotionTable, split_idx: int, horizons: list[int], tick: float
+) -> list[list[TrainingSet]]:
+    """Per axis, one set per horizon h: the (deviation, velocity, orientation)
+    features at rows 1 .. split_idx - h - 1, with the residual of second-order
+    projection h ticks ahead as target. Each axis's features are built once, at
+    the rows of the shortest horizon; every horizon's rows are a prefix of those,
+    and its set takes a view of them."""
+    rows = np.arange(1, split_idx - min(horizons))
+    base = table.observed.take(rows)
+    features = [
+        np.column_stack([table.dev[rows, k], base.velocity[:, k], base.orientation])
         for k in range(3)
     ]
+    sets = [[] for _ in range(3)]
+    for h in horizons:
+        n = split_idx - h - 1
+        ahead = table.truth.position[rows[:n] + h]
+        targets = ahead - project(base.take(slice(n)), h * tick, Order.SECOND)
+        for k in range(3):
+            sets[k].append(TrainingSet(features[k][:n], targets[:, k]))
+    return sets
 
 
 def _axis_network(spec: TrainSpec, data: TrainingSet, seed: int) -> AnfisNetwork:
@@ -444,20 +456,33 @@ def _axis_network(spec: TrainSpec, data: TrainingSet, seed: int) -> AnfisNetwork
     )
 
 
-def train_bundle(study: ComparisonStudy, horizon_ticks: int) -> AnfisBundle:
-    """Train the per-axis corrector networks for one prediction horizon."""
+def train_bundle(
+    study: ComparisonStudy, horizon_ticks: int | tuple[int, ...]
+) -> AnfisBundle | tuple[AnfisBundle, ...]:
+    """Train the per-axis corrector networks for one prediction horizon, or a
+    bundle for each of a tuple of horizons, returned in the tuple's order.
+
+    For each axis, the horizons' networks train together (anfis.train_networks),
+    shortest horizon first: its rows hold every other horizon's, so a network
+    equal to the one before it shares that one's epoch-0 forward pass.
+    """
+    many = isinstance(horizon_ticks, tuple)
+    ticks = horizon_ticks if many else (horizon_ticks,)
     table = study.table
     split_idx = int(len(table.dev) * study.train.split)
-    train_idx = np.arange(1, split_idx - horizon_ticks)
-    if len(train_idx) < 2:
+    if split_idx - max(ticks) - 1 < 2:
         raise ValidationError("study too short for this horizon/split")
-    train = anfis.train_hybrid if study.train.regime == "hybrid" else anfis.train_gd
+    ordered = sorted(set(ticks))
     nets = []
-    for axis, data in enumerate(_training_sets(table, train_idx, horizon_ticks, study.tick)):
-        seed = study.seed + 7919 * axis + 104729 * horizon_ticks
-        nets.append(_axis_network(study.train, data, seed))
-        train(nets[-1], data, study.train.epochs)
-    return AnfisBundle(nets, h_ref=horizon_ticks * study.tick, feature_tick=study.tick)
+    for axis, sets in enumerate(_training_sets(table, split_idx, ordered, study.tick)):
+        seeds = [study.seed + 7919 * axis + 104729 * h for h in ordered]
+        nets.append([_axis_network(study.train, d, s) for d, s in zip(sets, seeds)])
+        anfis.train_networks(nets[-1], sets, study.train.epochs, study.train.regime)
+    bundles = {
+        h: AnfisBundle([axis_nets[j] for axis_nets in nets], h * study.tick, study.tick)
+        for j, h in enumerate(ordered)
+    }
+    return tuple(bundles[h] for h in ticks) if many else bundles[horizon_ticks]
 
 
 @dataclass
@@ -480,20 +505,23 @@ def run_comparison(study: ComparisonStudy) -> ComparisonResult:
     table = study.table
     n = len(table.dev)
     split_idx = int(n * study.train.split)
-    mae: dict[str, list[float]] = {p: [] for p in study.predictors}
-    for h in study.horizons:
-        test_idx = np.arange(split_idx, n - h)
-        if len(test_idx) < 1:
+    horizons = tuple(study.horizons)
+    for h in horizons:
+        if split_idx >= n - h:
             raise ValidationError(f"no test samples left at horizon {h}")
+    bundles = train_bundle(study, horizons) if "anfis" in study.predictors else None
+    mae: dict[str, list[float]] = {p: [] for p in study.predictors}
+    for j, h in enumerate(horizons):
+        test_idx = np.arange(split_idx, n - h)
         h_sec = h * study.tick
         base = table.observed.take(test_idx)
         truth_ahead = table.truth.position[test_idx + h]
-        bundle = train_bundle(study, h) if "anfis" in study.predictors else None
         for p in study.predictors:
             pred = project(base, h_sec, Order.SECOND if p == "anfis" else Order(p))
             if p == "anfis":
+                bundle = bundles[j]
                 residuals = bundle.residuals(table.dev[test_idx], base.velocity, base.orientation)
                 pred = pred + residuals * bundle.scales(np.array([h_sec]))
             err = np.linalg.norm(pred - truth_ahead, axis=1)
             mae[p].append(float(np.mean(err)))
-    return ComparisonResult(tuple(study.horizons), tuple(study.predictors), mae)
+    return ComparisonResult(horizons, tuple(study.predictors), mae)

@@ -23,5 +23,6 @@ def make_residual_task(
     idx = np.arange(1, len(table.dev) - horizon_ticks)
     if len(idx) < n_samples:
         raise ValidationError(f"trajectory yields only {len(idx)} samples, need {n_samples}")
-    data = _training_sets(table, idx[:n_samples], horizon_ticks, tick)[0]
+    # a split at row n_samples + horizon_ticks + 1 trains on rows 1 .. n_samples
+    data = _training_sets(table, n_samples + horizon_ticks + 1, [horizon_ticks], tick)[0][0]
     return _axis_network(TrainSpec(rule_base="compact", eta=eta), data, 0), data

@@ -20,6 +20,7 @@ from drsim.anfis import (
     loss,
     train_gd,
     train_hybrid,
+    train_networks,
 )
 from drsim.errors import DegenerateFiringError, TrainingError, ValidationError
 from drsim.kinematics import EntityState, Order, extrapolate
@@ -479,6 +480,40 @@ class TestForwardPasses:
         assert losses[-1] == loss(net, data)
 
 
+class TestTrainNetworks:
+    """Networks trained together equal the same networks trained one call each,
+    losses included; epoch 0's pass is shared only where it is the same."""
+
+    @pytest.mark.parametrize("regime, alone", [("hybrid", train_hybrid), ("gd", train_gd)])
+    def test_equals_one_network_calls(self, monkeypatch, regime, alone):
+        rng = np.random.default_rng(41)
+        X, other = rng.uniform(-1, 1, (80, 2)), rng.uniform(-1, 1, (60, 2))
+        Y = np.sin(3 * X[:, 0]) * X[:, 1]
+        # (premise seed, inputs, targets): a prefix of the first set's rows and
+        # other targets; rows that are no prefix; other premises; the first
+        # premises again, after the shared pass moved on
+        cases = [(0, X, Y), (0, X[:50], 2 * Y[:50]), (0, other, Y[:60]), (1, X[:40], Y[:40]),
+                 (0, X[:30], Y[:30])]
+
+        def nets():
+            return [tiny_net(4, 2, "grid", eta=0.05, seed=seed) for seed, _, _ in cases]
+
+        sets = [TrainingSet(x, y) for _, x, y in cases]
+        expected = [(alone(net, data, 3), net.to_dict()) for net, data in zip(nets(), sets)]
+        calls = []
+        real = anfis.forward_batch
+        monkeypatch.setattr(anfis, "forward_batch", lambda *a: calls.append(a) or real(*a))
+        together = nets()
+        losses = train_networks(together, sets, 3, regime)
+        assert list(zip(losses, (net.to_dict() for net in together))) == expected
+        # epoch 0 makes four passes (cases 0, 2, 3 and 4), the later epochs one per network
+        assert len(calls) == 4 + len(cases) * (2 + (regime == "gd"))
+
+    def test_unknown_regime_rejected(self):
+        with pytest.raises(ValidationError, match="unknown training regime"):
+            train_networks([tiny_net()], [TrainingSet(np.zeros((5, 1)), np.zeros(5))], 1, "sgd")
+
+
 class TestTrainGd:
     def test_zero_eta_is_identity(self):
         net = tiny_net(n_terms=3, eta=0.0)
@@ -699,6 +734,13 @@ class TestBundleBatchInvariance:
 DELETE = object()  # test_bad_terms_rejected_at_load: remove the key
 
 
+def rules_with(index) -> list[list]:
+    """TestBundle's compact 5-term rules with rule 1's velocity term index replaced."""
+    rules = [[j] * 3 for j in range(5)]
+    rules[1][1] = index
+    return rules
+
+
 class TestBundle:
     def _bundle(self, h_ref=1.0, shape="bell"):
         nets = [
@@ -773,6 +815,9 @@ class TestBundle:
             ("bell", "network", "note", 1, "network record needs keys .*; unknown key 'note'"),
             ("bell", "network", "eta", "fast", "'eta' must be a number, got 'fast'"),
             ("bell", "network", "rules", [[0, "two", 0]], "'rules' must hold term indices"),
+            ("bell", "network", "rules", rules_with(1.9), "network record: 'rules' .* got 1.9"),
+            ("bell", "network", "rules", rules_with(True), "network record: 'rules' .* got True"),
+            ("bell", "network", "rules", rules_with("2"), "network record: 'rules' .* got '2'"),
             ("bell", "network", "consequents", ["x"], "'consequents' must be numbers"),
         ],
         ids=[
@@ -780,7 +825,8 @@ class TestBundle:
             "missing-parameter", "text-parameter", "extra-parameter", "missing-lo",
             "missing-shape", "text-lo", "null-hi", "missing-networks", "missing-feature-tick",
             "extra-bundle-key", "text-h_ref", "list-network", "missing-eta",
-            "extra-network-key", "text-eta", "text-rule-index", "text-consequent",
+            "extra-network-key", "text-eta", "text-rule-index", "fractional-rule-index",
+            "boolean-rule-index", "numeric-text-rule-index", "text-consequent",
         ],
     )
     def test_bad_terms_rejected_at_load(self, tmp_path, shape, terms, key, value, match):

@@ -14,9 +14,10 @@ thread count: its 9-digit text can differ between thread counts wherever a value
 lies near a rounding boundary (README, "Golden outputs"). The tolerance covers
 that rounding alone; a change that moves the column by more must re-pin it.
 
-The bundle `drsim train` writes is pinned by digest, bit for bit, at one
-OpenBLAS thread: the training runs in a child process started with the thread
-count pinned, whatever count the suite itself runs at.
+The bundle `drsim train` writes and the whole CSV `drsim compare` writes, anfis
+column included, are pinned by digest, bit for bit, at one OpenBLAS thread:
+each runs in a child process started with the thread count pinned, whatever
+count the suite itself runs at.
 """
 
 import dataclasses
@@ -113,17 +114,27 @@ def test_compare_anfis_column_matches_golden(name):
     np.testing.assert_allclose(result.mae["anfis"], expected, rtol=1e-6, atol=0)
 
 
+def cli_at_one_thread(*args: str) -> None:
+    """Runs `drsim <args>` in a child process with one OpenBLAS thread."""
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
+    subprocess.run(
+        [sys.executable, "-m", "drsim.cli", *args], env=env, check=True, capture_output=True
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["compare_csv"]))
+def test_compare_csv_matches_golden(name, tmp_path):
+    """`drsim compare <study> --out` at one BLAS thread writes the pinned CSV,
+    anfis column included."""
+    out = tmp_path / "compare.csv"
+    cli_at_one_thread("compare", str(SCENARIO_DIR / f"{name}.yaml"), "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["compare_csv"][name]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN["train"]))
 def test_trained_bundle_matches_golden(name, tmp_path):
     """`drsim train <study> --save` at one BLAS thread writes the pinned bundle."""
     saved = tmp_path / "bundle.json"
-    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
-    study = SCENARIO_DIR / f"{name}.yaml"
-    subprocess.run(
-        [sys.executable, "-m", "drsim.cli", "train", str(study), "--save", str(saved)],
-        env=env,
-        check=True,
-        capture_output=True,
-    )
+    cli_at_one_thread("train", str(SCENARIO_DIR / f"{name}.yaml"), "--save", str(saved))
     assert hashlib.sha256(saved.read_bytes()).hexdigest() == GOLDEN["train"][name]

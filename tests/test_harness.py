@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from drsim import cli, harness
+from drsim import anfis, cli, harness
 from drsim.anfis import AnfisBundle, forward_batch
 from drsim.dead_reckoning import DrConfig
 from drsim.errors import ValidationError
@@ -155,10 +155,12 @@ class TestTruthSampledOnce:
         assert len(samples) == 1
 
     def test_sweep_samples_once_per_value(self, samples):
+        # a sweep row changes only dr or channel, so it reuses the base's truth
         base = scenario()
         samples.clear()
-        sweep(base, "th_pos", [0.2, 0.5, 1.0])
-        assert len(samples) == 3
+        rows = sweep(base, "th_pos", [0.2, 0.5, 1.0]) + sweep(base, "loss", [0.0, 0.5])
+        assert len(samples) == 0
+        assert [r.error for r in rows] == [""] * 5
 
     def test_study_file(self, samples, tmp_path):
         study = load_study(tiny_study_file(tmp_path))
@@ -188,6 +190,14 @@ class TestSweep:
         times = [r.total_violation_time for r in rows]
         assert times[0] <= times[1] <= times[2]
         assert times[2] > 0
+
+    def test_row_equals_a_fresh_run(self):
+        base = scenario(channel=ChannelConfig(loss=0.1, seed=4))
+        row = sweep(base, "loss", [0.3])[0]
+        fresh = run_scenario(scenario(channel=ChannelConfig(loss=0.3, seed=4))).report
+        assert (row.messages_sent, row.max_error) == (fresh.messages_sent, fresh.max_error)
+        assert row.total_violation_time == fresh.total_violation_time
+        assert base.channel.loss == 0.1
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValidationError):
@@ -285,6 +295,72 @@ class TestResidualTask:
         traj = Trajectory("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 1.0}, duration=5.0)
         with pytest.raises(ValidationError):
             make_residual_task(traj, 0.1, 5.0, horizon_ticks=10, n_samples=500)
+
+
+def spike_study(**train) -> ComparisonStudy:
+    """x and y zigzag at 1 and 0.5 m/s, then x jumps 3 m from t = 20.75 to 20.85 s.
+
+    Of the training rows (1 .. 209 - h), only the shortest horizon's reach the
+    jump (row 208), so its x network has wider deviation and velocity ranges
+    than the other horizons' x networks, which equal one another."""
+    waypoints = [[float(t), float(t % 2), 0.5 * (t % 2), 0.0] for t in range(21)]
+    waypoints += [[20.75, 0.75, 0.0, 0.0], [20.85, 3.75, 0.0, 0.0], [30.0, 3.75, 0.0, 0.0]]
+    traj = Trajectory("waypoint-script", {"waypoints": waypoints, "omega": 0.05}, duration=30.0)
+    return ComparisonStudy(
+        traj, 0.1, 30.0, horizons=(1, 2, 6, 8), predictors=("anfis",), train=TrainSpec(**train)
+    )
+
+
+class TestHorizonsTrainedTogether:
+    """The bundles a study trains together equal, bit for bit, the bundles it
+    trains one horizon at a time; equal initial networks share epoch 0's pass."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        real = anfis.forward_batch
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(anfis, "forward_batch", counted)
+        return calls
+
+    @staticmethod
+    def check(study, passes, first_passes):
+        """Trains study's horizons together, then one at a time; first_passes
+        counts the epoch-0 forward passes of the three axes together."""
+        together = train_bundle(study, tuple(study.horizons))
+        n_passes = len(passes)
+        alone = [train_bundle(study, h) for h in study.horizons]
+        assert [b.to_dict() for b in together] == [b.to_dict() for b in alone]
+        per_net = study.train.epochs + (study.train.regime == "gd")
+        assert n_passes == first_passes + 3 * len(study.horizons) * (per_net - 1)
+        return together
+
+    def test_stock_study(self, passes):
+        study = load_study(SCENARIO_DIR / "sinusoid_comparison.yaml")
+        self.check(study, passes, first_passes=3)
+
+    def test_descent(self, passes):
+        study = ComparisonStudy(
+            weave(40.0), 0.1, 40.0, horizons=(1, 3, 5), predictors=("anfis",),
+            train=TrainSpec(regime="gd", epochs=3, eta=0.01, n_terms=5, shape="sigmoid"),
+        )
+        self.check(study, passes, first_passes=3)
+
+    def test_unequal_networks_make_their_own_pass(self, passes):
+        study = spike_study(epochs=2, eta=0.01, n_terms=5)
+        together = self.check(study, passes, first_passes=4)
+        ranges = [[(s.lo, s.hi) for s in b.networks[0].inputs[:2]] for b in together]
+        assert ranges[0] != ranges[1] == ranges[2] == ranges[3]
+
+    @pytest.mark.parametrize("regime", ["hybrid", "gd"])
+    def test_jittered_centres_share_nothing(self, passes, regime):
+        # each horizon's seed jitters its own centres, so no two networks are equal
+        study = spike_study(regime=regime, epochs=2, eta=0.01, n_terms=3, center_jitter=0.2)
+        self.check(study, passes, first_passes=3 * 4)
 
 
 def term_counts(bundle) -> list[list[int]]:
