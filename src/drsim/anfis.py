@@ -206,13 +206,11 @@ class AnfisNetwork:
             if col.min(initial=0) < 0 or col.max(initial=0) >= spec.n_terms:
                 raise ValidationError(f"rule antecedent index out of range for input {spec.name!r}")
         # selectors[i][t, r] is 1.0 where rule r uses term t of input i: degrees @
-        # selectors[i] gathers each rule's degree exactly. term_sums, their transposes side
-        # by side in C order, fixes how BLAS rounds the sums over a term's rules.
+        # selectors[i] gathers each rule's degree exactly.
         self.selectors = [
             (np.arange(spec.n_terms)[:, None] == self.rules[:, i]).astype(float)
             for i, spec in enumerate(self.inputs)
         ]
-        self.term_sums = np.concatenate([sel.T for sel in self.selectors], axis=1)
         try:
             self.z = np.array(consequents, dtype=float)
         except (TypeError, ValueError):
@@ -329,7 +327,7 @@ class ForwardTrace:
 
     degrees: list[np.ndarray]  # per input: (N, n_terms_i)
     beta: np.ndarray  # (N, R)
-    output: np.ndarray  # (N,)
+    output: np.ndarray | None  # (N,); None in a training pass until its regime step sets it
 
 
 def layer1(net: AnfisNetwork, x) -> list[np.ndarray]:
@@ -426,37 +424,35 @@ def _membership_grads(net: AnfisNetwork, x: np.ndarray) -> list[tuple[np.ndarray
     ]
 
 
-def _gradients(
-    net: AnfisNetwork,
-    data: TrainingSet,
-    trace: ForwardTrace | None = None,
-    dmu: list[tuple[np.ndarray, ...]] | None = None,
-):
-    """Batch gradients of the set loss w.r.t. consequents and premise params:
-    dz (R,), then per input a (P, T) array laid out as its params.
-
-    trace is the forward pass of data at the network's current parameters and
-    dmu its membership derivatives (_membership_grads), each computed here when
-    not given. dE/dD_i[n,t] D_i[n,t] = err_n sum_{r uses t}
-    (z_r - out_n) beta[n,r]: one product and one GEMM with term_sums per row block,
-    then the degrees divided back out (0/0 at a zero degree, whose membership
-    gradient is NaN anyway). Raises TrainingError on a non-finite gradient.
-    """
-    x = net._as_batch(data.inputs)
-    if trace is None:
-        _, trace = forward_batch(net, x)
-    if dmu is None:
-        dmu = _membership_grads(net, x)
-    out = trace.output
-    err = out - data.targets  # dE/d(output) per sample
+def _consequent_gradient(trace: ForwardTrace, err: np.ndarray) -> np.ndarray:
+    """Batch gradient (R,) of the set loss w.r.t. the consequents, from trace, a
+    forward pass of the set, and err, its output minus the targets."""
     dz = trace.beta.T @ err
     if not np.all(np.isfinite(dz)):
         raise TrainingError("non-finite consequent gradient; lower eta or rescale inputs")
+    return dz
 
-    dE_ddeg = np.empty((len(x), net.term_sums.shape[1]))
-    for rows in _row_blocks(len(x), net.n_rules):
+
+def _premise_gradients(net: AnfisNetwork, trace: ForwardTrace, err: np.ndarray, dmu) -> list:
+    """Batch gradients of the set loss w.r.t. the premise params: per input a (P, T)
+    array laid out as its params.
+
+    trace is a forward pass of the set at the network's premises, with its output
+    at the network's consequents, err that output minus the targets, and dmu the
+    pass's membership derivatives (_membership_grads). dE/dD_i[n,t] D_i[n,t] =
+    err_n sum_{r uses t} (z_r - out_n) beta[n,r]: one product and one GEMM per row
+    block with every input's selectors transposed side by side (an F-ordered
+    (R, sum T) array, a layout that fixes how BLAS rounds the sums over a term's
+    rules); then the degrees divided back out (0/0 at a zero degree, whose
+    membership gradient is NaN anyway).
+    Raises TrainingError on a non-finite gradient.
+    """
+    out = trace.output
+    term_sums = np.concatenate([sel.T for sel in net.selectors], axis=1)
+    dE_ddeg = np.empty((len(out), term_sums.shape[1]))
+    for rows in _row_blocks(len(out), net.n_rules):
         p = (net.z - out[rows, None]) * trace.beta[rows]
-        np.matmul(p, net.term_sums, out=dE_ddeg[rows])
+        np.matmul(p, term_sums, out=dE_ddeg[rows])
     dE_ddeg *= err[:, None]
     with np.errstate(invalid="ignore"):
         dE_ddeg /= np.concatenate(trace.degrees, axis=1)
@@ -471,7 +467,7 @@ def _gradients(
             if not np.all(np.isfinite(row)):
                 raise TrainingError(f"non-finite gradient for premise parameter {name!r}")
         dmf.append(g)
-    return dz, dmf, out
+    return dmf
 
 
 def _apply_premise_step(net: AnfisNetwork, dmf, eta: float) -> None:
@@ -486,15 +482,15 @@ def _premises(net: AnfisNetwork) -> tuple:
     return net.rules.tobytes(), [(s.shape, s.lo, s.hi, s.params.tobytes()) for s in net.inputs]
 
 
-class _FirstPass:
-    """Epoch 0's forward pass of one network over one training set, and its
+class _Pass:
+    """A training forward pass of one network over one training set, and its
     membership derivatives, computed when a premise step first asks for them.
 
-    Neither reads the consequents or the targets. So the pass serves every network
-    whose premises equal those of the network that made it and whose set's
-    inputs are a prefix of its rows. A row prefix of a C-ordered array is contiguous, so each
-    product over it is the same BLAS call on the same bits as over a pass of the
-    prefix's own.
+    Neither reads the consequents or the targets. So the pass serves, at any
+    epoch, every network whose premises equal those it was made at and whose
+    set's inputs are a prefix of its rows. A row prefix of a C-ordered array is
+    contiguous, so each product over it is the same BLAS call on the same bits
+    as over a pass of the prefix's own.
     """
 
     def __init__(self, net: AnfisNetwork, data: TrainingSet):
@@ -511,10 +507,9 @@ class _FirstPass:
             and np.array_equal(data.inputs, self.inputs[:n])
         )
 
-    def trace_for(self, net: AnfisNetwork, n: int) -> ForwardTrace:
-        """The pass over the first n rows, with net's output."""
-        beta = self.trace.beta[:n]
-        return ForwardTrace([d[:n] for d in self.trace.degrees], beta, beta @ net.z)
+    def trace_for(self, n: int) -> ForwardTrace:
+        """The pass over the first n rows; the regime step computes its output."""
+        return ForwardTrace([d[:n] for d in self.trace.degrees], self.trace.beta[:n], None)
 
     def dmu_for(self, net: AnfisNetwork, n: int) -> list[tuple[np.ndarray, ...]]:
         """The membership derivatives at the first n rows; net is one the pass serves."""
@@ -536,32 +531,37 @@ def _solve_consequents(net: AnfisNetwork, data: TrainingSet, trace: ForwardTrace
     trace.output = trace.beta @ net.z
 
 
-def _hybrid_pass(net, data, trace, first, last) -> float:
-    """One hybrid epoch from trace, data's forward pass at net's premises: the
-    ridge consequent solve, then, unless last, one premise descent step. Returns
-    the post-solve loss, the loss at these premises with the consequents solved
-    for them."""
+def _hybrid_step(net, data, shared, last) -> float:
+    """One hybrid epoch from shared, a _Pass that serves net and data: the ridge
+    consequent solve, then, unless last, one premise descent step. Returns the
+    post-solve loss, the loss at these premises with the consequents solved for
+    them."""
+    trace = shared.trace_for(len(data))
     _solve_consequents(net, data, trace)
     if net.eta > 0.0 and not last:
-        dmu = None if first is None else first.dmu_for(net, len(data))
-        _apply_premise_step(net, _gradients(net, data, trace, dmu)[1], net.eta)
+        err = trace.output - data.targets
+        dmf = _premise_gradients(net, trace, err, shared.dmu_for(net, len(data)))
+        _apply_premise_step(net, dmf, net.eta)
     return _half_sse(data, trace.output)
 
 
-def _gd_pass(net, data, trace, first, last) -> float:
-    """Returns the loss at trace, data's forward pass at net's parameters, and,
-    unless last, takes one descent step on every parameter."""
+def _gd_step(net, data, shared, last) -> float:
+    """Returns the loss at shared, a _Pass that serves net and data, and, unless
+    last, takes one descent step on every parameter."""
+    trace = shared.trace_for(len(data))
+    trace.output = trace.beta @ net.z
     if not last:
-        dmu = None if first is None else first.dmu_for(net, len(data))
-        dz, dmf, _ = _gradients(net, data, trace, dmu)
+        err = trace.output - data.targets
+        dz = _consequent_gradient(trace, err)
+        dmf = _premise_gradients(net, trace, err, shared.dmu_for(net, len(data)))
         net.z = net.z - net.eta * dz
         _apply_premise_step(net, dmf, net.eta)
     return _half_sse(data, trace.output)
 
 
-# Each regime's epoch, and its forward passes beyond one per epoch: descent
-# takes one more, as its loss is read after the step.
-REGIMES = {"gd": (_gd_pass, 1), "hybrid": (_hybrid_pass, 0)}
+# Each regime's step, and its steps beyond one per epoch: descent takes one
+# more, as its loss is read after the step.
+REGIMES = {"gd": (_gd_step, 1), "hybrid": (_hybrid_step, 0)}
 
 
 def train_networks(
@@ -569,14 +569,12 @@ def train_networks(
 ) -> list[list[float]]:
     """Trains each network on its set in regime; returns each one's loss after each epoch.
 
-    Every epoch runs one forward pass per network (hybrid: the consequent solve,
-    its loss and the premise step; gd: the loss of the last step and the next
-    step). Epoch 0's forward pass and membership derivatives do not depend on the
-    targets, so networks train together for it, in order, and share them: a
-    pass made for one network serves each later one it can (_FirstPass.serves,
-    decided by comparison), and a network it cannot serve makes the next. Only
-    one shared pass is alive at a time, and none once epoch 0 is done. Each
-    network then runs its later epochs on its own.
+    At every epoch each network in turn takes a forward pass and one regime step
+    from it (hybrid: the consequent solve, its loss and the premise step; gd: the
+    loss of the last step and the next step). A pass reads neither the
+    consequents nor the targets, so the current pass serves each network it can
+    (_Pass.serves, decided by comparison), at any epoch; a network it cannot
+    serve frees it and makes the next. Only one pass is alive at a time.
     """
     if regime not in REGIMES:
         raise ValidationError(f"unknown training regime {regime!r}")
@@ -591,18 +589,13 @@ def train_networks(
     step, extra = REGIMES[regime]
     passes = epochs + extra
     losses = [[] for _ in nets]
-    first = None
-    for net, data, record in zip(nets, sets, losses):
-        if first is None or not first.serves(net, data):
-            first = None  # frees the previous pass before the next is made
-            first = _FirstPass(net, data)
-        record.append(step(net, data, first.trace_for(net, len(data)), first, passes == 1))
-    first = None
-    for net, data, record in zip(nets, sets, losses):
-        for k in range(1, passes):
-            trace = forward_batch(net, data.inputs)[1]
-            record.append(step(net, data, trace, None, k == passes - 1))
-            del trace  # frees its (N, R) array before the next pass
+    shared = None
+    for k in range(passes):
+        for net, data, record in zip(nets, sets, losses):
+            if shared is None or not shared.serves(net, data):
+                shared = None  # frees the previous pass before the next is made
+                shared = _Pass(net, data)
+            record.append(step(net, data, shared, k == passes - 1))
     return [record[extra:] for record in losses]
 
 

@@ -68,6 +68,10 @@ class DrConfig:
             raise ValidationError(f"unknown predictor {self.predictor!r}")
         if self.predictor == "anfis" and self.anfis_bundle is None:
             raise ValidationError("anfis predictor requires a trained bundle")
+        if self.predictor == "anfis" and self.order is not Order.SECOND:
+            raise ValidationError(
+                f"'order' must be second with the anfis predictor, got {self.order.value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -90,13 +94,13 @@ class UpdateMessage:
 
 def predict(state: EntityState, t: float, config: DrConfig) -> EntityState:
     """The shared prediction both sender mirror and receiver use."""
+    base = extrapolate(state, t, config.order)
     if config.predictor == "anfis":
-        base = extrapolate(state, t, Order.SECOND)
         pos = config.anfis_bundle.predict([state], t - state.time)
         return EntityState(
             pos, base.velocity, base.acceleration, base.orientation, base.angular_rate, t
         )
-    return extrapolate(state, t, config.order)
+    return base
 
 
 @dataclass
@@ -212,7 +216,7 @@ def predict_positions(
     dt = t - base.time
     if config.predictor == "anfis":
         # AnfisBundle.predict extrapolates to base.time + dt, which can round away from t.
-        pos = project(base, (base.time + dt) - base.time, Order.SECOND)
+        pos = project(base, (base.time + dt) - base.time, config.order)
         return pos + residual * config.anfis_bundle.scales(dt)[:, None]
     return project(base, dt, config.order)
 
@@ -229,8 +233,8 @@ def predict_headings(base: StateArrays, t: np.ndarray, config: DrConfig) -> np.n
 class SendLog:
     """The updates a sender emits over a run, in sequence order."""
 
-    rows: list[int]  # truth row of each update; its seq is its index here
-    residuals: list[np.ndarray]  # anfis correction (3,) of each update; zero otherwise
+    rows: np.ndarray  # (M,) truth row of each update; its seq is its index here
+    residuals: np.ndarray  # (M, 3) anfis correction of each update; zero otherwise
     heartbeats: int = 0
     v_dev_max: float = 0.0
 
@@ -248,23 +252,21 @@ def gate(truth: StateArrays, config: DrConfig) -> SendLog:
     heartbeat_due = config.heartbeat - _TIME_EPS
     check_or = config.th_or < math.inf
     residuals, ready = np.zeros((n, 3)), 0  # the corrector's output, known up to row ready
-    log = SendLog([], [])
+    rows, heartbeats, v_dev_max = [], 0, 0.0
     row = last = 0
     while True:
         if config.predictor == "anfis" and row >= ready:
             # A one-state history's features (no observed deviation) depend only
             # on its truth row, so one pass can serve the updates in the rows ahead.
             ready = min(n, row + (_AHEAD_ROWS if 0 < row - last < _DENSE_GAP else 1))
-            rows = slice(row, ready)
-            residuals[rows] = config.anfis_bundle.residuals(
-                np.zeros((ready - row, 3)), truth.velocity[rows], truth.orientation[rows]
+            ahead = slice(row, ready)
+            residuals[ahead] = config.anfis_bundle.residuals(
+                np.zeros((ready - row, 3)), truth.velocity[ahead], truth.orientation[ahead]
             )
-        log.rows.append(row)
-        residual = residuals[row]
-        log.residuals.append(residual)
-        last, base = row, truth.take(row)
+        rows.append(row)
+        last, base, residual = row, truth.take(row), residuals[row]
         if last == n - 1:
-            return log
+            break
         # The first tick due for a heartbeat (n if none is). The test is
         # monotone in time; the steps after the bisection apply it exactly.
         beat = bisect.bisect_left(times, times[last] + heartbeat_due, last + 1)
@@ -284,14 +286,14 @@ def gate(truth: StateArrays, config: DrConfig) -> SendLog:
             row = last + 1 + first_over
         elif beat < n:
             row = beat
-            log.heartbeats += 1
+            heartbeats += 1
         else:
-            return log
+            break
         mirror_vel = base.velocity
-        if config.predictor == "anfis" or config.order is Order.SECOND:
+        if config.order is Order.SECOND:
             mirror_vel = base.velocity + base.acceleration * (t[row] - t[last])
-        v_dev = float(np.linalg.norm(truth.velocity[row] - mirror_vel))
-        log.v_dev_max = max(log.v_dev_max, v_dev)
+        v_dev_max = max(v_dev_max, float(np.linalg.norm(truth.velocity[row] - mirror_vel)))
+    return SendLog(np.array(rows), residuals[rows], heartbeats, v_dev_max)
 
 
 def display(
@@ -314,8 +316,7 @@ def display(
     order = np.argsort(due, kind="stable")  # dispatch order: by due, then seq
     order = order[np.isfinite(due[order])]
     newest = np.maximum.accumulate(order)  # seq shown after each dispatch
-    rows = np.asarray(log.rows)
-    residuals = np.array(log.residuals)
+    rows, residuals = log.rows, log.residuals
     n_msgs = len(rows)
     offset_pos = np.zeros((n_msgs, 3))
     offset_or = np.zeros(n_msgs)

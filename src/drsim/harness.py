@@ -241,7 +241,7 @@ def run_scenario(sc: Scenario) -> RunResult:
     report.heartbeats = log.heartbeats
     report.v_dev_max_send = log.v_dev_max
     if len(delivered):
-        transit = due[delivered] - truth.time[np.asarray(log.rows)[delivered]]
+        transit = due[delivered] - truth.time[log.rows[delivered]]
         report.max_prop_delay = max(0.0, float(np.max(transit)))
     if len(series):
         report.max_error = max(series.e_pos)
@@ -464,7 +464,7 @@ def train_bundle(
 
     For each axis, the horizons' networks train together (anfis.train_networks),
     shortest horizon first: its rows hold every other horizon's, so a network
-    equal to the one before it shares that one's epoch-0 forward pass.
+    equal to the one before it shares that one's forward pass.
     """
     many = isinstance(horizon_ticks, tuple)
     ticks = horizon_ticks if many else (horizon_ticks,)

@@ -119,22 +119,16 @@ def violation_windows(series: ErrorSeries, th_pos: float) -> list[ViolationWindo
     """Maximal contiguous runs of samples with positional error above th_pos."""
     if th_pos < 0.0:
         raise ValidationError(f"th_pos must be >= 0, got {th_pos}")
-    windows = []
-    start = None
-    peak = 0.0
-    for t, e in zip(series.times, series.e_pos):
-        if e > th_pos:
-            if start is None:
-                start, peak = t, e
-            else:
-                peak = max(peak, e)
-            end = t
-        elif start is not None:
-            windows.append(ViolationWindow(start, end, peak))
-            start = None
-    if start is not None:
-        windows.append(ViolationWindow(start, end, peak))
-    return windows
+    e = np.asarray(series.e_pos, dtype=float)
+    above = np.concatenate(([False], e > th_pos, [False]))
+    edges = np.flatnonzero(above[1:] != above[:-1])  # each window's start, then its stop
+    # A sample outside every window reads -inf, so the maximum from a window's
+    # start up to the next window's start, or the end, is its peak.
+    peaks = np.maximum.reduceat(np.where(above[1:-1], e, -math.inf), edges[::2])
+    return [
+        ViolationWindow(series.times[i], series.times[j - 1], peak)
+        for i, j, peak in zip(edges[::2].tolist(), edges[1::2].tolist(), peaks.tolist())
+    ]
 
 
 @dataclass

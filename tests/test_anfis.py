@@ -24,6 +24,7 @@ from drsim.anfis import (
 )
 from drsim.errors import DegenerateFiringError, TrainingError, ValidationError
 from drsim.kinematics import EntityState, Order, extrapolate
+from reference import count_epoch_passes, descent_gradients
 
 
 def tiny_net(n_terms=3, n_inputs=1, rule_base="compact", shape="bell", eta=0.05, seed=None):
@@ -222,9 +223,7 @@ def _fd_check(net, data, rel_tol=1e-4, abs_floor=1e-5, h=1e-6):
     Gradients below abs_floor sit at the FD roundoff level (~1e-9 on an O(10)
     loss), so they are compared absolutely instead of relatively.
     """
-    from drsim.anfis import _gradients
-
-    dz, dmf, _ = _gradients(net, data)
+    dz, dmf, _ = descent_gradients(net, data)
 
     def total():
         return loss(net, data)
@@ -415,10 +414,8 @@ class TestKernelAgainstReference:
 
     @pytest.mark.parametrize("shape, n_inputs, rule_base", KERNEL_CASES)
     def test_gradients_match_per_term(self, shape, n_inputs, rule_base):
-        from drsim.anfis import _gradients
-
         net, data = kernel_case(shape, n_inputs, rule_base)
-        dz, dmf, out = _gradients(net, data)
+        dz, dmf, out = descent_gradients(net, data)
         ref_dz, ref_dmf, ref_out = reference_gradients(net, data)
         assert np.array_equal(out, ref_out)
         assert np.array_equal(dz, ref_dz)
@@ -432,8 +429,6 @@ class TestKernelAgainstReference:
     def test_zero_degree_raises_on_bell_width(self):
         # the narrow term's u^b overflows, so its degree is exactly 0 at the
         # sample; the wide term still fires, so the forward pass succeeds
-        from drsim.anfis import _gradients
-
         spec = InputSpec("x", -1.0, 1.0, "bell", [[1e-80, 2.0], [2.0, 2.0], [0.0, 0.5]], ["N", "W"])
         net = AnfisNetwork([spec], [[0], [1]], [1.0, -1.0])
         data = TrainingSet(np.array([[1.0], [0.0]]), np.array([0.5, 0.5]))
@@ -442,16 +437,16 @@ class TestKernelAgainstReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingError, match="premise parameter 'a'"):
-                _gradients(net, data)
+                descent_gradients(net, data)
 
     def test_given_trace_is_reused(self):
-        from drsim.anfis import _gradients
-
+        # a pass over more rows gives a prefix of them the gradients of its own pass
         net, data = kernel_case("mixed", 3, "grid")
-        _, trace = forward_batch(net, data.inputs)
-        fresh = _gradients(net, data)
-        reused = _gradients(net, data, trace)
+        prefix = TrainingSet(data.inputs[:50], data.targets[:50])
+        fresh = descent_gradients(net, prefix)
+        reused = descent_gradients(net, prefix, anfis._Pass(net, data))
         assert np.array_equal(fresh[0], reused[0])
+        assert np.array_equal(fresh[2], reused[2])
         assert len(fresh[1]) == len(reused[1]) == 3
         for a, b in zip(fresh[1], reused[1]):
             assert np.array_equal(a, b)
@@ -482,7 +477,7 @@ class TestForwardPasses:
 
 class TestTrainNetworks:
     """Networks trained together equal the same networks trained one call each,
-    losses included; epoch 0's pass is shared only where it is the same."""
+    losses included; a pass is shared only where it is the same."""
 
     @pytest.mark.parametrize("regime, alone", [("hybrid", train_hybrid), ("gd", train_gd)])
     def test_equals_one_network_calls(self, monkeypatch, regime, alone):
@@ -500,14 +495,14 @@ class TestTrainNetworks:
 
         sets = [TrainingSet(x, y) for _, x, y in cases]
         expected = [(alone(net, data, 3), net.to_dict()) for net, data in zip(nets(), sets)]
-        calls = []
-        real = anfis.forward_batch
-        monkeypatch.setattr(anfis, "forward_batch", lambda *a: calls.append(a) or real(*a))
+        counts = count_epoch_passes(monkeypatch)
         together = nets()
-        losses = train_networks(together, sets, 3, regime)
+        losses = anfis.train_networks(together, sets, 3, regime)
         assert list(zip(losses, (net.to_dict() for net in together))) == expected
-        # epoch 0 makes four passes (cases 0, 2, 3 and 4), the later epochs one per network
-        assert len(calls) == 4 + len(cases) * (2 + (regime == "gd"))
+        # Epoch 0 makes four passes (cases 0, 2, 3 and 4), the later epochs one per
+        # network. Descent starts at zero consequents, where the premise gradient is
+        # zero, so its first step moves no premise and its second pass is shared alike.
+        assert counts == [[4, 5, 5] if regime == "hybrid" else [4, 4, 5, 5]]
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValidationError, match="unknown training regime"):

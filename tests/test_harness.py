@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from drsim import anfis, cli, harness
+from drsim import cli, harness
 from drsim.anfis import AnfisBundle, forward_batch
 from drsim.dead_reckoning import DrConfig
 from drsim.errors import ValidationError
@@ -27,8 +27,8 @@ from drsim.harness import (
 from drsim.kinematics import TRAJECTORY_PARAMS, Order, Trajectory, truth_arrays
 from drsim.netsim import ChannelConfig
 from drsim.qos_metrics import QosProfile
-from reference import make_residual_task
-from test_engine import assert_same_run
+from reference import count_epoch_passes, make_residual_task
+from test_engine import assert_same_run, fixed_bundle
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -313,46 +313,40 @@ def spike_study(**train) -> ComparisonStudy:
 
 class TestHorizonsTrainedTogether:
     """The bundles a study trains together equal, bit for bit, the bundles it
-    trains one horizon at a time; equal initial networks share epoch 0's pass."""
+    trains one horizon at a time; equal networks share a pass at any epoch."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        calls = []
-        real = anfis.forward_batch
-
-        def counted(*args):
-            calls.append(len(args[1]))
-            return real(*args)
-
-        monkeypatch.setattr(anfis, "forward_batch", counted)
-        return calls
+        return count_epoch_passes(monkeypatch)
 
     @staticmethod
-    def check(study, passes, first_passes):
-        """Trains study's horizons together, then one at a time; first_passes
-        counts the epoch-0 forward passes of the three axes together."""
+    def check(study, passes, per_epoch):
+        """Trains study's horizons together, then one at a time; per_epoch gives
+        the forward passes of each epoch of training them together, per axis."""
         together = train_bundle(study, tuple(study.horizons))
-        n_passes = len(passes)
+        counts = list(passes)
         alone = [train_bundle(study, h) for h in study.horizons]
         assert [b.to_dict() for b in together] == [b.to_dict() for b in alone]
-        per_net = study.train.epochs + (study.train.regime == "gd")
-        assert n_passes == first_passes + 3 * len(study.horizons) * (per_net - 1)
+        assert counts == per_epoch
         return together
 
     def test_stock_study(self, passes):
         study = load_study(SCENARIO_DIR / "sinusoid_comparison.yaml")
-        self.check(study, passes, first_passes=3)
+        self.check(study, passes, [[1, 10]] * 3)
 
     def test_descent(self, passes):
+        # The z axis is 0 throughout, so no step moves its networks, which share
+        # one pass. Descent starts at zero consequents, where the premise gradient
+        # is zero, so the x and y networks take their second pass from epoch 0's.
         study = ComparisonStudy(
             weave(40.0), 0.1, 40.0, horizons=(1, 3, 5), predictors=("anfis",),
             train=TrainSpec(regime="gd", epochs=3, eta=0.01, n_terms=5, shape="sigmoid"),
         )
-        self.check(study, passes, first_passes=3)
+        self.check(study, passes, [[1, 0, 3, 3], [1, 0, 3, 3], [1, 0, 0, 0]])
 
     def test_unequal_networks_make_their_own_pass(self, passes):
         study = spike_study(epochs=2, eta=0.01, n_terms=5)
-        together = self.check(study, passes, first_passes=4)
+        together = self.check(study, passes, [[2, 4], [1, 4], [1, 0]])
         ranges = [[(s.lo, s.hi) for s in b.networks[0].inputs[:2]] for b in together]
         assert ranges[0] != ranges[1] == ranges[2] == ranges[3]
 
@@ -360,7 +354,21 @@ class TestHorizonsTrainedTogether:
     def test_jittered_centres_share_nothing(self, passes, regime):
         # each horizon's seed jitters its own centres, so no two networks are equal
         study = spike_study(regime=regime, epochs=2, eta=0.01, n_terms=3, center_jitter=0.2)
-        self.check(study, passes, first_passes=3 * 4)
+        self.check(study, passes, [[4] * (2 + (regime == "gd"))] * 3)
+
+    @pytest.mark.parametrize("regime", ["hybrid", "gd"])
+    def test_static_axes_share_later_epochs(self, passes, regime):
+        # Noise-free, the y and z axes of an x-only weave are 0 throughout: their
+        # networks never move, so epoch 0's pass serves every later epoch. The x
+        # networks move at each premise step, and each makes its own pass.
+        traj = Trajectory("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 1.0}, 40.0)
+        study = ComparisonStudy(
+            traj, 0.1, 40.0, horizons=(1, 3, 5), predictors=("anfis",),
+            train=TrainSpec(regime=regime, epochs=3, eta=0.01, n_terms=5, obs_noise_pos=0.0),
+        )
+        x_axis = [1, 3, 3] if regime == "hybrid" else [1, 0, 3, 3]
+        static = [1] + [0] * (len(x_axis) - 1)
+        self.check(study, passes, [x_axis, static, static])
 
 
 def term_counts(bundle) -> list[list[int]]:
@@ -669,6 +677,13 @@ class TestConfigKeys:
             load = scenario_from_dict
         with pytest.raises(ValidationError, match=match):
             load(cfg)
+
+    def test_anfis_predictor_with_first_order_rejected_at_load(self, tmp_path):
+        # the corrector corrects a second-order extrapolation, so it takes no other order
+        fixed_bundle().save(tmp_path / "bundle.json")
+        dr = {"predictor": "anfis", "anfis_net": "bundle.json", "order": "first"}
+        with pytest.raises(ValidationError, match="'order' must be second with the anfis"):
+            scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
 
     def test_minimal_files_take_the_dataclass_defaults(self, tmp_path):
         cfg = {"seed": 5, "tick": 0.1, "duration": 1.0, "trajectory": RUN_CFG["trajectory"]}
