@@ -27,6 +27,7 @@ SEVEN_LABELS = ("NB", "NM", "NS", "ZE", "PS", "PM", "PB")
 _EXP_CLIP = 60.0
 _BLOCK_ELEMENTS = 1 << 15  # per row block of an (N, R) stage, so that it stays in cache
 _RESIDUAL_ROWS = 1024  # rows per forward pass of AnfisBundle.residuals, so memory stays bounded
+_GRAM_ROWS = 1024  # rows per block of the consequent Gram (_Pass.gram)
 # Ridge weight of the consequent solve per unit of mean Gram diagonal, fixed by rule.
 RIDGE = math.sqrt(np.finfo(np.float64).eps)
 
@@ -490,7 +491,10 @@ class _Pass:
     epoch, every network whose premises equal those it was made at and whose
     set's inputs are a prefix of its rows. A row prefix of a C-ordered array is
     contiguous, so each product over it is the same BLAS call on the same bits
-    as over a pass of the prefix's own.
+    as over a pass of the prefix's own. The consequent Gram of a prefix is a
+    sum of fixed row blocks' Grams (gram); the pass keeps, for as long as it
+    lives, the sum of the full blocks it last summed, so the prefixes it serves
+    share those blocks' products.
     """
 
     def __init__(self, net: AnfisNetwork, data: TrainingSet):
@@ -498,6 +502,7 @@ class _Pass:
         self.inputs = data.inputs
         self.trace = forward_batch(net, data.inputs)[1]
         self._dmu = None
+        self._blocks = (0, 0.0)  # full blocks summed, and the sum of their Grams
 
     def serves(self, net: AnfisNetwork, data: TrainingSet) -> bool:
         n = len(data)
@@ -517,18 +522,42 @@ class _Pass:
             self._dmu = _membership_grads(net, self.inputs)
         return [tuple(d[:, :n] for d in by_param) for by_param in self._dmu]
 
+    def gram(self, n: int) -> np.ndarray:
+        """B'B over the first n rows of the firing B, as a new array: the Grams of
+        its _GRAM_ROWS-row blocks summed in row order, plus its partial tail's. The
+        cached sum of full blocks is extended, or summed anew if it holds more."""
+        full, beta = n // _GRAM_ROWS, self.trace.beta
+        done, total = self._blocks if self._blocks[0] <= full else (0, 0.0)
+        gram = np.empty((beta.shape[1], beta.shape[1]))  # later blocks' products, then the tail's
+        for lo in range(done * _GRAM_ROWS, full * _GRAM_ROWS, _GRAM_ROWS):
+            block = _gram(beta[lo : lo + _GRAM_ROWS], gram if lo else None)
+            total = np.add(total, block, out=total) if lo else block
+        self._blocks = (full, total)
+        _gram(beta[full * _GRAM_ROWS : n], gram)
+        gram += total
+        return gram
 
-def _solve_consequents(net: AnfisNetwork, data: TrainingSet, trace: ForwardTrace) -> None:
+
+def _gram(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The Gram rows'rows of a block of rows, in one BLAS call, into out if given."""
+    return np.matmul(rows.T, rows, out=out)
+
+
+def _solve_consequents(net: AnfisNetwork, data: TrainingSet, shared: _Pass) -> ForwardTrace:
     """Solve (B'B + lam I) z = B'y for the consequents, lam = RIDGE * trace(B'B) / n_rules,
-    B the firing of trace, data's forward pass; trace.output becomes the output at z.
+    B the firing of shared, a _Pass that serves net and data, over data's rows.
+    Returns the trace of those rows, with its output at z.
 
-    The rows of B sum to one, so the trace is positive and the system positive
-    definite even where rules never fire apart (ridge regression, Hoerl &
-    Kennard 1970)."""
-    gram = trace.beta.T @ trace.beta
+    B'B is shared.gram's block sum, so networks the pass serves share the
+    products of their common full blocks. The rows of B sum to one, so the
+    trace is positive and the system positive definite even where rules never
+    fire apart (ridge regression, Hoerl & Kennard 1970)."""
+    trace = shared.trace_for(len(data))
+    gram = shared.gram(len(data))
     gram.flat[:: net.n_rules + 1] += RIDGE * np.trace(gram) / net.n_rules
     net.z = np.linalg.solve(gram, trace.beta.T @ data.targets)
     trace.output = trace.beta @ net.z
+    return trace
 
 
 def _hybrid_step(net, data, shared, last) -> float:
@@ -536,8 +565,7 @@ def _hybrid_step(net, data, shared, last) -> float:
     consequent solve, then, unless last, one premise descent step. Returns the
     post-solve loss, the loss at these premises with the consequents solved for
     them."""
-    trace = shared.trace_for(len(data))
-    _solve_consequents(net, data, trace)
+    trace = _solve_consequents(net, data, shared)
     if net.eta > 0.0 and not last:
         err = trace.output - data.targets
         dmf = _premise_gradients(net, trace, err, shared.dmu_for(net, len(data)))

@@ -41,41 +41,62 @@ def descent_gradients(net: AnfisNetwork, data: TrainingSet, shared: _Pass | None
     return dz, _premise_gradients(net, trace, err, shared.dmu_for(net, len(data))), trace.output
 
 
-def count_epoch_passes(monkeypatch) -> list[list[int]]:
-    """Patches training to count its forward passes. The list returned gets, for
-    each later anfis.train_networks call, the passes made at each of its epochs
-    (gd: at each of its epochs + 1 steps), read as the steps run: an epoch ends
-    once every network has taken its step."""
-    counts, events = [], []
-    forward, train = anfis.forward_batch, anfis.train_networks
+def block_gram(beta: np.ndarray, n: int) -> np.ndarray:
+    """beta[:n]'beta[:n] as the consequent solve defines it, by a plain loop: the
+    Grams of anfis._GRAM_ROWS-row blocks summed in row order, then the tail's."""
+    rows = anfis._GRAM_ROWS
+    gram = np.zeros((beta.shape[1], beta.shape[1]))
+    for lo in range(0, n, rows):
+        block = beta[lo : min(lo + rows, n)]
+        gram = gram + block.T @ block
+    return gram
+
+
+def count_epoch_events(monkeypatch) -> tuple[list[list[int]], list[list[int]]]:
+    """Patches training to count its forward passes and its Gram products of full
+    anfis._GRAM_ROWS-row blocks. Each of the two lists returned gets, for each
+    later anfis.train_networks call, the count made at each of its epochs (gd: at
+    each of its epochs + 1 steps), read as the steps run: an epoch ends once
+    every network has taken its step."""
+    counts, events = ([], []), []
+    forward, train, gram = anfis.forward_batch, anfis.train_networks, anfis._gram
 
     def counted_forward(*args):
         events.append("pass")
         return forward(*args)
 
+    def counted_gram(rows, out=None):
+        if len(rows) == anfis._GRAM_ROWS:
+            events.append("block")
+        return gram(rows, out)
+
     def counted_train(nets, sets, epochs, regime):
         events.clear()
         losses = train(nets, sets, epochs, regime)
-        per_epoch, steps = [0], 0
+        per_epoch, steps = {"pass": [0], "block": [0]}, 0
         for event in events:
-            if event == "pass":
-                per_epoch[-1] += 1
-            else:
-                steps += 1
-                if steps % len(nets) == 0:
-                    per_epoch.append(0)
-        counts.append(per_epoch[:-1])
+            if event != "step":
+                per_epoch[event][-1] += 1
+                continue
+            steps += 1
+            if steps % len(nets) == 0:
+                for kind in per_epoch.values():
+                    kind.append(0)
+        for out, kind in zip(counts, per_epoch.values()):
+            out.append(kind[:-1])
         return losses
 
     def counted_step(step):
         def counted(*args):
-            events.append("step")
-            return step(*args)
+            loss = step(*args)
+            events.append("step")  # after the step, so its Gram products count in its epoch
+            return loss
 
         return counted
 
     for name, (step, extra) in list(anfis.REGIMES.items()):
         monkeypatch.setitem(anfis.REGIMES, name, (counted_step(step), extra))
     monkeypatch.setattr(anfis, "forward_batch", counted_forward)
+    monkeypatch.setattr(anfis, "_gram", counted_gram)
     monkeypatch.setattr(anfis, "train_networks", counted_train)
     return counts

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drsim import anfis
 from drsim.anfis import (
@@ -24,7 +26,7 @@ from drsim.anfis import (
 )
 from drsim.errors import DegenerateFiringError, TrainingError, ValidationError
 from drsim.kinematics import EntityState, Order, extrapolate
-from reference import count_epoch_passes, descent_gradients
+from reference import block_gram, count_epoch_events, descent_gradients
 
 
 def tiny_net(n_terms=3, n_inputs=1, rule_base="compact", shape="bell", eta=0.05, seed=None):
@@ -495,7 +497,7 @@ class TestTrainNetworks:
 
         sets = [TrainingSet(x, y) for _, x, y in cases]
         expected = [(alone(net, data, 3), net.to_dict()) for net, data in zip(nets(), sets)]
-        counts = count_epoch_passes(monkeypatch)
+        counts = count_epoch_events(monkeypatch)[0]
         together = nets()
         losses = anfis.train_networks(together, sets, 3, regime)
         assert list(zip(losses, (net.to_dict() for net in together))) == expected
@@ -659,6 +661,49 @@ class TestRidgeConsequents:
         assert np.max(np.abs(beta @ z - beta @ sol)) <= 1e-6 * scale
         # ridge never exceeds the minimum-norm least-squares solution
         assert np.linalg.norm(z) <= np.linalg.norm(sol) * (1 + 1e-6)
+
+
+GRAM_ROWS = anfis._GRAM_ROWS
+
+
+def gram_pass() -> anfis._Pass:
+    """A pass of a 25-rule network over three full Gram blocks and 5 rows more."""
+    n = 3 * GRAM_ROWS + 5
+    data = TrainingSet(np.random.default_rng(21).uniform(-1, 1, (n, 2)), np.zeros(n))
+    return anfis._Pass(tiny_net(5, 2, "grid", seed=4), data)
+
+
+class TestPassGram:
+    """_Pass.gram sums its row blocks' Grams in row order, bit for bit as a plain
+    loop does, whatever prefixes the pass gave before."""
+
+    @pytest.mark.parametrize(
+        "n", [GRAM_ROWS - 1, GRAM_ROWS, GRAM_ROWS + 1, 2 * GRAM_ROWS + 52, 3 * GRAM_ROWS + 5]
+    )
+    def test_matches_plain_loop(self, n):
+        shared = gram_pass()
+        assert np.array_equal(shared.gram(n), block_gram(shared.trace.beta, n))
+
+    def test_any_order_of_prefixes(self):
+        # longer after shorter extends the cached block sum; shorter after
+        # longer sums its blocks again; the caller may write to what it gets
+        shared = gram_pass()
+        prefixes = [GRAM_ROWS + 1, 3 * GRAM_ROWS + 5, 3 * GRAM_ROWS, 2 * GRAM_ROWS + 52,
+                    GRAM_ROWS - 1, 2 * GRAM_ROWS]
+        for n in prefixes:
+            gram = shared.gram(n)
+            assert np.array_equal(gram, block_gram(shared.trace.beta, n))
+            gram += 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, 3 * GRAM_ROWS + 5), min_size=1, max_size=3))
+    def test_symmetric_and_close_to_one_product(self, prefixes):
+        shared = gram_pass()
+        for n in prefixes:
+            gram, beta = shared.gram(n), shared.trace.beta[:n]
+            assert np.array_equal(gram, gram.T)
+            direct = beta.T @ beta
+            assert np.max(np.abs(gram - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 class TestSerialization:

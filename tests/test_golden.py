@@ -4,8 +4,8 @@ A change that moves any digest changes the program's output for a shipped
 scenario; such a change must say why in CHANGES.md and update golden.json.
 The compare digest covers the polynomial columns only, which do not depend on
 the BLAS build. The corrector's column is pinned by value instead, at a
-relative tolerance of 1e-6: the Gram product of its consequent solve rounds
-differently with the BLAS build and thread count (1 and 2 OpenBLAS threads
+relative tolerance of 1e-6: the block Gram products of its consequent solve
+round differently with the BLAS build and thread count (1 and 2 OpenBLAS threads
 differ by about 1e-11). The gated anfis runs use a bundle with fixed
 consequents, built here and trained by nothing, so no solve reaches their digest.
 

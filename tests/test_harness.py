@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from drsim import cli, harness
+from drsim import anfis, cli, harness
 from drsim.anfis import AnfisBundle, forward_batch
 from drsim.dead_reckoning import DrConfig
 from drsim.errors import ValidationError
@@ -27,7 +27,7 @@ from drsim.harness import (
 from drsim.kinematics import TRAJECTORY_PARAMS, Order, Trajectory, truth_arrays
 from drsim.netsim import ChannelConfig
 from drsim.qos_metrics import QosProfile
-from reference import count_epoch_passes, make_residual_task
+from reference import count_epoch_events, make_residual_task
 from test_engine import assert_same_run, fixed_bundle
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -313,26 +313,46 @@ def spike_study(**train) -> ComparisonStudy:
 
 class TestHorizonsTrainedTogether:
     """The bundles a study trains together equal, bit for bit, the bundles it
-    trains one horizon at a time; equal networks share a pass at any epoch."""
+    trains one horizon at a time; equal networks share a pass at any epoch, and
+    the Gram products of the full row blocks their rows have in common."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        return count_epoch_passes(monkeypatch)
+        return count_epoch_events(monkeypatch)
 
     @staticmethod
-    def check(study, passes, per_epoch):
+    def check(study, passes, per_epoch, blocks=None):
         """Trains study's horizons together, then one at a time; per_epoch gives
-        the forward passes of each epoch of training them together, per axis."""
+        the forward passes of each epoch of training them together, per axis,
+        and blocks, where given, the Gram products of full row blocks likewise."""
         together = train_bundle(study, tuple(study.horizons))
-        counts = list(passes)
+        counts, products = (list(c) for c in passes)
         alone = [train_bundle(study, h) for h in study.horizons]
         assert [b.to_dict() for b in together] == [b.to_dict() for b in alone]
         assert counts == per_epoch
+        if blocks is not None:
+            assert products == blocks
         return together
 
     def test_stock_study(self, passes):
+        # Every horizon trains on 2,089-2,098 rows: two full 1,024-row blocks. At
+        # epoch 0 an axis sums them once for all ten horizons' Grams.
         study = load_study(SCENARIO_DIR / "sinusoid_comparison.yaml")
-        self.check(study, passes, [[1, 10]] * 3)
+        self.check(study, passes, [[1, 10]] * 3, blocks=[[2, 20]] * 3)
+
+    def test_rows_straddle_a_block_edge(self, passes, monkeypatch):
+        # In 69-row blocks, the horizons' 278, 276 and 274 rows hold 4 full
+        # blocks plus 2 rows, 4 blocks, and 3 blocks plus 67 rows. At epoch 0 the
+        # second network reuses the first's 4 block products and the third makes
+        # its 3 anew. The z axis is 0 throughout and keeps that pass: at epoch 1
+        # its first network extends the 3-block sum by one block, and its third
+        # sums 3 blocks again.
+        monkeypatch.setattr(anfis, "_GRAM_ROWS", 69)
+        study = ComparisonStudy(
+            weave(40.0), 0.1, 40.0, horizons=(1, 3, 5), predictors=("anfis",),
+            train=TrainSpec(epochs=2, n_terms=5),
+        )
+        self.check(study, passes, [[1, 3], [1, 3], [1, 0]], blocks=[[7, 11], [7, 11], [7, 4]])
 
     def test_descent(self, passes):
         # The z axis is 0 throughout, so no step moves its networks, which share
