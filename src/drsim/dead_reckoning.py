@@ -8,7 +8,8 @@ either snaps to an arriving update or blends toward it over a short window.
 :class:`SenderModel` and :class:`ReceiverModel` step one tick at a time.
 :func:`gate` and :func:`display` compute the same results for a whole run
 from truth arrays, and are what runs use; the per-tick classes are the
-reference that tests hold them to.
+reference that tests hold them to. With the anfis predictor, :func:`gate`
+evaluates the corrector once per run, at every truth row.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from .kinematics import (
 )
 
 _TIME_EPS = 1e-9
-# One corrector row alone costs about as much as 90-110 rows of a batched pass; the
-# gate batches the rows ahead while updates come fewer than _DENSE_GAP rows apart.
-_DENSE_GAP = 32
-_AHEAD_ROWS = 1024
 
 CONVERGENCE_MODES = ("snap", "blend")
 PREDICTOR_KINDS = ("polynomial", "anfis")
@@ -242,27 +239,23 @@ class SendLog:
 def gate(truth: StateArrays, config: DrConfig) -> SendLog:
     """:meth:`SenderModel.step` at every row of truth (one row per tick).
 
-    After each update, the mirror deviation at every tick up to the next
-    heartbeat is one array expression, and the first tick over a threshold,
-    else the heartbeat tick, sends the next update.
+    With the anfis predictor, one pass first evaluates the corrector at every
+    row: a one-state history's features depend only on its truth row. After
+    each update, the mirror deviation at every tick up to the next heartbeat
+    is one array expression, and the first tick over a threshold, else the
+    heartbeat tick, sends the next update.
     """
     t = truth.time
     times = t.tolist()
     n = len(times)
     heartbeat_due = config.heartbeat - _TIME_EPS
     check_or = config.th_or < math.inf
-    residuals, ready = np.zeros((n, 3)), 0  # the corrector's output, known up to row ready
+    residuals = np.zeros((n, 3))  # the corrector's output at each row
+    if config.predictor == "anfis":  # zero deviation: a one-state history observes none
+        residuals = config.anfis_bundle.residuals(residuals, truth.velocity, truth.orientation)
     rows, heartbeats, v_dev_max = [], 0, 0.0
     row = last = 0
     while True:
-        if config.predictor == "anfis" and row >= ready:
-            # A one-state history's features (no observed deviation) depend only
-            # on its truth row, so one pass can serve the updates in the rows ahead.
-            ready = min(n, row + (_AHEAD_ROWS if 0 < row - last < _DENSE_GAP else 1))
-            ahead = slice(row, ready)
-            residuals[ahead] = config.anfis_bundle.residuals(
-                np.zeros((ready - row, 3)), truth.velocity[ahead], truth.orientation[ahead]
-            )
         rows.append(row)
         last, base, residual = row, truth.take(row), residuals[row]
         if last == n - 1:

@@ -369,6 +369,8 @@ class ComparisonStudy:
         for p in self.predictors:
             if p not in PREDICTOR_NAMES:
                 raise ValidationError(f"unknown predictor {p!r}")
+            if self.predictors.count(p) > 1:
+                raise ValidationError(f"'predictors' in study file lists {p!r} more than once")
         # Last: the observation noise draws from the seed checked above.
         object.__setattr__(self, "table", build_motion_table(self, truth))
 
@@ -468,6 +470,8 @@ def train_bundle(
     """
     many = isinstance(horizon_ticks, tuple)
     ticks = horizon_ticks if many else (horizon_ticks,)
+    if min(ticks) < 1:
+        raise ValidationError(f"horizon {min(ticks)} must be a positive tick count")
     table = study.table
     split_idx = int(len(table.dev) * study.train.split)
     if split_idx - max(ticks) - 1 < 2:

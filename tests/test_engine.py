@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsim import dead_reckoning
 from drsim.anfis import AnfisBundle, build_network
 from drsim.dead_reckoning import DrConfig, ReceiverModel, SenderModel
 from drsim.harness import RunResult, Scenario, run_scenario
@@ -211,34 +210,42 @@ def fixed_bundle(h_ref: float = 0.5, n_terms: int = 3) -> AnfisBundle:
     return AnfisBundle(nets, h_ref=h_ref, feature_tick=0.1)
 
 
-def gate_passes(sc: Scenario) -> list[int]:
-    """The rows in each corrector pass of the gate in run_scenario(sc)."""
-    bundle, passes = sc.dr.anfis_bundle, []
+def corrector_passes(sc: Scenario) -> list[int]:
+    """The rows in each AnfisBundle.residuals call that run_scenario(sc) makes."""
+    passes, inner = [], AnfisBundle.residuals
 
-    def residuals(dev, vel, orient, inner=bundle.residuals):
+    def residuals(self, dev, vel, orient):
         passes.append(len(orient))
-        return inner(dev, vel, orient)
+        return inner(self, dev, vel, orient)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bundle, "residuals", residuals)
+        mp.setattr(AnfisBundle, "residuals", residuals)
         run_scenario(sc)
     return passes
 
 
+def assert_one_corrector_pass(sc: Scenario) -> None:
+    """An anfis run evaluates the corrector once, at every truth row; the same
+    run with the polynomial predictor, its bundle still set, evaluates none."""
+    assert corrector_passes(sc) == [len(sc.truth.time)]
+    polynomial = dataclasses.replace(sc, dr=dataclasses.replace(sc.dr, predictor="polynomial"))
+    assert corrector_passes(polynomial) == []
+
+
 ANFIS_CASES = [
-    pytest.param(kind, convergence, 3, 0.1, 1, id=f"{kind}-{convergence}")
+    pytest.param(kind, convergence, 3, 0.1, id=f"{kind}-{convergence}")
     for kind in ("sinusoid-weave", "circular")
     for convergence in ("snap", "blend")
 ] + [
     # 343 rules: a matrix-vector product over many rows rounds unlike one row's dot.
-    pytest.param("sinusoid-weave", "blend", 7, 0.1, 1, id="grid-343-rules"),
-    # 1,201 rows: updates past the end of the gate's first batched pass.
-    pytest.param("circular", "snap", 3, 0.05, 2, id="rows-past-one-block"),
+    pytest.param("sinusoid-weave", "blend", 7, 0.1, id="grid-343-rules"),
+    # 1,201 rows: updates past the end of the corrector's first 1,024-row block.
+    pytest.param("circular", "snap", 3, 0.05, id="rows-past-one-block"),
 ]
 
 
-@pytest.mark.parametrize("kind, convergence, n_terms, tick, batched", ANFIS_CASES)
-def test_anfis_predictor(kind, convergence, n_terms, tick, batched):
+@pytest.mark.parametrize("kind, convergence, n_terms, tick", ANFIS_CASES)
+def test_anfis_predictor(kind, convergence, n_terms, tick):
     dr = DrConfig(
         th_pos=0.5,
         th_or=0.3,
@@ -249,31 +256,27 @@ def test_anfis_predictor(kind, convergence, n_terms, tick, batched):
     sc = scenario(kind, dr, tick=tick)
     ref = assert_same_run(sc)
     assert ref.report.messages_sent > ref.report.heartbeats + 1  # threshold sends happen
-    # The first update evaluates its own row, then updates come densely.
-    passes = gate_passes(sc)
-    assert passes[0] == 1 and len(passes) == 1 + batched
-    assert passes[1:-1] == [dead_reckoning._AHEAD_ROWS] * (batched - 1)
+    assert_one_corrector_pass(sc)
 
 
 @pytest.mark.parametrize(
-    "kind, th_pos, one_row, batched",
+    "kind, th_pos, tick",
     [
-        ("circular", math.inf, 13, 0),  # heartbeats only, 100 rows apart
-        ("sinusoid-weave", 2.0, 27, 0),  # updates 39-51 rows apart
-        ("sinusoid-weave", 1.0, 5, 1),  # 31-40 rows apart: batched after a close pair
-        ("circular", 0.5, 1, 2),  # 25-33 rows apart
+        ("circular", math.inf, 0.05),  # heartbeats only, 100 rows apart
+        ("sinusoid-weave", 2.0, 0.05),  # updates 39-51 rows apart
+        ("sinusoid-weave", 1.0, 0.05),  # 31-40 rows apart
+        ("circular", 0.5, 0.05),  # 25-33 rows apart
+        ("circular", math.inf, 0.02),  # heartbeats only, 250 rows apart over 3,001 rows
     ],
 )
-def test_anfis_gate_passes_follow_update_density(kind, th_pos, one_row, batched):
-    """After a sparse stretch an update evaluates the corrector at its own row,
-    as the per-tick sender does; while updates come densely, one batched pass
-    serves the rows ahead. Either way the run equals the reference."""
+def test_anfis_gate_at_any_update_density(kind, th_pos, tick):
+    """However far apart updates come, the gate evaluates the corrector in one
+    pass over every row, and the run equals the per-tick reference, which
+    evaluates it at each update's own row."""
     dr = DrConfig(th_pos=th_pos, predictor="anfis", anfis_bundle=fixed_bundle())
-    sc = scenario(kind, dr, tick=0.05)
+    sc = scenario(kind, dr, tick=tick)
     assert_same_run(sc)
-    passes = gate_passes(sc)
-    assert passes.count(1) == one_row
-    assert len(passes) - one_row == batched
+    assert_one_corrector_pass(sc)
 
 
 @settings(max_examples=25, deadline=None)

@@ -755,6 +755,13 @@ class TestConfigKeys:
         with pytest.raises(ValidationError, match=f"unknown key '{key}' in {where}"):
             load_study(path)
 
+    def test_repeated_study_predictor_rejected(self, tmp_path):
+        # Each copy would append its MAE to the one list keyed by the name.
+        cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
+        cfg["predictors"] = ["first", "second", "second"]
+        with pytest.raises(ValidationError, match="'predictors' .* lists 'second' more than once"):
+            study_from_dict(cfg)
+
     def test_noisy_study_checks_its_seed_before_drawing(self, tmp_path):
         cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
         cfg["seed"], cfg["train"]["obs_noise_pos"] = -1, 0.01
@@ -868,6 +875,18 @@ class TestCli:
         ref = assert_same_run(load_scenario(sc_path))
         assert printed == ref.report.to_text()
         assert ref.report.messages_sent > ref.report.heartbeats + 1  # threshold sends happen
+
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_train_rejects_horizon_below_one_before_training(
+        self, tmp_path, capsys, monkeypatch, horizon
+    ):
+        trained = []
+        monkeypatch.setattr(anfis, "train_networks", lambda *args: trained.append(args))
+        study, bundle_path = tiny_study_file(tmp_path), tmp_path / "bundle.json"
+        argv = ["train", str(study), "--save", str(bundle_path), "--horizon", horizon]
+        assert cli.main(argv) == 1
+        assert trained == [] and not bundle_path.exists()
+        assert f"horizon {horizon} must be a positive tick count" in capsys.readouterr().err
 
     def test_train_prints_rule_and_term_counts(self, tmp_path, capsys):
         bundle_path = tmp_path / "bundle.json"
