@@ -10,7 +10,6 @@ from .anfis import (
     AnfisNetwork,
     TrainingSet,
     build_network,
-    train_gd,
     train_hybrid,
 )
 from .dead_reckoning import (

@@ -2,9 +2,9 @@
 
 Layer 1 fuzzifies each normalized input against its linguistic terms, layer 2
 takes the product T-norm per rule, layer 3 normalizes firing strengths, layer
-4 weights the constant consequents and layer 5 sums them. Premise parameters
-train by batch gradient descent; consequents train either by the same descent
-or by a ridge-regularized least-squares pass (hybrid regime).
+4 weights the constant consequents and layer 5 sums them. Training is Jang's
+hybrid rule: each epoch solves the consequents by ridge-regularized least
+squares, then takes one batch gradient-descent step on the premise parameters.
 
 All math is batched over samples: x is (N, n_inputs), outputs are (N,).
 """
@@ -271,7 +271,6 @@ def build_network(
     inputs: list[tuple[str, float, float]],
     n_terms: int | list[int] = 7,
     shape: str = "bell",
-    rule_base: str = "compact",
     eta: float = 0.05,
     seed: int | None = None,
     center_jitter: float = 0.0,
@@ -281,10 +280,8 @@ def build_network(
     n_terms is one term count for every input, or a list of one count per
     input. Bell widths are half the center spacing with exponent 2;
     consequents start at zero. With a seed, each input's centers get uniform
-    jitter of +-center_jitter times its spacing, one draw per term. The grid
-    rule base takes the full cross product of the inputs' terms. The compact
-    rule base pairs term j of every input into rule j; a one-term input gives
-    its only term to every rule, and the other inputs must share one count.
+    jitter of +-center_jitter times its spacing, one draw per term. The rules
+    are the grid: the full cross product of the inputs' terms.
     """
     counts = [n_terms] * len(inputs) if isinstance(n_terms, int) else list(n_terms)
     if len(counts) != len(inputs):
@@ -306,14 +303,7 @@ def build_network(
             raise ValidationError(f"unknown membership shape {shape!r}")
         specs.append(InputSpec(name, float(lo), float(hi), shape, params, default_labels(n)))
 
-    if rule_base == "compact":
-        if len(set(counts) - {1}) > 1:
-            raise ValidationError(f"a compact rule base needs one count besides 1, got {counts}")
-        rules = [tuple(min(j, n - 1) for n in counts) for j in range(max(counts))]
-    elif rule_base == "grid":
-        rules = list(itertools.product(*(range(n) for n in counts)))
-    else:
-        raise ValidationError(f"unknown rule base {rule_base!r}")
+    rules = list(itertools.product(*(range(n) for n in counts)))
     return AnfisNetwork(specs, rules, np.zeros(len(rules)), eta=eta)
 
 
@@ -328,7 +318,7 @@ class ForwardTrace:
 
     degrees: list[np.ndarray]  # per input: (N, n_terms_i)
     beta: np.ndarray  # (N, R)
-    output: np.ndarray | None  # (N,); None in a training pass until its regime step sets it
+    output: np.ndarray | None  # (N,); None in a training pass until its consequent solve sets it
 
 
 def layer1(net: AnfisNetwork, x) -> list[np.ndarray]:
@@ -425,15 +415,6 @@ def _membership_grads(net: AnfisNetwork, x: np.ndarray) -> list[tuple[np.ndarray
     ]
 
 
-def _consequent_gradient(trace: ForwardTrace, err: np.ndarray) -> np.ndarray:
-    """Batch gradient (R,) of the set loss w.r.t. the consequents, from trace, a
-    forward pass of the set, and err, its output minus the targets."""
-    dz = trace.beta.T @ err
-    if not np.all(np.isfinite(dz)):
-        raise TrainingError("non-finite consequent gradient; lower eta or rescale inputs")
-    return dz
-
-
 def _premise_gradients(net: AnfisNetwork, trace: ForwardTrace, err: np.ndarray, dmu) -> list:
     """Batch gradients of the set loss w.r.t. the premise params: per input a (P, T)
     array laid out as its params.
@@ -471,13 +452,6 @@ def _premise_gradients(net: AnfisNetwork, trace: ForwardTrace, err: np.ndarray, 
     return dmf
 
 
-def _apply_premise_step(net: AnfisNetwork, dmf, eta: float) -> None:
-    """One descent step on each input's (P, T) parameters, then its shape's constraint."""
-    for spec, g in zip(net.inputs, dmf):
-        spec.params -= eta * g
-        SHAPES[spec.shape].constrain(spec.params)
-
-
 def _premises(net: AnfisNetwork) -> tuple:
     """All that a forward pass's firing and the membership derivatives read of net."""
     return net.rules.tobytes(), [(s.shape, s.lo, s.hi, s.params.tobytes()) for s in net.inputs]
@@ -513,7 +487,7 @@ class _Pass:
         )
 
     def trace_for(self, n: int) -> ForwardTrace:
-        """The pass over the first n rows; the regime step computes its output."""
+        """The pass over the first n rows; the consequent solve computes its output."""
         return ForwardTrace([d[:n] for d in self.trace.degrees], self.trace.beta[:n], None)
 
     def dmu_for(self, net: AnfisNetwork, n: int) -> list[tuple[np.ndarray, ...]]:
@@ -562,77 +536,48 @@ def _solve_consequents(net: AnfisNetwork, data: TrainingSet, shared: _Pass) -> F
 
 def _hybrid_step(net, data, shared, last) -> float:
     """One hybrid epoch from shared, a _Pass that serves net and data: the ridge
-    consequent solve, then, unless last, one premise descent step. Returns the
+    consequent solve, then, unless last, one premise descent step, each input's
+    (P, T) parameters moved back into its shape's family after. Returns the
     post-solve loss, the loss at these premises with the consequents solved for
     them."""
     trace = _solve_consequents(net, data, shared)
     if net.eta > 0.0 and not last:
         err = trace.output - data.targets
         dmf = _premise_gradients(net, trace, err, shared.dmu_for(net, len(data)))
-        _apply_premise_step(net, dmf, net.eta)
+        for spec, g in zip(net.inputs, dmf):
+            spec.params -= net.eta * g
+            SHAPES[spec.shape].constrain(spec.params)
     return _half_sse(data, trace.output)
-
-
-def _gd_step(net, data, shared, last) -> float:
-    """Returns the loss at shared, a _Pass that serves net and data, and, unless
-    last, takes one descent step on every parameter."""
-    trace = shared.trace_for(len(data))
-    trace.output = trace.beta @ net.z
-    if not last:
-        err = trace.output - data.targets
-        dz = _consequent_gradient(trace, err)
-        dmf = _premise_gradients(net, trace, err, shared.dmu_for(net, len(data)))
-        net.z = net.z - net.eta * dz
-        _apply_premise_step(net, dmf, net.eta)
-    return _half_sse(data, trace.output)
-
-
-# Each regime's step, and its steps beyond one per epoch: descent takes one
-# more, as its loss is read after the step.
-REGIMES = {"gd": (_gd_step, 1), "hybrid": (_hybrid_step, 0)}
 
 
 def train_networks(
-    nets: list[AnfisNetwork], sets: list[TrainingSet], epochs: int, regime: str
+    nets: list[AnfisNetwork], sets: list[TrainingSet], epochs: int
 ) -> list[list[float]]:
-    """Trains each network on its set in regime; returns each one's loss after each epoch.
+    """Trains each network on its set; returns each one's loss after each epoch.
 
-    At every epoch each network in turn takes a forward pass and one regime step
-    from it (hybrid: the consequent solve, its loss and the premise step; gd: the
-    loss of the last step and the next step). A pass reads neither the
-    consequents nor the targets, so the current pass serves each network it can
-    (_Pass.serves, decided by comparison), at any epoch; a network it cannot
-    serve frees it and makes the next. Only one pass is alive at a time.
+    At every epoch each network in turn takes a forward pass and one hybrid step
+    from it: the consequent solve, its loss and the premise step. A pass reads
+    neither the consequents nor the targets, so the current pass serves each
+    network it can (_Pass.serves, decided by comparison), at any epoch; a
+    network it cannot serve frees it and makes the next. Only one pass is alive
+    at a time.
     """
-    if regime not in REGIMES:
-        raise ValidationError(f"unknown training regime {regime!r}")
     if epochs < 1:
         raise ValidationError("epochs must be >= 1")
-    if regime == "hybrid":
-        for net, data in zip(nets, sets):
-            if len(data) < net.n_rules:
-                raise ValidationError(
-                    f"hybrid training needs at least {net.n_rules} samples, got {len(data)}"
-                )
-    step, extra = REGIMES[regime]
-    passes = epochs + extra
+    for net, data in zip(nets, sets):
+        if len(data) < net.n_rules:
+            raise ValidationError(
+                f"hybrid training needs at least {net.n_rules} samples, got {len(data)}"
+            )
     losses = [[] for _ in nets]
     shared = None
-    for k in range(passes):
+    for k in range(epochs):
         for net, data, record in zip(nets, sets, losses):
             if shared is None or not shared.serves(net, data):
                 shared = None  # frees the previous pass before the next is made
                 shared = _Pass(net, data)
-            record.append(step(net, data, shared, k == passes - 1))
-    return [record[extra:] for record in losses]
-
-
-def train_gd(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[float]:
-    """Batch gradient descent on every parameter; returns loss after each epoch.
-
-    Each epoch's one forward pass, after its step, also serves the next gradient.
-    """
-    return train_networks([net], [data], epochs, "gd")[0]
+            record.append(_hybrid_step(net, data, shared, k == epochs - 1))
+    return losses
 
 
 def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[float]:
@@ -644,7 +589,7 @@ def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[floa
     last recorded loss exactly. The solve's forward pass serves the loss and
     the gradient, since the premises do not change in between.
     """
-    return train_networks([net], [data], epochs, "hybrid")[0]
+    return train_networks([net], [data], epochs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,9 @@ PREDICTOR_NAMES = ("first", "second", "anfis")
 
 @dataclass(frozen=True)
 class TrainSpec:
+    """A study's training settings. regime accepts only hybrid and rule_base only
+    grid; both keys stay so that study files that name them load."""
+
     epochs: int = 4
     eta: float = 0.01
     regime: str = "hybrid"
@@ -333,8 +336,8 @@ class TrainSpec:
 
     def __post_init__(self):
         for key, value, allowed in (
-            ("regime", self.regime, tuple(anfis.REGIMES)),
-            ("rule_base", self.rule_base, ("grid", "compact")),
+            ("regime", self.regime, ("hybrid",)),
+            ("rule_base", self.rule_base, ("grid",)),
             ("shape", self.shape, tuple(anfis.SHAPES)),
         ):
             if value not in allowed:
@@ -369,8 +372,10 @@ class ComparisonStudy:
         for p in self.predictors:
             if p not in PREDICTOR_NAMES:
                 raise ValidationError(f"unknown predictor {p!r}")
-            if self.predictors.count(p) > 1:
-                raise ValidationError(f"'predictors' in study file lists {p!r} more than once")
+        for key, values in (("horizons", self.horizons), ("predictors", self.predictors)):
+            for v in values:
+                if values.count(v) > 1:
+                    raise ValidationError(f"{key!r} in study file lists {v!r} more than once")
         # Last: the observation noise draws from the seed checked above.
         object.__setattr__(self, "table", build_motion_table(self, truth))
 
@@ -451,7 +456,6 @@ def _axis_network(spec: TrainSpec, data: TrainingSet, seed: int) -> AnfisNetwork
         [(name, -span, span) for name, span in zip(names, spans)],
         n_terms=[1 if np.ptp(col) == 0.0 else spec.n_terms for col in data.inputs.T],
         shape=spec.shape,
-        rule_base=spec.rule_base,
         eta=spec.eta,
         seed=seed,
         center_jitter=spec.center_jitter,
@@ -481,7 +485,7 @@ def train_bundle(
     for axis, sets in enumerate(_training_sets(table, split_idx, ordered, study.tick)):
         seeds = [study.seed + 7919 * axis + 104729 * h for h in ordered]
         nets.append([_axis_network(study.train, d, s) for d, s in zip(sets, seeds)])
-        anfis.train_networks(nets[-1], sets, study.train.epochs, study.train.regime)
+        anfis.train_networks(nets[-1], sets, study.train.epochs)
     bundles = {
         h: AnfisBundle([axis_nets[j] for axis_nets in nets], h * study.tick, study.tick)
         for j, h in enumerate(ordered)

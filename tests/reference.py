@@ -4,7 +4,7 @@ package itself does not use them."""
 import numpy as np
 
 from drsim import anfis
-from drsim.anfis import AnfisNetwork, TrainingSet, _consequent_gradient, _Pass, _premise_gradients
+from drsim.anfis import AnfisNetwork, TrainingSet, _Pass, _premise_gradients
 from drsim.errors import ValidationError
 from drsim.harness import ComparisonStudy, TrainSpec, _axis_network, _training_sets
 from drsim.kinematics import Trajectory
@@ -19,26 +19,35 @@ def make_residual_task(
     eta: float = 0.05,
 ) -> tuple[AnfisNetwork, TrainingSet]:
     """Desk-scale residual-learning task on the x axis, noise-free, seed 0: an
-    untrained compact-rule network of 7 bell terms per input plus its data."""
+    untrained network of 7 bell terms per input under the compact rule list
+    (compact), plus its data."""
     table = ComparisonStudy(traj, tick, duration).table
     idx = np.arange(1, len(table.dev) - horizon_ticks)
     if len(idx) < n_samples:
         raise ValidationError(f"trajectory yields only {len(idx)} samples, need {n_samples}")
     # a split at row n_samples + horizon_ticks + 1 trains on rows 1 .. n_samples
     data = _training_sets(table, n_samples + horizon_ticks + 1, [horizon_ticks], tick)[0][0]
-    return _axis_network(TrainSpec(rule_base="compact", eta=eta), data, 0), data
+    return compact(_axis_network(TrainSpec(eta=eta), data, 0)), data
+
+
+def compact(net: AnfisNetwork) -> AnfisNetwork:
+    """net's inputs under the compact rule list, a sparse one, with zero
+    consequents: rule j takes term j of every input, or the only term of a
+    one-term input."""
+    counts = [spec.n_terms for spec in net.inputs]
+    rules = [[min(j, n - 1) for n in counts] for j in range(max(counts))]
+    return AnfisNetwork(net.inputs, rules, np.zeros(len(rules)), net.eta)
 
 
 def descent_gradients(net: AnfisNetwork, data: TrainingSet, shared: _Pass | None = None):
-    """(dz, dmf, out): the gradients a descent step takes at net's parameters over
-    data, and the output they are taken at, from shared, a training pass that
-    serves net and data (by default data's own)."""
+    """(dmf, out): the gradients a premise descent step takes at net's parameters
+    over data, and the output they are taken at, from shared, a training pass
+    that serves net and data (by default data's own)."""
     shared = shared or _Pass(net, data)
     trace = shared.trace_for(len(data))
     trace.output = trace.beta @ net.z
     err = trace.output - data.targets
-    dz = _consequent_gradient(trace, err)
-    return dz, _premise_gradients(net, trace, err, shared.dmu_for(net, len(data))), trace.output
+    return _premise_gradients(net, trace, err, shared.dmu_for(net, len(data))), trace.output
 
 
 def block_gram(beta: np.ndarray, n: int) -> np.ndarray:
@@ -55,9 +64,8 @@ def block_gram(beta: np.ndarray, n: int) -> np.ndarray:
 def count_epoch_events(monkeypatch) -> tuple[list[list[int]], list[list[int]]]:
     """Patches training to count its forward passes and its Gram products of full
     anfis._GRAM_ROWS-row blocks. Each of the two lists returned gets, for each
-    later anfis.train_networks call, the count made at each of its epochs (gd: at
-    each of its epochs + 1 steps), read as the steps run: an epoch ends once
-    every network has taken its step."""
+    later anfis.train_networks call, the count made at each of its epochs, read
+    as the steps run: an epoch ends once every network has taken its step."""
     counts, events = ([], []), []
     forward, train, gram = anfis.forward_batch, anfis.train_networks, anfis._gram
 
@@ -70,9 +78,9 @@ def count_epoch_events(monkeypatch) -> tuple[list[list[int]], list[list[int]]]:
             events.append("block")
         return gram(rows, out)
 
-    def counted_train(nets, sets, epochs, regime):
+    def counted_train(nets, sets, epochs):
         events.clear()
-        losses = train(nets, sets, epochs, regime)
+        losses = train(nets, sets, epochs)
         per_epoch, steps = {"pass": [0], "block": [0]}, 0
         for event in events:
             if event != "step":
@@ -86,16 +94,14 @@ def count_epoch_events(monkeypatch) -> tuple[list[list[int]], list[list[int]]]:
             out.append(kind[:-1])
         return losses
 
-    def counted_step(step):
-        def counted(*args):
-            loss = step(*args)
-            events.append("step")  # after the step, so its Gram products count in its epoch
-            return loss
+    step = anfis._hybrid_step
 
-        return counted
+    def counted_step(*args):
+        loss = step(*args)
+        events.append("step")  # after the step, so its Gram products count in its epoch
+        return loss
 
-    for name, (step, extra) in list(anfis.REGIMES.items()):
-        monkeypatch.setitem(anfis.REGIMES, name, (counted_step(step), extra))
+    monkeypatch.setattr(anfis, "_hybrid_step", counted_step)
     monkeypatch.setattr(anfis, "forward_batch", counted_forward)
     monkeypatch.setattr(anfis, "_gram", counted_gram)
     monkeypatch.setattr(anfis, "train_networks", counted_train)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drsim.anfis import TrainingSet, build_network, forward_batch, loss, train_gd, train_hybrid
+from drsim.anfis import TrainingSet, build_network, forward_batch, loss, train_hybrid
 from drsim.dead_reckoning import DrConfig
 from drsim.harness import (
     load_scenario,
@@ -31,7 +31,7 @@ from drsim.kinematics import (
 )
 from drsim.netsim import Channel, ChannelConfig, EventQueue
 from drsim.qos_metrics import CoherenceReport, QosProfile, check_emax_bound, verdict
-from reference import descent_gradients, make_residual_task
+from reference import compact, descent_gradients, make_residual_task
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -168,7 +168,6 @@ def test_criterion_06_anfis_algebra():
     net = build_network(
         [("a", -1, 1), ("b", -2, 2), ("c", -3, 3)],
         n_terms=7,
-        rule_base="grid",
         seed=1,
         center_jitter=0.01,
     )
@@ -178,20 +177,21 @@ def test_criterion_06_anfis_algebra():
     assert np.max(np.abs(trace.beta.sum(axis=1) - 1.0)) <= 1e-12
     assert np.all(out >= net.z.min()) and np.all(out <= net.z.max())
 
-    # analytic gradients vs central differences for every parameter class
+    # analytic premise gradients vs central differences for every parameter class
     for shape in ("bell", "sigmoid"):
-        small = build_network(
-            [("a", -1, 1), ("b", -2, 2), ("c", -3, 3)],
-            n_terms=7,
-            shape=shape,
-            rule_base="compact",
-            seed=2,
-            center_jitter=0.01,
+        small = compact(
+            build_network(
+                [("a", -1, 1), ("b", -2, 2), ("c", -3, 3)],
+                n_terms=7,
+                shape=shape,
+                seed=2,
+                center_jitter=0.01,
+            )
         )
         small.z = rng.normal(0, 1, small.n_rules)
         pts = rng.uniform(-0.9, 0.9, (5, 3)) * np.array([1.0, 2.0, 3.0])
         data = TrainingSet(pts, rng.normal(0, 1, 5))
-        dz, dmf, _ = descent_gradients(small, data)
+        dmf, _ = descent_gradients(small, data)
         h = 1e-6
 
         def fd_for(setter, getter):
@@ -204,10 +204,6 @@ def test_criterion_06_anfis_algebra():
             setter(p0)
             return (ep - em) / (2 * hh)
 
-        for r in range(small.n_rules):
-            fd = fd_for(lambda v, r=r: small.z.__setitem__(r, v), lambda r=r: small.z[r])
-            scale = max(abs(fd), abs(dz[r]))
-            assert (abs(fd - dz[r]) / scale < 1e-4) if scale >= 1e-5 else (abs(fd - dz[r]) < 1e-8)
         for spec, grads in zip(small.inputs, dmf):
             assert grads.shape == spec.params.shape
             for (p, t), g in np.ndenumerate(grads):
@@ -223,25 +219,15 @@ def test_criterion_06_anfis_algebra():
 
 
 def test_criterion_07_training_progress():
-    import copy
-
     traj = Trajectory("sinusoid-weave", {"amplitude": [1.0, 0, 0], "freq": 1.0}, duration=120.0)
     net, data = make_residual_task(
         traj, tick=0.1, duration=120.0, horizon_ticks=10, n_samples=500, eta=0.005
     )
     assert net.n_inputs == 3 and net.n_rules == 7 and len(data) == 500
     initial = loss(net, data)
-    gd_net, hy_net = copy.deepcopy(net), copy.deepcopy(net)
-    gd_losses = train_gd(gd_net, data, 200)
-    hy_losses = train_hybrid(hy_net, data, 200)
-    assert gd_losses[-1] <= 0.5 * initial
-    assert hy_losses[-1] <= 0.5 * initial
-    assert hy_losses[0] <= gd_losses[0]
-    _report(
-        7,
-        f"gd {gd_losses[-1] / initial:.1%} and hybrid {hy_losses[-1] / initial:.1%} "
-        "of initial loss within 200 epochs; hybrid epoch-1 dominates",
-    )
+    losses = train_hybrid(net, data, 200)
+    assert losses[-1] <= 0.5 * initial
+    _report(7, f"hybrid {losses[-1] / initial:.1%} of initial loss within 200 epochs")
 
 
 def test_criterion_08_horizon_study_pattern(stock_comparison):

@@ -20,25 +20,24 @@ from drsim.anfis import (
     layer2_firing,
     layer3_normalize,
     loss,
-    train_gd,
     train_hybrid,
-    train_networks,
 )
 from drsim.errors import DegenerateFiringError, TrainingError, ValidationError
 from drsim.kinematics import EntityState, Order, extrapolate
-from reference import block_gram, count_epoch_events, descent_gradients
+from reference import block_gram, compact, count_epoch_events, descent_gradients
 
 
 def tiny_net(n_terms=3, n_inputs=1, rule_base="compact", shape="bell", eta=0.05, seed=None):
-    return build_network(
+    """A network of inputs on [-1, 1] under the grid of rules or the compact rule list."""
+    net = build_network(
         [(f"in{i}", -1.0, 1.0) for i in range(n_inputs)],
         n_terms=n_terms,
         shape=shape,
-        rule_base=rule_base,
         eta=eta,
         seed=seed,
         center_jitter=0.01 if seed is not None else 0.0,
     )
+    return net if rule_base == "grid" else compact(net)
 
 
 def param_row(spec, name):
@@ -220,29 +219,17 @@ class TestLoss:
 
 
 def _fd_check(net, data, rel_tol=1e-4, abs_floor=1e-5, h=1e-6):
-    """Central finite differences on the set loss against analytic gradients.
+    """Central finite differences on the set loss against the analytic premise
+    gradients.
 
     Gradients below abs_floor sit at the FD roundoff level (~1e-9 on an O(10)
     loss), so they are compared absolutely instead of relatively.
     """
-    dz, dmf, _ = descent_gradients(net, data)
+    dmf, _ = descent_gradients(net, data)
 
     def total():
         return loss(net, data)
 
-    for r in range(net.n_rules):
-        z0 = net.z[r]
-        net.z[r] = z0 + h
-        ep = total()
-        net.z[r] = z0 - h
-        em = total()
-        net.z[r] = z0
-        fd = (ep - em) / (2 * h)
-        scale = max(abs(fd), abs(dz[r]))
-        if scale >= abs_floor:
-            assert abs(fd - dz[r]) / scale < rel_tol
-        else:
-            assert abs(fd - dz[r]) < 1e-8
     for spec, grads in zip(net.inputs, dmf):
         assert grads.shape == spec.params.shape
         for (p, t), g in np.ndenumerate(grads):
@@ -273,16 +260,14 @@ class TestGradients:
             [("a", -1, 1), ("b", -2, 2), ("c", -3, 3)],
             n_terms=5,
             shape=shape,
-            rule_base=rule_base,
             seed=7,
             center_jitter=0.01,
         )
+        net = net if rule_base == "grid" else compact(net)
         net.z = rng.normal(0, 1, net.n_rules)
         X = rng.uniform(-0.9, 0.9, (24, 3)) * np.array([1.0, 2.0, 3.0])
         Y = rng.normal(0, 1, 24)
-        # A grid's 125 rules each fire weakly, so some consequent gradients are
-        # about 1e-5, where the differences' roundoff (~2e-9) is 1e-4 of them.
-        _fd_check(net, TrainingSet(X, Y), abs_floor=1e-4 if rule_base == "grid" else 1e-5)
+        _fd_check(net, TrainingSet(X, Y))
 
 
 # Per-term reference of layer 1 and the gradients: each membership term in its
@@ -350,7 +335,6 @@ def reference_gradients(net, data):
     beta = alpha / total[:, None]
     out = beta @ net.z
     err = out - data.targets
-    dz = beta.T @ err
     dE_dalpha = err[:, None] * (net.z[None, :] - out[:, None]) / total[:, None]
     gathered = [degrees[i][:, net.rules[:, i]] for i in range(net.n_inputs)]
     dmf = []
@@ -366,7 +350,7 @@ def reference_gradients(net, data):
             dE_ddeg = dE_dDi[:, net.rules[:, i] == t].sum(axis=1)
             grads[:, t] = [np.dot(dE_ddeg, v) for v in _ref_param_grads(spec, t, xn)]
         dmf.append(grads)
-    return dz, dmf, out
+    return dmf, out
 
 
 def kernel_case(shape, n_inputs, rule_base):
@@ -417,10 +401,9 @@ class TestKernelAgainstReference:
     @pytest.mark.parametrize("shape, n_inputs, rule_base", KERNEL_CASES)
     def test_gradients_match_per_term(self, shape, n_inputs, rule_base):
         net, data = kernel_case(shape, n_inputs, rule_base)
-        dz, dmf, out = descent_gradients(net, data)
-        ref_dz, ref_dmf, ref_out = reference_gradients(net, data)
+        dmf, out = descent_gradients(net, data)
+        ref_dmf, ref_out = reference_gradients(net, data)
         assert np.array_equal(out, ref_out)
-        assert np.array_equal(dz, ref_dz)
         assert len(dmf) == len(ref_dmf) == net.n_inputs
         for spec, got, want in zip(net.inputs, dmf, ref_dmf):
             assert got.shape == want.shape == spec.params.shape
@@ -447,18 +430,16 @@ class TestKernelAgainstReference:
         prefix = TrainingSet(data.inputs[:50], data.targets[:50])
         fresh = descent_gradients(net, prefix)
         reused = descent_gradients(net, prefix, anfis._Pass(net, data))
-        assert np.array_equal(fresh[0], reused[0])
-        assert np.array_equal(fresh[2], reused[2])
-        assert len(fresh[1]) == len(reused[1]) == 3
-        for a, b in zip(fresh[1], reused[1]):
+        assert np.array_equal(fresh[1], reused[1])
+        assert len(fresh[0]) == len(reused[0]) == 3
+        for a, b in zip(fresh[0], reused[0]):
             assert np.array_equal(a, b)
 
 
 class TestForwardPasses:
-    """Training runs one forward pass per epoch (plus one to start descent)."""
+    """Training runs one forward pass per epoch."""
 
-    @pytest.mark.parametrize("train, extra", [(train_hybrid, 0), (train_gd, 1)])
-    def test_passes_per_epoch(self, monkeypatch, train, extra):
+    def test_passes_per_epoch(self, monkeypatch):
         net, data = kernel_case("bell", 3, "grid")
         net.eta = 0.01
         calls = []
@@ -470,8 +451,8 @@ class TestForwardPasses:
 
         monkeypatch.setattr(anfis, "forward_batch", counting)
         epochs = 4
-        losses = train(net, data, epochs)
-        assert len(calls) == epochs + extra
+        losses = train_hybrid(net, data, epochs)
+        assert len(calls) == epochs
         monkeypatch.undo()
         # the reused passes report the loss the trained network really has
         assert losses[-1] == loss(net, data)
@@ -481,8 +462,7 @@ class TestTrainNetworks:
     """Networks trained together equal the same networks trained one call each,
     losses included; a pass is shared only where it is the same."""
 
-    @pytest.mark.parametrize("regime, alone", [("hybrid", train_hybrid), ("gd", train_gd)])
-    def test_equals_one_network_calls(self, monkeypatch, regime, alone):
+    def test_equals_one_network_calls(self, monkeypatch):
         rng = np.random.default_rng(41)
         X, other = rng.uniform(-1, 1, (80, 2)), rng.uniform(-1, 1, (60, 2))
         Y = np.sin(3 * X[:, 0]) * X[:, 1]
@@ -496,64 +476,13 @@ class TestTrainNetworks:
             return [tiny_net(4, 2, "grid", eta=0.05, seed=seed) for seed, _, _ in cases]
 
         sets = [TrainingSet(x, y) for _, x, y in cases]
-        expected = [(alone(net, data, 3), net.to_dict()) for net, data in zip(nets(), sets)]
+        expected = [(train_hybrid(net, data, 3), net.to_dict()) for net, data in zip(nets(), sets)]
         counts = count_epoch_events(monkeypatch)[0]
         together = nets()
-        losses = anfis.train_networks(together, sets, 3, regime)
+        losses = anfis.train_networks(together, sets, 3)
         assert list(zip(losses, (net.to_dict() for net in together))) == expected
-        # Epoch 0 makes four passes (cases 0, 2, 3 and 4), the later epochs one per
-        # network. Descent starts at zero consequents, where the premise gradient is
-        # zero, so its first step moves no premise and its second pass is shared alike.
-        assert counts == [[4, 5, 5] if regime == "hybrid" else [4, 4, 5, 5]]
-
-    def test_unknown_regime_rejected(self):
-        with pytest.raises(ValidationError, match="unknown training regime"):
-            train_networks([tiny_net()], [TrainingSet(np.zeros((5, 1)), np.zeros(5))], 1, "sgd")
-
-
-class TestTrainGd:
-    def test_zero_eta_is_identity(self):
-        net = tiny_net(n_terms=3, eta=0.0)
-        before = json.dumps(net.to_dict())
-        data = TrainingSet(np.linspace(-1, 1, 10).reshape(-1, 1), np.ones(10))
-        losses = train_gd(net, data, 5)
-        assert json.dumps(net.to_dict()) == before
-        assert len(set(losses)) == 1
-
-    def test_single_rule_follows_scalar_descent(self):
-        # with one rule, o = z, so z steps as z <- z - eta (z - y)
-        eta, y = 0.1, 3.0
-        net = tiny_net(n_terms=1, eta=eta)
-        data = TrainingSet(np.array([[0.2]]), np.array([y]))
-        premises_before = net.inputs[0].params.copy()
-        losses = train_gd(net, data, 20)
-        z_oracle = 0.0
-        oracle_losses = []
-        for _ in range(20):
-            z_oracle -= eta * (z_oracle - y)
-            oracle_losses.append(0.5 * (y - z_oracle) ** 2)
-        assert np.allclose(losses, oracle_losses)
-        assert np.all(np.diff(losses) < 0)  # monotone convergence toward y
-        # normalization makes the single rule's output independent of its premises
-        assert np.array_equal(net.inputs[0].params, premises_before)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_aborts_on_blowup(self):
-        net = tiny_net(n_terms=3, eta=50.0)
-        rng = np.random.default_rng(0)
-        data = TrainingSet(rng.uniform(-1, 1, (20, 1)), rng.normal(0, 1, 20) * 10)
-        with pytest.raises(TrainingError):
-            train_gd(net, data, 200)
-
-    def test_deterministic_given_seed(self):
-        def trained():
-            rng = np.random.default_rng(5)
-            net = tiny_net(n_terms=5, n_inputs=2, eta=0.02, seed=11)
-            data = TrainingSet(rng.uniform(-1, 1, (40, 2)), rng.normal(0, 1, 40))
-            train_gd(net, data, 30)
-            return json.dumps(net.to_dict())
-
-        assert trained() == trained()
+        # Epoch 0 makes four passes (cases 0, 2, 3 and 4), the later epochs one per network.
+        assert counts == [[4, 5, 5]]
 
 
 class TestTrainHybrid:
@@ -588,18 +517,6 @@ class TestTrainHybrid:
         net = tiny_net(n_terms=7)
         with pytest.raises(ValidationError):
             train_hybrid(net, TrainingSet(np.zeros((3, 1)), np.zeros(3)), 1)
-
-    def test_dominates_gd_at_equal_premises(self):
-        rng = np.random.default_rng(9)
-        X = rng.uniform(-1, 1, (60, 1))
-        Y = np.cos(3 * X[:, 0])
-        data = TrainingSet(X, Y)
-        for eta in (0.0, 0.02):
-            gd_net = tiny_net(n_terms=5, eta=eta)
-            hy_net = tiny_net(n_terms=5, eta=eta)
-            gd_losses = train_gd(gd_net, data, 1)
-            hy_losses = train_hybrid(hy_net, data, 1)
-            assert hy_losses[0] <= gd_losses[0]
 
     def test_rank_deficient_solves_without_warning(self):
         net = tiny_net(n_terms=5, n_inputs=2, rule_base="grid", eta=0.0)
@@ -713,7 +630,7 @@ class TestSerialization:
             net = tiny_net(n_terms=7, n_inputs=3, shape=shape, seed=6, eta=0.037)
             net.z = rng.normal(0, 1, net.n_rules)
             data = TrainingSet(rng.uniform(-1, 1, (30, 3)), rng.normal(0, 1, 30))
-            train_gd(net, data, 10)
+            train_hybrid(net, data, 10)
             text = json.dumps(net.to_dict())
             loaded = AnfisNetwork.from_dict(json.loads(text))
             assert json.dumps(loaded.to_dict()) == text
@@ -784,10 +701,12 @@ def rules_with(index) -> list[list]:
 class TestBundle:
     def _bundle(self, h_ref=1.0, shape="bell"):
         nets = [
-            build_network(
-                [("deviation", -1, 1), ("velocity", -5, 5), ("orientation", -2, 2)],
-                n_terms=5,
-                shape=shape,
+            compact(
+                build_network(
+                    [("deviation", -1, 1), ("velocity", -5, 5), ("orientation", -2, 2)],
+                    n_terms=5,
+                    shape=shape,
+                )
             )
             for _ in range(3)
         ]
@@ -905,23 +824,15 @@ class TestTermCounts:
     INPUTS = [("deviation", -1, 1), ("velocity", -5, 5), ("orientation", -2, 2)]
 
     def test_grid_is_the_product_of_the_counts(self):
-        net = build_network(self.INPUTS, n_terms=[7, 1, 5], rule_base="grid")
+        net = build_network(self.INPUTS, n_terms=[7, 1, 5])
         assert [spec.n_terms for spec in net.inputs] == [7, 1, 5]
         assert net.n_rules == 35
         assert len({tuple(rule) for rule in net.rules.tolist()}) == 35
         assert np.all(net.rules[:, 1] == 0)
 
-    def test_compact_gives_the_one_term_to_every_rule(self):
-        net = build_network(self.INPUTS, n_terms=[5, 1, 5], rule_base="compact")
-        assert net.rules.tolist() == [[j, 0, j] for j in range(5)]
-        assert net.inputs[1].labels == ["T0"]
-
-    @pytest.mark.parametrize("rule_base", ["grid", "compact"])
-    def test_one_count_equals_the_same_count_per_input(self, rule_base):
-        same = build_network(self.INPUTS, n_terms=4, rule_base=rule_base, seed=3, center_jitter=0.1)
-        listed = build_network(
-            self.INPUTS, n_terms=[4, 4, 4], rule_base=rule_base, seed=3, center_jitter=0.1
-        )
+    def test_one_count_equals_the_same_count_per_input(self):
+        same = build_network(self.INPUTS, n_terms=4, seed=3, center_jitter=0.1)
+        listed = build_network(self.INPUTS, n_terms=[4, 4, 4], seed=3, center_jitter=0.1)
         assert listed.to_dict() == same.to_dict()
 
     def test_jitter_draws_one_value_per_term(self):
@@ -934,23 +845,16 @@ class TestTermCounts:
         assert centers == expected.tolist()
 
     @pytest.mark.parametrize(
-        "counts, rule_base, match",
-        [
-            ([7, 1], "grid", "one term count per input"),
-            ([7, 0, 7], "grid", "n_terms must be >= 1"),
-            ([7, 1, 5], "compact", "one count besides 1"),
-        ],
+        "counts, match", [([7, 1], "one term count per input"), ([7, 0, 7], "n_terms must be >= 1")]
     )
-    def test_bad_counts_rejected(self, counts, rule_base, match):
+    def test_bad_counts_rejected(self, counts, match):
         with pytest.raises(ValidationError, match=match):
-            build_network(self.INPUTS, n_terms=counts, rule_base=rule_base)
+            build_network(self.INPUTS, n_terms=counts)
 
     @pytest.mark.parametrize("shape", ["bell", "sigmoid"])
     def test_one_term_input_does_not_move_the_output(self, shape):
         rng = np.random.default_rng(41)
-        net = build_network(
-            self.INPUTS, n_terms=[7, 1, 7], shape=shape, rule_base="grid", seed=4, center_jitter=0.1
-        )
+        net = build_network(self.INPUTS, n_terms=[7, 1, 7], shape=shape, seed=4, center_jitter=0.1)
         net.z = rng.uniform(1.0, 2.0, net.n_rules)
         x = rng.uniform(-1.0, 1.0, (200, 3)) * [1.0, 5.0, 2.0]
         out = forward_batch(net, x)[0]

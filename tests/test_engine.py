@@ -202,7 +202,6 @@ def fixed_bundle(h_ref: float = 0.5, n_terms: int = 3) -> AnfisBundle:
         net = build_network(
             [("deviation", -1.0, 1.0), ("velocity", -40.0, 40.0), ("orientation", -4.0, 4.0)],
             n_terms=n_terms,
-            rule_base="grid",
             seed=axis,
         )
         net.z = np.linspace(-0.02, 0.03, net.n_rules) * (axis + 1)

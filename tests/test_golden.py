@@ -67,7 +67,6 @@ def fixed_grid_bundle() -> AnfisBundle:
         net = build_network(
             [("deviation", -1.0, 1.0), ("velocity", -12.0, 12.0), ("orientation", -4.0, 4.0)],
             n_terms=7,
-            rule_base="grid",
             seed=axis,
             center_jitter=0.1,
         )
