@@ -22,8 +22,6 @@ import numpy as np
 from .errors import DegenerateFiringError, TrainingError, ValidationError
 from .kinematics import EntityState, Order, extrapolate
 
-SEVEN_LABELS = ("NB", "NM", "NS", "ZE", "PS", "PM", "PB")
-
 _EXP_CLIP = 60.0
 _BLOCK_ELEMENTS = 1 << 15  # per row block of an (N, R) stage, so that it stays in cache
 _RESIDUAL_ROWS = 1024  # rows per forward pass of AnfisBundle.residuals, so memory stays bounded
@@ -91,6 +89,13 @@ def _record(d, keys: tuple[str, ...], where: str) -> dict:
     return d
 
 
+def _list(d: dict, key: str, where: str) -> list:
+    """d[key], a saved record's list value; errors name where and key."""
+    if not isinstance(d[key], list):
+        raise ValidationError(f"{where}: {key!r} must be a list, got {type(d[key]).__name__}")
+    return d[key]
+
+
 def _float(value, key: str) -> float:
     try:
         return float(value)
@@ -127,7 +132,6 @@ class InputSpec:
     hi: float
     shape: str
     params: np.ndarray
-    labels: list[str]
 
     def __post_init__(self):
         try:
@@ -151,8 +155,6 @@ class InputSpec:
             raise ValidationError(f"bell width and exponent of input {self.name!r} must be > 0")
         if self.shape == "sigmoid" and not np.all(p[0] != 0.0):
             raise ValidationError(f"sigmoid slope of input {self.name!r} must be nonzero")
-        if len(self.labels) != self.n_terms or len(set(self.labels)) != len(self.labels):
-            raise ValidationError(f"labels for input {self.name!r} must be unique per term")
 
     @property
     def n_terms(self) -> int:
@@ -167,7 +169,6 @@ class InputSpec:
             "name": self.name,
             "lo": self.lo,
             "hi": self.hi,
-            "labels": list(self.labels),
             "terms": [
                 {"shape": self.shape, **dict(zip(names, col))} for col in self.params.T.tolist()
             ],
@@ -177,22 +178,26 @@ class InputSpec:
     def from_dict(cls, d: dict) -> "InputSpec":
         """Reads one record per term: "shape" and exactly that shape's parameters."""
         name = d.get("name") if isinstance(d, dict) else None
-        _record(d, ("name", "lo", "hi", "labels", "terms"), f"input {name!r}")
-        shapes = sorted({t.get("shape") for t in d["terms"]}, key=str)
+        _record(d, ("name", "lo", "hi", "terms"), f"input {name!r}")
+        terms = _list(d, "terms", f"input {name!r}")
+        odd = [t for t in terms if not isinstance(t, dict)]
+        if odd:
+            raise ValidationError(f"a term of input {name!r} must be a mapping, got {odd[0]!r}")
+        shapes = sorted({t.get("shape") for t in terms}, key=str)
         if len(shapes) != 1:
             raise ValidationError(f"input {name!r} needs terms of one shape, got {shapes}")
         names = SHAPES[shapes[0]].param_names if shapes[0] in SHAPES else ()
-        bad = [sorted(t) for t in d["terms"] if names and t.keys() != {"shape", *names}]
+        bad = [sorted(t) for t in terms if names and t.keys() != {"shape", *names}]
         if bad:
             raise ValidationError(f"a term of input {name!r} needs shape and {names}, got {bad[0]}")
-        params = [[t[n] for t in d["terms"]] for n in names]
-        return cls(name, d["lo"], d["hi"], shapes[0], params, list(d["labels"]))
+        params = [[t[n] for t in terms] for n in names]
+        return cls(name, d["lo"], d["hi"], shapes[0], params)
 
 
 class AnfisNetwork:
     """Mutable network: inputs with terms, a rule list and constant consequents."""
 
-    def __init__(self, inputs: list[InputSpec], rules, consequents, eta: float = 0.05):
+    def __init__(self, inputs: list[InputSpec], rules, consequents):
         self.inputs = list(inputs)
         try:
             self.rules = np.asarray(rules, dtype=int)
@@ -220,9 +225,6 @@ class AnfisNetwork:
             raise ValidationError(f"need one consequent per rule, got {self.z.shape}")
         if not np.all(np.isfinite(self.z)):
             raise ValidationError("consequents must be finite")
-        self.eta = _float(eta, "eta")
-        if not (math.isfinite(self.eta) and self.eta >= 0.0):
-            raise ValidationError(f"learning rate must be >= 0, got {eta}")
 
     @property
     def n_inputs(self) -> int:
@@ -245,66 +247,52 @@ class AnfisNetwork:
             "inputs": [s.to_dict() for s in self.inputs],
             "rules": self.rules.tolist(),
             "consequents": self.z.tolist(),
-            "eta": self.eta,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnfisNetwork":
-        d = _record(d, ("inputs", "rules", "consequents", "eta"), "network record")
+        d = _record(d, ("inputs", "rules", "consequents"), "network record")
         rows = d["rules"]
         if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
             rows = [[rows]]  # not a list of rows: the whole value is one bad index
         bad = [v for row in rows for v in row if type(v) is not int]
         if bad:
             raise ValidationError(f"network record: 'rules' must hold term indices, got {bad[0]!r}")
-        inputs = [InputSpec.from_dict(s) for s in d["inputs"]]
-        return cls(inputs, d["rules"], d["consequents"], d["eta"])
-
-
-def default_labels(n_terms: int) -> list[str]:
-    if n_terms == 7:
-        return list(SEVEN_LABELS)
-    return [f"T{i}" for i in range(n_terms)]
+        inputs = [InputSpec.from_dict(s) for s in _list(d, "inputs", "network record")]
+        return cls(inputs, d["rules"], d["consequents"])
 
 
 def build_network(
     inputs: list[tuple[str, float, float]],
     n_terms: int | list[int] = 7,
     shape: str = "bell",
-    eta: float = 0.05,
-    seed: int | None = None,
-    center_jitter: float = 0.0,
 ) -> AnfisNetwork:
     """Standard initialization: term centers equally spaced over each range.
 
     n_terms is one term count for every input, or a list of one count per
     input. Bell widths are half the center spacing with exponent 2;
-    consequents start at zero. With a seed, each input's centers get uniform
-    jitter of +-center_jitter times its spacing, one draw per term. The rules
-    are the grid: the full cross product of the inputs' terms.
+    consequents start at zero. The rules are the grid: the full cross product
+    of the inputs' terms.
     """
     counts = [n_terms] * len(inputs) if isinstance(n_terms, int) else list(n_terms)
     if len(counts) != len(inputs):
         raise ValidationError(f"need one term count per input, got {counts} for {len(inputs)}")
     if min(counts) < 1:
         raise ValidationError("n_terms must be >= 1")
-    rng = np.random.default_rng(seed) if seed is not None else None
     specs = []
     for (name, lo, hi), n in zip(inputs, counts):
         spacing = 2.0 / (n - 1) if n > 1 else 2.0
         centers = np.linspace(-1.0, 1.0, n) if n > 1 else np.zeros(1)
-        if rng is not None and center_jitter > 0.0:
-            centers = centers + rng.uniform(-center_jitter, center_jitter, n) * spacing
         if shape == "bell":
             params = [np.full(n, spacing / 2.0), np.full(n, 2.0), centers]
         elif shape == "sigmoid":
             params = [np.full(n, 4.0 / spacing), centers]
         else:
             raise ValidationError(f"unknown membership shape {shape!r}")
-        specs.append(InputSpec(name, float(lo), float(hi), shape, params, default_labels(n)))
+        specs.append(InputSpec(name, float(lo), float(hi), shape, params))
 
     rules = list(itertools.product(*(range(n) for n in counts)))
-    return AnfisNetwork(specs, rules, np.zeros(len(rules)), eta=eta)
+    return AnfisNetwork(specs, rules, np.zeros(len(rules)))
 
 
 # ---------------------------------------------------------------------------
@@ -534,26 +522,25 @@ def _solve_consequents(net: AnfisNetwork, data: TrainingSet, shared: _Pass) -> F
     return trace
 
 
-def _hybrid_step(net, data, shared, last) -> float:
+def _hybrid_step(net, data, shared, eta, last) -> float:
     """One hybrid epoch from shared, a _Pass that serves net and data: the ridge
-    consequent solve, then, unless last, one premise descent step, each input's
-    (P, T) parameters moved back into its shape's family after. Returns the
-    post-solve loss, the loss at these premises with the consequents solved for
-    them."""
+    consequent solve, then, unless last, a premise descent step of rate eta, each
+    input's (P, T) parameters moved back into its shape's family after. Returns
+    the post-solve loss: the loss at these premises with the consequents solved."""
     trace = _solve_consequents(net, data, shared)
-    if net.eta > 0.0 and not last:
+    if eta > 0.0 and not last:
         err = trace.output - data.targets
         dmf = _premise_gradients(net, trace, err, shared.dmu_for(net, len(data)))
         for spec, g in zip(net.inputs, dmf):
-            spec.params -= net.eta * g
+            spec.params -= eta * g
             SHAPES[spec.shape].constrain(spec.params)
     return _half_sse(data, trace.output)
 
 
 def train_networks(
-    nets: list[AnfisNetwork], sets: list[TrainingSet], epochs: int
+    nets: list[AnfisNetwork], sets: list[TrainingSet], epochs: int, eta: float
 ) -> list[list[float]]:
-    """Trains each network on its set; returns each one's loss after each epoch.
+    """Trains each network on its set at premise rate eta; returns each one's epoch losses.
 
     At every epoch each network in turn takes a forward pass and one hybrid step
     from it: the consequent solve, its loss and the premise step. A pass reads
@@ -564,6 +551,8 @@ def train_networks(
     """
     if epochs < 1:
         raise ValidationError("epochs must be >= 1")
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise ValidationError(f"learning rate must be >= 0, got {eta}")
     for net, data in zip(nets, sets):
         if len(data) < net.n_rules:
             raise ValidationError(
@@ -576,12 +565,12 @@ def train_networks(
             if shared is None or not shared.serves(net, data):
                 shared = None  # frees the previous pass before the next is made
                 shared = _Pass(net, data)
-            record.append(_hybrid_step(net, data, shared, k == epochs - 1))
+            record.append(_hybrid_step(net, data, shared, eta, k == epochs - 1))
     return losses
 
 
-def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[float]:
-    """Per epoch: ridge least-squares consequents, then one premise descent step.
+def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int, eta: float) -> list[float]:
+    """Per epoch: ridge least-squares consequents, then one premise descent step of rate eta.
 
     The recorded epoch loss is the post-solve loss, i.e. the loss at that
     epoch's premise parameters with the consequents solved for them. The
@@ -589,7 +578,7 @@ def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int) -> list[floa
     last recorded loss exactly. The solve's forward pass serves the loss and
     the gradient, since the premises do not change in between.
     """
-    return train_networks([net], [data], epochs)[0]
+    return train_networks([net], [data], epochs, eta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +660,6 @@ class AnfisBundle:
     def to_dict(self) -> dict:
         return {
             "kind": "anfis-bundle",
-            "axes": list(AXIS_NAMES),
             "h_ref": self.h_ref,
             "feature_tick": self.feature_tick,
             "networks": [net.to_dict() for net in self.networks],
@@ -681,8 +669,8 @@ class AnfisBundle:
     def from_dict(cls, d: dict) -> "AnfisBundle":
         if not (isinstance(d, dict) and d.get("kind") == "anfis-bundle"):
             raise ValidationError("not an anfis bundle document")
-        d = _record(d, ("kind", "axes", "h_ref", "feature_tick", "networks"), "anfis bundle")
-        nets = [AnfisNetwork.from_dict(nd) for nd in d["networks"]]
+        d = _record(d, ("kind", "h_ref", "feature_tick", "networks"), "anfis bundle")
+        nets = [AnfisNetwork.from_dict(nd) for nd in _list(d, "networks", "anfis bundle")]
         return cls(nets, d["h_ref"], d["feature_tick"])
 
     def save(self, path) -> None:

@@ -65,6 +65,8 @@ class DrConfig:
             raise ValidationError(f"unknown predictor {self.predictor!r}")
         if self.predictor == "anfis" and self.anfis_bundle is None:
             raise ValidationError("anfis predictor requires a trained bundle")
+        if self.predictor != "anfis" and self.anfis_bundle is not None:
+            raise ValidationError(f"'anfis_net' needs the anfis predictor, got {self.predictor!r}")
         if self.predictor == "anfis" and self.order is not Order.SECOND:
             raise ValidationError(
                 f"'order' must be second with the anfis predictor, got {self.order.value}"

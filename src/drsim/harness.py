@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import io
 import math
+import numbers
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -93,6 +94,12 @@ def _keys(cls) -> frozenset:
 
 # Field types a config file holds; a tuple field reads a list of one of them.
 _SCALARS = (bool, int, float, str, Order)
+# The values a flag, an integer or a number field takes: a bool is neither of the last two.
+_KINDS = {
+    bool: (bool, "true or false"),
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+}
 
 
 def _from_file(tp) -> bool:
@@ -104,8 +111,10 @@ def _convert(tp, value):
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"expected a list, got {value!r}")
         return tuple(_convert(typing.get_args(tp)[0], v) for v in value)
-    if tp is bool and not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
+    if tp in _KINDS:
+        kind, what = _KINDS[tp]
+        if not isinstance(value, kind) or (tp is not bool and isinstance(value, bool)):
+            raise TypeError(f"expected {what}, got {value!r}")
     return tp(value)
 
 
@@ -332,7 +341,6 @@ class TrainSpec:
     rule_base: str = "grid"
     shape: str = "bell"
     obs_noise_pos: float = 0.0
-    center_jitter: float = 0.0
 
     def __post_init__(self):
         for key, value, allowed in (
@@ -344,9 +352,7 @@ class TrainSpec:
                 raise ValidationError(f"unknown {key!r} in train: {value!r}; choose from {allowed}")
         if not 0.0 < self.split < 1.0:
             raise ValidationError(f"split must be in (0, 1), got {self.split}")
-        for key, low in (
-            ("epochs", 1), ("n_terms", 1), ("eta", 0), ("obs_noise_pos", 0), ("center_jitter", 0)
-        ):
+        for key, low in (("epochs", 1), ("n_terms", 1), ("eta", 0), ("obs_noise_pos", 0)):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= low):
                 raise ValidationError(f"{key!r} in train must be >= {low}, got {value}")
@@ -439,7 +445,7 @@ def _training_sets(
     return sets
 
 
-def _axis_network(spec: TrainSpec, data: TrainingSet, seed: int) -> AnfisNetwork:
+def _axis_network(spec: TrainSpec, data: TrainingSet) -> AnfisNetwork:
     """The untrained corrector of one axis for the (deviation, velocity,
     orientation) inputs of data.
 
@@ -456,9 +462,6 @@ def _axis_network(spec: TrainSpec, data: TrainingSet, seed: int) -> AnfisNetwork
         [(name, -span, span) for name, span in zip(names, spans)],
         n_terms=[1 if np.ptp(col) == 0.0 else spec.n_terms for col in data.inputs.T],
         shape=spec.shape,
-        eta=spec.eta,
-        seed=seed,
-        center_jitter=spec.center_jitter,
     )
 
 
@@ -482,10 +485,9 @@ def train_bundle(
         raise ValidationError("study too short for this horizon/split")
     ordered = sorted(set(ticks))
     nets = []
-    for axis, sets in enumerate(_training_sets(table, split_idx, ordered, study.tick)):
-        seeds = [study.seed + 7919 * axis + 104729 * h for h in ordered]
-        nets.append([_axis_network(study.train, d, s) for d, s in zip(sets, seeds)])
-        anfis.train_networks(nets[-1], sets, study.train.epochs)
+    for sets in _training_sets(table, split_idx, ordered, study.tick):
+        nets.append([_axis_network(study.train, d) for d in sets])
+        anfis.train_networks(nets[-1], sets, study.train.epochs, study.train.eta)
     bundles = {
         h: AnfisBundle([axis_nets[j] for axis_nets in nets], h * study.tick, study.tick)
         for j, h in enumerate(ordered)

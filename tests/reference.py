@@ -16,7 +16,6 @@ def make_residual_task(
     duration: float,
     horizon_ticks: int,
     n_samples: int,
-    eta: float = 0.05,
 ) -> tuple[AnfisNetwork, TrainingSet]:
     """Desk-scale residual-learning task on the x axis, noise-free, seed 0: an
     untrained network of 7 bell terms per input under the compact rule list
@@ -27,7 +26,7 @@ def make_residual_task(
         raise ValidationError(f"trajectory yields only {len(idx)} samples, need {n_samples}")
     # a split at row n_samples + horizon_ticks + 1 trains on rows 1 .. n_samples
     data = _training_sets(table, n_samples + horizon_ticks + 1, [horizon_ticks], tick)[0][0]
-    return compact(_axis_network(TrainSpec(eta=eta), data, 0)), data
+    return compact(_axis_network(TrainSpec(), data)), data
 
 
 def compact(net: AnfisNetwork) -> AnfisNetwork:
@@ -36,7 +35,19 @@ def compact(net: AnfisNetwork) -> AnfisNetwork:
     one-term input."""
     counts = [spec.n_terms for spec in net.inputs]
     rules = [[min(j, n - 1) for n in counts] for j in range(max(counts))]
-    return AnfisNetwork(net.inputs, rules, np.zeros(len(rules)), net.eta)
+    return AnfisNetwork(net.inputs, rules, np.zeros(len(rules)))
+
+
+def jitter_centres(net: AnfisNetwork, seed: int, jitter: float) -> AnfisNetwork:
+    """net, its term centres moved in place: one generator seeded by seed draws,
+    input by input, a uniform offset of up to jitter centre spacings per term
+    (a one-term input's spacing is 2, the width of the normalized range)."""
+    rng = np.random.default_rng(seed)
+    for spec in net.inputs:
+        n = spec.n_terms
+        spacing = 2.0 / (n - 1) if n > 1 else 2.0
+        spec.params[-1] = spec.params[-1] + rng.uniform(-jitter, jitter, n) * spacing
+    return net
 
 
 def descent_gradients(net: AnfisNetwork, data: TrainingSet, shared: _Pass | None = None):
@@ -78,9 +89,9 @@ def count_epoch_events(monkeypatch) -> tuple[list[list[int]], list[list[int]]]:
             events.append("block")
         return gram(rows, out)
 
-    def counted_train(nets, sets, epochs):
+    def counted_train(nets, sets, epochs, eta):
         events.clear()
-        losses = train(nets, sets, epochs)
+        losses = train(nets, sets, epochs, eta)
         per_epoch, steps = {"pass": [0], "block": [0]}, 0
         for event in events:
             if event != "step":

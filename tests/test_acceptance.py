@@ -31,7 +31,7 @@ from drsim.kinematics import (
 )
 from drsim.netsim import Channel, ChannelConfig, EventQueue
 from drsim.qos_metrics import CoherenceReport, QosProfile, check_emax_bound, verdict
-from reference import compact, descent_gradients, make_residual_task
+from reference import compact, descent_gradients, jitter_centres, make_residual_task
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -165,12 +165,8 @@ def test_criterion_05_channel_statistics():
 def test_criterion_06_anfis_algebra():
     t0 = time.perf_counter()
     rng = np.random.default_rng(123)
-    net = build_network(
-        [("a", -1, 1), ("b", -2, 2), ("c", -3, 3)],
-        n_terms=7,
-        seed=1,
-        center_jitter=0.01,
-    )
+    net = build_network([("a", -1, 1), ("b", -2, 2), ("c", -3, 3)], n_terms=7)
+    jitter_centres(net, 1, 0.01)
     net.z = rng.normal(0, 2, net.n_rules)
     X = rng.uniform(-1.2, 1.2, (1000, 3)) * np.array([1.0, 2.0, 3.0])
     out, trace = forward_batch(net, X)
@@ -179,15 +175,8 @@ def test_criterion_06_anfis_algebra():
 
     # analytic premise gradients vs central differences for every parameter class
     for shape in ("bell", "sigmoid"):
-        small = compact(
-            build_network(
-                [("a", -1, 1), ("b", -2, 2), ("c", -3, 3)],
-                n_terms=7,
-                shape=shape,
-                seed=2,
-                center_jitter=0.01,
-            )
-        )
+        small = build_network([("a", -1, 1), ("b", -2, 2), ("c", -3, 3)], n_terms=7, shape=shape)
+        small = compact(jitter_centres(small, 2, 0.01))
         small.z = rng.normal(0, 1, small.n_rules)
         pts = rng.uniform(-0.9, 0.9, (5, 3)) * np.array([1.0, 2.0, 3.0])
         data = TrainingSet(pts, rng.normal(0, 1, 5))
@@ -221,11 +210,11 @@ def test_criterion_06_anfis_algebra():
 def test_criterion_07_training_progress():
     traj = Trajectory("sinusoid-weave", {"amplitude": [1.0, 0, 0], "freq": 1.0}, duration=120.0)
     net, data = make_residual_task(
-        traj, tick=0.1, duration=120.0, horizon_ticks=10, n_samples=500, eta=0.005
+        traj, tick=0.1, duration=120.0, horizon_ticks=10, n_samples=500
     )
     assert net.n_inputs == 3 and net.n_rules == 7 and len(data) == 500
     initial = loss(net, data)
-    losses = train_hybrid(net, data, 200)
+    losses = train_hybrid(net, data, 200, 0.005)
     assert losses[-1] <= 0.5 * initial
     _report(7, f"hybrid {losses[-1] / initial:.1%} of initial loss within 200 epochs")
 

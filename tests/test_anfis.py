@@ -24,19 +24,15 @@ from drsim.anfis import (
 )
 from drsim.errors import DegenerateFiringError, TrainingError, ValidationError
 from drsim.kinematics import EntityState, Order, extrapolate
-from reference import block_gram, compact, count_epoch_events, descent_gradients
+from reference import block_gram, compact, count_epoch_events, descent_gradients, jitter_centres
 
 
-def tiny_net(n_terms=3, n_inputs=1, rule_base="compact", shape="bell", eta=0.05, seed=None):
-    """A network of inputs on [-1, 1] under the grid of rules or the compact rule list."""
-    net = build_network(
-        [(f"in{i}", -1.0, 1.0) for i in range(n_inputs)],
-        n_terms=n_terms,
-        shape=shape,
-        eta=eta,
-        seed=seed,
-        center_jitter=0.01 if seed is not None else 0.0,
-    )
+def tiny_net(n_terms=3, n_inputs=1, rule_base="compact", shape="bell", seed=None):
+    """A network of inputs on [-1, 1] under the grid of rules or the compact rule
+    list; with a seed, its centres jittered by up to 0.01 spacings."""
+    net = build_network([(f"in{i}", -1.0, 1.0) for i in range(n_inputs)], n_terms, shape)
+    if seed is not None:
+        jitter_centres(net, seed, 0.01)
     return net if rule_base == "grid" else compact(net)
 
 
@@ -49,7 +45,7 @@ def as_sigmoid(spec, rng):
     """spec with sigmoid terms on the same centers, of random slope 2 to 6 and sign."""
     slopes = rng.uniform(2.0, 6.0, spec.n_terms) * rng.choice([-1, 1], spec.n_terms)
     params = [slopes, param_row(spec, "c")]
-    return InputSpec(spec.name, spec.lo, spec.hi, "sigmoid", params, spec.labels)
+    return InputSpec(spec.name, spec.lo, spec.hi, "sigmoid", params)
 
 
 BELL = SHAPES["bell"].degrees  # (x, a, b, c)
@@ -88,7 +84,7 @@ class TestMembership:
             ("triangle", [[1.0]], "input 'x' has unknown shape 'triangle'"),
         ]:
             with pytest.raises(ValidationError, match=match):
-                InputSpec("x", -1.0, 1.0, shape, params, ["ZE"][: np.shape(params)[1]])
+                InputSpec("x", -1.0, 1.0, shape, params)
 
 
 class TestLayers:
@@ -100,7 +96,7 @@ class TestLayers:
         assert degrees[1][0, 1] == pytest.approx(1.0)
 
     def test_layer1_single_sigmoid(self):
-        spec = InputSpec("x", -1.0, 1.0, "sigmoid", [[1.0], [0.0]], ["ZE"])
+        spec = InputSpec("x", -1.0, 1.0, "sigmoid", [[1.0], [0.0]])
         net = AnfisNetwork([spec], [[0]], [0.0])
         degrees = layer1(net, [0.0])
         assert degrees[0][0, 0] == pytest.approx(0.5)
@@ -171,7 +167,7 @@ class TestForward:
 
     def test_hand_weighted_average(self):
         # two bell terms at -1 and +1; x = 2 - sqrt(2) makes the firing ratio 1:3
-        spec = InputSpec("x", -1.0, 1.0, "bell", [[1.0, 1.0], [1.0, 1.0], [-1.0, 1.0]], ["N", "P"])
+        spec = InputSpec("x", -1.0, 1.0, "bell", [[1.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
         net = AnfisNetwork([spec], [[0], [1]], [4.0, 8.0])
         out, trace = forward_batch(net, [2.0 - math.sqrt(2.0)])
         assert np.allclose(trace.beta, [[0.25, 0.75]])
@@ -256,13 +252,8 @@ class TestGradients:
     )
     def test_matches_finite_differences(self, shape, rule_base):
         rng = np.random.default_rng(7)
-        net = build_network(
-            [("a", -1, 1), ("b", -2, 2), ("c", -3, 3)],
-            n_terms=5,
-            shape=shape,
-            seed=7,
-            center_jitter=0.01,
-        )
+        net = build_network([("a", -1, 1), ("b", -2, 2), ("c", -3, 3)], n_terms=5, shape=shape)
+        jitter_centres(net, 7, 0.01)
         net = net if rule_base == "grid" else compact(net)
         net.z = rng.normal(0, 1, net.n_rules)
         X = rng.uniform(-0.9, 0.9, (24, 3)) * np.array([1.0, 2.0, 3.0])
@@ -414,7 +405,7 @@ class TestKernelAgainstReference:
     def test_zero_degree_raises_on_bell_width(self):
         # the narrow term's u^b overflows, so its degree is exactly 0 at the
         # sample; the wide term still fires, so the forward pass succeeds
-        spec = InputSpec("x", -1.0, 1.0, "bell", [[1e-80, 2.0], [2.0, 2.0], [0.0, 0.5]], ["N", "W"])
+        spec = InputSpec("x", -1.0, 1.0, "bell", [[1e-80, 2.0], [2.0, 2.0], [0.0, 0.5]])
         net = AnfisNetwork([spec], [[0], [1]], [1.0, -1.0])
         data = TrainingSet(np.array([[1.0], [0.0]]), np.array([0.5, 0.5]))
         degrees = forward_batch(net, data.inputs)[1].degrees[0]
@@ -441,7 +432,6 @@ class TestForwardPasses:
 
     def test_passes_per_epoch(self, monkeypatch):
         net, data = kernel_case("bell", 3, "grid")
-        net.eta = 0.01
         calls = []
         real = anfis.forward_batch
 
@@ -451,7 +441,7 @@ class TestForwardPasses:
 
         monkeypatch.setattr(anfis, "forward_batch", counting)
         epochs = 4
-        losses = train_hybrid(net, data, epochs)
+        losses = train_hybrid(net, data, epochs, 0.01)
         assert len(calls) == epochs
         monkeypatch.undo()
         # the reused passes report the loss the trained network really has
@@ -473,13 +463,15 @@ class TestTrainNetworks:
                  (0, X[:30], Y[:30])]
 
         def nets():
-            return [tiny_net(4, 2, "grid", eta=0.05, seed=seed) for seed, _, _ in cases]
+            return [tiny_net(4, 2, "grid", seed=seed) for seed, _, _ in cases]
 
         sets = [TrainingSet(x, y) for _, x, y in cases]
-        expected = [(train_hybrid(net, data, 3), net.to_dict()) for net, data in zip(nets(), sets)]
+        expected = [
+            (train_hybrid(net, data, 3, 0.05), net.to_dict()) for net, data in zip(nets(), sets)
+        ]
         counts = count_epoch_events(monkeypatch)[0]
         together = nets()
-        losses = anfis.train_networks(together, sets, 3)
+        losses = anfis.train_networks(together, sets, 3, 0.05)
         assert list(zip(losses, (net.to_dict() for net in together))) == expected
         # Epoch 0 makes four passes (cases 0, 2, 3 and 4), the later epochs one per network.
         assert counts == [[4, 5, 5]]
@@ -492,22 +484,22 @@ class TestTrainHybrid:
         truth_net.z = rng.normal(0, 2, truth_net.n_rules)
         X = rng.uniform(-1, 1, (200, 2))
         Y, _ = forward_batch(truth_net, X)
-        student = tiny_net(n_terms=5, n_inputs=2, rule_base="grid", seed=2, eta=0.0)
-        losses = train_hybrid(student, TrainingSet(X, Y), 1)
+        student = tiny_net(n_terms=5, n_inputs=2, rule_base="grid", seed=2)
+        losses = train_hybrid(student, TrainingSet(X, Y), 1, 0.0)
         assert losses[0] <= 1e-12
 
     def test_single_rule_fits_mean(self):
-        net = tiny_net(n_terms=1, eta=0.0)
+        net = tiny_net(n_terms=1)
         targets = np.array([1.0, 2.0, 6.0])
-        train_hybrid(net, TrainingSet(np.zeros((3, 1)), targets), 1)
+        train_hybrid(net, TrainingSet(np.zeros((3, 1)), targets), 1, 0.0)
         assert net.z[0] == pytest.approx(targets.mean())
 
     def test_zero_eta_matches_pure_lse(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(-1, 1, (50, 1))
         Y = np.sin(2 * X[:, 0])
-        net = tiny_net(n_terms=5, eta=0.0)
-        losses = train_hybrid(net, TrainingSet(X, Y), 3)
+        net = tiny_net(n_terms=5)
+        losses = train_hybrid(net, TrainingSet(X, Y), 3, 0.0)
         _, trace = forward_batch(net, X)
         sol, *_ = np.linalg.lstsq(trace.beta, Y, rcond=None)
         assert np.allclose(net.z, sol)
@@ -516,16 +508,16 @@ class TestTrainHybrid:
     def test_needs_enough_samples(self):
         net = tiny_net(n_terms=7)
         with pytest.raises(ValidationError):
-            train_hybrid(net, TrainingSet(np.zeros((3, 1)), np.zeros(3)), 1)
+            train_hybrid(net, TrainingSet(np.zeros((3, 1)), np.zeros(3)), 1, 0.05)
 
     def test_rank_deficient_solves_without_warning(self):
-        net = tiny_net(n_terms=5, n_inputs=2, rule_base="grid", eta=0.0)
+        net = tiny_net(n_terms=5, n_inputs=2, rule_base="grid")
         # all samples at the same point: only a few rules ever fire
         X = np.zeros((30, 2))
         Y = np.ones(30)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            train_hybrid(net, TrainingSet(X, Y), 1)
+            train_hybrid(net, TrainingSet(X, Y), 1, 0.0)
         assert np.all(np.isfinite(net.z))
         _, trace = forward_batch(net, X)
         sol, *_ = np.linalg.lstsq(trace.beta, Y, rcond=None)
@@ -534,7 +526,7 @@ class TestTrainHybrid:
 
 def ridge_fit(net, X, Y):
     """Consequents from one hybrid epoch with fixed premises, and the design B."""
-    train_hybrid(net, TrainingSet(X, Y), 1)
+    train_hybrid(net, TrainingSet(X, Y), 1, 0.0)
     _, trace = forward_batch(net, X)
     return net.z.copy(), trace.beta
 
@@ -544,7 +536,7 @@ class TestRidgeConsequents:
         rng = np.random.default_rng(12)
         X = rng.uniform(-1, 1, (300, 2))
         Y = np.sin(2 * X[:, 0]) * np.cos(X[:, 1])
-        z, beta = ridge_fit(tiny_net(n_terms=4, n_inputs=2, rule_base="grid", eta=0.0), X, Y)
+        z, beta = ridge_fit(tiny_net(n_terms=4, n_inputs=2, rule_base="grid"), X, Y)
         assert np.linalg.matrix_rank(beta) == beta.shape[1]
         sol, *_ = np.linalg.lstsq(beta, Y, rcond=None)
         assert np.allclose(z, sol)
@@ -557,8 +549,8 @@ class TestRidgeConsequents:
             X[:, 1] = 0.0  # rank deficient, as for a constant velocity input
         Y = np.sin(2 * X[:, 0]) + 0.5 * X[:, 1]
         k = 2.0**20  # exact in binary, so only the solve itself could break linearity
-        z, _ = ridge_fit(tiny_net(n_terms=4, n_inputs=2, rule_base="grid", eta=0.0), X, Y)
-        zk, _ = ridge_fit(tiny_net(n_terms=4, n_inputs=2, rule_base="grid", eta=0.0), X, k * Y)
+        z, _ = ridge_fit(tiny_net(n_terms=4, n_inputs=2, rule_base="grid"), X, Y)
+        zk, _ = ridge_fit(tiny_net(n_terms=4, n_inputs=2, rule_base="grid"), X, k * Y)
         assert np.allclose(zk, k * z, rtol=1e-9, atol=0)
 
     def test_constant_input_on_seven_cubed_grid_fits_with_bounded_consequents(self):
@@ -568,7 +560,7 @@ class TestRidgeConsequents:
         X = rng.uniform(-1, 1, (1500, 3))
         X[:, 1] = 0.3
         Y = 0.01 * (np.sin(3 * X[:, 0]) + X[:, 0] * X[:, 2] ** 2)
-        net = tiny_net(n_terms=7, n_inputs=3, rule_base="grid", eta=0.0, seed=3)
+        net = tiny_net(n_terms=7, n_inputs=3, rule_base="grid", seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             z, beta = ridge_fit(net, X, Y)
@@ -627,19 +619,17 @@ class TestSerialization:
     def test_round_trip_bit_exact(self):
         for shape in ("bell", "sigmoid"):
             rng = np.random.default_rng(6)
-            net = tiny_net(n_terms=7, n_inputs=3, shape=shape, seed=6, eta=0.037)
+            net = tiny_net(n_terms=7, n_inputs=3, shape=shape, seed=6)
             net.z = rng.normal(0, 1, net.n_rules)
             data = TrainingSet(rng.uniform(-1, 1, (30, 3)), rng.normal(0, 1, 30))
-            train_hybrid(net, data, 10)
+            train_hybrid(net, data, 10, 0.037)
             text = json.dumps(net.to_dict())
             loaded = AnfisNetwork.from_dict(json.loads(text))
             assert json.dumps(loaded.to_dict()) == text
-            assert loaded.eta == net.eta
             assert np.array_equal(loaded.z, net.z)
             assert np.array_equal(loaded.rules, net.rules)
             for a, b in zip(net.inputs, loaded.inputs):
                 assert (a.name, a.lo, a.hi, a.shape) == (b.name, b.lo, b.hi, b.shape)
-                assert a.labels == b.labels
                 assert np.array_equal(a.params, b.params)
 
     def test_one_record_per_term(self):
@@ -648,10 +638,6 @@ class TestSerialization:
             {"shape": "sigmoid", "a": 2.0, "c": -1.0},
             {"shape": "sigmoid", "a": 2.0, "c": 1.0},
         ]
-
-    def test_seven_term_labels(self):
-        net = tiny_net(n_terms=7)
-        assert net.inputs[0].labels == ["NB", "NM", "NS", "ZE", "PS", "PM", "PB"]
 
 
 def batch_case_bundle(shape, n_terms, rule_base):
@@ -770,9 +756,14 @@ class TestBundle:
             ("bell", "bundle", "note", "edited", "bundle needs keys .*; unknown key 'note'"),
             ("bell", "bundle", "h_ref", "ten", "'h_ref' must be a number, got 'ten'"),
             ("bell", "bundle", "networks", [[1, 2]], "network record must be a mapping"),
-            ("bell", "network", "eta", DELETE, "network record needs keys .*; missing key 'eta'"),
+            ("bell", "network", "eta", 0.05, "network record needs keys .*; unknown key 'eta'"),
             ("bell", "network", "note", 1, "network record needs keys .*; unknown key 'note'"),
-            ("bell", "network", "eta", "fast", "'eta' must be a number, got 'fast'"),
+            ("bell", "bundle", "axes", ["x", "y", "z"], "bundle needs keys .*; unknown key 'axes'"),
+            ("bell", None, "labels", ["N", "Z"], "'velocity' needs keys .*; unknown key 'labels'"),
+            ("bell", "bundle", "networks", 3, "anfis bundle: 'networks' must be a list, got int"),
+            ("bell", "network", "inputs", {}, "network record: 'inputs' must be a list, got dict"),
+            ("bell", None, "terms", 5, "input 'velocity': 'terms' must be a list, got int"),
+            ("bell", None, "terms", [1.0], "a term of input 'velocity' must be a mapping, got 1.0"),
             ("bell", "network", "rules", [[0, "two", 0]], "'rules' must hold term indices"),
             ("bell", "network", "rules", rules_with(1.9), "network record: 'rules' .* got 1.9"),
             ("bell", "network", "rules", rules_with(True), "network record: 'rules' .* got True"),
@@ -783,8 +774,9 @@ class TestBundle:
             "mixed", "unknown", "bell-width", "bell-exponent", "inf", "nan", "sigmoid-slope",
             "missing-parameter", "text-parameter", "extra-parameter", "missing-lo",
             "missing-shape", "text-lo", "null-hi", "missing-networks", "missing-feature-tick",
-            "extra-bundle-key", "text-h_ref", "list-network", "missing-eta",
-            "extra-network-key", "text-eta", "text-rule-index", "fractional-rule-index",
+            "extra-bundle-key", "text-h_ref", "list-network", "old-eta",
+            "extra-network-key", "old-axes", "old-labels", "number-networks", "mapping-inputs",
+            "number-terms", "number-term", "text-rule-index", "fractional-rule-index",
             "boolean-rule-index", "numeric-text-rule-index", "text-consequent",
         ],
     )
@@ -831,12 +823,13 @@ class TestTermCounts:
         assert np.all(net.rules[:, 1] == 0)
 
     def test_one_count_equals_the_same_count_per_input(self):
-        same = build_network(self.INPUTS, n_terms=4, seed=3, center_jitter=0.1)
-        listed = build_network(self.INPUTS, n_terms=[4, 4, 4], seed=3, center_jitter=0.1)
+        same = build_network(self.INPUTS, n_terms=4)
+        listed = build_network(self.INPUTS, n_terms=[4, 4, 4])
         assert listed.to_dict() == same.to_dict()
 
     def test_jitter_draws_one_value_per_term(self):
-        net = build_network(self.INPUTS, n_terms=[3, 1, 3], seed=5, center_jitter=0.1)
+        # the tests' centre jitter, which the pinned fixed-bundle runs depend on
+        net = jitter_centres(build_network(self.INPUTS, n_terms=[3, 1, 3]), 5, 0.1)
         draws = np.random.default_rng(5).uniform(-0.1, 0.1, 7)
         centers = [c for spec in net.inputs for c in param_row(spec, "c").tolist()]
         expected = np.concatenate(
@@ -854,7 +847,7 @@ class TestTermCounts:
     @pytest.mark.parametrize("shape", ["bell", "sigmoid"])
     def test_one_term_input_does_not_move_the_output(self, shape):
         rng = np.random.default_rng(41)
-        net = build_network(self.INPUTS, n_terms=[7, 1, 7], shape=shape, seed=4, center_jitter=0.1)
+        net = jitter_centres(build_network(self.INPUTS, n_terms=[7, 1, 7], shape=shape), 4, 0.1)
         net.z = rng.uniform(1.0, 2.0, net.n_rules)
         x = rng.uniform(-1.0, 1.0, (200, 3)) * [1.0, 5.0, 2.0]
         out = forward_batch(net, x)[0]

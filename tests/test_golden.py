@@ -35,6 +35,7 @@ import yaml
 from drsim import cli
 from drsim.anfis import AnfisBundle, build_network
 from drsim.harness import load_study, run_comparison
+from reference import jitter_centres
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO / "scenarios"
@@ -61,15 +62,14 @@ def test_run_outputs_match_golden(name, tmp_path, capsys):
 
 
 def fixed_grid_bundle() -> AnfisBundle:
-    """Three 7^3-grid networks with fixed nonzero consequents."""
+    """Three 7^3-grid networks, centres jittered, with fixed nonzero consequents."""
     nets = []
     for axis in range(3):
         net = build_network(
             [("deviation", -1.0, 1.0), ("velocity", -12.0, 12.0), ("orientation", -4.0, 4.0)],
             n_terms=7,
-            seed=axis,
-            center_jitter=0.1,
         )
+        jitter_centres(net, axis, 0.1)
         net.z = np.linspace(-0.05, 0.05, net.n_rules) * (axis + 1)
         nets.append(net)
     return AnfisBundle(nets, h_ref=0.3, feature_tick=0.1)

@@ -362,21 +362,14 @@ class TestHorizonsTrainedTogether:
         ranges = [[(s.lo, s.hi) for s in b.networks[0].inputs[:2]] for b in together]
         assert ranges[0] != ranges[1] == ranges[2] == ranges[3]
 
-    @pytest.mark.parametrize("regime", ["hybrid"])
-    def test_jittered_centres_share_nothing(self, passes, regime):
-        # each horizon's seed jitters its own centres, so no two networks are equal
-        study = spike_study(regime=regime, epochs=2, eta=0.01, n_terms=3, center_jitter=0.2)
-        self.check(study, passes, [[4, 4]] * 3)
-
-    @pytest.mark.parametrize("regime", ["hybrid"])
-    def test_static_axes_share_later_epochs(self, passes, regime):
+    def test_static_axes_share_later_epochs(self, passes):
         # Noise-free, the y and z axes of an x-only weave are 0 throughout: their
         # networks never move, so epoch 0's pass serves every later epoch. The x
         # networks move at each premise step, and each makes its own pass.
         traj = Trajectory("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 1.0}, 40.0)
         study = ComparisonStudy(
             traj, 0.1, 40.0, horizons=(1, 3, 5), predictors=("anfis",),
-            train=TrainSpec(regime=regime, epochs=3, eta=0.01, n_terms=5, obs_noise_pos=0.0),
+            train=TrainSpec(epochs=3, eta=0.01, n_terms=5, obs_noise_pos=0.0),
         )
         static = [1, 0, 0]
         self.check(study, passes, [[1, 3, 3], static, static])
@@ -673,10 +666,19 @@ class TestConfigKeys:
             ("train", "regime", "gd", "unknown 'regime' in train: 'gd'"),
             ("train", "shape", "bel", "unknown 'shape' in train: 'bel'"),
             ("train", "obs_noise_pos", math.nan, "'obs_noise_pos' in train must be >= 0"),
-            ("train", "center_jitter", -1.0, "'center_jitter' in train must be >= 0"),
             ("study file", "seed", -1, "'seed' in study file must be >= 0"),
             ("run file", "seed", -1, "seed must be >= 0"),  # the channel inherits it
             ("channel", "seed", -1, "seed must be >= 0"),
+            # an integer key takes only an integer, a number key no flag or text
+            ("train", "epochs", 2.7, "'epochs' in train: expected an integer, got 2.7"),
+            ("train", "n_terms", 3.9, "'n_terms' in train: expected an integer, got 3.9"),
+            ("study file", "horizons", [1.5, 2], "'horizons' in study file: expected an integer"),
+            ("study file", "seed", 3.9, "'seed' in study file: expected an integer, got 3.9"),
+            ("channel", "seed", True, "'seed' in channel: expected an integer, got True"),
+            ("run file", "message_size_bytes", "144", "expected an integer, got '144'"),
+            ("train", "eta", True, "'eta' in train: expected a number, got True"),
+            ("train", "split", "0.7", "'split' in train: expected a number, got '0.7'"),
+            ("run file", "tick", "1e-1", "'tick' in run file: expected a number, got '1e-1'"),
         ],
     )
     def test_bad_setting_rejected_at_load(self, tmp_path, where, key, value, match):
@@ -696,6 +698,13 @@ class TestConfigKeys:
         fixed_bundle().save(tmp_path / "bundle.json")
         dr = {"predictor": "anfis", "anfis_net": "bundle.json", "order": "first"}
         with pytest.raises(ValidationError, match="'order' must be second with the anfis"):
+            scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
+
+    def test_anfis_net_without_anfis_predictor_rejected_at_load(self, tmp_path):
+        # a polynomial run would load the bundle and never read it
+        fixed_bundle().save(tmp_path / "bundle.json")
+        dr = {"predictor": "polynomial", "anfis_net": "bundle.json"}
+        with pytest.raises(ValidationError, match="'anfis_net' needs the anfis predictor"):
             scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
 
     def test_minimal_files_take_the_dataclass_defaults(self, tmp_path):
@@ -737,7 +746,9 @@ class TestConfigKeys:
         assert "'horizons' belongs to a study file" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "section, key", [(None, "dr"), ("train", "epoch"), (None, "truth"), (None, "table")]
+        "section, key",
+        [(None, "dr"), ("train", "epoch"), ("train", "center_jitter"), (None, "truth"),
+         (None, "table")],
     )
     def test_unknown_study_key_rejected(self, tmp_path, section, key):
         cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
@@ -857,7 +868,7 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_bundle_error_names_the_key(self, tmp_path, capsys):
-        bundle = {"kind": "anfis-bundle", "axes": ["x", "y", "z"], "h_ref": 1.0, "feature_tick": 0.1}
+        bundle = {"kind": "anfis-bundle", "h_ref": 1.0, "feature_tick": 0.1}
         (tmp_path / "bundle.json").write_text(json.dumps(bundle), encoding="utf-8")
         cfg = dict(RUN_CFG, dr={"predictor": "anfis", "anfis_net": "bundle.json"})
         path = tmp_path / "sc.yaml"
