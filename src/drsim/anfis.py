@@ -11,7 +11,6 @@ All math is batched over samples: x is (N, n_inputs), outputs are (N,).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Callable
@@ -82,7 +81,7 @@ def _record(d, keys: tuple[str, ...], where: str) -> dict:
     """d, a saved record, if it is a mapping with exactly keys; errors name where."""
     if not isinstance(d, dict):
         raise ValidationError(f"{where} must be a mapping, got {type(d).__name__}")
-    odd = sorted(d.keys() ^ set(keys), key=str)
+    odd = sorted(d.keys() ^ set(keys), key=lambda key: (key not in keys, str(key)))
     if odd:
         state = "missing" if odd[0] in keys else "unknown"
         raise ValidationError(f"{where} needs keys {', '.join(keys)}; {state} key {odd[0]!r}")
@@ -96,11 +95,15 @@ def _list(d: dict, key: str, where: str) -> list:
     return d[key]
 
 
-def _float(value, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key!r} must be a number, got {value!r}") from None
+def _numbers(d: dict, key: str, where: str, listed: bool = False):
+    """d[key], a saved record's number, or its list of numbers if listed, as JSON
+    holds them: a flag, text or (unless listed) list fails, naming where and key."""
+    values = d[key] if listed and isinstance(d[key], list) else [d[key]]
+    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, (int, float))]
+    if bad:
+        what = "numbers" if listed else "a number"
+        raise ValidationError(f"{where}: {key!r} must be {what}, got {bad[0]!r}")
+    return d[key]
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,8 @@ class InputSpec:
             raise ValidationError(f"input {self.name!r} has unknown shape {self.shape!r}")
         try:
             p = self.params = np.array(self.params, dtype=float)
-        except (TypeError, ValueError):
-            raise ValidationError(f"parameters of input {self.name!r} must be numbers") from None
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"input {self.name!r} needs equal rows of numbers") from None
         names = SHAPES[self.shape].param_names
         if p.ndim != 2 or p.shape[0] != len(names) or p.shape[1] < 1:
             raise ValidationError(f"input {self.name!r} needs {names} rows and at least one term")
@@ -165,52 +168,31 @@ class InputSpec:
 
     def to_dict(self) -> dict:
         names = SHAPES[self.shape].param_names
-        return {
-            "name": self.name,
-            "lo": self.lo,
-            "hi": self.hi,
-            "terms": [
-                {"shape": self.shape, **dict(zip(names, col))} for col in self.params.T.tolist()
-            ],
-        }
+        head = {"name": self.name, "lo": self.lo, "hi": self.hi, "shape": self.shape}
+        return {**head, **dict(zip(names, self.params.tolist()))}
 
     @classmethod
     def from_dict(cls, d: dict) -> "InputSpec":
-        """Reads one record per term: "shape" and exactly that shape's parameters."""
-        name = d.get("name") if isinstance(d, dict) else None
-        _record(d, ("name", "lo", "hi", "terms"), f"input {name!r}")
-        terms = _list(d, "terms", f"input {name!r}")
-        odd = [t for t in terms if not isinstance(t, dict)]
-        if odd:
-            raise ValidationError(f"a term of input {name!r} must be a mapping, got {odd[0]!r}")
-        shapes = sorted({t.get("shape") for t in terms}, key=str)
-        if len(shapes) != 1:
-            raise ValidationError(f"input {name!r} needs terms of one shape, got {shapes}")
-        names = SHAPES[shapes[0]].param_names if shapes[0] in SHAPES else ()
-        bad = [sorted(t) for t in terms if names and t.keys() != {"shape", *names}]
-        if bad:
-            raise ValidationError(f"a term of input {name!r} needs shape and {names}, got {bad[0]}")
-        params = [[t[n] for t in terms] for n in names]
-        return cls(name, d["lo"], d["hi"], shapes[0], params)
+        """Reads "shape" and one list per parameter name of that shape, one value per term."""
+        name, shape = (d.get("name"), d.get("shape")) if isinstance(d, dict) else (None, None)
+        where = f"input {name!r}"
+        if shape is not None and not (isinstance(shape, str) and shape in SHAPES):
+            raise ValidationError(f"{where} has unknown shape {shape!r}")
+        names = SHAPES[shape].param_names if shape is not None else ()
+        _record(d, ("name", "lo", "hi", "shape", *names), where)
+        params = [_numbers(d, key, where, listed=True) for key in names]
+        return cls(name, _numbers(d, "lo", where), _numbers(d, "hi", where), shape, params)
 
 
 class AnfisNetwork:
-    """Mutable network: inputs with terms, a rule list and constant consequents."""
+    """Mutable network: inputs with terms and one constant consequent per rule. The
+    rules are the grid of the inputs' terms in row-major order (the last input
+    varying fastest): rules[k] holds the term of each input that rule k takes."""
 
-    def __init__(self, inputs: list[InputSpec], rules, consequents):
+    def __init__(self, inputs: list[InputSpec], consequents):
         self.inputs = list(inputs)
-        try:
-            self.rules = np.asarray(rules, dtype=int)
-        except (TypeError, ValueError):
-            raise ValidationError("'rules' must hold term indices") from None
-        if self.rules.ndim != 2 or self.rules.shape[1] != len(self.inputs):
-            raise ValidationError(
-                f"rules must be (n_rules, {len(self.inputs)}), got {self.rules.shape}"
-            )
-        for i, spec in enumerate(self.inputs):
-            col = self.rules[:, i]
-            if col.min(initial=0) < 0 or col.max(initial=0) >= spec.n_terms:
-                raise ValidationError(f"rule antecedent index out of range for input {spec.name!r}")
+        counts = [spec.n_terms for spec in self.inputs]
+        self.rules = np.indices(counts).reshape(len(counts), math.prod(counts)).T
         # selectors[i][t, r] is 1.0 where rule r uses term t of input i: degrees @
         # selectors[i] gathers each rule's degree exactly.
         self.selectors = [
@@ -219,7 +201,7 @@ class AnfisNetwork:
         ]
         try:
             self.z = np.array(consequents, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError("'consequents' must be numbers") from None
         if self.z.shape != (self.rules.shape[0],):
             raise ValidationError(f"need one consequent per rule, got {self.z.shape}")
@@ -245,21 +227,14 @@ class AnfisNetwork:
     def to_dict(self) -> dict:
         return {
             "inputs": [s.to_dict() for s in self.inputs],
-            "rules": self.rules.tolist(),
             "consequents": self.z.tolist(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnfisNetwork":
-        d = _record(d, ("inputs", "rules", "consequents"), "network record")
-        rows = d["rules"]
-        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
-            rows = [[rows]]  # not a list of rows: the whole value is one bad index
-        bad = [v for row in rows for v in row if type(v) is not int]
-        if bad:
-            raise ValidationError(f"network record: 'rules' must hold term indices, got {bad[0]!r}")
+        d = _record(d, ("inputs", "consequents"), "network record")
         inputs = [InputSpec.from_dict(s) for s in _list(d, "inputs", "network record")]
-        return cls(inputs, d["rules"], d["consequents"])
+        return cls(inputs, _numbers(d, "consequents", "network record", listed=True))
 
 
 def build_network(
@@ -271,8 +246,7 @@ def build_network(
 
     n_terms is one term count for every input, or a list of one count per
     input. Bell widths are half the center spacing with exponent 2;
-    consequents start at zero. The rules are the grid: the full cross product
-    of the inputs' terms.
+    consequents start at zero, one per rule of the grid.
     """
     counts = [n_terms] * len(inputs) if isinstance(n_terms, int) else list(n_terms)
     if len(counts) != len(inputs):
@@ -291,8 +265,7 @@ def build_network(
             raise ValidationError(f"unknown membership shape {shape!r}")
         specs.append(InputSpec(name, float(lo), float(hi), shape, params))
 
-    rules = list(itertools.product(*(range(n) for n in counts)))
-    return AnfisNetwork(specs, rules, np.zeros(len(rules)))
+    return AnfisNetwork(specs, np.zeros(math.prod(counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +413,9 @@ def _premise_gradients(net: AnfisNetwork, trace: ForwardTrace, err: np.ndarray, 
     return dmf
 
 
-def _premises(net: AnfisNetwork) -> tuple:
+def _premises(net: AnfisNetwork) -> list:
     """All that a forward pass's firing and the membership derivatives read of net."""
-    return net.rules.tobytes(), [(s.shape, s.lo, s.hi, s.params.tobytes()) for s in net.inputs]
+    return [(s.shape, s.lo, s.hi, s.params.tobytes()) for s in net.inputs]
 
 
 class _Pass:
@@ -608,8 +581,7 @@ class AnfisBundle:
             if net.n_inputs != 3:
                 raise ValidationError("axis networks must take the 3-feature input triple")
         self.networks = list(networks)
-        self.h_ref = _float(h_ref, "h_ref")
-        self.feature_tick = _float(feature_tick, "feature_tick")
+        self.h_ref, self.feature_tick = float(h_ref), float(feature_tick)
         for what, value in (("reference horizon", self.h_ref), ("feature tick", self.feature_tick)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{what} must be positive, got {value}")
@@ -669,9 +641,10 @@ class AnfisBundle:
     def from_dict(cls, d: dict) -> "AnfisBundle":
         if not (isinstance(d, dict) and d.get("kind") == "anfis-bundle"):
             raise ValidationError("not an anfis bundle document")
-        d = _record(d, ("kind", "h_ref", "feature_tick", "networks"), "anfis bundle")
-        nets = [AnfisNetwork.from_dict(nd) for nd in _list(d, "networks", "anfis bundle")]
-        return cls(nets, d["h_ref"], d["feature_tick"])
+        where = "anfis bundle"
+        d = _record(d, ("kind", "h_ref", "feature_tick", "networks"), where)
+        nets = [AnfisNetwork.from_dict(nd) for nd in _list(d, "networks", where)]
+        return cls(nets, _numbers(d, "h_ref", where), _numbers(d, "feature_tick", where))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

@@ -96,10 +96,14 @@ def _param(kind: str, key: str, value):
     """A trajectory parameter as the motion law reads it: a read-only 3-vector if
     key is in _VECTORS, the read-only (K, 4) waypoint table, else a finite float."""
     name = f"{key!r} in a {kind} trajectory"
+    # as in every other section, a flag or text is no number
+    flagged = any(isinstance(v, (bool, str)) for v in np.array(value, dtype=object).flat)
     if key in _VECTORS:
+        if flagged:
+            raise ValidationError(f"{name} must be a 3-vector of numbers, got {value!r}")
         return _vec3(value, name)
     try:
-        arr = np.array(value, dtype=float)
+        arr = np.array(math.nan if flagged else value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         arr = np.array(math.nan)  # fails the checks below
     if key != "waypoints":

@@ -17,25 +17,16 @@ def make_residual_task(
     horizon_ticks: int,
     n_samples: int,
 ) -> tuple[AnfisNetwork, TrainingSet]:
-    """Desk-scale residual-learning task on the x axis, noise-free, seed 0: an
-    untrained network of 7 bell terms per input under the compact rule list
-    (compact), plus its data."""
+    """Desk-scale residual-learning task on the x axis, noise-free, seed 0: the
+    untrained grid network a study builds for it (7 bell terms per input that
+    varies, one term for an input that holds one value), plus its data."""
     table = ComparisonStudy(traj, tick, duration).table
     idx = np.arange(1, len(table.dev) - horizon_ticks)
     if len(idx) < n_samples:
         raise ValidationError(f"trajectory yields only {len(idx)} samples, need {n_samples}")
     # a split at row n_samples + horizon_ticks + 1 trains on rows 1 .. n_samples
     data = _training_sets(table, n_samples + horizon_ticks + 1, [horizon_ticks], tick)[0][0]
-    return compact(_axis_network(TrainSpec(), data)), data
-
-
-def compact(net: AnfisNetwork) -> AnfisNetwork:
-    """net's inputs under the compact rule list, a sparse one, with zero
-    consequents: rule j takes term j of every input, or the only term of a
-    one-term input."""
-    counts = [spec.n_terms for spec in net.inputs]
-    rules = [[min(j, n - 1) for n in counts] for j in range(max(counts))]
-    return AnfisNetwork(net.inputs, rules, np.zeros(len(rules)))
+    return _axis_network(TrainSpec(), data), data
 
 
 def jitter_centres(net: AnfisNetwork, seed: int, jitter: float) -> AnfisNetwork:

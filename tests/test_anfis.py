@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -24,16 +25,16 @@ from drsim.anfis import (
 )
 from drsim.errors import DegenerateFiringError, TrainingError, ValidationError
 from drsim.kinematics import EntityState, Order, extrapolate
-from reference import block_gram, compact, count_epoch_events, descent_gradients, jitter_centres
+from reference import block_gram, count_epoch_events, descent_gradients, jitter_centres
 
 
-def tiny_net(n_terms=3, n_inputs=1, rule_base="compact", shape="bell", seed=None):
-    """A network of inputs on [-1, 1] under the grid of rules or the compact rule
-    list; with a seed, its centres jittered by up to 0.01 spacings."""
+def tiny_net(n_terms=3, n_inputs=1, shape="bell", seed=None):
+    """A network of inputs on [-1, 1], n_terms terms each (or n_terms[i] for input
+    i); with a seed, its centres jittered by up to 0.01 spacings."""
     net = build_network([(f"in{i}", -1.0, 1.0) for i in range(n_inputs)], n_terms, shape)
     if seed is not None:
         jitter_centres(net, seed, 0.01)
-    return net if rule_base == "grid" else compact(net)
+    return net
 
 
 def param_row(spec, name):
@@ -97,7 +98,7 @@ class TestLayers:
 
     def test_layer1_single_sigmoid(self):
         spec = InputSpec("x", -1.0, 1.0, "sigmoid", [[1.0], [0.0]])
-        net = AnfisNetwork([spec], [[0]], [0.0])
+        net = AnfisNetwork([spec], [0.0])
         degrees = layer1(net, [0.0])
         assert degrees[0][0, 0] == pytest.approx(0.5)
 
@@ -159,7 +160,7 @@ class TestLayers:
 
 class TestForward:
     def test_partition_of_unity_constant_output(self):
-        net = tiny_net(n_terms=5, n_inputs=2, rule_base="grid")
+        net = tiny_net(n_terms=5, n_inputs=2)
         net.z = np.full(net.n_rules, -3.25)
         for x in ([0.0, 0.0], [0.9, -0.7], [2.0, 1.5]):
             out, _ = forward_batch(net, x)
@@ -168,7 +169,7 @@ class TestForward:
     def test_hand_weighted_average(self):
         # two bell terms at -1 and +1; x = 2 - sqrt(2) makes the firing ratio 1:3
         spec = InputSpec("x", -1.0, 1.0, "bell", [[1.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
-        net = AnfisNetwork([spec], [[0], [1]], [4.0, 8.0])
+        net = AnfisNetwork([spec], [4.0, 8.0])
         out, trace = forward_batch(net, [2.0 - math.sqrt(2.0)])
         assert np.allclose(trace.beta, [[0.25, 0.75]])
         assert out[0] == pytest.approx(7.0)
@@ -182,7 +183,7 @@ class TestForward:
 
     def test_output_within_consequent_hull(self):
         rng = np.random.default_rng(3)
-        net = tiny_net(n_terms=7, n_inputs=3, rule_base="compact", seed=3)
+        net = tiny_net(n_terms=7, n_inputs=3, seed=3)
         net.z = rng.normal(0, 2, net.n_rules)
         X = rng.uniform(-1.5, 1.5, (500, 3))
         out, trace = forward_batch(net, X)
@@ -246,15 +247,14 @@ def _fd_check(net, data, rel_tol=1e-4, abs_floor=1e-5, h=1e-6):
 
 class TestGradients:
     @pytest.mark.parametrize(
-        "shape, rule_base",
-        [("bell", "compact"), ("sigmoid", "compact"), ("bell", "grid"), ("sigmoid", "grid")],
-        ids=["bell", "sigmoid", "bell-grid", "sigmoid-grid"],
+        "shape, n_terms",
+        [("bell", 5), ("sigmoid", 5), ("bell", [5, 1, 3]), ("sigmoid", [5, 1, 3])],
+        ids=["bell-grid", "sigmoid-grid", "bell-one-term", "sigmoid-one-term"],
     )
-    def test_matches_finite_differences(self, shape, rule_base):
+    def test_matches_finite_differences(self, shape, n_terms):
         rng = np.random.default_rng(7)
-        net = build_network([("a", -1, 1), ("b", -2, 2), ("c", -3, 3)], n_terms=5, shape=shape)
-        jitter_centres(net, 7, 0.01)
-        net = net if rule_base == "grid" else compact(net)
+        inputs = [("a", -1, 1), ("b", -2, 2), ("c", -3, 3)]
+        net = jitter_centres(build_network(inputs, n_terms=n_terms, shape=shape), 7, 0.01)
         net.z = rng.normal(0, 1, net.n_rules)
         X = rng.uniform(-0.9, 0.9, (24, 3)) * np.array([1.0, 2.0, 3.0])
         Y = rng.normal(0, 1, 24)
@@ -344,12 +344,14 @@ def reference_gradients(net, data):
     return dmf, out
 
 
-def kernel_case(shape, n_inputs, rule_base):
+def kernel_case(shape, n_inputs, grid):
     """A network with jittered terms and trained-looking bell exponents (every
     third one left at exactly 2), plus samples reaching past the input range.
-    "mixed" gives the odd-numbered inputs sigmoid terms."""
+    "mixed" gives the odd-numbered inputs sigmoid terms. A "grid" gives every
+    input 4 terms, an "uneven" one 4, 2 and 3."""
     rng = np.random.default_rng(13)
-    net = tiny_net(n_terms=4, n_inputs=n_inputs, rule_base=rule_base, shape="bell", seed=13)
+    n_terms = [4, 2, 3][:n_inputs] if grid == "uneven" else 4
+    net = tiny_net(n_terms=n_terms, n_inputs=n_inputs, shape="bell", seed=13)
     for i, spec in enumerate(net.inputs):
         if shape == "sigmoid" or (shape == "mixed" and i % 2 == 1):
             net.inputs[i] = as_sigmoid(spec, rng)
@@ -361,20 +363,20 @@ def kernel_case(shape, n_inputs, rule_base):
     return net, TrainingSet(X, rng.normal(0, 1, 80))
 
 
-# With one input, "mixed" would repeat the bell case.
+# With one input, "mixed" would repeat the bell case and "uneven" the grid.
 KERNEL_CASES = [
-    (shape, n_inputs, rule_base)
+    (shape, n_inputs, grid)
     for shape in ("bell", "sigmoid", "mixed")
     for n_inputs in (1, 3)
-    for rule_base in ("compact", "grid")
-    if (shape, n_inputs) != ("mixed", 1)
+    for grid in ("grid", "uneven")
+    if (shape, n_inputs) != ("mixed", 1) and (n_inputs, grid) != (1, "uneven")
 ]
 
 
 class TestKernelAgainstReference:
-    @pytest.mark.parametrize("shape, n_inputs, rule_base", KERNEL_CASES)
-    def test_layer1_equals_per_term(self, shape, n_inputs, rule_base):
-        net, data = kernel_case(shape, n_inputs, rule_base)
+    @pytest.mark.parametrize("shape, n_inputs, grid", KERNEL_CASES)
+    def test_layer1_equals_per_term(self, shape, n_inputs, grid):
+        net, data = kernel_case(shape, n_inputs, grid)
         for x in (data.inputs, data.inputs[:1]):
             new, ref = layer1(net, x), reference_layer1(net, x)
             assert len(new) == len(ref)
@@ -382,16 +384,16 @@ class TestKernelAgainstReference:
                 assert a.shape == b.shape
                 assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("shape, n_inputs, rule_base", KERNEL_CASES)
-    def test_beta_equals_alpha_over_total(self, shape, n_inputs, rule_base):
-        net, data = kernel_case(shape, n_inputs, rule_base)
+    @pytest.mark.parametrize("shape, n_inputs, grid", KERNEL_CASES)
+    def test_beta_equals_alpha_over_total(self, shape, n_inputs, grid):
+        net, data = kernel_case(shape, n_inputs, grid)
         alpha = reference_firing(net, reference_layer1(net, data.inputs))
         beta = forward_batch(net, data.inputs)[1].beta
         assert np.array_equal(beta, alpha / alpha.sum(axis=1)[:, None])
 
-    @pytest.mark.parametrize("shape, n_inputs, rule_base", KERNEL_CASES)
-    def test_gradients_match_per_term(self, shape, n_inputs, rule_base):
-        net, data = kernel_case(shape, n_inputs, rule_base)
+    @pytest.mark.parametrize("shape, n_inputs, grid", KERNEL_CASES)
+    def test_gradients_match_per_term(self, shape, n_inputs, grid):
+        net, data = kernel_case(shape, n_inputs, grid)
         dmf, out = descent_gradients(net, data)
         ref_dmf, ref_out = reference_gradients(net, data)
         assert np.array_equal(out, ref_out)
@@ -406,7 +408,7 @@ class TestKernelAgainstReference:
         # the narrow term's u^b overflows, so its degree is exactly 0 at the
         # sample; the wide term still fires, so the forward pass succeeds
         spec = InputSpec("x", -1.0, 1.0, "bell", [[1e-80, 2.0], [2.0, 2.0], [0.0, 0.5]])
-        net = AnfisNetwork([spec], [[0], [1]], [1.0, -1.0])
+        net = AnfisNetwork([spec], [1.0, -1.0])
         data = TrainingSet(np.array([[1.0], [0.0]]), np.array([0.5, 0.5]))
         degrees = forward_batch(net, data.inputs)[1].degrees[0]
         assert degrees[0, 0] == 0.0 and degrees[0, 1] > 0.0
@@ -463,7 +465,7 @@ class TestTrainNetworks:
                  (0, X[:30], Y[:30])]
 
         def nets():
-            return [tiny_net(4, 2, "grid", seed=seed) for seed, _, _ in cases]
+            return [tiny_net(4, 2, seed=seed) for seed, _, _ in cases]
 
         sets = [TrainingSet(x, y) for _, x, y in cases]
         expected = [
@@ -480,11 +482,11 @@ class TestTrainNetworks:
 class TestTrainHybrid:
     def test_recovers_exact_consequents(self):
         rng = np.random.default_rng(2)
-        truth_net = tiny_net(n_terms=5, n_inputs=2, rule_base="grid", seed=2)
+        truth_net = tiny_net(n_terms=5, n_inputs=2, seed=2)
         truth_net.z = rng.normal(0, 2, truth_net.n_rules)
         X = rng.uniform(-1, 1, (200, 2))
         Y, _ = forward_batch(truth_net, X)
-        student = tiny_net(n_terms=5, n_inputs=2, rule_base="grid", seed=2)
+        student = tiny_net(n_terms=5, n_inputs=2, seed=2)
         losses = train_hybrid(student, TrainingSet(X, Y), 1, 0.0)
         assert losses[0] <= 1e-12
 
@@ -511,7 +513,7 @@ class TestTrainHybrid:
             train_hybrid(net, TrainingSet(np.zeros((3, 1)), np.zeros(3)), 1, 0.05)
 
     def test_rank_deficient_solves_without_warning(self):
-        net = tiny_net(n_terms=5, n_inputs=2, rule_base="grid")
+        net = tiny_net(n_terms=5, n_inputs=2)
         # all samples at the same point: only a few rules ever fire
         X = np.zeros((30, 2))
         Y = np.ones(30)
@@ -536,7 +538,7 @@ class TestRidgeConsequents:
         rng = np.random.default_rng(12)
         X = rng.uniform(-1, 1, (300, 2))
         Y = np.sin(2 * X[:, 0]) * np.cos(X[:, 1])
-        z, beta = ridge_fit(tiny_net(n_terms=4, n_inputs=2, rule_base="grid"), X, Y)
+        z, beta = ridge_fit(tiny_net(n_terms=4, n_inputs=2), X, Y)
         assert np.linalg.matrix_rank(beta) == beta.shape[1]
         sol, *_ = np.linalg.lstsq(beta, Y, rcond=None)
         assert np.allclose(z, sol)
@@ -549,8 +551,8 @@ class TestRidgeConsequents:
             X[:, 1] = 0.0  # rank deficient, as for a constant velocity input
         Y = np.sin(2 * X[:, 0]) + 0.5 * X[:, 1]
         k = 2.0**20  # exact in binary, so only the solve itself could break linearity
-        z, _ = ridge_fit(tiny_net(n_terms=4, n_inputs=2, rule_base="grid"), X, Y)
-        zk, _ = ridge_fit(tiny_net(n_terms=4, n_inputs=2, rule_base="grid"), X, k * Y)
+        z, _ = ridge_fit(tiny_net(n_terms=4, n_inputs=2), X, Y)
+        zk, _ = ridge_fit(tiny_net(n_terms=4, n_inputs=2), X, k * Y)
         assert np.allclose(zk, k * z, rtol=1e-9, atol=0)
 
     def test_constant_input_on_seven_cubed_grid_fits_with_bounded_consequents(self):
@@ -560,7 +562,7 @@ class TestRidgeConsequents:
         X = rng.uniform(-1, 1, (1500, 3))
         X[:, 1] = 0.3
         Y = 0.01 * (np.sin(3 * X[:, 0]) + X[:, 0] * X[:, 2] ** 2)
-        net = tiny_net(n_terms=7, n_inputs=3, rule_base="grid", seed=3)
+        net = tiny_net(n_terms=7, n_inputs=3, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             z, beta = ridge_fit(net, X, Y)
@@ -579,7 +581,7 @@ def gram_pass() -> anfis._Pass:
     """A pass of a 25-rule network over three full Gram blocks and 5 rows more."""
     n = 3 * GRAM_ROWS + 5
     data = TrainingSet(np.random.default_rng(21).uniform(-1, 1, (n, 2)), np.zeros(n))
-    return anfis._Pass(tiny_net(5, 2, "grid", seed=4), data)
+    return anfis._Pass(tiny_net(5, 2, seed=4), data)
 
 
 class TestPassGram:
@@ -616,12 +618,17 @@ class TestPassGram:
 
 
 class TestSerialization:
+    # Term counts per input; a file keeps no rule list, so consequent k must load
+    # as the consequent of the same grid rule k.
+    COUNTS = [[7, 1, 3], [2, 3, 4], [1, 1, 1], [1, 5], [6]]
+
     def test_round_trip_bit_exact(self):
-        for shape in ("bell", "sigmoid"):
+        for shape, counts in itertools.product(("bell", "sigmoid"), self.COUNTS):
             rng = np.random.default_rng(6)
-            net = tiny_net(n_terms=7, n_inputs=3, shape=shape, seed=6)
+            net = tiny_net(n_terms=counts, n_inputs=len(counts), shape=shape, seed=6)
+            assert net.rules.tolist() == [list(r) for r in itertools.product(*map(range, counts))]
             net.z = rng.normal(0, 1, net.n_rules)
-            data = TrainingSet(rng.uniform(-1, 1, (30, 3)), rng.normal(0, 1, 30))
+            data = TrainingSet(rng.uniform(-1, 1, (30, len(counts))), rng.normal(0, 1, 30))
             train_hybrid(net, data, 10, 0.037)
             text = json.dumps(net.to_dict())
             loaded = AnfisNetwork.from_dict(json.loads(text))
@@ -631,23 +638,28 @@ class TestSerialization:
             for a, b in zip(net.inputs, loaded.inputs):
                 assert (a.name, a.lo, a.hi, a.shape) == (b.name, b.lo, b.hi, b.shape)
                 assert np.array_equal(a.params, b.params)
+            x = rng.uniform(-1, 1, (20, len(counts)))
+            assert np.array_equal(forward_batch(loaded, x)[0], forward_batch(net, x)[0])
 
-    def test_one_record_per_term(self):
+    def test_one_list_per_parameter(self):
         net = build_network([("x", -1.0, 1.0)], n_terms=2, shape="sigmoid")
-        assert net.to_dict()["inputs"][0]["terms"] == [
-            {"shape": "sigmoid", "a": 2.0, "c": -1.0},
-            {"shape": "sigmoid", "a": 2.0, "c": 1.0},
-        ]
+        assert net.to_dict() == {
+            "inputs": [
+                {"name": "x", "lo": -1.0, "hi": 1.0, "shape": "sigmoid", "a": [2.0, 2.0],
+                 "c": [-1.0, 1.0]}
+            ],
+            "consequents": [0.0, 0.0],
+        }
 
 
-def batch_case_bundle(shape, n_terms, rule_base):
+def batch_case_bundle(shape, n_terms):
     """A bundle of jittered 3-input networks with nonzero consequents; sigmoid
     terms replace the bell terms of every input (sigmoid) or of the middle one
     (mixed)."""
     rng = np.random.default_rng(29)
     nets = []
     for axis in range(3):
-        net = tiny_net(n_terms=n_terms, n_inputs=3, rule_base=rule_base, seed=axis)
+        net = tiny_net(n_terms=n_terms, n_inputs=3, seed=axis)
         for i, spec in enumerate(net.inputs):
             if shape == "sigmoid" or (shape == "mixed" and i % 2 == 1):
                 net.inputs[i] = as_sigmoid(spec, rng)
@@ -660,11 +672,11 @@ class TestBundleBatchInvariance:
     """A row's correction must not depend on the rows evaluated beside it."""
 
     @pytest.mark.parametrize("shape", ["bell", "sigmoid", "mixed"])
-    @pytest.mark.parametrize("n_terms, rule_base", [(7, "grid"), (5, "compact")])
-    def test_rows_equal_one_row_calls(self, monkeypatch, shape, n_terms, rule_base):
+    @pytest.mark.parametrize("n_terms", [7, [3, 1, 2]], ids=["7-grid", "one-term-grid"])
+    def test_rows_equal_one_row_calls(self, monkeypatch, shape, n_terms):
         monkeypatch.setattr(anfis, "_RESIDUAL_ROWS", 64)  # 200 rows: three full blocks and a part
-        bundle = batch_case_bundle(shape, n_terms, rule_base)
-        assert bundle.networks[0].n_rules == (n_terms**3 if rule_base == "grid" else n_terms)
+        bundle = batch_case_bundle(shape, n_terms)
+        assert bundle.networks[0].n_rules == np.prod(np.broadcast_to(n_terms, 3))
         rng = np.random.default_rng(31)
         dev, vel = rng.uniform(-1.2, 1.2, (2, 200, 3))
         orient = rng.uniform(-1.2, 1.2, 200)
@@ -677,25 +689,10 @@ class TestBundleBatchInvariance:
 DELETE = object()  # test_bad_terms_rejected_at_load: remove the key
 
 
-def rules_with(index) -> list[list]:
-    """TestBundle's compact 5-term rules with rule 1's velocity term index replaced."""
-    rules = [[j] * 3 for j in range(5)]
-    rules[1][1] = index
-    return rules
-
-
 class TestBundle:
     def _bundle(self, h_ref=1.0, shape="bell"):
-        nets = [
-            compact(
-                build_network(
-                    [("deviation", -1, 1), ("velocity", -5, 5), ("orientation", -2, 2)],
-                    n_terms=5,
-                    shape=shape,
-                )
-            )
-            for _ in range(3)
-        ]
+        inputs = [("deviation", -1, 1), ("velocity", -5, 5), ("orientation", -2, 2)]
+        nets = [build_network(inputs, n_terms=5, shape=shape) for _ in range(3)]
         return AnfisBundle(nets, h_ref=h_ref, feature_tick=0.1)
 
     def test_zero_consequents_reduce_to_second_order(self):
@@ -737,24 +734,23 @@ class TestBundle:
     @pytest.mark.parametrize(
         "shape, terms, key, value, match",
         [
-            ("bell", [2], "shape", "sigmoid", "input 'velocity' needs terms of one shape"),
-            ("bell", range(5), "shape", "trapezoid", "input 'velocity' has unknown shape"),
+            ("bell", None, "shape", "trapezoid", "input 'velocity' has unknown shape"),
             ("bell", [0], "a", 0.0, "bell width and exponent of input 'velocity'"),
             ("bell", [4], "b", -2.0, "bell width and exponent of input 'velocity'"),
             ("bell", [1], "c", math.inf, "parameters of input 'velocity' must be finite"),
             ("sigmoid", [3], "a", math.nan, "parameters of input 'velocity' must be finite"),
             ("sigmoid", [1], "a", 0.0, "sigmoid slope of input 'velocity'"),
-            ("sigmoid", [2], "a", DELETE, "a term of input 'velocity' needs shape and"),
-            ("bell", [3], "c", "left", "parameters of input 'velocity' must be numbers"),
-            ("sigmoid", [0], "b", 2.0, "a term of input 'velocity' needs shape and"),
+            ("sigmoid", None, "a", DELETE, "input 'velocity' needs keys .*; missing key 'a'"),
+            ("bell", [3], "c", "left", "input 'velocity': 'c' must be numbers, got 'left'"),
+            ("sigmoid", None, "b", [2.0] * 5, "'velocity' needs keys .*; unknown key 'b'"),
             ("bell", None, "lo", DELETE, "input 'velocity' needs keys"),
-            ("bell", [1], "shape", DELETE, "input 'velocity' needs terms of one shape"),
-            ("bell", None, "lo", "left", "range of input 'velocity' must be numbers"),
-            ("sigmoid", None, "hi", None, "range of input 'velocity' must be numbers"),
+            ("bell", None, "shape", DELETE, "'velocity' needs keys .*; missing key 'shape'"),
+            ("bell", None, "lo", "left", "input 'velocity': 'lo' must be a number, got 'left'"),
+            ("sigmoid", None, "hi", None, "input 'velocity': 'hi' must be a number, got None"),
             ("bell", "bundle", "networks", DELETE, "bundle needs keys .*; missing key 'networks'"),
             ("bell", "bundle", "feature_tick", DELETE, "missing key 'feature_tick'"),
             ("bell", "bundle", "note", "edited", "bundle needs keys .*; unknown key 'note'"),
-            ("bell", "bundle", "h_ref", "ten", "'h_ref' must be a number, got 'ten'"),
+            ("bell", "bundle", "h_ref", "ten", "anfis bundle: 'h_ref' must be a number, got 'ten'"),
             ("bell", "bundle", "networks", [[1, 2]], "network record must be a mapping"),
             ("bell", "network", "eta", 0.05, "network record needs keys .*; unknown key 'eta'"),
             ("bell", "network", "note", 1, "network record needs keys .*; unknown key 'note'"),
@@ -762,42 +758,48 @@ class TestBundle:
             ("bell", None, "labels", ["N", "Z"], "'velocity' needs keys .*; unknown key 'labels'"),
             ("bell", "bundle", "networks", 3, "anfis bundle: 'networks' must be a list, got int"),
             ("bell", "network", "inputs", {}, "network record: 'inputs' must be a list, got dict"),
-            ("bell", None, "terms", 5, "input 'velocity': 'terms' must be a list, got int"),
-            ("bell", None, "terms", [1.0], "a term of input 'velocity' must be a mapping, got 1.0"),
-            ("bell", "network", "rules", [[0, "two", 0]], "'rules' must hold term indices"),
-            ("bell", "network", "rules", rules_with(1.9), "network record: 'rules' .* got 1.9"),
-            ("bell", "network", "rules", rules_with(True), "network record: 'rules' .* got True"),
-            ("bell", "network", "rules", rules_with("2"), "network record: 'rules' .* got '2'"),
             ("bell", "network", "consequents", ["x"], "'consequents' must be numbers"),
+            ("bell", "network", "rules", [[0, 0, 0]], "network record .*; unknown key 'rules'"),
+            ("bell", None, "terms", [], "input 'velocity' needs keys .*; unknown key 'terms'"),
+            ("bell", "bundle", "h_ref", "0.5", "anfis bundle: 'h_ref' must be a number, got '0.5'"),
+            ("bell", "bundle", "h_ref", [0.5], r"'h_ref' must be a number, got \[0.5\]"),
+            ("bell", "bundle", "feature_tick", True, "'feature_tick' must be a number, got True"),
+            ("bell", "network", "consequents", [0.0, "2"], "'consequents' must be numbers, got '2"),
+            ("bell", None, "lo", "-1", "input 'velocity': 'lo' must be a number, got '-1'"),
+            ("bell", [1], "a", True, "input 'velocity': 'a' must be numbers, got True"),
+            ("sigmoid", None, "a", [4.0] * 7, "input 'velocity' needs equal rows of numbers"),
+            ("bell", "network", "consequents", [0.0, 10**400], "'consequents' must be numbers"),
         ],
         ids=[
-            "mixed", "unknown", "bell-width", "bell-exponent", "inf", "nan", "sigmoid-slope",
+            "unknown", "bell-width", "bell-exponent", "inf", "nan", "sigmoid-slope",
             "missing-parameter", "text-parameter", "extra-parameter", "missing-lo",
             "missing-shape", "text-lo", "null-hi", "missing-networks", "missing-feature-tick",
             "extra-bundle-key", "text-h_ref", "list-network", "old-eta",
             "extra-network-key", "old-axes", "old-labels", "number-networks", "mapping-inputs",
-            "number-terms", "number-term", "text-rule-index", "fractional-rule-index",
-            "boolean-rule-index", "numeric-text-rule-index", "text-consequent",
+            "text-consequent", "old-rules", "old-terms", "numeric-text-h_ref", "list-h_ref",
+            "boolean-feature-tick", "numeric-text-consequent", "numeric-text-lo",
+            "boolean-parameter", "ragged-parameters", "overflowing-consequent",
         ],
     )
     def test_bad_terms_rejected_at_load(self, tmp_path, shape, terms, key, value, match):
-        """terms lists the term records of input 1 of network 2 to edit, or names
-        a record: None that input's, "network" network 2's, "bundle" the
+        """terms lists the terms of input 1 of network 2 whose key value to edit,
+        or names a record: None that input's, "network" network 2's, "bundle" the
         document; DELETE removes the key."""
         path = tmp_path / "bundle.json"
         self._bundle(shape=shape).save(path)
         AnfisBundle.load(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         spec = doc["networks"][2]["inputs"][1]
-        if terms is None or isinstance(terms, str):
-            records = [{None: spec, "network": doc["networks"][2], "bundle": doc}[terms]]
+        record = {None: spec, "network": doc["networks"][2], "bundle": doc}[
+            None if isinstance(terms, list) else terms
+        ]
+        if value is DELETE:
+            del record[key]
+        elif isinstance(terms, list):
+            for t in terms:
+                record[key][t] = value
         else:
-            records = [spec["terms"][t] for t in terms]
-        for record in records:
-            if value is DELETE:
-                del record[key]
-            else:
-                record[key] = value
+            record[key] = value
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValidationError, match=match):
             AnfisBundle.load(path)

@@ -288,7 +288,7 @@ class TestResidualTask:
         net, data = make_residual_task(traj, 0.1, 120.0, horizon_ticks=10, n_samples=500)
         assert len(data) == 500
         assert data.inputs.shape == (500, 3)
-        assert net.n_rules == 7
+        assert net.n_rules == 49
         _, data2 = make_residual_task(traj, 0.1, 120.0, horizon_ticks=10, n_samples=500)
         assert np.array_equal(data.inputs, data2.inputs)
         assert np.array_equal(data.targets, data2.targets)
@@ -606,11 +606,25 @@ class TestConfigKeys:
             ("waypoint-script", {"waypoints": [[0, 0, 0], [1, 1, 0]]}, "waypoints", "rows"),
             ("waypoint-script", {"waypoints": [[1, 0, 0, 0], [0, 1, 0, 0]]}, "waypoints",
              "t increasing"),
+            # a flag or text is no number, as in every other section
+            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": "1e-1"}, "freq",
+             "finite number, got '1e-1'"),
+            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": True}, "freq",
+             "finite number, got True"),
+            ("sinusoid-weave", {"amplitude": ["1", True, 0], "freq": 0.1}, "amplitude",
+             r"3-vector of numbers, got \['1', True, 0\]"),
+            ("constant-velocity", {"p0": [0, 0, 0], "v": [1, False, 0]}, "v",
+             "3-vector of numbers"),
+            ("waypoint-script", {"waypoints": [[0, 0, 0, 0], [1, "2", 0, 0]]}, "waypoints",
+             r"rows, t increasing, got \[\[0, 0, 0, 0\], \[1, '2', 0, 0\]\]"),
+            ("waypoint-script", {"waypoints": [[0, 0, 0, 0], [True, 1, 0, 0]]}, "waypoints",
+             "rows"),
         ],
         ids=[
             "v-2", "v-4", "p0-2", "p0-4", "v-text", "freq-text", "freq-nan", "amplitude-2",
             "radius-list", "center-nan", "a-inf", "theta0-text", "waypoints-empty",
-            "waypoints-3-columns", "waypoints-decreasing",
+            "waypoints-3-columns", "waypoints-decreasing", "freq-numeric-text", "freq-flag",
+            "amplitude-text-and-flag", "v-flag", "waypoint-text-cell", "waypoint-flag-time",
         ],
     )
     def test_bad_trajectory_parameter_rejected(self, kind, params, key, match):
@@ -776,11 +790,7 @@ class TestConfigKeys:
     def test_benchmark_training_settings_load(self, monkeypatch):
         """The training settings the sim_anfis benchmark workload sends load as
         its set-up loads them, each key to its TrainSpec field."""
-        path = SCENARIO_DIR.parent / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("bench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-        spec.loader.exec_module(workloads)
+        workloads = bench_module(monkeypatch, "workloads")
         src = yaml.safe_load((SCENARIO_DIR / workloads.ANFIS_SOURCE).read_text(encoding="utf-8"))
         study = study_from_dict(
             {
@@ -827,6 +837,30 @@ def tiny_study_file(tmp_path):
     path = tmp_path / "study.yaml"
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     return path
+
+
+def bench_module(monkeypatch, name: str):
+    """bench/<name>.py, imported by path for the duration of the test."""
+    path = SCENARIO_DIR.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look a module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_patches_and_restores_its_targets(monkeypatch):
+    """The traced benchmark wraps drsim names it looks up by hand: each must still
+    exist, and uninstall must put every original back."""
+    tracer = bench_module(monkeypatch, "tracer").Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._saved)
+        replaced = [vars(owner)[attr] is not original for owner, attr, original in patched]
+    finally:
+        tracer.uninstall()
+    assert patched and all(replaced)
+    assert all(vars(owner)[attr] is original for owner, attr, original in patched)
 
 
 class TestCli:
