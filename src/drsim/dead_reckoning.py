@@ -25,9 +25,9 @@ from .kinematics import (
     EntityState,
     Order,
     StateArrays,
+    advance,
     angle_diff,
     extrapolate,
-    project,
     wrap_angle,
     wrap_angles,
 )
@@ -204,28 +204,27 @@ def row_norms(d: np.ndarray) -> np.ndarray:
 
 
 def predict_positions(
-    base: StateArrays, t: np.ndarray, config: DrConfig, residual: np.ndarray
+    truth: StateArrays, half_a: np.ndarray, rows, dt: np.ndarray, config: DrConfig, residual
 ) -> np.ndarray:
-    """Positions (K, 3) :func:`predict` gives at times t (K,), with the same rounding.
-
-    base holds one state (fields (3,) and scalars) or one state per time.
-    residual is the bundle's reference-horizon correction of each base state;
-    only the anfis predictor reads it.
-    """
-    dt = t - base.time
+    """Positions (K, 3) :func:`predict` gives dt (K,) seconds after the truth
+    states at rows (one row, or one per time), with the same rounding. half_a is
+    truth's half acceleration; only the anfis predictor reads residual, the
+    bundle's reference-horizon correction of each state."""
+    p, v = truth.position[rows], truth.velocity[rows]
     if config.predictor == "anfis":
-        # AnfisBundle.predict extrapolates to base.time + dt, which can round away from t.
-        pos = project(base, (base.time + dt) - base.time, config.order)
-        return pos + residual * config.anfis_bundle.scales(dt)[:, None]
-    return project(base, dt, config.order)
+        # AnfisBundle.predict extrapolates to t0 + dt, which can round away from the tick.
+        t0 = truth.time[rows]
+        pos = advance(p, v, half_a[rows], ((t0 + dt) - t0)[:, None])
+        pos += residual * config.anfis_bundle.scales(dt)[:, None]
+        return pos
+    return advance(p, v, half_a[rows] if config.order is Order.SECOND else None, dt[:, None])
 
 
-def predict_headings(base: StateArrays, t: np.ndarray, config: DrConfig) -> np.ndarray:
-    """Headings (K,) :func:`predict` gives at times t (K,), with the same rounding:
-    extrapolate() wraps, its EntityState wraps again, and the anfis path builds
-    one more EntityState."""
-    theta = wrap_angles(wrap_angles(base.orientation + base.angular_rate * (t - base.time)))
-    return wrap_angles(theta) if config.predictor == "anfis" else theta
+def predict_headings(truth: StateArrays, rows, dt: np.ndarray, config: DrConfig) -> np.ndarray:
+    """Headings (K,) :func:`predict` gives dt (K,) seconds after the truth
+    states at rows, with the same rounding: wrapping a wrapped angle changes no
+    bit, so one wrap stands for those of extrapolate() and each EntityState."""
+    return wrap_angles(truth.orientation[rows] + truth.angular_rate[rows] * dt)
 
 
 @dataclass
@@ -245,36 +244,36 @@ def gate(truth: StateArrays, config: DrConfig) -> SendLog:
     row: a one-state history's features depend only on its truth row. After
     each update, the mirror deviation at every tick up to the next heartbeat
     is one array expression, and the first tick over a threshold, else the
-    heartbeat tick, sends the next update.
+    heartbeat tick, sends the next update. Velocity deviations come after, in one pass.
     """
-    t = truth.time
-    times = t.tolist()
+    half_a = 0.5 * truth.acceleration
+    times = truth.time.tolist()
     n = len(times)
     heartbeat_due = config.heartbeat - _TIME_EPS
     check_or = config.th_or < math.inf
     residuals = np.zeros((n, 3))  # the corrector's output at each row
     if config.predictor == "anfis":  # zero deviation: a one-state history observes none
         residuals = config.anfis_bundle.residuals(residuals, truth.velocity, truth.orientation)
-    rows, heartbeats, v_dev_max = [], 0, 0.0
-    row = last = 0
+    rows, heartbeats, row = [], 0, 0
     while True:
         rows.append(row)
-        last, base, residual = row, truth.take(row), residuals[row]
+        last, t0 = row, times[row]
         if last == n - 1:
             break
         # The first tick due for a heartbeat (n if none is). The test is
         # monotone in time; the steps after the bisection apply it exactly.
-        beat = bisect.bisect_left(times, times[last] + heartbeat_due, last + 1)
-        while beat > last + 1 and times[beat - 1] - times[last] >= heartbeat_due:
+        beat = bisect.bisect_left(times, t0 + heartbeat_due, last + 1)
+        while beat > last + 1 and times[beat - 1] - t0 >= heartbeat_due:
             beat -= 1
-        while beat < n and times[beat] - times[last] < heartbeat_due:
+        while beat < n and times[beat] - t0 < heartbeat_due:
             beat += 1
         span = slice(last + 1, min(beat + 1, n))
-        tt = t[span]
-        over = row_norms(truth.position[span] - predict_positions(base, tt, config, residual))
-        over = over >= config.th_pos
+        dt = truth.time[span] - t0
+        pos = predict_positions(truth, half_a, last, dt, config, residuals[last])
+        pos -= truth.position[span]  # predicted minus true: the negation has the same norms
+        over = row_norms(pos) >= config.th_pos
         if check_or:
-            theta = predict_headings(base, tt, config)
+            theta = predict_headings(truth, last, dt, config)
             over |= np.abs(wrap_angles(truth.orientation[span] - theta)) >= config.th_or
         first_over = int(over.argmax())
         if over[first_over]:
@@ -284,11 +283,14 @@ def gate(truth: StateArrays, config: DrConfig) -> SendLog:
             heartbeats += 1
         else:
             break
-        mirror_vel = base.velocity
-        if config.order is Order.SECOND:
-            mirror_vel = base.velocity + base.acceleration * (t[row] - t[last])
-        v_dev_max = max(v_dev_max, float(np.linalg.norm(truth.velocity[row] - mirror_vel)))
-    return SendLog(np.array(rows), residuals[rows], heartbeats, v_dev_max)
+    rows = np.array(rows)
+    prev, sent = rows[:-1], rows[1:]
+    mirror_vel = truth.velocity[prev]
+    if config.order is Order.SECOND:
+        lag = truth.time[sent] - truth.time[prev]
+        mirror_vel = mirror_vel + truth.acceleration[prev] * lag[:, None]
+    v_dev = row_norms(truth.velocity[sent] - mirror_vel)
+    return SendLog(rows, residuals[rows], heartbeats, float(v_dev.max(initial=0.0)))
 
 
 def display(
@@ -317,12 +319,14 @@ def display(
     offset_or = np.zeros(n_msgs)
     blend_start = np.zeros(n_msgs)
     blend_until = np.full(n_msgs, -math.inf)
+    half_a = 0.5 * truth.acceleration
 
     def predicted(seqs: np.ndarray, now: np.ndarray):
-        base = truth.take(rows[seqs])
-        at = np.maximum(now, base.time)
-        pos = predict_positions(base, at, config, residuals[seqs])
-        return pos, predict_headings(base, at, config)
+        r = rows[seqs]
+        t0 = truth.time[r]
+        dt = np.maximum(now, t0) - t0
+        pos = predict_positions(truth, half_a, r, dt, config, residuals[seqs])
+        return pos, predict_headings(truth, r, dt, config)
 
     if config.convergence == "blend":
         applied = order[np.flatnonzero(np.diff(newest, prepend=-1) > 0)]
@@ -331,16 +335,14 @@ def display(
         blend_start[new] = now
         blend_until[new] = now + config.blend_window
         shown_pos, shown_or = predicted(prev, now)
-        target = truth.take(rows[new])
-        target_pos = predict_positions(target, now, config, residuals[new])
-        target_or = predict_headings(target, now, config)
+        target_pos, target_or = predicted(new, now)  # a delivery is due no earlier than sent
         offset_pos[new] = shown_pos - target_pos
         offset_or[new] = wrap_angles(shown_or - target_or)
         for k in np.flatnonzero(now < blend_until[prev]).tolist():
             # As ReceiverModel.read: the display still carries the previous offset.
             p, q = prev[k], new[k]
             remain = 1.0 - (now[k] - blend_start[p]) / config.blend_window
-            theta = wrap_angles(wrap_angles(shown_or[k] + offset_or[p] * remain))
+            theta = wrap_angles(shown_or[k] + offset_or[p] * remain)
             offset_pos[q] = shown_pos[k] + offset_pos[p] * remain - target_pos[k]
             offset_or[q] = wrap_angles(theta - target_or[k])
 
@@ -353,6 +355,6 @@ def display(
         s = seqs[blending]
         remain = 1.0 - (now[blending] - blend_start[s]) / config.blend_window
         pos[blending] = pos[blending] + offset_pos[s] * remain[:, None]
-        # ReceiverModel.read wraps, and its EntityState wraps again.
-        theta[blending] = wrap_angles(wrap_angles(theta[blending] + offset_or[s] * remain))
+        # ReceiverModel.read wraps, and its EntityState wraps again: one wrap stands for both.
+        theta[blending] = wrap_angles(theta[blending] + offset_or[s] * remain)
     return first, pos, theta

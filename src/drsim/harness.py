@@ -54,6 +54,10 @@ class Scenario:
         object.__setattr__(self, "truth", _checked_truth(self, "scenario"))
         if self.message_size_bytes <= 0:
             raise ValidationError("message_size_bytes must be positive")
+        bundle = self.dr.anfis_bundle  # set only with the anfis predictor
+        if bundle is not None and bundle.feature_tick != self.tick:
+            ticks = f"{bundle.feature_tick} s tick, but the run's tick is {self.tick} s"
+            raise ValidationError(f"'anfis_net' was trained on a {ticks}")
 
     @property
     def n_ticks(self) -> int:

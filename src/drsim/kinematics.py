@@ -159,9 +159,16 @@ def _theta_law(params: Mapping[str, object], t: np.ndarray) -> tuple[np.ndarray,
 
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """:func:`wrap_angle` over an array, rounding exactly as the scalar does."""
-    wrapped = np.remainder(theta + math.pi, TWO_PI) - math.pi
-    return np.where(wrapped >= math.pi, wrapped - TWO_PI, wrapped)
+    """:func:`wrap_angle` over an array, rounding exactly as the scalar does: the
+    second remainder is its fix-up, mapping a remainder rounded up to 2pi to 0
+    and keeping [0, 2pi) as it is.
+
+    Wrapping again changes no bit. A wrapped w is r - pi, rounded, for an r in
+    [0, 2pi). w + pi is exact: it is r where r >= pi/2, and below that pi - |w|,
+    exact by Sterbenz's lemma. It lies in [0, 2pi), so both remainders keep it,
+    and subtracting pi gives w back exactly.
+    """
+    return np.remainder(np.remainder(theta + math.pi, TWO_PI), TWO_PI) - math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,10 +284,19 @@ def project(base: StateArrays, dt, order: Order) -> np.ndarray:
     """Positions (N, 3) of base's states dt seconds on: :func:`extrapolate`'s
     position law over rows, rounded as it rounds. base holds one state per row
     or one state (fields (3,) and scalars); dt is one time or one per row."""
-    dt = np.asarray(dt, dtype=float)[..., None]
-    if Order(order) is Order.FIRST:
-        return base.position + base.velocity * dt
-    return base.position + base.velocity * dt + 0.5 * base.acceleration * dt * dt
+    half_accel = 0.5 * base.acceleration if Order(order) is Order.SECOND else None
+    return advance(base.position, base.velocity, half_accel, np.asarray(dt, dtype=float)[..., None])
+
+
+def advance(position, velocity, half_accel, dt: np.ndarray) -> np.ndarray:
+    """position + velocity * dt + half_accel * dt * dt, rounded as written, for
+    dt (N, 1) or (1,); half_accel None leaves out the last term (first order)."""
+    pos = position + velocity * dt
+    if half_accel is not None:
+        acc = half_accel * dt
+        acc *= dt  # in place: one (N, 3) temporary, not two
+        pos += acc
+    return pos
 
 
 def extrapolate(base: EntityState, t: float, order: Order = Order.SECOND) -> EntityState:

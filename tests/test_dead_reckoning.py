@@ -9,9 +9,10 @@ from drsim.dead_reckoning import (
     SenderModel,
     UpdateMessage,
     predict,
+    predict_headings,
 )
 from drsim.errors import RangeError, ValidationError
-from drsim.kinematics import EntityState, Order, Trajectory, sample_truth
+from drsim.kinematics import EntityState, Order, StateArrays, Trajectory, sample_truth
 
 
 def state(p, v=(0, 0, 0), a=(0, 0, 0), theta=0.0, omega=0.0, t=0.0):
@@ -250,3 +251,25 @@ class TestGateProperties:
             _, send_times = self._run(DrConfig(th_pos=th), traj)
             counts.append(len(send_times))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+# Headings at and beside the seam (state() wraps them), and rates that carry
+# them a hair past it.
+SEAM_HEADINGS = [-math.pi, np.nextafter(-math.pi, 0.0), 0.0, np.nextafter(math.pi, 0.0)]
+SEAM_RATES = [-4e-16, 4e-16, -math.pi / 2, math.pi / 2, 0.3]
+
+
+@pytest.mark.parametrize("t0", [0.0, 3.7])
+@pytest.mark.parametrize("omega", SEAM_RATES)
+@pytest.mark.parametrize("theta", SEAM_HEADINGS)
+def test_predicted_headings_round_as_predict(theta, omega, t0):
+    """The heading law of the gate and the display equals predict()'s bit for
+    bit, also where the prediction lands on the wrap seam."""
+    base = state((1, 2, 3), (1, 0, 0), (0, 1, 0), theta=theta, omega=omega, t=t0)
+    fields = ("position", "velocity", "acceleration", "orientation", "angular_rate", "time")
+    truth = StateArrays(*(np.array([getattr(base, f)]) for f in fields))  # one wrapped row
+    t = t0 + np.arange(1, 51) * 0.1
+    for cfg in (DrConfig(order=Order.FIRST), DrConfig(order=Order.SECOND)):
+        got = predict_headings(truth, 0, t - t0, cfg)
+        want = np.array([predict(base, now, cfg).orientation for now in t.tolist()])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

@@ -195,8 +195,9 @@ def test_deep_blend_chains(th_pos, blend_window, channel, depth):
     assert blend_chain_depth(scenario("sinusoid-weave", dr, channel)) == depth
 
 
-def fixed_bundle(h_ref: float = 0.5, n_terms: int = 3) -> AnfisBundle:
-    """Three grid networks with fixed nonzero consequents, trained by nothing."""
+def fixed_bundle(h_ref: float = 0.5, n_terms: int = 3, feature_tick: float = 0.1) -> AnfisBundle:
+    """Three grid networks with fixed nonzero consequents, trained by nothing,
+    for runs at a feature_tick tick."""
     nets = []
     for axis in range(3):
         net = build_network(
@@ -205,7 +206,7 @@ def fixed_bundle(h_ref: float = 0.5, n_terms: int = 3) -> AnfisBundle:
         )
         net.z = np.linspace(-0.02, 0.03, net.n_rules) * (axis + 1)
         nets.append(net)
-    return AnfisBundle(nets, h_ref=h_ref, feature_tick=0.1)
+    return AnfisBundle(nets, h_ref=h_ref, feature_tick=feature_tick)
 
 
 def corrector_passes(sc: Scenario) -> list[int]:
@@ -245,7 +246,7 @@ def test_anfis_predictor(kind, convergence, n_terms, tick):
         th_pos=0.5,
         th_or=0.3,
         predictor="anfis",
-        anfis_bundle=fixed_bundle(n_terms=n_terms),
+        anfis_bundle=fixed_bundle(n_terms=n_terms, feature_tick=tick),
         convergence=convergence,
     )
     sc = scenario(kind, dr, tick=tick)
@@ -268,10 +269,32 @@ def test_anfis_gate_at_any_update_density(kind, th_pos, tick):
     """However far apart updates come, the gate evaluates the corrector in one
     pass over every row, and the run equals the per-tick reference, which
     evaluates it at each update's own row."""
-    dr = DrConfig(th_pos=th_pos, predictor="anfis", anfis_bundle=fixed_bundle())
+    dr = DrConfig(th_pos=th_pos, predictor="anfis", anfis_bundle=fixed_bundle(feature_tick=tick))
     sc = scenario(kind, dr, tick=tick)
     assert_same_run(sc)
     assert_one_corrector_pass(sc)
+
+
+@pytest.mark.parametrize("th_or", [0.3, 1e-15])
+@pytest.mark.parametrize("predictor", ["first", "second", "anfis"])
+def test_heading_on_the_wrap_seam(predictor, th_or):
+    """Truth heads exactly at -pi every 4 s (pi/2 rad/s from 0, ticks of 0.1 s),
+    on the seam where wrapped headings jump from near +pi to -pi. At th_or
+    1e-15 the rounding of the predicted heading decides most sends."""
+    params = {"p0": [0, 0, 0], "v": [5.0, 1.0, 0.0], "theta0": 0.0, "omega": math.pi / 2}
+    dr = DrConfig(th_pos=0.5, th_or=th_or, order="first" if predictor == "first" else "second")
+    if predictor == "anfis":
+        dr = dataclasses.replace(dr, predictor="anfis", anfis_bundle=fixed_bundle())
+    sc = Scenario(
+        name="wrap-seam",
+        trajectory=Trajectory("constant-velocity", params, duration=DURATION),
+        dr=dr,
+        channel=JITTERY,
+        tick=0.1,
+        duration=DURATION,
+    )
+    assert (sc.truth.orientation == -math.pi).sum() == 10
+    assert_same_run(sc)
 
 
 @settings(max_examples=25, deadline=None)

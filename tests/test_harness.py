@@ -721,6 +721,14 @@ class TestConfigKeys:
         with pytest.raises(ValidationError, match="'anfis_net' needs the anfis predictor"):
             scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
 
+    def test_anfis_net_of_another_tick_rejected_at_load(self, tmp_path):
+        # the corrector's deviation feature is a one-tick deviation at the bundle's tick
+        fixed_bundle(feature_tick=0.05).save(tmp_path / "bundle.json")
+        dr = {"predictor": "anfis", "anfis_net": "bundle.json"}
+        match = r"'anfis_net' was trained on a 0\.05 s tick, but the run's tick is 0\.1 s"
+        with pytest.raises(ValidationError, match=match):
+            scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
+
     def test_minimal_files_take_the_dataclass_defaults(self, tmp_path):
         cfg = {"seed": 5, "tick": 0.1, "duration": 1.0, "trajectory": RUN_CFG["trajectory"]}
         sc = scenario_from_dict(cfg)

@@ -49,6 +49,59 @@ def test_wrap_angles_rounds_as_the_scalar(theta):
     assert wrap_angles(np.array([theta]))[0] == wrap_angle(theta)
 
 
+# Where a wrap's fix-up step can act, and around it.
+WRAP_SEAM = [
+    s * x
+    for s in (1.0, -1.0)
+    for x in (
+        math.pi,
+        np.nextafter(math.pi, 0.0),
+        np.nextafter(math.pi, 4.0),
+        2 * math.pi,
+        3 * math.pi,
+        0.0,
+        1e-300,
+    )
+]
+angles = st.one_of(
+    st.sampled_from(WRAP_SEAM),
+    st.builds(
+        lambda k, e: (2 * k + 1) * math.pi + e, st.integers(-300, 300), st.floats(-1e-14, 1e-14)
+    ),
+    st.floats(-1e3, 1e3),
+)
+
+
+def bits(x) -> list[int]:
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def fixed_up(theta: np.ndarray) -> np.ndarray:
+    """wrap_angle's steps over an array: one remainder, then the fix-up."""
+    wrapped = np.remainder(theta + math.pi, 2 * math.pi) - math.pi
+    return np.where(wrapped >= math.pi, wrapped - 2 * math.pi, wrapped)
+
+
+@settings(max_examples=500)
+@given(st.lists(angles, min_size=1, max_size=16))
+def test_one_wrap_stands_for_repeated_wraps(theta):
+    """wrap_angles rounds as the fix-up does, and wrapping a wrapped angle
+    changes no bit: one wrap of a predicted heading equals the two or three
+    that the per-tick models make."""
+    theta = np.array(WRAP_SEAM + theta)
+    once = wrap_angles(theta)
+    assert bits(once) == bits(fixed_up(theta))
+    assert bits(fixed_up(fixed_up(theta))) == bits(once)
+    assert bits(fixed_up(fixed_up(fixed_up(theta)))) == bits(once)
+    assert bits([wrap_angle(wrap_angle(wrap_angle(x))) for x in theta.tolist()]) == bits(once)
+
+
+def test_wrap_seam_reaches_the_fix_up():
+    # a remainder that rounds up to 2 pi: where the second remainder acts
+    plain = np.remainder(np.array(WRAP_SEAM) + math.pi, 2 * math.pi)
+    assert (plain == 2 * math.pi).any()
+
+
 class TestEntityState:
     def test_orientation_normalized(self):
         s = state((0, 0, 0), (0, 0, 0), theta=3 * math.pi)
