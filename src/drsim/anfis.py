@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFiringError, TrainingError, ValidationError
-from .kinematics import EntityState, Order, extrapolate
+from .kinematics import EntityState, Order, StateArrays, advance, extrapolate
 
 _EXP_CLIP = 60.0
 _BLOCK_ELEMENTS = 1 << 15  # per row block of an (N, R) stage, so that it stays in cache
@@ -562,6 +562,20 @@ def train_hybrid(net: AnfisNetwork, data: TrainingSet, epochs: int, eta: float) 
 AXIS_NAMES = ("x", "y", "z")
 
 
+def features(rows: StateArrays, tick: float, dev0: np.ndarray | float = 0.0) -> np.ndarray:
+    """A bundle's inputs (3, N, 3) at rows, consecutive states on a grid of tick
+    seconds: per axis, each row's (deviation, axis velocity, orientation). The
+    deviation is a row's position less its predecessor's second-order projection
+    one tick on; row 0's is dev0, zero where rows start the grid."""
+    out = np.empty((3, len(rows.time), 3))
+    out[:, 0, 0] = dev0
+    p, v, a = rows.position[:-1], rows.velocity[:-1], rows.acceleration[:-1]
+    out[:, 1:, 0] = (rows.position[1:] - advance(p, v, 0.5 * a, np.array([tick]))).T
+    out[:, :, 1] = rows.velocity.T
+    out[:, :, 2] = rows.orientation
+    return out
+
+
 class AnfisBundle:
     """Three trained networks that correct second-order extrapolation.
 
@@ -586,22 +600,19 @@ class AnfisBundle:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{what} must be positive, got {value}")
 
-    def residuals(self, dev, vel, orient) -> np.ndarray:
-        """Learned corrections (N, 3) at the reference horizon for batched features.
+    def residuals(self, inputs: np.ndarray) -> np.ndarray:
+        """Learned corrections (N, 3) at the reference horizon for :func:`features` rows (3, N, 3).
 
         Each row's output is its own dot of firing strengths and consequents, so
         it equals a one-row call bit for bit (a matrix-vector product over many
         rows rounds differently). Rows go through the networks in blocks.
         """
-        dev = np.atleast_2d(np.asarray(dev, dtype=float))
-        vel = np.atleast_2d(np.asarray(vel, dtype=float))
-        orient = np.atleast_1d(np.asarray(orient, dtype=float))
-        out = np.empty((len(orient), 3))
-        for lo in range(0, len(orient), _RESIDUAL_ROWS):
+        n = inputs.shape[1]
+        out = np.empty((n, 3))
+        for lo in range(0, n, _RESIDUAL_ROWS):
             rows = slice(lo, lo + _RESIDUAL_ROWS)
             for k, net in enumerate(self.networks):
-                feats = np.column_stack([dev[rows, k], vel[rows, k], orient[rows]])
-                beta = forward_batch(net, feats)[1].beta
+                beta = forward_batch(net, inputs[k, rows])[1].beta
                 out[rows, k] = (beta[:, None, :] @ net.z[:, None])[:, 0, 0]
         return out
 
@@ -620,14 +631,9 @@ class AnfisBundle:
         if horizon < 0.0:
             raise ValidationError(f"horizon must be >= 0, got {horizon}")
         last = history[-1]
-        if len(history) >= 2:
-            prev = history[-2]
-            dev = last.position - extrapolate(prev, last.time, Order.SECOND).position
-        else:
-            dev = np.zeros(3)
+        inputs = features(StateArrays.of(history[-2:]), self.feature_tick)[:, -1:]
         base = extrapolate(last, last.time + horizon, Order.SECOND)
-        residual = self.residuals(dev[None, :], last.velocity[None, :], [last.orientation])
-        return base.position + residual[0] * self.scales(np.array([horizon]))
+        return base.position + self.residuals(inputs)[0] * self.scales(np.array([horizon]))
 
     def to_dict(self) -> dict:
         return {

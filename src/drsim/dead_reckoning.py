@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .anfis import features
 from .errors import RangeError, ValidationError
 from .kinematics import (
     EntityState,
@@ -81,6 +82,8 @@ class UpdateMessage:
     state: EntityState
     seq: int
     sent_at: float
+    # one-tick deviation at state's row (anfis.features); zero without a corrector or a row before
+    deviation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         if self.seq < 0:
@@ -91,14 +94,16 @@ class UpdateMessage:
             )
 
 
-def predict(state: EntityState, t: float, config: DrConfig) -> EntityState:
-    """The shared prediction both sender mirror and receiver use."""
+def predict(msg: UpdateMessage, t: float, config: DrConfig) -> EntityState:
+    """The shared prediction both sender mirror and receiver use, from msg's state."""
+    state = msg.state
     base = extrapolate(state, t, config.order)
     if config.predictor == "anfis":
-        pos = config.anfis_bundle.predict([state], t - state.time)
-        return EntityState(
-            pos, base.velocity, base.acceleration, base.orientation, base.angular_rate, t
-        )
+        bundle = config.anfis_bundle
+        inputs = features(StateArrays.of([state]), bundle.feature_tick, msg.deviation)
+        scale = bundle.scales(np.array([t - state.time]))
+        pos = base.position + bundle.residuals(inputs)[0] * scale
+        return replace(base, position=pos)
     return base
 
 
@@ -112,6 +117,7 @@ class SenderModel:
     threshold_emissions: int = 0
     v_dev_max: float = 0.0
     _last_now: float = field(default=-math.inf, repr=False)
+    _previous: EntityState | None = field(default=None, repr=False)  # truth at the last step
 
     def step(self, truth: EntityState, now: float) -> UpdateMessage | None:
         """Gate test at one tick; returns the emitted update or None."""
@@ -120,12 +126,13 @@ class SenderModel:
         if now < self._last_now - _TIME_EPS:
             raise RangeError(f"sender time regressed: {now} < {self._last_now}")
         self._last_now = now
+        previous, self._previous = self._previous, truth
 
         reason = None
         if self.last_sent is None:
             reason = "initial"
         else:
-            mirror = predict(self.last_sent.state, now, self.config)
+            mirror = predict(self.last_sent, now, self.config)
             dev_pos = float(np.linalg.norm(truth.position - mirror.position))
             dev_or = abs(angle_diff(truth.orientation, mirror.orientation))
             if dev_pos >= self.config.th_pos or dev_or >= self.config.th_or:
@@ -138,7 +145,12 @@ class SenderModel:
 
         if reason is None:
             return None
-        msg = UpdateMessage(self.entity_id, truth, self.next_seq, now)
+        deviation = np.zeros(3)
+        bundle = self.config.anfis_bundle
+        if bundle is not None and previous is not None:
+            rows = StateArrays.of([previous, truth])
+            deviation = features(rows, bundle.feature_tick)[:, 1, 0]  # each axis's, at truth's row
+        msg = UpdateMessage(self.entity_id, truth, self.next_seq, now, deviation)
         self.last_sent = msg
         self.next_seq += 1
         if reason == "heartbeat":
@@ -169,7 +181,7 @@ class ReceiverModel:
             return
         if self.config.convergence == "blend" and self.last_update is not None:
             shown = self.read(now)
-            target = predict(msg.state, now, self.config)
+            target = predict(msg, now, self.config)
             self._blend_offset_pos = shown.position - target.position
             self._blend_offset_or = angle_diff(shown.orientation, target.orientation)
             self._blend_start = now
@@ -184,7 +196,7 @@ class ReceiverModel:
         self._last_read = now
         if self.last_update is None:
             return None
-        state = predict(self.last_update.state, max(now, self.last_update.state.time), self.config)
+        state = predict(self.last_update, max(now, self.last_update.state.time), self.config)
         if self._blend_offset_pos is not None and now < self._blend_until:
             # Residual offset from the pre-update display decays linearly to zero.
             remain = 1.0 - (now - self._blend_start) / self.config.blend_window
@@ -207,17 +219,14 @@ def predict_positions(
     truth: StateArrays, half_a: np.ndarray, rows, dt: np.ndarray, config: DrConfig, residual
 ) -> np.ndarray:
     """Positions (K, 3) :func:`predict` gives dt (K,) seconds after the truth
-    states at rows (one row, or one per time), with the same rounding. half_a is
-    truth's half acceleration; only the anfis predictor reads residual, the
-    bundle's reference-horizon correction of each state."""
-    p, v = truth.position[rows], truth.velocity[rows]
+    states at rows (one row, one per time, or many with one dt), with the same
+    rounding. half_a is truth's half acceleration; only the anfis predictor
+    reads residual, the bundle's reference-horizon correction of each state."""
+    half = half_a[rows] if config.order is Order.SECOND else None
+    pos = advance(truth.position[rows], truth.velocity[rows], half, dt[:, None])
     if config.predictor == "anfis":
-        # AnfisBundle.predict extrapolates to t0 + dt, which can round away from the tick.
-        t0 = truth.time[rows]
-        pos = advance(p, v, half_a[rows], ((t0 + dt) - t0)[:, None])
         pos += residual * config.anfis_bundle.scales(dt)[:, None]
-        return pos
-    return advance(p, v, half_a[rows] if config.order is Order.SECOND else None, dt[:, None])
+    return pos
 
 
 def predict_headings(truth: StateArrays, rows, dt: np.ndarray, config: DrConfig) -> np.ndarray:
@@ -241,7 +250,7 @@ def gate(truth: StateArrays, config: DrConfig) -> SendLog:
     """:meth:`SenderModel.step` at every row of truth (one row per tick).
 
     With the anfis predictor, one pass first evaluates the corrector at every
-    row: a one-state history's features depend only on its truth row. After
+    row: an update's inputs depend only on its truth row and the one before. After
     each update, the mirror deviation at every tick up to the next heartbeat
     is one array expression, and the first tick over a threshold, else the
     heartbeat tick, sends the next update. Velocity deviations come after, in one pass.
@@ -252,8 +261,8 @@ def gate(truth: StateArrays, config: DrConfig) -> SendLog:
     heartbeat_due = config.heartbeat - _TIME_EPS
     check_or = config.th_or < math.inf
     residuals = np.zeros((n, 3))  # the corrector's output at each row
-    if config.predictor == "anfis":  # zero deviation: a one-state history observes none
-        residuals = config.anfis_bundle.residuals(residuals, truth.velocity, truth.orientation)
+    if config.predictor == "anfis":
+        residuals = config.anfis_bundle.residuals(features(truth, config.anfis_bundle.feature_tick))
     rows, heartbeats, row = [], 0, 0
     while True:
         rows.append(row)

@@ -21,10 +21,10 @@ import numpy as np
 import yaml
 
 from . import anfis
-from .anfis import AnfisBundle, AnfisNetwork, TrainingSet, build_network
-from .dead_reckoning import DrConfig, display, gate, row_norms
+from .anfis import AnfisBundle, AnfisNetwork, TrainingSet, build_network, features
+from .dead_reckoning import DrConfig, display, gate, predict_positions, row_norms
 from .errors import ValidationError
-from .kinematics import Order, StateArrays, Trajectory, project, truth_arrays, wrap_angles
+from .kinematics import Order, StateArrays, Trajectory, truth_arrays, wrap_angles
 from .kinematics import sample_truth  # noqa: F401 -- bench/tracer.py wraps it here
 from .netsim import Channel, ChannelConfig
 from .qos_metrics import (
@@ -408,7 +408,7 @@ class MotionTable:
 
     truth: StateArrays
     observed: StateArrays  # truth with the (possibly noisy) observed positions
-    dev: np.ndarray  # (N, 3); one-tick second-order deviation, row 0 is zero
+    inputs: np.ndarray  # (3, N, 3); the corrector's inputs at each observed row
 
 
 def build_motion_table(study: ComparisonStudy, truth: StateArrays) -> MotionTable:
@@ -417,35 +417,26 @@ def build_motion_table(study: ComparisonStudy, truth: StateArrays) -> MotionTabl
         rng = np.random.default_rng(study.seed)
         noise = rng.normal(0.0, study.train.obs_noise_pos, truth.position.shape)
         observed = dataclasses.replace(truth, position=truth.position + noise)
-    # Observed one-tick residual of the second-order model; the feature that
-    # tells the corrector how wrong plain extrapolation currently is.
-    dev = np.zeros_like(truth.position)
-    previous = observed.take(slice(None, -1))
-    dev[1:] = observed.position[1:] - project(previous, study.tick, Order.SECOND)
-    return MotionTable(truth, observed, dev)
+    return MotionTable(truth, observed, features(observed, study.tick))
 
 
 def _training_sets(
     table: MotionTable, split_idx: int, horizons: list[int], tick: float
 ) -> list[list[TrainingSet]]:
-    """Per axis, one set per horizon h: the (deviation, velocity, orientation)
-    features at rows 1 .. split_idx - h - 1, with the residual of second-order
-    projection h ticks ahead as target. Each axis's features are built once, at
-    the rows of the shortest horizon; every horizon's rows are a prefix of those,
-    and its set takes a view of them."""
-    rows = np.arange(1, split_idx - min(horizons))
-    base = table.observed.take(rows)
-    features = [
-        np.column_stack([table.dev[rows, k], base.velocity[:, k], base.orientation])
-        for k in range(3)
-    ]
+    """Per axis, one set per horizon h: the corrector's inputs at rows
+    1 .. split_idx - h - 1, with the residual of second-order projection h ticks
+    ahead as target. Every set's inputs are a view of the table's from row 1,
+    so each horizon's rows are a prefix of the shortest horizon's."""
+    observed, inputs = table.observed, table.inputs[:, 1:]
+    half_a, second = 0.5 * observed.acceleration, DrConfig()
     sets = [[] for _ in range(3)]
     for h in horizons:
         n = split_idx - h - 1
-        ahead = table.truth.position[rows[:n] + h]
-        targets = ahead - project(base.take(slice(n)), h * tick, Order.SECOND)
+        rows, dt = slice(1, n + 1), np.array([h * tick])
+        pred = predict_positions(observed, half_a, rows, dt, second, None)
+        targets = table.truth.position[1 + h : n + 1 + h] - pred
         for k in range(3):
-            sets[k].append(TrainingSet(features[k][:n], targets[:, k]))
+            sets[k].append(TrainingSet(inputs[k, :n], targets[:, k]))
     return sets
 
 
@@ -484,7 +475,7 @@ def train_bundle(
     if min(ticks) < 1:
         raise ValidationError(f"horizon {min(ticks)} must be a positive tick count")
     table = study.table
-    split_idx = int(len(table.dev) * study.train.split)
+    split_idx = int(len(table.truth.time) * study.train.split)
     if split_idx - max(ticks) - 1 < 2:
         raise ValidationError("study too short for this horizon/split")
     ordered = sorted(set(ticks))
@@ -515,27 +506,28 @@ class ComparisonResult:
 
 
 def run_comparison(study: ComparisonStudy) -> ComparisonResult:
-    """Score each configured predictor at each horizon on held-out time."""
+    """Score each configured predictor at each horizon on held-out time, as runs predict."""
     table = study.table
-    n = len(table.dev)
+    observed, n = table.observed, len(table.truth.time)
     split_idx = int(n * study.train.split)
     horizons = tuple(study.horizons)
     for h in horizons:
         if split_idx >= n - h:
             raise ValidationError(f"no test samples left at horizon {h}")
     bundles = train_bundle(study, horizons) if "anfis" in study.predictors else None
+    half_a = 0.5 * observed.acceleration
     mae: dict[str, list[float]] = {p: [] for p in study.predictors}
     for j, h in enumerate(horizons):
-        test_idx = np.arange(split_idx, n - h)
-        h_sec = h * study.tick
-        base = table.observed.take(test_idx)
-        truth_ahead = table.truth.position[test_idx + h]
+        test = slice(split_idx, n - h)
+        dt = np.array([h * study.tick])  # one horizon for every row
+        truth_ahead = table.truth.position[split_idx + h :]
         for p in study.predictors:
-            pred = project(base, h_sec, Order.SECOND if p == "anfis" else Order(p))
             if p == "anfis":
-                bundle = bundles[j]
-                residuals = bundle.residuals(table.dev[test_idx], base.velocity, base.orientation)
-                pred = pred + residuals * bundle.scales(np.array([h_sec]))
+                config = DrConfig(predictor="anfis", anfis_bundle=bundles[j])
+                residual = bundles[j].residuals(table.inputs[:, test])
+            else:
+                config, residual = DrConfig(order=p), None
+            pred = predict_positions(observed, half_a, test, dt, config, residual)
             err = np.linalg.norm(pred - truth_ahead, axis=1)
             mae[p].append(float(np.mean(err)))
     return ComparisonResult(horizons, tuple(study.predictors), mae)

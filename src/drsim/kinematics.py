@@ -9,7 +9,7 @@ predictor, never of the generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Mapping
 
@@ -182,16 +182,10 @@ class StateArrays:
     angular_rate: np.ndarray  # (N,)
     time: np.ndarray  # (N,)
 
-    def take(self, rows) -> "StateArrays":
-        """The rows at the given indices."""
-        return StateArrays(
-            self.position[rows],
-            self.velocity[rows],
-            self.acceleration[rows],
-            self.orientation[rows],
-            self.angular_rate[rows],
-            self.time[rows],
-        )
+    @classmethod
+    def of(cls, states: list[EntityState]) -> "StateArrays":
+        """The given states, one row each."""
+        return cls(*(np.array([getattr(s, f.name) for s in states]) for f in fields(cls)))
 
 
 def _motion(traj: Trajectory, t: np.ndarray):
@@ -280,17 +274,10 @@ def truth_arrays(traj: Trajectory, times: np.ndarray) -> StateArrays:
     return StateArrays(pos, vel, acc, wrap_angles(theta), omega, t)
 
 
-def project(base: StateArrays, dt, order: Order) -> np.ndarray:
-    """Positions (N, 3) of base's states dt seconds on: :func:`extrapolate`'s
-    position law over rows, rounded as it rounds. base holds one state per row
-    or one state (fields (3,) and scalars); dt is one time or one per row."""
-    half_accel = 0.5 * base.acceleration if Order(order) is Order.SECOND else None
-    return advance(base.position, base.velocity, half_accel, np.asarray(dt, dtype=float)[..., None])
-
-
 def advance(position, velocity, half_accel, dt: np.ndarray) -> np.ndarray:
-    """position + velocity * dt + half_accel * dt * dt, rounded as written, for
-    dt (N, 1) or (1,); half_accel None leaves out the last term (first order)."""
+    """position + velocity * dt + half_accel * dt * dt, rounded as written and as
+    :func:`extrapolate` rounds it, for dt (N, 1) or (1,); half_accel None leaves
+    out the last term (first order)."""
     pos = position + velocity * dt
     if half_accel is not None:
         acc = half_accel * dt

@@ -21,7 +21,7 @@ def make_residual_task(
     untrained grid network a study builds for it (7 bell terms per input that
     varies, one term for an input that holds one value), plus its data."""
     table = ComparisonStudy(traj, tick, duration).table
-    idx = np.arange(1, len(table.dev) - horizon_ticks)
+    idx = np.arange(1, len(table.truth.time) - horizon_ticks)
     if len(idx) < n_samples:
         raise ValidationError(f"trajectory yields only {len(idx)} samples, need {n_samples}")
     # a split at row n_samples + horizon_ticks + 1 trains on rows 1 .. n_samples

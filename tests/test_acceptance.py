@@ -15,11 +15,14 @@ import pytest
 from drsim.anfis import TrainingSet, build_network, forward_batch, loss, train_hybrid
 from drsim.dead_reckoning import DrConfig
 from drsim.harness import (
+    ComparisonStudy,
+    TrainSpec,
     load_scenario,
     load_study,
     run_comparison,
     run_scenario,
     sweep,
+    train_bundle,
 )
 from drsim.kinematics import (
     Order,
@@ -282,3 +285,72 @@ def test_criterion_11_determinism(stock_runs):
     assert a.send_times == b.send_times  # truth and gating are seed-independent
     assert a.delivery_times != b.delivery_times
     _report(11, "byte-identical reruns; reseeding changes transit, not truth or gating")
+
+
+# sinusoid_tight as shipped, and four weaves the corrector was not trained on.
+GATED_VARIANTS = {
+    "as-shipped": {},
+    "freq-0.7": {"freq": 0.7},
+    "freq-0.9": {"freq": 0.9},
+    "phase-1.0": {"phase": 1.0},
+    "amplitude-2.5": {"amplitude": [0.0, 2.5, 0.0]},
+}
+
+
+@pytest.fixture(scope="module")
+def gated_reports():
+    """Per variant, the (second order, anfis) reports of sinusoid_tight's run
+    gated by its own settings, the anfis one by a bundle trained as the sim_anfis
+    benchmark trains it: the shipped weave over 300 s, a 7^3 bell grid, two
+    hybrid epochs, horizon 10 ticks."""
+    sc = load_scenario(SCENARIO_DIR / "sinusoid_tight.yaml")
+    kind, params = sc.trajectory.kind, sc.trajectory.params
+    study = ComparisonStudy(
+        trajectory=Trajectory(kind, params, duration=300.0),
+        tick=sc.tick,
+        duration=300.0,
+        horizons=(10,),
+        train=TrainSpec(epochs=2, eta=0.001, split=0.7, n_terms=7, shape="bell"),
+        seed=sc.seed,
+    )
+    learned = dataclasses.replace(sc.dr, predictor="anfis", anfis_bundle=train_bundle(study, 10))
+    reports = {}
+    for name, change in GATED_VARIANTS.items():
+        run = dataclasses.replace(sc, trajectory=Trajectory(kind, {**params, **change}, sc.duration))
+        reports[name] = tuple(
+            run_scenario(dataclasses.replace(run, dr=dr)).report for dr in (sc.dr, learned)
+        )
+    return reports
+
+
+@pytest.mark.parametrize("name", GATED_VARIANTS)
+def test_criterion_12_learned_gate_sends_fewer_updates(gated_reports, name):
+    second, learned = gated_reports[name]
+    assert learned.messages_sent < second.messages_sent
+    _report(12, f"{name}: anfis sends {learned.messages_sent}, second order {second.messages_sent}")
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(
+            name,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP items 10 and 12: the corrector does not carry over to "
+                "another weave frequency (12.18 m*s against 9.18 at freq 0.9)",
+            ),
+        )
+        if name == "freq-0.9"
+        else name
+        for name in GATED_VARIANTS
+    ],
+)
+def test_criterion_12_learned_gate_integrated_error_no_worse(gated_reports, name):
+    second, learned = gated_reports[name]
+    assert learned.integrated_error <= second.integrated_error
+    _report(
+        12,
+        f"{name}: anfis integrated error {learned.integrated_error:.2f} m*s, "
+        f"second order {second.integrated_error:.2f}",
+    )

@@ -678,10 +678,9 @@ class TestBundleBatchInvariance:
         bundle = batch_case_bundle(shape, n_terms)
         assert bundle.networks[0].n_rules == np.prod(np.broadcast_to(n_terms, 3))
         rng = np.random.default_rng(31)
-        dev, vel = rng.uniform(-1.2, 1.2, (2, 200, 3))
-        orient = rng.uniform(-1.2, 1.2, 200)
-        batch = bundle.residuals(dev, vel, orient)
-        rows = [bundle.residuals(dev[[i]], vel[[i]], orient[[i]])[0] for i in range(200)]
+        inputs = rng.uniform(-1.2, 1.2, (3, 200, 3))
+        batch = bundle.residuals(inputs)
+        rows = [bundle.residuals(inputs[:, [i]])[0] for i in range(200)]
         assert batch.shape == (200, 3)
         assert np.array_equal(batch, rows)
 

@@ -195,7 +195,7 @@ class TestMirrorSymmetry:
             msg = sender.step(truth, truth.time)
             if msg is not None:
                 recv.apply(msg, truth.time)
-            mirror = predict(sender.last_sent.state, truth.time, cfg)
+            mirror = predict(sender.last_sent, truth.time, cfg)
             shown = recv.read(truth.time)
             assert np.array_equal(mirror.position, shown.position)
             assert mirror.orientation == shown.orientation
@@ -266,10 +266,10 @@ def test_predicted_headings_round_as_predict(theta, omega, t0):
     """The heading law of the gate and the display equals predict()'s bit for
     bit, also where the prediction lands on the wrap seam."""
     base = state((1, 2, 3), (1, 0, 0), (0, 1, 0), theta=theta, omega=omega, t=t0)
-    fields = ("position", "velocity", "acceleration", "orientation", "angular_rate", "time")
-    truth = StateArrays(*(np.array([getattr(base, f)]) for f in fields))  # one wrapped row
+    truth = StateArrays.of([base])  # one wrapped row
+    msg = UpdateMessage("e", base, 0, t0)
     t = t0 + np.arange(1, 51) * 0.1
     for cfg in (DrConfig(order=Order.FIRST), DrConfig(order=Order.SECOND)):
         got = predict_headings(truth, 0, t - t0, cfg)
-        want = np.array([predict(base, now, cfg).orientation for now in t.tolist()])
+        want = np.array([predict(msg, now, cfg).orientation for now in t.tolist()])
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drsim.anfis import AnfisBundle, build_network
-from drsim.dead_reckoning import DrConfig, ReceiverModel, SenderModel
+from drsim.dead_reckoning import DrConfig, ReceiverModel, SenderModel, UpdateMessage, predict
 from drsim.harness import RunResult, Scenario, run_scenario
-from drsim.kinematics import Order, Trajectory, sample_truth
+from drsim.kinematics import Order, Trajectory, sample_truth, wrap_angle
 from drsim.netsim import Channel, ChannelConfig, EventQueue
 from drsim.qos_metrics import (
     CoherenceReport,
@@ -213,9 +213,9 @@ def corrector_passes(sc: Scenario) -> list[int]:
     """The rows in each AnfisBundle.residuals call that run_scenario(sc) makes."""
     passes, inner = [], AnfisBundle.residuals
 
-    def residuals(self, dev, vel, orient):
-        passes.append(len(orient))
-        return inner(self, dev, vel, orient)
+    def residuals(self, inputs):
+        passes.append(inputs.shape[1])
+        return inner(self, inputs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(AnfisBundle, "residuals", residuals)
@@ -295,6 +295,28 @@ def test_heading_on_the_wrap_seam(predictor, th_or):
     )
     assert (sc.truth.orientation == -math.pi).sum() == 10
     assert_same_run(sc)
+
+
+def test_heading_deviation_is_truth_less_mirror():
+    """The gate tests |wrap(truth - mirror)|, the heading deviation SenderModel
+    takes with angle_diff. th_or is set to the reference's deviation at the first
+    tick where it reaches a new peak and |wrap(x)| exceeds |wrap(-x)| in the last
+    bit, so a gate that wrapped mirror - truth would not send there."""
+    dr = DrConfig(th_pos=math.inf, heartbeat=DURATION)  # the t = 0 update is mirrored throughout
+    sc = scenario("sinusoid-weave", dr, ChannelConfig())
+    first = UpdateMessage(sc.name, sample_truth(sc.trajectory, 0.0), 0, 0.0)
+    peak = 0.0
+    for i in range(1, sc.n_ticks + 1):
+        truth = sample_truth(sc.trajectory, i * sc.tick)
+        x = truth.orientation - predict(first, truth.time, dr).orientation
+        dev = abs(wrap_angle(x))
+        if dev > peak and abs(wrap_angle(-x)) < dev:
+            break
+        peak = max(peak, dev)
+    else:
+        pytest.fail("no tick tells the two operand orders apart")
+    ref = assert_same_run(dataclasses.replace(sc, dr=dataclasses.replace(dr, th_or=dev)))
+    assert ref.send_times[:2] == [0.0, truth.time]
 
 
 @settings(max_examples=25, deadline=None)

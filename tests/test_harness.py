@@ -10,7 +10,7 @@ import yaml
 
 from drsim import anfis, cli, harness
 from drsim.anfis import AnfisBundle, forward_batch
-from drsim.dead_reckoning import DrConfig
+from drsim.dead_reckoning import DrConfig, SenderModel, gate, predict, predict_positions
 from drsim.errors import ValidationError
 from drsim.harness import (
     ComparisonStudy,
@@ -26,7 +26,7 @@ from drsim.harness import (
     sweep_csv,
     train_bundle,
 )
-from drsim.kinematics import TRAJECTORY_PARAMS, Order, Trajectory, truth_arrays
+from drsim.kinematics import TRAJECTORY_PARAMS, Order, Trajectory, sample_truth, truth_arrays
 from drsim.netsim import ChannelConfig
 from drsim.qos_metrics import QosProfile
 from reference import count_epoch_events, make_residual_task
@@ -282,6 +282,58 @@ class TestComparison:
         assert res.mae["anfis"][0] < res.mae["second"][0]
 
 
+    def test_study_predicts_as_the_gate_and_the_reference(self, monkeypatch):
+        """At each held-out row and horizon, the study's anfis prediction equals,
+        bit for bit, the gate's mirror prediction from that row (predict_positions
+        on the gate's corrector pass), predict() from the update SenderModel sends
+        there, and AnfisBundle.predict on the two states up to the row. A 1/8 s
+        tick keeps every tick time exact, so a gap of h ticks is h / 8 s in all four."""
+        traj = Trajectory(
+            "sinusoid-weave",
+            {"amplitude": [0, 2, 0], "drift": [1, 0, 0], "freq": 0.8, "yaw_amp": 0.6},
+            duration=40.0,
+        )
+        study = ComparisonStudy(
+            trajectory=traj, tick=0.125, duration=40.0, horizons=(1, 4, 9),
+            predictors=("anfis",), train=TrainSpec(epochs=2, eta=0.001, n_terms=3),
+        )
+        seen = []
+
+        def recorded(*args):
+            pos = predict_positions(*args)
+            if args[4].predictor == "anfis":  # not a training target
+                seen.append((args, pos))
+            return pos
+
+        monkeypatch.setattr(harness, "predict_positions", recorded)
+        run_comparison(study)
+        assert len(seen) == len(study.horizons)
+        truth = study.table.truth
+        states = [sample_truth(traj, t) for t in truth.time.tolist()]
+        moved = False
+        for h, ((_, _, test, dt, config, _), study_pos) in zip(study.horizons, seen):
+            rows = np.arange(len(states))[test]
+            bundle, ahead = config.anfis_bundle, truth.time[rows + h]
+            assert np.array_equal(ahead - truth.time[rows], np.full(len(rows), dt[0]))
+            every_tick = DrConfig(th_pos=0.0, predictor="anfis", anfis_bundle=bundle)
+            log = gate(truth, every_tick)
+            assert np.array_equal(log.rows, np.arange(len(states)))
+            half_a = 0.5 * truth.acceleration
+            gate_pos = predict_positions(
+                truth, half_a, rows, ahead - truth.time[rows], every_tick, log.residuals[rows]
+            )
+            assert gate_pos.tobytes() == study_pos.tobytes()
+            sender = SenderModel(every_tick)
+            sent = [sender.step(s, s.time) for s in states]
+            for k, i in enumerate(rows.tolist()):
+                mirror = predict(sent[i], ahead[k], every_tick).position
+                assert mirror.tobytes() == study_pos[k].tobytes()
+                two_states = bundle.predict(states[i - 1 : i + 1], dt[0])
+                assert two_states.tobytes() == study_pos[k].tobytes()
+                moved |= not np.array_equal(bundle.predict(states[i : i + 1], dt[0]), two_states)
+        assert moved  # the deviation reaches the output: a zero one would predict otherwise
+
+
 class TestResidualTask:
     def test_shapes_and_determinism(self):
         traj = Trajectory("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 1.0}, duration=120.0)
@@ -425,11 +477,13 @@ class TestOneTermInputs:
         assert term_counts(loaded) == term_counts(bundle)
         table = tight_study.table
         rng = np.random.default_rng(17)
-        dev = np.vstack([table.dev, rng.normal(0.0, 0.01, (100, 3))])
-        vel = np.vstack([table.truth.velocity, rng.normal(0.0, 2.0, (100, 3))])
-        orient = np.concatenate([table.truth.orientation, rng.uniform(-1.0, 1.0, 100)])
-        expected = bundle.residuals(dev, vel, orient)
-        assert np.array_equal(loaded.residuals(dev, vel, orient), expected)
+        extra = np.empty((3, 100, 3))
+        extra[:, :, 0] = rng.normal(0.0, 0.01, (3, 100))
+        extra[:, :, 1] = rng.normal(0.0, 2.0, (3, 100))
+        extra[:, :, 2] = rng.uniform(-1.0, 1.0, 100)
+        inputs = np.concatenate([table.inputs, extra], axis=1)
+        expected = bundle.residuals(inputs)
+        assert np.array_equal(loaded.residuals(inputs), expected)
 
     def test_one_term_input_value_does_not_move_the_output(self, stock_bundle):
         net = stock_bundle.networks[1]  # y: deviation, velocity (one term), orientation

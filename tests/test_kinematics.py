@@ -9,11 +9,10 @@ from drsim.errors import RangeError, ValidationError
 from drsim.kinematics import (
     EntityState,
     Order,
-    StateArrays,
     Trajectory,
+    advance,
     extrapolate,
     max_speed_bound,
-    project,
     sample_truth,
     truth_arrays,
     wrap_angle,
@@ -298,13 +297,13 @@ _VEC3 = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)
     st.lists(st.tuples(_VEC3, _VEC3, _VEC3, st.floats(0.0, 1e3)), min_size=1, max_size=8),
     st.sampled_from(list(Order)),
 )
-def test_project_rows_are_extrapolate(rows, order):
-    """Each row of project, from one state per row or from the first state alone,
+def test_advance_rows_are_extrapolate(rows, order):
+    """Each row of advance, from one state per row or from the first state alone,
     is extrapolate's position from base time 0, bit for bit."""
     pos, vel, acc, dt = (np.array(col, dtype=float) for col in zip(*rows))
-    zeros = np.zeros(len(rows))
-    base = StateArrays(pos, vel, acc, zeros, zeros, zeros)
-    per_row, from_first = project(base, dt, order), project(base.take(0), dt, order)
+    half = 0.5 * acc if order is Order.SECOND else None
+    per_row = advance(pos, vel, half, dt[:, None])
+    from_first = advance(pos[0], vel[0], None if half is None else half[0], dt[:, None])
     for i, (p, v, a, step) in enumerate(rows):
         assert per_row[i].tobytes() == extrapolate(state(p, v, a), step, order).position.tobytes()
         first = extrapolate(state(pos[0], vel[0], acc[0]), step, order).position
