@@ -319,7 +319,8 @@ def layer3_normalize(alpha: np.ndarray) -> np.ndarray:
     if np.any(bad):
         raise DegenerateFiringError(
             f"{int(bad.sum())} sample(s) fired no rule (sum alpha = 0); "
-            "inputs are too far outside every term"
+            "inputs are too far outside every term",
+            np.flatnonzero(bad),
         )
     alpha /= total[:, None]
     return alpha
@@ -605,14 +606,19 @@ class AnfisBundle:
 
         Each row's output is its own dot of firing strengths and consequents, so
         it equals a one-row call bit for bit (a matrix-vector product over many
-        rows rounds differently). Rows go through the networks in blocks.
+        rows rounds differently). Rows go through the networks in blocks; a
+        DegenerateFiringError gives its rows as indices of inputs' rows.
         """
         n = inputs.shape[1]
         out = np.empty((n, 3))
         for lo in range(0, n, _RESIDUAL_ROWS):
             rows = slice(lo, lo + _RESIDUAL_ROWS)
             for k, net in enumerate(self.networks):
-                beta = forward_batch(net, inputs[k, rows])[1].beta
+                try:
+                    beta = forward_batch(net, inputs[k, rows])[1].beta
+                except DegenerateFiringError as exc:
+                    exc.rows = exc.rows + lo
+                    raise
                 out[rows, k] = (beta[:, None, :] @ net.z[:, None])[:, 0, 0]
         return out
 

@@ -9,7 +9,8 @@ either snaps to an arriving update or blends toward it over a short window.
 :func:`gate` and :func:`display` compute the same results for a whole run
 from truth arrays, and are what runs use; the per-tick classes are the
 reference that tests hold them to. With the anfis predictor, :func:`gate`
-evaluates the corrector once per run, at every truth row.
+reads the corrector's output at every truth row, which a scenario computes
+once, at load.
 """
 
 from __future__ import annotations
@@ -246,23 +247,23 @@ class SendLog:
     v_dev_max: float = 0.0
 
 
-def gate(truth: StateArrays, config: DrConfig) -> SendLog:
+def gate(truth: StateArrays, config: DrConfig, corrections: np.ndarray | None) -> SendLog:
     """:meth:`SenderModel.step` at every row of truth (one row per tick).
 
-    With the anfis predictor, one pass first evaluates the corrector at every
-    row: an update's inputs depend only on its truth row and the one before. After
-    each update, the mirror deviation at every tick up to the next heartbeat
-    is one array expression, and the first tick over a threshold, else the
-    heartbeat tick, sends the next update. Velocity deviations come after, in one pass.
+    With the anfis predictor, corrections holds the corrector's output at
+    every row of truth (Scenario.corrections, computed at load); other
+    predictors ignore it.
+    After each update, the mirror deviation at every tick up to the next
+    heartbeat is one array expression, and the first tick over a threshold,
+    else the heartbeat tick, sends the next update. Velocity deviations come
+    after, in one pass.
     """
     half_a = 0.5 * truth.acceleration
     times = truth.time.tolist()
     n = len(times)
     heartbeat_due = config.heartbeat - _TIME_EPS
     check_or = config.th_or < math.inf
-    residuals = np.zeros((n, 3))  # the corrector's output at each row
-    if config.predictor == "anfis":
-        residuals = config.anfis_bundle.residuals(features(truth, config.anfis_bundle.feature_tick))
+    residuals = corrections if config.predictor == "anfis" else np.zeros((n, 3))
     rows, heartbeats, row = [], 0, 0
     while True:
         rows.append(row)

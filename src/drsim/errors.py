@@ -12,6 +12,10 @@ class RangeError(ValueError):
 class DegenerateFiringError(ArithmeticError):
     """All fuzzy rules fired with zero strength; normalization is undefined."""
 
+    def __init__(self, message: str, rows=()):
+        super().__init__(message)
+        self.rows = rows  # indices of the input rows that fired no rule
+
 
 class TrainingError(RuntimeError):
     """Training produced a non-finite gradient or otherwise cannot continue."""

@@ -23,7 +23,7 @@ import yaml
 from . import anfis
 from .anfis import AnfisBundle, AnfisNetwork, TrainingSet, build_network, features
 from .dead_reckoning import DrConfig, display, gate, predict_positions, row_norms
-from .errors import ValidationError
+from .errors import DegenerateFiringError, ValidationError
 from .kinematics import Order, StateArrays, Trajectory, truth_arrays, wrap_angles
 from .kinematics import sample_truth  # noqa: F401 -- bench/tracer.py wraps it here
 from .netsim import Channel, ChannelConfig
@@ -49,15 +49,34 @@ class Scenario:
     seed: int = 0
     message_size_bytes: int = 144  # bytes per update, order of a full entity-state packet
     truth: StateArrays = field(init=False, repr=False, compare=False)  # at every tick
+    # The anfis corrector's output (N, 3) at every row of truth; None without a corrector.
+    corrections: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # The bundle the corrections came from: the scenario's own copy, which dr
+    # holds; a run fails if dr holds another.
+    _bundle: AnfisBundle | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "truth", _checked_truth(self, "scenario"))
         if self.message_size_bytes <= 0:
             raise ValidationError("message_size_bytes must be positive")
-        bundle = self.dr.anfis_bundle  # set only with the anfis predictor
-        if bundle is not None and bundle.feature_tick != self.tick:
-            ticks = f"{bundle.feature_tick} s tick, but the run's tick is {self.tick} s"
-            raise ValidationError(f"'anfis_net' was trained on a {ticks}")
+        bundle, corrections = self.dr.anfis_bundle, None  # a bundle comes with the anfis predictor
+        if bundle is not None:
+            if bundle.feature_tick != self.tick:
+                ticks = f"{bundle.feature_tick} s tick, but the run's tick is {self.tick} s"
+                raise ValidationError(f"'anfis_net' was trained on a {ticks}")
+            # A copy, so that later edits to the bundle passed in cannot reach its corrections.
+            bundle = copy.deepcopy(bundle)
+            object.__setattr__(self, "dr", dataclasses.replace(self.dr, anfis_bundle=bundle))
+            try:
+                corrections = bundle.residuals(features(self.truth, bundle.feature_tick))
+            except DegenerateFiringError as exc:
+                t = self.truth.time[exc.rows[0]]
+                raise ValidationError(
+                    f"'anfis_net' fires no rule at t = {t} s: its inputs there are too far "
+                    "outside every term"
+                ) from None
+        object.__setattr__(self, "corrections", corrections)
+        object.__setattr__(self, "_bundle", bundle)
 
     @property
     def n_ticks(self) -> int:
@@ -226,12 +245,15 @@ class RunResult:
 def run_scenario(sc: Scenario) -> RunResult:
     """Simulate one sender/receiver pair over one channel on the tick grid.
 
-    Each stage works on the whole run at once: the truth sampled at load, then
-    the sender's updates segment by segment, the channel's fate for each
-    update in send order, and the receiver's display for every tick.
+    Each stage works on the whole run at once: the truth and the corrector's
+    output computed at load, then the sender's updates segment by segment, the
+    channel's fate for each update in send order, and the receiver's display
+    for every tick. sc.dr must still hold the bundle sc loaded.
     """
+    if sc.dr.anfis_bundle is not sc._bundle:
+        raise ValidationError("'anfis_net' was replaced after load; build the scenario again")
     truth = sc.truth
-    log = gate(truth, sc.dr)
+    log = gate(truth, sc.dr, sc.corrections)
     send_times = truth.time[log.rows].tolist()
     channel = Channel(sc.channel)
     fates = [channel.transit(now) for now in send_times]
@@ -284,7 +306,8 @@ class SweepRow:
 
 def _scenario_with(sc: Scenario, axis: str, value: float) -> Scenario:
     """sc with axis set to value. Only its dr or channel section changes, which
-    checks itself, so the copy keeps sc's truth instead of sampling it again."""
+    checks itself, and no axis changes the bundle, so the copy keeps sc's truth
+    and corrections instead of computing them again."""
     name = SWEEP_AXES[axis]
     run = copy.copy(sc)
     object.__setattr__(run, name, dataclasses.replace(getattr(sc, name), **{axis: value}))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -148,8 +149,17 @@ class TestLayers:
         alpha = np.full((3 * anfis._BLOCK_ELEMENTS, 4), 0.25)
         alpha[[0, anfis._BLOCK_ELEMENTS // 2, len(alpha) - 1]] = 0.0
         alpha[anfis._BLOCK_ELEMENTS, 1] = np.inf
-        with pytest.raises(DegenerateFiringError, match=r"^4 sample\(s\) fired no rule"):
+        with pytest.raises(DegenerateFiringError, match=r"^4 sample\(s\) fired no rule") as exc:
             layer3_normalize(alpha)
+        expected = [0, anfis._BLOCK_ELEMENTS // 2, anfis._BLOCK_ELEMENTS, len(alpha) - 1]
+        assert exc.value.rows.tolist() == expected
+
+    def test_degenerate_firing_error_pickles_with_its_rows(self):
+        with pytest.raises(DegenerateFiringError) as exc:
+            layer3_normalize(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        copied = pickle.loads(pickle.dumps(exc.value))
+        assert (str(copied), copied.rows.tolist()) == (str(exc.value), [1])
+        assert DegenerateFiringError("no rows given").rows == ()
 
     def test_layer3_normalizes_the_given_buffer(self):
         alpha = np.array([[2.0, 3.0, 5.0], [1.0, 1.0, 2.0]])
@@ -683,6 +693,15 @@ class TestBundleBatchInvariance:
         rows = [bundle.residuals(inputs[:, [i]])[0] for i in range(200)]
         assert batch.shape == (200, 3)
         assert np.array_equal(batch, rows)
+
+    def test_degenerate_rows_are_indices_of_all_rows(self, monkeypatch):
+        monkeypatch.setattr(anfis, "_RESIDUAL_ROWS", 64)
+        bundle = batch_case_bundle("bell", 7)
+        inputs = np.zeros((3, 200, 3))
+        inputs[1, [150, 170], 0] = 1e200  # past every term, in the third block
+        with pytest.raises(DegenerateFiringError) as exc:
+            bundle.residuals(inputs)
+        assert exc.value.rows.tolist() == [150, 170]
 
 
 DELETE = object()  # test_bad_terms_rejected_at_load: remove the key

@@ -209,8 +209,8 @@ def fixed_bundle(h_ref: float = 0.5, n_terms: int = 3, feature_tick: float = 0.1
     return AnfisBundle(nets, h_ref=h_ref, feature_tick=feature_tick)
 
 
-def corrector_passes(sc: Scenario) -> list[int]:
-    """The rows in each AnfisBundle.residuals call that run_scenario(sc) makes."""
+def corrector_passes(action) -> list[int]:
+    """The rows in each AnfisBundle.residuals call that action() makes."""
     passes, inner = [], AnfisBundle.residuals
 
     def residuals(self, inputs):
@@ -219,13 +219,15 @@ def corrector_passes(sc: Scenario) -> list[int]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(AnfisBundle, "residuals", residuals)
-        run_scenario(sc)
+        action()
     return passes
 
 
 def assert_one_corrector_pass(sc: Scenario) -> None:
-    """An anfis run evaluates the corrector once, at every truth row."""
-    assert corrector_passes(sc) == [len(sc.truth.time)]
+    """Loading an anfis scenario evaluates the corrector once, at every truth
+    row, and its run evaluates it not at all."""
+    assert corrector_passes(lambda: dataclasses.replace(sc)) == [len(sc.truth.time)]
+    assert corrector_passes(lambda: run_scenario(sc)) == []
 
 
 ANFIS_CASES = [
@@ -266,9 +268,9 @@ def test_anfis_predictor(kind, convergence, n_terms, tick):
     ],
 )
 def test_anfis_gate_at_any_update_density(kind, th_pos, tick):
-    """However far apart updates come, the gate evaluates the corrector in one
-    pass over every row, and the run equals the per-tick reference, which
-    evaluates it at each update's own row."""
+    """However far apart updates come, the gate reads the corrector's output
+    from one load-time pass over every row, and the run equals the per-tick
+    reference, which evaluates it at each update's own row."""
     dr = DrConfig(th_pos=th_pos, predictor="anfis", anfis_bundle=fixed_bundle(feature_tick=tick))
     sc = scenario(kind, dr, tick=tick)
     assert_same_run(sc)

@@ -17,7 +17,8 @@ that rounding alone; a change that moves the column by more must re-pin it.
 The bundle `drsim train` writes and the whole CSV `drsim compare` writes, anfis
 column included, are pinned by digest, bit for bit, at one OpenBLAS thread:
 each runs in a child process started with the thread count pinned, whatever
-count the suite itself runs at.
+count the suite itself runs at. So is the stock run gated by a trained
+corrector: the sim_anfis benchmark's bundle, trained and run through the CLI.
 """
 
 import dataclasses
@@ -36,6 +37,7 @@ from drsim import cli
 from drsim.anfis import AnfisBundle, build_network
 from drsim.harness import load_study, run_comparison
 from reference import jitter_centres
+from test_harness import bench_module
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO / "scenarios"
@@ -129,6 +131,36 @@ def test_compare_csv_matches_golden(name, tmp_path):
     out = tmp_path / "compare.csv"
     cli_at_one_thread("compare", str(SCENARIO_DIR / f"{name}.yaml"), "--out", str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["compare_csv"][name]
+
+
+def test_trained_corrector_gated_run_matches_golden(tmp_path, monkeypatch):
+    """The sim_anfis benchmark's bundle, trained by `drsim train` with its recipe
+    (bench/workloads.py) at one BLAS thread, gates its stock run file through
+    `drsim run --out` to the pinned report.csv + errors.csv."""
+    workloads = bench_module(monkeypatch, "workloads")
+    name = Path(workloads.ANFIS_SOURCE).stem
+    src = yaml.safe_load((SCENARIO_DIR / workloads.ANFIS_SOURCE).read_text(encoding="utf-8"))
+    study = {
+        "seed": src["seed"],
+        "tick": src["tick"],
+        "duration": workloads.ANFIS_TRAIN_DURATION,
+        "trajectory": src["trajectory"],
+        "horizons": [workloads.ANFIS_HORIZON],
+        "predictors": ["second", "anfis"],
+        "train": workloads.ANFIS_TRAIN,
+    }
+    (tmp_path / "study.yaml").write_text(yaml.safe_dump(study), encoding="utf-8")
+    run = dict(src, dr=dict(src["dr"], predictor="anfis", anfis_net="bundle.json"))
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(run), encoding="utf-8")
+    horizon = str(workloads.ANFIS_HORIZON)
+    cli_at_one_thread("train", str(tmp_path / "study.yaml"), "--save", str(tmp_path / "bundle.json"),
+                      "--horizon", horizon)
+    out = tmp_path / "out"
+    cli_at_one_thread("run", str(tmp_path / "run.yaml"), "--out", str(out))
+    written = (out / "report.csv").read_text(encoding="utf-8") + (
+        out / "errors.csv"
+    ).read_text(encoding="utf-8")
+    assert sha256(written) == GOLDEN["run_trained"][name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["train"]))

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from drsim import anfis, cli, harness
-from drsim.anfis import AnfisBundle, forward_batch
+from drsim.anfis import AnfisBundle, features, forward_batch
 from drsim.dead_reckoning import DrConfig, SenderModel, gate, predict, predict_positions
 from drsim.errors import ValidationError
 from drsim.harness import (
@@ -30,7 +30,7 @@ from drsim.kinematics import TRAJECTORY_PARAMS, Order, Trajectory, sample_truth,
 from drsim.netsim import ChannelConfig
 from drsim.qos_metrics import QosProfile
 from reference import count_epoch_events, make_residual_task
-from test_engine import assert_same_run, fixed_bundle
+from test_engine import assert_same_run, corrector_passes, fixed_bundle
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -172,6 +172,27 @@ class TestTruthSampledOnce:
         assert len(samples) == 1
 
 
+class TestLoadedBundle:
+    """A scenario's runs correct with its bundle as it was at load."""
+
+    def test_bundle_edited_after_load_leaves_runs_as_loaded(self):
+        bundle = fixed_bundle()
+        sc = scenario(dr=DrConfig(th_pos=0.5, predictor="anfis", anfis_bundle=bundle))
+        before = run_scenario(sc).report
+        for net in bundle.networks:
+            net.z *= 50.0
+        bundle.h_ref *= 2.0
+        edited = scenario(dr=DrConfig(th_pos=0.5, predictor="anfis", anfis_bundle=bundle))
+        assert run_scenario(sc).report == before
+        assert run_scenario(edited).report.messages_sent != before.messages_sent
+
+    def test_bundle_replaced_after_load_fails_the_run(self):
+        sc = scenario(dr=DrConfig(th_pos=0.5, predictor="anfis", anfis_bundle=fixed_bundle()))
+        sc.dr.anfis_bundle = fixed_bundle()
+        with pytest.raises(ValidationError, match="'anfis_net' was replaced after load"):
+            run_scenario(sc)
+
+
 class TestSweep:
     def test_threshold_sweep_monotone_messages(self):
         rows = sweep(scenario(duration=30.0), "th_pos", [0.1, 0.2, 0.5, 1.0])
@@ -200,6 +221,36 @@ class TestSweep:
         assert (row.messages_sent, row.max_error) == (fresh.messages_sent, fresh.max_error)
         assert row.total_violation_time == fresh.total_violation_time
         assert base.channel.loss == 0.1
+
+    @pytest.mark.parametrize(
+        "axis, values", [("th_pos", [0.2, 0.5, 1.0]), ("loss", [0.0, 0.1, 0.3])]
+    )
+    def test_anfis_sweep_evaluates_the_corrector_once(self, tmp_path, axis, values):
+        """Loading and sweeping an anfis scenario makes one corrector pass, at
+        load; each row equals the run of a scenario loaded with its value."""
+        fixed_bundle().save(tmp_path / "bundle.json")
+        cfg = {
+            "tick": 0.1,
+            "duration": 30.0,
+            "seed": 4,
+            "trajectory": {"kind": "sinusoid-weave", "amplitude": [0, 2, 0], "freq": 0.8,
+                           "drift": [1, 0, 0], "yaw_amp": 0.6},
+            "dr": {"th_pos": 0.5, "th_or": 0.3, "predictor": "anfis", "anfis_net": "bundle.json"},
+            "channel": {"base_delay": 0.1, "loss": 0.1},
+        }
+        rows = []
+        passes = corrector_passes(
+            lambda: rows.extend(sweep(scenario_from_dict(cfg, tmp_path), axis, values))
+        )
+        assert passes == [301]
+        section = harness.SWEEP_AXES[axis]
+        for row, value in zip(rows, values):
+            fresh = scenario_from_dict(dict(cfg, **{section: dict(cfg[section], **{axis: value})}),
+                                       tmp_path)
+            report = run_scenario(fresh).report
+            assert row == harness.SweepRow(
+                value, report.messages_sent, report.max_error, report.total_violation_time
+            )
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValidationError):
@@ -316,7 +367,7 @@ class TestComparison:
             bundle, ahead = config.anfis_bundle, truth.time[rows + h]
             assert np.array_equal(ahead - truth.time[rows], np.full(len(rows), dt[0]))
             every_tick = DrConfig(th_pos=0.0, predictor="anfis", anfis_bundle=bundle)
-            log = gate(truth, every_tick)
+            log = gate(truth, every_tick, bundle.residuals(features(truth, bundle.feature_tick)))
             assert np.array_equal(log.rows, np.arange(len(states)))
             half_a = 0.5 * truth.acceleration
             gate_pos = predict_positions(
@@ -774,6 +825,24 @@ class TestConfigKeys:
         dr = {"predictor": "polynomial", "anfis_net": "bundle.json"}
         with pytest.raises(ValidationError, match="'anfis_net' needs the anfis predictor"):
             scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
+
+    def test_anfis_net_that_fires_no_rule_rejected_at_load(self, tmp_path):
+        """Velocity terms on [-1, 1] m/s with exponent 200 reach zero in double
+        precision 3 m/s past their outer centre: an entity accelerating at 10
+        m/s^2 gets there at t = 0.4 s, and the x network fires no rule from that
+        tick on."""
+        bundle = fixed_bundle()
+        for net in bundle.networks:
+            velocity = net.inputs[1]
+            velocity.lo, velocity.hi = -1.0, 1.0
+            velocity.params[1] = 200.0
+        bundle.save(tmp_path / "bundle.json")
+        trajectory = {"kind": "constant-acceleration", "p0": [0, 0, 0], "v0": [0, 0, 0],
+                      "a": [10, 0, 0]}
+        dr = {"predictor": "anfis", "anfis_net": "bundle.json"}
+        match = r"'anfis_net' fires no rule at t = 0\.4 s: its inputs there are too far outside"
+        with pytest.raises(ValidationError, match=match):
+            scenario_from_dict(dict(RUN_CFG, trajectory=trajectory, dr=dr), base_dir=tmp_path)
 
     def test_anfis_net_of_another_tick_rejected_at_load(self, tmp_path):
         # the corrector's deviation feature is a one-tick deviation at the bundle's tick
