@@ -625,10 +625,12 @@ class AnfisBundle:
     def scales(self, horizons: np.ndarray) -> np.ndarray:
         """The correction scale (horizon / h_ref)^3 for each horizon.
 
-        Computed in Python floats: numpy's power rounds some cubes differently.
+        np.float_power calls the C library's pow per element, as Python's
+        (h / h_ref) ** 3 does, so each scale has the bits the per-tick
+        reference gives; np.power cubes by multiplying, which rounds some
+        cubes differently.
         """
-        h_ref = self.h_ref
-        return np.array([(h / h_ref) ** 3 for h in horizons.tolist()])
+        return np.float_power(horizons / self.h_ref, 3.0)
 
     def predict(self, history: list[EntityState], horizon: float) -> np.ndarray:
         """Predicted position horizon seconds past the newest history sample."""

@@ -16,6 +16,7 @@ once, at load.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -24,6 +25,7 @@ import numpy as np
 from .anfis import features
 from .errors import RangeError, ValidationError
 from .kinematics import (
+    TWO_PI,
     EntityState,
     Order,
     StateArrays,
@@ -247,6 +249,64 @@ class SendLog:
     v_dev_max: float = 0.0
 
 
+# The certificates' allowance for rounding, per unit of the largest magnitude
+# a prediction and its check add up: a generous bound on the few roundings
+# each makes, at about 2^-53 relative apiece.
+_ROUNDING = 64.0 * float(np.finfo(float).eps)
+
+
+def live_tests(truth: StateArrays, config: DrConfig) -> tuple[bool, bool]:
+    """Whether the position test and the heading test of :func:`gate` can
+    fire on truth. False is a proof that the test never fires.
+
+    A test is idle when truth moves by the law its prediction extrapolates,
+    taken from row 0, up to a measured residual r, and its threshold exceeds
+    what that residual and rounding allow. Extrapolating the law from an
+    update's row gives the law again, so mirror and truth differ by the
+    residuals at the two rows (for positions, plus the velocity residual
+    carried over the gap) and bounded rounding:
+
+    - Heading: the angular rate is bit-constant, every heading is
+      O[0] + omega t up to r modulo 2pi, and th_or > 2r plus the rounding of
+      angles up to 2pi + |O[0]| + |omega| t_end in magnitude.
+    - Position: a polynomial predictor, a bit-constant acceleration (zero
+      for first order), positions and velocities within r_P and r_V of the
+      constant-acceleration law on every axis, and th_pos >
+      sqrt(3) (2 r_P + r_V gap) plus the rounding of |P| + |V| t_end +
+      |A| t_end^2, where gap, the longest a segment looks ahead, is a
+      heartbeat plus the widest tick (at most t_end).
+    """
+    tau = truth.time - truth.time[0]
+    t_end = float(tau[-1])
+    heading = config.th_or < math.inf
+    if heading and (truth.angular_rate[1:] == truth.angular_rate[:-1]).all():
+        o0, omega = float(truth.orientation[0]), float(truth.angular_rate[0])
+        r = truth.orientation - (o0 + omega * tau)
+        r -= TWO_PI * np.rint(r / TWO_PI)  # modulo 2pi, as the wraps take it
+        scale = 2.0 * math.pi + abs(o0) + abs(omega) * t_end
+        heading = not config.th_or > 2.0 * np.abs(r).max() + _ROUNDING * scale
+
+    acc, a = truth.acceleration.T, truth.acceleration[0]
+    position = not (
+        config.predictor == "polynomial"
+        and (acc[:, 1:] == acc[:, :-1]).all()
+        and (config.order is Order.SECOND or not a.any())
+    )
+    if not position:
+        law = np.array([truth.position[0], truth.velocity[0], a])  # p0, v0, a by rows
+        powers = np.array([np.ones_like(tau), tau, 0.5 * tau * tau])  # 1, t, t^2/2
+        # Transposed to (3, N), each numpy loop runs over the rows, not the 3 axes.
+        r_p = np.abs(truth.position.T - law.T @ powers).max()
+        r_v = np.abs(truth.velocity.T - law[1:].T @ powers[:2]).max()
+        gap = min(config.heartbeat + np.diff(truth.time).max(initial=0.0), t_end)
+        # Bounds |P| + |V| t_end + |A| t_end^2 over every row, from the law.
+        p_max, v_max, a_max = np.abs(law).max(axis=1).tolist()
+        scale = p_max + r_p + (v_max + r_v) * t_end + a_max * t_end * t_end
+        bound = math.sqrt(3.0) * (2.0 * r_p + r_v * gap) + _ROUNDING * scale
+        position = not config.th_pos > bound
+    return position, heading
+
+
 def gate(truth: StateArrays, config: DrConfig, corrections: np.ndarray | None) -> SendLog:
     """:meth:`SenderModel.step` at every row of truth (one row per tick).
 
@@ -257,13 +317,31 @@ def gate(truth: StateArrays, config: DrConfig, corrections: np.ndarray | None) -
     heartbeat is one array expression, and the first tick over a threshold,
     else the heartbeat tick, sends the next update. Velocity deviations come
     after, in one pass.
+
+    Only the tests that can fire are evaluated. :func:`live_tests` proves,
+    once per run, that a test is idle when the mirror reproduces truth's own
+    motion law (a constant turn rate, or the constant-acceleration track of
+    a polynomial predictor) up to a measured residual and bounded rounding,
+    below the threshold. Leaving such a test out changes no send, so the log
+    is bit for bit the one both tests give; with neither live, the updates
+    are the heartbeat chain.
     """
     half_a = 0.5 * truth.acceleration
     times = truth.time.tolist()
     n = len(times)
     heartbeat_due = config.heartbeat - _TIME_EPS
-    check_or = config.th_or < math.inf
     residuals = corrections if config.predictor == "anfis" else np.zeros((n, 3))
+
+    def position_over(last, span, dt):
+        pos = predict_positions(truth, half_a, last, dt, config, residuals[last])
+        pos -= truth.position[span]  # predicted minus true: the negation has the same norms
+        return row_norms(pos) >= config.th_pos
+
+    def heading_over(last, span, dt):
+        theta = predict_headings(truth, last, dt, config)
+        return np.abs(wrap_angles(truth.orientation[span] - theta)) >= config.th_or
+
+    live = list(itertools.compress((position_over, heading_over), live_tests(truth, config)))
     rows, heartbeats, row = [], 0, 0
     while True:
         rows.append(row)
@@ -277,22 +355,20 @@ def gate(truth: StateArrays, config: DrConfig, corrections: np.ndarray | None) -
             beat -= 1
         while beat < n and times[beat] - t0 < heartbeat_due:
             beat += 1
-        span = slice(last + 1, min(beat + 1, n))
-        dt = truth.time[span] - t0
-        pos = predict_positions(truth, half_a, last, dt, config, residuals[last])
-        pos -= truth.position[span]  # predicted minus true: the negation has the same norms
-        over = row_norms(pos) >= config.th_pos
-        if check_or:
-            theta = predict_headings(truth, last, dt, config)
-            over |= np.abs(wrap_angles(truth.orientation[span] - theta)) >= config.th_or
-        first_over = int(over.argmax())
-        if over[first_over]:
-            row = last + 1 + first_over
-        elif beat < n:
-            row = beat
-            heartbeats += 1
-        else:
+        if live:
+            span = slice(last + 1, min(beat + 1, n))
+            dt = truth.time[span] - t0
+            over = live[0](last, span, dt)
+            for test in live[1:]:
+                over |= test(last, span, dt)
+            first_over = int(over.argmax())
+            if over[first_over]:
+                row = last + 1 + first_over
+                continue
+        if beat >= n:
             break
+        row = beat
+        heartbeats += 1
     rows = np.array(rows)
     prev, sent = rows[:-1], rows[1:]
     mirror_vel = truth.velocity[prev]

@@ -7,6 +7,7 @@ a-priori worst-case error bound, and grades the run against a QoS profile.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,6 @@ _TIME_EPS = 1e-9
 
 
 _SIG = "%.9g"
-_SERIES_ROW = f"{_SIG},{_SIG},{_SIG}\n"
 
 
 def format_sig(x: float) -> str:
@@ -93,8 +93,31 @@ class ErrorSeries:
         self.e_or.append(abs(angle_diff(truth.orientation, displayed.orientation)))
 
     def to_csv(self) -> str:
-        rows = map(_SERIES_ROW.__mod__, zip(self.times, self.e_pos, self.e_or))
-        return "t,e_pos,e_or\n" + "".join(rows)
+        """The series as CSV text: a header, then one row per sample.
+
+        One % renders every row: a column whose values all have the bits of
+        its first is rendered once, into the row template, and the others
+        are interleaved into one flat tuple.
+        """
+        n = len(self.times)
+        cells, varying = [], []
+        for column in (self.times, self.e_pos, self.e_or):
+            if n and _constant(column):
+                cells.append(format_sig(column[0]))
+            else:
+                cells.append(_SIG)
+                varying.append(column)
+        row = ",".join(cells) + "\n"
+        return "t,e_pos,e_or\n" + (row * n) % tuple(itertools.chain.from_iterable(zip(*varying)))
+
+
+def _constant(column: list[float]) -> bool:
+    """Whether every value of a non-empty column has its first value's bits
+    (0.0 and -0.0 differ)."""
+    first = column[0]
+    if column.count(first) != len(column):
+        return False
+    return first != 0.0 or len(set(np.signbit(column).tolist())) == 1
 
 
 def integrated_error(series: ErrorSeries) -> float:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drsim import anfis
@@ -733,6 +733,36 @@ class TestBundle:
     def test_empty_history_rejected(self):
         with pytest.raises(ValidationError):
             self._bundle().predict([], 1.0)
+
+    # A gap of a stock run: ticks are row * tick, and a gap is their difference.
+    RUN_GAPS = st.builds(
+        lambda row, rows, tick: (row + rows) * tick - row * tick,
+        st.integers(0, 3000),
+        st.integers(0, 250),
+        st.sampled_from([0.1, 0.05, 0.02]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        horizons=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(0.0, 2.2250738585072014e-308),  # zero and the subnormals
+                RUN_GAPS,
+                st.floats(0.0, 1e3),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        h_ref=st.one_of(st.sampled_from([0.5, 1.0, 0.1, 0.2]), st.floats(1e-3, 10.0)),
+    )
+    @example(horizons=[0.0, 5e-324, 0.30000000000000004, 4.999999999999999, 1e3], h_ref=1.0)
+    def test_scales_round_as_python_cubes(self, horizons, h_ref):
+        """scales equals Python's (h / h_ref) ** 3 bit for bit, as the per-tick
+        reference computes it, so a numpy whose float_power stopped calling
+        the C library's pow fails here rather than in a golden digest."""
+        scales = self._bundle(h_ref=h_ref).scales(np.array(horizons))
+        assert scales.tolist() == [(h / h_ref) ** 3 for h in horizons]
 
     def test_wrong_axis_count_rejected(self):
         nets = [build_network([("a", -1, 1), ("b", -1, 1), ("c", -1, 1)])] * 2

@@ -16,9 +16,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drsim.anfis import AnfisBundle, build_network
-from drsim.dead_reckoning import DrConfig, ReceiverModel, SenderModel, UpdateMessage, predict
+from drsim.dead_reckoning import (
+    DrConfig,
+    ReceiverModel,
+    SenderModel,
+    SendLog,
+    UpdateMessage,
+    gate,
+    live_tests,
+    predict,
+)
 from drsim.harness import RunResult, Scenario, run_scenario
-from drsim.kinematics import Order, Trajectory, sample_truth, wrap_angle
+from drsim.kinematics import (
+    EntityState,
+    Order,
+    StateArrays,
+    Trajectory,
+    sample_truth,
+    wrap_angle,
+    wrap_angles,
+)
 from drsim.netsim import Channel, ChannelConfig, EventQueue
 from drsim.qos_metrics import (
     CoherenceReport,
@@ -321,12 +338,225 @@ def test_heading_deviation_is_truth_less_mirror():
     assert ref.send_times[:2] == [0.0, truth.time]
 
 
+def reference_log(truth: StateArrays, dr: DrConfig) -> tuple[list[int], int, float]:
+    """SenderModel.step at every row of truth: the rows sent, the heartbeat
+    count and the largest velocity deviation at a send."""
+    sender = SenderModel(dr)
+    rows = []
+    for i in range(len(truth.time)):
+        state = EntityState(
+            truth.position[i],
+            truth.velocity[i],
+            truth.acceleration[i],
+            truth.orientation[i],
+            truth.angular_rate[i],
+            truth.time[i],
+        )
+        if sender.step(state, state.time) is not None:
+            rows.append(i)
+    return rows, sender.heartbeat_emissions, sender.v_dev_max
+
+
+def uniform_motion(n: int, tick: float, a=(0.0, 0.0, 0.0), v0=(3.0, 1.0, 0.0)) -> StateArrays:
+    """n rows of constant acceleration a from v0 at the origin, heading zero."""
+    t = np.arange(n) * tick
+    a, v0 = np.array(a), np.array(v0)
+    tc = t[:, None]
+    pos, vel = v0 * tc + 0.5 * a * tc * tc, v0 + a * tc
+    return StateArrays(pos, vel, np.tile(a, (n, 1)), np.zeros(n), np.zeros(n), t)
+
+
+def assert_gate_is_reference(truth: StateArrays, dr: DrConfig) -> SendLog:
+    """gate on truth equals SenderModel.step at every row; returns its log."""
+    log = gate(truth, dr, None)
+    rows, heartbeats, v_dev_max = reference_log(truth, dr)
+    assert log.rows.tolist() == rows
+    assert log.heartbeats == heartbeats
+    assert log.v_dev_max == v_dev_max
+    return log
+
+
+def _snapped_heading():
+    """No turn rate, and a heading that snaps by 0.5 rad at t = 7 s."""
+    truth = uniform_motion(200, 0.1)
+    orientation = np.where(truth.time < 7.0, 0.0, 0.5)
+    return dataclasses.replace(truth, orientation=orientation), DrConfig(th_pos=1.0, th_or=0.3)
+
+
+def _heading_jitter_both_ways():
+    """A constant turn rate from row 0 on, with later headings 0.01 rad ahead
+    of it on even rows and behind it on odd ones: after the first heartbeat,
+    mirror and truth differ by twice that residual."""
+    truth = uniform_motion(200, 0.1)
+    sign = np.where(np.arange(200) % 2 == 0, 1.0, -1.0)
+    sign[0] = 0.0
+    orientation = wrap_angles(0.1 * truth.time + 0.01 * sign)
+    truth = dataclasses.replace(truth, orientation=orientation, angular_rate=np.full(200, 0.1))
+    return truth, DrConfig(th_pos=1.0, th_or=0.015)
+
+
+def _velocity_off_the_law():
+    """Positions on the law, velocities 2 cm/s off it after row 0: a mirror
+    from a later row drifts 2 cm a second."""
+    truth = uniform_motion(200, 0.1)
+    velocity = truth.velocity.copy()
+    velocity[1:] += [0.02, 0.0, 0.0]
+    return dataclasses.replace(truth, velocity=velocity), DrConfig(th_pos=0.05)
+
+
+def _position_jitter_both_ways():
+    """Positions on the law at row 0, then 1 cm off it in y, ahead on even
+    rows and behind on odd ones: mirror and truth differ by 2 cm."""
+    truth = uniform_motion(200, 0.1)
+    sign = np.where(np.arange(200) % 2 == 0, 1.0, -1.0)
+    sign[0] = 0.0
+    position = truth.position + 0.01 * sign[:, None] * [0.0, 1.0, 0.0]
+    return dataclasses.replace(truth, position=position), DrConfig(th_pos=0.019)
+
+
+def _velocity_off_the_law_past_a_heartbeat():
+    """Velocities off the law after row 0 on every axis, with a heartbeat of
+    5.05 s at a 0.1 s tick: the deviation reaches th_pos only 5.1 s after an
+    update, at the heartbeat tick, which then sends on the threshold."""
+    truth = uniform_motion(200, 0.1)
+    velocity = truth.velocity.copy()
+    velocity[1:] += 0.02
+    th_pos = math.sqrt(3.0) * 0.02 * 5.08
+    return dataclasses.replace(truth, velocity=velocity), DrConfig(th_pos=th_pos, heartbeat=5.05)
+
+
+def _position_off_the_law():
+    """A constant acceleration, and positions that step 5 cm off its law at t = 7 s."""
+    truth = uniform_motion(200, 0.1, a=(1.0, 0.3, 0.0))
+    position = truth.position.copy()
+    position[70:] += [0.0, 0.05, 0.0]
+    return dataclasses.replace(truth, position=position), DrConfig(th_pos=0.04)
+
+
+def _first_order_under_acceleration():
+    """Truth exactly on a constant-acceleration law, which first order leaves out."""
+    return uniform_motion(200, 0.1, a=(0.4, 0.0, 0.0)), DrConfig(th_pos=0.5, order="first")
+
+
+@pytest.mark.parametrize(
+    "build, live",
+    [
+        (_snapped_heading, (False, True)),
+        (_heading_jitter_both_ways, (False, True)),
+        (_position_off_the_law, (True, False)),
+        (_position_jitter_both_ways, (True, False)),
+        (_velocity_off_the_law, (True, False)),
+        (_velocity_off_the_law_past_a_heartbeat, (True, False)),
+        (_first_order_under_acceleration, (True, False)),
+    ],
+    ids=[
+        "heading-snap-at-zero-rate",
+        "heading-jitter-both-ways",
+        "position-off-the-law",
+        "position-jitter-both-ways",
+        "velocity-off-the-law",
+        "velocity-off-the-law-past-a-heartbeat",
+        "first-order-under-acceleration",
+    ],
+)
+def test_certificates_refuse_motion_the_mirror_misses(build, live):
+    """Each truth strays from its test's law by enough to cross the
+    threshold, so that test must stay live, and it sends on the threshold."""
+    truth, dr = build()
+    assert live_tests(truth, dr) == live
+    log = assert_gate_is_reference(truth, dr)
+    assert len(log.rows) - 1 > log.heartbeats
+
+
+def test_constant_rate_across_the_seam_is_certified():
+    """10^4 s of a constant turn rate crosses the +-pi seam over a thousand
+    times, yet wrapped headings stay on the law within rounding far below
+    th_or 1e-6, so neither test can fire and the updates are the heartbeats."""
+    n, omega = 10_001, 0.7
+    t = np.arange(n) * 1.0
+    truth = dataclasses.replace(
+        uniform_motion(n, 1.0),
+        orientation=wrap_angles(0.3 + omega * t),
+        angular_rate=np.full(n, omega),
+    )
+    assert (np.diff(truth.orientation) < -math.pi).sum() > 1000
+    dr = DrConfig(th_pos=0.5, th_or=1e-6, order="first")
+    assert live_tests(truth, dr) == (False, False)
+    log = assert_gate_is_reference(truth, dr)
+    assert log.rows.tolist() == list(range(0, n, 5))
+
+
+@pytest.mark.parametrize("kind", sorted(TRAJECTORIES))
+def test_stock_kinds_certify_their_law(kind):
+    """Every kind but sinusoid-weave turns at a constant rate, so its heading
+    test is idle at th_or 0.3; constant velocity, and constant acceleration
+    under second order, follow the polynomial predictor's own law."""
+    for order in Order:
+        sc = scenario(kind, DrConfig(th_pos=0.5, th_or=0.3, order=order))
+        polynomial = kind == "constant-velocity" or (
+            kind == "constant-acceleration" and order is Order.SECOND
+        )
+        assert live_tests(sc.truth, sc.dr) == (not polynomial, kind == "sinusoid-weave")
+
+
+@pytest.mark.parametrize(
+    "kind, params, order, th_pos, th_or",
+    [
+        # Measured residuals of 0: the certificate's law rounds as truth does.
+        ("constant-velocity", {"p0": [0, 0, 0], "v": [5.3, 1.7, 0.0]}, Order.FIRST, 1e-15, math.inf),
+        (
+            "constant-velocity",
+            {"p0": [0, 0, 0], "v": [5.3, 1.7, 0.0], "theta0": -3.0, "omega": -0.3},
+            Order.FIRST,
+            math.inf,
+            1e-15,
+        ),
+        (
+            "constant-acceleration",
+            TRAJECTORIES["constant-acceleration"],
+            Order.SECOND,
+            1e-15,
+            math.inf,
+        ),
+        ("circular", TRAJECTORIES["circular"], Order.SECOND, math.inf, 1e-15),
+    ],
+    ids=[
+        "constant-velocity-th_pos",
+        "constant-velocity-th_or",
+        "constant-acceleration-th_pos",
+        "circular-th_or",
+    ],
+)
+def test_rounding_decides_the_sends(kind, params, order, th_pos, th_or):
+    """Below the certificates' rounding allowance a truth on its test's law
+    still sends on that threshold, because the mirror's rounding crosses it:
+    the test must stay live, and the run equal the reference."""
+    sc = Scenario(
+        name=kind,
+        trajectory=Trajectory(kind, params, duration=DURATION),
+        dr=DrConfig(th_pos=th_pos, th_or=th_or, order=order),
+        channel=JITTERY,
+        tick=0.1,
+        duration=DURATION,
+    )
+    position, heading = live_tests(sc.truth, sc.dr)
+    assert heading if th_pos == math.inf else position
+    ref = assert_same_run(sc)
+    assert ref.report.messages_sent > ref.report.heartbeats + 1
+
+
+def thresholds(usual: st.SearchStrategy) -> st.SearchStrategy:
+    """usual thresholds, zero, or tiny ones, where rounding decides the sends."""
+    tiny = st.floats(-15.0, -6.0).map(lambda e: 10.0**e)  # log-uniform in [1e-15, 1e-6]
+    return st.one_of(usual, st.just(0.0), tiny)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     kind=st.sampled_from(sorted(TRAJECTORIES)),
     tick=st.sampled_from([0.1, 0.05, 0.25]),
-    th_pos=st.floats(0.05, 3.0),
-    th_or=st.one_of(st.just(math.inf), st.floats(0.05, 1.0)),
+    th_pos=thresholds(st.floats(0.05, 3.0)),
+    th_or=thresholds(st.one_of(st.just(math.inf), st.floats(0.05, 1.0))),
     heartbeat=st.floats(0.3, 6.0),
     order=st.sampled_from(list(Order)),
     blend_window=st.one_of(st.none(), st.floats(0.05, 2.0)),

@@ -65,6 +65,25 @@ class TestRecordError:
         assert lines[0] == "t,e_pos,e_or"
         assert lines[1].split(",")[1] == "0.25"
 
+    @pytest.mark.parametrize(
+        "e_pos, e_or",
+        [
+            ([], []),
+            ([0.5], [-0.0]),
+            ([0.5, 0.5, 0.5], [0.0, 0.0, 0.0]),
+            ([-0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]),
+            ([0.0, 0.0, -0.0], [math.nan, math.nan, 1.0]),
+            ([1.0, 1.0 + 1e-12, 1.0], [0.1, 0.2, 0.1]),
+        ],
+        ids=["empty", "one-row", "constant", "signed-zeros", "zeros-last-and-nan", "below-9-digits"],
+    )
+    def test_csv_renders_each_row_as_its_values(self, e_pos, e_or):
+        """A column rendered once into the row template reads as rendering
+        every row's own values: 0.0 and -0.0 print differently."""
+        s = ErrorSeries.from_arrays(0.1, np.arange(len(e_pos)) * 0.1, e_pos, e_or)
+        rows = "".join(f"{t:.9g},{p:.9g},{o:.9g}\n" for t, p, o in zip(s.times, s.e_pos, s.e_or))
+        assert s.to_csv() == "t,e_pos,e_or\n" + rows
+
 
 class TestIntegratedError:
     def test_constant_error_exact(self):
