@@ -22,7 +22,6 @@ from .errors import (
     DegenerateFiringError,
     RangeError,
     SimulationError,
-    TrainingError,
     ValidationError,
 )
 from .harness import (

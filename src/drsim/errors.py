@@ -17,9 +17,5 @@ class DegenerateFiringError(ArithmeticError):
         self.rows = rows  # indices of the input rows that fired no rule
 
 
-class TrainingError(RuntimeError):
-    """Training produced a non-finite gradient or otherwise cannot continue."""
-
-
 class SimulationError(RuntimeError):
     """A scenario run aborted; the message carries the offending tick/event."""

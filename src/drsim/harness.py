@@ -357,8 +357,14 @@ PREDICTOR_NAMES = ("first", "second", "anfis")
 
 @dataclass(frozen=True)
 class TrainSpec:
-    """A study's training settings. regime accepts only hybrid and rule_base only
-    grid; both keys stay so that study files that name them load."""
+    """A study's training settings.
+
+    Training reads split, n_terms, shape and obs_noise_pos. It reads nothing of
+    epochs, eta, regime and rule_base: each network is one ridge solve at its
+    initial premises (anfis.train_networks), regime accepts only hybrid and
+    rule_base only grid. The four keys stay, checked at load as before, only so
+    that the benchmark's training settings (ANFIS_TRAIN in bench/workloads.py)
+    load and read back."""
 
     epochs: int = 4
     eta: float = 0.01
@@ -489,9 +495,11 @@ def train_bundle(
     """Train the per-axis corrector networks for one prediction horizon, or a
     bundle for each of a tuple of horizons, returned in the tuple's order.
 
-    For each axis, the horizons' networks train together (anfis.train_networks),
-    shortest horizon first: its rows hold every other horizon's, so a network
-    equal to the one before it shares that one's forward pass.
+    Each network is one ridge solve for its consequents at the premises
+    _axis_network builds. For each axis, the horizons' networks train together
+    (anfis.train_networks), shortest horizon first: its rows hold every other
+    horizon's, so a network equal to the one before it shares that one's
+    forward pass and the Gram products of their common full row blocks.
     """
     many = isinstance(horizon_ticks, tuple)
     ticks = horizon_ticks if many else (horizon_ticks,)
@@ -505,7 +513,7 @@ def train_bundle(
     nets = []
     for sets in _training_sets(table, split_idx, ordered, study.tick):
         nets.append([_axis_network(study.train, d) for d in sets])
-        anfis.train_networks(nets[-1], sets, study.train.epochs, study.train.eta)
+        anfis.train_networks(nets[-1], sets)
     bundles = {
         h: AnfisBundle([axis_nets[j] for axis_nets in nets], h * study.tick, study.tick)
         for j, h in enumerate(ordered)

@@ -190,18 +190,20 @@ class StateArrays:
 
 def _motion(traj: Trajectory, t: np.ndarray):
     """The motion law at clamped times t (N,): position, velocity and
-    acceleration (N, 3), heading (N,) wrapped once, angular rate (N,)."""
+    acceleration (N, 3), heading (N,) wrapped once, angular rate (N,). Each is
+    a contiguous array of its own, a constant one included: arithmetic on a
+    stride-0 broadcast view runs several times slower."""
     p, kind, n = traj.params, traj.kind, len(t)
     tc = t[:, None]
 
     if kind == "constant-velocity":
-        pos, vel, acc = p["p0"] + p["v"] * tc, np.broadcast_to(p["v"], (n, 3)), np.zeros((n, 3))
+        pos, vel, acc = p["p0"] + p["v"] * tc, np.tile(p["v"], (n, 1)), np.zeros((n, 3))
         theta, omega = _theta_law(p, t)
 
     elif kind == "constant-acceleration":
         pos = p["p0"] + p["v0"] * tc + 0.5 * p["a"] * tc * tc
         vel = p["v0"] + p["a"] * tc
-        acc = np.broadcast_to(p["a"], (n, 3))
+        acc = np.tile(p["a"], (n, 1))
         theta, omega = _theta_law(p, t)
 
     elif kind == "sinusoid-weave":
@@ -243,7 +245,8 @@ def _motion(traj: Trajectory, t: np.ndarray):
         acc = np.zeros((n, 3))
         theta, omega = _theta_law(p, t)
 
-    omega = np.broadcast_to(np.asarray(omega, dtype=float), (n,))
+    if np.ndim(omega) == 0:
+        omega = np.full(n, float(omega))
     return pos, vel, acc, wrap_angles(theta), omega
 
 

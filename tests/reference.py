@@ -1,10 +1,10 @@
-"""Helpers the tests build on the package's study path and training step; the
+"""Helpers the tests build on the package's study path and training solve; the
 package itself does not use them."""
 
 import numpy as np
 
 from drsim import anfis
-from drsim.anfis import AnfisNetwork, TrainingSet, _Pass, _premise_gradients
+from drsim.anfis import AnfisNetwork, TrainingSet
 from drsim.errors import ValidationError
 from drsim.harness import ComparisonStudy, TrainSpec, _axis_network, _training_sets
 from drsim.kinematics import Trajectory
@@ -41,17 +41,6 @@ def jitter_centres(net: AnfisNetwork, seed: int, jitter: float) -> AnfisNetwork:
     return net
 
 
-def descent_gradients(net: AnfisNetwork, data: TrainingSet, shared: _Pass | None = None):
-    """(dmf, out): the gradients a premise descent step takes at net's parameters
-    over data, and the output they are taken at, from shared, a training pass
-    that serves net and data (by default data's own)."""
-    shared = shared or _Pass(net, data)
-    trace = shared.trace_for(len(data))
-    trace.output = trace.beta @ net.z
-    err = trace.output - data.targets
-    return _premise_gradients(net, trace, err, shared.dmu_for(net, len(data))), trace.output
-
-
 def block_gram(beta: np.ndarray, n: int) -> np.ndarray:
     """beta[:n]'beta[:n] as the consequent solve defines it, by a plain loop: the
     Grams of anfis._GRAM_ROWS-row blocks summed in row order, then the tail's."""
@@ -63,47 +52,32 @@ def block_gram(beta: np.ndarray, n: int) -> np.ndarray:
     return gram
 
 
-def count_epoch_events(monkeypatch) -> tuple[list[list[int]], list[list[int]]]:
+def count_training_events(monkeypatch) -> tuple[list[int], list[int]]:
     """Patches training to count its forward passes and its Gram products of full
     anfis._GRAM_ROWS-row blocks. Each of the two lists returned gets, for each
-    later anfis.train_networks call, the count made at each of its epochs, read
-    as the steps run: an epoch ends once every network has taken its step."""
-    counts, events = ([], []), []
+    later anfis.train_networks call, the count made during that call."""
+    counts, training = ([], []), []
     forward, train, gram = anfis.forward_batch, anfis.train_networks, anfis._gram
 
     def counted_forward(*args):
-        events.append("pass")
+        if training:
+            counts[0][-1] += 1
         return forward(*args)
 
     def counted_gram(rows, out=None):
-        if len(rows) == anfis._GRAM_ROWS:
-            events.append("block")
+        if training and len(rows) == anfis._GRAM_ROWS:
+            counts[1][-1] += 1
         return gram(rows, out)
 
-    def counted_train(nets, sets, epochs, eta):
-        events.clear()
-        losses = train(nets, sets, epochs, eta)
-        per_epoch, steps = {"pass": [0], "block": [0]}, 0
-        for event in events:
-            if event != "step":
-                per_epoch[event][-1] += 1
-                continue
-            steps += 1
-            if steps % len(nets) == 0:
-                for kind in per_epoch.values():
-                    kind.append(0)
-        for out, kind in zip(counts, per_epoch.values()):
-            out.append(kind[:-1])
-        return losses
+    def counted_train(nets, sets):
+        for kind in counts:
+            kind.append(0)
+        training.append(True)
+        try:
+            return train(nets, sets)
+        finally:
+            training.clear()
 
-    step = anfis._hybrid_step
-
-    def counted_step(*args):
-        loss = step(*args)
-        events.append("step")  # after the step, so its Gram products count in its epoch
-        return loss
-
-    monkeypatch.setattr(anfis, "_hybrid_step", counted_step)
     monkeypatch.setattr(anfis, "forward_batch", counted_forward)
     monkeypatch.setattr(anfis, "_gram", counted_gram)
     monkeypatch.setattr(anfis, "train_networks", counted_train)

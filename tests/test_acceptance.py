@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drsim.anfis import TrainingSet, build_network, forward_batch, loss, train_hybrid
+from drsim.anfis import build_network, forward_batch, loss, train_hybrid
 from drsim.dead_reckoning import DrConfig
 from drsim.harness import (
     ComparisonStudy,
@@ -34,7 +34,7 @@ from drsim.kinematics import (
 )
 from drsim.netsim import Channel, ChannelConfig, EventQueue
 from drsim.qos_metrics import CoherenceReport, QosProfile, check_emax_bound, verdict
-from reference import descent_gradients, jitter_centres, make_residual_task
+from reference import jitter_centres, make_residual_task
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -175,39 +175,9 @@ def test_criterion_06_anfis_algebra():
     out, trace = forward_batch(net, X)
     assert np.max(np.abs(trace.beta.sum(axis=1) - 1.0)) <= 1e-12
     assert np.all(out >= net.z.min()) and np.all(out <= net.z.max())
-
-    # analytic premise gradients vs central differences for every parameter class
-    for shape in ("bell", "sigmoid"):
-        small = build_network([("a", -1, 1), ("b", -2, 2), ("c", -3, 3)], n_terms=2, shape=shape)
-        jitter_centres(small, 2, 0.01)
-        small.z = rng.normal(0, 1, small.n_rules)
-        pts = rng.uniform(-0.9, 0.9, (5, 3)) * np.array([1.0, 2.0, 3.0])
-        data = TrainingSet(pts, rng.normal(0, 1, 5))
-        dmf, _ = descent_gradients(small, data)
-        h = 1e-6
-
-        def fd_for(setter, getter):
-            p0 = getter()
-            hh = h * max(1.0, abs(p0))
-            setter(p0 + hh)
-            ep = loss(small, data)
-            setter(p0 - hh)
-            em = loss(small, data)
-            setter(p0)
-            return (ep - em) / (2 * hh)
-
-        for spec, grads in zip(small.inputs, dmf):
-            assert grads.shape == spec.params.shape
-            for (p, t), g in np.ndenumerate(grads):
-                fd = fd_for(
-                    lambda v, p=p, t=t: spec.params.__setitem__((p, t), v),
-                    lambda p=p, t=t: spec.params[p, t],
-                )
-                scale = max(abs(fd), abs(g))
-                assert (abs(fd - g) / scale < 1e-4) if scale >= 1e-5 else (abs(fd - g) < 1e-8)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    _report(6, f"partition of unity, hull bound, gradient classes vs FD ({elapsed:.2f}s)")
+    _report(6, f"partition of unity, hull bound ({elapsed:.2f}s)")
 
 
 def test_criterion_07_training_progress():
@@ -218,9 +188,9 @@ def test_criterion_07_training_progress():
     # 7 x 7 x 1 rules: the orientation holds one value on this trajectory
     assert [s.n_terms for s in net.inputs] == [7, 7, 1] and len(data) == 500
     initial = loss(net, data)
-    losses = train_hybrid(net, data, 200, 0.005)
-    assert losses[-1] <= 0.5 * initial
-    _report(7, f"hybrid {losses[-1] / initial:.1%} of initial loss within 200 epochs")
+    trained = train_hybrid(net, data)
+    assert trained <= 0.5 * initial
+    _report(7, f"one ridge solve leaves {trained / initial:.1%} of the initial loss")
 
 
 def test_criterion_08_horizon_study_pattern(stock_comparison):
@@ -301,8 +271,8 @@ GATED_VARIANTS = {
 def gated_reports():
     """Per variant, the (second order, anfis) reports of sinusoid_tight's run
     gated by its own settings, the anfis one by a bundle trained as the sim_anfis
-    benchmark trains it: the shipped weave over 300 s, a 7^3 bell grid, two
-    hybrid epochs, horizon 10 ticks."""
+    benchmark trains it: the shipped weave over 300 s, a 7^3 bell grid, horizon
+    10 ticks."""
     sc = load_scenario(SCENARIO_DIR / "sinusoid_tight.yaml")
     kind, params = sc.trajectory.kind, sc.trajectory.params
     study = ComparisonStudy(
@@ -310,7 +280,7 @@ def gated_reports():
         tick=sc.tick,
         duration=300.0,
         horizons=(10,),
-        train=TrainSpec(epochs=2, eta=0.001, split=0.7, n_terms=7, shape="bell"),
+        train=TrainSpec(split=0.7, n_terms=7, shape="bell"),
         seed=sc.seed,
     )
     learned = dataclasses.replace(sc.dr, predictor="anfis", anfis_bundle=train_bundle(study, 10))

@@ -24,9 +24,9 @@ from drsim.anfis import (
     loss,
     train_hybrid,
 )
-from drsim.errors import DegenerateFiringError, TrainingError, ValidationError
+from drsim.errors import DegenerateFiringError, ValidationError
 from drsim.kinematics import EntityState, Order, extrapolate
-from reference import block_gram, count_epoch_events, descent_gradients, jitter_centres
+from reference import block_gram, count_training_events, jitter_centres
 
 
 def tiny_net(n_terms=3, n_inputs=1, shape="bell", seed=None):
@@ -225,59 +225,8 @@ class TestLoss:
         assert loss(net, data) == pytest.approx(2.5)
 
 
-def _fd_check(net, data, rel_tol=1e-4, abs_floor=1e-5, h=1e-6):
-    """Central finite differences on the set loss against the analytic premise
-    gradients.
-
-    Gradients below abs_floor sit at the FD roundoff level (~1e-9 on an O(10)
-    loss), so they are compared absolutely instead of relatively.
-    """
-    dmf, _ = descent_gradients(net, data)
-
-    def total():
-        return loss(net, data)
-
-    for spec, grads in zip(net.inputs, dmf):
-        assert grads.shape == spec.params.shape
-        for (p, t), g in np.ndenumerate(grads):
-            p0 = spec.params[p, t]
-            hh = h * max(1.0, abs(p0))
-            spec.params[p, t] = p0 + hh
-            ep = total()
-            spec.params[p, t] = p0 - hh
-            em = total()
-            spec.params[p, t] = p0
-            fd = (ep - em) / (2 * hh)
-            scale = max(abs(fd), abs(g))
-            if scale >= abs_floor:
-                assert abs(fd - g) / scale < rel_tol, (spec.name, p, t, fd, g)
-            else:
-                assert abs(fd - g) < 1e-8
-
-
-class TestGradients:
-    @pytest.mark.parametrize(
-        "shape, n_terms",
-        [("bell", 5), ("sigmoid", 5), ("bell", [5, 1, 3]), ("sigmoid", [5, 1, 3])],
-        ids=["bell-grid", "sigmoid-grid", "bell-one-term", "sigmoid-one-term"],
-    )
-    def test_matches_finite_differences(self, shape, n_terms):
-        rng = np.random.default_rng(7)
-        inputs = [("a", -1, 1), ("b", -2, 2), ("c", -3, 3)]
-        net = jitter_centres(build_network(inputs, n_terms=n_terms, shape=shape), 7, 0.01)
-        net.z = rng.normal(0, 1, net.n_rules)
-        X = rng.uniform(-0.9, 0.9, (24, 3)) * np.array([1.0, 2.0, 3.0])
-        Y = rng.normal(0, 1, 24)
-        _fd_check(net, TrainingSet(X, Y))
-
-
-# Per-term reference of layer 1 and the gradients: each membership term in its
-# own call and each term's gradient from a masked sum over the rules that use
-# it. The kernel evaluates all terms of an input at once and sums through a
-# one-hot product. Layer 1 must match exactly; the gradient sums may run in
-# another order, so they get a tolerance of a few thousand float64 ulps of the
-# largest gradient.
-GRAD_TOL = 1e-12
+# Per-term reference of layer 1: each membership term in its own call. The
+# kernel evaluates all terms of an input at once and must match exactly.
 
 
 def _ref_degree(spec, t, x):
@@ -290,26 +239,6 @@ def _ref_degree(spec, t, x):
     with np.errstate(over="ignore", divide="ignore"):
         u = ((x - c) / a) ** 2
         return 1.0 / (1.0 + u**b)
-
-
-def _ref_param_grads(spec, t, x):
-    """d(mu)/d(param) of term t of spec, one array per row of spec.params."""
-    if spec.shape == "sigmoid":
-        a, c = spec.params[:, t].tolist()
-        mu = _ref_degree(spec, t, x)
-        g = mu * (1.0 - mu)
-        return [g * (x - c), -a * g]
-    a, b, c = spec.params[:, t].tolist()
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        d = x - c
-        u = (d / a) ** 2
-        ub = u**b
-        mu = 1.0 / (1.0 + ub)
-        mu2ub = mu * mu * ub
-        da = 2.0 * b * mu2ub / a
-        db = np.where(u > 0.0, -mu2ub * np.log(np.where(u > 0.0, u, 1.0)), 0.0)
-        dc = np.where(d != 0.0, 2.0 * b * mu2ub / np.where(d != 0.0, d, 1.0), 0.0)
-    return [da, db, dc]
 
 
 def reference_layer1(net, x):
@@ -326,32 +255,6 @@ def reference_firing(net, degrees):
     for i in range(1, net.n_inputs):
         alpha *= degrees[i][:, net.rules[:, i]]
     return alpha
-
-
-def reference_gradients(net, data):
-    x = data.inputs
-    degrees = reference_layer1(net, x)
-    alpha = reference_firing(net, degrees)
-    total = alpha.sum(axis=1)
-    beta = alpha / total[:, None]
-    out = beta @ net.z
-    err = out - data.targets
-    dE_dalpha = err[:, None] * (net.z[None, :] - out[:, None]) / total[:, None]
-    gathered = [degrees[i][:, net.rules[:, i]] for i in range(net.n_inputs)]
-    dmf = []
-    for i, spec in enumerate(net.inputs):
-        prod_others = np.ones_like(alpha)
-        for j in range(net.n_inputs):
-            if j != i:
-                prod_others *= gathered[j]
-        dE_dDi = dE_dalpha * prod_others
-        xn = spec.normalize(x[:, i])
-        grads = np.empty(spec.params.shape)
-        for t in range(spec.n_terms):
-            dE_ddeg = dE_dDi[:, net.rules[:, i] == t].sum(axis=1)
-            grads[:, t] = [np.dot(dE_ddeg, v) for v in _ref_param_grads(spec, t, xn)]
-        dmf.append(grads)
-    return dmf, out
 
 
 def kernel_case(shape, n_inputs, grid):
@@ -401,63 +304,14 @@ class TestKernelAgainstReference:
         beta = forward_batch(net, data.inputs)[1].beta
         assert np.array_equal(beta, alpha / alpha.sum(axis=1)[:, None])
 
-    @pytest.mark.parametrize("shape, n_inputs, grid", KERNEL_CASES)
-    def test_gradients_match_per_term(self, shape, n_inputs, grid):
-        net, data = kernel_case(shape, n_inputs, grid)
-        dmf, out = descent_gradients(net, data)
-        ref_dmf, ref_out = reference_gradients(net, data)
-        assert np.array_equal(out, ref_out)
-        assert len(dmf) == len(ref_dmf) == net.n_inputs
-        for spec, got, want in zip(net.inputs, dmf, ref_dmf):
-            assert got.shape == want.shape == spec.params.shape
-            for got_row, want_row in zip(got, want):  # one parameter name across the terms
-                scale = np.max(np.abs(want_row))
-                np.testing.assert_allclose(got_row, want_row, rtol=0, atol=GRAD_TOL * scale)
-
-    def test_zero_degree_raises_on_bell_width(self):
-        # the narrow term's u^b overflows, so its degree is exactly 0 at the
-        # sample; the wide term still fires, so the forward pass succeeds
-        spec = InputSpec("x", -1.0, 1.0, "bell", [[1e-80, 2.0], [2.0, 2.0], [0.0, 0.5]])
-        net = AnfisNetwork([spec], [1.0, -1.0])
-        data = TrainingSet(np.array([[1.0], [0.0]]), np.array([0.5, 0.5]))
-        degrees = forward_batch(net, data.inputs)[1].degrees[0]
-        assert degrees[0, 0] == 0.0 and degrees[0, 1] > 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(TrainingError, match="premise parameter 'a'"):
-                descent_gradients(net, data)
-
     def test_given_trace_is_reused(self):
-        # a pass over more rows gives a prefix of them the gradients of its own pass
+        # a pass over more rows gives a prefix of them the solve of its own pass
         net, data = kernel_case("mixed", 3, "grid")
         prefix = TrainingSet(data.inputs[:50], data.targets[:50])
-        fresh = descent_gradients(net, prefix)
-        reused = descent_gradients(net, prefix, anfis._Pass(net, data))
+        fresh = anfis._solve_consequents(net, prefix, anfis._Pass(net, prefix)), net.z
+        reused = anfis._solve_consequents(net, prefix, anfis._Pass(net, data)), net.z
+        assert np.array_equal(fresh[0], reused[0])
         assert np.array_equal(fresh[1], reused[1])
-        assert len(fresh[0]) == len(reused[0]) == 3
-        for a, b in zip(fresh[0], reused[0]):
-            assert np.array_equal(a, b)
-
-
-class TestForwardPasses:
-    """Training runs one forward pass per epoch."""
-
-    def test_passes_per_epoch(self, monkeypatch):
-        net, data = kernel_case("bell", 3, "grid")
-        calls = []
-        real = anfis.forward_batch
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(anfis, "forward_batch", counting)
-        epochs = 4
-        losses = train_hybrid(net, data, epochs, 0.01)
-        assert len(calls) == epochs
-        monkeypatch.undo()
-        # the reused passes report the loss the trained network really has
-        assert losses[-1] == loss(net, data)
 
 
 class TestTrainNetworks:
@@ -478,15 +332,12 @@ class TestTrainNetworks:
             return [tiny_net(4, 2, seed=seed) for seed, _, _ in cases]
 
         sets = [TrainingSet(x, y) for _, x, y in cases]
-        expected = [
-            (train_hybrid(net, data, 3, 0.05), net.to_dict()) for net, data in zip(nets(), sets)
-        ]
-        counts = count_epoch_events(monkeypatch)[0]
+        expected = [(train_hybrid(net, data), net.to_dict()) for net, data in zip(nets(), sets)]
+        counts = count_training_events(monkeypatch)[0]
         together = nets()
-        losses = anfis.train_networks(together, sets, 3, 0.05)
+        losses = anfis.train_networks(together, sets)
         assert list(zip(losses, (net.to_dict() for net in together))) == expected
-        # Epoch 0 makes four passes (cases 0, 2, 3 and 4), the later epochs one per network.
-        assert counts == [[4, 5, 5]]
+        assert counts == [4]  # cases 0, 2, 3 and 4 make a pass; case 1 shares case 0's
 
 
 class TestTrainHybrid:
@@ -497,13 +348,12 @@ class TestTrainHybrid:
         X = rng.uniform(-1, 1, (200, 2))
         Y, _ = forward_batch(truth_net, X)
         student = tiny_net(n_terms=5, n_inputs=2, seed=2)
-        losses = train_hybrid(student, TrainingSet(X, Y), 1, 0.0)
-        assert losses[0] <= 1e-12
+        assert train_hybrid(student, TrainingSet(X, Y)) <= 1e-12
 
     def test_single_rule_fits_mean(self):
         net = tiny_net(n_terms=1)
         targets = np.array([1.0, 2.0, 6.0])
-        train_hybrid(net, TrainingSet(np.zeros((3, 1)), targets), 1, 0.0)
+        train_hybrid(net, TrainingSet(np.zeros((3, 1)), targets))
         assert net.z[0] == pytest.approx(targets.mean())
 
     def test_zero_eta_matches_pure_lse(self):
@@ -511,16 +361,17 @@ class TestTrainHybrid:
         X = rng.uniform(-1, 1, (50, 1))
         Y = np.sin(2 * X[:, 0])
         net = tiny_net(n_terms=5)
-        losses = train_hybrid(net, TrainingSet(X, Y), 3, 0.0)
+        data = TrainingSet(X, Y)
+        trained = train_hybrid(net, data)
         _, trace = forward_batch(net, X)
         sol, *_ = np.linalg.lstsq(trace.beta, Y, rcond=None)
         assert np.allclose(net.z, sol)
-        assert len(set(losses)) == 1  # premises never move, fit is stable
+        assert trained == loss(net, data)  # the solve reports the loss the network has
 
     def test_needs_enough_samples(self):
         net = tiny_net(n_terms=7)
         with pytest.raises(ValidationError):
-            train_hybrid(net, TrainingSet(np.zeros((3, 1)), np.zeros(3)), 1, 0.05)
+            train_hybrid(net, TrainingSet(np.zeros((3, 1)), np.zeros(3)))
 
     def test_rank_deficient_solves_without_warning(self):
         net = tiny_net(n_terms=5, n_inputs=2)
@@ -529,7 +380,7 @@ class TestTrainHybrid:
         Y = np.ones(30)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            train_hybrid(net, TrainingSet(X, Y), 1, 0.0)
+            train_hybrid(net, TrainingSet(X, Y))
         assert np.all(np.isfinite(net.z))
         _, trace = forward_batch(net, X)
         sol, *_ = np.linalg.lstsq(trace.beta, Y, rcond=None)
@@ -537,8 +388,8 @@ class TestTrainHybrid:
 
 
 def ridge_fit(net, X, Y):
-    """Consequents from one hybrid epoch with fixed premises, and the design B."""
-    train_hybrid(net, TrainingSet(X, Y), 1, 0.0)
+    """Consequents from training, and the design B."""
+    train_hybrid(net, TrainingSet(X, Y))
     _, trace = forward_batch(net, X)
     return net.z.copy(), trace.beta
 
@@ -639,7 +490,7 @@ class TestSerialization:
             assert net.rules.tolist() == [list(r) for r in itertools.product(*map(range, counts))]
             net.z = rng.normal(0, 1, net.n_rules)
             data = TrainingSet(rng.uniform(-1, 1, (30, len(counts))), rng.normal(0, 1, 30))
-            train_hybrid(net, data, 10, 0.037)
+            train_hybrid(net, data)
             text = json.dumps(net.to_dict())
             loaded = AnfisNetwork.from_dict(json.loads(text))
             assert json.dumps(loaded.to_dict()) == text

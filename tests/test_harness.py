@@ -29,7 +29,7 @@ from drsim.harness import (
 from drsim.kinematics import TRAJECTORY_PARAMS, Order, Trajectory, sample_truth, truth_arrays
 from drsim.netsim import ChannelConfig
 from drsim.qos_metrics import QosProfile
-from reference import count_epoch_events, make_residual_task
+from reference import count_training_events, make_residual_task
 from test_engine import assert_same_run, corrector_passes, fixed_bundle
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -326,7 +326,6 @@ class TestComparison:
             duration=120.0,
             horizons=(10,),
             predictors=("second", "anfis"),
-            train=TrainSpec(epochs=1, eta=0.0, regime="hybrid", rule_base="grid"),
             seed=5,
         )
         res = run_comparison(study)
@@ -346,7 +345,7 @@ class TestComparison:
         )
         study = ComparisonStudy(
             trajectory=traj, tick=0.125, duration=40.0, horizons=(1, 4, 9),
-            predictors=("anfis",), train=TrainSpec(epochs=2, eta=0.001, n_terms=3),
+            predictors=("anfis",), train=TrainSpec(n_terms=3),
         )
         seen = []
 
@@ -418,64 +417,64 @@ def spike_study(**train) -> ComparisonStudy:
 
 class TestHorizonsTrainedTogether:
     """The bundles a study trains together equal, bit for bit, the bundles it
-    trains one horizon at a time; equal networks share a pass at any epoch, and
-    the Gram products of the full row blocks their rows have in common."""
+    trains one horizon at a time; equal networks share a pass, and the Gram
+    products of the full row blocks their rows have in common."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        return count_epoch_events(monkeypatch)
+        return count_training_events(monkeypatch)
 
     @staticmethod
-    def check(study, passes, per_epoch, blocks=None):
-        """Trains study's horizons together, then one at a time; per_epoch gives
-        the forward passes of each epoch of training them together, per axis,
-        and blocks, where given, the Gram products of full row blocks likewise."""
+    def check(study, passes, per_axis, blocks=None):
+        """Trains study's horizons together, then one at a time; per_axis gives
+        the forward passes of training them together, one count per axis, and
+        blocks, where given, the Gram products of full row blocks likewise."""
         together = train_bundle(study, tuple(study.horizons))
         counts, products = (list(c) for c in passes)
         alone = [train_bundle(study, h) for h in study.horizons]
         assert [b.to_dict() for b in together] == [b.to_dict() for b in alone]
-        assert counts == per_epoch
+        assert counts == per_axis
         if blocks is not None:
             assert products == blocks
         return together
 
     def test_stock_study(self, passes):
-        # Every horizon trains on 2,089-2,098 rows: two full 1,024-row blocks. At
-        # epoch 0 an axis sums them once for all ten horizons' Grams.
+        # Every horizon trains on 2,089-2,098 rows: two full 1,024-row blocks. An
+        # axis sums them once for all ten horizons' Grams.
         study = load_study(SCENARIO_DIR / "sinusoid_comparison.yaml")
-        self.check(study, passes, [[1, 10]] * 3, blocks=[[2, 20]] * 3)
+        self.check(study, passes, [1] * 3, blocks=[2] * 3)
 
     def test_rows_straddle_a_block_edge(self, passes, monkeypatch):
         # In 69-row blocks, the horizons' 278, 276 and 274 rows hold 4 full
-        # blocks plus 2 rows, 4 blocks, and 3 blocks plus 67 rows. At epoch 0 the
-        # second network reuses the first's 4 block products and the third makes
-        # its 3 anew. The z axis is 0 throughout and keeps that pass: at epoch 1
-        # its first network extends the 3-block sum by one block, and its third
-        # sums 3 blocks again.
+        # blocks plus 2 rows, 4 blocks, and 3 blocks plus 67 rows. On each axis
+        # the second network reuses the first's 4 block products and the third
+        # sums its 3 anew.
         monkeypatch.setattr(anfis, "_GRAM_ROWS", 69)
         study = ComparisonStudy(
             weave(40.0), 0.1, 40.0, horizons=(1, 3, 5), predictors=("anfis",),
-            train=TrainSpec(epochs=2, n_terms=5),
+            train=TrainSpec(n_terms=5),
         )
-        self.check(study, passes, [[1, 3], [1, 3], [1, 0]], blocks=[[7, 11], [7, 11], [7, 4]])
+        self.check(study, passes, [1] * 3, blocks=[7] * 3)
 
     def test_unequal_networks_make_their_own_pass(self, passes):
-        study = spike_study(epochs=2, eta=0.01, n_terms=5)
-        together = self.check(study, passes, [[2, 4], [1, 4], [1, 0]])
+        study = spike_study(n_terms=5)
+        together = self.check(study, passes, [2, 1, 1])
         ranges = [[(s.lo, s.hi) for s in b.networks[0].inputs[:2]] for b in together]
         assert ranges[0] != ranges[1] == ranges[2] == ranges[3]
 
-    def test_static_axes_share_later_epochs(self, passes):
-        # Noise-free, the y and z axes of an x-only weave are 0 throughout: their
-        # networks never move, so epoch 0's pass serves every later epoch. The x
-        # networks move at each premise step, and each makes its own pass.
-        traj = Trajectory("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 1.0}, 40.0)
-        study = ComparisonStudy(
-            traj, 0.1, 40.0, horizons=(1, 3, 5), predictors=("anfis",),
-            train=TrainSpec(epochs=3, eta=0.01, n_terms=5, obs_noise_pos=0.0),
+
+def test_epochs_and_eta_leave_training_unchanged():
+    """Training is one ridge solve per network: it reads neither key."""
+    bundles = [
+        train_bundle(
+            ComparisonStudy(
+                weave(40.0), 0.1, 40.0, horizons=(1, 3), train=TrainSpec(n_terms=3, **train)
+            ),
+            (1, 3),
         )
-        static = [1, 0, 0]
-        self.check(study, passes, [[1, 3, 3], static, static])
+        for train in ({"epochs": 1, "eta": 0.0}, {"epochs": 4, "eta": 0.5})
+    ]
+    assert [b.to_dict() for b in bundles[0]] == [b.to_dict() for b in bundles[1]]
 
 
 def term_counts(bundle) -> list[list[int]]:
@@ -498,7 +497,7 @@ def tight_study():
             "duration": 300.0,
             "trajectory": src["trajectory"],
             "horizons": [10],
-            "train": {"epochs": 2, "eta": 0.001, "n_terms": 7, "rule_base": "grid"},
+            "train": {"n_terms": 7},
         }
     )
 
