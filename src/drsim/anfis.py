@@ -26,7 +26,7 @@ from .kinematics import EntityState, Order, StateArrays, advance, extrapolate
 
 _EXP_CLIP = 60.0
 _BLOCK_ELEMENTS = 1 << 15  # per row block of an (N, R) stage, so that it stays in cache
-_RESIDUAL_ROWS = 1024  # rows per forward pass of AnfisBundle.residuals, so memory stays bounded
+_RESIDUAL_ROWS = 1024  # rows per forward pass of bundle_residuals, so memory stays bounded
 _GRAM_ROWS = 1024  # rows per block of the consequent Gram (_Pass.gram)
 # Ridge weight of the consequent solve per unit of mean Gram diagonal, fixed by rule.
 RIDGE = math.sqrt(np.finfo(np.float64).eps)
@@ -484,23 +484,11 @@ class AnfisBundle:
     def residuals(self, inputs: np.ndarray) -> np.ndarray:
         """Learned corrections (N, 3) at the reference horizon for :func:`features` rows (3, N, 3).
 
-        Each row's output is its own dot of firing strengths and consequents, so
-        it equals a one-row call bit for bit (a matrix-vector product over many
-        rows rounds differently). Rows go through the networks in blocks; a
-        DegenerateFiringError gives its rows as indices of inputs' rows.
+        This is bundle_residuals for this bundle alone, over every row: each row
+        equals a one-row call bit for bit, and a DegenerateFiringError gives its
+        rows as indices of inputs' rows.
         """
-        n = inputs.shape[1]
-        out = np.empty((n, 3))
-        for lo in range(0, n, _RESIDUAL_ROWS):
-            rows = slice(lo, lo + _RESIDUAL_ROWS)
-            for k, net in enumerate(self.networks):
-                try:
-                    beta = forward_batch(net, inputs[k, rows])[1].beta
-                except DegenerateFiringError as exc:
-                    exc.rows = exc.rows + lo
-                    raise
-                out[rows, k] = (beta[:, None, :] @ net.z[:, None])[:, 0, 0]
-        return out
+        return bundle_residuals([self], inputs, [inputs.shape[1]])[0]
 
     def scales(self, horizons: np.ndarray) -> np.ndarray:
         """The correction scale (horizon / h_ref)^3 for each horizon.
@@ -549,3 +537,47 @@ class AnfisBundle:
     def load(cls, path) -> "AnfisBundle":
         with open(path, encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
+
+
+def bundle_residuals(
+    bundles: list[AnfisBundle], inputs: np.ndarray, counts: list[int]
+) -> list[np.ndarray]:
+    """Learned corrections (counts[j], 3) of each bundle j at its reference
+    horizon, for the first counts[j] of the :func:`features` rows inputs (3, N, 3).
+
+    Rows go through the networks in blocks of _RESIDUAL_ROWS. In each block, an
+    axis makes one forward pass per distinct premise set among the bundles'
+    networks there (decided by comparison, as _Pass.serves decides), over the
+    rows the longest of those bundles reads in the block; each bundle then takes
+    its own rows of that firing. A row's firing does not depend on the rows
+    beside it, and each row's output is its own dot of firing strengths and
+    consequents, so it equals a one-row call of its bundle bit for bit (a
+    matrix-vector product over many rows rounds differently). Only one firing is
+    alive at a time. A DegenerateFiringError gives its rows as indices of
+    inputs' rows.
+    """
+    outs = [np.empty((n, 3)) for n in counts]
+    axes = []  # per axis, the (output, network) pairs of each distinct premise set
+    for k in range(3):
+        groups: dict[tuple, list] = {}
+        for out, bundle in zip(outs, bundles):
+            net = bundle.networks[k]
+            groups.setdefault(tuple(_premises(net)), []).append((out, net))
+        axes.append(list(groups.values()))
+    for lo in range(0, max(counts), _RESIDUAL_ROWS):
+        for k, groups in enumerate(axes):
+            for members in groups:
+                hi = min(max(len(out) for out, _ in members), lo + _RESIDUAL_ROWS)
+                if hi <= lo:
+                    continue
+                try:
+                    beta = forward_batch(members[0][1], inputs[k, lo:hi])[1].beta
+                except DegenerateFiringError as exc:
+                    exc.rows = exc.rows + lo
+                    raise
+                for out, net in members:
+                    m = min(len(out), hi) - lo  # the rows this bundle reads in the block
+                    if m > 0:
+                        out[lo : lo + m, k] = (beta[:m, None, :] @ net.z[:, None])[:, 0, 0]
+                del beta  # freed before the next pass is made
+    return outs

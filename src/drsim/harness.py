@@ -227,11 +227,20 @@ def scenario_from_dict(cfg: dict, base_dir: Path | None = None) -> Scenario:
     return Scenario(**run, channel=ChannelConfig(**channel))
 
 
+# libyaml's parser where PyYAML was built with it: it builds the same values as
+# the pure-Python SafeLoader, several times faster.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def _read_config(path) -> object:
+    """The document of the YAML file at path, read as yaml.safe_load reads it."""
+    with open(path, encoding="utf-8") as f:
+        return yaml.load(f, Loader=_YAML_LOADER)
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    with open(path, encoding="utf-8") as f:
-        cfg = yaml.safe_load(f)
-    return scenario_from_dict(cfg, base_dir=path.parent)
+    return scenario_from_dict(_read_config(path), base_dir=path.parent)
 
 
 @dataclass
@@ -427,8 +436,7 @@ def study_from_dict(cfg: dict) -> ComparisonStudy:
 
 
 def load_study(path) -> ComparisonStudy:
-    with open(path, encoding="utf-8") as f:
-        return study_from_dict(yaml.safe_load(f))
+    return study_from_dict(_read_config(path))
 
 
 @dataclass
@@ -469,24 +477,34 @@ def _training_sets(
     return sets
 
 
-def _axis_network(spec: TrainSpec, data: TrainingSet) -> AnfisNetwork:
-    """The untrained corrector of one axis for the (deviation, velocity,
-    orientation) inputs of data.
+def _axis_networks(spec: TrainSpec, sets: list[TrainingSet]) -> list[AnfisNetwork]:
+    """The untrained corrector of one axis for each set of (deviation, velocity,
+    orientation) inputs in sets, whose first set's rows hold each later set's as
+    a prefix, as _training_sets makes them.
 
     Each input's range is symmetric about zero and reaches its largest
-    magnitude in data, or 1 for an input that is zero throughout; the
+    magnitude in the set, or 1 for an input that is zero throughout; the
     orientation's reaches 0.1% past it, and at least pi/2. An input that holds
-    one value over data gets one term, the others spec.n_terms: terms of an
+    one value over the set gets one term, the others spec.n_terms: terms of an
     input that never varies fire at fixed degrees, so their rules would only
-    repeat each other."""
-    dev_span, vel_span, orient_span = np.max(np.abs(data.inputs), axis=0).tolist()
-    spans = (dev_span or 1.0, vel_span or 1.0, max(0.5 * math.pi, orient_span * 1.001))
+    repeat each other. A set's extrema are read from one running maximum and
+    minimum over the first set's rows, so every set takes the exact extrema of
+    its own rows without scanning them again."""
+    top, bottom = np.maximum.accumulate(sets[0].inputs), np.minimum.accumulate(sets[0].inputs)
     names = ("deviation", "velocity", "orientation")
-    return build_network(
-        [(name, -span, span) for name, span in zip(names, spans)],
-        n_terms=[1 if np.ptp(col) == 0.0 else spec.n_terms for col in data.inputs.T],
-        shape=spec.shape,
-    )
+    nets = []
+    for data in sets:
+        hi, lo = top[len(data) - 1], bottom[len(data) - 1]
+        dev_span, vel_span, orient_span = np.maximum(hi, -lo).tolist()
+        spans = (dev_span or 1.0, vel_span or 1.0, max(0.5 * math.pi, orient_span * 1.001))
+        nets.append(
+            build_network(
+                [(name, -span, span) for name, span in zip(names, spans)],
+                n_terms=[1 if same else spec.n_terms for same in (hi == lo).tolist()],
+                shape=spec.shape,
+            )
+        )
+    return nets
 
 
 def train_bundle(
@@ -496,7 +514,7 @@ def train_bundle(
     bundle for each of a tuple of horizons, returned in the tuple's order.
 
     Each network is one ridge solve for its consequents at the premises
-    _axis_network builds. For each axis, the horizons' networks train together
+    _axis_networks builds. For each axis, the horizons' networks train together
     (anfis.train_networks), shortest horizon first: its rows hold every other
     horizon's, so a network equal to the one before it shares that one's
     forward pass and the Gram products of their common full row blocks.
@@ -512,7 +530,7 @@ def train_bundle(
     ordered = sorted(set(ticks))
     nets = []
     for sets in _training_sets(table, split_idx, ordered, study.tick):
-        nets.append([_axis_network(study.train, d) for d in sets])
+        nets.append(_axis_networks(study.train, sets))
         anfis.train_networks(nets[-1], sets)
     bundles = {
         h: AnfisBundle([axis_nets[j] for axis_nets in nets], h * study.tick, study.tick)
@@ -545,7 +563,12 @@ def run_comparison(study: ComparisonStudy) -> ComparisonResult:
     for h in horizons:
         if split_idx >= n - h:
             raise ValidationError(f"no test samples left at horizon {h}")
-    bundles = train_bundle(study, horizons) if "anfis" in study.predictors else None
+    if "anfis" in study.predictors:
+        # Horizon h holds out rows split_idx .. n - h - 1, a prefix of the
+        # shortest horizon's: one scoring pass serves them all.
+        bundles = train_bundle(study, horizons)
+        held_out = table.inputs[:, split_idx : n - min(horizons)]
+        residuals = anfis.bundle_residuals(bundles, held_out, [n - h - split_idx for h in horizons])
     half_a = 0.5 * observed.acceleration
     mae: dict[str, list[float]] = {p: [] for p in study.predictors}
     for j, h in enumerate(horizons):
@@ -555,7 +578,7 @@ def run_comparison(study: ComparisonStudy) -> ComparisonResult:
         for p in study.predictors:
             if p == "anfis":
                 config = DrConfig(predictor="anfis", anfis_bundle=bundles[j])
-                residual = bundles[j].residuals(table.inputs[:, test])
+                residual = residuals[j]
             else:
                 config, residual = DrConfig(order=p), None
             pred = predict_positions(observed, half_a, test, dt, config, residual)

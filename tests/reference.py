@@ -6,7 +6,7 @@ import numpy as np
 from drsim import anfis
 from drsim.anfis import AnfisNetwork, TrainingSet
 from drsim.errors import ValidationError
-from drsim.harness import ComparisonStudy, TrainSpec, _axis_network, _training_sets
+from drsim.harness import ComparisonStudy, TrainSpec, _axis_networks, _training_sets
 from drsim.kinematics import Trajectory
 
 
@@ -26,7 +26,7 @@ def make_residual_task(
         raise ValidationError(f"trajectory yields only {len(idx)} samples, need {n_samples}")
     # a split at row n_samples + horizon_ticks + 1 trains on rows 1 .. n_samples
     data = _training_sets(table, n_samples + horizon_ticks + 1, [horizon_ticks], tick)[0][0]
-    return _axis_network(TrainSpec(), data), data
+    return _axis_networks(TrainSpec(), [data])[0], data
 
 
 def jitter_centres(net: AnfisNetwork, seed: int, jitter: float) -> AnfisNetwork:
@@ -81,4 +81,29 @@ def count_training_events(monkeypatch) -> tuple[list[int], list[int]]:
     monkeypatch.setattr(anfis, "forward_batch", counted_forward)
     monkeypatch.setattr(anfis, "_gram", counted_gram)
     monkeypatch.setattr(anfis, "train_networks", counted_train)
+    return counts
+
+
+def count_scoring_passes(monkeypatch) -> list[list[int]]:
+    """Patches scoring to count its forward passes. The list returned gets, for
+    each later anfis.bundle_residuals call, the passes it made on each axis."""
+    counts, scoring = [], []
+    forward, score = anfis.forward_batch, anfis.bundle_residuals
+
+    def counted_forward(net, x):
+        if scoring:
+            axis = [any(net is b.networks[k] for b in scoring[0]) for k in range(3)]
+            counts[-1][axis.index(True)] += 1
+        return forward(net, x)
+
+    def counted_score(bundles, inputs, rows):
+        counts.append([0, 0, 0])
+        scoring.append(bundles)
+        try:
+            return score(bundles, inputs, rows)
+        finally:
+            scoring.clear()
+
+    monkeypatch.setattr(anfis, "forward_batch", counted_forward)
+    monkeypatch.setattr(anfis, "bundle_residuals", counted_score)
     return counts

@@ -29,7 +29,7 @@ from drsim.harness import (
 from drsim.kinematics import TRAJECTORY_PARAMS, Order, Trajectory, sample_truth, truth_arrays
 from drsim.netsim import ChannelConfig
 from drsim.qos_metrics import QosProfile
-from reference import count_training_events, make_residual_task
+from reference import count_scoring_passes, count_training_events, make_residual_task
 from test_engine import assert_same_run, corrector_passes, fixed_bundle
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -463,6 +463,48 @@ class TestHorizonsTrainedTogether:
         assert ranges[0] != ranges[1] == ranges[2] == ranges[3]
 
 
+class TestHorizonsScoredTogether:
+    """A study scores all its horizons from one forward pass per axis and
+    distinct premise set, and each horizon's corrections equal, bit for bit,
+    those of its bundle scored alone over its own held-out rows."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        return count_scoring_passes(monkeypatch)
+
+    def test_stock_study(self, passes):
+        # Every horizon holds out fewer than 1,024 rows: one block, and the ten
+        # networks of an axis have equal premises.
+        run_comparison(load_study(SCENARIO_DIR / "sinusoid_comparison.yaml"))
+        assert passes == [[1] * 3]
+
+    def test_unequal_networks_make_their_own_pass(self, passes):
+        # The shortest horizon's x network has ranges of its own (spike_study).
+        run_comparison(spike_study(n_terms=5))
+        assert passes == [[2, 1, 1]]
+
+    def test_rows_straddle_a_block_edge(self, passes, monkeypatch):
+        # In 44-row blocks, the horizons' 90, 89, 85 and 83 held-out rows end in
+        # the third block for h = 1 and 2 and in the second for h = 6 and 8; on x,
+        # h = 1 has premises of its own, so every block makes two x passes.
+        monkeypatch.setattr(anfis, "_RESIDUAL_ROWS", 44)
+        study = spike_study(n_terms=5)
+        seen = []
+
+        def recorded(*args):
+            if args[4].predictor == "anfis":  # not a training target
+                seen.append((args[2], args[4].anfis_bundle, args[5]))
+            return predict_positions(*args)
+
+        monkeypatch.setattr(harness, "predict_positions", recorded)
+        run_comparison(study)
+        assert passes == [[6, 3, 3]]
+        assert [t.stop - t.start for t, _, _ in seen] == [90, 89, 85, 83]
+        monkeypatch.setattr(anfis, "_RESIDUAL_ROWS", 1024)
+        for test, bundle, residual in seen:
+            assert residual.tobytes() == bundle.residuals(study.table.inputs[:, test]).tobytes()
+
+
 def test_epochs_and_eta_leave_training_unchanged():
     """Training is one ridge solve per network: it reads neither key."""
     bundles = [
@@ -557,6 +599,10 @@ class TestConfigFiles:
                 continue
             sc = load_scenario(f)
             assert sc.tick > 0
+
+    def test_stock_files_read_as_safe_load_reads_them(self):
+        for f in sorted(SCENARIO_DIR.glob("*.yaml")):
+            assert harness._read_config(f) == yaml.safe_load(f.read_text(encoding="utf-8"))
 
     def test_round_trip_fields(self, tmp_path):
         cfg = {
