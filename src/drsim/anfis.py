@@ -14,6 +14,7 @@ All math is batched over samples: x is (N, n_inputs), outputs are (N,).
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections.abc import Callable
@@ -308,14 +309,15 @@ def forward_batch(net: AnfisNetwork, x) -> tuple[np.ndarray, ForwardTrace]:
 @dataclass(frozen=True)
 class TrainingSet:
     inputs: np.ndarray  # (N, n_inputs)
-    targets: np.ndarray  # (N,)
+    targets: np.ndarray  # (N,), or (N, H): one column per network the inputs train
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=float))
         object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
-        if self.inputs.ndim != 2 or self.targets.shape != (self.inputs.shape[0],):
+        rows_agree = self.targets.shape[:1] == self.inputs.shape[:1]
+        if self.inputs.ndim != 2 or self.targets.ndim not in (1, 2) or not rows_agree:
             raise ValidationError(
-                f"samples must be (N, n_inputs) with (N,) targets, got "
+                f"samples must be (N, n_inputs) with (N,) or (N, H) targets, got "
                 f"{self.inputs.shape} / {self.targets.shape}"
             )
         if not (np.all(np.isfinite(self.inputs)) and np.all(np.isfinite(self.targets))):
@@ -325,14 +327,22 @@ class TrainingSet:
         return self.inputs.shape[0]
 
 
-def _half_sse(data: TrainingSet, out: np.ndarray) -> float:
-    return float(0.5 * np.sum((data.targets - out) ** 2))
+def _one_target(data: TrainingSet) -> np.ndarray:
+    """data's targets, if one network's: (N,). Columns of targets train one
+    network each (train_networks)."""
+    if data.targets.ndim != 1:
+        raise ValidationError(f"one network needs (N,) targets, got {data.targets.shape}")
+    return data.targets
+
+
+def _half_sse(targets: np.ndarray, out: np.ndarray) -> float:
+    return float(0.5 * np.sum((targets - out) ** 2))
 
 
 def loss(net: AnfisNetwork, data: TrainingSet) -> float:
     """Sum over samples of half squared error."""
     out, _ = forward_batch(net, data.inputs)
-    return _half_sse(data, out)
+    return _half_sse(_one_target(data), out)
 
 
 def _premises(net: AnfisNetwork) -> list:
@@ -341,98 +351,75 @@ def _premises(net: AnfisNetwork) -> list:
 
 
 class _Pass:
-    """A training forward pass of one network over one training set.
+    """A training forward pass of one network over one training set's rows.
 
-    It reads neither the consequents nor the targets. So the pass serves every
-    network whose premises equal those it was made at and whose set's inputs are
-    a prefix of its rows. A row prefix of a C-ordered array is contiguous, so
-    each product over it is the same BLAS call on the same bits as over a pass
-    of the prefix's own. The consequent Gram of a prefix is a sum of fixed row
-    blocks' Grams (gram); the pass keeps, for as long as it lives, the sum of
-    the full blocks it last summed, so the prefixes it serves share those
-    blocks' products.
+    It reads neither the consequents nor the targets, so it serves every target
+    column of the set: one pass, one Gram and one solve train as many networks
+    as the set has columns.
     """
 
     def __init__(self, net: AnfisNetwork, data: TrainingSet):
-        self.premises = _premises(net)
-        self.inputs = data.inputs
+        if len(data) < net.n_rules:
+            raise ValidationError(f"training needs at least {net.n_rules} samples, got {len(data)}")
         self.trace = forward_batch(net, data.inputs)[1]
-        self._blocks = (0, 0.0)  # full blocks summed, and the sum of their Grams
 
-    def serves(self, net: AnfisNetwork, data: TrainingSet) -> bool:
-        n = len(data)
-        return (
-            n <= len(self.inputs)
-            and _premises(net) == self.premises
-            and np.array_equal(data.inputs, self.inputs[:n])
-        )
-
-    def gram(self, n: int) -> np.ndarray:
-        """B'B over the first n rows of the firing B, as a new array: the Grams of
-        its _GRAM_ROWS-row blocks summed in row order, plus its partial tail's. The
-        cached sum of full blocks is extended, or summed anew if it holds more."""
-        full, beta = n // _GRAM_ROWS, self.trace.beta
-        done, total = self._blocks if self._blocks[0] <= full else (0, 0.0)
-        gram = np.empty((beta.shape[1], beta.shape[1]))  # later blocks' products, then the tail's
-        for lo in range(done * _GRAM_ROWS, full * _GRAM_ROWS, _GRAM_ROWS):
-            block = _gram(beta[lo : lo + _GRAM_ROWS], gram if lo else None)
-            total = np.add(total, block, out=total) if lo else block
-        self._blocks = (full, total)
-        _gram(beta[full * _GRAM_ROWS : n], gram)
-        gram += total
+    def gram(self) -> np.ndarray:
+        """B'B over the firing B, as a new array: the Grams of its _GRAM_ROWS-row
+        blocks, each one BLAS call, summed in row order, the partial last block's
+        included."""
+        beta = self.trace.beta
+        gram = np.matmul(beta[:_GRAM_ROWS].T, beta[:_GRAM_ROWS])
+        block = np.empty_like(gram)
+        for lo in range(_GRAM_ROWS, len(beta), _GRAM_ROWS):
+            rows = beta[lo : lo + _GRAM_ROWS]
+            gram += np.matmul(rows.T, rows, out=block)
         return gram
 
 
-def _gram(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The Gram rows'rows of a block of rows, in one BLAS call, into out if given."""
-    return np.matmul(rows.T, rows, out=out)
+def _solve_consequents(shared: _Pass, targets: np.ndarray) -> np.ndarray:
+    """The consequents Z (n_rules, H) solving (B'B + lam I) Z = B'Y, lam = RIDGE *
+    trace(B'B) / n_rules, for the firing B of shared and the targets Y (N, H) of
+    its rows: column j of Z is the consequents for Y's column j.
+
+    All columns share one Gram, one lam and one factorization. The rows of B sum
+    to one, so the trace is positive and the system positive definite even where
+    rules never fire apart (ridge regression, Hoerl & Kennard 1970). A single
+    column solves with the bits of the 1-D form: B'Y is then the same
+    matrix-vector product, and the solve the same one-column factorization."""
+    beta = shared.trace.beta
+    n_rules = beta.shape[1]
+    gram = shared.gram()
+    gram.flat[:: n_rules + 1] += RIDGE * np.trace(gram) / n_rules
+    return np.linalg.solve(gram, beta.T @ targets)
 
 
-def _solve_consequents(net: AnfisNetwork, data: TrainingSet, shared: _Pass) -> np.ndarray:
-    """Solve (B'B + lam I) z = B'y for the consequents, lam = RIDGE * trace(B'B) / n_rules,
-    B the firing of shared, a _Pass that serves net and data, over data's rows.
-    Returns the output at z over those rows.
+def train_networks(net: AnfisNetwork, data: TrainingSet) -> list[AnfisNetwork]:
+    """One trained network per target column of data (one for (N,) targets):
+    net's premises with the consequents of one ridge solve. net stays as it is.
 
-    B'B is shared.gram's block sum, so networks the pass serves share the
-    products of their common full blocks. The rows of B sum to one, so the
-    trace is positive and the system positive definite even where rules never
-    fire apart (ridge regression, Hoerl & Kennard 1970)."""
-    beta = shared.trace.beta[: len(data)]
-    gram = shared.gram(len(data))
-    gram.flat[:: net.n_rules + 1] += RIDGE * np.trace(gram) / net.n_rules
-    net.z = np.linalg.solve(gram, beta.T @ data.targets)
-    return beta @ net.z
-
-
-def train_networks(nets: list[AnfisNetwork], sets: list[TrainingSet]) -> list[float]:
-    """Solves each network's consequents on its set; returns each one's loss there.
-
-    Each network in turn takes one ridge solve at its premises, which stay as
-    built. The solve reads a forward pass, which reads neither the consequents
-    nor the targets, so the current pass serves each network it can
-    (_Pass.serves, decided by comparison); a network it cannot serve frees it
-    and makes the next. Only one pass is alive at a time.
+    The columns share one forward pass, one Gram and one factorization
+    (_solve_consequents), whose column j becomes network j's consequents. The
+    networks share net's premises too, as objects: only the consequents are
+    each one's own.
     """
-    for net, data in zip(nets, sets):
-        if len(data) < net.n_rules:
-            raise ValidationError(f"training needs at least {net.n_rules} samples, got {len(data)}")
-    losses = []
-    shared = None
-    for net, data in zip(nets, sets):
-        if shared is None or not shared.serves(net, data):
-            shared = None  # frees the previous pass before the next is made
-            shared = _Pass(net, data)
-        losses.append(_half_sse(data, _solve_consequents(net, data, shared)))
-    return losses
+    shared = _Pass(net, data)
+    solved = _solve_consequents(shared, data.targets.reshape(len(data), -1))
+    trained = [copy.copy(net) for _ in range(solved.shape[1])]
+    for out, z in zip(trained, solved.T):
+        out.z = np.ascontiguousarray(z)
+    return trained
 
 
 def train_hybrid(net: AnfisNetwork, data: TrainingSet) -> float:
-    """train_networks for one network: its loss with the consequents solved.
+    """train_networks for one network and its (N,) targets, in place: solves
+    net's consequents and returns its loss on data, from the pass of the solve.
 
     The package trains through train_networks; this one-network form stays
     because the benchmark's tracer (bench/tracer.py) patches it by name.
     """
-    return train_networks([net], [data])[0]
+    targets, shared = _one_target(data), _Pass(net, data)
+    net.z = _solve_consequents(shared, targets[:, None])[:, 0]
+    return _half_sse(targets, shared.trace.beta @ net.z)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +534,9 @@ def bundle_residuals(
 
     Rows go through the networks in blocks of _RESIDUAL_ROWS. In each block, an
     axis makes one forward pass per distinct premise set among the bundles'
-    networks there (decided by comparison, as _Pass.serves decides), over the
-    rows the longest of those bundles reads in the block; each bundle then takes
-    its own rows of that firing. A row's firing does not depend on the rows
+    networks there (decided by comparing _premises), over the rows the longest
+    of those bundles reads in the block; each bundle then takes its own rows of
+    that firing. A row's firing does not depend on the rows
     beside it, and each row's output is its own dot of firing strengths and
     consequents, so it equals a one-row call of its bundle bit for bit (a
     matrix-vector product over many rows rounds differently). Only one firing is

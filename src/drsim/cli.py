@@ -86,10 +86,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="directory for report.txt/report.csv/errors.csv")
     p_run.set_defaults(func=_cmd_run)
 
-    p_train = sub.add_parser("train", help="train a corrector bundle from a study file")
+    p_train = sub.add_parser(
+        "train",
+        help="train a corrector bundle from a study file",
+        description="Train the corrector bundle of one horizon. It trains together with the "
+        "study's own horizons, on the rows they all share: those whose target the longest "
+        "horizon reaches before the split. If the split leaves too few such rows, training "
+        "fails and names that longest horizon.",
+    )
     p_train.add_argument("study")
     p_train.add_argument("--save", required=True, help="output bundle path (json)")
-    p_train.add_argument("--horizon", type=int, help="training horizon in ticks")
+    p_train.add_argument(
+        "--horizon", type=int, help="training horizon in ticks (default: the study's longest)"
+    )
     p_train.set_defaults(func=_cmd_train)
 
     p_cmp = sub.add_parser("compare", help="horizon-vs-predictor error table")

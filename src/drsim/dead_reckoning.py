@@ -215,7 +215,7 @@ def row_norms(d: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of d (N, 3), rounded as np.linalg.norm
     rounds one 3-vector: a BLAS dot per row (np.linalg.norm(d, axis=1) sums
     differently)."""
-    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    return np.sqrt(np.vecdot(d, d))
 
 
 def predict_positions(

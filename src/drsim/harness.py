@@ -369,7 +369,7 @@ class TrainSpec:
     """A study's training settings.
 
     Training reads split, n_terms, shape and obs_noise_pos. It reads nothing of
-    epochs, eta, regime and rule_base: each network is one ridge solve at its
+    epochs, eta, regime and rule_base: each axis is one ridge solve at its
     initial premises (anfis.train_networks), regime accepts only hybrid and
     rule_base only grid. The four keys stay, checked at load as before, only so
     that the benchmark's training settings (ANFIS_TRAIN in bench/workloads.py)
@@ -459,52 +459,40 @@ def build_motion_table(study: ComparisonStudy, truth: StateArrays) -> MotionTabl
 
 def _training_sets(
     table: MotionTable, split_idx: int, horizons: list[int], tick: float
-) -> list[list[TrainingSet]]:
-    """Per axis, one set per horizon h: the corrector's inputs at rows
-    1 .. split_idx - h - 1, with the residual of second-order projection h ticks
-    ahead as target. Every set's inputs are a view of the table's from row 1,
-    so each horizon's rows are a prefix of the shortest horizon's."""
-    observed, inputs = table.observed, table.inputs[:, 1:]
+) -> list[TrainingSet]:
+    """Per axis, one set for all of horizons: the corrector's inputs at rows
+    1 .. split_idx - max(horizons) - 1, the rows whose target every horizon
+    reaches before the split, with one target column per horizon h, in the
+    order of horizons: the residual of second-order projection h ticks ahead."""
+    n = split_idx - max(horizons) - 1
+    observed, rows = table.observed, slice(1, n + 1)
     half_a, second = 0.5 * observed.acceleration, DrConfig()
-    sets = [[] for _ in range(3)]
-    for h in horizons:
-        n = split_idx - h - 1
-        rows, dt = slice(1, n + 1), np.array([h * tick])
-        pred = predict_positions(observed, half_a, rows, dt, second, None)
-        targets = table.truth.position[1 + h : n + 1 + h] - pred
-        for k in range(3):
-            sets[k].append(TrainingSet(inputs[k, :n], targets[:, k]))
-    return sets
+    targets = np.empty((3, n, len(horizons)))
+    for j, h in enumerate(horizons):
+        pred = predict_positions(observed, half_a, rows, np.array([h * tick]), second, None)
+        targets[:, :, j] = (table.truth.position[1 + h : n + 1 + h] - pred).T
+    return [TrainingSet(table.inputs[k, rows], targets[k]) for k in range(3)]
 
 
-def _axis_networks(spec: TrainSpec, sets: list[TrainingSet]) -> list[AnfisNetwork]:
-    """The untrained corrector of one axis for each set of (deviation, velocity,
-    orientation) inputs in sets, whose first set's rows hold each later set's as
-    a prefix, as _training_sets makes them.
+def _axis_network(spec: TrainSpec, data: TrainingSet) -> AnfisNetwork:
+    """The untrained corrector of one axis for data's (deviation, velocity,
+    orientation) inputs.
 
     Each input's range is symmetric about zero and reaches its largest
     magnitude in the set, or 1 for an input that is zero throughout; the
     orientation's reaches 0.1% past it, and at least pi/2. An input that holds
     one value over the set gets one term, the others spec.n_terms: terms of an
     input that never varies fire at fixed degrees, so their rules would only
-    repeat each other. A set's extrema are read from one running maximum and
-    minimum over the first set's rows, so every set takes the exact extrema of
-    its own rows without scanning them again."""
-    top, bottom = np.maximum.accumulate(sets[0].inputs), np.minimum.accumulate(sets[0].inputs)
+    repeat each other."""
+    hi, lo = data.inputs.max(axis=0), data.inputs.min(axis=0)
+    dev_span, vel_span, orient_span = np.maximum(hi, -lo).tolist()
+    spans = (dev_span or 1.0, vel_span or 1.0, max(0.5 * math.pi, orient_span * 1.001))
     names = ("deviation", "velocity", "orientation")
-    nets = []
-    for data in sets:
-        hi, lo = top[len(data) - 1], bottom[len(data) - 1]
-        dev_span, vel_span, orient_span = np.maximum(hi, -lo).tolist()
-        spans = (dev_span or 1.0, vel_span or 1.0, max(0.5 * math.pi, orient_span * 1.001))
-        nets.append(
-            build_network(
-                [(name, -span, span) for name, span in zip(names, spans)],
-                n_terms=[1 if same else spec.n_terms for same in (hi == lo).tolist()],
-                shape=spec.shape,
-            )
-        )
-    return nets
+    return build_network(
+        [(name, -span, span) for name, span in zip(names, spans)],
+        n_terms=[1 if same else spec.n_terms for same in (hi == lo).tolist()],
+        shape=spec.shape,
+    )
 
 
 def train_bundle(
@@ -513,27 +501,37 @@ def train_bundle(
     """Train the per-axis corrector networks for one prediction horizon, or a
     bundle for each of a tuple of horizons, returned in the tuple's order.
 
-    Each network is one ridge solve for its consequents at the premises
-    _axis_networks builds. For each axis, the horizons' networks train together
-    (anfis.train_networks), shortest horizon first: its rows hold every other
-    horizon's, so a network equal to the one before it shares that one's
-    forward pass and the Gram products of their common full row blocks.
+    The horizons asked for train together with the study's own, so a study
+    horizon's bundle is the same whether asked for alone or with other study
+    horizons. All train on the rows whose target the longest of them reaches
+    before the split (_training_sets). Each axis builds one network from those rows
+    (_axis_network) and trains every horizon's consequents at its premises with
+    one forward pass and one ridge solve (anfis.train_networks). A study too
+    short for its longest horizon fails, naming that horizon.
     """
     many = isinstance(horizon_ticks, tuple)
     ticks = horizon_ticks if many else (horizon_ticks,)
     if min(ticks) < 1:
         raise ValidationError(f"horizon {min(ticks)} must be a positive tick count")
-    table = study.table
-    split_idx = int(len(table.truth.time) * study.train.split)
-    if split_idx - max(ticks) - 1 < 2:
-        raise ValidationError("study too short for this horizon/split")
-    ordered = sorted(set(ticks))
-    nets = []
-    for sets in _training_sets(table, split_idx, ordered, study.tick):
-        nets.append(_axis_networks(study.train, sets))
-        anfis.train_networks(nets[-1], sets)
+    ordered = sorted(set(study.horizons) | set(ticks))
+    split_idx = int(len(study.table.truth.time) * study.train.split)
+    longest = ordered[-1]
+    n = split_idx - longest - 1  # rows 1 .. n train every horizon
+    too_short = (
+        f"study too short for horizon {longest}: {max(n, 0)} training row(s) before the split"
+    )
+    if n < 1:
+        raise ValidationError(too_short)
+    sets = _training_sets(study.table, split_idx, ordered, study.tick)
+    axes = []
+    for axis, data in zip(anfis.AXIS_NAMES, sets):
+        net = _axis_network(study.train, data)
+        if n < net.n_rules:
+            rules = f"the {net.n_rules} rules of its {axis} network"
+            raise ValidationError(f"{too_short}, fewer than {rules}")
+        axes.append(anfis.train_networks(net, data))
     bundles = {
-        h: AnfisBundle([axis_nets[j] for axis_nets in nets], h * study.tick, study.tick)
+        h: AnfisBundle([nets[j] for nets in axes], h * study.tick, study.tick)
         for j, h in enumerate(ordered)
     }
     return tuple(bundles[h] for h in ticks) if many else bundles[horizon_ticks]

@@ -304,40 +304,43 @@ class TestKernelAgainstReference:
         beta = forward_batch(net, data.inputs)[1].beta
         assert np.array_equal(beta, alpha / alpha.sum(axis=1)[:, None])
 
-    def test_given_trace_is_reused(self):
-        # a pass over more rows gives a prefix of them the solve of its own pass
-        net, data = kernel_case("mixed", 3, "grid")
-        prefix = TrainingSet(data.inputs[:50], data.targets[:50])
-        fresh = anfis._solve_consequents(net, prefix, anfis._Pass(net, prefix)), net.z
-        reused = anfis._solve_consequents(net, prefix, anfis._Pass(net, data)), net.z
-        assert np.array_equal(fresh[0], reused[0])
-        assert np.array_equal(fresh[1], reused[1])
-
 
 class TestTrainNetworks:
-    """Networks trained together equal the same networks trained one call each,
-    losses included; a pass is shared only where it is the same."""
+    """One network per target column, all from one pass and one solve at the
+    premises given; a single column trains as train_hybrid does, bit for bit."""
 
-    def test_equals_one_network_calls(self, monkeypatch):
+    def test_one_column_equals_train_hybrid(self, monkeypatch):
+        net, data = kernel_case("mixed", 3, "grid")
+        alone = AnfisNetwork(net.inputs, np.zeros(net.n_rules))
+        train_hybrid(alone, data)
+        counts = count_training_events(monkeypatch)
+        for targets in (data.targets, data.targets[:, None]):
+            [trained] = anfis.train_networks(net, TrainingSet(data.inputs, targets))
+            assert trained.to_dict() == alone.to_dict()
+        assert counts == ([1, 1], [1, 1])
+
+    def test_columns_share_one_pass_and_one_solve(self, monkeypatch):
         rng = np.random.default_rng(41)
-        X, other = rng.uniform(-1, 1, (80, 2)), rng.uniform(-1, 1, (60, 2))
-        Y = np.sin(3 * X[:, 0]) * X[:, 1]
-        # (premise seed, inputs, targets): a prefix of the first set's rows and
-        # other targets; rows that are no prefix; other premises; the first
-        # premises again, after the shared pass moved on
-        cases = [(0, X, Y), (0, X[:50], 2 * Y[:50]), (0, other, Y[:60]), (1, X[:40], Y[:40]),
-                 (0, X[:30], Y[:30])]
+        X = rng.uniform(-1, 1, (80, 2))
+        Y = np.stack([np.sin(3 * X[:, 0]) * X[:, 1], X[:, 0] ** 2, 2.0 * X[:, 1]], axis=1)
+        net = tiny_net(4, 2, seed=0)
+        untrained = net.to_dict()
+        counts = count_training_events(monkeypatch)
+        trained = anfis.train_networks(net, TrainingSet(X, Y))
+        assert counts == ([1], [1])
+        assert net.to_dict() == untrained
+        beta = forward_batch(net, X)[1].beta
+        gram = block_gram(beta, len(beta))
+        gram += anfis.RIDGE * np.trace(gram) / net.n_rules * np.eye(net.n_rules)
+        solved = np.linalg.solve(gram, beta.T @ Y)
+        for j, out in enumerate(trained):
+            assert out.inputs == net.inputs and out.rules is net.rules
+            assert np.array_equal(out.z, solved[:, j]) and out.z.flags.c_contiguous
 
-        def nets():
-            return [tiny_net(4, 2, seed=seed) for seed, _, _ in cases]
-
-        sets = [TrainingSet(x, y) for _, x, y in cases]
-        expected = [(train_hybrid(net, data), net.to_dict()) for net, data in zip(nets(), sets)]
-        counts = count_training_events(monkeypatch)[0]
-        together = nets()
-        losses = anfis.train_networks(together, sets)
-        assert list(zip(losses, (net.to_dict() for net in together))) == expected
-        assert counts == [4]  # cases 0, 2, 3 and 4 make a pass; case 1 shares case 0's
+    def test_needs_enough_samples(self):
+        data = TrainingSet(np.zeros((48, 2)), np.zeros((48, 3)))
+        with pytest.raises(ValidationError, match="at least 49 samples, got 48"):
+            anfis.train_networks(tiny_net(7, 2), data)
 
 
 class TestTrainHybrid:
@@ -372,6 +375,17 @@ class TestTrainHybrid:
         net = tiny_net(n_terms=7)
         with pytest.raises(ValidationError):
             train_hybrid(net, TrainingSet(np.zeros((3, 1)), np.zeros(3)))
+
+    def test_one_network_needs_one_target_column(self):
+        data = TrainingSet(np.zeros((5, 1)), np.zeros((5, 1)))
+        for call in (train_hybrid, loss):
+            with pytest.raises(ValidationError, match=r"one network needs \(N,\) targets"):
+                call(tiny_net(n_terms=3), data)
+
+    @pytest.mark.parametrize("inputs, targets", [((5, 1), (4,)), ((5, 1), (5, 2, 1)), ((5,), (5,))])
+    def test_mismatched_samples_rejected(self, inputs, targets):
+        with pytest.raises(ValidationError, match="samples must be"):
+            TrainingSet(np.zeros(inputs), np.zeros(targets))
 
     def test_rank_deficient_solves_without_warning(self):
         net = tiny_net(n_terms=5, n_inputs=2)
@@ -438,44 +452,34 @@ class TestRidgeConsequents:
 GRAM_ROWS = anfis._GRAM_ROWS
 
 
-def gram_pass() -> anfis._Pass:
-    """A pass of a 25-rule network over three full Gram blocks and 5 rows more."""
-    n = 3 * GRAM_ROWS + 5
+def gram_pass(n: int) -> anfis._Pass:
+    """A pass of a 25-rule network over n rows."""
     data = TrainingSet(np.random.default_rng(21).uniform(-1, 1, (n, 2)), np.zeros(n))
     return anfis._Pass(tiny_net(5, 2, seed=4), data)
 
 
 class TestPassGram:
     """_Pass.gram sums its row blocks' Grams in row order, bit for bit as a plain
-    loop does, whatever prefixes the pass gave before."""
+    loop does, and hands the caller an array of its own."""
 
     @pytest.mark.parametrize(
         "n", [GRAM_ROWS - 1, GRAM_ROWS, GRAM_ROWS + 1, 2 * GRAM_ROWS + 52, 3 * GRAM_ROWS + 5]
     )
     def test_matches_plain_loop(self, n):
-        shared = gram_pass()
-        assert np.array_equal(shared.gram(n), block_gram(shared.trace.beta, n))
-
-    def test_any_order_of_prefixes(self):
-        # longer after shorter extends the cached block sum; shorter after
-        # longer sums its blocks again; the caller may write to what it gets
-        shared = gram_pass()
-        prefixes = [GRAM_ROWS + 1, 3 * GRAM_ROWS + 5, 3 * GRAM_ROWS, 2 * GRAM_ROWS + 52,
-                    GRAM_ROWS - 1, 2 * GRAM_ROWS]
-        for n in prefixes:
-            gram = shared.gram(n)
-            assert np.array_equal(gram, block_gram(shared.trace.beta, n))
-            gram += 1.0
+        shared = gram_pass(n)
+        gram = shared.gram()
+        assert np.array_equal(gram, block_gram(shared.trace.beta, n))
+        gram += 1.0
+        assert np.array_equal(shared.gram(), block_gram(shared.trace.beta, n))
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(1, 3 * GRAM_ROWS + 5), min_size=1, max_size=3))
-    def test_symmetric_and_close_to_one_product(self, prefixes):
-        shared = gram_pass()
-        for n in prefixes:
-            gram, beta = shared.gram(n), shared.trace.beta[:n]
-            assert np.array_equal(gram, gram.T)
-            direct = beta.T @ beta
-            assert np.max(np.abs(gram - direct)) <= 1e-12 * np.max(np.abs(direct))
+    @given(st.integers(25, 3 * GRAM_ROWS + 5))
+    def test_symmetric_and_close_to_one_product(self, n):
+        shared = gram_pass(n)
+        gram, beta = shared.gram(), shared.trace.beta
+        assert np.array_equal(gram, gram.T)
+        direct = beta.T @ beta
+        assert np.max(np.abs(gram - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 class TestSerialization:

@@ -29,7 +29,12 @@ from drsim.harness import (
 from drsim.kinematics import TRAJECTORY_PARAMS, Order, Trajectory, sample_truth, truth_arrays
 from drsim.netsim import ChannelConfig
 from drsim.qos_metrics import QosProfile
-from reference import count_scoring_passes, count_training_events, make_residual_task
+from reference import (
+    count_scoring_passes,
+    count_training_events,
+    make_residual_task,
+    reference_bundles,
+)
 from test_engine import assert_same_run, corrector_passes, fixed_bundle
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -401,66 +406,91 @@ class TestResidualTask:
             make_residual_task(traj, 0.1, 5.0, horizon_ticks=10, n_samples=500)
 
 
-def spike_study(**train) -> ComparisonStudy:
+def spike_study(horizons=(1, 2, 6, 8), **train) -> ComparisonStudy:
     """x and y zigzag at 1 and 0.5 m/s, then x jumps 3 m from t = 20.75 to 20.85 s.
 
-    Of the training rows (1 .. 209 - h), only the shortest horizon's reach the
-    jump (row 208), so its x network has wider deviation and velocity ranges
-    than the other horizons' x networks, which equal one another."""
+    A study trains on rows 1 .. 209 - h for its longest horizon h, so only a
+    study whose horizons are all 1 tick reaches the jump (row 208): its x
+    network has wider deviation and velocity ranges than a study's with longer
+    horizons."""
     waypoints = [[float(t), float(t % 2), 0.5 * (t % 2), 0.0] for t in range(21)]
     waypoints += [[20.75, 0.75, 0.0, 0.0], [20.85, 3.75, 0.0, 0.0], [30.0, 3.75, 0.0, 0.0]]
     traj = Trajectory("waypoint-script", {"waypoints": waypoints, "omega": 0.05}, duration=30.0)
     return ComparisonStudy(
-        traj, 0.1, 30.0, horizons=(1, 2, 6, 8), predictors=("anfis",), train=TrainSpec(**train)
+        traj, 0.1, 30.0, horizons=horizons, predictors=("anfis",), train=TrainSpec(**train)
     )
 
 
 class TestHorizonsTrainedTogether:
-    """The bundles a study trains together equal, bit for bit, the bundles it
-    trains one horizon at a time; equal networks share a pass, and the Gram
-    products of the full row blocks their rows have in common."""
+    """A study trains all its horizons on the rows they share: per axis, one
+    network, one forward pass and one solve with a column per horizon. Its
+    bundles equal the plain loop's (reference_bundles) bit for bit, and
+    train_bundle gives any horizon, in the study or not, the bundle it has when
+    trained with the study's horizons."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
         return count_training_events(monkeypatch)
 
     @staticmethod
-    def check(study, passes, per_axis, blocks=None):
-        """Trains study's horizons together, then one at a time; per_axis gives
-        the forward passes of training them together, one count per axis, and
-        blocks, where given, the Gram products of full row blocks likewise."""
+    def check(study, passes):
+        """Trains study's horizons together, then one at a time, each training
+        with one pass and one solve per axis; returns the bundles of the first."""
+        for kind in passes:
+            kind.clear()
         together = train_bundle(study, tuple(study.horizons))
-        counts, products = (list(c) for c in passes)
+        assert passes == ([1] * 3, [1] * 3)
         alone = [train_bundle(study, h) for h in study.horizons]
-        assert [b.to_dict() for b in together] == [b.to_dict() for b in alone]
-        assert counts == per_axis
-        if blocks is not None:
-            assert products == blocks
+        expected = [b.to_dict() for b in reference_bundles(study, tuple(study.horizons))]
+        assert [b.to_dict() for b in together] == expected
+        assert [b.to_dict() for b in alone] == expected
+        for bundle in together:  # one premise set per axis
+            assert all(a.inputs == b.inputs for a, b in zip(bundle.networks, together[0].networks))
         return together
 
     def test_stock_study(self, passes):
-        # Every horizon trains on 2,089-2,098 rows: two full 1,024-row blocks. An
-        # axis sums them once for all ten horizons' Grams.
-        study = load_study(SCENARIO_DIR / "sinusoid_comparison.yaml")
-        self.check(study, passes, [1] * 3, blocks=[2] * 3)
+        # The ten horizons' 3 x 10 networks: 3 passes and 3 solves of 10 columns.
+        self.check(load_study(SCENARIO_DIR / "sinusoid_comparison.yaml"), passes)
+
+    def test_stock_comparison(self, passes, monkeypatch):
+        # The whole study: 3 training passes and 3 solves, then 3 scoring passes.
+        scoring = count_scoring_passes(monkeypatch)
+        run_comparison(load_study(SCENARIO_DIR / "sinusoid_comparison.yaml"))
+        assert passes == ([1] * 3, [1] * 3) and scoring == [[1] * 3]
 
     def test_rows_straddle_a_block_edge(self, passes, monkeypatch):
-        # In 69-row blocks, the horizons' 278, 276 and 274 rows hold 4 full
-        # blocks plus 2 rows, 4 blocks, and 3 blocks plus 67 rows. On each axis
-        # the second network reuses the first's 4 block products and the third
-        # sums its 3 anew.
+        # In 69-row blocks, the 274 rows the horizons share hold 3 full blocks
+        # and 67 rows more; the plain loop sums the same blocks.
         monkeypatch.setattr(anfis, "_GRAM_ROWS", 69)
         study = ComparisonStudy(
             weave(40.0), 0.1, 40.0, horizons=(1, 3, 5), predictors=("anfis",),
             train=TrainSpec(n_terms=5),
         )
-        self.check(study, passes, [1] * 3, blocks=[7] * 3)
+        self.check(study, passes)
 
-    def test_unequal_networks_make_their_own_pass(self, passes):
-        study = spike_study(n_terms=5)
-        together = self.check(study, passes, [2, 1, 1])
-        ranges = [[(s.lo, s.hi) for s in b.networks[0].inputs[:2]] for b in together]
-        assert ranges[0] != ranges[1] == ranges[2] == ranges[3]
+    def test_horizon_outside_the_study_trains_with_its_horizons(self, passes):
+        # h = 1 alone would reach the jump; trained with the study's horizons,
+        # it takes their rows and premises, in one pass and one solve per axis.
+        study = spike_study(horizons=(2, 6, 8), n_terms=5)
+        bundle = train_bundle(study, 1)
+        assert passes == ([1] * 3, [1] * 3)
+        assert bundle.to_dict() == reference_bundles(study, (1,))[0].to_dict()
+        premises = [net.to_dict()["inputs"] for net in bundle.networks]
+        together = self.check(study, passes)
+        assert premises == [net.to_dict()["inputs"] for net in together[0].networks]
+        alone = train_bundle(spike_study(horizons=(1,), n_terms=5), 1)
+        assert premises[0] != alone.networks[0].to_dict()["inputs"]
+
+    @pytest.mark.parametrize("horizon, match", [
+        (1, "horizon 1: 2 training row\\(s\\) before the split, fewer than the 25 rules of its y"),
+        (3, "horizon 3: 0 training row\\(s\\) before the split$"),
+    ])
+    def test_study_too_short_names_its_longest_horizon(self, horizon, match):
+        study = ComparisonStudy(
+            weave(40.0), 0.1, 40.0, horizons=(1,), train=TrainSpec(n_terms=5, split=0.01)
+        )
+        with pytest.raises(ValidationError, match=match):
+            train_bundle(study, horizon)
 
 
 class TestHorizonsScoredTogether:
@@ -479,14 +509,20 @@ class TestHorizonsScoredTogether:
         assert passes == [[1] * 3]
 
     def test_unequal_networks_make_their_own_pass(self, passes):
-        # The shortest horizon's x network has ranges of its own (spike_study).
-        run_comparison(spike_study(n_terms=5))
+        # A study of h = 1 alone reaches the jump, so its x network has ranges
+        # of its own; y and z equal those of the study of longer horizons.
+        bundles = (train_bundle(spike_study(horizons=(1,), n_terms=5), 1),
+                   *train_bundle(spike_study(horizons=(2, 6), n_terms=5), (2, 6)))
+        inputs = spike_study(horizons=(1,), n_terms=5).table.inputs
+        residuals = anfis.bundle_residuals(bundles, inputs, [50, 40, 30])
         assert passes == [[2, 1, 1]]
+        for bundle, residual in zip(bundles, residuals):
+            assert residual.tobytes() == bundle.residuals(inputs[:, : len(residual)]).tobytes()
 
     def test_rows_straddle_a_block_edge(self, passes, monkeypatch):
         # In 44-row blocks, the horizons' 90, 89, 85 and 83 held-out rows end in
-        # the third block for h = 1 and 2 and in the second for h = 6 and 8; on x,
-        # h = 1 has premises of its own, so every block makes two x passes.
+        # the third block for h = 1 and 2 and in the second for h = 6 and 8; every
+        # block makes one pass per axis for all four horizons.
         monkeypatch.setattr(anfis, "_RESIDUAL_ROWS", 44)
         study = spike_study(n_terms=5)
         seen = []
@@ -498,7 +534,7 @@ class TestHorizonsScoredTogether:
 
         monkeypatch.setattr(harness, "predict_positions", recorded)
         run_comparison(study)
-        assert passes == [[6, 3, 3]]
+        assert passes == [[3, 3, 3]]
         assert [t.stop - t.start for t, _, _ in seen] == [90, 89, 85, 83]
         monkeypatch.setattr(anfis, "_RESIDUAL_ROWS", 1024)
         for test, bundle, residual in seen:
@@ -1130,6 +1166,22 @@ class TestCli:
         assert cli.main(argv) == 1
         assert trained == [] and not bundle_path.exists()
         assert f"horizon {horizon} must be a positive tick count" in capsys.readouterr().err
+
+    def test_train_horizon_trains_with_the_study_horizons(self, tmp_path, capsys):
+        # The study's horizons are 1 and 3: h = 2 trains on their shared rows,
+        # at the premises of their bundles, and h = 419 leaves no row to train.
+        study_path = tiny_study_file(tmp_path)
+        argv = ["train", str(study_path), "--save", str(tmp_path / "bundle.json"), "--horizon"]
+        assert cli.main([*argv, "2"]) == 0
+        saved, study = AnfisBundle.load(tmp_path / "bundle.json"), load_study(study_path)
+        assert saved.to_dict() == train_bundle(study, 2).to_dict()
+        premises = [net.to_dict()["inputs"] for net in train_bundle(study, 3).networks]
+        assert [net.to_dict()["inputs"] for net in saved.networks] == premises
+        (tmp_path / "bundle.json").unlink()
+        capsys.readouterr()
+        assert cli.main([*argv, "419"]) == 1
+        assert "study too short for horizon 419" in capsys.readouterr().err
+        assert not (tmp_path / "bundle.json").exists()
 
     def test_train_prints_rule_and_term_counts(self, tmp_path, capsys):
         bundle_path = tmp_path / "bundle.json"
