@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFiringError, ValidationError
-from .kinematics import EntityState, Order, StateArrays, advance, extrapolate
+from .kinematics import EntityState, StateArrays, advance
+from .kinematics import extrapolate  # noqa: F401 -- bench/tracer.py wraps it here
 
 _EXP_CLIP = 60.0
 _BLOCK_ELEMENTS = 1 << 15  # per row block of an (N, R) stage, so that it stays in cache
@@ -488,15 +489,19 @@ class AnfisBundle:
         return np.float_power(horizons / self.h_ref, 3.0)
 
     def predict(self, history: list[EntityState], horizon: float) -> np.ndarray:
-        """Predicted position horizon seconds past the newest history sample."""
+        """Predicted position horizon seconds past the newest history sample:
+        predict_positions at a gap of horizon, which also scales the correction."""
+        from .dead_reckoning import DrConfig, predict_positions  # it imports this module
+
         if not history:
             raise ValidationError("history must contain at least one state")
         if horizon < 0.0:
             raise ValidationError(f"horizon must be >= 0, got {horizon}")
-        last = history[-1]
-        inputs = features(StateArrays.of(history[-2:]), self.feature_tick)[:, -1:]
-        base = extrapolate(last, last.time + horizon, Order.SECOND)
-        return base.position + self.residuals(inputs)[0] * self.scales(np.array([horizon]))
+        rows = StateArrays.of(history[-2:])
+        residual = self.residuals(features(rows, self.feature_tick)[:, -1:])
+        config = DrConfig(predictor="anfis", anfis_bundle=self)
+        half_a = 0.5 * rows.acceleration
+        return predict_positions(rows, half_a, [-1], np.array([horizon]), config, residual)[0]
 
     def to_dict(self) -> dict:
         return {
@@ -532,39 +537,36 @@ def bundle_residuals(
     """Learned corrections (counts[j], 3) of each bundle j at its reference
     horizon, for the first counts[j] of the :func:`features` rows inputs (3, N, 3).
 
-    Rows go through the networks in blocks of _RESIDUAL_ROWS. In each block, an
-    axis makes one forward pass per distinct premise set among the bundles'
-    networks there (decided by comparing _premises), over the rows the longest
-    of those bundles reads in the block; each bundle then takes its own rows of
-    that firing. A row's firing does not depend on the rows
-    beside it, and each row's output is its own dot of firing strengths and
-    consequents, so it equals a one-row call of its bundle bit for bit (a
-    matrix-vector product over many rows rounds differently). Only one firing is
-    alive at a time. A DegenerateFiringError gives its rows as indices of
-    inputs' rows.
+    The bundles must share each axis network's premises (compared by
+    _premises), as a study's bundles do: rows go through the first bundle's
+    networks in blocks of _RESIDUAL_ROWS, one forward pass per axis and block
+    over the rows the longest bundle reads, and each bundle takes its own rows
+    of that firing. A row's firing does not depend on the rows beside it, and
+    each row's output is its own dot of firing strengths and consequents, so it
+    equals a one-row call of its bundle bit for bit (a matrix-vector product
+    over many rows rounds differently). Only one firing is alive at a time. A
+    DegenerateFiringError gives its rows as indices of inputs' rows.
     """
+    first = bundles[0].networks
+    premises = [_premises(net) for net in first]
+    for bundle in bundles[1:]:
+        for axis, shared, net in zip(AXIS_NAMES, premises, bundle.networks):
+            if _premises(net) != shared:
+                raise ValidationError(f"bundles scored together differ in their {axis} premises")
     outs = [np.empty((n, 3)) for n in counts]
-    axes = []  # per axis, the (output, network) pairs of each distinct premise set
-    for k in range(3):
-        groups: dict[tuple, list] = {}
-        for out, bundle in zip(outs, bundles):
-            net = bundle.networks[k]
-            groups.setdefault(tuple(_premises(net)), []).append((out, net))
-        axes.append(list(groups.values()))
-    for lo in range(0, max(counts), _RESIDUAL_ROWS):
-        for k, groups in enumerate(axes):
-            for members in groups:
-                hi = min(max(len(out) for out, _ in members), lo + _RESIDUAL_ROWS)
-                if hi <= lo:
-                    continue
-                try:
-                    beta = forward_batch(members[0][1], inputs[k, lo:hi])[1].beta
-                except DegenerateFiringError as exc:
-                    exc.rows = exc.rows + lo
-                    raise
-                for out, net in members:
-                    m = min(len(out), hi) - lo  # the rows this bundle reads in the block
-                    if m > 0:
-                        out[lo : lo + m, k] = (beta[:m, None, :] @ net.z[:, None])[:, 0, 0]
-                del beta  # freed before the next pass is made
+    n_rows = max(counts)
+    for lo in range(0, n_rows, _RESIDUAL_ROWS):
+        hi = min(n_rows, lo + _RESIDUAL_ROWS)
+        for k, net in enumerate(first):
+            try:
+                beta = forward_batch(net, inputs[k, lo:hi])[1].beta
+            except DegenerateFiringError as exc:
+                exc.rows = exc.rows + lo
+                raise
+            for out, bundle in zip(outs, bundles):
+                m = min(len(out), hi) - lo  # the rows this bundle reads in the block
+                if m > 0:
+                    z = bundle.networks[k].z
+                    out[lo : lo + m, k] = (beta[:m, None, :] @ z[:, None])[:, 0, 0]
+            del beta  # freed before the next pass is made
     return outs

@@ -265,8 +265,7 @@ def run_scenario(sc: Scenario) -> RunResult:
     log = gate(truth, sc.dr, sc.corrections)
     send_times = truth.time[log.rows].tolist()
     channel = Channel(sc.channel)
-    fates = [channel.transit(now) for now in send_times]
-    due = np.array([math.inf if d is None else d for d in fates])
+    due = channel.transit_all(send_times)
     first, shown_pos, shown_or = display(truth, log, due, sc.dr)
     series = ErrorSeries.from_arrays(
         sc.tick,
@@ -288,7 +287,7 @@ def run_scenario(sc: Scenario) -> RunResult:
         transit = due[delivered] - truth.time[log.rows[delivered]]
         report.max_prop_delay = max(0.0, float(np.max(transit)))
     if len(series):
-        report.max_error = max(series.e_pos)
+        report.max_error = float(series.e_pos.max())
         report.integrated_error = integrated_error(series)
         report.violation_windows = violation_windows(series, sc.dr.th_pos)
         report.total_violation_time = sum(w.length for w in report.violation_windows)

@@ -114,6 +114,36 @@ class Channel:
         self._last_due = due
         return due
 
+    def transit_all(self, times: list[float]) -> np.ndarray:
+        """The fates of messages sent at times, in send order, as transit draws
+        them one by one, bit for bit: each due time, inf for a lost message.
+
+        One block of draws serves them all. Each message takes the next draw
+        for its loss and, when kept on a jittery link, the next for its jitter,
+        which it maps as Generator.uniform does. The generator ends past the
+        draws no message took, so later draws differ from a transit loop's."""
+        cfg = self.config
+        loss, base, jitter = cfg.loss, cfg.base_delay, cfg.jitter
+        span = jitter - (-jitter)
+        draws = iter(self.rng.random(len(times) * (2 if jitter > 0.0 else 1)).tolist())
+        due, last = [], self._last_due
+        for now in times:
+            if next(draws) < loss:
+                self.dropped += 1
+                due.append(math.inf)
+                continue
+            delay = base
+            if jitter > 0.0:
+                delay += -jitter + span * next(draws)
+            d = now + delay
+            if not cfg.reorder_allowed:
+                d = max(d, last)
+            last = d
+            due.append(d)
+        self.sent += len(times)
+        self._last_due = last
+        return np.array(due, dtype=float)
+
     def send(self, queue: EventQueue, msg, now: float) -> bool:
         """Drop or enqueue one message; returns True when delivery is scheduled."""
         due = self.transit(now)

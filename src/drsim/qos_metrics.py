@@ -7,7 +7,6 @@ a-priori worst-case error bound, and grades the run against a QoS profile.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -56,23 +55,23 @@ class QosProfile:
 
 
 class ErrorSeries:
-    """Uniformly spaced (t, positional error, orientation error) samples."""
+    """Uniformly spaced (t, positional error, orientation error) samples, as
+    three float64 arrays."""
 
     def __init__(self, tick: float):
         if not (math.isfinite(tick) and tick > 0.0):
             raise ValidationError(f"tick must be positive, got {tick}")
         self.tick = tick
-        self.times: list[float] = []
-        self.e_pos: list[float] = []
-        self.e_or: list[float] = []
+        self.times = self.e_pos = self.e_or = np.empty(0)
 
     @classmethod
     def from_arrays(cls, tick: float, times, e_pos, e_or) -> "ErrorSeries":
-        """A series holding samples already computed on the tick grid."""
+        """A series holding samples already computed on the tick grid; float64
+        arrays are kept as given."""
         series = cls(tick)
-        series.times = np.asarray(times, dtype=float).tolist()
-        series.e_pos = np.asarray(e_pos, dtype=float).tolist()
-        series.e_or = np.asarray(e_or, dtype=float).tolist()
+        series.times = np.asarray(times, dtype=float)
+        series.e_pos = np.asarray(e_pos, dtype=float)
+        series.e_or = np.asarray(e_or, dtype=float)
         return series
 
     def __len__(self) -> int:
@@ -84,40 +83,34 @@ class ErrorSeries:
                 f"truth at {truth.time} and display at {displayed.time} are misaligned"
             )
         t = truth.time
-        if self.times:
-            expected = self.times[0] + len(self.times) * self.tick
+        if len(self.times):
+            expected = float(self.times[0]) + len(self.times) * self.tick
             if abs(t - expected) > 1e-6 * max(1.0, abs(expected)):
                 raise ValidationError(f"sample at {t} breaks the uniform grid (expected {expected})")
-        self.times.append(t)
-        self.e_pos.append(float(np.linalg.norm(truth.position - displayed.position)))
-        self.e_or.append(abs(angle_diff(truth.orientation, displayed.orientation)))
+        e_pos = np.linalg.norm(truth.position - displayed.position)
+        e_or = abs(angle_diff(truth.orientation, displayed.orientation))
+        self.times = np.append(self.times, t)
+        self.e_pos = np.append(self.e_pos, e_pos)
+        self.e_or = np.append(self.e_or, e_or)
 
     def to_csv(self) -> str:
         """The series as CSV text: a header, then one row per sample.
 
         One % renders every row: a column whose values all have the bits of
-        its first is rendered once, into the row template, and the others
-        are interleaved into one flat tuple.
+        its first (0.0 and -0.0 differ) is rendered once, into the row
+        template, and the others are interleaved into one flat tuple.
         """
         n = len(self.times)
         cells, varying = [], []
         for column in (self.times, self.e_pos, self.e_or):
-            if n and _constant(column):
-                cells.append(format_sig(column[0]))
+            if n and (column.view(np.int64) == column[:1].view(np.int64)).all():
+                cells.append(format_sig(float(column[0])))
             else:
                 cells.append(_SIG)
                 varying.append(column)
         row = ",".join(cells) + "\n"
-        return "t,e_pos,e_or\n" + (row * n) % tuple(itertools.chain.from_iterable(zip(*varying)))
-
-
-def _constant(column: list[float]) -> bool:
-    """Whether every value of a non-empty column has its first value's bits
-    (0.0 and -0.0 differ)."""
-    first = column[0]
-    if column.count(first) != len(column):
-        return False
-    return first != 0.0 or len(set(np.signbit(column).tolist())) == 1
+        values = np.column_stack(varying).ravel().tolist() if varying else ()
+        return "t,e_pos,e_or\n" + (row * n) % tuple(values)
 
 
 def integrated_error(series: ErrorSeries) -> float:
@@ -142,15 +135,17 @@ def violation_windows(series: ErrorSeries, th_pos: float) -> list[ViolationWindo
     """Maximal contiguous runs of samples with positional error above th_pos."""
     if th_pos < 0.0:
         raise ValidationError(f"th_pos must be >= 0, got {th_pos}")
-    e = np.asarray(series.e_pos, dtype=float)
+    e = series.e_pos
     above = np.concatenate(([False], e > th_pos, [False]))
     edges = np.flatnonzero(above[1:] != above[:-1])  # each window's start, then its stop
     # A sample outside every window reads -inf, so the maximum from a window's
     # start up to the next window's start, or the end, is its peak.
     peaks = np.maximum.reduceat(np.where(above[1:-1], e, -math.inf), edges[::2])
+    edges[1::2] -= 1  # each window's last sample
+    bounds = series.times[edges].tolist()
     return [
-        ViolationWindow(series.times[i], series.times[j - 1], peak)
-        for i, j, peak in zip(edges[::2].tolist(), edges[1::2].tolist(), peaks.tolist())
+        ViolationWindow(start, end, peak)
+        for start, end, peak in zip(bounds[::2], bounds[1::2], peaks.tolist())
     ]
 
 

@@ -134,9 +134,9 @@ def assert_same_run(sc: Scenario, stale_counts: list | None = None) -> RunResult
     ref = reference_run(sc, stale_counts)
     run = run_scenario(sc)
     assert dataclasses.asdict(run.report) == dataclasses.asdict(ref.report)
-    assert run.series.times == ref.series.times
-    assert run.series.e_pos == ref.series.e_pos
-    assert run.series.e_or == ref.series.e_or
+    for name in ("times", "e_pos", "e_or"):
+        ours, theirs = getattr(run.series, name), getattr(ref.series, name)
+        assert (ours.dtype, ours.tobytes()) == (theirs.dtype, theirs.tobytes()), name
     assert run.send_times == ref.send_times
     assert run.delivery_times == ref.delivery_times
     return ref

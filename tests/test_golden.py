@@ -35,7 +35,7 @@ import yaml
 
 from drsim import cli
 from drsim.anfis import AnfisBundle, build_network
-from drsim.harness import load_study, run_comparison
+from drsim.harness import load_study, run_comparison, scenario_from_dict, sweep, sweep_csv
 from reference import jitter_centres
 from test_harness import bench_module
 
@@ -91,6 +91,23 @@ def anfis_run_digest(name: str, tmp_path: Path) -> str:
 def test_gated_anfis_run_matches_golden(name, tmp_path, capsys):
     assert anfis_run_digest(name, tmp_path) == GOLDEN["run_anfis"][name]
     capsys.readouterr()
+
+
+# A loss sweep of sinusoid_tight over the benchmark's jittery, reordering link
+# with blend convergence: pins the channel's loss and jitter fates, and the
+# stale discard and blend paths they reach, in tier 1.
+SWEEP_LINK = {"base_delay": 1.0, "jitter": 0.9, "reorder_allowed": True}
+SWEEP_LOSSES = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0]
+
+
+def test_jittery_loss_sweep_matches_golden():
+    cfg = yaml.safe_load((SCENARIO_DIR / "sinusoid_tight.yaml").read_text(encoding="utf-8"))
+    cfg["channel"] = dict(cfg["channel"], **SWEEP_LINK)
+    cfg["dr"] = dict(cfg["dr"], convergence="blend", blend_window=0.5)
+    cfg["profile"] = {"name": "loosely-coupled"}
+    rows = sweep(scenario_from_dict(cfg), "loss", SWEEP_LOSSES)
+    assert not any(r.error for r in rows)
+    assert sha256(sweep_csv("loss", rows)) == GOLDEN["sweep_csv"]["sinusoid_tight"]
 
 
 def test_every_stock_run_file_is_pinned():

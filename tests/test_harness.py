@@ -337,19 +337,18 @@ class TestComparison:
         assert res.mae["anfis"][0] < res.mae["second"][0]
 
 
-    def test_study_predicts_as_the_gate_and_the_reference(self, monkeypatch):
-        """At each held-out row and horizon, the study's anfis prediction equals,
-        bit for bit, the gate's mirror prediction from that row (predict_positions
-        on the gate's corrector pass), predict() from the update SenderModel sends
-        there, and AnfisBundle.predict on the two states up to the row. A 1/8 s
-        tick keeps every tick time exact, so a gap of h ticks is h / 8 s in all four."""
+    @staticmethod
+    def anfis_predictions(monkeypatch, tick: float, horizons: tuple[int, ...]):
+        """A weave study at tick scored with the anfis predictor: the study, its
+        truth states, and per horizon the arguments and result of its
+        predict_positions call."""
         traj = Trajectory(
             "sinusoid-weave",
             {"amplitude": [0, 2, 0], "drift": [1, 0, 0], "freq": 0.8, "yaw_amp": 0.6},
             duration=40.0,
         )
         study = ComparisonStudy(
-            trajectory=traj, tick=0.125, duration=40.0, horizons=(1, 4, 9),
+            trajectory=traj, tick=tick, duration=40.0, horizons=horizons,
             predictors=("anfis",), train=TrainSpec(n_terms=3),
         )
         seen = []
@@ -362,9 +361,17 @@ class TestComparison:
 
         monkeypatch.setattr(harness, "predict_positions", recorded)
         run_comparison(study)
-        assert len(seen) == len(study.horizons)
+        assert len(seen) == len(horizons)
+        return study, [sample_truth(traj, t) for t in study.table.truth.time.tolist()], seen
+
+    def test_study_predicts_as_the_gate_and_the_reference(self, monkeypatch):
+        """At each held-out row and horizon, the study's anfis prediction equals,
+        bit for bit, the gate's mirror prediction from that row (predict_positions
+        on the gate's corrector pass), predict() from the update SenderModel sends
+        there, and AnfisBundle.predict on the two states up to the row. A 1/8 s
+        tick keeps every tick time exact, so a gap of h ticks is h / 8 s in all four."""
+        study, states, seen = self.anfis_predictions(monkeypatch, 0.125, (1, 4, 9))
         truth = study.table.truth
-        states = [sample_truth(traj, t) for t in truth.time.tolist()]
         moved = False
         for h, ((_, _, test, dt, config, _), study_pos) in zip(study.horizons, seen):
             rows = np.arange(len(states))[test]
@@ -387,6 +394,20 @@ class TestComparison:
                 assert two_states.tobytes() == study_pos[k].tobytes()
                 moved |= not np.array_equal(bundle.predict(states[i : i + 1], dt[0]), two_states)
         assert moved  # the deviation reaches the output: a zero one would predict otherwise
+
+    def test_bundle_predicts_as_the_study_where_tick_times_round(self, monkeypatch):
+        """At a 0.1 s tick, (t + h) - t differs from h at some rows; AnfisBundle.predict
+        on the two states up to each held-out row still equals the study's anfis
+        prediction bit for bit: both take h as the gap, as predict_positions does."""
+        study, states, seen = self.anfis_predictions(monkeypatch, 0.1, (3, 10))
+        rounded = 0
+        for (_, _, test, dt, config, _), study_pos in seen:
+            h = float(dt[0])
+            for k, i in enumerate(range(test.start, test.stop)):
+                rounded += (states[i].time + h) - states[i].time != h
+                two_states = config.anfis_bundle.predict(states[i - 1 : i + 1], h)
+                assert two_states.tobytes() == study_pos[k].tobytes()
+        assert rounded > 0
 
 
 class TestResidualTask:
@@ -494,9 +515,9 @@ class TestHorizonsTrainedTogether:
 
 
 class TestHorizonsScoredTogether:
-    """A study scores all its horizons from one forward pass per axis and
-    distinct premise set, and each horizon's corrections equal, bit for bit,
-    those of its bundle scored alone over its own held-out rows."""
+    """A study scores all its horizons from one forward pass per axis, and
+    each horizon's corrections equal, bit for bit, those of its bundle scored
+    alone over its own held-out rows."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -508,16 +529,15 @@ class TestHorizonsScoredTogether:
         run_comparison(load_study(SCENARIO_DIR / "sinusoid_comparison.yaml"))
         assert passes == [[1] * 3]
 
-    def test_unequal_networks_make_their_own_pass(self, passes):
+    def test_bundles_with_unequal_premises_are_rejected(self, passes):
         # A study of h = 1 alone reaches the jump, so its x network has ranges
         # of its own; y and z equal those of the study of longer horizons.
-        bundles = (train_bundle(spike_study(horizons=(1,), n_terms=5), 1),
-                   *train_bundle(spike_study(horizons=(2, 6), n_terms=5), (2, 6)))
+        bundles = (*train_bundle(spike_study(horizons=(2, 6), n_terms=5), (2, 6)),
+                   train_bundle(spike_study(horizons=(1,), n_terms=5), 1))
         inputs = spike_study(horizons=(1,), n_terms=5).table.inputs
-        residuals = anfis.bundle_residuals(bundles, inputs, [50, 40, 30])
-        assert passes == [[2, 1, 1]]
-        for bundle, residual in zip(bundles, residuals):
-            assert residual.tobytes() == bundle.residuals(inputs[:, : len(residual)]).tobytes()
+        with pytest.raises(ValidationError, match="differ in their x premises"):
+            anfis.bundle_residuals(bundles, inputs, [50, 40, 30])
+        assert passes == [[0, 0, 0]]
 
     def test_rows_straddle_a_block_edge(self, passes, monkeypatch):
         # In 44-row blocks, the horizons' 90, 89, 85 and 83 held-out rows end in

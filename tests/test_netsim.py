@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from drsim.dead_reckoning import UpdateMessage
 from drsim.errors import RangeError, SimulationError, ValidationError
@@ -160,3 +162,37 @@ class TestChannel:
 
         assert trace(42) == trace(42)
         assert trace(42) != trace(43)
+
+
+@st.composite
+def links(draw):
+    """A channel config over loss 0, loss 1 and drawn losses, jitter 0 and
+    above, reordering on and off, with send times in send order."""
+    base = draw(st.floats(0.0, 2.0))
+    jitter = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0).map(lambda f: f * base)))
+    loss = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    config = ChannelConfig(
+        base_delay=base,
+        jitter=jitter,
+        loss=loss,
+        seed=draw(st.integers(0, 2**32)),
+        reorder_allowed=draw(st.booleans()),
+    )
+    gaps = draw(st.lists(st.floats(0.0, 5.0), max_size=40))
+    return config, np.cumsum(gaps).tolist()
+
+
+@given(links())
+@example((ChannelConfig(base_delay=1.0, jitter=0.9, loss=0.1, seed=11), []))
+@example((ChannelConfig(base_delay=1.0, jitter=0.9, loss=0.3, seed=11), np.arange(50.0).tolist()))
+def test_transit_all_draws_every_fate_as_transit(link):
+    """One block of draws gives each message the fate a loop of transit gives
+    it, bit for bit, and leaves the same counts and running maximum."""
+    config, times = link
+    one, block = Channel(config), Channel(config)
+    fates = [one.transit(now) for now in times]
+    due = block.transit_all(times)
+    expected = np.array([math.inf if d is None else d for d in fates], dtype=float)
+    assert (due.dtype, due.tobytes()) == (expected.dtype, expected.tobytes())
+    assert (block.sent, block.dropped) == (one.sent, one.dropped) == (len(times), fates.count(None))
+    assert np.float64(block._last_due).tobytes() == np.float64(one._last_due).tobytes()

@@ -24,6 +24,12 @@ def state(p, theta=0.0, t=0.0):
     return EntityState(p, [0, 0, 0], [0, 0, 0], theta, 0.0, t)
 
 
+def assert_same_array(values, expected):
+    """values is a float64 array with the bits of expected, -0.0 and NaN included."""
+    expected = np.asarray(expected, dtype=float)
+    assert (values.dtype, values.tobytes()) == (expected.dtype, expected.tobytes())
+
+
 def series_from_errors(errors, tick=0.1, t0=0.0):
     s = ErrorSeries(tick)
     for i, e in enumerate(errors):
@@ -36,8 +42,9 @@ class TestRecordError:
     def test_identical_states_record_zero(self):
         s = ErrorSeries(0.1)
         s.record(state([1, 2, 3], theta=0.4), state([1, 2, 3], theta=0.4))
-        assert s.e_pos == [0.0]
-        assert s.e_or == [0.0]
+        assert_same_array(s.times, [0.0])
+        assert_same_array(s.e_pos, [0.0])
+        assert_same_array(s.e_or, [0.0])
 
     def test_euclidean_345(self):
         s = ErrorSeries(0.1)
@@ -66,23 +73,41 @@ class TestRecordError:
         assert lines[1].split(",")[1] == "0.25"
 
     @pytest.mark.parametrize(
-        "e_pos, e_or",
+        "e_pos, e_or, times",
         [
-            ([], []),
-            ([0.5], [-0.0]),
-            ([0.5, 0.5, 0.5], [0.0, 0.0, 0.0]),
-            ([-0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]),
-            ([0.0, 0.0, -0.0], [math.nan, math.nan, 1.0]),
-            ([1.0, 1.0 + 1e-12, 1.0], [0.1, 0.2, 0.1]),
+            ([], [], None),
+            ([0.5], [-0.0], None),
+            ([0.5, 0.5, 0.5], [0.0, 0.0, 0.0], None),
+            ([-0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], None),
+            ([0.0, 0.0, -0.0], [math.nan, math.nan, 1.0], None),
+            ([1.0, 1.0 + 1e-12, 1.0], [0.1, 0.2, 0.1], None),
+            ([0.5, 0.5, 0.5], [-0.0, -0.0, -0.0], [2.0, 2.0, 2.0]),
+            ([0.0, -0.0, 0.0], [0.25, 0.5, 0.75], [0.0, -0.0, 0.0]),
         ],
-        ids=["empty", "one-row", "constant", "signed-zeros", "zeros-last-and-nan", "below-9-digits"],
+        ids=[
+            "empty", "one-row", "constant", "signed-zeros", "zeros-last-and-nan", "below-9-digits",
+            "all-columns-constant", "zero-then-negative-zero",
+        ],
     )
-    def test_csv_renders_each_row_as_its_values(self, e_pos, e_or):
+    def test_csv_renders_each_row_as_its_values(self, e_pos, e_or, times):
         """A column rendered once into the row template reads as rendering
         every row's own values: 0.0 and -0.0 print differently."""
-        s = ErrorSeries.from_arrays(0.1, np.arange(len(e_pos)) * 0.1, e_pos, e_or)
+        times = np.arange(len(e_pos)) * 0.1 if times is None else times
+        s = ErrorSeries.from_arrays(0.1, times, e_pos, e_or)
         rows = "".join(f"{t:.9g},{p:.9g},{o:.9g}\n" for t, p, o in zip(s.times, s.e_pos, s.e_or))
         assert s.to_csv() == "t,e_pos,e_or\n" + rows
+
+    def test_recorded_series_keeps_arrays(self):
+        """A series built by record holds float64 arrays, empty before the first
+        sample: the empty series renders as its header, the one-row series as
+        its one row."""
+        s = ErrorSeries(0.1)
+        assert s.to_csv() == "t,e_pos,e_or\n"
+        s.record(state([0, 0, 0], theta=0.5, t=0.2), state([0, 3, 4], theta=0.5, t=0.2))
+        assert_same_array(s.times, [0.2])
+        assert_same_array(s.e_pos, [5.0])
+        assert_same_array(s.e_or, [0.0])
+        assert s.to_csv() == "t,e_pos,e_or\n0.2,5,0\n"
 
 
 class TestIntegratedError:
