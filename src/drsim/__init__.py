@@ -10,18 +10,11 @@ from .anfis import (
     AnfisNetwork,
     TrainingSet,
     build_network,
-    train_hybrid,
 )
-from .dead_reckoning import (
-    DrConfig,
-    ReceiverModel,
-    SenderModel,
-    UpdateMessage,
-)
+from .dead_reckoning import DrConfig
 from .errors import (
     DegenerateFiringError,
     RangeError,
-    SimulationError,
     ValidationError,
 )
 from .harness import (
@@ -35,8 +28,8 @@ from .harness import (
     sweep,
     train_bundle,
 )
-from .kinematics import EntityState, Order, Trajectory, extrapolate, sample_truth, wrap_angle
-from .netsim import Channel, ChannelConfig, EventQueue
+from .kinematics import EntityState, Order, Trajectory, wrap_angle
+from .netsim import Channel, ChannelConfig
 from .qos_metrics import (
     CoherenceReport,
     ErrorSeries,

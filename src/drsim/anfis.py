@@ -3,11 +3,13 @@
 Layer 1 fuzzifies each normalized input against its linguistic terms, layer 2
 takes the product T-norm per rule, layer 3 normalizes firing strengths, layer
 4 weights the constant consequents and layer 5 sums them. Training is the
-least-squares half of Jang's hybrid rule: one ridge-regularized solve for the
-consequents at the premises the network was built with. The premise descent
-half is left out: on the stock study it moved no premise by more than about
-1e-6 and held-out error by at most 0.031 %, while making a study about three
-times slower.
+least-squares half of Jang's hybrid rule: train_networks makes one forward
+pass and one ridge-regularized solve for the consequents of every target
+column, at the premises the network was built with. The premise descent half
+is left out: on the stock study it moved no premise by more than about 1e-6
+and held-out error by at most 0.031 %, while making a study about three times
+slower. Scoring is bundle_residuals: per axis and row block, one forward pass
+that every bundle sharing its premises reads, over every row it is given.
 
 All math is batched over samples: x is (N, n_inputs), outputs are (N,).
 """
@@ -29,7 +31,7 @@ from .kinematics import extrapolate  # noqa: F401 -- bench/tracer.py wraps it he
 _EXP_CLIP = 60.0
 _BLOCK_ELEMENTS = 1 << 15  # per row block of an (N, R) stage, so that it stays in cache
 _RESIDUAL_ROWS = 1024  # rows per forward pass of bundle_residuals, so memory stays bounded
-_GRAM_ROWS = 1024  # rows per block of the consequent Gram (_Pass.gram)
+_GRAM_ROWS = 1024  # rows per block of the consequent Gram (_gram)
 # Ridge weight of the consequent solve per unit of mean Gram diagonal, fixed by rule.
 RIDGE = math.sqrt(np.finfo(np.float64).eps)
 
@@ -244,14 +246,6 @@ def build_network(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ForwardTrace:
-    """One forward pass. beta is layer 2's firing, normalized in place: no alpha is kept."""
-
-    beta: np.ndarray  # (N, R)
-    output: np.ndarray  # (N,)
-
-
 def layer1(net: AnfisNetwork, x) -> list[np.ndarray]:
     """Membership degree of each input against each of its terms: one call per
     input, on its (N, 1) column against its parameter rows."""
@@ -296,10 +290,11 @@ def layer3_normalize(alpha: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def forward_batch(net: AnfisNetwork, x) -> tuple[np.ndarray, ForwardTrace]:
+def forward_batch(net: AnfisNetwork, x) -> tuple[np.ndarray, np.ndarray]:
+    """The output (N,) and the normalized firing beta (N, R) of one pass; layer
+    2's firing is normalized in place, so no alpha is kept."""
     beta = layer3_normalize(layer2_firing(net, layer1(net, x)))
-    output = beta @ net.z
-    return output, ForwardTrace(beta, output)
+    return beta @ net.z, beta
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +331,10 @@ def _one_target(data: TrainingSet) -> np.ndarray:
     return data.targets
 
 
-def _half_sse(targets: np.ndarray, out: np.ndarray) -> float:
-    return float(0.5 * np.sum((targets - out) ** 2))
-
-
 def loss(net: AnfisNetwork, data: TrainingSet) -> float:
     """Sum over samples of half squared error."""
     out, _ = forward_batch(net, data.inputs)
-    return _half_sse(_one_target(data), out)
+    return float(0.5 * np.sum((_one_target(data) - out) ** 2))
 
 
 def _premises(net: AnfisNetwork) -> list:
@@ -351,45 +342,30 @@ def _premises(net: AnfisNetwork) -> list:
     return [(s.shape, s.lo, s.hi, s.params.tobytes()) for s in net.inputs]
 
 
-class _Pass:
-    """A training forward pass of one network over one training set's rows.
-
-    It reads neither the consequents nor the targets, so it serves every target
-    column of the set: one pass, one Gram and one solve train as many networks
-    as the set has columns.
-    """
-
-    def __init__(self, net: AnfisNetwork, data: TrainingSet):
-        if len(data) < net.n_rules:
-            raise ValidationError(f"training needs at least {net.n_rules} samples, got {len(data)}")
-        self.trace = forward_batch(net, data.inputs)[1]
-
-    def gram(self) -> np.ndarray:
-        """B'B over the firing B, as a new array: the Grams of its _GRAM_ROWS-row
-        blocks, each one BLAS call, summed in row order, the partial last block's
-        included."""
-        beta = self.trace.beta
-        gram = np.matmul(beta[:_GRAM_ROWS].T, beta[:_GRAM_ROWS])
-        block = np.empty_like(gram)
-        for lo in range(_GRAM_ROWS, len(beta), _GRAM_ROWS):
-            rows = beta[lo : lo + _GRAM_ROWS]
-            gram += np.matmul(rows.T, rows, out=block)
-        return gram
+def _gram(beta: np.ndarray) -> np.ndarray:
+    """B'B for the design B (N, R), here the firing: the Grams of its
+    _GRAM_ROWS-row blocks, each one BLAS call, summed in row order, the partial
+    last block's included."""
+    gram = np.matmul(beta[:_GRAM_ROWS].T, beta[:_GRAM_ROWS])
+    block = np.empty_like(gram)
+    for lo in range(_GRAM_ROWS, len(beta), _GRAM_ROWS):
+        rows = beta[lo : lo + _GRAM_ROWS]
+        gram += np.matmul(rows.T, rows, out=block)
+    return gram
 
 
-def _solve_consequents(shared: _Pass, targets: np.ndarray) -> np.ndarray:
-    """The consequents Z (n_rules, H) solving (B'B + lam I) Z = B'Y, lam = RIDGE *
-    trace(B'B) / n_rules, for the firing B of shared and the targets Y (N, H) of
-    its rows: column j of Z is the consequents for Y's column j.
+def _solve_consequents(beta: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The consequents Z (R, H) solving (B'B + lam I) Z = B'Y, lam = RIDGE *
+    trace(B'B) / R, for the design B (N, R), here the firing, and the targets
+    Y (N, H) of its rows: column j of Z is the consequents for Y's column j.
 
-    All columns share one Gram, one lam and one factorization. The rows of B sum
-    to one, so the trace is positive and the system positive definite even where
-    rules never fire apart (ridge regression, Hoerl & Kennard 1970). A single
-    column solves with the bits of the 1-D form: B'Y is then the same
+    All columns share one Gram, one lam and one factorization. The rows of the
+    firing sum to one, so the trace is positive and the system positive definite
+    even where rules never fire apart (ridge regression, Hoerl & Kennard 1970).
+    A single column solves with the bits of the 1-D form: B'Y is then the same
     matrix-vector product, and the solve the same one-column factorization."""
-    beta = shared.trace.beta
     n_rules = beta.shape[1]
-    gram = shared.gram()
+    gram = _gram(beta)
     gram.flat[:: n_rules + 1] += RIDGE * np.trace(gram) / n_rules
     return np.linalg.solve(gram, beta.T @ targets)
 
@@ -399,12 +375,14 @@ def train_networks(net: AnfisNetwork, data: TrainingSet) -> list[AnfisNetwork]:
     net's premises with the consequents of one ridge solve. net stays as it is.
 
     The columns share one forward pass, one Gram and one factorization
-    (_solve_consequents), whose column j becomes network j's consequents. The
-    networks share net's premises too, as objects: only the consequents are
-    each one's own.
+    (_solve_consequents), whose column j becomes network j's consequents: the
+    pass reads neither the consequents nor the targets. The networks share
+    net's premises too, as objects: only the consequents are each one's own.
     """
-    shared = _Pass(net, data)
-    solved = _solve_consequents(shared, data.targets.reshape(len(data), -1))
+    if len(data) < net.n_rules:
+        raise ValidationError(f"training needs at least {net.n_rules} samples, got {len(data)}")
+    beta = forward_batch(net, data.inputs)[1]
+    solved = _solve_consequents(beta, data.targets.reshape(len(data), -1))
     trained = [copy.copy(net) for _ in range(solved.shape[1])]
     for out, z in zip(trained, solved.T):
         out.z = np.ascontiguousarray(z)
@@ -412,15 +390,15 @@ def train_networks(net: AnfisNetwork, data: TrainingSet) -> list[AnfisNetwork]:
 
 
 def train_hybrid(net: AnfisNetwork, data: TrainingSet) -> float:
-    """train_networks for one network and its (N,) targets, in place: solves
-    net's consequents and returns its loss on data, from the pass of the solve.
+    """train_networks for one network and its (N,) targets, in place: sets net's
+    consequents and returns its loss on data.
 
     The package trains through train_networks; this one-network form stays
     because the benchmark's tracer (bench/tracer.py) patches it by name.
     """
-    targets, shared = _one_target(data), _Pass(net, data)
-    net.z = _solve_consequents(shared, targets[:, None])[:, 0]
-    return _half_sse(targets, shared.trace.beta @ net.z)
+    _one_target(data)  # rejects (N, H) targets before net changes
+    net.z = train_networks(net, data)[0].z
+    return loss(net, data)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +450,11 @@ class AnfisBundle:
     def residuals(self, inputs: np.ndarray) -> np.ndarray:
         """Learned corrections (N, 3) at the reference horizon for :func:`features` rows (3, N, 3).
 
-        This is bundle_residuals for this bundle alone, over every row: each row
-        equals a one-row call bit for bit, and a DegenerateFiringError gives its
-        rows as indices of inputs' rows.
+        This is bundle_residuals for this bundle alone: each row equals a
+        one-row call bit for bit, and a DegenerateFiringError gives its rows as
+        indices of inputs' rows.
         """
-        return bundle_residuals([self], inputs, [inputs.shape[1]])[0]
+        return bundle_residuals([self], inputs)[0]
 
     def scales(self, horizons: np.ndarray) -> np.ndarray:
         """The correction scale (horizon / h_ref)^3 for each horizon.
@@ -531,21 +509,19 @@ class AnfisBundle:
             return cls.from_dict(json.load(f))
 
 
-def bundle_residuals(
-    bundles: list[AnfisBundle], inputs: np.ndarray, counts: list[int]
-) -> list[np.ndarray]:
-    """Learned corrections (counts[j], 3) of each bundle j at its reference
-    horizon, for the first counts[j] of the :func:`features` rows inputs (3, N, 3).
+def bundle_residuals(bundles: list[AnfisBundle], inputs: np.ndarray) -> list[np.ndarray]:
+    """Learned corrections (N, 3) of each bundle at its reference horizon, for
+    the :func:`features` rows inputs (3, N, 3).
 
     The bundles must share each axis network's premises (compared by
     _premises), as a study's bundles do: rows go through the first bundle's
-    networks in blocks of _RESIDUAL_ROWS, one forward pass per axis and block
-    over the rows the longest bundle reads, and each bundle takes its own rows
-    of that firing. A row's firing does not depend on the rows beside it, and
-    each row's output is its own dot of firing strengths and consequents, so it
-    equals a one-row call of its bundle bit for bit (a matrix-vector product
-    over many rows rounds differently). Only one firing is alive at a time. A
-    DegenerateFiringError gives its rows as indices of inputs' rows.
+    networks in blocks of _RESIDUAL_ROWS, one forward pass per axis and block,
+    and every bundle takes its output from that firing. A row's firing does not
+    depend on the rows beside it, and each row's output is its own dot of
+    firing strengths and consequents, so it equals a one-row call of its bundle
+    bit for bit (a matrix-vector product over many rows rounds differently).
+    Only one firing is alive at a time. A DegenerateFiringError gives its rows
+    as indices of inputs' rows.
     """
     first = bundles[0].networks
     premises = [_premises(net) for net in first]
@@ -553,20 +529,17 @@ def bundle_residuals(
         for axis, shared, net in zip(AXIS_NAMES, premises, bundle.networks):
             if _premises(net) != shared:
                 raise ValidationError(f"bundles scored together differ in their {axis} premises")
-    outs = [np.empty((n, 3)) for n in counts]
-    n_rows = max(counts)
+    n_rows = inputs.shape[1]
+    outs = [np.empty((n_rows, 3)) for _ in bundles]
     for lo in range(0, n_rows, _RESIDUAL_ROWS):
-        hi = min(n_rows, lo + _RESIDUAL_ROWS)
+        rows = slice(lo, lo + _RESIDUAL_ROWS)
         for k, net in enumerate(first):
             try:
-                beta = forward_batch(net, inputs[k, lo:hi])[1].beta
+                beta = forward_batch(net, inputs[k, rows])[1]
             except DegenerateFiringError as exc:
                 exc.rows = exc.rows + lo
                 raise
             for out, bundle in zip(outs, bundles):
-                m = min(len(out), hi) - lo  # the rows this bundle reads in the block
-                if m > 0:
-                    z = bundle.networks[k].z
-                    out[lo : lo + m, k] = (beta[:m, None, :] @ z[:, None])[:, 0, 0]
+                out[rows, k] = (beta[:, None, :] @ bundle.networks[k].z[:, None])[:, 0, 0]
             del beta  # freed before the next pass is made
     return outs

@@ -232,7 +232,7 @@ def predict_positions(
     return pos
 
 
-def predict_headings(truth: StateArrays, rows, dt: np.ndarray, config: DrConfig) -> np.ndarray:
+def predict_headings(truth: StateArrays, rows, dt: np.ndarray) -> np.ndarray:
     """Headings (K,) :func:`predict` gives dt (K,) seconds after the truth
     states at rows, with the same rounding: wrapping a wrapped angle changes no
     bit, so one wrap stands for those of extrapolate() and each EntityState."""
@@ -338,7 +338,7 @@ def gate(truth: StateArrays, config: DrConfig, corrections: np.ndarray | None) -
         return row_norms(pos) >= config.th_pos
 
     def heading_over(last, span, dt):
-        theta = predict_headings(truth, last, dt, config)
+        theta = predict_headings(truth, last, dt)
         return np.abs(wrap_angles(truth.orientation[span] - theta)) >= config.th_or
 
     live = list(itertools.compress((position_over, heading_over), live_tests(truth, config)))
@@ -412,7 +412,7 @@ def display(
         t0 = truth.time[r]
         dt = np.maximum(now, t0) - t0
         pos = predict_positions(truth, half_a, r, dt, config, residuals[seqs])
-        return pos, predict_headings(truth, r, dt, config)
+        return pos, predict_headings(truth, r, dt)
 
     if config.convergence == "blend":
         applied = order[np.flatnonzero(np.diff(newest, prepend=-1) > 0)]

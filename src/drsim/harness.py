@@ -28,6 +28,7 @@ from .kinematics import Order, StateArrays, Trajectory, truth_arrays, wrap_angle
 from .kinematics import sample_truth  # noqa: F401 -- bench/tracer.py wraps it here
 from .netsim import Channel, ChannelConfig
 from .qos_metrics import (
+    NOTHING_DISPLAYED,
     CoherenceReport,
     ErrorSeries,
     QosProfile,
@@ -323,7 +324,9 @@ def _scenario_with(sc: Scenario, axis: str, value: float) -> Scenario:
 
 
 def sweep(base: Scenario, axis: str, values: list[float]) -> list[SweepRow]:
-    """One seeded run per value; per-row failures are reported, not fatal."""
+    """One seeded run per value; per-row failures are reported, not fatal. A run
+    whose receiver displayed nothing gets the verdict's reason as its error: its
+    zero errors would otherwise read as a perfect run."""
     if axis not in SWEEP_AXES:
         raise ValidationError(f"unknown sweep axis {axis!r}; choose from {', '.join(SWEEP_AXES)}")
     if not values:
@@ -338,6 +341,7 @@ def sweep(base: Scenario, axis: str, values: list[float]) -> list[SweepRow]:
                     messages_sent=run.report.messages_sent,
                     max_error=run.report.max_error,
                     total_violation_time=run.report.total_violation_time,
+                    error="" if len(run.series) else NOTHING_DISPLAYED,
                 )
             )
         except Exception as exc:
@@ -564,8 +568,7 @@ def run_comparison(study: ComparisonStudy) -> ComparisonResult:
         # Horizon h holds out rows split_idx .. n - h - 1, a prefix of the
         # shortest horizon's: one scoring pass serves them all.
         bundles = train_bundle(study, horizons)
-        held_out = table.inputs[:, split_idx : n - min(horizons)]
-        residuals = anfis.bundle_residuals(bundles, held_out, [n - h - split_idx for h in horizons])
+        residuals = anfis.bundle_residuals(bundles, table.inputs[:, split_idx : n - min(horizons)])
     half_a = 0.5 * observed.acceleration
     mae: dict[str, list[float]] = {p: [] for p in study.predictors}
     for j, h in enumerate(horizons):
@@ -575,7 +578,7 @@ def run_comparison(study: ComparisonStudy) -> ComparisonResult:
         for p in study.predictors:
             if p == "anfis":
                 config = DrConfig(predictor="anfis", anfis_bundle=bundles[j])
-                residual = residuals[j]
+                residual = residuals[j][: n - h - split_idx]
             else:
                 config, residual = DrConfig(order=p), None
             pred = predict_positions(observed, half_a, test, dt, config, residual)

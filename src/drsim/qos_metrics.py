@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dead_reckoning import DrConfig
+from .dead_reckoning import _TIME_EPS, DrConfig
 from .errors import ValidationError
 from .kinematics import EntityState, angle_diff
 from .netsim import ChannelConfig
 
-_TIME_EPS = 1e-9
-
-
+# The verdict's reason for a run whose receiver never displayed a state.
+NOTHING_DISPLAYED = "the receiver displayed nothing: no update arrived before the run ended"
 _SIG = "%.9g"
 
 
@@ -209,11 +208,7 @@ class CoherenceReport:
 
 
 def check_emax_bound(
-    report: CoherenceReport,
-    series: ErrorSeries,
-    channel: ChannelConfig,
-    dr: DrConfig,
-    accel_bound: float,
+    report: CoherenceReport, channel: ChannelConfig, dr: DrConfig, accel_bound: float
 ) -> tuple[float, bool]:
     """A-priori worst-case error bound and whether the run respected it.
 
@@ -256,5 +251,5 @@ def verdict(
             f"budget {format_sig(profile.max_error)} m"
         )
     if not displayed:
-        reasons.append("the receiver displayed nothing: no update arrived before the run ended")
+        reasons.append(NOTHING_DISPLAYED)
     return (not reasons), reasons

@@ -72,7 +72,7 @@ def reference_bundles(study: ComparisonStudy, horizons: tuple[int, ...]) -> list
     for k in range(3):
         targets = np.stack([residual[:, k] for residual in residuals], axis=1)
         net = _axis_network(study.train, TrainingSet(table.inputs[k, rows], targets))
-        beta = forward_batch(net, table.inputs[k, rows])[1].beta
+        beta = forward_batch(net, table.inputs[k, rows])[1]
         gram = block_gram(beta, len(beta))
         ridge = anfis.RIDGE * np.trace(gram) / net.n_rules
         solved = np.linalg.solve(gram + ridge * np.eye(net.n_rules), beta.T @ targets)
@@ -128,11 +128,11 @@ def count_scoring_passes(monkeypatch) -> list[list[int]]:
             counts[-1][axis.index(True)] += 1
         return forward(net, x)
 
-    def counted_score(bundles, inputs, rows):
+    def counted_score(bundles, inputs):
         counts.append([0, 0, 0])
         scoring.append(bundles)
         try:
-            return score(bundles, inputs, rows)
+            return score(bundles, inputs)
         finally:
             scoring.clear()
 

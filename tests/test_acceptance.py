@@ -172,8 +172,8 @@ def test_criterion_06_anfis_algebra():
     jitter_centres(net, 1, 0.01)
     net.z = rng.normal(0, 2, net.n_rules)
     X = rng.uniform(-1.2, 1.2, (1000, 3)) * np.array([1.0, 2.0, 3.0])
-    out, trace = forward_batch(net, X)
-    assert np.max(np.abs(trace.beta.sum(axis=1) - 1.0)) <= 1e-12
+    out, beta = forward_batch(net, X)
+    assert np.max(np.abs(beta.sum(axis=1) - 1.0)) <= 1e-12
     assert np.all(out >= net.z.min()) and np.all(out <= net.z.max())
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -234,7 +234,7 @@ def test_criterion_10_emax_bound(stock_runs):
         sc = load_scenario(SCENARIO_DIR / name)
         run = stock_runs[name]
         accel_bound = accel_deviation_bound(sc.trajectory, sc.dr.order)
-        bound, ok = check_emax_bound(run.report, run.series, sc.channel, sc.dr, accel_bound)
+        bound, ok = check_emax_bound(run.report, sc.channel, sc.dr, accel_bound)
         assert ok, f"{name}: observed {run.report.max_error} exceeds bound {bound}"
         margins.append(run.report.max_error / bound if bound > 0 else 0.0)
     _report(10, f"a-priori bound holds on all stock scenarios (worst usage {max(margins):.1%})")

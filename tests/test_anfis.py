@@ -180,8 +180,8 @@ class TestForward:
         # two bell terms at -1 and +1; x = 2 - sqrt(2) makes the firing ratio 1:3
         spec = InputSpec("x", -1.0, 1.0, "bell", [[1.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
         net = AnfisNetwork([spec], [4.0, 8.0])
-        out, trace = forward_batch(net, [2.0 - math.sqrt(2.0)])
-        assert np.allclose(trace.beta, [[0.25, 0.75]])
+        out, beta = forward_batch(net, [2.0 - math.sqrt(2.0)])
+        assert np.allclose(beta, [[0.25, 0.75]])
         assert out[0] == pytest.approx(7.0)
 
     def test_single_rule_returns_its_consequent(self):
@@ -196,10 +196,10 @@ class TestForward:
         net = tiny_net(n_terms=7, n_inputs=3, seed=3)
         net.z = rng.normal(0, 2, net.n_rules)
         X = rng.uniform(-1.5, 1.5, (500, 3))
-        out, trace = forward_batch(net, X)
+        out, beta = forward_batch(net, X)
         assert np.all(out >= net.z.min() - 1e-12)
         assert np.all(out <= net.z.max() + 1e-12)
-        assert np.max(np.abs(trace.beta.sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(beta.sum(axis=1) - 1.0)) < 1e-12
 
     def test_far_input_degenerates(self):
         net = tiny_net(n_terms=3)
@@ -301,7 +301,7 @@ class TestKernelAgainstReference:
     def test_beta_equals_alpha_over_total(self, shape, n_inputs, grid):
         net, data = kernel_case(shape, n_inputs, grid)
         alpha = reference_firing(net, reference_layer1(net, data.inputs))
-        beta = forward_batch(net, data.inputs)[1].beta
+        beta = forward_batch(net, data.inputs)[1]
         assert np.array_equal(beta, alpha / alpha.sum(axis=1)[:, None])
 
 
@@ -329,7 +329,7 @@ class TestTrainNetworks:
         trained = anfis.train_networks(net, TrainingSet(X, Y))
         assert counts == ([1], [1])
         assert net.to_dict() == untrained
-        beta = forward_batch(net, X)[1].beta
+        beta = forward_batch(net, X)[1]
         gram = block_gram(beta, len(beta))
         gram += anfis.RIDGE * np.trace(gram) / net.n_rules * np.eye(net.n_rules)
         solved = np.linalg.solve(gram, beta.T @ Y)
@@ -366,8 +366,8 @@ class TestTrainHybrid:
         net = tiny_net(n_terms=5)
         data = TrainingSet(X, Y)
         trained = train_hybrid(net, data)
-        _, trace = forward_batch(net, X)
-        sol, *_ = np.linalg.lstsq(trace.beta, Y, rcond=None)
+        _, beta = forward_batch(net, X)
+        sol, *_ = np.linalg.lstsq(beta, Y, rcond=None)
         assert np.allclose(net.z, sol)
         assert trained == loss(net, data)  # the solve reports the loss the network has
 
@@ -396,16 +396,15 @@ class TestTrainHybrid:
             warnings.simplefilter("error")
             train_hybrid(net, TrainingSet(X, Y))
         assert np.all(np.isfinite(net.z))
-        _, trace = forward_batch(net, X)
-        sol, *_ = np.linalg.lstsq(trace.beta, Y, rcond=None)
-        assert np.max(np.abs(trace.beta @ net.z - trace.beta @ sol)) <= 1e-6 * np.max(np.abs(Y))
+        _, beta = forward_batch(net, X)
+        sol, *_ = np.linalg.lstsq(beta, Y, rcond=None)
+        assert np.max(np.abs(beta @ net.z - beta @ sol)) <= 1e-6 * np.max(np.abs(Y))
 
 
 def ridge_fit(net, X, Y):
     """Consequents from training, and the design B."""
     train_hybrid(net, TrainingSet(X, Y))
-    _, trace = forward_batch(net, X)
-    return net.z.copy(), trace.beta
+    return net.z.copy(), forward_batch(net, X)[1]
 
 
 class TestRidgeConsequents:
@@ -452,31 +451,31 @@ class TestRidgeConsequents:
 GRAM_ROWS = anfis._GRAM_ROWS
 
 
-def gram_pass(n: int) -> anfis._Pass:
-    """A pass of a 25-rule network over n rows."""
-    data = TrainingSet(np.random.default_rng(21).uniform(-1, 1, (n, 2)), np.zeros(n))
-    return anfis._Pass(tiny_net(5, 2, seed=4), data)
+def gram_firing(n: int) -> np.ndarray:
+    """The firing of a 25-rule network over n rows."""
+    x = np.random.default_rng(21).uniform(-1, 1, (n, 2))
+    return forward_batch(tiny_net(5, 2, seed=4), x)[1]
 
 
 class TestPassGram:
-    """_Pass.gram sums its row blocks' Grams in row order, bit for bit as a plain
+    """_gram sums a pass's row blocks' Grams in row order, bit for bit as a plain
     loop does, and hands the caller an array of its own."""
 
     @pytest.mark.parametrize(
         "n", [GRAM_ROWS - 1, GRAM_ROWS, GRAM_ROWS + 1, 2 * GRAM_ROWS + 52, 3 * GRAM_ROWS + 5]
     )
     def test_matches_plain_loop(self, n):
-        shared = gram_pass(n)
-        gram = shared.gram()
-        assert np.array_equal(gram, block_gram(shared.trace.beta, n))
+        beta = gram_firing(n)
+        gram = anfis._gram(beta)
+        assert np.array_equal(gram, block_gram(beta, n))
         gram += 1.0
-        assert np.array_equal(shared.gram(), block_gram(shared.trace.beta, n))
+        assert np.array_equal(anfis._gram(beta), block_gram(beta, n))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(25, 3 * GRAM_ROWS + 5))
     def test_symmetric_and_close_to_one_product(self, n):
-        shared = gram_pass(n)
-        gram, beta = shared.gram(), shared.trace.beta
+        beta = gram_firing(n)
+        gram = anfis._gram(beta)
         assert np.array_equal(gram, gram.T)
         direct = beta.T @ beta
         assert np.max(np.abs(gram - direct)) <= 1e-12 * np.max(np.abs(direct))

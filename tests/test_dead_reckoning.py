@@ -269,7 +269,7 @@ def test_predicted_headings_round_as_predict(theta, omega, t0):
     truth = StateArrays.of([base])  # one wrapped row
     msg = UpdateMessage("e", base, 0, t0)
     t = t0 + np.arange(1, 51) * 0.1
+    got = predict_headings(truth, 0, t - t0)
     for cfg in (DrConfig(order=Order.FIRST), DrConfig(order=Order.SECOND)):
-        got = predict_headings(truth, 0, t - t0, cfg)
         want = np.array([predict(msg, now, cfg).orientation for now in t.tolist()])
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

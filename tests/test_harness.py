@@ -212,6 +212,14 @@ class TestSweep:
         run = run_scenario(scenario())
         assert run.report.messages_dropped == 0
 
+    def test_row_that_displayed_nothing_gives_the_reason(self):
+        # At loss 1 every update is lost: the row's zero errors are no perfect run.
+        rows = sweep(scenario(channel=ChannelConfig(loss=0.5, seed=4)), "loss", [0.5, 1.0])
+        sent = rows[1].messages_sent
+        assert rows[0].error == "" and sent > 0
+        assert rows[1].error.startswith("the receiver displayed nothing: ")
+        assert sweep_csv("loss", rows).splitlines()[-1] == f"1,{sent},0,0,{rows[1].error}"
+
     def test_delay_sweep_grows_violation_time(self):
         sc = load_scenario(SCENARIO_DIR / "maneuver_inflight.yaml")
         rows = sweep(sc, "base_delay", [0.0, 0.1, 0.3])
@@ -409,6 +417,19 @@ class TestComparison:
                 assert two_states.tobytes() == study_pos[k].tobytes()
         assert rounded > 0
 
+    def test_no_held_out_row_names_the_horizon_before_training(self, monkeypatch):
+        # 301 rows split at row 297: horizon 3 holds out row 297 alone, 4 none.
+        def study(horizons):
+            train = TrainSpec(n_terms=3, split=0.99)
+            return ComparisonStudy(weave(30.0), 0.1, 30.0, horizons=horizons, train=train)
+
+        counts = count_training_events(monkeypatch)
+        with pytest.raises(ValidationError, match="^no test samples left at horizon 4$"):
+            run_comparison(study((1, 3, 4)))
+        assert counts == ([], [])
+        assert len(run_comparison(study((1, 3))).mae["anfis"]) == 2
+        assert counts == ([1] * 3, [1] * 3)
+
 
 class TestResidualTask:
     def test_shapes_and_determinism(self):
@@ -536,7 +557,7 @@ class TestHorizonsScoredTogether:
                    train_bundle(spike_study(horizons=(1,), n_terms=5), 1))
         inputs = spike_study(horizons=(1,), n_terms=5).table.inputs
         with pytest.raises(ValidationError, match="differ in their x premises"):
-            anfis.bundle_residuals(bundles, inputs, [50, 40, 30])
+            anfis.bundle_residuals(bundles, inputs[:, :50])
         assert passes == [[0, 0, 0]]
 
     def test_rows_straddle_a_block_edge(self, passes, monkeypatch):
@@ -1231,3 +1252,14 @@ class TestCli:
         )
         assert rc == 0
         assert out.read_text().startswith("th_pos,")
+
+
+def test_readme_library_use_runs_as_written(capsys):
+    """README's "Library use" snippet, run as written, so that the names it
+    imports from drsim and the calls it makes stay the package's."""
+    readme = (SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    report, csv_text = capsys.readouterr().out.split("\n\n", 1)
+    assert report.startswith("messages sent") and report.endswith("verdict              : PASS")
+    assert csv_text.startswith("t,e_pos,e_or\n") and len(csv_text.split()) == 1 + 898  # 0.3 .. 90 s

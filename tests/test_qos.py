@@ -187,41 +187,35 @@ class TestEmaxBound:
     def test_zero_delay_first_order_flat_truth(self):
         # no acceleration and no transit: the bound collapses to the threshold
         report = CoherenceReport(max_error=0.0, v_dev_max_send=0.0)
-        series = series_from_errors([0.0])
         bound, ok = check_emax_bound(
-            report, series, ChannelConfig(), DrConfig(th_pos=1.0, order=Order.FIRST), 0.0
+            report, ChannelConfig(), DrConfig(th_pos=1.0, order=Order.FIRST), 0.0
         )
         assert bound == pytest.approx(1.0)
         assert ok
 
     def test_heartbeat_term_dominates_zero_delay(self):
         report = CoherenceReport(max_error=3.0, v_dev_max_send=2.0)
-        series = series_from_errors([3.0])
         dr = DrConfig(th_pos=1.0, heartbeat=5.0)
-        bound, ok = check_emax_bound(report, series, ChannelConfig(), dr, 1.0)
+        bound, ok = check_emax_bound(report, ChannelConfig(), dr, 1.0)
         assert bound == pytest.approx(1.0 + 0.5 * 25.0)  # v_dev term vanishes at DT=0
         assert ok
 
     def test_transit_terms_enter_with_delay(self):
         report = CoherenceReport(max_error=0.0, v_dev_max_send=2.0)
-        series = series_from_errors([0.0])
         dr = DrConfig(th_pos=1.0, heartbeat=5.0)
         chan = ChannelConfig(base_delay=0.1, jitter=0.05)
-        bound, _ = check_emax_bound(report, series, chan, dr, 1.0)
+        bound, _ = check_emax_bound(report, chan, dr, 1.0)
         assert bound == pytest.approx(1.0 + 0.5 * (5.15) ** 2 + 2.0 * 0.15)
 
     def test_unsatisfied_when_bound_tightened(self):
         report = CoherenceReport(max_error=2.0, v_dev_max_send=0.0)
-        series = series_from_errors([2.0])
         dr = DrConfig(th_pos=1.0, heartbeat=5.0)
-        _, ok = check_emax_bound(report, series, ChannelConfig(), dr, 0.0)
+        _, ok = check_emax_bound(report, ChannelConfig(), dr, 0.0)
         assert not ok  # bound is th_pos = 1.0 < observed 2.0
 
     def test_negative_accel_bound_rejected(self):
         with pytest.raises(ValidationError):
-            check_emax_bound(
-                CoherenceReport(), series_from_errors([0.0]), ChannelConfig(), DrConfig(), -1.0
-            )
+            check_emax_bound(CoherenceReport(), ChannelConfig(), DrConfig(), -1.0)
 
 
 class TestVerdict:
