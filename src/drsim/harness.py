@@ -9,7 +9,9 @@ single-threaded, so identical configs produce byte-identical CSV output.
 from __future__ import annotations
 
 import copy
+import csv
 import dataclasses
+import functools
 import io
 import math
 import numbers
@@ -148,13 +150,20 @@ def _mapping(cfg, where: str) -> dict:
     return cfg
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    """typing.get_type_hints(cls), resolved once per config dataclass: it
+    evaluates every annotation string anew on each call."""
+    return typing.get_type_hints(cls)
+
+
 def _read_section(cls, cfg, where: str, raw=()) -> dict:
     """The keyword arguments for dataclass cls that cfg, a config file's section
     where, sets. A key is a field of cls of a type in _SCALARS, its value
     converted by that type, or one of raw, left for the caller to read. Fields
     cfg leaves out take their defaults. Errors name where and the key."""
     cfg = _mapping(cfg, where)
-    types = typing.get_type_hints(cls)
+    types = _type_hints(cls)
     fields = [f for f in dataclasses.fields(cls) if f.name in raw or _from_file(types[f.name])]
     allowed = {f.name for f in fields} | set(raw)
     values = {}
@@ -350,12 +359,20 @@ def sweep(base: Scenario, axis: str, values: list[float]) -> list[SweepRow]:
 
 
 def sweep_csv(axis: str, rows: list[SweepRow]) -> str:
+    """rows as CSV under a header naming axis; csv quotes an error cell that
+    holds a comma or a quote, so every row reads back as five fields."""
     buf = io.StringIO()
-    buf.write(f"{axis},messages_sent,max_error,total_violation_time,error\n")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow((axis, "messages_sent", "max_error", "total_violation_time", "error"))
     for r in rows:
-        buf.write(
-            f"{format_sig(r.value)},{r.messages_sent},{format_sig(r.max_error)},"
-            f"{format_sig(r.total_violation_time)},{r.error}\n"
+        out.writerow(
+            (
+                format_sig(r.value),
+                r.messages_sent,
+                format_sig(r.max_error),
+                format_sig(r.total_violation_time),
+                r.error,
+            )
         )
     return buf.getvalue()
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -305,6 +306,32 @@ class TestKernelAgainstReference:
         assert np.array_equal(beta, alpha / alpha.sum(axis=1)[:, None])
 
 
+class TestBellExponents:
+    """Layer 1 squares where every exponent of an input is 2 and otherwise calls
+    pow for each term whose exponent is not 2."""
+
+    X = np.linspace(-1.3, 1.3, 53)[:, None]
+
+    def test_saved_exponents_that_differ_by_term(self):
+        record = {"name": "x", "lo": -1.0, "hi": 1.0, "shape": "bell"}
+        record |= {"a": [0.5, 0.4, 0.6], "b": [2, 1.5, 3], "c": [-1.0, 0.0, 1.0]}
+        net = AnfisNetwork([InputSpec.from_dict(record)], np.zeros(3))
+        x = net.inputs[0].normalize(self.X)
+        u = ((x - np.array(record["c"])) / np.array(record["a"])) ** 2
+        # numpy's power per term, with a scalar exponent, which it squares for 2
+        expected = np.column_stack([1.0 / (1.0 + u[:, t] ** b) for t, b in enumerate(record["b"])])
+        assert np.array_equal(layer1(net, self.X)[0], expected)
+
+    def test_trained_exponents_give_the_bits_of_the_general_form(self):
+        net = tiny_net(n_terms=5)
+        spec = net.inputs[0]
+        a, b, c = spec.params
+        u = ((spec.normalize(self.X) - c) / a) ** 2
+        general = 1.0 / (1.0 + np.where(b == 2.0, u * u, u**b))
+        assert np.all(b == 2.0)
+        assert np.array_equal(layer1(net, self.X)[0], general)
+
+
 class TestTrainNetworks:
     """One network per target column, all from one pass and one solve at the
     premises given; a single column trains as train_hybrid does, bit for bit."""
@@ -547,6 +574,29 @@ class TestBundleBatchInvariance:
         rows = [bundle.residuals(inputs[:, [i]])[0] for i in range(200)]
         assert batch.shape == (200, 3)
         assert np.array_equal(batch, rows)
+
+    @pytest.mark.parametrize("n_bundles", [1, 4])
+    def test_each_bundle_equals_its_one_row_product(self, n_bundles):
+        """One product over the stacked consequents scores every bundle, each
+        (row, bundle) as that row's own dot of firing and consequents, on both
+        sides of a block edge."""
+        rng = np.random.default_rng(37)
+        first = batch_case_bundle("bell", 7)
+        bundles = [first]
+        for _ in range(n_bundles - 1):
+            nets = [copy.copy(net) for net in first.networks]
+            for net in nets:
+                net.z = rng.normal(0, 1, net.n_rules)
+            bundles.append(AnfisBundle(nets, h_ref=0.5, feature_tick=0.1))
+        n_rows = anfis._RESIDUAL_ROWS + 6
+        inputs = rng.uniform(-1.2, 1.2, (3, n_rows, 3))
+        scored = anfis.bundle_residuals(bundles, inputs)
+        for k, net in enumerate(first.networks):
+            beta = forward_batch(net, inputs[k])[1]
+            for out, bundle in zip(scored, bundles):
+                z = bundle.networks[k].z
+                one_row = [(beta[i : i + 1, None, :] @ z[:, None])[0, 0, 0] for i in range(n_rows)]
+                assert np.array_equal(out[:, k], one_row)
 
     def test_degenerate_rows_are_indices_of_all_rows(self, monkeypatch):
         monkeypatch.setattr(anfis, "_RESIDUAL_ROWS", 64)

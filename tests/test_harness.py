@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+import io
 import json
 import math
 import sys
@@ -276,6 +278,13 @@ class TestSweep:
         assert rows[1].error == ""
         csv_text = sweep_csv("base_delay", rows)
         assert "jitter" in csv_text
+
+    def test_csv_quotes_an_error_with_a_comma(self):
+        rows = sweep(scenario(), "loss", [1.5, -1.0])
+        assert all("," in r.error for r in rows)
+        lines = list(csv.reader(io.StringIO(sweep_csv("loss", rows))))
+        assert [len(line) for line in lines] == [5, 5, 5]
+        assert [line[-1] for line in lines[1:]] == [r.error for r in rows]
 
     def test_csv_stable_header(self):
         rows = sweep(scenario(), "th_pos", [0.5])
