@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFiringError, ValidationError
-from .kinematics import EntityState, StateArrays, advance
+from .kinematics import Correction, EntityState, StateArrays, advance, predict_positions
 from .kinematics import extrapolate  # noqa: F401 -- bench/tracer.py wraps it here
 
 _EXP_CLIP = 60.0
@@ -438,11 +438,11 @@ class AnfisBundle:
 
     Each axis network maps the normalized (one-step position deviation,
     axis velocity, orientation) triple to the extrapolation residual at the
-    reference horizon ``h_ref``. Queries at other horizons scale the learned
-    correction by (horizon / h_ref)^3, the leading-order growth of the
-    second-order remainder. All-zero consequents therefore reproduce plain
-    second-order extrapolation exactly. The axis networks may differ in size:
-    training gives an input one term on an axis where it holds one value.
+    reference horizon ``h_ref``, so all-zero consequents reproduce plain
+    second-order extrapolation exactly. A run reads the bundle once, at load:
+    :meth:`correction` gives the residual at every truth row and h_ref, whose
+    scale law takes it to other horizons. The axis networks may differ in
+    size: training gives an input one term on an axis where it holds one value.
     """
 
     def __init__(self, networks: list[AnfisNetwork], h_ref: float, feature_tick: float):
@@ -466,30 +466,21 @@ class AnfisBundle:
         """
         return bundle_residuals([self], inputs)[0]
 
-    def scales(self, horizons: np.ndarray) -> np.ndarray:
-        """The correction scale (horizon / h_ref)^3 for each horizon.
-
-        np.float_power calls the C library's pow per element, as Python's
-        (h / h_ref) ** 3 does, so each scale has the bits the per-tick
-        reference gives; np.power cubes by multiplying, which rounds some
-        cubes differently.
-        """
-        return np.float_power(horizons / self.h_ref, 3.0)
+    def correction(self, truth: StateArrays, dev0: np.ndarray | float = 0.0) -> Correction:
+        """The correction at every row of truth, with dev0 as row 0's deviation (features)."""
+        return Correction(self.residuals(features(truth, self.feature_tick, dev0)), self.h_ref)
 
     def predict(self, history: list[EntityState], horizon: float) -> np.ndarray:
-        """Predicted position horizon seconds past the newest history sample:
-        predict_positions at a gap of horizon, which also scales the correction."""
-        from .dead_reckoning import DrConfig, predict_positions  # it imports this module
-
+        """Position horizon seconds past the newest history sample, by predict_positions."""
         if not history:
             raise ValidationError("history must contain at least one state")
         if horizon < 0.0:
             raise ValidationError(f"horizon must be >= 0, got {horizon}")
         rows = StateArrays.of(history[-2:])
-        residual = self.residuals(features(rows, self.feature_tick)[:, -1:])
-        config = DrConfig(predictor="anfis", anfis_bundle=self)
-        half_a = 0.5 * rows.acceleration
-        return predict_positions(rows, half_a, [-1], np.array([horizon]), config, residual)[0]
+        newest = rows[-1:]
+        correction = self.correction(newest, features(rows, self.feature_tick)[:, -1, 0])
+        half_a = 0.5 * newest.acceleration
+        return predict_positions(newest, half_a, [0], np.array([horizon]), correction)[0]
 
     def to_dict(self) -> dict:
         return {

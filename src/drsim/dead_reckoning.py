@@ -8,9 +8,8 @@ either snaps to an arriving update or blends toward it over a short window.
 :class:`SenderModel` and :class:`ReceiverModel` step one tick at a time.
 :func:`gate` and :func:`display` compute the same results for a whole run
 from truth arrays, and are what runs use; the per-tick classes are the
-reference that tests hold them to. With the anfis predictor, :func:`gate`
-reads the corrector's output at every truth row, which a scenario computes
-once, at load.
+reference that tests hold them to. Of a corrector, the whole-run functions read
+only the Correction a scenario computes at load; the per-tick models run it.
 """
 
 from __future__ import annotations
@@ -26,12 +25,13 @@ from .anfis import features
 from .errors import RangeError, ValidationError
 from .kinematics import (
     TWO_PI,
+    Correction,
     EntityState,
     Order,
     StateArrays,
-    advance,
     angle_diff,
     extrapolate,
+    predict_positions,
     wrap_angle,
     wrap_angles,
 )
@@ -42,7 +42,7 @@ CONVERGENCE_MODES = ("snap", "blend")
 PREDICTOR_KINDS = ("polynomial", "anfis")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DrConfig:
     th_pos: float = 1.0
     th_or: float = math.inf
@@ -60,7 +60,7 @@ class DrConfig:
             raise ValidationError(f"th_or must be >= 0, got {self.th_or}")
         if not (math.isfinite(self.heartbeat) and self.heartbeat > 0.0):
             raise ValidationError(f"heartbeat must be positive, got {self.heartbeat}")
-        self.order = Order(self.order)
+        object.__setattr__(self, "order", Order(self.order))
         if self.convergence not in CONVERGENCE_MODES:
             raise ValidationError(f"unknown convergence mode {self.convergence!r}")
         if self.convergence == "blend" and not self.blend_window > 0.0:
@@ -101,13 +101,11 @@ def predict(msg: UpdateMessage, t: float, config: DrConfig) -> EntityState:
     """The shared prediction both sender mirror and receiver use, from msg's state."""
     state = msg.state
     base = extrapolate(state, t, config.order)
-    if config.predictor == "anfis":
-        bundle = config.anfis_bundle
-        inputs = features(StateArrays.of([state]), bundle.feature_tick, msg.deviation)
-        scale = bundle.scales(np.array([t - state.time]))
-        pos = base.position + bundle.residuals(inputs)[0] * scale
-        return replace(base, position=pos)
-    return base
+    if config.anfis_bundle is None:
+        return base
+    correction = config.anfis_bundle.correction(StateArrays.of([state]), msg.deviation)
+    pos = base.position + correction.column[0] * correction.scales(np.array([t - state.time]))
+    return replace(base, position=pos)
 
 
 @dataclass
@@ -218,20 +216,6 @@ def row_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(d, d))
 
 
-def predict_positions(
-    truth: StateArrays, half_a: np.ndarray, rows, dt: np.ndarray, config: DrConfig, residual
-) -> np.ndarray:
-    """Positions (K, 3) :func:`predict` gives dt (K,) seconds after the truth
-    states at rows (one row, one per time, or many with one dt), with the same
-    rounding. half_a is truth's half acceleration; only the anfis predictor
-    reads residual, the bundle's reference-horizon correction of each state."""
-    half = half_a[rows] if config.order is Order.SECOND else None
-    pos = advance(truth.position[rows], truth.velocity[rows], half, dt[:, None])
-    if config.predictor == "anfis":
-        pos += residual * config.anfis_bundle.scales(dt)[:, None]
-    return pos
-
-
 def predict_headings(truth: StateArrays, rows, dt: np.ndarray) -> np.ndarray:
     """Headings (K,) :func:`predict` gives dt (K,) seconds after the truth
     states at rows, with the same rounding: wrapping a wrapped angle changes no
@@ -244,7 +228,6 @@ class SendLog:
     """The updates a sender emits over a run, in sequence order."""
 
     rows: np.ndarray  # (M,) truth row of each update; its seq is its index here
-    residuals: np.ndarray  # (M, 3) anfis correction of each update; zero otherwise
     heartbeats: int = 0
     v_dev_max: float = 0.0
 
@@ -255,9 +238,11 @@ class SendLog:
 _ROUNDING = 64.0 * float(np.finfo(float).eps)
 
 
-def live_tests(truth: StateArrays, config: DrConfig) -> tuple[bool, bool]:
-    """Whether the position test and the heading test of :func:`gate` can
-    fire on truth. False is a proof that the test never fires.
+def live_tests(
+    truth: StateArrays, config: DrConfig, correction: Correction | None = None
+) -> tuple[bool, bool]:
+    """Whether the position test and the heading test of :func:`gate`, with
+    correction, can fire on truth. False is a proof that the test never fires.
 
     A test is idle when truth moves by the law its prediction extrapolates,
     taken from row 0, up to a measured residual r, and its threshold exceeds
@@ -269,9 +254,9 @@ def live_tests(truth: StateArrays, config: DrConfig) -> tuple[bool, bool]:
     - Heading: the angular rate is bit-constant, every heading is
       O[0] + omega t up to r modulo 2pi, and th_or > 2r plus the rounding of
       angles up to 2pi + |O[0]| + |omega| t_end in magnitude.
-    - Position: a polynomial predictor, a bit-constant acceleration (zero
-      for first order), positions and velocities within r_P and r_V of the
-      constant-acceleration law on every axis, and th_pos >
+    - Position: no correction (its term breaks the law), a bit-constant
+      acceleration (zero for first order), positions and velocities within
+      r_P and r_V of the constant-acceleration law on every axis, and th_pos >
       sqrt(3) (2 r_P + r_V gap) plus the rounding of |P| + |V| t_end +
       |A| t_end^2, where gap, the longest a segment looks ahead, is a
       heartbeat plus the widest tick (at most t_end).
@@ -288,7 +273,7 @@ def live_tests(truth: StateArrays, config: DrConfig) -> tuple[bool, bool]:
 
     acc, a = truth.acceleration.T, truth.acceleration[0]
     position = not (
-        config.predictor == "polynomial"
+        correction is None
         and (acc[:, 1:] == acc[:, :-1]).all()
         and (config.order is Order.SECOND or not a.any())
     )
@@ -307,12 +292,10 @@ def live_tests(truth: StateArrays, config: DrConfig) -> tuple[bool, bool]:
     return position, heading
 
 
-def gate(truth: StateArrays, config: DrConfig, corrections: np.ndarray | None) -> SendLog:
-    """:meth:`SenderModel.step` at every row of truth (one row per tick).
+def gate(truth: StateArrays, config: DrConfig, correction: Correction | None) -> SendLog:
+    """:meth:`SenderModel.step` at every row of truth (one row per tick), with
+    a corrected run's correction at every row (Scenario.correction), else None.
 
-    With the anfis predictor, corrections holds the corrector's output at
-    every row of truth (Scenario.corrections, computed at load); other
-    predictors ignore it.
     After each update, the mirror deviation at every tick up to the next
     heartbeat is one array expression, and the first tick over a threshold,
     else the heartbeat tick, sends the next update. Velocity deviations come
@@ -321,19 +304,18 @@ def gate(truth: StateArrays, config: DrConfig, corrections: np.ndarray | None) -
     Only the tests that can fire are evaluated. :func:`live_tests` proves,
     once per run, that a test is idle when the mirror reproduces truth's own
     motion law (a constant turn rate, or the constant-acceleration track of
-    a polynomial predictor) up to a measured residual and bounded rounding,
+    an uncorrected predictor) up to a measured residual and bounded rounding,
     below the threshold. Leaving such a test out changes no send, so the log
     is bit for bit the one both tests give; with neither live, the updates
     are the heartbeat chain.
     """
-    half_a = 0.5 * truth.acceleration
+    half_a = 0.5 * truth.acceleration if config.order is Order.SECOND else None
     times = truth.time.tolist()
     n = len(times)
     heartbeat_due = config.heartbeat - _TIME_EPS
-    residuals = corrections if config.predictor == "anfis" else np.zeros((n, 3))
 
     def position_over(last, span, dt):
-        pos = predict_positions(truth, half_a, last, dt, config, residuals[last])
+        pos = predict_positions(truth, half_a, last, dt, correction)
         pos -= truth.position[span]  # predicted minus true: the negation has the same norms
         return row_norms(pos) >= config.th_pos
 
@@ -341,7 +323,8 @@ def gate(truth: StateArrays, config: DrConfig, corrections: np.ndarray | None) -
         theta = predict_headings(truth, last, dt)
         return np.abs(wrap_angles(truth.orientation[span] - theta)) >= config.th_or
 
-    live = list(itertools.compress((position_over, heading_over), live_tests(truth, config)))
+    tests = live_tests(truth, config, correction)
+    live = list(itertools.compress((position_over, heading_over), tests))
     rows, heartbeats, row = [], 0, 0
     while True:
         rows.append(row)
@@ -376,14 +359,15 @@ def gate(truth: StateArrays, config: DrConfig, corrections: np.ndarray | None) -
         lag = truth.time[sent] - truth.time[prev]
         mirror_vel = mirror_vel + truth.acceleration[prev] * lag[:, None]
     v_dev = row_norms(truth.velocity[sent] - mirror_vel)
-    return SendLog(rows, residuals[rows], heartbeats, float(v_dev.max(initial=0.0)))
+    return SendLog(rows, heartbeats, float(v_dev.max(initial=0.0)))
 
 
 def display(
-    truth: StateArrays, log: SendLog, due: np.ndarray, config: DrConfig
+    truth: StateArrays, log: SendLog, due: np.ndarray, config: DrConfig,
+    correction: Correction | None,
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """:meth:`ReceiverModel.read` at every row of truth, given each update's
-    delivery time (inf when lost).
+    delivery time (inf when lost) and the correction :func:`gate` read.
 
     Returns the first row with a displayed state, and the displayed positions
     and headings from that row on. The receiver shows the highest seq among
@@ -399,19 +383,18 @@ def display(
     order = np.argsort(due, kind="stable")  # dispatch order: by due, then seq
     order = order[np.isfinite(due[order])]
     newest = np.maximum.accumulate(order)  # seq shown after each dispatch
-    rows, residuals = log.rows, log.residuals
-    n_msgs = len(rows)
+    n_msgs = len(log.rows)
     offset_pos = np.zeros((n_msgs, 3))
     offset_or = np.zeros(n_msgs)
     blend_start = np.zeros(n_msgs)
     blend_until = np.full(n_msgs, -math.inf)
-    half_a = 0.5 * truth.acceleration
+    half_a = 0.5 * truth.acceleration if config.order is Order.SECOND else None
 
     def predicted(seqs: np.ndarray, now: np.ndarray):
-        r = rows[seqs]
+        r = log.rows[seqs]
         t0 = truth.time[r]
         dt = np.maximum(now, t0) - t0
-        pos = predict_positions(truth, half_a, r, dt, config, residuals[seqs])
+        pos = predict_positions(truth, half_a, r, dt, correction)
         return pos, predict_headings(truth, r, dt)
 
     if config.convergence == "blend":

@@ -24,9 +24,10 @@ import yaml
 
 from . import anfis
 from .anfis import AnfisBundle, AnfisNetwork, TrainingSet, build_network, features
-from .dead_reckoning import DrConfig, display, gate, predict_positions, row_norms
+from .dead_reckoning import DrConfig, display, gate, row_norms
 from .errors import DegenerateFiringError, ValidationError
-from .kinematics import Order, StateArrays, Trajectory, truth_arrays, wrap_angles
+from .kinematics import Correction, Order, StateArrays, Trajectory, predict_positions
+from .kinematics import truth_arrays, wrap_angles
 from .kinematics import sample_truth  # noqa: F401 -- bench/tracer.py wraps it here
 from .netsim import Channel, ChannelConfig
 from .qos_metrics import (
@@ -52,34 +53,27 @@ class Scenario:
     seed: int = 0
     message_size_bytes: int = 144  # bytes per update, order of a full entity-state packet
     truth: StateArrays = field(init=False, repr=False, compare=False)  # at every tick
-    # The anfis corrector's output (N, 3) at every row of truth; None without a corrector.
-    corrections: np.ndarray | None = field(init=False, repr=False, compare=False)
-    # The bundle the corrections came from: the scenario's own copy, which dr
-    # holds; a run fails if dr holds another.
-    _bundle: AnfisBundle | None = field(init=False, repr=False, compare=False)
+    # At every row of truth, None without a corrector: all a run reads of it, taken at load.
+    correction: Correction | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "truth", _checked_truth(self, "scenario"))
         if self.message_size_bytes <= 0:
             raise ValidationError("message_size_bytes must be positive")
-        bundle, corrections = self.dr.anfis_bundle, None  # a bundle comes with the anfis predictor
+        bundle, correction = self.dr.anfis_bundle, None  # a bundle comes with the anfis predictor
         if bundle is not None:
             if bundle.feature_tick != self.tick:
                 ticks = f"{bundle.feature_tick} s tick, but the run's tick is {self.tick} s"
                 raise ValidationError(f"'anfis_net' was trained on a {ticks}")
-            # A copy, so that later edits to the bundle passed in cannot reach its corrections.
-            bundle = copy.deepcopy(bundle)
-            object.__setattr__(self, "dr", dataclasses.replace(self.dr, anfis_bundle=bundle))
             try:
-                corrections = bundle.residuals(features(self.truth, bundle.feature_tick))
+                correction = bundle.correction(self.truth)
             except DegenerateFiringError as exc:
                 t = self.truth.time[exc.rows[0]]
                 raise ValidationError(
                     f"'anfis_net' fires no rule at t = {t} s: its inputs there are too far "
                     "outside every term"
                 ) from None
-        object.__setattr__(self, "corrections", corrections)
-        object.__setattr__(self, "_bundle", bundle)
+        object.__setattr__(self, "correction", correction)
 
     @property
     def n_ticks(self) -> int:
@@ -197,8 +191,13 @@ def _trajectory_from_config(cfg, duration: float) -> Trajectory:
 def _dr_from_config(cfg, base_dir: Path | None) -> DrConfig:
     dr = _read_section(DrConfig, cfg, "dr", raw=("anfis_net",))
     net_path = dr.pop("anfis_net", None)
-    if net_path is not None:  # relative to the run file; an absolute path stays as it is
-        dr["anfis_bundle"] = AnfisBundle.load(Path(base_dir or ".", net_path))
+    if net_path is not None:
+        if not isinstance(net_path, str):
+            raise ValidationError(f"'anfis_net' in dr must be a path, got {net_path!r}")
+        try:  # relative to the run file; an absolute path stays as it is
+            dr["anfis_bundle"] = AnfisBundle.load(Path(base_dir or ".", net_path))
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or text, or no bundle
+            raise ValidationError(f"cannot load 'anfis_net' {net_path!r} in dr: {exc}") from None
     return DrConfig(**dr)
 
 
@@ -264,19 +263,17 @@ class RunResult:
 def run_scenario(sc: Scenario) -> RunResult:
     """Simulate one sender/receiver pair over one channel on the tick grid.
 
-    Each stage works on the whole run at once: the truth and the corrector's
-    output computed at load, then the sender's updates segment by segment, the
+    Each stage works on the whole run at once: the truth and the correction
+    computed at load, then the sender's updates segment by segment, the
     channel's fate for each update in send order, and the receiver's display
-    for every tick. sc.dr must still hold the bundle sc loaded.
+    for every tick.
     """
-    if sc.dr.anfis_bundle is not sc._bundle:
-        raise ValidationError("'anfis_net' was replaced after load; build the scenario again")
     truth = sc.truth
-    log = gate(truth, sc.dr, sc.corrections)
+    log = gate(truth, sc.dr, sc.correction)
     send_times = truth.time[log.rows].tolist()
     channel = Channel(sc.channel)
     due = channel.transit_all(send_times)
-    first, shown_pos, shown_or = display(truth, log, due, sc.dr)
+    first, shown_pos, shown_or = display(truth, log, due, sc.dr, sc.correction)
     series = ErrorSeries.from_arrays(
         sc.tick,
         truth.time[first:],
@@ -325,7 +322,7 @@ class SweepRow:
 def _scenario_with(sc: Scenario, axis: str, value: float) -> Scenario:
     """sc with axis set to value. Only its dr or channel section changes, which
     checks itself, and no axis changes the bundle, so the copy keeps sc's truth
-    and corrections instead of computing them again."""
+    and correction instead of computing them again."""
     name = SWEEP_AXES[axis]
     run = copy.copy(sc)
     object.__setattr__(run, name, dataclasses.replace(getattr(sc, name), **{axis: value}))
@@ -437,6 +434,8 @@ class ComparisonStudy:
             raise ValidationError(f"'seed' in study file must be >= 0, got {self.seed}")
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise ValidationError("horizons must be positive tick counts")
+        if not self.predictors:
+            raise ValidationError("'predictors' in study file lists no predictor")
         for p in self.predictors:
             if p not in PREDICTOR_NAMES:
                 raise ValidationError(f"unknown predictor {p!r}")
@@ -486,10 +485,10 @@ def _training_sets(
     order of horizons: the residual of second-order projection h ticks ahead."""
     n = split_idx - max(horizons) - 1
     observed, rows = table.observed, slice(1, n + 1)
-    half_a, second = 0.5 * observed.acceleration, DrConfig()
+    half_a = 0.5 * observed.acceleration
     targets = np.empty((3, n, len(horizons)))
     for j, h in enumerate(horizons):
-        pred = predict_positions(observed, half_a, rows, np.array([h * tick]), second, None)
+        pred = predict_positions(observed, half_a, rows, np.array([h * tick]))
         targets[:, :, j] = (table.truth.position[1 + h : n + 1 + h] - pred).T
     return [TrainingSet(table.inputs[k, rows], targets[k]) for k in range(3)]
 
@@ -575,7 +574,7 @@ class ComparisonResult:
 def run_comparison(study: ComparisonStudy) -> ComparisonResult:
     """Score each configured predictor at each horizon on held-out time, as runs predict."""
     table = study.table
-    observed, n = table.observed, len(table.truth.time)
+    n = len(table.truth.time)
     split_idx = int(n * study.train.split)
     horizons = tuple(study.horizons)
     for h in horizons:
@@ -586,19 +585,16 @@ def run_comparison(study: ComparisonStudy) -> ComparisonResult:
         # shortest horizon's: one scoring pass serves them all.
         bundles = train_bundle(study, horizons)
         residuals = anfis.bundle_residuals(bundles, table.inputs[:, split_idx : n - min(horizons)])
-    half_a = 0.5 * observed.acceleration
+    held = table.observed[split_idx:]  # its row k, and each correction's, is row split_idx + k
+    half_a = 0.5 * held.acceleration
     mae: dict[str, list[float]] = {p: [] for p in study.predictors}
     for j, h in enumerate(horizons):
-        test = slice(split_idx, n - h)
+        test = slice(0, n - h - split_idx)
         dt = np.array([h * study.tick])  # one horizon for every row
         truth_ahead = table.truth.position[split_idx + h :]
         for p in study.predictors:
-            if p == "anfis":
-                config = DrConfig(predictor="anfis", anfis_bundle=bundles[j])
-                residual = residuals[j][: n - h - split_idx]
-            else:
-                config, residual = DrConfig(order=p), None
-            pred = predict_positions(observed, half_a, test, dt, config, residual)
+            correction = Correction(residuals[j], bundles[j].h_ref) if p == "anfis" else None
+            pred = predict_positions(held, None if p == "first" else half_a, test, dt, correction)
             err = np.linalg.norm(pred - truth_ahead, axis=1)
             mae[p].append(float(np.mean(err)))
     return ComparisonResult(horizons, tuple(study.predictors), mae)

@@ -187,6 +187,10 @@ class StateArrays:
         """The given states, one row each."""
         return cls(*(np.array([getattr(s, f.name) for s in states]) for f in fields(cls)))
 
+    def __getitem__(self, rows: slice) -> "StateArrays":
+        """The states at rows, each field a view."""
+        return StateArrays(*(getattr(self, f.name)[rows] for f in fields(self)))
+
 
 def _motion(traj: Trajectory, t: np.ndarray):
     """The motion law at clamped times t (N,): position, velocity and
@@ -286,6 +290,34 @@ def advance(position, velocity, half_accel, dt: np.ndarray) -> np.ndarray:
         acc = half_accel * dt
         acc *= dt  # in place: one (N, 3) temporary, not two
         pos += acc
+    return pos
+
+
+@dataclass(frozen=True, eq=False)
+class Correction:
+    """A term on second-order extrapolation: column (N, 3) holds its value h_ref
+    seconds past each row of a truth table, which a gap of dt scales by scales(dt)."""
+
+    column: np.ndarray
+    h_ref: float
+
+    def scales(self, dt: np.ndarray) -> np.ndarray:
+        """(dt / h_ref)^3 per gap, the leading-order growth of the second-order
+        remainder, by np.float_power: it calls pow per element as Python's **
+        does, where np.power multiplies and rounds some cubes differently."""
+        return np.float_power(dt / self.h_ref, 3.0)
+
+
+def predict_positions(
+    truth: StateArrays, half_a, rows, dt: np.ndarray, correction: Correction | None = None
+) -> np.ndarray:
+    """Positions (K, 3) of the truth states at rows (one, one per gap, or many with
+    one gap) dt (K,) seconds on, rounded as the per-tick predict rounds them; half_a
+    is truth's half acceleration, None for first order; correction is added scaled."""
+    half = None if half_a is None else half_a[rows]
+    pos = advance(truth.position[rows], truth.velocity[rows], half, dt[:, None])
+    if correction is not None:
+        pos += correction.column[rows] * correction.scales(dt)[:, None]
     return pos
 
 

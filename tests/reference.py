@@ -5,10 +5,9 @@ import numpy as np
 
 from drsim import anfis
 from drsim.anfis import AnfisBundle, AnfisNetwork, TrainingSet, forward_batch
-from drsim.dead_reckoning import DrConfig, predict_positions
 from drsim.errors import ValidationError
 from drsim.harness import ComparisonStudy, TrainSpec, _axis_network, _training_sets
-from drsim.kinematics import Trajectory
+from drsim.kinematics import Trajectory, predict_positions
 
 
 def make_residual_task(
@@ -66,7 +65,7 @@ def reference_bundles(study: ComparisonStudy, horizons: tuple[int, ...]) -> list
     half_a, residuals = 0.5 * table.observed.acceleration, []
     for h in ordered:
         dt = np.array([h * study.tick])
-        pred = predict_positions(table.observed, half_a, rows, dt, DrConfig(), None)
+        pred = predict_positions(table.observed, half_a, rows, dt)
         residuals.append(table.truth.position[rows + h] - pred)
     axes = []
     for k in range(3):

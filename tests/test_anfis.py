@@ -26,7 +26,7 @@ from drsim.anfis import (
     train_hybrid,
 )
 from drsim.errors import DegenerateFiringError, ValidationError
-from drsim.kinematics import EntityState, Order, extrapolate
+from drsim.kinematics import Correction, EntityState, Order, extrapolate
 from reference import block_gram, count_training_events, jitter_centres
 
 
@@ -662,10 +662,11 @@ class TestBundle:
     )
     @example(horizons=[0.0, 5e-324, 0.30000000000000004, 4.999999999999999, 1e3], h_ref=1.0)
     def test_scales_round_as_python_cubes(self, horizons, h_ref):
-        """scales equals Python's (h / h_ref) ** 3 bit for bit, as the per-tick
-        reference computes it, so a numpy whose float_power stopped calling
-        the C library's pow fails here rather than in a golden digest."""
-        scales = self._bundle(h_ref=h_ref).scales(np.array(horizons))
+        """The correction's scale law, Correction.scales, equals Python's
+        (h / h_ref) ** 3 bit for bit, as the per-tick reference computes it,
+        so a numpy whose float_power stopped calling the C library's pow
+        fails here rather than in a golden digest."""
+        scales = Correction(np.zeros((0, 3)), h_ref).scales(np.array(horizons))
         assert scales.tolist() == [(h / h_ref) ** 3 for h in horizons]
 
     def test_wrong_axis_count_rejected(self):

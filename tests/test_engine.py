@@ -558,7 +558,7 @@ def thresholds(usual: st.SearchStrategy) -> st.SearchStrategy:
     th_pos=thresholds(st.floats(0.05, 3.0)),
     th_or=thresholds(st.one_of(st.just(math.inf), st.floats(0.05, 1.0))),
     heartbeat=st.floats(0.3, 6.0),
-    order=st.sampled_from(list(Order)),
+    predictor=st.sampled_from(["first", "second", "anfis"]),
     blend_window=st.one_of(st.none(), st.floats(0.05, 2.0)),
     base_delay=st.floats(0.0, 2.0),
     jitter_share=st.floats(0.0, 1.0),
@@ -567,16 +567,20 @@ def thresholds(usual: st.SearchStrategy) -> st.SearchStrategy:
     seed=st.integers(0, 2**31 - 1),
 )
 def test_random_configurations(
-    kind, tick, th_pos, th_or, heartbeat, order, blend_window, base_delay, jitter_share, loss,
+    kind, tick, th_pos, th_or, heartbeat, predictor, blend_window, base_delay, jitter_share, loss,
     reorder, seed,
 ):
+    # "anfis" draws the corrector, on the second order it corrects
+    anfis = predictor == "anfis"
     dr = DrConfig(
         th_pos=th_pos,
         th_or=th_or,
         heartbeat=heartbeat,
-        order=order,
+        order="second" if anfis else predictor,
         convergence="snap" if blend_window is None else "blend",
         blend_window=blend_window or 0.5,
+        predictor="anfis" if anfis else "polynomial",
+        anfis_bundle=fixed_bundle(feature_tick=tick) if anfis else None,
     )
     channel = ChannelConfig(
         base_delay=base_delay,

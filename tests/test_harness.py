@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -11,8 +12,8 @@ import pytest
 import yaml
 
 from drsim import anfis, cli, harness
-from drsim.anfis import AnfisBundle, features, forward_batch
-from drsim.dead_reckoning import DrConfig, SenderModel, gate, predict, predict_positions
+from drsim.anfis import AnfisBundle, forward_batch
+from drsim.dead_reckoning import DrConfig, SenderModel, gate, predict
 from drsim.errors import ValidationError
 from drsim.harness import (
     ComparisonStudy,
@@ -28,7 +29,14 @@ from drsim.harness import (
     sweep_csv,
     train_bundle,
 )
-from drsim.kinematics import TRAJECTORY_PARAMS, Order, Trajectory, sample_truth, truth_arrays
+from drsim.kinematics import (
+    TRAJECTORY_PARAMS,
+    Order,
+    Trajectory,
+    predict_positions,
+    sample_truth,
+    truth_arrays,
+)
 from drsim.netsim import ChannelConfig
 from drsim.qos_metrics import QosProfile
 from reference import (
@@ -193,11 +201,20 @@ class TestLoadedBundle:
         assert run_scenario(sc).report == before
         assert run_scenario(edited).report.messages_sent != before.messages_sent
 
+    def test_run_reads_nothing_of_the_bundle_after_load(self):
+        """A run and a sweep read the correction the scenario took at load: with
+        the bundle's reference horizon and networks gone, they report the same."""
+        sc = scenario(dr=DrConfig(th_pos=0.5, predictor="anfis", anfis_bundle=fixed_bundle()))
+        report, rows = run_scenario(sc).report, sweep(sc, "th_pos", [0.2, 1.0])
+        assert [r.error for r in rows] == ["", ""]
+        del sc.dr.anfis_bundle.h_ref, sc.dr.anfis_bundle.networks
+        assert run_scenario(sc).report == report
+        assert sweep(sc, "th_pos", [0.2, 1.0]) == rows
+
     def test_bundle_replaced_after_load_fails_the_run(self):
         sc = scenario(dr=DrConfig(th_pos=0.5, predictor="anfis", anfis_bundle=fixed_bundle()))
-        sc.dr.anfis_bundle = fixed_bundle()
-        with pytest.raises(ValidationError, match="'anfis_net' was replaced after load"):
-            run_scenario(sc)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.dr.anfis_bundle = fixed_bundle()
 
 
 class TestSweep:
@@ -293,6 +310,33 @@ class TestSweep:
         )
 
 
+def record_study_predictions(monkeypatch) -> list[tuple]:
+    """Patches harness so that run_comparison records, for each anfis
+    prediction it makes, (test, dt, bundle, residual, positions): its held-out
+    rows as a slice of the study's table, the gap, the horizon's bundle as
+    train_bundle gave it, the correction's column at those rows, and the
+    predicted positions."""
+    trained, seen = {}, []
+
+    def training(study, horizons):
+        trained["rows"] = len(study.table.truth.time)
+        trained["bundles"] = train_bundle(study, horizons)
+        return trained["bundles"]
+
+    def recorded(held, half_a, rows, dt, correction=None):
+        pos = predict_positions(held, half_a, rows, dt, correction)
+        if correction is not None:  # neither a training target nor a polynomial prediction
+            split = trained["rows"] - len(held.time)  # held's row 0 in the study's table
+            test = slice(split + rows.start, split + rows.stop)
+            bundle = trained["bundles"][len(seen)]
+            seen.append((test, dt, bundle, correction.column[rows], pos))
+        return pos
+
+    monkeypatch.setattr(harness, "train_bundle", training)
+    monkeypatch.setattr(harness, "predict_positions", recorded)
+    return seen
+
+
 class TestComparison:
     def test_second_order_exact_on_constant_acceleration(self):
         traj = Trajectory(
@@ -357,8 +401,7 @@ class TestComparison:
     @staticmethod
     def anfis_predictions(monkeypatch, tick: float, horizons: tuple[int, ...]):
         """A weave study at tick scored with the anfis predictor: the study, its
-        truth states, and per horizon the arguments and result of its
-        predict_positions call."""
+        truth states, and per horizon what record_study_predictions records."""
         traj = Trajectory(
             "sinusoid-weave",
             {"amplitude": [0, 2, 0], "drift": [1, 0, 0], "freq": 0.8, "yaw_amp": 0.6},
@@ -368,15 +411,7 @@ class TestComparison:
             trajectory=traj, tick=tick, duration=40.0, horizons=horizons,
             predictors=("anfis",), train=TrainSpec(n_terms=3),
         )
-        seen = []
-
-        def recorded(*args):
-            pos = predict_positions(*args)
-            if args[4].predictor == "anfis":  # not a training target
-                seen.append((args, pos))
-            return pos
-
-        monkeypatch.setattr(harness, "predict_positions", recorded)
+        seen = record_study_predictions(monkeypatch)
         run_comparison(study)
         assert len(seen) == len(horizons)
         return study, [sample_truth(traj, t) for t in study.table.truth.time.tolist()], seen
@@ -384,23 +419,22 @@ class TestComparison:
     def test_study_predicts_as_the_gate_and_the_reference(self, monkeypatch):
         """At each held-out row and horizon, the study's anfis prediction equals,
         bit for bit, the gate's mirror prediction from that row (predict_positions
-        on the gate's corrector pass), predict() from the update SenderModel sends
+        with the gate's correction), predict() from the update SenderModel sends
         there, and AnfisBundle.predict on the two states up to the row. A 1/8 s
         tick keeps every tick time exact, so a gap of h ticks is h / 8 s in all four."""
         study, states, seen = self.anfis_predictions(monkeypatch, 0.125, (1, 4, 9))
         truth = study.table.truth
         moved = False
-        for h, ((_, _, test, dt, config, _), study_pos) in zip(study.horizons, seen):
+        for h, (test, dt, bundle, _, study_pos) in zip(study.horizons, seen):
             rows = np.arange(len(states))[test]
-            bundle, ahead = config.anfis_bundle, truth.time[rows + h]
+            ahead = truth.time[rows + h]
             assert np.array_equal(ahead - truth.time[rows], np.full(len(rows), dt[0]))
             every_tick = DrConfig(th_pos=0.0, predictor="anfis", anfis_bundle=bundle)
-            log = gate(truth, every_tick, bundle.residuals(features(truth, bundle.feature_tick)))
+            correction = bundle.correction(truth)
+            log = gate(truth, every_tick, correction)
             assert np.array_equal(log.rows, np.arange(len(states)))
             half_a = 0.5 * truth.acceleration
-            gate_pos = predict_positions(
-                truth, half_a, rows, ahead - truth.time[rows], every_tick, log.residuals[rows]
-            )
+            gate_pos = predict_positions(truth, half_a, rows, ahead - truth.time[rows], correction)
             assert gate_pos.tobytes() == study_pos.tobytes()
             sender = SenderModel(every_tick)
             sent = [sender.step(s, s.time) for s in states]
@@ -418,11 +452,11 @@ class TestComparison:
         prediction bit for bit: both take h as the gap, as predict_positions does."""
         study, states, seen = self.anfis_predictions(monkeypatch, 0.1, (3, 10))
         rounded = 0
-        for (_, _, test, dt, config, _), study_pos in seen:
+        for test, dt, bundle, _, study_pos in seen:
             h = float(dt[0])
             for k, i in enumerate(range(test.start, test.stop)):
                 rounded += (states[i].time + h) - states[i].time != h
-                two_states = config.anfis_bundle.predict(states[i - 1 : i + 1], h)
+                two_states = bundle.predict(states[i - 1 : i + 1], h)
                 assert two_states.tobytes() == study_pos[k].tobytes()
         assert rounded > 0
 
@@ -575,19 +609,12 @@ class TestHorizonsScoredTogether:
         # block makes one pass per axis for all four horizons.
         monkeypatch.setattr(anfis, "_RESIDUAL_ROWS", 44)
         study = spike_study(n_terms=5)
-        seen = []
-
-        def recorded(*args):
-            if args[4].predictor == "anfis":  # not a training target
-                seen.append((args[2], args[4].anfis_bundle, args[5]))
-            return predict_positions(*args)
-
-        monkeypatch.setattr(harness, "predict_positions", recorded)
+        seen = record_study_predictions(monkeypatch)
         run_comparison(study)
         assert passes == [[3, 3, 3]]
-        assert [t.stop - t.start for t, _, _ in seen] == [90, 89, 85, 83]
+        assert [t.stop - t.start for t, _, _, _, _ in seen] == [90, 89, 85, 83]
         monkeypatch.setattr(anfis, "_RESIDUAL_ROWS", 1024)
-        for test, bundle, residual in seen:
+        for test, _, bundle, residual, _ in seen:
             assert residual.tobytes() == bundle.residuals(study.table.inputs[:, test]).tobytes()
 
 
@@ -923,6 +950,8 @@ class TestConfigKeys:
             ("train", "epochs", 2.7, "'epochs' in train: expected an integer, got 2.7"),
             ("train", "n_terms", 3.9, "'n_terms' in train: expected an integer, got 3.9"),
             ("study file", "horizons", [1.5, 2], "'horizons' in study file: expected an integer"),
+            # a study that scores no predictor would write a table with no column
+            ("study file", "predictors", [], "'predictors' in study file lists no predictor"),
             ("study file", "seed", 3.9, "'seed' in study file: expected an integer, got 3.9"),
             ("channel", "seed", True, "'seed' in channel: expected an integer, got True"),
             ("run file", "message_size_bytes", "144", "expected an integer, got '144'"),
@@ -974,6 +1003,26 @@ class TestConfigKeys:
         match = r"'anfis_net' fires no rule at t = 0\.4 s: its inputs there are too far outside"
         with pytest.raises(ValidationError, match=match):
             scenario_from_dict(dict(RUN_CFG, trajectory=trajectory, dr=dr), base_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "net, make, match",
+        [
+            (5, None, r"'anfis_net' in dr must be a path, got 5$"),
+            ("bundle.json", lambda p: p.write_text("{", encoding="utf-8"), "Expecting property"),
+            ("bundle.json", lambda p: p.write_text("[]", encoding="utf-8"), "not an anfis bundle"),
+            ("bundle.json", Path.mkdir, "Is a directory"),
+        ],
+        ids=["number", "malformed-json", "json-list", "directory"],
+    )
+    def test_bad_anfis_net_names_the_key(self, tmp_path, net, make, match):
+        # a value that is no path, or a path that holds no bundle
+        if make is not None:
+            make(tmp_path / net)
+        dr = {"predictor": "anfis", "anfis_net": net}
+        if isinstance(net, str):
+            match = f"^cannot load 'anfis_net' '{net}' in dr: .*{match}"
+        with pytest.raises(ValidationError, match=match):
+            scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
 
     def test_anfis_net_of_another_tick_rejected_at_load(self, tmp_path):
         # the corrector's deviation feature is a one-tick deviation at the bundle's tick
