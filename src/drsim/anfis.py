@@ -471,11 +471,16 @@ class AnfisBundle:
         return Correction(self.residuals(features(truth, self.feature_tick, dev0)), self.h_ref)
 
     def predict(self, history: list[EntityState], horizon: float) -> np.ndarray:
-        """Position horizon seconds past the newest history sample, by predict_positions."""
+        """Position horizon seconds past the newest history sample, by predict_positions.
+        The newest two samples must be one feature tick apart, up to tick-grid rounding."""
         if not history:
             raise ValidationError("history must contain at least one state")
-        if horizon < 0.0:
-            raise ValidationError(f"horizon must be >= 0, got {horizon}")
+        if not (math.isfinite(horizon) and horizon >= 0.0):
+            raise ValidationError(f"horizon must be finite and >= 0, got {horizon}")
+        t, tick = history[-1].time, self.feature_tick
+        gap = t - history[-2].time if len(history) > 1 else tick
+        if not abs(gap - tick) <= 1e-9 * max(tick, abs(t)):
+            raise ValidationError(f"history states {gap} s apart, not one {tick} s tick")
         rows = StateArrays.of(history[-2:])
         newest = rows[-1:]
         correction = self.correction(newest, features(rows, self.feature_tick)[:, -1, 0])

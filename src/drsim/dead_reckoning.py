@@ -331,13 +331,9 @@ def gate(truth: StateArrays, config: DrConfig, correction: Correction | None) ->
         last, t0 = row, times[row]
         if last == n - 1:
             break
-        # The first tick due for a heartbeat (n if none is). The test is
-        # monotone in time; the steps after the bisection apply it exactly.
-        beat = bisect.bisect_left(times, t0 + heartbeat_due, last + 1)
-        while beat > last + 1 and times[beat - 1] - t0 >= heartbeat_due:
-            beat -= 1
-        while beat < n and times[beat] - t0 < heartbeat_due:
-            beat += 1
+        # The first tick due for a heartbeat (n if none is): float subtraction
+        # is monotone, so the gaps from t0 are sorted as the times are.
+        beat = bisect.bisect_left(times, heartbeat_due, last + 1, key=lambda t: t - t0)
         if live:
             span = slice(last + 1, min(beat + 1, n))
             dt = truth.time[span] - t0

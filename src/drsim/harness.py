@@ -8,7 +8,6 @@ single-threaded, so identical configs produce byte-identical CSV output.
 
 from __future__ import annotations
 
-import copy
 import csv
 import dataclasses
 import functools
@@ -24,7 +23,7 @@ import yaml
 
 from . import anfis
 from .anfis import AnfisBundle, AnfisNetwork, TrainingSet, build_network, features
-from .dead_reckoning import DrConfig, display, gate, row_norms
+from .dead_reckoning import DrConfig, SendLog, display, gate, row_norms
 from .errors import DegenerateFiringError, ValidationError
 from .kinematics import Correction, Order, StateArrays, Trajectory, predict_positions
 from .kinematics import truth_arrays, wrap_angles
@@ -261,19 +260,20 @@ class RunResult:
 
 
 def run_scenario(sc: Scenario) -> RunResult:
-    """Simulate one sender/receiver pair over one channel on the tick grid.
+    """Simulate one sender/receiver pair over one channel on the tick grid: the
+    gate's send log from truth, dr and the load-time correction, then its delivery."""
+    return _deliver(sc, sc.dr, sc.channel, gate(sc.truth, sc.dr, sc.correction))
 
-    Each stage works on the whole run at once: the truth and the correction
-    computed at load, then the sender's updates segment by segment, the
-    channel's fate for each update in send order, and the receiver's display
-    for every tick.
-    """
+
+def _deliver(sc: Scenario, dr: DrConfig, link: ChannelConfig, log: SendLog) -> RunResult:
+    """sc's run with dr and link as its dr and channel sections, from log, the gate's
+    send log for them: the channel's fate for each update in send order, the
+    receiver's display at every tick, the error series, the report and the verdict."""
     truth = sc.truth
-    log = gate(truth, sc.dr, sc.correction)
     send_times = truth.time[log.rows].tolist()
-    channel = Channel(sc.channel)
+    channel = Channel(link)
     due = channel.transit_all(send_times)
-    first, shown_pos, shown_or = display(truth, log, due, sc.dr, sc.correction)
+    first, shown_pos, shown_or = display(truth, log, due, dr, sc.correction)
     series = ErrorSeries.from_arrays(
         sc.tick,
         truth.time[first:],
@@ -296,9 +296,9 @@ def run_scenario(sc: Scenario) -> RunResult:
     if len(series):
         report.max_error = float(series.e_pos.max())
         report.integrated_error = integrated_error(series)
-        report.violation_windows = violation_windows(series, sc.dr.th_pos)
+        report.violation_windows = violation_windows(series, dr.th_pos)
         report.total_violation_time = sum(w.length for w in report.violation_windows)
-    report.passed, report.reasons = verdict(report, sc.profile, sc.channel, len(series) > 0)
+    report.passed, report.reasons = verdict(report, sc.profile, link, len(series) > 0)
     return RunResult(report, series, send_times, delivery_times)
 
 
@@ -319,28 +319,24 @@ class SweepRow:
     error: str = ""
 
 
-def _scenario_with(sc: Scenario, axis: str, value: float) -> Scenario:
-    """sc with axis set to value. Only its dr or channel section changes, which
-    checks itself, and no axis changes the bundle, so the copy keeps sc's truth
-    and correction instead of computing them again."""
-    name = SWEEP_AXES[axis]
-    run = copy.copy(sc)
-    object.__setattr__(run, name, dataclasses.replace(getattr(sc, name), **{axis: value}))
-    return run
-
-
 def sweep(base: Scenario, axis: str, values: list[float]) -> list[SweepRow]:
-    """One seeded run per value; per-row failures are reported, not fatal. A run
-    whose receiver displayed nothing gets the verdict's reason as its error: its
-    zero errors would otherwise read as a perfect run."""
+    """One seeded run per value, as run_scenario runs base with axis set to it;
+    per-row failures are reported, not fatal. A channel axis changes nothing the
+    gate reads, so one send log serves every value; a dr axis gates per value. A
+    run whose receiver displayed nothing gets the verdict's reason as its error:
+    its zero errors would otherwise read as a perfect run."""
     if axis not in SWEEP_AXES:
         raise ValidationError(f"unknown sweep axis {axis!r}; choose from {', '.join(SWEEP_AXES)}")
     if not values:
         raise ValidationError("sweep needs at least one value")
-    rows = []
+    rows, log, section = [], None, SWEEP_AXES[axis]
     for value in values:
         try:
-            run = run_scenario(_scenario_with(base, axis, float(value)))
+            changed = dataclasses.replace(getattr(base, section), **{axis: float(value)})
+            dr, link = (changed, base.channel) if section == "dr" else (base.dr, changed)
+            if log is None or section == "dr":
+                log = gate(base.truth, dr, base.correction)
+            run = _deliver(base, dr, link, log)
             rows.append(
                 SweepRow(
                     value=float(value),

@@ -638,6 +638,19 @@ class TestBundle:
         with pytest.raises(ValidationError):
             self._bundle().predict([], 1.0)
 
+    def test_history_gap_other_than_the_feature_tick_rejected(self):
+        # Read as one 0.1 s tick, the 5 s gap's 4.9 m deviation predicted x = 6.11 m.
+        s0 = EntityState([0, 0, 0], [1, 0, 0], [0, 0, 0], 0.0, 0.0, 0.0)
+        s5 = EntityState([5, 0, 0], [1, 0, 0], [0, 0, 0], 0.0, 0.0, 5.0)
+        with pytest.raises(ValidationError, match="^history states 5.0 s apart, not one 0.1 s tick$"):
+            self._bundle().predict([s0, s5], 1.0)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon_rejected(self, horizon):
+        s = EntityState([1, 2, 0], [0.5, -1, 0], [0.2, 0, 0], 0.3, 0.05, 4.0)
+        with pytest.raises(ValidationError, match="horizon must be finite and >= 0"):
+            self._bundle().predict([s], horizon)
+
     # A gap of a stock run: ticks are row * tick, and a gap is their difference.
     RUN_GAPS = st.builds(
         lambda row, rows, tick: (row + rows) * tick - row * tick,

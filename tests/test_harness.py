@@ -255,7 +255,27 @@ class TestSweep:
         assert base.channel.loss == 0.1
 
     @pytest.mark.parametrize(
-        "axis, values", [("th_pos", [0.2, 0.5, 1.0]), ("loss", [0.0, 0.1, 0.3])]
+        "axis, values, gates",
+        [("loss", [0.0, 0.1, 0.3, 1.5], 1), ("base_delay", [0.0, 0.1, 0.4], 1),
+         ("th_pos", [0.2, 0.5, 1.0], 3)],
+    )
+    def test_channel_axis_gates_once(self, monkeypatch, axis, values, gates):
+        """A channel axis changes nothing the gate reads: the sweep gates once
+        and delivers that send log at every value. A dr axis gates per value."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gate(*args)
+
+        monkeypatch.setattr(harness, "gate", counted)
+        rows = sweep(scenario(channel=ChannelConfig(loss=0.1, seed=4)), axis, values)
+        assert len(calls) == gates
+        assert [r.error == "" for r in rows] == [v <= 1.0 for v in values]
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("th_pos", [0.2, 0.5, 1.0]), ("loss", [0.0, 0.1, 0.3]), ("base_delay", [0.0, 0.2, 0.5])],
     )
     def test_anfis_sweep_evaluates_the_corrector_once(self, tmp_path, axis, values):
         """Loading and sweeping an anfis scenario makes one corrector pass, at
@@ -1295,21 +1315,22 @@ class TestCli:
         assert term_counts(AnfisBundle.load(bundle_path)) == [[7, 7, 7], [7, 1, 7], [7, 1, 7]]
 
     def test_sweep_csv_output(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        rc = cli.main(
-            [
-                "sweep",
-                str(SCENARIO_DIR / "sinusoid_tight.yaml"),
-                "--axis",
-                "th_pos",
-                "--values",
-                "0.2,0.5",
-                "--out",
-                str(out),
-            ]
-        )
-        assert rc == 0
-        assert out.read_text().startswith("th_pos,")
+        for axis in ("th_pos", "loss"):  # a dr axis and a channel axis
+            out = tmp_path / f"{axis}.csv"
+            rc = cli.main(
+                [
+                    "sweep",
+                    str(SCENARIO_DIR / "sinusoid_tight.yaml"),
+                    "--axis",
+                    axis,
+                    "--values",
+                    "0.2,0.5",
+                    "--out",
+                    str(out),
+                ]
+            )
+            assert rc == 0
+            assert out.read_text().startswith(f"{axis},")
 
 
 def test_readme_library_use_runs_as_written(capsys):
