@@ -28,7 +28,7 @@ from .harness import (
     sweep,
     train_bundle,
 )
-from .kinematics import EntityState, Order, Trajectory, wrap_angle
+from .kinematics import EntityState, Trajectory, wrap_angle
 from .netsim import Channel, ChannelConfig
 from .qos_metrics import (
     CoherenceReport,

@@ -27,7 +27,6 @@ from .kinematics import (
     TWO_PI,
     Correction,
     EntityState,
-    Order,
     StateArrays,
     angle_diff,
     extrapolate,
@@ -39,18 +38,20 @@ from .kinematics import (
 _TIME_EPS = 1e-9
 
 CONVERGENCE_MODES = ("snap", "blend")
-PREDICTOR_KINDS = ("polynomial", "anfis")
+PREDICTORS = ("first", "second", "anfis")  # run files and study files alike
 
 
 @dataclass(frozen=True)
 class DrConfig:
+    """The gate and the prediction sender and receiver share, and the receiver's
+    convergence. predictor anfis is second order corrected by anfis_bundle."""
+
     th_pos: float = 1.0
     th_or: float = math.inf
     heartbeat: float = 5.0
-    order: Order = Order.SECOND
+    predictor: str = "second"
     convergence: str = "snap"
     blend_window: float = 0.5
-    predictor: str = "polynomial"
     anfis_bundle: object = None
 
     def __post_init__(self):
@@ -60,21 +61,18 @@ class DrConfig:
             raise ValidationError(f"th_or must be >= 0, got {self.th_or}")
         if not (math.isfinite(self.heartbeat) and self.heartbeat > 0.0):
             raise ValidationError(f"heartbeat must be positive, got {self.heartbeat}")
-        object.__setattr__(self, "order", Order(self.order))
         if self.convergence not in CONVERGENCE_MODES:
             raise ValidationError(f"unknown convergence mode {self.convergence!r}")
         if self.convergence == "blend" and not self.blend_window > 0.0:
             raise ValidationError("blend window must be positive")
-        if self.predictor not in PREDICTOR_KINDS:
-            raise ValidationError(f"unknown predictor {self.predictor!r}")
+        if self.predictor not in PREDICTORS:
+            raise ValidationError(
+                f"'predictor' must be one of {', '.join(PREDICTORS)}, got {self.predictor!r}"
+            )
         if self.predictor == "anfis" and self.anfis_bundle is None:
             raise ValidationError("anfis predictor requires a trained bundle")
         if self.predictor != "anfis" and self.anfis_bundle is not None:
             raise ValidationError(f"'anfis_net' needs the anfis predictor, got {self.predictor!r}")
-        if self.predictor == "anfis" and self.order is not Order.SECOND:
-            raise ValidationError(
-                f"'order' must be second with the anfis predictor, got {self.order.value}"
-            )
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ class UpdateMessage:
 def predict(msg: UpdateMessage, t: float, config: DrConfig) -> EntityState:
     """The shared prediction both sender mirror and receiver use, from msg's state."""
     state = msg.state
-    base = extrapolate(state, t, config.order)
+    base = extrapolate(state, t, config.predictor)
     if config.anfis_bundle is None:
         return base
     correction = config.anfis_bundle.correction(StateArrays.of([state]), msg.deviation)
@@ -255,7 +253,7 @@ def live_tests(
       O[0] + omega t up to r modulo 2pi, and th_or > 2r plus the rounding of
       angles up to 2pi + |O[0]| + |omega| t_end in magnitude.
     - Position: no correction (its term breaks the law), a bit-constant
-      acceleration (zero for first order), positions and velocities within
+      acceleration (zero with predictor first), positions and velocities within
       r_P and r_V of the constant-acceleration law on every axis, and th_pos >
       sqrt(3) (2 r_P + r_V gap) plus the rounding of |P| + |V| t_end +
       |A| t_end^2, where gap, the longest a segment looks ahead, is a
@@ -275,7 +273,7 @@ def live_tests(
     position = not (
         correction is None
         and (acc[:, 1:] == acc[:, :-1]).all()
-        and (config.order is Order.SECOND or not a.any())
+        and (config.predictor != "first" or not a.any())
     )
     if not position:
         law = np.array([truth.position[0], truth.velocity[0], a])  # p0, v0, a by rows
@@ -309,7 +307,7 @@ def gate(truth: StateArrays, config: DrConfig, correction: Correction | None) ->
     is bit for bit the one both tests give; with neither live, the updates
     are the heartbeat chain.
     """
-    half_a = 0.5 * truth.acceleration if config.order is Order.SECOND else None
+    half_a = None if config.predictor == "first" else 0.5 * truth.acceleration
     times = truth.time.tolist()
     n = len(times)
     heartbeat_due = config.heartbeat - _TIME_EPS
@@ -351,7 +349,7 @@ def gate(truth: StateArrays, config: DrConfig, correction: Correction | None) ->
     rows = np.array(rows)
     prev, sent = rows[:-1], rows[1:]
     mirror_vel = truth.velocity[prev]
-    if config.order is Order.SECOND:
+    if config.predictor != "first":
         lag = truth.time[sent] - truth.time[prev]
         mirror_vel = mirror_vel + truth.acceleration[prev] * lag[:, None]
     v_dev = row_norms(truth.velocity[sent] - mirror_vel)
@@ -384,7 +382,7 @@ def display(
     offset_or = np.zeros(n_msgs)
     blend_start = np.zeros(n_msgs)
     blend_until = np.full(n_msgs, -math.inf)
-    half_a = 0.5 * truth.acceleration if config.order is Order.SECOND else None
+    half_a = None if config.predictor == "first" else 0.5 * truth.acceleration
 
     def predicted(seqs: np.ndarray, now: np.ndarray):
         r = log.rows[seqs]

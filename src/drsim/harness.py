@@ -23,9 +23,9 @@ import yaml
 
 from . import anfis
 from .anfis import AnfisBundle, AnfisNetwork, TrainingSet, build_network, features
-from .dead_reckoning import DrConfig, SendLog, display, gate, row_norms
+from .dead_reckoning import PREDICTORS, DrConfig, SendLog, display, gate, row_norms
 from .errors import DegenerateFiringError, ValidationError
-from .kinematics import Correction, Order, StateArrays, Trajectory, predict_positions
+from .kinematics import Correction, StateArrays, Trajectory, predict_positions
 from .kinematics import truth_arrays, wrap_angles
 from .kinematics import sample_truth  # noqa: F401 -- bench/tracer.py wraps it here
 from .netsim import Channel, ChannelConfig
@@ -57,6 +57,8 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "truth", _checked_truth(self, "scenario"))
+        if self.seed < 0:
+            raise ValidationError(f"'seed' in run file must be >= 0, got {self.seed}")
         if self.message_size_bytes <= 0:
             raise ValidationError("message_size_bytes must be positive")
         bundle, correction = self.dr.anfis_bundle, None  # a bundle comes with the anfis predictor
@@ -82,14 +84,14 @@ class Scenario:
 
 def _checked_truth(config: Scenario | ComparisonStudy, what: str) -> StateArrays:
     """The truth of config, a run or a study, at t = 0 and each whole tick, after
-    checking that there is a tick and that truth is finite at every one. The
+    checking that a finite duration holds a tick and that truth is finite at each. The
     tick count is floored (3.5 s at a 1 s tick is 3) after a relative 1e-9
     allowance, so that a multiple whose quotient rounds low counts (0.3 / 0.1)."""
     tick, duration, trajectory = config.tick, config.duration, config.trajectory
     if not (math.isfinite(tick) and tick > 0.0):
         raise ValidationError(f"tick must be positive, got {tick}")
-    if not duration >= tick:
-        raise ValidationError("duration must cover at least one tick")
+    if not (duration >= tick and math.isfinite(duration)):
+        raise ValidationError(f"duration must be finite and at least one tick, got {duration}")
     times = np.arange(math.floor(duration / tick * (1.0 + 1e-9)) + 1) * tick
     last_tick = float(times[-1])
     if not trajectory.covers(last_tick):
@@ -112,7 +114,7 @@ def _keys(cls) -> frozenset:
 
 
 # Field types a config file holds; a tuple field reads a list of one of them.
-_SCALARS = (bool, int, float, str, Order)
+_SCALARS = (bool, int, float, str)
 # The values a flag, an integer or a number field takes: a bool is neither of the last two.
 _KINDS = {
     bool: (bool, "true or false"),
@@ -374,9 +376,6 @@ def sweep_csv(axis: str, rows: list[SweepRow]) -> str:
 # Predictor comparison study
 # ---------------------------------------------------------------------------
 
-PREDICTOR_NAMES = ("first", "second", "anfis")
-
-
 @dataclass(frozen=True)
 class TrainSpec:
     """A study's training settings.
@@ -433,8 +432,10 @@ class ComparisonStudy:
         if not self.predictors:
             raise ValidationError("'predictors' in study file lists no predictor")
         for p in self.predictors:
-            if p not in PREDICTOR_NAMES:
-                raise ValidationError(f"unknown predictor {p!r}")
+            if p not in PREDICTORS:
+                raise ValidationError(
+                    f"'predictors' in study file must be among {', '.join(PREDICTORS)}, got {p!r}"
+                )
         for key, values in (("horizons", self.horizons), ("predictors", self.predictors)):
             for v in values:
                 if values.count(v) > 1:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 from typing import Mapping
 
 import numpy as np
@@ -31,11 +30,6 @@ def wrap_angle(theta: float) -> float:
 def angle_diff(a: float, b: float) -> float:
     """Smallest signed difference a - b, wrapped into [-pi, pi)."""
     return wrap_angle(a - b)
-
-
-class Order(str, Enum):
-    FIRST = "first"
-    SECOND = "second"
 
 
 def _vec3(value, name: str) -> np.ndarray:
@@ -321,8 +315,9 @@ def predict_positions(
     return pos
 
 
-def extrapolate(base: EntityState, t: float, order: Order = Order.SECOND) -> EntityState:
-    """Project a state forward to time t by first- or second-order kinematics.
+def extrapolate(base: EntityState, t: float, predictor: str = "second") -> EntityState:
+    """Project a state forward to time t by the kinematics a predictor name
+    extrapolates: first order for "first", second order for any other.
 
     First order advances position along the stored velocity; second order adds
     the half-acceleration-delta-squared term and advances velocity as well.
@@ -332,8 +327,7 @@ def extrapolate(base: EntityState, t: float, order: Order = Order.SECOND) -> Ent
     dt = t - base.time
     if dt < 0.0:
         raise RangeError(f"cannot extrapolate backwards: t={t} < base.time={base.time}")
-    order = Order(order)
-    if order is Order.FIRST:
+    if predictor == "first":
         pos = base.position + base.velocity * dt
         vel = base.velocity
     else:
@@ -361,8 +355,9 @@ def max_speed_bound(traj: Trajectory) -> float:
     return float(np.max(np.linalg.norm(seg_v, axis=1)))
 
 
-def accel_deviation_bound(traj: Trajectory, order: Order = Order.SECOND) -> float:
-    """Analytic bound on ||A_true(t) - A_model|| for a model refreshed anywhere.
+def accel_deviation_bound(traj: Trajectory, predictor: str = "second") -> float:
+    """Analytic bound on ||A_true(t) - A_model|| for a predictor's model
+    refreshed anywhere: first order for "first", second order for any other.
 
     For a second-order model the held acceleration is some earlier true value,
     so the deviation is bounded by the acceleration's total swing; a
@@ -378,7 +373,7 @@ def accel_deviation_bound(traj: Trajectory, order: Order = Order.SECOND) -> floa
         peak = float(np.linalg.norm(p["amplitude"])) * p["freq"] * p["freq"]
     else:  # circular
         peak = abs(p["radius"]) * p["omega"] ** 2
-    if Order(order) is Order.FIRST:
+    if predictor == "first":
         return peak
     if traj.kind == "constant-acceleration":
         return 0.0  # held acceleration equals the true constant

@@ -25,7 +25,6 @@ from drsim.harness import (
     train_bundle,
 )
 from drsim.kinematics import (
-    Order,
     Trajectory,
     accel_deviation_bound,
     extrapolate,
@@ -81,7 +80,7 @@ def test_criterion_01_extrapolation_exactness():
             if i + steps > 600:
                 break
             truth = bases[i + steps]
-            pred = extrapolate(base, truth.time, Order.SECOND)
+            pred = extrapolate(base, truth.time, "second")
             worst = max(worst, float(np.max(np.abs(pred.position - truth.position))))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9
@@ -233,7 +232,7 @@ def test_criterion_10_emax_bound(stock_runs):
     for name in STOCK_SCENARIOS:
         sc = load_scenario(SCENARIO_DIR / name)
         run = stock_runs[name]
-        accel_bound = accel_deviation_bound(sc.trajectory, sc.dr.order)
+        accel_bound = accel_deviation_bound(sc.trajectory, sc.dr.predictor)
         bound, ok = check_emax_bound(run.report, sc.channel, sc.dr, accel_bound)
         assert ok, f"{name}: observed {run.report.max_error} exceeds bound {bound}"
         margins.append(run.report.max_error / bound if bound > 0 else 0.0)

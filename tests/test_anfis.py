@@ -26,7 +26,7 @@ from drsim.anfis import (
     train_hybrid,
 )
 from drsim.errors import DegenerateFiringError, ValidationError
-from drsim.kinematics import Correction, EntityState, Order, extrapolate
+from drsim.kinematics import Correction, EntityState, extrapolate
 from reference import block_gram, count_training_events, jitter_centres
 
 
@@ -622,7 +622,7 @@ class TestBundle:
         s = EntityState([1, 2, 0], [0.5, -1, 0], [0.2, 0, 0], 0.3, 0.05, 4.0)
         for horizon in (0.0, 0.5, 2.0):
             pos = bundle.predict([s], horizon)
-            expected = extrapolate(s, 4.0 + horizon, Order.SECOND).position
+            expected = extrapolate(s, 4.0 + horizon, "second").position
             assert np.array_equal(pos, expected)
 
     def test_nonzero_consequents_shift_prediction(self):

@@ -12,7 +12,7 @@ from drsim.dead_reckoning import (
     predict_headings,
 )
 from drsim.errors import RangeError, ValidationError
-from drsim.kinematics import EntityState, Order, StateArrays, Trajectory, sample_truth
+from drsim.kinematics import EntityState, StateArrays, Trajectory, sample_truth
 
 
 def state(p, v=(0, 0, 0), a=(0, 0, 0), theta=0.0, omega=0.0, t=0.0):
@@ -23,7 +23,7 @@ class TestDrConfig:
     def test_defaults_valid(self):
         cfg = DrConfig()
         assert cfg.heartbeat == 5.0
-        assert cfg.order is Order.SECOND
+        assert cfg.predictor == "second"
 
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValidationError):
@@ -81,8 +81,8 @@ class TestSenderGate:
     def test_threshold_uses_configured_order(self):
         # accelerating truth: a first-order mirror drifts, a second-order one does not
         truth = [state((0.5 * t * t, 0, 0), (t, 0, 0), (1, 0, 0), t=t) for t in (0.0, 1.0)]
-        first = SenderModel(DrConfig(th_pos=0.4, order=Order.FIRST))
-        second = SenderModel(DrConfig(th_pos=0.4, order=Order.SECOND))
+        first = SenderModel(DrConfig(th_pos=0.4, predictor="first"))
+        second = SenderModel(DrConfig(th_pos=0.4, predictor="second"))
         for s in (first, second):
             s.step(truth[0], 0.0)
         assert first.step(truth[1], 1.0) is not None  # drift 0.5 >= 0.4
@@ -182,7 +182,7 @@ class TestBlendConvergence:
 class TestMirrorSymmetry:
     def test_sender_mirror_matches_receiver_display_bitwise(self):
         # lossless zero-delay snap: both sides evaluate the same prediction
-        cfg = DrConfig(th_pos=0.5, order=Order.SECOND)
+        cfg = DrConfig(th_pos=0.5, predictor="second")
         traj = Trajectory(
             "sinusoid-weave",
             {"amplitude": [0, 2, 0], "drift": [1, 0, 0], "freq": 0.8},
@@ -270,6 +270,6 @@ def test_predicted_headings_round_as_predict(theta, omega, t0):
     msg = UpdateMessage("e", base, 0, t0)
     t = t0 + np.arange(1, 51) * 0.1
     got = predict_headings(truth, 0, t - t0)
-    for cfg in (DrConfig(order=Order.FIRST), DrConfig(order=Order.SECOND)):
+    for cfg in (DrConfig(predictor="first"), DrConfig(predictor="second")):
         want = np.array([predict(msg, now, cfg).orientation for now in t.tolist()])
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

@@ -29,7 +29,6 @@ from drsim.dead_reckoning import (
 from drsim.harness import RunResult, Scenario, run_scenario
 from drsim.kinematics import (
     EntityState,
-    Order,
     StateArrays,
     Trajectory,
     sample_truth,
@@ -145,8 +144,10 @@ def assert_same_run(sc: Scenario, stale_counts: list | None = None) -> RunResult
 def test_every_kind_and_order_over_a_jittery_lossy_reordering_link():
     stale = []
     for kind in TRAJECTORIES:
-        for order in (Order.FIRST, Order.SECOND):
-            dr = DrConfig(th_pos=0.5, th_or=0.2, order=order, convergence="blend", blend_window=0.5)
+        for predictor in ("first", "second"):
+            dr = DrConfig(
+                th_pos=0.5, th_or=0.2, predictor=predictor, convergence="blend", blend_window=0.5
+            )
             ref = assert_same_run(scenario(kind, dr), stale)
             assert ref.report.messages_dropped > 0
     # The link must reach the stale discard, or the running maximum goes untested.
@@ -301,9 +302,8 @@ def test_heading_on_the_wrap_seam(predictor, th_or):
     on the seam where wrapped headings jump from near +pi to -pi. At th_or
     1e-15 the rounding of the predicted heading decides most sends."""
     params = {"p0": [0, 0, 0], "v": [5.0, 1.0, 0.0], "theta0": 0.0, "omega": math.pi / 2}
-    dr = DrConfig(th_pos=0.5, th_or=th_or, order="first" if predictor == "first" else "second")
-    if predictor == "anfis":
-        dr = dataclasses.replace(dr, predictor="anfis", anfis_bundle=fixed_bundle())
+    bundle = fixed_bundle() if predictor == "anfis" else None
+    dr = DrConfig(th_pos=0.5, th_or=th_or, predictor=predictor, anfis_bundle=bundle)
     sc = Scenario(
         name="wrap-seam",
         trajectory=Trajectory("constant-velocity", params, duration=DURATION),
@@ -435,7 +435,7 @@ def _position_off_the_law():
 
 def _first_order_under_acceleration():
     """Truth exactly on a constant-acceleration law, which first order leaves out."""
-    return uniform_motion(200, 0.1, a=(0.4, 0.0, 0.0)), DrConfig(th_pos=0.5, order="first")
+    return uniform_motion(200, 0.1, a=(0.4, 0.0, 0.0)), DrConfig(th_pos=0.5, predictor="first")
 
 
 @pytest.mark.parametrize(
@@ -480,7 +480,7 @@ def test_constant_rate_across_the_seam_is_certified():
         angular_rate=np.full(n, omega),
     )
     assert (np.diff(truth.orientation) < -math.pi).sum() > 1000
-    dr = DrConfig(th_pos=0.5, th_or=1e-6, order="first")
+    dr = DrConfig(th_pos=0.5, th_or=1e-6, predictor="first")
     assert live_tests(truth, dr) == (False, False)
     log = assert_gate_is_reference(truth, dr)
     assert log.rows.tolist() == list(range(0, n, 5))
@@ -491,34 +491,34 @@ def test_stock_kinds_certify_their_law(kind):
     """Every kind but sinusoid-weave turns at a constant rate, so its heading
     test is idle at th_or 0.3; constant velocity, and constant acceleration
     under second order, follow the polynomial predictor's own law."""
-    for order in Order:
-        sc = scenario(kind, DrConfig(th_pos=0.5, th_or=0.3, order=order))
+    for predictor in ("first", "second"):
+        sc = scenario(kind, DrConfig(th_pos=0.5, th_or=0.3, predictor=predictor))
         polynomial = kind == "constant-velocity" or (
-            kind == "constant-acceleration" and order is Order.SECOND
+            kind == "constant-acceleration" and predictor == "second"
         )
         assert live_tests(sc.truth, sc.dr) == (not polynomial, kind == "sinusoid-weave")
 
 
 @pytest.mark.parametrize(
-    "kind, params, order, th_pos, th_or",
+    "kind, params, predictor, th_pos, th_or",
     [
         # Measured residuals of 0: the certificate's law rounds as truth does.
-        ("constant-velocity", {"p0": [0, 0, 0], "v": [5.3, 1.7, 0.0]}, Order.FIRST, 1e-15, math.inf),
+        ("constant-velocity", {"p0": [0, 0, 0], "v": [5.3, 1.7, 0.0]}, "first", 1e-15, math.inf),
         (
             "constant-velocity",
             {"p0": [0, 0, 0], "v": [5.3, 1.7, 0.0], "theta0": -3.0, "omega": -0.3},
-            Order.FIRST,
+            "first",
             math.inf,
             1e-15,
         ),
         (
             "constant-acceleration",
             TRAJECTORIES["constant-acceleration"],
-            Order.SECOND,
+            "second",
             1e-15,
             math.inf,
         ),
-        ("circular", TRAJECTORIES["circular"], Order.SECOND, math.inf, 1e-15),
+        ("circular", TRAJECTORIES["circular"], "second", math.inf, 1e-15),
     ],
     ids=[
         "constant-velocity-th_pos",
@@ -527,14 +527,14 @@ def test_stock_kinds_certify_their_law(kind):
         "circular-th_or",
     ],
 )
-def test_rounding_decides_the_sends(kind, params, order, th_pos, th_or):
+def test_rounding_decides_the_sends(kind, params, predictor, th_pos, th_or):
     """Below the certificates' rounding allowance a truth on its test's law
     still sends on that threshold, because the mirror's rounding crosses it:
     the test must stay live, and the run equal the reference."""
     sc = Scenario(
         name=kind,
         trajectory=Trajectory(kind, params, duration=DURATION),
-        dr=DrConfig(th_pos=th_pos, th_or=th_or, order=order),
+        dr=DrConfig(th_pos=th_pos, th_or=th_or, predictor=predictor),
         channel=JITTERY,
         tick=0.1,
         duration=DURATION,
@@ -576,10 +576,9 @@ def test_random_configurations(
         th_pos=th_pos,
         th_or=th_or,
         heartbeat=heartbeat,
-        order="second" if anfis else predictor,
+        predictor=predictor,
         convergence="snap" if blend_window is None else "blend",
         blend_window=blend_window or 0.5,
-        predictor="anfis" if anfis else "polynomial",
         anfis_bundle=fixed_bundle(feature_tick=tick) if anfis else None,
     )
     channel = ChannelConfig(

@@ -31,7 +31,6 @@ from drsim.harness import (
 )
 from drsim.kinematics import (
     TRAJECTORY_PARAMS,
-    Order,
     Trajectory,
     predict_positions,
     sample_truth,
@@ -74,7 +73,7 @@ def scenario(traj=None, dr=None, channel=None, tick=0.1, duration=30.0, **kw):
 class TestRunScenario:
     def test_constant_velocity_first_order_only_heartbeats(self):
         traj = Trajectory("constant-velocity", {"p0": [0, 0, 0], "v": [2, 0, 0]}, duration=60.0)
-        sc = scenario(traj=traj, dr=DrConfig(th_pos=1.0, order=Order.FIRST), duration=60.0)
+        sc = scenario(traj=traj, dr=DrConfig(th_pos=1.0, predictor="first"), duration=60.0)
         run = run_scenario(sc)
         assert run.report.messages_sent == 13  # initial + 12 heartbeats
         assert run.report.heartbeats == 12
@@ -745,7 +744,7 @@ class TestConfigFiles:
             "duration": 12.0,
             "message_size_bytes": 200,
             "trajectory": {"kind": "circular", "radius": 4.0, "omega": 0.5},
-            "dr": {"th_pos": 0.7, "th_or": 0.2, "heartbeat": 3.0, "order": "first",
+            "dr": {"th_pos": 0.7, "th_or": 0.2, "heartbeat": 3.0, "predictor": "first",
                    "convergence": "blend", "blend_window": 0.4},
             "channel": {"base_delay": 0.2, "jitter": 0.1, "loss": 0.01,
                         "reorder_allowed": True},
@@ -756,7 +755,7 @@ class TestConfigFiles:
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
         sc = load_scenario(path)
         assert sc.seed == 9
-        assert sc.dr.order is Order.FIRST
+        assert sc.dr.predictor == "first"
         assert sc.dr.convergence == "blend"
         assert sc.channel.reorder_allowed is True
         assert sc.channel.seed == 9  # inherits the scenario seed
@@ -978,31 +977,52 @@ class TestConfigKeys:
             ("train", "eta", True, "'eta' in train: expected a number, got True"),
             ("train", "split", "0.7", "'split' in train: expected a number, got '0.7'"),
             ("run file", "tick", "1e-1", "'tick' in run file: expected a number, got '1e-1'"),
+            # the trajectory keeps its own, finite duration
+            ("run file", "duration", math.inf, "duration must be finite"),
+            ("study file", "duration", math.inf, "duration must be finite"),
         ],
     )
     def test_bad_setting_rejected_at_load(self, tmp_path, where, key, value, match):
         if where in ("train", "study file"):
             cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
-            (cfg["train"] if where == "train" else cfg)[key] = value
             load = study_from_dict
         else:
             cfg = yaml.safe_load(yaml.safe_dump(RUN_CFG))
-            (cfg["channel"] if where == "channel" else cfg)[key] = value
             load = scenario_from_dict
+        cfg["trajectory"].setdefault("duration", cfg["duration"])
+        (cfg[where] if where in ("train", "channel") else cfg)[key] = value
         with pytest.raises(ValidationError, match=match):
             load(cfg)
 
-    def test_anfis_predictor_with_first_order_rejected_at_load(self, tmp_path):
-        # the corrector corrects a second-order extrapolation, so it takes no other order
-        fixed_bundle().save(tmp_path / "bundle.json")
+    def test_negative_run_seed_beside_a_channel_seed_rejected(self):
+        # the channel's own seed is valid, so only the run's check can fail the file
+        with pytest.raises(ValidationError, match="'seed' in run file must be >= 0, got -1"):
+            scenario_from_dict(dict(RUN_CFG, seed=-1, channel={"seed": 3}))
+
+    @pytest.mark.parametrize("where", ["run file", "study file"])
+    def test_unknown_predictor_names_the_key_and_the_choices(self, tmp_path, where):
+        if where == "run file":
+            cfg, key = dict(RUN_CFG, dr={"predictor": "third"}), "predictor"
+            load = scenario_from_dict
+        else:
+            cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
+            cfg["predictors"] = ["second", "third"]
+            load, key = study_from_dict, "predictors"
+        with pytest.raises(ValidationError, match=f"'{key}' .*first, second, anfis, got 'third'$"):
+            load(cfg)
+
+    def test_anfis_predictor_with_first_order_rejected_at_load(self):
+        # `predictor` alone names the extrapolation: `order` is no key of a dr section
         dr = {"predictor": "anfis", "anfis_net": "bundle.json", "order": "first"}
-        with pytest.raises(ValidationError, match="'order' must be second with the anfis"):
-            scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
+        keys = "anfis_net, blend_window, convergence, heartbeat, predictor, th_or, th_pos"
+        match = f"^unknown key 'order' in dr; expected one of {keys}$"
+        with pytest.raises(ValidationError, match=match):
+            scenario_from_dict(dict(RUN_CFG, dr=dr))
 
     def test_anfis_net_without_anfis_predictor_rejected_at_load(self, tmp_path):
-        # a polynomial run would load the bundle and never read it
+        # a second-order run would load the bundle and never read it
         fixed_bundle().save(tmp_path / "bundle.json")
-        dr = {"predictor": "polynomial", "anfis_net": "bundle.json"}
+        dr = {"predictor": "second", "anfis_net": "bundle.json"}
         with pytest.raises(ValidationError, match="'anfis_net' needs the anfis predictor"):
             scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
 
@@ -1331,6 +1351,17 @@ class TestCli:
             )
             assert rc == 0
             assert out.read_text().startswith(f"{axis},")
+
+
+def test_readme_run_file_loads_as_written():
+    """README's run-file example under "Scenario files", parsed and loaded as
+    written, so that the keys and values it shows stay those a run file takes."""
+    readme = (SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
+    text = readme.split("## Scenario files", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    sc = scenario_from_dict(yaml.safe_load(text))
+    assert (sc.name, sc.dr.predictor, sc.profile.name) == (
+        "sinusoid-tight", "second", "tightly-coupled"
+    )
 
 
 def test_readme_library_use_runs_as_written(capsys):

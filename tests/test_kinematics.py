@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from drsim.errors import RangeError, ValidationError
 from drsim.kinematics import (
     EntityState,
-    Order,
     Trajectory,
     advance,
     extrapolate,
@@ -228,20 +227,20 @@ class TestExtrapolate:
     def test_second_order_hand_oracle(self):
         # 0 + 2*2 + 0.5*1*4 = 6; v = 2 + 1*2 = 4
         s = state((0, 0, 0), (2, 0, 0), (1, 0, 0))
-        e = extrapolate(s, 2.0, Order.SECOND)
+        e = extrapolate(s, 2.0, "second")
         assert e.position[0] == pytest.approx(6.0)
         assert e.velocity[0] == pytest.approx(4.0)
 
     def test_first_order_ignores_acceleration(self):
         s = state((0, 0, 0), (2, 0, 0), (1, 0, 0))
-        e = extrapolate(s, 2.0, Order.FIRST)
+        e = extrapolate(s, 2.0, "first")
         assert e.position[0] == pytest.approx(4.0)
         assert e.velocity[0] == pytest.approx(2.0)
 
     def test_zero_dt_identity(self):
         s = state((1, 2, 3), (4, 5, 6), (7, 8, 9), theta=0.5, omega=0.1, t=3.0)
-        for order in Order:
-            e = extrapolate(s, 3.0, order)
+        for predictor in ("first", "second"):
+            e = extrapolate(s, 3.0, predictor)
             assert np.array_equal(e.position, s.position)
             assert np.array_equal(e.velocity, s.velocity)
             assert e.orientation == s.orientation
@@ -254,7 +253,7 @@ class TestExtrapolate:
 
     def test_orientation_first_order_and_wrapped(self):
         s = state((0, 0, 0), (0, 0, 0), theta=3.0, omega=1.0)
-        e = extrapolate(s, 1.0, Order.SECOND)
+        e = extrapolate(s, 1.0, "second")
         assert e.orientation == pytest.approx(wrap_angle(4.0))
         assert -math.pi <= e.orientation < math.pi
 
@@ -268,8 +267,8 @@ class TestExtrapolate:
     def test_first_order_is_a_flow(self, t1, t2, v, p):
         t1, t2 = sorted((t1, t2))
         s = state((p, 0, 0), (v, 0, 0), (0.3, 0, 0))
-        via = extrapolate(extrapolate(s, t1, Order.FIRST), t2, Order.FIRST)
-        direct = extrapolate(s, t2, Order.FIRST)
+        via = extrapolate(extrapolate(s, t1, "first"), t2, "first")
+        direct = extrapolate(s, t2, "first")
         assert np.allclose(via.position, direct.position, atol=1e-12)
         assert np.allclose(via.velocity, direct.velocity)
 
@@ -284,7 +283,7 @@ class TestExtrapolate:
             for dt in (0.1, 1.0, 8.5):
                 if t0 + dt > 60.0:
                     continue
-                pred = extrapolate(base, t0 + dt, Order.SECOND)
+                pred = extrapolate(base, t0 + dt, "second")
                 truth = sample_truth(traj, t0 + dt)
                 assert np.allclose(pred.position, truth.position, atol=1e-9)
                 assert np.allclose(pred.velocity, truth.velocity, atol=1e-9)
@@ -295,18 +294,18 @@ _VEC3 = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)
 
 @given(
     st.lists(st.tuples(_VEC3, _VEC3, _VEC3, st.floats(0.0, 1e3)), min_size=1, max_size=8),
-    st.sampled_from(list(Order)),
+    st.sampled_from(["first", "second"]),
 )
-def test_advance_rows_are_extrapolate(rows, order):
+def test_advance_rows_are_extrapolate(rows, predictor):
     """Each row of advance, from one state per row or from the first state alone,
     is extrapolate's position from base time 0, bit for bit."""
     pos, vel, acc, dt = (np.array(col, dtype=float) for col in zip(*rows))
-    half = 0.5 * acc if order is Order.SECOND else None
+    half = 0.5 * acc if predictor == "second" else None
     per_row = advance(pos, vel, half, dt[:, None])
     from_first = advance(pos[0], vel[0], None if half is None else half[0], dt[:, None])
     for i, (p, v, a, step) in enumerate(rows):
-        assert per_row[i].tobytes() == extrapolate(state(p, v, a), step, order).position.tobytes()
-        first = extrapolate(state(pos[0], vel[0], acc[0]), step, order).position
+        assert per_row[i].tobytes() == extrapolate(state(p, v, a), step, predictor).position.tobytes()
+        first = extrapolate(state(pos[0], vel[0], acc[0]), step, predictor).position
         assert from_first[i].tobytes() == first.tobytes()
 
 

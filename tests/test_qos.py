@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from drsim.dead_reckoning import DrConfig
 from drsim.errors import ValidationError
-from drsim.kinematics import EntityState, Order
+from drsim.kinematics import EntityState
 from drsim.netsim import ChannelConfig
 from drsim.qos_metrics import (
     CoherenceReport,
@@ -188,7 +188,7 @@ class TestEmaxBound:
         # no acceleration and no transit: the bound collapses to the threshold
         report = CoherenceReport(max_error=0.0, v_dev_max_send=0.0)
         bound, ok = check_emax_bound(
-            report, ChannelConfig(), DrConfig(th_pos=1.0, order=Order.FIRST), 0.0
+            report, ChannelConfig(), DrConfig(th_pos=1.0, predictor="first"), 0.0
         )
         assert bound == pytest.approx(1.0)
         assert ok
