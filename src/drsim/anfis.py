@@ -10,9 +10,9 @@ is left out: on the stock study it moved no premise by more than about 1e-6
 and held-out error by at most 0.031 %, while making a study about three times
 slower. Scoring is bundle_residuals: per axis and row block, one forward pass
 whose firing one product with the stacked consequents of every bundle sharing
-its premises turns into all their outputs, over every row it is given. Layer 1
-squares where every bell exponent is 2, as training builds them, and calls
-pow only for the terms of a saved bundle whose exponent is not 2.
+its premises turns into all their outputs, over every row it is given. The
+premises are computed, not learned or saved: an input's terms are equally
+spaced over its range, so its shape and term count fix them (InputSpec).
 
 All math is batched over samples: x is (N, n_inputs), outputs are (N,).
 """
@@ -20,9 +20,9 @@ All math is batched over samples: x is (N, n_inputs), outputs are (N,).
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,36 +39,41 @@ _GRAM_ROWS = 1024  # rows per block of the consequent Gram (_gram)
 RIDGE = math.sqrt(np.finfo(np.float64).eps)
 
 
-def _pow(u, b):
-    """u ** b, squaring where b == 2 as numpy's power does for a scalar 2.
-
-    With an array b, numpy evaluates pow per element, so where every exponent
-    is 2, as training builds them, u * u alone is returned: the operand the
-    np.where of the general form picks there, with the same bits. The general
-    form stays for saved bundles, which may hold any exponent > 0."""
-    if np.all(b == 2.0):
-        return u * u
-    return np.where(b == 2.0, u * u, u**b)
+def _grid(n_terms: int) -> tuple[np.ndarray, float]:
+    """The centers of n_terms terms equally spaced over the normalized range
+    [-1, 1], and their spacing; a single term sits at 0 with spacing 2, the
+    width of the range."""
+    if n_terms == 1:
+        return np.zeros(1), 2.0
+    return np.linspace(-1.0, 1.0, n_terms), 2.0 / (n_terms - 1)
 
 
-def _sigmoid_degrees(x, a, c):
-    """mu(x) = 1 / (1 + exp(-a (x - c)))."""
-    arg = np.clip(a * (x - c), -_EXP_CLIP, _EXP_CLIP)
+def _sigmoid_degrees(x, centers, spacing):
+    """mu(x) = 1 / (1 + exp(-a (x - c))) of slope a = 4 / spacing."""
+    arg = np.clip(4.0 / spacing * (x - centers), -_EXP_CLIP, _EXP_CLIP)
     return 1.0 / (1.0 + np.exp(-arg))
 
 
-def _bell_degrees(x, a, b, c):
-    """Generalized bell mu(x) = 1 / (1 + |(x - c) / a|^(2b))."""
-    with np.errstate(over="ignore", divide="ignore"):
-        u = ((x - c) / a) ** 2
-        return 1.0 / (1.0 + _pow(u, b))
+def _bell_degrees(x, centers, spacing):
+    """Generalized bell mu(x) = 1 / (1 + |(x - c) / a|^(2b)) of width a =
+    spacing / 2 and exponent b = 2: u = ((x - c) / a)^2, squared."""
+    with np.errstate(over="ignore"):
+        u = ((x - centers) / (spacing / 2.0)) ** 2
+        return 1.0 / (1.0 + u * u)
+
+
+# Each membership function family: degrees(x, centers, spacing), broadcast
+# against x, so that one call evaluates all terms of an input.
+SHAPES = {"sigmoid": _sigmoid_degrees, "bell": _bell_degrees}
 
 
 def _record(d, keys: tuple[str, ...], where: str) -> dict:
-    """d, a saved record, if it is a mapping with exactly keys; errors name where."""
+    """d, a saved record, if it is a mapping with exactly keys; errors name where
+    and an unknown key before a missing one, so that a record of an older format
+    fails on a key of that format."""
     if not isinstance(d, dict):
         raise ValidationError(f"{where} must be a mapping, got {type(d).__name__}")
-    odd = sorted(d.keys() ^ set(keys), key=lambda key: (key not in keys, str(key)))
+    odd = sorted(d.keys() ^ set(keys), key=lambda key: (key in keys, str(key)))
     if odd:
         state = "missing" if odd[0] in keys else "unknown"
         raise ValidationError(f"{where} needs keys {', '.join(keys)}; {state} key {odd[0]!r}")
@@ -94,77 +99,45 @@ def _numbers(d: dict, key: str, where: str, listed: bool = False):
 
 
 @dataclass(frozen=True)
-class Shape:
-    """A membership function family. degrees(x, *params) takes one parameter
-    array per name, broadcast against x, so one call evaluates many terms."""
-
-    param_names: tuple[str, ...]
-    degrees: Callable
-
-
-SHAPES = {
-    "sigmoid": Shape(("a", "c"), _sigmoid_degrees),
-    "bell": Shape(("a", "b", "c"), _bell_degrees),
-}
-
-
-@dataclass(eq=False)
 class InputSpec:
-    """One input's range and terms, all of one shape: params has one row per
-    parameter name of the shape and one column per term."""
+    """One input: its range, which normalize maps onto [-1, 1], and n_terms terms
+    of one shape, whose centers _grid spaces equally over that range."""
 
     name: str
     lo: float
     hi: float
     shape: str
-    params: np.ndarray
+    n_terms: int
 
     def __post_init__(self):
         try:
-            self.lo, self.hi = float(self.lo), float(self.hi)
+            lo, hi = float(self.lo), float(self.hi)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"range of input {self.name!r} must be numbers") from None
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
-            raise ValidationError(f"bad range [{self.lo}, {self.hi}] for input {self.name!r}")
-        if self.shape not in SHAPES:
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise ValidationError(f"bad range [{lo}, {hi}] for input {self.name!r}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        if not (isinstance(self.shape, str) and self.shape in SHAPES):
             raise ValidationError(f"input {self.name!r} has unknown shape {self.shape!r}")
-        try:
-            p = self.params = np.array(self.params, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"input {self.name!r} needs equal rows of numbers") from None
-        names = SHAPES[self.shape].param_names
-        if p.ndim != 2 or p.shape[0] != len(names) or p.shape[1] < 1:
-            raise ValidationError(f"input {self.name!r} needs {names} rows and at least one term")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError(f"membership parameters of input {self.name!r} must be finite")
-        if self.shape == "bell" and not np.all(p[:2] > 0.0):
-            raise ValidationError(f"bell width and exponent of input {self.name!r} must be > 0")
-        if self.shape == "sigmoid" and not np.all(p[0] != 0.0):
-            raise ValidationError(f"sigmoid slope of input {self.name!r} must be nonzero")
-
-    @property
-    def n_terms(self) -> int:
-        return self.params.shape[1]
+        if type(self.n_terms) is not int or self.n_terms < 1:
+            raise ValidationError(
+                f"input {self.name!r}: n_terms must be >= 1 and an integer, got {self.n_terms!r}"
+            )
 
     def normalize(self, x):
         return 2.0 * (np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo) - 1.0
 
     def to_dict(self) -> dict:
-        names = SHAPES[self.shape].param_names
-        head = {"name": self.name, "lo": self.lo, "hi": self.hi, "shape": self.shape}
-        return {**head, **dict(zip(names, self.params.tolist()))}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "InputSpec":
-        """Reads "shape" and one list per parameter name of that shape, one value per term."""
-        name, shape = (d.get("name"), d.get("shape")) if isinstance(d, dict) else (None, None)
-        where = f"input {name!r}"
-        if shape is not None and not (isinstance(shape, str) and shape in SHAPES):
-            raise ValidationError(f"{where} has unknown shape {shape!r}")
-        names = SHAPES[shape].param_names if shape is not None else ()
-        _record(d, ("name", "lo", "hi", "shape", *names), where)
-        params = [_numbers(d, key, where, listed=True) for key in names]
-        return cls(name, _numbers(d, "lo", where), _numbers(d, "hi", where), shape, params)
+        """Reads exactly the fields of InputSpec; errors name the input."""
+        where = f"input {d.get('name') if isinstance(d, dict) else None!r}"
+        _record(d, tuple(f.name for f in dataclasses.fields(cls)), where)
+        lo, hi = _numbers(d, "lo", where), _numbers(d, "hi", where)
+        return cls(d["name"], lo, hi, d["shape"], d["n_terms"])
 
 
 class AnfisNetwork:
@@ -225,29 +198,13 @@ def build_network(
     n_terms: int | list[int] = 7,
     shape: str = "bell",
 ) -> AnfisNetwork:
-    """Standard initialization: term centers equally spaced over each range.
-
-    n_terms is one term count for every input, or a list of one count per
-    input. Bell widths are half the center spacing with exponent 2;
-    consequents start at zero, one per rule of the grid.
-    """
+    """One InputSpec of shape per (name, lo, hi) of inputs, and consequents at
+    zero, one per rule of the grid. n_terms is one term count for every input,
+    or a list of one count per input."""
     counts = [n_terms] * len(inputs) if isinstance(n_terms, int) else list(n_terms)
     if len(counts) != len(inputs):
         raise ValidationError(f"need one term count per input, got {counts} for {len(inputs)}")
-    if min(counts) < 1:
-        raise ValidationError("n_terms must be >= 1")
-    specs = []
-    for (name, lo, hi), n in zip(inputs, counts):
-        spacing = 2.0 / (n - 1) if n > 1 else 2.0
-        centers = np.linspace(-1.0, 1.0, n) if n > 1 else np.zeros(1)
-        if shape == "bell":
-            params = [np.full(n, spacing / 2.0), np.full(n, 2.0), centers]
-        elif shape == "sigmoid":
-            params = [np.full(n, 4.0 / spacing), centers]
-        else:
-            raise ValidationError(f"unknown membership shape {shape!r}")
-        specs.append(InputSpec(name, float(lo), float(hi), shape, params))
-
+    specs = [InputSpec(name, lo, hi, shape, n) for (name, lo, hi), n in zip(inputs, counts)]
     return AnfisNetwork(specs, np.zeros(math.prod(counts)))
 
 
@@ -258,10 +215,10 @@ def build_network(
 
 def layer1(net: AnfisNetwork, x) -> list[np.ndarray]:
     """Membership degree of each input against each of its terms: one call per
-    input, on its (N, 1) column against its parameter rows."""
+    input, on its (N, 1) column against its term centers."""
     batch = net._as_batch(x)
     return [
-        SHAPES[spec.shape].degrees(spec.normalize(batch[:, i])[:, None], *spec.params)
+        SHAPES[spec.shape](spec.normalize(batch[:, i])[:, None], *_grid(spec.n_terms))
         for i, spec in enumerate(net.inputs)
     ]
 
@@ -349,7 +306,7 @@ def loss(net: AnfisNetwork, data: TrainingSet) -> float:
 
 def _premises(net: AnfisNetwork) -> list:
     """All that a forward pass's firing reads of net."""
-    return [(s.shape, s.lo, s.hi, s.params.tobytes()) for s in net.inputs]
+    return [(s.shape, s.lo, s.hi, s.n_terms) for s in net.inputs]
 
 
 def _gram(beta: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import anfis
-from .anfis import AnfisBundle, AnfisNetwork, TrainingSet, build_network, features
+from .anfis import AnfisBundle, TrainingSet, build_network, features
 from .dead_reckoning import PREDICTORS, DrConfig, SendLog, display, gate, row_norms
 from .errors import DegenerateFiringError, ValidationError
 from .kinematics import Correction, StateArrays, Trajectory, predict_positions
@@ -84,16 +84,21 @@ class Scenario:
 
 def _checked_truth(config: Scenario | ComparisonStudy, what: str) -> StateArrays:
     """The truth of config, a run or a study, at t = 0 and each whole tick, after
-    checking that a finite duration holds a tick and that truth is finite at each. The
+    checking that a finite duration holds a tick, that its trajectory covers the
+    last one before any array is made, and that truth is finite at each. The
     tick count is floored (3.5 s at a 1 s tick is 3) after a relative 1e-9
     allowance, so that a multiple whose quotient rounds low counts (0.3 / 0.1)."""
     tick, duration, trajectory = config.tick, config.duration, config.trajectory
     if not (math.isfinite(tick) and tick > 0.0):
         raise ValidationError(f"tick must be positive, got {tick}")
-    if not (duration >= tick and math.isfinite(duration)):
-        raise ValidationError(f"duration must be finite and at least one tick, got {duration}")
-    times = np.arange(math.floor(duration / tick * (1.0 + 1e-9)) + 1) * tick
-    last_tick = float(times[-1])
+    ticks = duration / tick * (1.0 + 1e-9)
+    if not (duration >= tick and math.isfinite(ticks)):
+        raise ValidationError(
+            f"duration must be finite and at least one tick, and hold a finite count of "
+            f"{tick} s ticks, got {duration}"
+        )
+    count = math.floor(ticks)  # checked against the trajectory before any array is made
+    last_tick = count * tick
     if not trajectory.covers(last_tick):
         raise ValidationError(
             f"{what} duration {duration} s is longer than its trajectory's "
@@ -101,7 +106,7 @@ def _checked_truth(config: Scenario | ComparisonStudy, what: str) -> StateArrays
         )
     try:  # fail at load, and without numpy's warning, on a motion law that overflows
         with np.errstate(all="ignore"):
-            return truth_arrays(trajectory, times)
+            return truth_arrays(trajectory, np.arange(count + 1) * tick)
     except ValidationError as exc:
         given = ", ".join(f"{k}={np.asarray(v).tolist()}" for k, v in trajectory.params.items())
         raise ValidationError(
@@ -490,9 +495,10 @@ def _training_sets(
     return [TrainingSet(table.inputs[k, rows], targets[k]) for k in range(3)]
 
 
-def _axis_network(spec: TrainSpec, data: TrainingSet) -> AnfisNetwork:
-    """The untrained corrector of one axis for data's (deviation, velocity,
-    orientation) inputs.
+def _axis_inputs(spec: TrainSpec, data: TrainingSet) -> tuple[list, list[int]]:
+    """The (name, lo, hi) of each of data's (deviation, velocity, orientation)
+    inputs and its term count, for build_network: the untrained corrector of one
+    axis is build_network(*_axis_inputs(spec, data), shape=spec.shape).
 
     Each input's range is symmetric about zero and reaches its largest
     magnitude in the set, or 1 for an input that is zero throughout; the
@@ -504,11 +510,8 @@ def _axis_network(spec: TrainSpec, data: TrainingSet) -> AnfisNetwork:
     dev_span, vel_span, orient_span = np.maximum(hi, -lo).tolist()
     spans = (dev_span or 1.0, vel_span or 1.0, max(0.5 * math.pi, orient_span * 1.001))
     names = ("deviation", "velocity", "orientation")
-    return build_network(
-        [(name, -span, span) for name, span in zip(names, spans)],
-        n_terms=[1 if same else spec.n_terms for same in (hi == lo).tolist()],
-        shape=spec.shape,
-    )
+    inputs = [(name, -span, span) for name, span in zip(names, spans)]
+    return inputs, [1 if same else spec.n_terms for same in (hi == lo).tolist()]
 
 
 def train_bundle(
@@ -521,9 +524,11 @@ def train_bundle(
     horizon's bundle is the same whether asked for alone or with other study
     horizons. All train on the rows whose target the longest of them reaches
     before the split (_training_sets). Each axis builds one network from those rows
-    (_axis_network) and trains every horizon's consequents at its premises with
+    (_axis_inputs) and trains every horizon's consequents at its premises with
     one forward pass and one ridge solve (anfis.train_networks). A study too
-    short for its longest horizon fails, naming that horizon.
+    short for its longest horizon fails, naming that horizon; so does one with
+    fewer training rows than an axis network has rules, naming n_terms too,
+    before that network is built.
     """
     many = isinstance(horizon_ticks, tuple)
     ticks = horizon_ticks if many else (horizon_ticks,)
@@ -541,10 +546,12 @@ def train_bundle(
     sets = _training_sets(study.table, split_idx, ordered, study.tick)
     axes = []
     for axis, data in zip(anfis.AXIS_NAMES, sets):
-        net = _axis_network(study.train, data)
-        if n < net.n_rules:
-            rules = f"the {net.n_rules} rules of its {axis} network"
-            raise ValidationError(f"{too_short}, fewer than {rules}")
+        inputs, counts = _axis_inputs(study.train, data)
+        rules = math.prod(counts)
+        if n < rules:  # before build_network makes the network's (terms x rules) arrays
+            where = f"its {axis} network at n_terms {study.train.n_terms}"
+            raise ValidationError(f"{too_short}, fewer than the {rules} rules of {where}")
+        net = build_network(inputs, counts, study.train.shape)
         axes.append(anfis.train_networks(net, data))
     bundles = {
         h: AnfisBundle([nets[j] for nets in axes], h * study.tick, study.tick)

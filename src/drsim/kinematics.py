@@ -271,8 +271,7 @@ def truth_arrays(traj: Trajectory, times: np.ndarray) -> StateArrays:
     for name, arr in zip(names, (pos, vel, acc, theta, omega)):
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{name} must be finite")
-    # EntityState wraps the heading it is given once more.
-    return StateArrays(pos, vel, acc, wrap_angles(theta), omega, t)
+    return StateArrays(pos, vel, acc, theta, omega, t)
 
 
 def advance(position, velocity, half_accel, dt: np.ndarray) -> np.ndarray:

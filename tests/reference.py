@@ -4,9 +4,9 @@ package itself does not use them."""
 import numpy as np
 
 from drsim import anfis
-from drsim.anfis import AnfisBundle, AnfisNetwork, TrainingSet, forward_batch
+from drsim.anfis import AnfisBundle, AnfisNetwork, TrainingSet, build_network, forward_batch
 from drsim.errors import ValidationError
-from drsim.harness import ComparisonStudy, TrainSpec, _axis_network, _training_sets
+from drsim.harness import ComparisonStudy, TrainSpec, _axis_inputs, _training_sets
 from drsim.kinematics import Trajectory, predict_positions
 
 
@@ -26,19 +26,8 @@ def make_residual_task(
         raise ValidationError(f"trajectory yields only {len(idx)} samples, need {n_samples}")
     # a split at row n_samples + horizon_ticks + 1 trains on rows 1 .. n_samples
     data = _training_sets(table, n_samples + horizon_ticks + 1, [horizon_ticks], tick)[0]
-    return _axis_network(TrainSpec(), data), TrainingSet(data.inputs, data.targets[:, 0])
-
-
-def jitter_centres(net: AnfisNetwork, seed: int, jitter: float) -> AnfisNetwork:
-    """net, its term centres moved in place: one generator seeded by seed draws,
-    input by input, a uniform offset of up to jitter centre spacings per term
-    (a one-term input's spacing is 2, the width of the normalized range)."""
-    rng = np.random.default_rng(seed)
-    for spec in net.inputs:
-        n = spec.n_terms
-        spacing = 2.0 / (n - 1) if n > 1 else 2.0
-        spec.params[-1] = spec.params[-1] + rng.uniform(-jitter, jitter, n) * spacing
-    return net
+    net = build_network(*_axis_inputs(TrainSpec(), data))
+    return net, TrainingSet(data.inputs, data.targets[:, 0])
 
 
 def block_gram(beta: np.ndarray, n: int) -> np.ndarray:
@@ -70,7 +59,8 @@ def reference_bundles(study: ComparisonStudy, horizons: tuple[int, ...]) -> list
     axes = []
     for k in range(3):
         targets = np.stack([residual[:, k] for residual in residuals], axis=1)
-        net = _axis_network(study.train, TrainingSet(table.inputs[k, rows], targets))
+        inputs, counts = _axis_inputs(study.train, TrainingSet(table.inputs[k, rows], targets))
+        net = build_network(inputs, counts, study.train.shape)
         beta = forward_batch(net, table.inputs[k, rows])[1]
         gram = block_gram(beta, len(beta))
         ridge = anfis.RIDGE * np.trace(gram) / net.n_rules

@@ -33,7 +33,7 @@ from drsim.kinematics import (
 )
 from drsim.netsim import Channel, ChannelConfig, EventQueue
 from drsim.qos_metrics import CoherenceReport, QosProfile, check_emax_bound, verdict
-from reference import jitter_centres, make_residual_task
+from reference import make_residual_task
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -168,7 +168,6 @@ def test_criterion_06_anfis_algebra():
     t0 = time.perf_counter()
     rng = np.random.default_rng(123)
     net = build_network([("a", -1, 1), ("b", -2, 2), ("c", -3, 3)], n_terms=7)
-    jitter_centres(net, 1, 0.01)
     net.z = rng.normal(0, 2, net.n_rules)
     X = rng.uniform(-1.2, 1.2, (1000, 3)) * np.array([1.0, 2.0, 3.0])
     out, beta = forward_batch(net, X)

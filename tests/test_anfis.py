@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -27,79 +28,94 @@ from drsim.anfis import (
 )
 from drsim.errors import DegenerateFiringError, ValidationError
 from drsim.kinematics import Correction, EntityState, extrapolate
-from reference import block_gram, count_training_events, jitter_centres
+from reference import block_gram, count_training_events
 
 
-def tiny_net(n_terms=3, n_inputs=1, shape="bell", seed=None):
+def tiny_net(n_terms=3, n_inputs=1, shape="bell"):
     """A network of inputs on [-1, 1], n_terms terms each (or n_terms[i] for input
-    i); with a seed, its centres jittered by up to 0.01 spacings."""
-    net = build_network([(f"in{i}", -1.0, 1.0) for i in range(n_inputs)], n_terms, shape)
-    if seed is not None:
-        jitter_centres(net, seed, 0.01)
-    return net
+    i), of one shape, or for "mixed" sigmoid terms at the odd-numbered inputs and
+    bell terms at the others."""
+    inputs = [(f"in{i}", -1.0, 1.0) for i in range(n_inputs)]
+    if shape != "mixed":
+        return build_network(inputs, n_terms, shape)
+    net = build_network(inputs, n_terms)
+    specs = [dataclasses.replace(s, shape="sigmoid") if i % 2 else s
+             for i, s in enumerate(net.inputs)]
+    return AnfisNetwork(specs, net.z)
 
 
-def param_row(spec, name):
-    """The row of spec.params holding one parameter name, one value per term."""
-    return spec.params[SHAPES[spec.shape].param_names.index(name)]
-
-
-def as_sigmoid(spec, rng):
-    """spec with sigmoid terms on the same centers, of random slope 2 to 6 and sign."""
-    slopes = rng.uniform(2.0, 6.0, spec.n_terms) * rng.choice([-1, 1], spec.n_terms)
-    params = [slopes, param_row(spec, "c")]
-    return InputSpec(spec.name, spec.lo, spec.hi, "sigmoid", params)
-
-
-BELL = SHAPES["bell"].degrees  # (x, a, b, c)
-SIGMOID = SHAPES["sigmoid"].degrees  # (x, a, c)
+BELL = SHAPES["bell"]  # (x, centers, spacing): width spacing / 2, exponent 2
+SIGMOID = SHAPES["sigmoid"]  # (x, centers, spacing): slope 4 / spacing
 
 
 class TestMembership:
     def test_sigmoid_center_is_half(self):
-        assert SIGMOID(0.0, 1.0, 0.0) == pytest.approx(0.5)
+        assert SIGMOID(0.0, 0.0, 4.0) == pytest.approx(0.5)
 
     def test_bell_peak_is_one(self):
-        assert BELL(3.0, 2.0, 1.0, 3.0) == pytest.approx(1.0)
+        assert BELL(3.0, 3.0, 4.0) == pytest.approx(1.0)
 
     def test_bell_half_at_one_width(self):
-        # 1 / (1 + |2/2|^2) = 0.5
-        assert BELL(5.0, 2.0, 1.0, 3.0) == pytest.approx(0.5)
+        # width 4 / 2: 1 / (1 + |2/2|^4) = 0.5
+        assert BELL(5.0, 3.0, 4.0) == pytest.approx(0.5)
 
     def test_output_ranges(self):
         xs = np.linspace(-50, 50, 1001)
-        bell = BELL(xs, 0.5, 2.0, 0.0)
-        sig = SIGMOID(xs, 3.0, 0.0)
+        bell = BELL(xs, 0.0, 1.0)
+        sig = SIGMOID(xs, 0.0, 4.0 / 3.0)  # slope 3
         assert np.all(bell > 0) and np.all(bell <= 1.0)
         assert np.all(sig > 0) and np.all(sig <= 1.0)
         # strictly below 1 wherever float resolution can represent the gap
-        near = SIGMOID(np.linspace(-10, 10, 1001), 3.0, 0.0)
+        near = SIGMOID(np.linspace(-10, 10, 1001), 0.0, 4.0 / 3.0)
         assert np.all(near < 1.0)
 
+    @pytest.mark.parametrize("shape", ["bell", "sigmoid"])
+    def test_terms_are_equally_spaced_over_the_range(self, shape):
+        """n terms center on n equally spaced points from lo to hi, one term on
+        the middle; a bell is 1/2 and a sigmoid 1/2 + tanh(1)/2 half a spacing
+        past its center."""
+        for n in (1, 2, 5, 7):
+            spec = InputSpec("x", -3.0, 5.0, shape, n)
+            net = AnfisNetwork([spec], np.zeros(n))
+            at = np.linspace(-3.0, 5.0, n) if n > 1 else np.array([1.0])
+            half = (8.0 if n == 1 else 8.0 / (n - 1)) / 2.0
+            peak, past = layer1(net, at[:, None])[0], layer1(net, at[:, None] + half)[0]
+            if shape == "bell":
+                np.testing.assert_allclose(np.diag(peak), 1.0, rtol=1e-15)
+                np.testing.assert_allclose(np.diag(past), 0.5, rtol=1e-12)
+            else:
+                np.testing.assert_allclose(np.diag(peak), 0.5, rtol=1e-12)
+                np.testing.assert_allclose(np.diag(past), 0.5 + math.tanh(1.0) / 2, rtol=1e-12)
+
     def test_invalid_params_rejected(self):
-        for shape, params, match in [
-            ("bell", [[0.0], [1.0], [0.0]], "bell width and exponent of input 'x'"),
-            ("bell", [[1.0], [-1.0], [0.0]], "bell width and exponent of input 'x'"),
-            ("bell", [[1.0], [1.0], [np.inf]], "parameters of input 'x' must be finite"),
-            ("sigmoid", [[0.0], [0.0]], "sigmoid slope of input 'x'"),
-            ("sigmoid", [[1.0], [2.0], [0.0]], r"input 'x' needs \('a', 'c'\) rows"),
-            ("sigmoid", np.empty((2, 0)), "at least one term"),
-            ("triangle", [[1.0]], "input 'x' has unknown shape 'triangle'"),
+        """An input is its name, range, shape and term count: a count that is not
+        an integer >= 1, an unknown shape or a bad range fails, naming the input."""
+        for shape, n_terms, match in [
+            ("bell", 0, "input 'x': n_terms must be >= 1 and an integer, got 0"),
+            ("bell", 1.5, "input 'x': n_terms must be >= 1 and an integer, got 1.5"),
+            ("sigmoid", 7.0, "input 'x': n_terms must be >= 1 and an integer, got 7.0"),
+            ("sigmoid", True, "input 'x': n_terms must be >= 1 and an integer, got True"),
+            ("bell", "7", "input 'x': n_terms must be >= 1 and an integer, got '7'"),
+            ("triangle", 3, "input 'x' has unknown shape 'triangle'"),
+            (["bell"], 3, r"input 'x' has unknown shape \['bell'\]"),
         ]:
             with pytest.raises(ValidationError, match=match):
-                InputSpec("x", -1.0, 1.0, shape, params)
+                InputSpec("x", -1.0, 1.0, shape, n_terms)
+        for lo, hi in ((1.0, 1.0), (-math.inf, 1.0), ("low", 1.0)):
+            with pytest.raises(ValidationError, match="range.* input 'x'"):
+                InputSpec("x", lo, hi, "bell", 3)
 
 
 class TestLayers:
     def test_layer1_at_bell_centers(self):
         net = tiny_net(n_terms=3, n_inputs=2)
-        centers_x = param_row(net.inputs[0], "c").tolist()
+        centers_x = np.linspace(-1.0, 1.0, 3).tolist()
         degrees = layer1(net, [centers_x[1], 0.0])  # second center is 0 = input 2's center term
         assert degrees[0][0, 1] == pytest.approx(1.0)
         assert degrees[1][0, 1] == pytest.approx(1.0)
 
     def test_layer1_single_sigmoid(self):
-        spec = InputSpec("x", -1.0, 1.0, "sigmoid", [[1.0], [0.0]])
+        spec = InputSpec("x", -1.0, 1.0, "sigmoid", 1)
         net = AnfisNetwork([spec], [0.0])
         degrees = layer1(net, [0.0])
         assert degrees[0][0, 0] == pytest.approx(0.5)
@@ -178,12 +194,13 @@ class TestForward:
             assert out[0] == pytest.approx(-3.25, abs=1e-12)
 
     def test_hand_weighted_average(self):
-        # two bell terms at -1 and +1; x = 2 - sqrt(2) makes the firing ratio 1:3
-        spec = InputSpec("x", -1.0, 1.0, "bell", [[1.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
+        # two bell terms at -1 and +1 of width 1; x = 1 fires the term at +1 at 1
+        # and the term two widths away at 1 / (1 + 2^4) = 1/17, a ratio of 1:17
+        spec = InputSpec("x", -1.0, 1.0, "bell", 2)
         net = AnfisNetwork([spec], [4.0, 8.0])
-        out, beta = forward_batch(net, [2.0 - math.sqrt(2.0)])
-        assert np.allclose(beta, [[0.25, 0.75]])
-        assert out[0] == pytest.approx(7.0)
+        out, beta = forward_batch(net, [1.0])
+        assert np.allclose(beta, [[1.0 / 18.0, 17.0 / 18.0]])
+        assert out[0] == pytest.approx((4.0 + 8.0 * 17.0) / 18.0)
 
     def test_single_rule_returns_its_consequent(self):
         net = tiny_net(n_terms=1)
@@ -194,7 +211,7 @@ class TestForward:
 
     def test_output_within_consequent_hull(self):
         rng = np.random.default_rng(3)
-        net = tiny_net(n_terms=7, n_inputs=3, seed=3)
+        net = tiny_net(n_terms=7, n_inputs=3)
         net.z = rng.normal(0, 2, net.n_rules)
         X = rng.uniform(-1.5, 1.5, (500, 3))
         out, beta = forward_batch(net, X)
@@ -231,13 +248,19 @@ class TestLoss:
 
 
 def _ref_degree(spec, t, x):
-    """Degree of term t of spec: column t of spec.params, as Python floats."""
+    """Degree of term t of spec, from its parameters as Python floats: a center
+    on the grid of n_terms points equally spaced over [-1, 1] (0 for one term),
+    and for a bell the width half the spacing and exponent 2, for a sigmoid the
+    slope 4 / spacing."""
+    n = spec.n_terms
+    spacing = 2.0 / (n - 1) if n > 1 else 2.0
+    c = 0.0 if n == 1 else 1.0 if t == n - 1 else -1.0 + t * spacing
     if spec.shape == "sigmoid":
-        a, c = spec.params[:, t].tolist()
+        a = 4.0 / spacing
         arg = np.clip(a * (x - c), -60.0, 60.0)
         return 1.0 / (1.0 + np.exp(-arg))
-    a, b, c = spec.params[:, t].tolist()
-    with np.errstate(over="ignore", divide="ignore"):
+    a, b = spacing / 2.0, 2.0
+    with np.errstate(over="ignore"):
         u = ((x - c) / a) ** 2
         return 1.0 / (1.0 + u**b)
 
@@ -259,19 +282,12 @@ def reference_firing(net, degrees):
 
 
 def kernel_case(shape, n_inputs, grid):
-    """A network with jittered terms and trained-looking bell exponents (every
-    third one left at exactly 2), plus samples reaching past the input range.
-    "mixed" gives the odd-numbered inputs sigmoid terms. A "grid" gives every
-    input 4 terms, an "uneven" one 4, 2 and 3."""
+    """A network of shape (tiny_net) with random consequents, plus samples
+    reaching past the input range. A "grid" gives every input 4 terms, an
+    "uneven" one 4, 2 and 3."""
     rng = np.random.default_rng(13)
     n_terms = [4, 2, 3][:n_inputs] if grid == "uneven" else 4
-    net = tiny_net(n_terms=n_terms, n_inputs=n_inputs, shape="bell", seed=13)
-    for i, spec in enumerate(net.inputs):
-        if shape == "sigmoid" or (shape == "mixed" and i % 2 == 1):
-            net.inputs[i] = as_sigmoid(spec, rng)
-        else:
-            trained = np.arange(spec.n_terms) % 3 != 0
-            param_row(spec, "b")[trained] = rng.uniform(1.2, 3.0, trained.sum())
+    net = tiny_net(n_terms=n_terms, n_inputs=n_inputs, shape=shape)
     net.z = rng.normal(0, 1, net.n_rules)
     X = rng.uniform(-1.3, 1.3, (80, n_inputs))
     return net, TrainingSet(X, rng.normal(0, 1, 80))
@@ -306,32 +322,6 @@ class TestKernelAgainstReference:
         assert np.array_equal(beta, alpha / alpha.sum(axis=1)[:, None])
 
 
-class TestBellExponents:
-    """Layer 1 squares where every exponent of an input is 2 and otherwise calls
-    pow for each term whose exponent is not 2."""
-
-    X = np.linspace(-1.3, 1.3, 53)[:, None]
-
-    def test_saved_exponents_that_differ_by_term(self):
-        record = {"name": "x", "lo": -1.0, "hi": 1.0, "shape": "bell"}
-        record |= {"a": [0.5, 0.4, 0.6], "b": [2, 1.5, 3], "c": [-1.0, 0.0, 1.0]}
-        net = AnfisNetwork([InputSpec.from_dict(record)], np.zeros(3))
-        x = net.inputs[0].normalize(self.X)
-        u = ((x - np.array(record["c"])) / np.array(record["a"])) ** 2
-        # numpy's power per term, with a scalar exponent, which it squares for 2
-        expected = np.column_stack([1.0 / (1.0 + u[:, t] ** b) for t, b in enumerate(record["b"])])
-        assert np.array_equal(layer1(net, self.X)[0], expected)
-
-    def test_trained_exponents_give_the_bits_of_the_general_form(self):
-        net = tiny_net(n_terms=5)
-        spec = net.inputs[0]
-        a, b, c = spec.params
-        u = ((spec.normalize(self.X) - c) / a) ** 2
-        general = 1.0 / (1.0 + np.where(b == 2.0, u * u, u**b))
-        assert np.all(b == 2.0)
-        assert np.array_equal(layer1(net, self.X)[0], general)
-
-
 class TestTrainNetworks:
     """One network per target column, all from one pass and one solve at the
     premises given; a single column trains as train_hybrid does, bit for bit."""
@@ -350,7 +340,7 @@ class TestTrainNetworks:
         rng = np.random.default_rng(41)
         X = rng.uniform(-1, 1, (80, 2))
         Y = np.stack([np.sin(3 * X[:, 0]) * X[:, 1], X[:, 0] ** 2, 2.0 * X[:, 1]], axis=1)
-        net = tiny_net(4, 2, seed=0)
+        net = tiny_net(4, 2)
         untrained = net.to_dict()
         counts = count_training_events(monkeypatch)
         trained = anfis.train_networks(net, TrainingSet(X, Y))
@@ -373,11 +363,11 @@ class TestTrainNetworks:
 class TestTrainHybrid:
     def test_recovers_exact_consequents(self):
         rng = np.random.default_rng(2)
-        truth_net = tiny_net(n_terms=5, n_inputs=2, seed=2)
+        truth_net = tiny_net(n_terms=5, n_inputs=2)
         truth_net.z = rng.normal(0, 2, truth_net.n_rules)
         X = rng.uniform(-1, 1, (200, 2))
         Y, _ = forward_batch(truth_net, X)
-        student = tiny_net(n_terms=5, n_inputs=2, seed=2)
+        student = tiny_net(n_terms=5, n_inputs=2)
         assert train_hybrid(student, TrainingSet(X, Y)) <= 1e-12
 
     def test_single_rule_fits_mean(self):
@@ -463,7 +453,7 @@ class TestRidgeConsequents:
         X = rng.uniform(-1, 1, (1500, 3))
         X[:, 1] = 0.3
         Y = 0.01 * (np.sin(3 * X[:, 0]) + X[:, 0] * X[:, 2] ** 2)
-        net = tiny_net(n_terms=7, n_inputs=3, seed=3)
+        net = tiny_net(n_terms=7, n_inputs=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             z, beta = ridge_fit(net, X, Y)
@@ -481,7 +471,7 @@ GRAM_ROWS = anfis._GRAM_ROWS
 def gram_firing(n: int) -> np.ndarray:
     """The firing of a 25-rule network over n rows."""
     x = np.random.default_rng(21).uniform(-1, 1, (n, 2))
-    return forward_batch(tiny_net(5, 2, seed=4), x)[1]
+    return forward_batch(tiny_net(5, 2), x)[1]
 
 
 class TestPassGram:
@@ -516,7 +506,7 @@ class TestSerialization:
     def test_round_trip_bit_exact(self):
         for shape, counts in itertools.product(("bell", "sigmoid"), self.COUNTS):
             rng = np.random.default_rng(6)
-            net = tiny_net(n_terms=counts, n_inputs=len(counts), shape=shape, seed=6)
+            net = tiny_net(n_terms=counts, n_inputs=len(counts), shape=shape)
             assert net.rules.tolist() == [list(r) for r in itertools.product(*map(range, counts))]
             net.z = rng.normal(0, 1, net.n_rules)
             data = TrainingSet(rng.uniform(-1, 1, (30, len(counts))), rng.normal(0, 1, 30))
@@ -526,34 +516,24 @@ class TestSerialization:
             assert json.dumps(loaded.to_dict()) == text
             assert np.array_equal(loaded.z, net.z)
             assert np.array_equal(loaded.rules, net.rules)
-            for a, b in zip(net.inputs, loaded.inputs):
-                assert (a.name, a.lo, a.hi, a.shape) == (b.name, b.lo, b.hi, b.shape)
-                assert np.array_equal(a.params, b.params)
+            assert loaded.inputs == net.inputs
             x = rng.uniform(-1, 1, (20, len(counts)))
             assert np.array_equal(forward_batch(loaded, x)[0], forward_batch(net, x)[0])
 
-    def test_one_list_per_parameter(self):
+    def test_input_record_is_its_range_shape_and_term_count(self):
         net = build_network([("x", -1.0, 1.0)], n_terms=2, shape="sigmoid")
         assert net.to_dict() == {
-            "inputs": [
-                {"name": "x", "lo": -1.0, "hi": 1.0, "shape": "sigmoid", "a": [2.0, 2.0],
-                 "c": [-1.0, 1.0]}
-            ],
+            "inputs": [{"name": "x", "lo": -1.0, "hi": 1.0, "shape": "sigmoid", "n_terms": 2}],
             "consequents": [0.0, 0.0],
         }
 
 
 def batch_case_bundle(shape, n_terms):
-    """A bundle of jittered 3-input networks with nonzero consequents; sigmoid
-    terms replace the bell terms of every input (sigmoid) or of the middle one
-    (mixed)."""
+    """A bundle of 3-input networks of shape (tiny_net) with nonzero consequents."""
     rng = np.random.default_rng(29)
     nets = []
-    for axis in range(3):
-        net = tiny_net(n_terms=n_terms, n_inputs=3, seed=axis)
-        for i, spec in enumerate(net.inputs):
-            if shape == "sigmoid" or (shape == "mixed" and i % 2 == 1):
-                net.inputs[i] = as_sigmoid(spec, rng)
+    for _ in range(3):
+        net = tiny_net(n_terms=n_terms, n_inputs=3, shape=shape)
         net.z = rng.normal(0, 1, net.n_rules)
         nets.append(net)
     return AnfisBundle(nets, h_ref=0.5, feature_tick=0.1)
@@ -609,6 +589,7 @@ class TestBundleBatchInvariance:
 
 
 DELETE = object()  # test_bad_terms_rejected_at_load: remove the key
+OLD_FORMAT = object()  # test_bad_terms_rejected_at_load: per-term lists for n_terms
 
 
 class TestBundle:
@@ -698,16 +679,15 @@ class TestBundle:
         assert np.array_equal(loaded.networks[1].z, bundle.networks[1].z)
 
     @pytest.mark.parametrize(
-        "shape, terms, key, value, match",
+        "shape, record, key, value, match",
         [
             ("bell", None, "shape", "trapezoid", "input 'velocity' has unknown shape"),
-            ("bell", [0], "a", 0.0, "bell width and exponent of input 'velocity'"),
-            ("bell", [4], "b", -2.0, "bell width and exponent of input 'velocity'"),
-            ("bell", [1], "c", math.inf, "parameters of input 'velocity' must be finite"),
-            ("sigmoid", [3], "a", math.nan, "parameters of input 'velocity' must be finite"),
-            ("sigmoid", [1], "a", 0.0, "sigmoid slope of input 'velocity'"),
-            ("sigmoid", None, "a", DELETE, "input 'velocity' needs keys .*; missing key 'a'"),
-            ("bell", [3], "c", "left", "input 'velocity': 'c' must be numbers, got 'left'"),
+            ("bell", None, "n_terms", math.inf, "input 'velocity': n_terms must be >= 1 and an "
+             "integer, got inf"),
+            ("sigmoid", None, "n_terms", math.nan, "n_terms must be >= 1 and an integer, got nan"),
+            ("sigmoid", None, "n_terms", DELETE, "'velocity' needs keys .*; missing key 'n_terms'"),
+            ("bell", None, "n_terms", "7", "input 'velocity': n_terms must be >= 1 and an integer, "
+             "got '7'"),
             ("sigmoid", None, "b", [2.0] * 5, "'velocity' needs keys .*; unknown key 'b'"),
             ("bell", None, "lo", DELETE, "input 'velocity' needs keys"),
             ("bell", None, "shape", DELETE, "'velocity' needs keys .*; missing key 'shape'"),
@@ -732,38 +712,42 @@ class TestBundle:
             ("bell", "bundle", "feature_tick", True, "'feature_tick' must be a number, got True"),
             ("bell", "network", "consequents", [0.0, "2"], "'consequents' must be numbers, got '2"),
             ("bell", None, "lo", "-1", "input 'velocity': 'lo' must be a number, got '-1'"),
-            ("bell", [1], "a", True, "input 'velocity': 'a' must be numbers, got True"),
-            ("sigmoid", None, "a", [4.0] * 7, "input 'velocity' needs equal rows of numbers"),
+            ("bell", None, "n_terms", True, "input 'velocity': n_terms must be >= 1 and an "
+             "integer, got True"),
             ("bell", "network", "consequents", [0.0, 10**400], "'consequents' must be numbers"),
+            ("bell", None, "n_terms", 0, "input 'velocity': n_terms must be >= 1 and an integer, "
+             "got 0$"),
+            ("sigmoid", None, "n_terms", 1.5, "n_terms must be >= 1 and an integer, got 1.5$"),
+            ("bell", None, "n_terms", 5.0, "n_terms must be >= 1 and an integer, got 5.0$"),
+            ("bell", None, "n_terms", OLD_FORMAT, "input 'velocity' needs keys name, lo, hi, "
+             "shape, n_terms; unknown key 'a'$"),
         ],
         ids=[
-            "unknown", "bell-width", "bell-exponent", "inf", "nan", "sigmoid-slope",
-            "missing-parameter", "text-parameter", "extra-parameter", "missing-lo",
-            "missing-shape", "text-lo", "null-hi", "missing-networks", "missing-feature-tick",
-            "extra-bundle-key", "text-h_ref", "list-network", "old-eta",
+            "unknown", "inf", "nan", "missing-parameter", "text-parameter", "extra-parameter",
+            "missing-lo", "missing-shape", "text-lo", "null-hi", "missing-networks",
+            "missing-feature-tick", "extra-bundle-key", "text-h_ref", "list-network", "old-eta",
             "extra-network-key", "old-axes", "old-labels", "number-networks", "mapping-inputs",
             "text-consequent", "old-rules", "old-terms", "numeric-text-h_ref", "list-h_ref",
             "boolean-feature-tick", "numeric-text-consequent", "numeric-text-lo",
-            "boolean-parameter", "ragged-parameters", "overflowing-consequent",
+            "boolean-parameter", "overflowing-consequent", "zero-terms", "fractional-terms",
+            "float-terms", "old-parameters",
         ],
     )
-    def test_bad_terms_rejected_at_load(self, tmp_path, shape, terms, key, value, match):
-        """terms lists the terms of input 1 of network 2 whose key value to edit,
-        or names a record: None that input's, "network" network 2's, "bundle" the
-        document; DELETE removes the key."""
+    def test_bad_terms_rejected_at_load(self, tmp_path, shape, record, key, value, match):
+        """record names the record to edit: None input 1 of network 2, "network"
+        network 2, "bundle" the document. DELETE removes the key; OLD_FORMAT puts
+        the per-term parameter lists of the older format in place of n_terms."""
         path = tmp_path / "bundle.json"
         self._bundle(shape=shape).save(path)
         AnfisBundle.load(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        spec = doc["networks"][2]["inputs"][1]
-        record = {None: spec, "network": doc["networks"][2], "bundle": doc}[
-            None if isinstance(terms, list) else terms
-        ]
-        if value is DELETE:
+        networks = doc["networks"]
+        record = {None: networks[2]["inputs"][1], "network": networks[2], "bundle": doc}[record]
+        if value is OLD_FORMAT:
             del record[key]
-        elif isinstance(terms, list):
-            for t in terms:
-                record[key][t] = value
+            record |= {"a": [0.25] * 5, "b": [2.0] * 5, "c": [-1.0, -0.5, 0.0, 0.5, 1.0]}
+        elif value is DELETE:
+            del record[key]
         else:
             record[key] = value
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -795,16 +779,6 @@ class TestTermCounts:
         listed = build_network(self.INPUTS, n_terms=[4, 4, 4])
         assert listed.to_dict() == same.to_dict()
 
-    def test_jitter_draws_one_value_per_term(self):
-        # the tests' centre jitter, which the pinned fixed-bundle runs depend on
-        net = jitter_centres(build_network(self.INPUTS, n_terms=[3, 1, 3]), 5, 0.1)
-        draws = np.random.default_rng(5).uniform(-0.1, 0.1, 7)
-        centers = [c for spec in net.inputs for c in param_row(spec, "c").tolist()]
-        expected = np.concatenate(
-            [np.linspace(-1, 1, 3) + draws[:3], draws[3:4] * 2.0, np.linspace(-1, 1, 3) + draws[4:]]
-        )
-        assert centers == expected.tolist()
-
     @pytest.mark.parametrize(
         "counts, match", [([7, 1], "one term count per input"), ([7, 0, 7], "n_terms must be >= 1")]
     )
@@ -815,7 +789,7 @@ class TestTermCounts:
     @pytest.mark.parametrize("shape", ["bell", "sigmoid"])
     def test_one_term_input_does_not_move_the_output(self, shape):
         rng = np.random.default_rng(41)
-        net = jitter_centres(build_network(self.INPUTS, n_terms=[7, 1, 7], shape=shape), 4, 0.1)
+        net = build_network(self.INPUTS, n_terms=[7, 1, 7], shape=shape)
         net.z = rng.uniform(1.0, 2.0, net.n_rules)
         x = rng.uniform(-1.0, 1.0, (200, 3)) * [1.0, 5.0, 2.0]
         out = forward_batch(net, x)[0]

@@ -37,7 +37,6 @@ from drsim import cli
 from drsim.anfis import AnfisBundle, build_network
 from drsim.harness import load_study, run_comparison, scenario_from_dict, sweep, sweep_csv
 from drsim.qos_metrics import NOTHING_DISPLAYED
-from reference import jitter_centres
 from test_harness import bench_module
 
 REPO = Path(__file__).resolve().parent.parent
@@ -65,14 +64,13 @@ def test_run_outputs_match_golden(name, tmp_path, capsys):
 
 
 def fixed_grid_bundle() -> AnfisBundle:
-    """Three 7^3-grid networks, centres jittered, with fixed nonzero consequents."""
+    """Three 7^3-grid networks with fixed nonzero consequents."""
     nets = []
     for axis in range(3):
         net = build_network(
             [("deviation", -1.0, 1.0), ("velocity", -12.0, 12.0), ("orientation", -4.0, 4.0)],
             n_terms=7,
         )
-        jitter_centres(net, axis, 0.1)
         net.z = np.linspace(-0.05, 0.05, net.n_rules) * (axis + 1)
         nets.append(net)
     return AnfisBundle(nets, h_ref=0.3, feature_tick=0.1)

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from drsim import anfis, cli, harness
-from drsim.anfis import AnfisBundle, forward_batch
+from drsim.anfis import AnfisBundle, build_network, forward_batch
 from drsim.dead_reckoning import DrConfig, SenderModel, gate, predict
 from drsim.errors import ValidationError
 from drsim.harness import (
@@ -596,6 +596,27 @@ class TestHorizonsTrainedTogether:
         with pytest.raises(ValidationError, match=match):
             train_bundle(study, horizon)
 
+    def test_too_many_rules_fail_before_the_network_is_built(self, monkeypatch):
+        """The stock study cut to 30 s trains on 199 rows. At n_terms 40 its x
+        network would have 40^3 rules, whose one-hot rule/term selectors alone
+        take 3 x 40 x 40^3 float64 values: training fails naming n_terms, and
+        without building that network."""
+        stock = SCENARIO_DIR / "sinusoid_comparison.yaml"
+        cfg = yaml.safe_load(stock.read_text(encoding="utf-8"))
+        cfg["duration"], cfg["train"]["n_terms"] = 30.0, 40
+        study = study_from_dict(cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_network called")
+
+        monkeypatch.setattr(harness, "build_network", refuse)
+        match = (
+            "study too short for horizon 10: 199 training row\\(s\\) before the split, "
+            "fewer than the 64000 rules of its x network at n_terms 40$"
+        )
+        with pytest.raises(ValidationError, match=match):
+            train_bundle(study, 10)
+
 
 class TestHorizonsScoredTogether:
     """A study scores all its horizons from one forward pass per axis, and
@@ -980,6 +1001,9 @@ class TestConfigKeys:
             # the trajectory keeps its own, finite duration
             ("run file", "duration", math.inf, "duration must be finite"),
             ("study file", "duration", math.inf, "duration must be finite"),
+            # a finite duration of more ticks than a float counts
+            ("run file", None, {"tick": 1e-10, "duration": 1e300}, r"duration .* got 1e\+300$"),
+            ("study file", None, {"tick": 1e-10, "duration": 1e300}, r"duration .* got 1e\+300$"),
         ],
     )
     def test_bad_setting_rejected_at_load(self, tmp_path, where, key, value, match):
@@ -990,7 +1014,8 @@ class TestConfigKeys:
             cfg = yaml.safe_load(yaml.safe_dump(RUN_CFG))
             load = scenario_from_dict
         cfg["trajectory"].setdefault("duration", cfg["duration"])
-        (cfg[where] if where in ("train", "channel") else cfg)[key] = value
+        target = cfg[where] if where in ("train", "channel") else cfg
+        target.update(value if key is None else {key: value})  # None: value sets several keys
         with pytest.raises(ValidationError, match=match):
             load(cfg)
 
@@ -1027,20 +1052,17 @@ class TestConfigKeys:
             scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
 
     def test_anfis_net_that_fires_no_rule_rejected_at_load(self, tmp_path):
-        """Velocity terms on [-1, 1] m/s with exponent 200 reach zero in double
-        precision 3 m/s past their outer centre: an entity accelerating at 10
-        m/s^2 gets there at t = 0.4 s, and the x network fires no rule from that
-        tick on."""
-        bundle = fixed_bundle()
-        for net in bundle.networks:
-            velocity = net.inputs[1]
-            velocity.lo, velocity.hi = -1.0, 1.0
-            velocity.params[1] = 200.0
-        bundle.save(tmp_path / "bundle.json")
+        """Bell terms of velocity on [-1, 1] m/s fire at a degree that rounds to
+        zero in double precision some 1e77 m/s past their outer centre: an entity
+        accelerating at 1e80 m/s^2 is past that at t = 0.1 s, and the x network
+        fires no rule from that tick on."""
+        inputs = [("deviation", -1.0, 1.0), ("velocity", -1.0, 1.0), ("orientation", -4.0, 4.0)]
+        nets = [build_network(inputs, n_terms=3) for _ in range(3)]
+        AnfisBundle(nets, h_ref=0.5, feature_tick=0.1).save(tmp_path / "bundle.json")
         trajectory = {"kind": "constant-acceleration", "p0": [0, 0, 0], "v0": [0, 0, 0],
-                      "a": [10, 0, 0]}
+                      "a": [1e80, 0, 0]}
         dr = {"predictor": "anfis", "anfis_net": "bundle.json"}
-        match = r"'anfis_net' fires no rule at t = 0\.4 s: its inputs there are too far outside"
+        match = r"'anfis_net' fires no rule at t = 0\.1 s: its inputs there are too far outside"
         with pytest.raises(ValidationError, match=match):
             scenario_from_dict(dict(RUN_CFG, trajectory=trajectory, dr=dr), base_dir=tmp_path)
 
