@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read_section
 from .errors import DegenerateFiringError, ValidationError
 from .kinematics import Correction, EntityState, StateArrays, advance, predict_positions
 from .kinematics import extrapolate  # noqa: F401 -- bench/tracer.py wraps it here
@@ -67,37 +68,6 @@ def _bell_degrees(x, centers, spacing):
 SHAPES = {"sigmoid": _sigmoid_degrees, "bell": _bell_degrees}
 
 
-def _record(d, keys: tuple[str, ...], where: str) -> dict:
-    """d, a saved record, if it is a mapping with exactly keys; errors name where
-    and an unknown key before a missing one, so that a record of an older format
-    fails on a key of that format."""
-    if not isinstance(d, dict):
-        raise ValidationError(f"{where} must be a mapping, got {type(d).__name__}")
-    odd = sorted(d.keys() ^ set(keys), key=lambda key: (key in keys, str(key)))
-    if odd:
-        state = "missing" if odd[0] in keys else "unknown"
-        raise ValidationError(f"{where} needs keys {', '.join(keys)}; {state} key {odd[0]!r}")
-    return d
-
-
-def _list(d: dict, key: str, where: str) -> list:
-    """d[key], a saved record's list value; errors name where and key."""
-    if not isinstance(d[key], list):
-        raise ValidationError(f"{where}: {key!r} must be a list, got {type(d[key]).__name__}")
-    return d[key]
-
-
-def _numbers(d: dict, key: str, where: str, listed: bool = False):
-    """d[key], a saved record's number, or its list of numbers if listed, as JSON
-    holds them: a flag, text or (unless listed) list fails, naming where and key."""
-    values = d[key] if listed and isinstance(d[key], list) else [d[key]]
-    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, (int, float))]
-    if bad:
-        what = "numbers" if listed else "a number"
-        raise ValidationError(f"{where}: {key!r} must be {what}, got {bad[0]!r}")
-    return d[key]
-
-
 @dataclass(frozen=True)
 class InputSpec:
     """One input: its range, which normalize maps onto [-1, 1], and n_terms terms
@@ -135,9 +105,7 @@ class InputSpec:
     def from_dict(cls, d: dict) -> "InputSpec":
         """Reads exactly the fields of InputSpec; errors name the input."""
         where = f"input {d.get('name') if isinstance(d, dict) else None!r}"
-        _record(d, tuple(f.name for f in dataclasses.fields(cls)), where)
-        lo, hi = _numbers(d, "lo", where), _numbers(d, "hi", where)
-        return cls(d["name"], lo, hi, d["shape"], d["n_terms"])
+        return cls(**read_section(cls, d, where))
 
 
 class AnfisNetwork:
@@ -148,21 +116,21 @@ class AnfisNetwork:
     def __init__(self, inputs: list[InputSpec], consequents):
         self.inputs = list(inputs)
         counts = [spec.n_terms for spec in self.inputs]
-        self.rules = np.indices(counts).reshape(len(counts), math.prod(counts)).T
+        self.z = np.array(consequents, dtype=float)  # a loaded record's are typed at load
+        n_rules = math.prod(counts)  # checked before the rule grid, which counts may make huge
+        if self.z.shape != (n_rules,):
+            raise ValidationError(
+                f"need one consequent per rule, {n_rules} for n_terms {counts}, got {self.z.shape}"
+            )
+        if not np.all(np.isfinite(self.z)):
+            raise ValidationError("consequents must be finite")
+        self.rules = np.indices(counts).reshape(len(counts), n_rules).T
         # selectors[i][t, r] is 1.0 where rule r uses term t of input i: degrees @
         # selectors[i] gathers each rule's degree exactly.
         self.selectors = [
             (np.arange(spec.n_terms)[:, None] == self.rules[:, i]).astype(float)
             for i, spec in enumerate(self.inputs)
         ]
-        try:
-            self.z = np.array(consequents, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError("'consequents' must be numbers") from None
-        if self.z.shape != (self.rules.shape[0],):
-            raise ValidationError(f"need one consequent per rule, got {self.z.shape}")
-        if not np.all(np.isfinite(self.z)):
-            raise ValidationError("consequents must be finite")
 
     @property
     def n_inputs(self) -> int:
@@ -188,9 +156,8 @@ class AnfisNetwork:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnfisNetwork":
-        d = _record(d, ("inputs", "consequents"), "network record")
-        inputs = [InputSpec.from_dict(s) for s in _list(d, "inputs", "network record")]
-        return cls(inputs, _numbers(d, "consequents", "network record", listed=True))
+        d = read_section({"inputs": list, "consequents": tuple[float, ...]}, d, "network record")
+        return cls([InputSpec.from_dict(s) for s in d["inputs"]], d["consequents"])
 
 
 def build_network(
@@ -414,18 +381,10 @@ class AnfisBundle:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{what} must be positive, got {value}")
 
-    def residuals(self, inputs: np.ndarray) -> np.ndarray:
-        """Learned corrections (N, 3) at the reference horizon for :func:`features` rows (3, N, 3).
-
-        This is bundle_residuals for this bundle alone: each row equals a
-        one-row call bit for bit, and a DegenerateFiringError gives its rows as
-        indices of inputs' rows.
-        """
-        return bundle_residuals([self], inputs)[0]
-
     def correction(self, truth: StateArrays, dev0: np.ndarray | float = 0.0) -> Correction:
         """The correction at every row of truth, with dev0 as row 0's deviation (features)."""
-        return Correction(self.residuals(features(truth, self.feature_tick, dev0)), self.h_ref)
+        inputs = features(truth, self.feature_tick, dev0)
+        return Correction(bundle_residuals([self], inputs)[0], self.h_ref)
 
     def predict(self, history: list[EntityState], horizon: float) -> np.ndarray:
         """Position horizon seconds past the newest history sample, by predict_positions.
@@ -456,10 +415,10 @@ class AnfisBundle:
     def from_dict(cls, d: dict) -> "AnfisBundle":
         if not (isinstance(d, dict) and d.get("kind") == "anfis-bundle"):
             raise ValidationError("not an anfis bundle document")
-        where = "anfis bundle"
-        d = _record(d, ("kind", "h_ref", "feature_tick", "networks"), where)
-        nets = [AnfisNetwork.from_dict(nd) for nd in _list(d, "networks", where)]
-        return cls(nets, _numbers(d, "h_ref", where), _numbers(d, "feature_tick", where))
+        keys = {"kind": str, "h_ref": float, "feature_tick": float, "networks": list}
+        d = read_section(keys, d, "anfis bundle")
+        nets = [AnfisNetwork.from_dict(nd) for nd in d["networks"]]
+        return cls(nets, d["h_ref"], d["feature_tick"])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

@@ -1,0 +1,86 @@
+"""The one reader of the values drsim loads from files: run and study sections,
+trajectory parameters and saved bundle records. convert alone decides what a
+file value is, and every failure is a ValidationError naming section and key.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import numbers
+import typing
+
+from .errors import ValidationError
+
+# What a flag, an integer, a number, a text and a list are, and how an error
+# names each: a bool is neither an integer nor a number.
+_KINDS = {
+    bool: (bool, "true or false"),
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    str: (str, "text"),
+    list: (list, "a list"),
+}
+
+
+def convert(tp, value, key: str, where: str):
+    """value, that of key in where, as tp: a type of _KINDS (a list is left for
+    the caller to read), tuple[X, ...] for a list of X, or object for any value
+    the caller reads. A number must fit a float."""
+    if tp is object:
+        return value
+    if typing.get_origin(tp) is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(convert(typing.get_args(tp)[0], v, key, where) for v in value)
+        what = "a list"
+    else:
+        kind, what = _KINDS[tp]
+        if isinstance(value, kind) and not (isinstance(value, bool) and tp is not bool):
+            try:
+                return tp(value)
+            except OverflowError:  # an integer too large for a float
+                pass
+    raise ValidationError(f"bad value for {key!r} in {where}: expected {what}, got {value!r}")
+
+
+def mapping(cfg, where: str) -> dict:
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"{where} must be a mapping, got {type(cfg).__name__}")
+    return cfg
+
+
+def _from_file(tp) -> bool:
+    return (typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else tp) in _KINDS
+
+
+@functools.cache
+def _dataclass_keys(cls, raw: tuple[str, ...]) -> tuple[dict, tuple[str, ...]]:
+    """The keys of a section that dataclass cls reads, with their types, and the
+    required ones: each field of a type of _KINDS or a tuple of one, and raw, of
+    type object. Cached, since typing.get_type_hints evaluates each annotation
+    anew on every call."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name in raw or _from_file(hints[f.name])]
+    keys = {f.name: hints[f.name] for f in fields} | dict.fromkeys(raw, object)
+    unset = dataclasses.MISSING
+    required = tuple(f.name for f in fields if f.default is f.default_factory is unset)
+    return keys, required
+
+
+def read_section(spec, cfg, where: str, raw: tuple[str, ...] = ()) -> dict:
+    """The values cfg, the section where of a file, sets, each converted to its
+    key's type. spec is a dataclass (_dataclass_keys), raw naming keys left for
+    the caller to read, or a record's {key: type}, each key required. An unknown
+    key fails first, so that a record of an older format fails on one of its keys."""
+    cfg = mapping(cfg, where)
+    keys, required = (spec, spec) if isinstance(spec, dict) else _dataclass_keys(spec, raw)
+    unknown = [key for key in cfg if key not in keys]
+    if unknown:
+        raise ValidationError(
+            f"unknown key {unknown[0]!r} in {where}; expected one of {', '.join(sorted(keys))}"
+        )
+    values = {key: convert(keys[key], value, key, where) for key, value in cfg.items()}
+    for key in required:
+        if key not in cfg:
+            raise ValidationError(f"missing key {key!r} in {where}")
+    return values

@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import io
 import math
-import numbers
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +20,7 @@ import yaml
 
 from . import anfis
 from .anfis import AnfisBundle, TrainingSet, build_network, features
+from .config import mapping, read_section
 from .dead_reckoning import PREDICTORS, DrConfig, SendLog, display, gate, row_norms
 from .errors import DegenerateFiringError, ValidationError
 from .kinematics import Correction, StateArrays, Trajectory, predict_positions
@@ -118,84 +116,19 @@ def _keys(cls) -> frozenset:
     return frozenset(f.name for f in dataclasses.fields(cls) if f.init)
 
 
-# Field types a config file holds; a tuple field reads a list of one of them.
-_SCALARS = (bool, int, float, str)
-# The values a flag, an integer or a number field takes: a bool is neither of the last two.
-_KINDS = {
-    bool: (bool, "true or false"),
-    int: (numbers.Integral, "an integer"),
-    float: (numbers.Real, "a number"),
-}
-
-
-def _from_file(tp) -> bool:
-    return tp in _SCALARS or (typing.get_origin(tp) is tuple and typing.get_args(tp)[0] in _SCALARS)
-
-
-def _convert(tp, value):
-    if typing.get_origin(tp) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"expected a list, got {value!r}")
-        return tuple(_convert(typing.get_args(tp)[0], v) for v in value)
-    if tp in _KINDS:
-        kind, what = _KINDS[tp]
-        if not isinstance(value, kind) or (tp is not bool and isinstance(value, bool)):
-            raise TypeError(f"expected {what}, got {value!r}")
-    return tp(value)
-
-
-def _mapping(cfg, where: str) -> dict:
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"{where} must be a mapping, got {type(cfg).__name__}")
-    return cfg
-
-
-@functools.cache
-def _type_hints(cls) -> dict:
-    """typing.get_type_hints(cls), resolved once per config dataclass: it
-    evaluates every annotation string anew on each call."""
-    return typing.get_type_hints(cls)
-
-
-def _read_section(cls, cfg, where: str, raw=()) -> dict:
-    """The keyword arguments for dataclass cls that cfg, a config file's section
-    where, sets. A key is a field of cls of a type in _SCALARS, its value
-    converted by that type, or one of raw, left for the caller to read. Fields
-    cfg leaves out take their defaults. Errors name where and the key."""
-    cfg = _mapping(cfg, where)
-    types = _type_hints(cls)
-    fields = [f for f in dataclasses.fields(cls) if f.name in raw or _from_file(types[f.name])]
-    allowed = {f.name for f in fields} | set(raw)
-    values = {}
-    for key, value in cfg.items():
-        if key not in allowed:
-            raise ValidationError(
-                f"unknown key {key!r} in {where}; expected one of {', '.join(sorted(allowed))}"
-            )
-        try:
-            values[key] = value if key in raw else _convert(types[key], value)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad value for {key!r} in {where}: {exc}") from None
-    for f in fields:
-        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        if required and f.name not in cfg:
-            raise ValidationError(f"missing key {f.name!r} in {where}")
-    return values
-
-
 def _trajectory_from_config(cfg, duration: float) -> Trajectory:
     """kind and duration, by default the run's, are the section's own keys;
     the others are parameters of the kind, which Trajectory checks."""
-    cfg = _mapping(cfg, "trajectory")
+    cfg = mapping(cfg, "trajectory")
     own = {key: cfg[key] for key in ("kind", "duration") if key in cfg}
     params = {key: value for key, value in cfg.items() if key not in own}
     return Trajectory(
-        **_read_section(Trajectory, {"duration": duration, **own}, "trajectory"), params=params
+        **read_section(Trajectory, {"duration": duration, **own}, "trajectory"), params=params
     )
 
 
 def _dr_from_config(cfg, base_dir: Path | None) -> DrConfig:
-    dr = _read_section(DrConfig, cfg, "dr", raw=("anfis_net",))
+    dr = read_section(DrConfig, cfg, "dr", raw=("anfis_net",))
     net_path = dr.pop("anfis_net", None)
     if net_path is not None:
         if not isinstance(net_path, str):
@@ -212,7 +145,7 @@ _NAMED_PROFILES = (QosProfile.tightly_coupled(), QosProfile.loosely_coupled())
 
 
 def _profile_from_config(cfg) -> QosProfile:
-    cfg = _mapping(cfg, "profile")
+    cfg = mapping(cfg, "profile")
     named = [p for p in _NAMED_PROFILES if p.name == cfg.get("name")]
     extra = [key for key in cfg if key != "name"]
     if named and extra:
@@ -220,7 +153,7 @@ def _profile_from_config(cfg) -> QosProfile:
             f"key {extra[0]!r} in profile: the {named[0].name} profile has fixed bounds; "
             "set them in a custom profile"
         )
-    return named[0] if named else QosProfile(**_read_section(QosProfile, cfg, "profile"))
+    return named[0] if named else QosProfile(**read_section(QosProfile, cfg, "profile"))
 
 
 def scenario_from_dict(cfg: dict, base_dir: Path | None = None) -> Scenario:
@@ -230,13 +163,13 @@ def scenario_from_dict(cfg: dict, base_dir: Path | None = None) -> Scenario:
             raise ValidationError(
                 f"key {study_only[0]!r} belongs to a study file; use drsim compare or drsim train"
             )
-    run = _read_section(Scenario, cfg, "run file", raw=("trajectory", "dr", "channel", "profile"))
+    run = read_section(Scenario, cfg, "run file", raw=("trajectory", "dr", "channel", "profile"))
     run["trajectory"] = _trajectory_from_config(run["trajectory"], run["duration"])
     if "dr" in run:
         run["dr"] = _dr_from_config(run["dr"], base_dir)
     if "profile" in run:
         run["profile"] = _profile_from_config(run["profile"])
-    channel = _read_section(ChannelConfig, run.pop("channel", {}), "channel")
+    channel = read_section(ChannelConfig, run.pop("channel", {}), "channel")
     # A channel without a seed of its own draws from the run's.
     channel.setdefault("seed", run.get("seed", 0))
     return Scenario(**run, channel=ChannelConfig(**channel))
@@ -450,9 +383,9 @@ class ComparisonStudy:
 
 
 def study_from_dict(cfg: dict) -> ComparisonStudy:
-    study = _read_section(ComparisonStudy, cfg, "study file", raw=("trajectory", "train"))
+    study = read_section(ComparisonStudy, cfg, "study file", raw=("trajectory", "train"))
     study["trajectory"] = _trajectory_from_config(study["trajectory"], study["duration"])
-    study["train"] = TrainSpec(**_read_section(TrainSpec, study.get("train", {}), "train"))
+    study["train"] = TrainSpec(**read_section(TrainSpec, study.get("train", {}), "train"))
     return ComparisonStudy(**study)
 
 

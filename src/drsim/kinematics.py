@@ -14,6 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .config import convert
 from .errors import RangeError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -88,24 +89,27 @@ TRAJECTORY_PARAMS = {
 
 def _param(kind: str, key: str, value):
     """A trajectory parameter as the motion law reads it: a read-only 3-vector if
-    key is in _VECTORS, the read-only (K, 4) waypoint table, else a finite float."""
+    key is in _VECTORS, the read-only (K, 4) waypoint table, else a finite float.
+    convert types it, as it types every file value; a numpy array reads as its list."""
     name = f"{key!r} in a {kind} trajectory"
-    # as in every other section, a flag or text is no number
-    flagged = any(isinstance(v, (bool, str)) for v in np.array(value, dtype=object).flat)
-    if key in _VECTORS:
-        if flagged:
-            raise ValidationError(f"{name} must be a 3-vector of numbers, got {value!r}")
-        return _vec3(value, name)
+    vector = tuple[float, ...]
+    tp = vector if key in _VECTORS else tuple[vector, ...] if key == "waypoints" else float
     try:
-        arr = np.array(math.nan if flagged else value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        arr = np.array(math.nan)  # fails the checks below
+        typed = convert(tp, value.tolist() if isinstance(value, np.ndarray) else value, key, kind)
+    except ValidationError:
+        typed = None  # fails the checks below, which give the value as it was
+    if key in _VECTORS:
+        if typed is None:
+            raise ValidationError(f"{name} must be a 3-vector of numbers, got {value!r}")
+        return _vec3(typed, name)
     if key != "waypoints":
-        if arr.shape != () or not np.isfinite(arr):
+        if typed is None or not math.isfinite(typed):
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        return float(arr)
-    if not (arr.ndim == 2 and arr.shape[1] == 4 and len(arr) and np.all(np.isfinite(arr))
-            and np.all(np.diff(arr[:, 0]) > 0.0)):
+        return typed
+    if not (typed and all(len(row) == 4 for row in typed)):
+        typed = [[math.nan] * 4]  # fails the check below
+    arr = np.array(typed, dtype=float)
+    if not (np.all(np.isfinite(arr)) and np.all(np.diff(arr[:, 0]) > 0.0)):
         raise ValidationError(f"{name} must be finite [t, x, y, z] rows, t increasing, got {value!r}")
     arr.flags.writeable = False
     return arr

@@ -235,7 +235,7 @@ def verdict(
     whose receiver never displayed a state (displayed false) observed no error."""
     reasons = []
     worst_latency = channel.base_delay + channel.jitter
-    if worst_latency > profile.max_latency:
+    if worst_latency > profile.max_latency + _TIME_EPS:  # 0.2 + 0.1 rounds above 0.3
         reasons.append(
             f"latency {format_sig(worst_latency)} s exceeds "
             f"{profile.name} bound {format_sig(profile.max_latency)} s"

@@ -550,8 +550,8 @@ class TestBundleBatchInvariance:
         assert bundle.networks[0].n_rules == np.prod(np.broadcast_to(n_terms, 3))
         rng = np.random.default_rng(31)
         inputs = rng.uniform(-1.2, 1.2, (3, 200, 3))
-        batch = bundle.residuals(inputs)
-        rows = [bundle.residuals(inputs[:, [i]])[0] for i in range(200)]
+        batch = anfis.bundle_residuals([bundle], inputs)[0]
+        rows = [anfis.bundle_residuals([bundle], inputs[:, [i]])[0][0] for i in range(200)]
         assert batch.shape == (200, 3)
         assert np.array_equal(batch, rows)
 
@@ -584,7 +584,7 @@ class TestBundleBatchInvariance:
         inputs = np.zeros((3, 200, 3))
         inputs[1, [150, 170], 0] = 1e200  # past every term, in the third block
         with pytest.raises(DegenerateFiringError) as exc:
-            bundle.residuals(inputs)
+            anfis.bundle_residuals([bundle], inputs)
         assert exc.value.rows.tolist() == [150, 170]
 
 
@@ -682,45 +682,70 @@ class TestBundle:
         "shape, record, key, value, match",
         [
             ("bell", None, "shape", "trapezoid", "input 'velocity' has unknown shape"),
-            ("bell", None, "n_terms", math.inf, "input 'velocity': n_terms must be >= 1 and an "
-             "integer, got inf"),
-            ("sigmoid", None, "n_terms", math.nan, "n_terms must be >= 1 and an integer, got nan"),
-            ("sigmoid", None, "n_terms", DELETE, "'velocity' needs keys .*; missing key 'n_terms'"),
-            ("bell", None, "n_terms", "7", "input 'velocity': n_terms must be >= 1 and an integer, "
-             "got '7'"),
-            ("sigmoid", None, "b", [2.0] * 5, "'velocity' needs keys .*; unknown key 'b'"),
-            ("bell", None, "lo", DELETE, "input 'velocity' needs keys"),
-            ("bell", None, "shape", DELETE, "'velocity' needs keys .*; missing key 'shape'"),
-            ("bell", None, "lo", "left", "input 'velocity': 'lo' must be a number, got 'left'"),
-            ("sigmoid", None, "hi", None, "input 'velocity': 'hi' must be a number, got None"),
-            ("bell", "bundle", "networks", DELETE, "bundle needs keys .*; missing key 'networks'"),
+            ("bell", None, "n_terms", math.inf, "bad value for 'n_terms' in input 'velocity': "
+             "expected an integer, got inf"),
+            ("sigmoid", None, "n_terms", math.nan, "'n_terms' in input 'velocity': expected an "
+             "integer, got nan"),
+            ("sigmoid", None, "n_terms", DELETE, "^missing key 'n_terms' in input 'velocity'$"),
+            ("bell", None, "n_terms", "7", "bad value for 'n_terms' in input 'velocity': expected "
+             "an integer, got '7'"),
+            ("sigmoid", None, "b", [2.0] * 5, "unknown key 'b' in input 'velocity'; expected one of"),
+            ("bell", None, "lo", DELETE, "missing key 'lo' in input 'velocity'"),
+            ("bell", None, "shape", DELETE, "^missing key 'shape' in input 'velocity'$"),
+            ("bell", None, "lo", "left", "bad value for 'lo' in input 'velocity': expected a "
+             "number, got 'left'"),
+            ("sigmoid", None, "hi", None, "'hi' in input 'velocity': expected a number, got None"),
+            ("bell", "bundle", "networks", DELETE, "^missing key 'networks' in anfis bundle$"),
             ("bell", "bundle", "feature_tick", DELETE, "missing key 'feature_tick'"),
-            ("bell", "bundle", "note", "edited", "bundle needs keys .*; unknown key 'note'"),
-            ("bell", "bundle", "h_ref", "ten", "anfis bundle: 'h_ref' must be a number, got 'ten'"),
+            ("bell", "bundle", "note", "edited", "unknown key 'note' in anfis bundle; expected one "
+             "of feature_tick, h_ref, kind, networks$"),
+            ("bell", "bundle", "h_ref", "ten", "'h_ref' in anfis bundle: expected a number, got "
+             "'ten'"),
             ("bell", "bundle", "networks", [[1, 2]], "network record must be a mapping"),
-            ("bell", "network", "eta", 0.05, "network record needs keys .*; unknown key 'eta'"),
-            ("bell", "network", "note", 1, "network record needs keys .*; unknown key 'note'"),
-            ("bell", "bundle", "axes", ["x", "y", "z"], "bundle needs keys .*; unknown key 'axes'"),
-            ("bell", None, "labels", ["N", "Z"], "'velocity' needs keys .*; unknown key 'labels'"),
-            ("bell", "bundle", "networks", 3, "anfis bundle: 'networks' must be a list, got int"),
-            ("bell", "network", "inputs", {}, "network record: 'inputs' must be a list, got dict"),
-            ("bell", "network", "consequents", ["x"], "'consequents' must be numbers"),
-            ("bell", "network", "rules", [[0, 0, 0]], "network record .*; unknown key 'rules'"),
-            ("bell", None, "terms", [], "input 'velocity' needs keys .*; unknown key 'terms'"),
-            ("bell", "bundle", "h_ref", "0.5", "anfis bundle: 'h_ref' must be a number, got '0.5'"),
-            ("bell", "bundle", "h_ref", [0.5], r"'h_ref' must be a number, got \[0.5\]"),
-            ("bell", "bundle", "feature_tick", True, "'feature_tick' must be a number, got True"),
-            ("bell", "network", "consequents", [0.0, "2"], "'consequents' must be numbers, got '2"),
-            ("bell", None, "lo", "-1", "input 'velocity': 'lo' must be a number, got '-1'"),
-            ("bell", None, "n_terms", True, "input 'velocity': n_terms must be >= 1 and an "
-             "integer, got True"),
-            ("bell", "network", "consequents", [0.0, 10**400], "'consequents' must be numbers"),
+            ("bell", "network", "eta", 0.05, "unknown key 'eta' in network record; expected one "
+             "of consequents, inputs$"),
+            ("bell", "network", "note", 1, "unknown key 'note' in network record; expected one of"),
+            ("bell", "bundle", "axes", ["x", "y", "z"], "unknown key 'axes' in anfis bundle;"),
+            ("bell", None, "labels", ["N", "Z"], "unknown key 'labels' in input 'velocity';"),
+            ("bell", "bundle", "networks", 3, "'networks' in anfis bundle: expected a list, got 3$"),
+            ("bell", "network", "inputs", {}, "'inputs' in network record: expected a list, "
+             "got {}$"),
+            ("bell", "network", "consequents", ["x"], "'consequents' in network record: expected "
+             "a number, got 'x'"),
+            ("bell", "network", "rules", [[0, 0, 0]], "unknown key 'rules' in network record;"),
+            ("bell", None, "terms", [], "unknown key 'terms' in input 'velocity'; expected one of"),
+            ("bell", "bundle", "h_ref", "0.5", "'h_ref' in anfis bundle: expected a number, got "
+             "'0.5'"),
+            ("bell", "bundle", "h_ref", [0.5], r"'h_ref' in anfis bundle: expected a number, got "
+             r"\[0.5\]"),
+            ("bell", "bundle", "feature_tick", True, "'feature_tick' in anfis bundle: expected a "
+             "number, got True"),
+            ("bell", "network", "consequents", [0.0, "2"], "'consequents' in network record: "
+             "expected a number, got '2'"),
+            ("bell", None, "lo", "-1", "bad value for 'lo' in input 'velocity': expected a "
+             "number, got '-1'"),
+            ("bell", None, "n_terms", True, "bad value for 'n_terms' in input 'velocity': "
+             "expected an integer, got True"),
+            ("bell", "network", "consequents", [0.0, 10**400], "'consequents' in network record: "
+             "expected a number, got 1000"),
             ("bell", None, "n_terms", 0, "input 'velocity': n_terms must be >= 1 and an integer, "
              "got 0$"),
-            ("sigmoid", None, "n_terms", 1.5, "n_terms must be >= 1 and an integer, got 1.5$"),
-            ("bell", None, "n_terms", 5.0, "n_terms must be >= 1 and an integer, got 5.0$"),
-            ("bell", None, "n_terms", OLD_FORMAT, "input 'velocity' needs keys name, lo, hi, "
-             "shape, n_terms; unknown key 'a'$"),
+            ("sigmoid", None, "n_terms", 1.5, "'n_terms' in input 'velocity': expected an "
+             "integer, got 1.5$"),
+            ("bell", None, "n_terms", 5.0, "'n_terms' in input 'velocity': expected an integer, "
+             "got 5.0$"),
+            ("bell", None, "n_terms", OLD_FORMAT, "^unknown key 'a' in input 'velocity'; expected "
+             "one of hi, lo, n_terms, name, shape$"),
+            # an integer too large for a float, as in every other section
+            ("bell", "bundle", "h_ref", 10**400, "'h_ref' in anfis bundle: expected a number, "
+             "got 1000"),
+            ("bell", None, "shape", 2, "'shape' in input 'velocity': expected text, got 2$"),
+            # 10**18 rules: the consequent count fails before the rule grid is made
+            ("bell", "network", "inputs", [
+                {"name": name, "lo": -1.0, "hi": 1.0, "shape": "bell", "n_terms": 10**6}
+                for name in ("deviation", "velocity", "orientation")
+            ], r"one consequent per rule, 1000000000000000000 for n_terms \[1000000, 1000000, "
+             r"1000000\], got \(125,\)$"),
         ],
         ids=[
             "unknown", "inf", "nan", "missing-parameter", "text-parameter", "extra-parameter",
@@ -730,7 +755,8 @@ class TestBundle:
             "text-consequent", "old-rules", "old-terms", "numeric-text-h_ref", "list-h_ref",
             "boolean-feature-tick", "numeric-text-consequent", "numeric-text-lo",
             "boolean-parameter", "overflowing-consequent", "zero-terms", "fractional-terms",
-            "float-terms", "old-parameters",
+            "float-terms", "old-parameters", "overflowing-h_ref", "number-shape",
+            "million-terms-per-input",
         ],
     )
     def test_bad_terms_rejected_at_load(self, tmp_path, shape, record, key, value, match):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drsim import anfis
 from drsim.anfis import AnfisBundle, build_network
 from drsim.dead_reckoning import (
     DrConfig,
@@ -44,6 +45,7 @@ from drsim.qos_metrics import (
     verdict,
     violation_windows,
 )
+from reference import count_scoring_passes
 
 DURATION = 60.0
 
@@ -227,24 +229,20 @@ def fixed_bundle(h_ref: float = 0.5, n_terms: int = 3, feature_tick: float = 0.1
     return AnfisBundle(nets, h_ref=h_ref, feature_tick=feature_tick)
 
 
-def corrector_passes(action) -> list[int]:
-    """The rows in each AnfisBundle.residuals call that action() makes."""
-    passes, inner = [], AnfisBundle.residuals
-
-    def residuals(self, inputs):
-        passes.append(inputs.shape[1])
-        return inner(self, inputs)
-
+def corrector_passes(action) -> list[list[int]]:
+    """The forward passes on each axis of each anfis.bundle_residuals call that
+    action() makes (count_scoring_passes)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(AnfisBundle, "residuals", residuals)
+        passes = count_scoring_passes(mp)
         action()
     return passes
 
 
 def assert_one_corrector_pass(sc: Scenario) -> None:
     """Loading an anfis scenario evaluates the corrector once, at every truth
-    row, and its run evaluates it not at all."""
-    assert corrector_passes(lambda: dataclasses.replace(sc)) == [len(sc.truth.time)]
+    row, one pass per axis and row block, and its run evaluates it not at all."""
+    blocks = -(-len(sc.truth.time) // anfis._RESIDUAL_ROWS)
+    assert corrector_passes(lambda: dataclasses.replace(sc)) == [[blocks] * 3]
     assert corrector_passes(lambda: run_scenario(sc)) == []
 
 

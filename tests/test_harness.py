@@ -293,7 +293,7 @@ class TestSweep:
         passes = corrector_passes(
             lambda: rows.extend(sweep(scenario_from_dict(cfg, tmp_path), axis, values))
         )
-        assert passes == [301]
+        assert passes == [[1, 1, 1]]  # 301 rows: one block
         section = harness.SWEEP_AXES[axis]
         for row, value in zip(rows, values):
             fresh = scenario_from_dict(dict(cfg, **{section: dict(cfg[section], **{axis: value})}),
@@ -655,7 +655,8 @@ class TestHorizonsScoredTogether:
         assert [t.stop - t.start for t, _, _, _, _ in seen] == [90, 89, 85, 83]
         monkeypatch.setattr(anfis, "_RESIDUAL_ROWS", 1024)
         for test, _, bundle, residual, _ in seen:
-            assert residual.tobytes() == bundle.residuals(study.table.inputs[:, test]).tobytes()
+            alone = anfis.bundle_residuals([bundle], study.table.inputs[:, test])[0]
+            assert residual.tobytes() == alone.tobytes()
 
 
 def test_epochs_and_eta_leave_training_unchanged():
@@ -727,8 +728,8 @@ class TestOneTermInputs:
         extra[:, :, 1] = rng.normal(0.0, 2.0, (3, 100))
         extra[:, :, 2] = rng.uniform(-1.0, 1.0, 100)
         inputs = np.concatenate([table.inputs, extra], axis=1)
-        expected = bundle.residuals(inputs)
-        assert np.array_equal(loaded.residuals(inputs), expected)
+        expected = anfis.bundle_residuals([bundle], inputs)[0]
+        assert np.array_equal(anfis.bundle_residuals([loaded], inputs)[0], expected)
 
     def test_one_term_input_value_does_not_move_the_output(self, stock_bundle):
         net = stock_bundle.networks[1]  # y: deviation, velocity (one term), orientation
@@ -922,12 +923,16 @@ class TestConfigKeys:
              r"rows, t increasing, got \[\[0, 0, 0, 0\], \[1, '2', 0, 0\]\]"),
             ("waypoint-script", {"waypoints": [[0, 0, 0, 0], [True, 1, 0, 0]]}, "waypoints",
              "rows"),
+            # an integer too large for a float, as in every other section
+            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 10**400}, "freq",
+             "finite number, got 1000"),
         ],
         ids=[
             "v-2", "v-4", "p0-2", "p0-4", "v-text", "freq-text", "freq-nan", "amplitude-2",
             "radius-list", "center-nan", "a-inf", "theta0-text", "waypoints-empty",
             "waypoints-3-columns", "waypoints-decreasing", "freq-numeric-text", "freq-flag",
             "amplitude-text-and-flag", "v-flag", "waypoint-text-cell", "waypoint-flag-time",
+            "freq-400-digits",
         ],
     )
     def test_bad_trajectory_parameter_rejected(self, kind, params, key, match):
@@ -1004,6 +1009,14 @@ class TestConfigKeys:
             # a finite duration of more ticks than a float counts
             ("run file", None, {"tick": 1e-10, "duration": 1e300}, r"duration .* got 1e\+300$"),
             ("study file", None, {"tick": 1e-10, "duration": 1e300}, r"duration .* got 1e\+300$"),
+            # an integer too large for a float is no number; a text key takes only text
+            pytest.param("dr", "th_pos", 10**400, "'th_pos' in dr: expected a number, got 1000",
+                         id="dr-th_pos-400-digits"),
+            pytest.param("train", "split", 10**400, "'split' in train: expected a number, got 1000",
+                         id="train-split-400-digits"),
+            ("run file", "name", [1, 2], r"'name' in run file: expected text, got \[1, 2\]$"),
+            ("study file", "predictors", [1, 2], "'predictors' in study file: expected text, got 1$"),
+            ("dr", "convergence", None, "'convergence' in dr: expected text, got None$"),
         ],
     )
     def test_bad_setting_rejected_at_load(self, tmp_path, where, key, value, match):
@@ -1014,7 +1027,7 @@ class TestConfigKeys:
             cfg = yaml.safe_load(yaml.safe_dump(RUN_CFG))
             load = scenario_from_dict
         cfg["trajectory"].setdefault("duration", cfg["duration"])
-        target = cfg[where] if where in ("train", "channel") else cfg
+        target = cfg[where] if where in ("train", "channel", "dr") else cfg
         target.update(value if key is None else {key: value})  # None: value sets several keys
         with pytest.raises(ValidationError, match=match):
             load(cfg)

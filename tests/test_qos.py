@@ -247,12 +247,13 @@ class TestVerdict:
         assert "loss" in reasons[0]
 
     def test_loosely_boundary_inclusive(self):
-        ok, _ = verdict(
-            CoherenceReport(),
-            QosProfile.loosely_coupled(),
+        # 0.2 + 0.1 sums to 0.30000000000000004: on the bound, up to rounding
+        for channel in (
             ChannelConfig(base_delay=0.300, loss=0.05),
-        )
-        assert ok
+            ChannelConfig(base_delay=0.2, jitter=0.1, loss=0.05),
+        ):
+            ok, reasons = verdict(CoherenceReport(), QosProfile.loosely_coupled(), channel)
+            assert ok, reasons
 
     def test_custom_error_budget(self):
         profile = QosProfile(max_latency=1.0, max_loss=1.0, max_error=0.5)
