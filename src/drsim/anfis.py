@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_section
+from .config import convert, read_section
 from .errors import DegenerateFiringError, ValidationError
 from .kinematics import Correction, EntityState, StateArrays, advance, predict_positions
 from .kinematics import extrapolate  # noqa: F401 -- bench/tracer.py wraps it here
@@ -80,20 +80,15 @@ class InputSpec:
     n_terms: int
 
     def __post_init__(self):
-        try:
-            lo, hi = float(self.lo), float(self.hi)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"range of input {self.name!r} must be numbers") from None
-        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-            raise ValidationError(f"bad range [{lo}, {hi}] for input {self.name!r}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if not (isinstance(self.shape, str) and self.shape in SHAPES):
-            raise ValidationError(f"input {self.name!r} has unknown shape {self.shape!r}")
-        if type(self.n_terms) is not int or self.n_terms < 1:
-            raise ValidationError(
-                f"input {self.name!r}: n_terms must be >= 1 and an integer, got {self.n_terms!r}"
-            )
+        where = f"input {self.name!r}"  # each field typed as a loaded record's (from_dict)
+        for key, value in read_section(InputSpec, vars(self), where).items():
+            object.__setattr__(self, key, value)
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
+            raise ValidationError(f"bad range [{self.lo}, {self.hi}] for {where}")
+        if self.shape not in SHAPES:
+            raise ValidationError(f"{where} has unknown shape {self.shape!r}")
+        if self.n_terms < 1:
+            raise ValidationError(f"{where}: n_terms must be >= 1, got {self.n_terms}")
 
     def normalize(self, x):
         return 2.0 * (np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo) - 1.0
@@ -376,10 +371,11 @@ class AnfisBundle:
             if net.n_inputs != 3:
                 raise ValidationError("axis networks must take the 3-feature input triple")
         self.networks = list(networks)
-        self.h_ref, self.feature_tick = float(h_ref), float(feature_tick)
-        for what, value in (("reference horizon", self.h_ref), ("feature tick", self.feature_tick)):
+        for key, value in (("h_ref", h_ref), ("feature_tick", feature_tick)):
+            value = convert(float, value, key, "anfis bundle")  # as a loaded record's (from_dict)
             if not (math.isfinite(value) and value > 0.0):
-                raise ValidationError(f"{what} must be positive, got {value}")
+                raise ValidationError(f"{key!r} in anfis bundle must be positive, got {value}")
+            setattr(self, key, value)
 
     def correction(self, truth: StateArrays, dev0: np.ndarray | float = 0.0) -> Correction:
         """The correction at every row of truth, with dev0 as row 0's deviation (features)."""

@@ -52,25 +52,22 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    study = load_study(args.study)
-    result = run_comparison(study)
-    csv_text = result.to_csv()
-    if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+def _write_csv(csv_text: str, out) -> int:
+    """csv_text to the file out, if given, and to standard output."""
+    if out:
+        Path(out).write_text(csv_text, encoding="utf-8")
     sys.stdout.write(csv_text)
     return 0
+
+
+def _cmd_compare(args) -> int:
+    return _write_csv(run_comparison(load_study(args.study)).to_csv(), args.out)
 
 
 def _cmd_sweep(args) -> int:
     sc = load_scenario(args.scenario)
     values = [float(v) for v in args.values.split(",") if v.strip()]
-    rows = sweep(sc, args.axis, values)
-    csv_text = sweep_csv(args.axis, rows)
-    if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
-    sys.stdout.write(csv_text)
-    return 0
+    return _write_csv(sweep_csv(args.axis, sweep(sc, args.axis, values)), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,6 +1,7 @@
 """The one reader of the values drsim loads from files: run and study sections,
 trajectory parameters and saved bundle records. convert alone decides what a
-file value is, and every failure is a ValidationError naming section and key.
+value is, from a file or from code (InputSpec and AnfisBundle type theirs with
+it), and every failure is a ValidationError naming section and key.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ _KINDS = {
 
 def convert(tp, value, key: str, where: str):
     """value, that of key in where, as tp: a type of _KINDS (a list is left for
-    the caller to read), tuple[X, ...] for a list of X, or object for any value
-    the caller reads. A number must fit a float."""
-    if tp is object:
+    the caller to read), tuple[X, ...] for a list of X, or object or a dataclass
+    (a section) for any value the caller reads. A number must fit a float."""
+    if tp is object or dataclasses.is_dataclass(tp):
         return value
     if typing.get_origin(tp) is tuple:
         if isinstance(value, (list, tuple)):
@@ -50,30 +51,33 @@ def mapping(cfg, where: str) -> dict:
 
 
 def _from_file(tp) -> bool:
-    return (typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else tp) in _KINDS
+    element = typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else tp
+    return element in _KINDS or dataclasses.is_dataclass(tp)
 
 
 @functools.cache
-def _dataclass_keys(cls, raw: tuple[str, ...]) -> tuple[dict, tuple[str, ...]]:
+def _dataclass_keys(cls) -> tuple[dict, tuple[str, ...]]:
     """The keys of a section that dataclass cls reads, with their types, and the
-    required ones: each field of a type of _KINDS or a tuple of one, and raw, of
-    type object. Cached, since typing.get_type_hints evaluates each annotation
+    required ones: each init field of a type of _KINDS, a tuple of one, or a
+    dataclass. Cached, since typing.get_type_hints evaluates each annotation
     anew on every call."""
     hints = typing.get_type_hints(cls)
-    fields = [f for f in dataclasses.fields(cls) if f.name in raw or _from_file(hints[f.name])]
-    keys = {f.name: hints[f.name] for f in fields} | dict.fromkeys(raw, object)
+    fields = [f for f in dataclasses.fields(cls) if f.init and _from_file(hints[f.name])]
+    keys = {f.name: hints[f.name] for f in fields}
     unset = dataclasses.MISSING
     required = tuple(f.name for f in fields if f.default is f.default_factory is unset)
     return keys, required
 
 
-def read_section(spec, cfg, where: str, raw: tuple[str, ...] = ()) -> dict:
+def read_section(spec, cfg, where: str, raw: dict | None = None) -> dict:
     """The values cfg, the section where of a file, sets, each converted to its
-    key's type. spec is a dataclass (_dataclass_keys), raw naming keys left for
-    the caller to read, or a record's {key: type}, each key required. An unknown
-    key fails first, so that a record of an older format fails on one of its keys."""
+    key's type. spec is a dataclass (_dataclass_keys), raw the {key: type} of
+    keys it has no field for, or a record's {key: type}, each key required. An
+    unknown key fails first, so that a record of an older format fails on one of
+    its keys."""
     cfg = mapping(cfg, where)
-    keys, required = (spec, spec) if isinstance(spec, dict) else _dataclass_keys(spec, raw)
+    keys, required = (spec, spec) if isinstance(spec, dict) else _dataclass_keys(spec)
+    keys = keys | (raw or {})
     unknown = [key for key in cfg if key not in keys]
     if unknown:
         raise ValidationError(

@@ -128,11 +128,9 @@ def _trajectory_from_config(cfg, duration: float) -> Trajectory:
 
 
 def _dr_from_config(cfg, base_dir: Path | None) -> DrConfig:
-    dr = read_section(DrConfig, cfg, "dr", raw=("anfis_net",))
+    dr = read_section(DrConfig, cfg, "dr", raw={"anfis_net": str})
     net_path = dr.pop("anfis_net", None)
     if net_path is not None:
-        if not isinstance(net_path, str):
-            raise ValidationError(f"'anfis_net' in dr must be a path, got {net_path!r}")
         try:  # relative to the run file; an absolute path stays as it is
             dr["anfis_bundle"] = AnfisBundle.load(Path(base_dir or ".", net_path))
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or text, or no bundle
@@ -163,7 +161,7 @@ def scenario_from_dict(cfg: dict, base_dir: Path | None = None) -> Scenario:
             raise ValidationError(
                 f"key {study_only[0]!r} belongs to a study file; use drsim compare or drsim train"
             )
-    run = read_section(Scenario, cfg, "run file", raw=("trajectory", "dr", "channel", "profile"))
+    run = read_section(Scenario, cfg, "run file")
     run["trajectory"] = _trajectory_from_config(run["trajectory"], run["duration"])
     if "dr" in run:
         run["dr"] = _dr_from_config(run["dr"], base_dir)
@@ -202,18 +200,21 @@ class RunResult:
 def run_scenario(sc: Scenario) -> RunResult:
     """Simulate one sender/receiver pair over one channel on the tick grid: the
     gate's send log from truth, dr and the load-time correction, then its delivery."""
-    return _deliver(sc, sc.dr, sc.channel, gate(sc.truth, sc.dr, sc.correction))
+    return _deliver(sc, sc.dr, sc.channel, gate(sc.truth, sc.dr, sc.correction), sc.correction)
 
 
-def _deliver(sc: Scenario, dr: DrConfig, link: ChannelConfig, log: SendLog) -> RunResult:
-    """sc's run with dr and link as its dr and channel sections, from log, the gate's
-    send log for them: the channel's fate for each update in send order, the
-    receiver's display at every tick, the error series, the report and the verdict."""
+def _deliver(
+    sc: Scenario, dr: DrConfig, link: ChannelConfig, log: SendLog, correction: Correction | None
+) -> RunResult:
+    """sc's run with dr, link and correction in place of its own, from log, the
+    gate's send log for them: the channel's fate for each update in send order,
+    the receiver's display at every tick, the error series, the report and the
+    verdict."""
     truth = sc.truth
     send_times = truth.time[log.rows].tolist()
     channel = Channel(link)
     due = channel.transit_all(send_times)
-    first, shown_pos, shown_or = display(truth, log, due, dr, sc.correction)
+    first, shown_pos, shown_or = display(truth, log, due, dr, correction)
     series = ErrorSeries.from_arrays(
         sc.tick,
         truth.time[first:],
@@ -276,7 +277,7 @@ def sweep(base: Scenario, axis: str, values: list[float]) -> list[SweepRow]:
             dr, link = (changed, base.channel) if section == "dr" else (base.dr, changed)
             if log is None or section == "dr":
                 log = gate(base.truth, dr, base.correction)
-            run = _deliver(base, dr, link, log)
+            run = _deliver(base, dr, link, log, base.correction)
             rows.append(
                 SweepRow(
                     value=float(value),
@@ -383,7 +384,7 @@ class ComparisonStudy:
 
 
 def study_from_dict(cfg: dict) -> ComparisonStudy:
-    study = read_section(ComparisonStudy, cfg, "study file", raw=("trajectory", "train"))
+    study = read_section(ComparisonStudy, cfg, "study file")
     study["trajectory"] = _trajectory_from_config(study["trajectory"], study["duration"])
     study["train"] = TrainSpec(**read_section(TrainSpec, study.get("train", {}), "train"))
     return ComparisonStudy(**study)
@@ -465,6 +466,8 @@ def train_bundle(
     """
     many = isinstance(horizon_ticks, tuple)
     ticks = horizon_ticks if many else (horizon_ticks,)
+    if not ticks:
+        raise ValidationError(f"horizons {horizon_ticks} name no horizon to train")
     if min(ticks) < 1:
         raise ValidationError(f"horizon {min(ticks)} must be a positive tick count")
     ordered = sorted(set(study.horizons) | set(ticks))

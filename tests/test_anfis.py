@@ -89,20 +89,25 @@ class TestMembership:
 
     def test_invalid_params_rejected(self):
         """An input is its name, range, shape and term count: a count that is not
-        an integer >= 1, an unknown shape or a bad range fails, naming the input."""
+        an integer >= 1, an unknown shape or a bad range fails, naming the input.
+        config.convert types each value, as it types a loaded record's."""
         for shape, n_terms, match in [
-            ("bell", 0, "input 'x': n_terms must be >= 1 and an integer, got 0"),
-            ("bell", 1.5, "input 'x': n_terms must be >= 1 and an integer, got 1.5"),
-            ("sigmoid", 7.0, "input 'x': n_terms must be >= 1 and an integer, got 7.0"),
-            ("sigmoid", True, "input 'x': n_terms must be >= 1 and an integer, got True"),
-            ("bell", "7", "input 'x': n_terms must be >= 1 and an integer, got '7'"),
+            ("bell", 0, "^input 'x': n_terms must be >= 1, got 0$"),
+            ("bell", 1.5, "^bad value for 'n_terms' in input 'x': expected an integer, got 1.5$"),
+            ("sigmoid", 7.0, "'n_terms' in input 'x': expected an integer, got 7.0$"),
+            ("sigmoid", True, "'n_terms' in input 'x': expected an integer, got True$"),
+            ("bell", "7", "'n_terms' in input 'x': expected an integer, got '7'$"),
             ("triangle", 3, "input 'x' has unknown shape 'triangle'"),
-            (["bell"], 3, r"input 'x' has unknown shape \['bell'\]"),
+            (["bell"], 3, r"^bad value for 'shape' in input 'x': expected text, got \['bell'\]$"),
         ]:
             with pytest.raises(ValidationError, match=match):
                 InputSpec("x", -1.0, 1.0, shape, n_terms)
-        for lo, hi in ((1.0, 1.0), (-math.inf, 1.0), ("low", 1.0)):
-            with pytest.raises(ValidationError, match="range.* input 'x'"):
+        for lo, hi, match in (
+            (1.0, 1.0, r"^bad range \[1.0, 1.0\] for input 'x'$"),
+            (-math.inf, 1.0, r"^bad range \[-inf, 1.0\] for input 'x'$"),
+            ("low", 1.0, "^bad value for 'lo' in input 'x': expected a number, got 'low'$"),
+        ):
+            with pytest.raises(ValidationError, match=match):
                 InputSpec("x", lo, hi, "bell", 3)
 
 
@@ -728,8 +733,7 @@ class TestBundle:
              "expected an integer, got True"),
             ("bell", "network", "consequents", [0.0, 10**400], "'consequents' in network record: "
              "expected a number, got 1000"),
-            ("bell", None, "n_terms", 0, "input 'velocity': n_terms must be >= 1 and an integer, "
-             "got 0$"),
+            ("bell", None, "n_terms", 0, "^input 'velocity': n_terms must be >= 1, got 0$"),
             ("sigmoid", None, "n_terms", 1.5, "'n_terms' in input 'velocity': expected an "
              "integer, got 1.5$"),
             ("bell", None, "n_terms", 5.0, "'n_terms' in input 'velocity': expected an integer, "

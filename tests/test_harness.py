@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from drsim import anfis, cli, harness
-from drsim.anfis import AnfisBundle, build_network, forward_batch
+from drsim.anfis import AnfisBundle, InputSpec, build_network, forward_batch
 from drsim.dead_reckoning import DrConfig, SenderModel, gate, predict
 from drsim.errors import ValidationError
 from drsim.harness import (
@@ -596,6 +596,10 @@ class TestHorizonsTrainedTogether:
         with pytest.raises(ValidationError, match=match):
             train_bundle(study, horizon)
 
+    def test_no_horizon_rejected(self):
+        with pytest.raises(ValidationError, match=r"^horizons \(\) name no horizon to train$"):
+            train_bundle(spike_study(), ())
+
     def test_too_many_rules_fail_before_the_network_is_built(self, monkeypatch):
         """The stock study cut to 30 s trains on 199 rows. At n_terms 40 its x
         network would have 40^3 rules, whose one-hot rule/term selectors alone
@@ -742,6 +746,39 @@ class TestOneTermInputs:
         for value in (-3.0, 0.5, 12.0):
             x[:, 1] = value
             np.testing.assert_allclose(forward_batch(net, x)[0], out, rtol=1e-12, atol=0)
+
+
+def test_delivery_predicts_with_the_correction_it_is_given(tight_bundle, tmp_path):
+    """A run's gate and its delivery each take the run's correction. The
+    sim_anfis run (sinusoid_tight with predictor anfis and the bundle trained on
+    its trajectory), gated at second order and delivered without a correction,
+    is the stock second-order file's run, bit for bit; gated and delivered with
+    the bundle's correction, it is its own file's run. The second-order send log
+    delivered with the correction sends as many updates, but its receiver
+    predicts with the correction, so its errors differ."""
+    stock = SCENARIO_DIR / "sinusoid_tight.yaml"
+    tight_bundle.save(tmp_path / "bundle.json")
+    cfg = yaml.safe_load(stock.read_text(encoding="utf-8"))
+    cfg["dr"].update(predictor="anfis", anfis_net="bundle.json")
+    learned = tmp_path / "sinusoid_anfis.yaml"
+    learned.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    sc = load_scenario(learned)
+    second = dataclasses.replace(sc.dr, predictor="second", anfis_bundle=None)
+    second_log, learned_log = gate(sc.truth, second, None), gate(sc.truth, sc.dr, sc.correction)
+    for run, path in (
+        (harness._deliver(sc, second, sc.channel, second_log, None), stock),
+        (harness._deliver(sc, sc.dr, sc.channel, learned_log, sc.correction), learned),
+    ):
+        expected = run_scenario(load_scenario(path))
+        assert run.report.to_csv_row() == expected.report.to_csv_row()
+        assert run.series.to_csv() == expected.series.to_csv()
+        assert dataclasses.asdict(run.report) == dataclasses.asdict(expected.report)
+        for name in ("times", "e_pos", "e_or"):
+            assert getattr(run.series, name).tobytes() == getattr(expected.series, name).tobytes()
+    mixed = harness._deliver(sc, second, sc.channel, second_log, sc.correction).report
+    stock_report = run_scenario(load_scenario(stock)).report
+    assert mixed.messages_sent == stock_report.messages_sent
+    assert mixed.max_error != stock_report.max_error
 
 
 class TestConfigFiles:
@@ -1082,7 +1119,7 @@ class TestConfigKeys:
     @pytest.mark.parametrize(
         "net, make, match",
         [
-            (5, None, r"'anfis_net' in dr must be a path, got 5$"),
+            (5, None, r"^bad value for 'anfis_net' in dr: expected text, got 5$"),
             ("bundle.json", lambda p: p.write_text("{", encoding="utf-8"), "Expecting property"),
             ("bundle.json", lambda p: p.write_text("[]", encoding="utf-8"), "not an anfis bundle"),
             ("bundle.json", Path.mkdir, "Is a directory"),
@@ -1098,6 +1135,45 @@ class TestConfigKeys:
             match = f"^cannot load 'anfis_net' '{net}' in dr: .*{match}"
         with pytest.raises(ValidationError, match=match):
             scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_terms", 1.5), ("n_terms", True), ("n_terms", "7"), ("lo", True), ("lo", "low"),
+            ("h_ref", "0.1"), ("h_ref", True), ("anfis_net", 5),
+        ],
+        ids=[
+            "fractional-terms", "boolean-terms", "text-terms", "boolean-lo", "text-lo",
+            "text-h_ref", "boolean-h_ref", "number-anfis_net",
+        ],
+    )
+    def test_bad_value_reads_the_same_from_code_and_file(self, tmp_path, key, value):
+        """config.convert types every value, so one built in code fails with the
+        message the same value gives in a file: an input of a network, a bundle's
+        h_ref, or a run's anfis_net."""
+        bundle, dr = fixed_bundle(), {"predictor": "anfis", "anfis_net": value}
+        doc, path = bundle.to_dict(), tmp_path / "bundle.json"
+        if key == "anfis_net":
+            path = tmp_path / "run.yaml"
+            path.write_text(yaml.safe_dump(dict(RUN_CFG, dr=dr)), encoding="utf-8")
+            cases = [lambda: scenario_from_dict(dict(RUN_CFG, dr=dr)), lambda: load_scenario(path)]
+        else:
+            if key == "h_ref":
+                doc["h_ref"] = value
+                in_code = lambda: AnfisBundle(bundle.networks, value, bundle.feature_tick)
+            else:
+                spec = doc["networks"][0]["inputs"][1]  # the velocity input of x
+                spec[key] = value
+                in_code = lambda: InputSpec(**spec)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            cases = [in_code, lambda: AnfisBundle.load(path)]
+        messages = []
+        for make in cases:
+            with pytest.raises(ValidationError) as caught:
+                make()
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"bad value for {key!r} in ")
 
     def test_anfis_net_of_another_tick_rejected_at_load(self, tmp_path):
         # the corrector's deviation feature is a one-tick deviation at the bundle's tick
