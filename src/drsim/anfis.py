@@ -24,10 +24,11 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from .config import convert, read_section
+from .config import convert, read_section, type_fields
 from .errors import DegenerateFiringError, ValidationError
 from .kinematics import Correction, EntityState, StateArrays, advance, predict_positions
 from .kinematics import extrapolate  # noqa: F401 -- bench/tracer.py wraps it here
@@ -66,6 +67,7 @@ def _bell_degrees(x, centers, spacing):
 # Each membership function family: degrees(x, centers, spacing), broadcast
 # against x, so that one call evaluates all terms of an input.
 SHAPES = {"sigmoid": _sigmoid_degrees, "bell": _bell_degrees}
+Shape = Literal[tuple(SHAPES)]
 
 
 @dataclass(frozen=True)
@@ -76,17 +78,14 @@ class InputSpec:
     name: str
     lo: float
     hi: float
-    shape: str
+    shape: Shape
     n_terms: int
 
     def __post_init__(self):
         where = f"input {self.name!r}"  # each field typed as a loaded record's (from_dict)
-        for key, value in read_section(InputSpec, vars(self), where).items():
-            object.__setattr__(self, key, value)
+        type_fields(self, where)
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
             raise ValidationError(f"bad range [{self.lo}, {self.hi}] for {where}")
-        if self.shape not in SHAPES:
-            raise ValidationError(f"{where} has unknown shape {self.shape!r}")
         if self.n_terms < 1:
             raise ValidationError(f"{where}: n_terms must be >= 1, got {self.n_terms}")
 
@@ -111,7 +110,7 @@ class AnfisNetwork:
     def __init__(self, inputs: list[InputSpec], consequents):
         self.inputs = list(inputs)
         counts = [spec.n_terms for spec in self.inputs]
-        self.z = np.array(consequents, dtype=float)  # a loaded record's are typed at load
+        self.z = np.array(convert(tuple[float, ...], consequents, "consequents", "network record"))
         n_rules = math.prod(counts)  # checked before the rule grid, which counts may make huge
         if self.z.shape != (n_rules,):
             raise ValidationError(

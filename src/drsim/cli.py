@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from .anfis import AXIS_NAMES
+from .errors import ValidationError
 from .harness import (
     SWEEP_AXES,
     load_scenario,
@@ -66,7 +67,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sc = load_scenario(args.scenario)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:  # float's message gives the text
+        raise ValidationError(f"bad value for {args.axis!r} in --values: {exc}") from None
     return _write_csv(sweep_csv(args.axis, sweep(sc, args.axis, values)), args.out)
 
 

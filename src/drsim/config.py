@@ -1,7 +1,7 @@
 """The one reader of the values drsim loads from files: run and study sections,
 trajectory parameters and saved bundle records. convert alone decides what a
-value is, from a file or from code (InputSpec and AnfisBundle type theirs with
-it), and every failure is a ValidationError naming section and key.
+value is, from a file or from code (each section types its own fields with
+type_fields), and every failure is a ValidationError naming section and key.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ import dataclasses
 import functools
 import numbers
 import typing
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -26,14 +28,24 @@ _KINDS = {
 
 def convert(tp, value, key: str, where: str):
     """value, that of key in where, as tp: a type of _KINDS (a list is left for
-    the caller to read), tuple[X, ...] for a list of X, or object or a dataclass
-    (a section) for any value the caller reads. A number must fit a float."""
+    the caller to read), tuple[X, ...] for a list of X (a numpy array reads as
+    its list), a Literal of texts for one of them, or object or a dataclass (a
+    section) for any value the caller reads. A number must fit a float."""
+    if type(value) is tp in (float, int, str):  # fast: a network has hundreds of consequents
+        return value
     if tp is object or dataclasses.is_dataclass(tp):
         return value
-    if typing.get_origin(tp) is tuple:
+    origin = typing.get_origin(tp)
+    if origin is tuple:
+        element = typing.get_args(tp)[0]
+        value = value.tolist() if isinstance(value, np.ndarray) else value
         if isinstance(value, (list, tuple)):
-            return tuple(convert(typing.get_args(tp)[0], v, key, where) for v in value)
+            return tuple(convert(element, v, key, where) for v in value)
         what = "a list"
+    elif origin is typing.Literal:
+        if isinstance(value, str) and value in typing.get_args(tp):
+            return value
+        what = f"one of {', '.join(typing.get_args(tp))}"
     else:
         kind, what = _KINDS[tp]
         if isinstance(value, kind) and not (isinstance(value, bool) and tp is not bool):
@@ -52,15 +64,16 @@ def mapping(cfg, where: str) -> dict:
 
 def _from_file(tp) -> bool:
     element = typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else tp
-    return element in _KINDS or dataclasses.is_dataclass(tp)
+    literal = typing.get_origin(element) is typing.Literal
+    return literal or element in _KINDS or dataclasses.is_dataclass(tp)
 
 
 @functools.cache
 def _dataclass_keys(cls) -> tuple[dict, tuple[str, ...]]:
     """The keys of a section that dataclass cls reads, with their types, and the
-    required ones: each init field of a type of _KINDS, a tuple of one, or a
-    dataclass. Cached, since typing.get_type_hints evaluates each annotation
-    anew on every call."""
+    required ones: each init field of a type of _KINDS or a Literal, a tuple of
+    one, or a dataclass. Cached, since typing.get_type_hints evaluates each
+    annotation anew on every call."""
     hints = typing.get_type_hints(cls)
     fields = [f for f in dataclasses.fields(cls) if f.init and _from_file(hints[f.name])]
     keys = {f.name: hints[f.name] for f in fields}
@@ -71,10 +84,10 @@ def _dataclass_keys(cls) -> tuple[dict, tuple[str, ...]]:
 
 def read_section(spec, cfg, where: str, raw: dict | None = None) -> dict:
     """The values cfg, the section where of a file, sets, each converted to its
-    key's type. spec is a dataclass (_dataclass_keys), raw the {key: type} of
-    keys it has no field for, or a record's {key: type}, each key required. An
-    unknown key fails first, so that a record of an older format fails on one of
-    its keys."""
+    key's type. spec is a dataclass (_dataclass_keys) or a record's {key: type},
+    each key required; raw is the {key: type} of optional keys spec does not
+    list. An unknown key fails first, so that a record of an older format fails
+    on one of its keys."""
     cfg = mapping(cfg, where)
     keys, required = (spec, spec) if isinstance(spec, dict) else _dataclass_keys(spec)
     keys = keys | (raw or {})
@@ -88,3 +101,10 @@ def read_section(spec, cfg, where: str, raw: dict | None = None) -> dict:
         if key not in cfg:
             raise ValidationError(f"missing key {key!r} in {where}")
     return values
+
+
+def type_fields(section, where: str) -> None:
+    """Converts each field of section, a frozen dataclass, as read_section converts
+    its key in where: a section built in code is typed, and fails, as in a file."""
+    for key, tp in _dataclass_keys(type(section))[0].items():
+        object.__setattr__(section, key, convert(tp, getattr(section, key), key, where))

@@ -18,10 +18,12 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import Literal
 
 import numpy as np
 
 from .anfis import features
+from .config import type_fields
 from .errors import RangeError, ValidationError
 from .kinematics import (
     TWO_PI,
@@ -37,8 +39,8 @@ from .kinematics import (
 
 _TIME_EPS = 1e-9
 
-CONVERGENCE_MODES = ("snap", "blend")
 PREDICTORS = ("first", "second", "anfis")  # run files and study files alike
+Predictor = Literal[PREDICTORS]
 
 
 @dataclass(frozen=True)
@@ -49,26 +51,21 @@ class DrConfig:
     th_pos: float = 1.0
     th_or: float = math.inf
     heartbeat: float = 5.0
-    predictor: str = "second"
-    convergence: str = "snap"
+    predictor: Predictor = "second"
+    convergence: Literal["snap", "blend"] = "snap"
     blend_window: float = 0.5
     anfis_bundle: object = None
 
     def __post_init__(self):
+        type_fields(self, "dr")
         if math.isnan(self.th_pos) or self.th_pos < 0.0:
             raise ValidationError(f"th_pos must be >= 0, got {self.th_pos}")
         if math.isnan(self.th_or) or self.th_or < 0.0:
             raise ValidationError(f"th_or must be >= 0, got {self.th_or}")
         if not (math.isfinite(self.heartbeat) and self.heartbeat > 0.0):
             raise ValidationError(f"heartbeat must be positive, got {self.heartbeat}")
-        if self.convergence not in CONVERGENCE_MODES:
-            raise ValidationError(f"unknown convergence mode {self.convergence!r}")
         if self.convergence == "blend" and not self.blend_window > 0.0:
             raise ValidationError("blend window must be positive")
-        if self.predictor not in PREDICTORS:
-            raise ValidationError(
-                f"'predictor' must be one of {', '.join(PREDICTORS)}, got {self.predictor!r}"
-            )
         if self.predictor == "anfis" and self.anfis_bundle is None:
             raise ValidationError("anfis predictor requires a trained bundle")
         if self.predictor != "anfis" and self.anfis_bundle is not None:

@@ -14,14 +14,15 @@ import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 import yaml
 
 from . import anfis
 from .anfis import AnfisBundle, TrainingSet, build_network, features
-from .config import mapping, read_section
-from .dead_reckoning import PREDICTORS, DrConfig, SendLog, display, gate, row_norms
+from .config import mapping, read_section, type_fields
+from .dead_reckoning import DrConfig, Predictor, SendLog, display, gate, row_norms
 from .errors import DegenerateFiringError, ValidationError
 from .kinematics import Correction, StateArrays, Trajectory, predict_positions
 from .kinematics import truth_arrays, wrap_angles
@@ -54,6 +55,7 @@ class Scenario:
     correction: Correction | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        type_fields(self, "run file")
         object.__setattr__(self, "truth", _checked_truth(self, "scenario"))
         if self.seed < 0:
             raise ValidationError(f"'seed' in run file must be >= 0, got {self.seed}")
@@ -321,28 +323,21 @@ class TrainSpec:
 
     Training reads split, n_terms, shape and obs_noise_pos. It reads nothing of
     epochs, eta, regime and rule_base: each axis is one ridge solve at its
-    initial premises (anfis.train_networks), regime accepts only hybrid and
-    rule_base only grid. The four keys stay, checked at load as before, only so
-    that the benchmark's training settings (ANFIS_TRAIN in bench/workloads.py)
-    load and read back."""
+    initial premises (anfis.train_networks). The four keys stay, checked at
+    load, only so that the benchmark's training settings (ANFIS_TRAIN in
+    bench/workloads.py) load and read back."""
 
     epochs: int = 4
     eta: float = 0.01
-    regime: str = "hybrid"
+    regime: Literal["hybrid"] = "hybrid"
     split: float = 0.7
     n_terms: int = 7
-    rule_base: str = "grid"
-    shape: str = "bell"
+    rule_base: Literal["grid"] = "grid"
+    shape: anfis.Shape = "bell"
     obs_noise_pos: float = 0.0
 
     def __post_init__(self):
-        for key, value, allowed in (
-            ("regime", self.regime, ("hybrid",)),
-            ("rule_base", self.rule_base, ("grid",)),
-            ("shape", self.shape, tuple(anfis.SHAPES)),
-        ):
-            if value not in allowed:
-                raise ValidationError(f"unknown {key!r} in train: {value!r}; choose from {allowed}")
+        type_fields(self, "train")
         if not 0.0 < self.split < 1.0:
             raise ValidationError(f"split must be in (0, 1), got {self.split}")
         for key, low in (("epochs", 1), ("n_terms", 1), ("eta", 0), ("obs_noise_pos", 0)):
@@ -357,12 +352,13 @@ class ComparisonStudy:
     tick: float
     duration: float
     horizons: tuple[int, ...] = tuple(range(1, 11))
-    predictors: tuple[str, ...] = ("second", "anfis")
+    predictors: tuple[Predictor, ...] = ("second", "anfis")
     train: TrainSpec = field(default_factory=TrainSpec)
     seed: int = 0
     table: MotionTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        type_fields(self, "study file")
         truth = _checked_truth(self, "study")
         if self.seed < 0:
             raise ValidationError(f"'seed' in study file must be >= 0, got {self.seed}")
@@ -370,11 +366,6 @@ class ComparisonStudy:
             raise ValidationError("horizons must be positive tick counts")
         if not self.predictors:
             raise ValidationError("'predictors' in study file lists no predictor")
-        for p in self.predictors:
-            if p not in PREDICTORS:
-                raise ValidationError(
-                    f"'predictors' in study file must be among {', '.join(PREDICTORS)}, got {p!r}"
-                )
         for key, values in (("horizons", self.horizons), ("predictors", self.predictors)):
             for v in values:
                 if values.count(v) > 1:

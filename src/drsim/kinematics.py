@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import convert
+from .config import read_section, type_fields
 from .errors import RangeError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -88,27 +88,18 @@ TRAJECTORY_PARAMS = {
 
 
 def _param(kind: str, key: str, value):
-    """A trajectory parameter as the motion law reads it: a read-only 3-vector if
-    key is in _VECTORS, the read-only (K, 4) waypoint table, else a finite float.
-    convert types it, as it types every file value; a numpy array reads as its list."""
+    """A parameter convert typed, as the motion law reads it: a read-only 3-vector
+    if key is in _VECTORS, the read-only (K, 4) waypoint table, else a float. It
+    checks what convert cannot: a vector's length, finiteness, the table's rows."""
     name = f"{key!r} in a {kind} trajectory"
-    vector = tuple[float, ...]
-    tp = vector if key in _VECTORS else tuple[vector, ...] if key == "waypoints" else float
-    try:
-        typed = convert(tp, value.tolist() if isinstance(value, np.ndarray) else value, key, kind)
-    except ValidationError:
-        typed = None  # fails the checks below, which give the value as it was
     if key in _VECTORS:
-        if typed is None:
-            raise ValidationError(f"{name} must be a 3-vector of numbers, got {value!r}")
-        return _vec3(typed, name)
+        return _vec3(value, name)
     if key != "waypoints":
-        if typed is None or not math.isfinite(typed):
+        if not math.isfinite(value):
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        return typed
-    if not (typed and all(len(row) == 4 for row in typed)):
-        typed = [[math.nan] * 4]  # fails the check below
-    arr = np.array(typed, dtype=float)
+        return value
+    rows = value if value and all(len(row) == 4 for row in value) else [[math.nan] * 4]
+    arr = np.array(rows)  # a table of no row, or of another width, fails the check below
     if not (np.all(np.isfinite(arr)) and np.all(np.diff(arr[:, 0]) > 0.0)):
         raise ValidationError(f"{name} must be finite [t, x, y, z] rows, t increasing, got {value!r}")
     arr.flags.writeable = False
@@ -119,30 +110,27 @@ def _param(kind: str, key: str, value):
 class Trajectory:
     """Analytic motion law: kind plus a kind-specific numeric parameter record.
 
-    params may hold only the parameters TRAJECTORY_PARAMS lists for the kind;
-    after construction it holds all of them, defaults filled in, as _param converts them.
+    params may hold only the parameters TRAJECTORY_PARAMS lists for the kind, read
+    as a file's are; after construction it holds all of them, defaults filled in.
     """
 
     kind: str
-    params: Mapping[str, object]
+    params: dict[str, object]
     duration: float
 
     def __post_init__(self):
+        type_fields(self, "trajectory")
         table = TRAJECTORY_PARAMS.get(self.kind)
         if table is None:
             raise ValidationError(f"unknown trajectory kind {self.kind!r}")
-        for key in self.params:
-            if key not in table:
-                raise ValidationError(
-                    f"unknown key {key!r} in a {self.kind} trajectory; "
-                    f"expected one of {', '.join(sorted(table))}"
-                )
-        for key, default in table.items():
-            if default is None and key not in self.params:
-                raise ValidationError(f"missing key {key!r} in a {self.kind} trajectory")
         if not (self.duration > 0.0 and math.isfinite(self.duration)):
             raise ValidationError(f"duration must be positive, got {self.duration}")
-        params = {**table, **self.params}
+        vector = tuple[float, ...]  # a vector parameter, and each row of the waypoint table
+        types = {k: vector if k in _VECTORS else tuple[vector, ...] if k == "waypoints" else float
+                 for k in table}
+        required = {key: types[key] for key, default in table.items() if default is None}
+        given = read_section(required, self.params, f"a {self.kind} trajectory", raw=types)
+        params = {**table, **given}
         object.__setattr__(self, "params", {k: _param(self.kind, k, v) for k, v in params.items()})
 
     def covers(self, t: float) -> bool:

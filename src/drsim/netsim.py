@@ -14,6 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .config import type_fields
 from .errors import RangeError, SimulationError, ValidationError
 
 
@@ -26,6 +27,7 @@ class ChannelConfig:
     reorder_allowed: bool = False
 
     def __post_init__(self):
+        type_fields(self, "channel")
         if not (math.isfinite(self.base_delay) and self.base_delay >= 0.0):
             raise ValidationError(f"base_delay must be >= 0, got {self.base_delay}")
         if not (math.isfinite(self.jitter) and self.jitter >= 0.0):

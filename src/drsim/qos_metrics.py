@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
+from .config import type_fields
 from .dead_reckoning import _TIME_EPS, DrConfig
 from .errors import ValidationError
 from .kinematics import EntityState, angle_diff
@@ -32,14 +34,13 @@ class QosProfile:
     """The bounds a run is graded against: one of the two named classes, or
     custom bounds (the default name)."""
 
-    name: str = "custom"
+    name: Literal["tightly-coupled", "loosely-coupled", "custom"] = "custom"
     max_latency: float
     max_loss: float
     max_error: float = math.inf
 
     def __post_init__(self):
-        if self.name not in ("tightly-coupled", "loosely-coupled", "custom"):
-            raise ValidationError(f"unknown QoS profile {self.name!r}")
+        type_fields(self, "profile")
         for key in ("max_latency", "max_loss", "max_error"):
             if not getattr(self, key) >= 0.0:  # NaN too: the verdict would skip its check
                 raise ValidationError(f"{key!r} in profile must be >= 0, got {getattr(self, key)}")

@@ -97,8 +97,10 @@ class TestMembership:
             ("sigmoid", 7.0, "'n_terms' in input 'x': expected an integer, got 7.0$"),
             ("sigmoid", True, "'n_terms' in input 'x': expected an integer, got True$"),
             ("bell", "7", "'n_terms' in input 'x': expected an integer, got '7'$"),
-            ("triangle", 3, "input 'x' has unknown shape 'triangle'"),
-            (["bell"], 3, r"^bad value for 'shape' in input 'x': expected text, got \['bell'\]$"),
+            ("triangle", 3, "^bad value for 'shape' in input 'x': expected one of sigmoid, bell, "
+             "got 'triangle'$"),
+            (["bell"], 3, "^bad value for 'shape' in input 'x': expected one of sigmoid, bell, "
+             r"got \['bell'\]$"),
         ]:
             with pytest.raises(ValidationError, match=match):
                 InputSpec("x", -1.0, 1.0, shape, n_terms)
@@ -686,7 +688,8 @@ class TestBundle:
     @pytest.mark.parametrize(
         "shape, record, key, value, match",
         [
-            ("bell", None, "shape", "trapezoid", "input 'velocity' has unknown shape"),
+            ("bell", None, "shape", "trapezoid", "^bad value for 'shape' in input 'velocity': "
+             "expected one of sigmoid, bell, got 'trapezoid'$"),
             ("bell", None, "n_terms", math.inf, "bad value for 'n_terms' in input 'velocity': "
              "expected an integer, got inf"),
             ("sigmoid", None, "n_terms", math.nan, "'n_terms' in input 'velocity': expected an "
@@ -743,7 +746,8 @@ class TestBundle:
             # an integer too large for a float, as in every other section
             ("bell", "bundle", "h_ref", 10**400, "'h_ref' in anfis bundle: expected a number, "
              "got 1000"),
-            ("bell", None, "shape", 2, "'shape' in input 'velocity': expected text, got 2$"),
+            ("bell", None, "shape", 2, "'shape' in input 'velocity': expected one of sigmoid, "
+             "bell, got 2$"),
             # 10**18 rules: the consequent count fails before the rule grid is made
             ("bell", "network", "inputs", [
                 {"name": name, "lo": -1.0, "hi": 1.0, "shape": "bell", "n_terms": 10**6}

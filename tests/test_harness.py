@@ -933,36 +933,44 @@ class TestConfigKeys:
             ("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0, 0]}, "v", "3-vector"),
             ("constant-velocity", {"p0": [0, 0], "v": [1, 0, 0]}, "p0", "3-vector"),
             ("constant-velocity", {"p0": [0, 0, 0, 0], "v": [1, 0, 0]}, "p0", "3-vector"),
-            ("constant-velocity", {"p0": [0, 0, 0], "v": "fast"}, "v", "3-vector"),
-            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": "abc"}, "freq", "finite number"),
+            ("constant-velocity", {"p0": [0, 0, 0], "v": "fast"}, "v",
+             "^bad value for 'v' in a constant-velocity trajectory: expected a list, got 'fast'$"),
+            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": "abc"}, "freq",
+             "^bad value for 'freq' in a sinusoid-weave trajectory: expected a number, got 'abc'$"),
             ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": math.nan}, "freq", "finite number"),
             ("sinusoid-weave", {"amplitude": [1, 0], "freq": 1.0}, "amplitude", "3-vector"),
-            ("circular", {"radius": [1, 2], "omega": 1.0}, "radius", "finite number"),
+            ("circular", {"radius": [1, 2], "omega": 1.0}, "radius",
+             r"^bad value for 'radius' in a circular trajectory: expected a number, got \[1, 2\]$"),
             ("circular", {"radius": 1, "omega": 1, "center": [0, math.nan, 0]}, "center", "finite"),
             ("constant-acceleration", {"p0": [0, 0, 0], "v0": [0, 0, 0], "a": [math.inf, 0, 0]},
              "a", "finite"),
             ("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0], "theta0": "x"}, "theta0",
-             "finite number"),
+             "^bad value for 'theta0' in a constant-velocity trajectory: expected a number, "
+             "got 'x'$"),
             ("waypoint-script", {"waypoints": []}, "waypoints", "rows"),
             ("waypoint-script", {"waypoints": [[0, 0, 0], [1, 1, 0]]}, "waypoints", "rows"),
             ("waypoint-script", {"waypoints": [[1, 0, 0, 0], [0, 1, 0, 0]]}, "waypoints",
              "t increasing"),
             # a flag or text is no number, as in every other section
             ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": "1e-1"}, "freq",
-             "finite number, got '1e-1'"),
+             "^bad value for 'freq' in a sinusoid-weave trajectory: expected a number, "
+             "got '1e-1'$"),
             ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": True}, "freq",
-             "finite number, got True"),
+             "^bad value for 'freq' in a sinusoid-weave trajectory: expected a number, got True$"),
             ("sinusoid-weave", {"amplitude": ["1", True, 0], "freq": 0.1}, "amplitude",
-             r"3-vector of numbers, got \['1', True, 0\]"),
+             "^bad value for 'amplitude' in a sinusoid-weave trajectory: expected a number, "
+             "got '1'$"),
             ("constant-velocity", {"p0": [0, 0, 0], "v": [1, False, 0]}, "v",
-             "3-vector of numbers"),
+             "^bad value for 'v' in a constant-velocity trajectory: expected a number, got False$"),
             ("waypoint-script", {"waypoints": [[0, 0, 0, 0], [1, "2", 0, 0]]}, "waypoints",
-             r"rows, t increasing, got \[\[0, 0, 0, 0\], \[1, '2', 0, 0\]\]"),
+             "^bad value for 'waypoints' in a waypoint-script trajectory: expected a number, "
+             "got '2'$"),
             ("waypoint-script", {"waypoints": [[0, 0, 0, 0], [True, 1, 0, 0]]}, "waypoints",
-             "rows"),
+             "^bad value for 'waypoints' in a waypoint-script trajectory: expected a number, "
+             "got True$"),
             # an integer too large for a float, as in every other section
             ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 10**400}, "freq",
-             "finite number, got 1000"),
+             "^bad value for 'freq' in a sinusoid-weave trajectory: expected a number, got 1000"),
         ],
         ids=[
             "v-2", "v-4", "p0-2", "p0-4", "v-text", "freq-text", "freq-nan", "amplitude-2",
@@ -973,8 +981,12 @@ class TestConfigKeys:
         ],
     )
     def test_bad_trajectory_parameter_rejected(self, kind, params, key, match):
+        """A value convert rejects fails as in every other section (match is the
+        whole message); a value it types fails the motion law's own checks."""
         cfg = dict(RUN_CFG, trajectory={"kind": kind, **params})
-        with pytest.raises(ValidationError, match=f"'{key}' in a {kind} trajectory must .*{match}"):
+        if not match.startswith("^"):
+            match = f"'{key}' in a {kind} trajectory must .*{match}"
+        with pytest.raises(ValidationError, match=match):
             scenario_from_dict(cfg)
 
     @pytest.mark.parametrize(
@@ -1020,10 +1032,21 @@ class TestConfigKeys:
             ("train", "epochs", 0, "'epochs' in train must be >= 1"),
             ("train", "n_terms", 0, "'n_terms' in train must be >= 1"),
             ("train", "eta", -1.0, "'eta' in train must be >= 0"),
-            ("train", "rule_base", "grdi", "unknown 'rule_base' in train: 'grdi'"),
-            ("train", "rule_base", "compact", "unknown 'rule_base' in train: 'compact'"),
-            ("train", "regime", "gd", "unknown 'regime' in train: 'gd'"),
-            ("train", "shape", "bel", "unknown 'shape' in train: 'bel'"),
+            # a choice takes only one of its texts
+            pytest.param("train", "rule_base", "grdi",
+                         "^bad value for 'rule_base' in train: expected one of grid, got 'grdi'$",
+                         id="train-rule_base-grdi-unknown 'rule_base' in train: 'grdi'"),
+            pytest.param("train", "rule_base", "compact",
+                         "^bad value for 'rule_base' in train: expected one of grid, "
+                         "got 'compact'$",
+                         id="train-rule_base-compact-unknown 'rule_base' in train: 'compact'"),
+            pytest.param("train", "regime", "gd",
+                         "^bad value for 'regime' in train: expected one of hybrid, got 'gd'$",
+                         id="train-regime-gd-unknown 'regime' in train: 'gd'"),
+            pytest.param("train", "shape", "bel",
+                         "^bad value for 'shape' in train: expected one of sigmoid, bell, "
+                         "got 'bel'$",
+                         id="train-shape-bel-unknown 'shape' in train: 'bel'"),
             ("train", "obs_noise_pos", math.nan, "'obs_noise_pos' in train must be >= 0"),
             ("study file", "seed", -1, "'seed' in study file must be >= 0"),
             ("run file", "seed", -1, "seed must be >= 0"),  # the channel inherits it
@@ -1052,8 +1075,15 @@ class TestConfigKeys:
             pytest.param("train", "split", 10**400, "'split' in train: expected a number, got 1000",
                          id="train-split-400-digits"),
             ("run file", "name", [1, 2], r"'name' in run file: expected text, got \[1, 2\]$"),
-            ("study file", "predictors", [1, 2], "'predictors' in study file: expected text, got 1$"),
-            ("dr", "convergence", None, "'convergence' in dr: expected text, got None$"),
+            pytest.param("study file", "predictors", [1, 2],
+                         "^bad value for 'predictors' in study file: expected one of first, "
+                         "second, anfis, got 1$",
+                         id="study file-predictors-value28-'predictors' in study file: expected "
+                         "text, got 1$"),
+            pytest.param("dr", "convergence", None,
+                         "^bad value for 'convergence' in dr: expected one of snap, blend, "
+                         "got None$",
+                         id="dr-convergence-None-'convergence' in dr: expected text, got None$"),
         ],
     )
     def test_bad_setting_rejected_at_load(self, tmp_path, where, key, value, match):
@@ -1137,38 +1167,74 @@ class TestConfigKeys:
             scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
 
     @pytest.mark.parametrize(
-        "key, value",
+        "where, key, value",
         [
-            ("n_terms", 1.5), ("n_terms", True), ("n_terms", "7"), ("lo", True), ("lo", "low"),
-            ("h_ref", "0.1"), ("h_ref", True), ("anfis_net", 5),
+            ("input", "n_terms", 1.5), ("input", "n_terms", True), ("input", "n_terms", "7"),
+            ("input", "lo", True), ("input", "lo", "low"), ("input", "shape", "triangle"),
+            ("anfis bundle", "h_ref", "0.1"), ("anfis bundle", "h_ref", True),
+            ("network record", "consequents", ["1", "2"]),
+            ("network record", "consequents", [True, False]),
+            ("dr", "anfis_net", 5), ("dr", "heartbeat", True), ("dr", "convergence", "blnd"),
+            ("dr", "predictor", "third"), ("channel", "seed", 1.5),
+            ("channel", "reorder_allowed", 1), ("profile", "max_latency", True),
+            ("profile", "name", "tight"), ("train", "n_terms", 2.5), ("train", "shape", "bel"),
+            ("run file", "seed", 1.5), ("run file", "message_size_bytes", "144"),
+            ("study file", "predictors", ["third"]), ("study file", "horizons", [1.5]),
+            ("trajectory", "freq", "1e-1"), ("trajectory", "amplitude", [1, True, 0]),
         ],
         ids=[
             "fractional-terms", "boolean-terms", "text-terms", "boolean-lo", "text-lo",
-            "text-h_ref", "boolean-h_ref", "number-anfis_net",
+            "unknown-shape", "text-h_ref", "boolean-h_ref", "text-consequents",
+            "boolean-consequents", "number-anfis_net", "boolean-heartbeat", "unknown-convergence",
+            "unknown-predictor", "fractional-channel-seed", "integer-reorder_allowed",
+            "boolean-max_latency", "unknown-profile-name", "fractional-train-n_terms",
+            "unknown-train-shape", "fractional-run-seed", "text-message_size_bytes",
+            "unknown-study-predictor", "fractional-horizon", "text-freq", "boolean-amplitude-cell",
         ],
     )
-    def test_bad_value_reads_the_same_from_code_and_file(self, tmp_path, key, value):
-        """config.convert types every value, so one built in code fails with the
-        message the same value gives in a file: an input of a network, a bundle's
-        h_ref, or a run's anfis_net."""
-        bundle, dr = fixed_bundle(), {"predictor": "anfis", "anfis_net": value}
-        doc, path = bundle.to_dict(), tmp_path / "bundle.json"
-        if key == "anfis_net":
-            path = tmp_path / "run.yaml"
-            path.write_text(yaml.safe_dump(dict(RUN_CFG, dr=dr)), encoding="utf-8")
-            cases = [lambda: scenario_from_dict(dict(RUN_CFG, dr=dr)), lambda: load_scenario(path)]
+    def test_bad_value_reads_the_same_from_code_and_file(self, tmp_path, where, key, value):
+        """config.convert types every value, and each section types its own fields
+        with it, so a value built in code fails with the message the same value
+        gives in a file, in every section: where names the section or record."""
+        bundle = fixed_bundle()
+        if where in ("input", "anfis bundle", "network record"):
+            doc, load, path = bundle.to_dict(), AnfisBundle.load, tmp_path / "bundle.json"
+            network = doc["networks"][0]
+            record = {"input": network["inputs"][1], "network record": network}.get(where, doc)
+            in_code = {
+                "input": lambda: InputSpec(**record),
+                "anfis bundle": lambda: AnfisBundle(bundle.networks, value, bundle.feature_tick),
+                "network record": lambda: anfis.AnfisNetwork(bundle.networks[0].inputs, value),
+            }[where]
+        elif where in ("train", "study file"):
+            path, load = tiny_study_file(tmp_path), load_study
+            doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+            record = doc["train"] if where == "train" else doc
+            in_code = {
+                "train": lambda: TrainSpec(**{key: value}),
+                "study file": lambda: ComparisonStudy(weave(60.0), 0.1, 60.0, **{key: value}),
+            }[where]
         else:
-            if key == "h_ref":
-                doc["h_ref"] = value
-                in_code = lambda: AnfisBundle(bundle.networks, value, bundle.feature_tick)
-            else:
-                spec = doc["networks"][0]["inputs"][1]  # the velocity input of x
-                spec[key] = value
-                in_code = lambda: InputSpec(**spec)
-            path.write_text(json.dumps(doc), encoding="utf-8")
-            cases = [in_code, lambda: AnfisBundle.load(path)]
+            doc, load = yaml.safe_load(yaml.safe_dump(RUN_CFG)), load_scenario
+            path = tmp_path / "run.yaml"
+            doc["profile"] = {"max_latency": 0.5, "max_loss": 0.1}
+            doc["trajectory"] = {"kind": "sinusoid-weave", "amplitude": [1, 0, 0], "freq": 0.1}
+            record = doc.get(where, doc)
+            in_code = {
+                "dr": lambda: DrConfig(**record),
+                "channel": lambda: ChannelConfig(**record),
+                "profile": lambda: QosProfile(**record),
+                "run file": lambda: scenario(tick=0.1, duration=1.0, **{key: value}),
+                "trajectory": lambda: Trajectory(
+                    "sinusoid-weave", {k: v for k, v in record.items() if k != "kind"}, 1.0
+                ),
+            }[where]
+            if key == "anfis_net":  # no constructor takes a path: the run's dict is the code
+                doc["dr"]["predictor"], in_code = "anfis", lambda: scenario_from_dict(doc)
+        record[key] = value
+        path.write_text(json.dumps(doc) if path.suffix == ".json" else yaml.safe_dump(doc))
         messages = []
-        for make in cases:
+        for make in (in_code, lambda: load(path)):
             with pytest.raises(ValidationError) as caught:
                 make()
             messages.append(str(caught.value))
@@ -1462,6 +1528,15 @@ class TestCli:
             )
             assert rc == 0
             assert out.read_text().startswith(f"{axis},")
+
+    def test_sweep_value_that_is_no_number_names_the_flag_and_the_axis(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", str(SCENARIO_DIR / "sinusoid_tight.yaml"), "--axis", "loss"]
+        assert cli.main([*argv, "--values", "0.1,abc", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        expected = "bad value for 'loss' in --values: could not convert string to float: 'abc'"
+        assert err == f"error: {expected}\n"
+        assert not out.exists()
 
 
 def test_readme_run_file_loads_as_written():
