@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import convert, read_section, type_fields
 from .errors import DegenerateFiringError, ValidationError
-from .kinematics import Correction, EntityState, StateArrays, advance, predict_positions
+from .kinematics import Correction, EntityState, StateArrays, predict_positions
 from .kinematics import extrapolate  # noqa: F401 -- bench/tracer.py wraps it here
 
 _EXP_CLIP = 60.0
@@ -265,11 +265,6 @@ def loss(net: AnfisNetwork, data: TrainingSet) -> float:
     return float(0.5 * np.sum((_one_target(data) - out) ** 2))
 
 
-def _premises(net: AnfisNetwork) -> list:
-    """All that a forward pass's firing reads of net."""
-    return [(s.shape, s.lo, s.hi, s.n_terms) for s in net.inputs]
-
-
 def _gram(beta: np.ndarray) -> np.ndarray:
     """B'B for the design B (N, R), here the firing: the Grams of its
     _GRAM_ROWS-row blocks, each one BLAS call, summed in row order, the partial
@@ -344,8 +339,8 @@ def features(rows: StateArrays, tick: float, dev0: np.ndarray | float = 0.0) -> 
     one tick on; row 0's is dev0, zero where rows start the grid."""
     out = np.empty((3, len(rows.time), 3))
     out[:, 0, 0] = dev0
-    p, v, a = rows.position[:-1], rows.velocity[:-1], rows.acceleration[:-1]
-    out[:, 1:, 0] = (rows.position[1:] - advance(p, v, 0.5 * a, np.array([tick]))).T
+    ahead = predict_positions(rows, "second", slice(None, -1), np.array([tick]))
+    out[:, 1:, 0] = (rows.position[1:] - ahead).T
     out[:, :, 1] = rows.velocity.T
     out[:, :, 2] = rows.orientation
     return out
@@ -395,8 +390,7 @@ class AnfisBundle:
         rows = StateArrays.of(history[-2:])
         newest = rows[-1:]
         correction = self.correction(newest, features(rows, self.feature_tick)[:, -1, 0])
-        half_a = 0.5 * newest.acceleration
-        return predict_positions(newest, half_a, [0], np.array([horizon]), correction)[0]
+        return predict_positions(newest, "anfis", [0], np.array([horizon]), correction)[0]
 
     def to_dict(self) -> dict:
         return {
@@ -430,22 +424,21 @@ def bundle_residuals(bundles: list[AnfisBundle], inputs: np.ndarray) -> list[np.
     """Learned corrections (N, 3) of each bundle at its reference horizon, for
     the :func:`features` rows inputs (3, N, 3).
 
-    The bundles must share each axis network's premises (compared by
-    _premises), as a study's bundles do: rows go through the first bundle's
-    networks in blocks of _RESIDUAL_ROWS, one forward pass per axis and block,
-    and one np.vecdot of that firing with every bundle's consequents, stacked
-    (B, R), scores all bundles at once. A row's firing does not depend on the
-    rows beside it, and each (row, bundle) output is its own dot of firing
-    strengths and consequents, so it equals a one-row call of its bundle bit
-    for bit (a matrix product over many rows rounds differently). Only one
-    firing is alive at a time. A DegenerateFiringError gives its rows as
-    indices of inputs' rows.
+    The bundles must share each axis network's premises, its inputs, as a
+    study's bundles do: rows go through the first bundle's networks in blocks
+    of _RESIDUAL_ROWS, one forward pass per axis and block, and one np.vecdot
+    of that firing with every bundle's consequents, stacked (B, R), scores all
+    bundles at once. A row's firing does not depend on the rows beside it, and
+    each (row, bundle) output is its own dot of firing strengths and
+    consequents, so it equals a one-row call of its bundle bit for bit (a
+    matrix product over many rows rounds differently). Only one firing is
+    alive at a time. A DegenerateFiringError gives its rows as indices of
+    inputs' rows.
     """
     first = bundles[0].networks
-    premises = [_premises(net) for net in first]
     for bundle in bundles[1:]:
-        for axis, shared, net in zip(AXIS_NAMES, premises, bundle.networks):
-            if _premises(net) != shared:
+        for axis, shared, net in zip(AXIS_NAMES, first, bundle.networks):
+            if net.inputs != shared.inputs:
                 raise ValidationError(f"bundles scored together differ in their {axis} premises")
     # zs[k] (B, R): every bundle's axis-k consequents, one row per bundle
     zs = [np.stack([bundle.networks[k].z for bundle in bundles]) for k in range(3)]

@@ -26,6 +26,11 @@ _KINDS = {
 }
 
 
+def bad_value(key: str, where: str, what: str, value) -> ValidationError:
+    """The error for value, that of key in where, which is not what."""
+    return ValidationError(f"bad value for {key!r} in {where}: expected {what}, got {value!r}")
+
+
 def convert(tp, value, key: str, where: str):
     """value, that of key in where, as tp: a type of _KINDS (a list is left for
     the caller to read), tuple[X, ...] for a list of X (a numpy array reads as
@@ -53,7 +58,7 @@ def convert(tp, value, key: str, where: str):
                 return tp(value)
             except OverflowError:  # an integer too large for a float
                 pass
-    raise ValidationError(f"bad value for {key!r} in {where}: expected {what}, got {value!r}")
+    raise bad_value(key, where, what, value)
 
 
 def mapping(cfg, where: str) -> dict:
@@ -105,6 +110,10 @@ def read_section(spec, cfg, where: str, raw: dict | None = None) -> dict:
 
 def type_fields(section, where: str) -> None:
     """Converts each field of section, a frozen dataclass, as read_section converts
-    its key in where: a section built in code is typed, and fails, as in a file."""
+    its key in where: a section built in code is typed, and fails, as in a file.
+    A field that holds a section holds one built already, as a file's mapping is."""
     for key, tp in _dataclass_keys(type(section))[0].items():
-        object.__setattr__(section, key, convert(tp, getattr(section, key), key, where))
+        value = getattr(section, key)
+        if dataclasses.is_dataclass(tp) and not isinstance(value, tp):
+            raise bad_value(key, where, f"a {tp.__name__}", value)
+        object.__setattr__(section, key, convert(tp, value, key, where))

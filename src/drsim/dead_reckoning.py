@@ -22,8 +22,8 @@ from typing import Literal
 
 import numpy as np
 
-from .anfis import features
-from .config import type_fields
+from .anfis import AnfisBundle, features
+from .config import bad_value, type_fields
 from .errors import RangeError, ValidationError
 from .kinematics import (
     TWO_PI,
@@ -32,6 +32,7 @@ from .kinematics import (
     StateArrays,
     angle_diff,
     extrapolate,
+    predict_headings,
     predict_positions,
     wrap_angle,
     wrap_angles,
@@ -54,10 +55,12 @@ class DrConfig:
     predictor: Predictor = "second"
     convergence: Literal["snap", "blend"] = "snap"
     blend_window: float = 0.5
-    anfis_bundle: object = None
+    anfis_bundle: AnfisBundle | None = None
 
     def __post_init__(self):
         type_fields(self, "dr")
+        if not isinstance(self.anfis_bundle, (AnfisBundle, type(None))):
+            raise bad_value("anfis_bundle", "dr", "an AnfisBundle", self.anfis_bundle)
         if math.isnan(self.th_pos) or self.th_pos < 0.0:
             raise ValidationError(f"th_pos must be >= 0, got {self.th_pos}")
         if math.isnan(self.th_or) or self.th_or < 0.0:
@@ -211,13 +214,6 @@ def row_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(d, d))
 
 
-def predict_headings(truth: StateArrays, rows, dt: np.ndarray) -> np.ndarray:
-    """Headings (K,) :func:`predict` gives dt (K,) seconds after the truth
-    states at rows, with the same rounding: wrapping a wrapped angle changes no
-    bit, so one wrap stands for those of extrapolate() and each EntityState."""
-    return wrap_angles(truth.orientation[rows] + truth.angular_rate[rows] * dt)
-
-
 @dataclass
 class SendLog:
     """The updates a sender emits over a run, in sequence order."""
@@ -304,13 +300,12 @@ def gate(truth: StateArrays, config: DrConfig, correction: Correction | None) ->
     is bit for bit the one both tests give; with neither live, the updates
     are the heartbeat chain.
     """
-    half_a = None if config.predictor == "first" else 0.5 * truth.acceleration
     times = truth.time.tolist()
     n = len(times)
     heartbeat_due = config.heartbeat - _TIME_EPS
 
     def position_over(last, span, dt):
-        pos = predict_positions(truth, half_a, last, dt, correction)
+        pos = predict_positions(truth, config.predictor, last, dt, correction)
         pos -= truth.position[span]  # predicted minus true: the negation has the same norms
         return row_norms(pos) >= config.th_pos
 
@@ -379,13 +374,12 @@ def display(
     offset_or = np.zeros(n_msgs)
     blend_start = np.zeros(n_msgs)
     blend_until = np.full(n_msgs, -math.inf)
-    half_a = None if config.predictor == "first" else 0.5 * truth.acceleration
 
     def predicted(seqs: np.ndarray, now: np.ndarray):
         r = log.rows[seqs]
         t0 = truth.time[r]
         dt = np.maximum(now, t0) - t0
-        pos = predict_positions(truth, half_a, r, dt, correction)
+        pos = predict_positions(truth, config.predictor, r, dt, correction)
         return pos, predict_headings(truth, r, dt)
 
     if config.convergence == "blend":

@@ -76,11 +76,6 @@ class Scenario:
                 ) from None
         object.__setattr__(self, "correction", correction)
 
-    @property
-    def n_ticks(self) -> int:
-        """Ticks after t = 0; the run samples n_ticks + 1 times."""
-        return len(self.truth.time) - 1
-
 
 def _checked_truth(config: Scenario | ComparisonStudy, what: str) -> StateArrays:
     """The truth of config, a run or a study, at t = 0 and each whole tick, after
@@ -412,10 +407,9 @@ def _training_sets(
     order of horizons: the residual of second-order projection h ticks ahead."""
     n = split_idx - max(horizons) - 1
     observed, rows = table.observed, slice(1, n + 1)
-    half_a = 0.5 * observed.acceleration
     targets = np.empty((3, n, len(horizons)))
     for j, h in enumerate(horizons):
-        pred = predict_positions(observed, half_a, rows, np.array([h * tick]))
+        pred = predict_positions(observed, "second", rows, np.array([h * tick]))
         targets[:, :, j] = (table.truth.position[1 + h : n + 1 + h] - pred).T
     return [TrainingSet(table.inputs[k, rows], targets[k]) for k in range(3)]
 
@@ -517,7 +511,6 @@ def run_comparison(study: ComparisonStudy) -> ComparisonResult:
         bundles = train_bundle(study, horizons)
         residuals = anfis.bundle_residuals(bundles, table.inputs[:, split_idx : n - min(horizons)])
     held = table.observed[split_idx:]  # its row k, and each correction's, is row split_idx + k
-    half_a = 0.5 * held.acceleration
     mae: dict[str, list[float]] = {p: [] for p in study.predictors}
     for j, h in enumerate(horizons):
         test = slice(0, n - h - split_idx)
@@ -525,7 +518,7 @@ def run_comparison(study: ComparisonStudy) -> ComparisonResult:
         truth_ahead = table.truth.position[split_idx + h :]
         for p in study.predictors:
             correction = Correction(residuals[j], bundles[j].h_ref) if p == "anfis" else None
-            pred = predict_positions(held, None if p == "first" else half_a, test, dt, correction)
+            pred = predict_positions(held, p, test, dt, correction)
             err = np.linalg.norm(pred - truth_ahead, axis=1)
             mae[p].append(float(np.mean(err)))
     return ComparisonResult(horizons, tuple(study.predictors), mae)

@@ -266,18 +266,6 @@ def truth_arrays(traj: Trajectory, times: np.ndarray) -> StateArrays:
     return StateArrays(pos, vel, acc, theta, omega, t)
 
 
-def advance(position, velocity, half_accel, dt: np.ndarray) -> np.ndarray:
-    """position + velocity * dt + half_accel * dt * dt, rounded as written and as
-    :func:`extrapolate` rounds it, for dt (N, 1) or (1,); half_accel None leaves
-    out the last term (first order)."""
-    pos = position + velocity * dt
-    if half_accel is not None:
-        acc = half_accel * dt
-        acc *= dt  # in place: one (N, 3) temporary, not two
-        pos += acc
-    return pos
-
-
 @dataclass(frozen=True, eq=False)
 class Correction:
     """A term on second-order extrapolation: column (N, 3) holds its value h_ref
@@ -294,16 +282,26 @@ class Correction:
 
 
 def predict_positions(
-    truth: StateArrays, half_a, rows, dt: np.ndarray, correction: Correction | None = None
+    truth: StateArrays, predictor: str, rows, dt: np.ndarray, correction: Correction | None = None
 ) -> np.ndarray:
     """Positions (K, 3) of the truth states at rows (one, one per gap, or many with
-    one gap) dt (K,) seconds on, rounded as the per-tick predict rounds them; half_a
-    is truth's half acceleration, None for first order; correction is added scaled."""
-    half = None if half_a is None else half_a[rows]
-    pos = advance(truth.position[rows], truth.velocity[rows], half, dt[:, None])
+    one gap) dt (K,) seconds on, by the law :func:`extrapolate` reads from the
+    predictor's name and rounded as it rounds it; correction is added scaled."""
+    gap = dt[:, None]
+    pos = truth.position[rows] + truth.velocity[rows] * gap
+    if predictor != "first":
+        acc = (0.5 * truth.acceleration[rows]) * gap
+        acc *= gap  # in place: one (K, 3) temporary, not two
+        pos += acc
     if correction is not None:
         pos += correction.column[rows] * correction.scales(dt)[:, None]
     return pos
+
+
+def predict_headings(truth: StateArrays, rows, dt: np.ndarray) -> np.ndarray:
+    """Headings (K,) :func:`extrapolate` gives dt (K,) seconds after the truth
+    states at rows, bit for bit in one wrap: wrapping a wrapped angle changes no bit."""
+    return wrap_angles(truth.orientation[rows] + truth.angular_rate[rows] * dt)
 
 
 def extrapolate(base: EntityState, t: float, predictor: str = "second") -> EntityState:

@@ -51,10 +51,10 @@ def reference_bundles(study: ComparisonStudy, horizons: tuple[int, ...]) -> list
     table, ordered = study.table, sorted(set(study.horizons) | set(horizons))
     split = int(len(table.truth.time) * study.train.split)
     rows = np.arange(1, split - ordered[-1])
-    half_a, residuals = 0.5 * table.observed.acceleration, []
+    residuals = []
     for h in ordered:
         dt = np.array([h * study.tick])
-        pred = predict_positions(table.observed, half_a, rows, dt)
+        pred = predict_positions(table.observed, "second", rows, dt)
         residuals.append(table.truth.position[rows + h] - pred)
     axes = []
     for k in range(3):

@@ -9,10 +9,9 @@ from drsim.dead_reckoning import (
     SenderModel,
     UpdateMessage,
     predict,
-    predict_headings,
 )
 from drsim.errors import RangeError, ValidationError
-from drsim.kinematics import EntityState, StateArrays, Trajectory, sample_truth
+from drsim.kinematics import EntityState, StateArrays, Trajectory, predict_headings, sample_truth
 
 
 def state(p, v=(0, 0, 0), a=(0, 0, 0), theta=0.0, omega=0.0, t=0.0):

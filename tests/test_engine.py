@@ -323,7 +323,7 @@ def test_heading_deviation_is_truth_less_mirror():
     sc = scenario("sinusoid-weave", dr, ChannelConfig())
     first = UpdateMessage(sc.name, sample_truth(sc.trajectory, 0.0), 0, 0.0)
     peak = 0.0
-    for i in range(1, sc.n_ticks + 1):
+    for i in range(1, len(sc.truth.time)):
         truth = sample_truth(sc.trajectory, i * sc.tick)
         x = truth.orientation - predict(first, truth.time, dr).orientation
         dev = abs(wrap_angle(x))

@@ -143,7 +143,7 @@ class TestTickCount:
     )
     def test_whole_ticks_within_duration(self, duration, tick, n_ticks):
         sc = scenario(tick=tick, duration=duration)
-        assert sc.n_ticks == n_ticks
+        assert len(sc.truth.time) - 1 == n_ticks
         assert run_scenario(sc).series.times[-1] == pytest.approx(n_ticks * tick)
         table = ComparisonStudy(sc.trajectory, tick, duration).table
         assert len(table.truth.time) == n_ticks + 1
@@ -342,8 +342,8 @@ def record_study_predictions(monkeypatch) -> list[tuple]:
         trained["bundles"] = train_bundle(study, horizons)
         return trained["bundles"]
 
-    def recorded(held, half_a, rows, dt, correction=None):
-        pos = predict_positions(held, half_a, rows, dt, correction)
+    def recorded(held, predictor, rows, dt, correction=None):
+        pos = predict_positions(held, predictor, rows, dt, correction)
         if correction is not None:  # neither a training target nor a polynomial prediction
             split = trained["rows"] - len(held.time)  # held's row 0 in the study's table
             test = slice(split + rows.start, split + rows.stop)
@@ -452,8 +452,7 @@ class TestComparison:
             correction = bundle.correction(truth)
             log = gate(truth, every_tick, correction)
             assert np.array_equal(log.rows, np.arange(len(states)))
-            half_a = 0.5 * truth.acceleration
-            gate_pos = predict_positions(truth, half_a, rows, ahead - truth.time[rows], correction)
+            gate_pos = predict_positions(truth, "anfis", rows, ahead - truth.time[rows], correction)
             assert gate_pos.tobytes() == study_pos.tobytes()
             sender = SenderModel(every_tick)
             sent = [sender.step(s, s.time) for s in states]
@@ -842,7 +841,7 @@ class TestConfigFiles:
             load_scenario(path)
         cfg["duration"] = 60.0
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
-        assert load_scenario(path).n_ticks == 600
+        assert len(load_scenario(path).truth.time) - 1 == 600
 
 
 # Each trajectory kind with only the parameters it requires.
@@ -1240,6 +1239,32 @@ class TestConfigKeys:
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith(f"bad value for {key!r} in ")
+
+    @pytest.mark.parametrize(
+        "where, key, value, expected",
+        [
+            ("run file", "channel", 5, "a ChannelConfig"),
+            ("run file", "profile", "loose", "a QosProfile"),
+            ("run file", "dr", {"th_pos": 1}, "a DrConfig"),
+            ("study file", "train", {"n_terms": 3}, "a TrainSpec"),
+            ("dr", "anfis_bundle", "x", "an AnfisBundle"),
+        ],
+        ids=["number-channel", "text-profile", "mapping-dr", "mapping-train", "text-anfis_bundle"],
+    )
+    def test_section_built_in_code_holds_sections(self, where, key, value, expected):
+        """A field that holds a section (or a bundle) takes only that, when built
+        in code: any other value fails at construction, naming key and section,
+        not later in the run with an AttributeError."""
+        section = {key: value}
+        make = {
+            "run file": lambda: Scenario(trajectory=weave(), tick=0.1, duration=1.0, **section),
+            "study file": lambda: ComparisonStudy(weave(60.0), 0.1, 60.0, **section),
+            "dr": lambda: DrConfig(predictor="anfis", **section),
+        }[where]
+        with pytest.raises(ValidationError) as caught:
+            make()
+        message = f"bad value for {key!r} in {where}: expected {expected}, got {value!r}"
+        assert str(caught.value) == message
 
     def test_anfis_net_of_another_tick_rejected_at_load(self, tmp_path):
         # the corrector's deviation feature is a one-tick deviation at the bundle's tick

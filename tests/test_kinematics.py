@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from drsim.errors import RangeError, ValidationError
 from drsim.kinematics import (
     EntityState,
+    StateArrays,
     Trajectory,
-    advance,
     extrapolate,
     max_speed_bound,
+    predict_positions,
     sample_truth,
     truth_arrays,
     wrap_angle,
@@ -294,15 +295,17 @@ _VEC3 = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)
 
 @given(
     st.lists(st.tuples(_VEC3, _VEC3, _VEC3, st.floats(0.0, 1e3)), min_size=1, max_size=8),
-    st.sampled_from(["first", "second"]),
+    st.sampled_from(["first", "second", "anfis"]),
 )
-def test_advance_rows_are_extrapolate(rows, predictor):
-    """Each row of advance, from one state per row or from the first state alone,
-    is extrapolate's position from base time 0, bit for bit."""
+def test_predict_positions_rows_are_extrapolate(rows, predictor):
+    """Each row of predict_positions, from one state per row or from the first
+    state for every gap, is extrapolate's position from base time 0, bit for bit:
+    both read the law from the predictor's name."""
     pos, vel, acc, dt = (np.array(col, dtype=float) for col in zip(*rows))
-    half = 0.5 * acc if predictor == "second" else None
-    per_row = advance(pos, vel, half, dt[:, None])
-    from_first = advance(pos[0], vel[0], None if half is None else half[0], dt[:, None])
+    zero = np.zeros(len(dt))
+    truth = StateArrays(pos, vel, acc, zero, zero, zero)
+    per_row = predict_positions(truth, predictor, slice(None), dt)
+    from_first = predict_positions(truth, predictor, 0, dt)
     for i, (p, v, a, step) in enumerate(rows):
         assert per_row[i].tobytes() == extrapolate(state(p, v, a), step, predictor).position.tobytes()
         first = extrapolate(state(pos[0], vel[0], acc[0]), step, predictor).position
