@@ -28,7 +28,7 @@ from typing import Literal
 
 import numpy as np
 
-from .config import convert, read_section, type_fields
+from .config import FinitePositive, PositiveInt, convert, read_section, type_fields
 from .errors import DegenerateFiringError, ValidationError
 from .kinematics import Correction, EntityState, StateArrays, predict_positions
 from .kinematics import extrapolate  # noqa: F401 -- bench/tracer.py wraps it here
@@ -79,15 +79,13 @@ class InputSpec:
     lo: float
     hi: float
     shape: Shape
-    n_terms: int
+    n_terms: PositiveInt
 
     def __post_init__(self):
         where = f"input {self.name!r}"  # each field typed as a loaded record's (from_dict)
         type_fields(self, where)
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
             raise ValidationError(f"bad range [{self.lo}, {self.hi}] for {where}")
-        if self.n_terms < 1:
-            raise ValidationError(f"{where}: n_terms must be >= 1, got {self.n_terms}")
 
     def normalize(self, x):
         return 2.0 * (np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo) - 1.0
@@ -365,11 +363,8 @@ class AnfisBundle:
             if net.n_inputs != 3:
                 raise ValidationError("axis networks must take the 3-feature input triple")
         self.networks = list(networks)
-        for key, value in (("h_ref", h_ref), ("feature_tick", feature_tick)):
-            value = convert(float, value, key, "anfis bundle")  # as a loaded record's (from_dict)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValidationError(f"{key!r} in anfis bundle must be positive, got {value}")
-            setattr(self, key, value)
+        for key, value in (("h_ref", h_ref), ("feature_tick", feature_tick)):  # as from_dict's
+            setattr(self, key, convert(FinitePositive, value, key, "anfis bundle"))
 
     def correction(self, truth: StateArrays, dev0: np.ndarray | float = 0.0) -> Correction:
         """The correction at every row of truth, with dev0 as row 0's deviation (features)."""
@@ -404,7 +399,7 @@ class AnfisBundle:
     def from_dict(cls, d: dict) -> "AnfisBundle":
         if not (isinstance(d, dict) and d.get("kind") == "anfis-bundle"):
             raise ValidationError("not an anfis bundle document")
-        keys = {"kind": str, "h_ref": float, "feature_tick": float, "networks": list}
+        keys = dict(kind=str, h_ref=FinitePositive, feature_tick=FinitePositive, networks=list)
         d = read_section(keys, d, "anfis bundle")
         nets = [AnfisNetwork.from_dict(nd) for nd in d["networks"]]
         return cls(nets, d["h_ref"], d["feature_tick"])

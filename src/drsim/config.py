@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import numbers
 import typing
+from typing import Annotated
 
 import numpy as np
 
@@ -26,6 +28,18 @@ _KINDS = {
 }
 
 
+# The bounded types of section fields, each range declared once: the text an
+# error prints and the test. NaN fails every test; inf passes >= 0 and > 0.
+NonNegative = Annotated[float, (">= 0", lambda x: x >= 0.0)]  # inf: no threshold or bound
+Positive = Annotated[float, ("> 0", lambda x: x > 0.0)]
+FiniteNonNegative = Annotated[float, ("in [0, inf)", lambda x: 0.0 <= x < math.inf)]
+FinitePositive = Annotated[float, ("in (0, inf)", lambda x: 0.0 < x < math.inf)]
+Probability = Annotated[float, ("in [0, 1]", lambda x: 0.0 <= x <= 1.0)]
+OpenFraction = Annotated[float, ("in (0, 1)", lambda x: 0.0 < x < 1.0)]
+NonNegativeInt = Annotated[int, (">= 0", lambda x: x >= 0)]
+PositiveInt = Annotated[int, (">= 1", lambda x: x >= 1)]
+
+
 def bad_value(key: str, where: str, what: str, value) -> ValidationError:
     """The error for value, that of key in where, which is not what."""
     return ValidationError(f"bad value for {key!r} in {where}: expected {what}, got {value!r}")
@@ -33,15 +47,22 @@ def bad_value(key: str, where: str, what: str, value) -> ValidationError:
 
 def convert(tp, value, key: str, where: str):
     """value, that of key in where, as tp: a type of _KINDS (a list is left for
-    the caller to read), tuple[X, ...] for a list of X (a numpy array reads as
-    its list), a Literal of texts for one of them, or object or a dataclass (a
+    the caller to read), Annotated[int or float, (text, test)] for one that
+    passes test, tuple[X, ...] for a list of X (a numpy array reads as its
+    list), a Literal of texts for one of them, or object or a dataclass (a
     section) for any value the caller reads. A number must fit a float."""
     if type(value) is tp in (float, int, str):  # fast: a network has hundreds of consequents
         return value
     if tp is object or dataclasses.is_dataclass(tp):
         return value
     origin = typing.get_origin(tp)
-    if origin is tuple:
+    if origin is Annotated:
+        kind, (text, test) = typing.get_args(tp)
+        value = convert(kind, value, key, where)
+        if test(value):
+            return value
+        what = f"{_KINDS[kind][1]} {text}"
+    elif origin is tuple:
         element = typing.get_args(tp)[0]
         value = value.tolist() if isinstance(value, np.ndarray) else value
         if isinstance(value, (list, tuple)):
@@ -69,8 +90,8 @@ def mapping(cfg, where: str) -> dict:
 
 def _from_file(tp) -> bool:
     element = typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else tp
-    literal = typing.get_origin(element) is typing.Literal
-    return literal or element in _KINDS or dataclasses.is_dataclass(tp)
+    choice_or_bounded = typing.get_origin(element) in (typing.Literal, Annotated)
+    return choice_or_bounded or element in _KINDS or dataclasses.is_dataclass(tp)
 
 
 @functools.cache
@@ -79,7 +100,7 @@ def _dataclass_keys(cls) -> tuple[dict, tuple[str, ...]]:
     required ones: each init field of a type of _KINDS or a Literal, a tuple of
     one, or a dataclass. Cached, since typing.get_type_hints evaluates each
     annotation anew on every call."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     fields = [f for f in dataclasses.fields(cls) if f.init and _from_file(hints[f.name])]
     keys = {f.name: hints[f.name] for f in fields}
     unset = dataclasses.MISSING

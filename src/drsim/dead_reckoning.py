@@ -23,7 +23,7 @@ from typing import Literal
 import numpy as np
 
 from .anfis import AnfisBundle, features
-from .config import bad_value, type_fields
+from .config import FinitePositive, NonNegative, Positive, bad_value, type_fields
 from .errors import RangeError, ValidationError
 from .kinematics import (
     TWO_PI,
@@ -49,30 +49,27 @@ class DrConfig:
     """The gate and the prediction sender and receiver share, and the receiver's
     convergence. predictor anfis is second order corrected by anfis_bundle."""
 
-    th_pos: float = 1.0
-    th_or: float = math.inf
-    heartbeat: float = 5.0
+    th_pos: NonNegative = 1.0
+    th_or: NonNegative = math.inf
+    heartbeat: FinitePositive = 5.0
     predictor: Predictor = "second"
     convergence: Literal["snap", "blend"] = "snap"
-    blend_window: float = 0.5
+    blend_window: Positive = 0.5
     anfis_bundle: AnfisBundle | None = None
 
     def __post_init__(self):
         type_fields(self, "dr")
         if not isinstance(self.anfis_bundle, (AnfisBundle, type(None))):
             raise bad_value("anfis_bundle", "dr", "an AnfisBundle", self.anfis_bundle)
-        if math.isnan(self.th_pos) or self.th_pos < 0.0:
-            raise ValidationError(f"th_pos must be >= 0, got {self.th_pos}")
-        if math.isnan(self.th_or) or self.th_or < 0.0:
-            raise ValidationError(f"th_or must be >= 0, got {self.th_or}")
-        if not (math.isfinite(self.heartbeat) and self.heartbeat > 0.0):
-            raise ValidationError(f"heartbeat must be positive, got {self.heartbeat}")
-        if self.convergence == "blend" and not self.blend_window > 0.0:
-            raise ValidationError("blend window must be positive")
-        if self.predictor == "anfis" and self.anfis_bundle is None:
-            raise ValidationError("anfis predictor requires a trained bundle")
-        if self.predictor != "anfis" and self.anfis_bundle is not None:
-            raise ValidationError(f"'anfis_net' needs the anfis predictor, got {self.predictor!r}")
+        check_corrector(self.predictor, self.anfis_bundle, "anfis_bundle")
+
+
+def check_corrector(predictor: str, bundle, key: str) -> None:
+    """The anfis predictor takes the bundle key sets (None if unset), and no
+    other predictor does: key is anfis_net in a file, anfis_bundle in code."""
+    if (predictor == "anfis") != (bundle is not None):
+        problem = f"needs a bundle in {key!r}" if bundle is None else f"reads no {key!r}"
+        raise ValidationError(f"'predictor' in dr is {predictor!r}, which {problem}")
 
 
 @dataclass(frozen=True)

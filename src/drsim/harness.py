@@ -21,18 +21,21 @@ import yaml
 
 from . import anfis
 from .anfis import AnfisBundle, TrainingSet, build_network, features
+from .config import FiniteNonNegative, FinitePositive, NonNegativeInt, OpenFraction, PositiveInt
 from .config import mapping, read_section, type_fields
-from .dead_reckoning import DrConfig, Predictor, SendLog, display, gate, row_norms
+from .dead_reckoning import DrConfig, Predictor, SendLog, check_corrector, display, gate, row_norms
 from .errors import DegenerateFiringError, ValidationError
 from .kinematics import Correction, StateArrays, Trajectory, predict_positions
 from .kinematics import truth_arrays, wrap_angles
 from .kinematics import sample_truth  # noqa: F401 -- bench/tracer.py wraps it here
 from .netsim import Channel, ChannelConfig
 from .qos_metrics import (
+    NAMED_PROFILES,
     NOTHING_DISPLAYED,
     CoherenceReport,
     ErrorSeries,
     QosProfile,
+    fixed_bounds,
     format_sig,
     integrated_error,
     verdict,
@@ -46,10 +49,10 @@ class Scenario:
     dr: DrConfig = field(default_factory=DrConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     profile: QosProfile = field(default_factory=QosProfile.loosely_coupled)
-    tick: float
+    tick: FinitePositive
     duration: float
-    seed: int = 0
-    message_size_bytes: int = 144  # bytes per update, order of a full entity-state packet
+    seed: NonNegativeInt = 0
+    message_size_bytes: PositiveInt = 144  # bytes per update, order of a full entity-state packet
     truth: StateArrays = field(init=False, repr=False, compare=False)  # at every tick
     # At every row of truth, None without a corrector: all a run reads of it, taken at load.
     correction: Correction | None = field(init=False, repr=False, compare=False)
@@ -57,10 +60,6 @@ class Scenario:
     def __post_init__(self):
         type_fields(self, "run file")
         object.__setattr__(self, "truth", _checked_truth(self, "scenario"))
-        if self.seed < 0:
-            raise ValidationError(f"'seed' in run file must be >= 0, got {self.seed}")
-        if self.message_size_bytes <= 0:
-            raise ValidationError("message_size_bytes must be positive")
         bundle, correction = self.dr.anfis_bundle, None  # a bundle comes with the anfis predictor
         if bundle is not None:
             if bundle.feature_tick != self.tick:
@@ -84,8 +83,6 @@ def _checked_truth(config: Scenario | ComparisonStudy, what: str) -> StateArrays
     tick count is floored (3.5 s at a 1 s tick is 3) after a relative 1e-9
     allowance, so that a multiple whose quotient rounds low counts (0.3 / 0.1)."""
     tick, duration, trajectory = config.tick, config.duration, config.trajectory
-    if not (math.isfinite(tick) and tick > 0.0):
-        raise ValidationError(f"tick must be positive, got {tick}")
     ticks = duration / tick * (1.0 + 1e-9)
     if not (duration >= tick and math.isfinite(ticks)):
         raise ValidationError(
@@ -127,6 +124,7 @@ def _trajectory_from_config(cfg, duration: float) -> Trajectory:
 def _dr_from_config(cfg, base_dir: Path | None) -> DrConfig:
     dr = read_section(DrConfig, cfg, "dr", raw={"anfis_net": str})
     net_path = dr.pop("anfis_net", None)
+    check_corrector(dr.get("predictor", DrConfig.predictor), net_path, "anfis_net")
     if net_path is not None:
         try:  # relative to the run file; an absolute path stays as it is
             dr["anfis_bundle"] = AnfisBundle.load(Path(base_dir or ".", net_path))
@@ -135,20 +133,15 @@ def _dr_from_config(cfg, base_dir: Path | None) -> DrConfig:
     return DrConfig(**dr)
 
 
-# A named profile's bounds are fixed; a file sets bounds only in a custom one.
-_NAMED_PROFILES = (QosProfile.tightly_coupled(), QosProfile.loosely_coupled())
-
-
 def _profile_from_config(cfg) -> QosProfile:
     cfg = mapping(cfg, "profile")
-    named = [p for p in _NAMED_PROFILES if p.name == cfg.get("name")]
+    named = [name for name in NAMED_PROFILES if name == cfg.get("name")]
     extra = [key for key in cfg if key != "name"]
-    if named and extra:
-        raise ValidationError(
-            f"key {extra[0]!r} in profile: the {named[0].name} profile has fixed bounds; "
-            "set them in a custom profile"
-        )
-    return named[0] if named else QosProfile(**read_section(QosProfile, cfg, "profile"))
+    if named and extra:  # a file sets bounds only in a custom profile
+        raise fixed_bounds(named[0], extra[0])
+    if named:
+        return QosProfile(name=named[0], **NAMED_PROFILES[named[0]])
+    return QosProfile(**read_section(QosProfile, cfg, "profile"))
 
 
 def scenario_from_dict(cfg: dict, base_dir: Path | None = None) -> Scenario:
@@ -322,50 +315,40 @@ class TrainSpec:
     load, only so that the benchmark's training settings (ANFIS_TRAIN in
     bench/workloads.py) load and read back."""
 
-    epochs: int = 4
-    eta: float = 0.01
+    epochs: PositiveInt = 4
+    eta: FiniteNonNegative = 0.01
     regime: Literal["hybrid"] = "hybrid"
-    split: float = 0.7
-    n_terms: int = 7
+    split: OpenFraction = 0.7
+    n_terms: PositiveInt = 7
     rule_base: Literal["grid"] = "grid"
     shape: anfis.Shape = "bell"
-    obs_noise_pos: float = 0.0
+    obs_noise_pos: FiniteNonNegative = 0.0
 
     def __post_init__(self):
         type_fields(self, "train")
-        if not 0.0 < self.split < 1.0:
-            raise ValidationError(f"split must be in (0, 1), got {self.split}")
-        for key, low in (("epochs", 1), ("n_terms", 1), ("eta", 0), ("obs_noise_pos", 0)):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= low):
-                raise ValidationError(f"{key!r} in train must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
 class ComparisonStudy:
     trajectory: Trajectory
-    tick: float
+    tick: FinitePositive
     duration: float
-    horizons: tuple[int, ...] = tuple(range(1, 11))
+    horizons: tuple[PositiveInt, ...] = tuple(range(1, 11))
     predictors: tuple[Predictor, ...] = ("second", "anfis")
     train: TrainSpec = field(default_factory=TrainSpec)
-    seed: int = 0
+    seed: NonNegativeInt = 0
     table: MotionTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         type_fields(self, "study file")
         truth = _checked_truth(self, "study")
-        if self.seed < 0:
-            raise ValidationError(f"'seed' in study file must be >= 0, got {self.seed}")
-        if not self.horizons or any(h < 1 for h in self.horizons):
-            raise ValidationError("horizons must be positive tick counts")
-        if not self.predictors:
-            raise ValidationError("'predictors' in study file lists no predictor")
         for key, values in (("horizons", self.horizons), ("predictors", self.predictors)):
+            if not values:
+                raise ValidationError(f"{key!r} in study file lists no {key[:-1]}")
             for v in values:
                 if values.count(v) > 1:
                     raise ValidationError(f"{key!r} in study file lists {v!r} more than once")
-        # Last: the observation noise draws from the seed checked above.
+        # Last: the observation noise draws from the seed typed above.
         object.__setattr__(self, "table", build_motion_table(self, truth))
 
 

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import read_section, type_fields
+from .config import FinitePositive, read_section, type_fields
 from .errors import RangeError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -116,15 +116,13 @@ class Trajectory:
 
     kind: str
     params: dict[str, object]
-    duration: float
+    duration: FinitePositive
 
     def __post_init__(self):
         type_fields(self, "trajectory")
         table = TRAJECTORY_PARAMS.get(self.kind)
         if table is None:
             raise ValidationError(f"unknown trajectory kind {self.kind!r}")
-        if not (self.duration > 0.0 and math.isfinite(self.duration)):
-            raise ValidationError(f"duration must be positive, got {self.duration}")
         vector = tuple[float, ...]  # a vector parameter, and each row of the waypoint table
         types = {k: vector if k in _VECTORS else tuple[vector, ...] if k == "waypoints" else float
                  for k in table}

@@ -14,33 +14,25 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .config import type_fields
+from .config import FiniteNonNegative, NonNegativeInt, Probability, type_fields
 from .errors import RangeError, SimulationError, ValidationError
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    base_delay: float = 0.0
-    jitter: float = 0.0
-    loss: float = 0.0
-    seed: int = 0
+    base_delay: FiniteNonNegative = 0.0
+    jitter: FiniteNonNegative = 0.0
+    loss: Probability = 0.0
+    seed: NonNegativeInt = 0
     reorder_allowed: bool = False
 
     def __post_init__(self):
         type_fields(self, "channel")
-        if not (math.isfinite(self.base_delay) and self.base_delay >= 0.0):
-            raise ValidationError(f"base_delay must be >= 0, got {self.base_delay}")
-        if not (math.isfinite(self.jitter) and self.jitter >= 0.0):
-            raise ValidationError(f"jitter must be >= 0, got {self.jitter}")
         if self.jitter > self.base_delay:
             raise ValidationError(
                 f"jitter {self.jitter} exceeds base_delay {self.base_delay}; "
                 "delivery could precede the send"
             )
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValidationError(f"loss must be in [0, 1], got {self.loss}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(order=True)

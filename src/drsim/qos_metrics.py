@@ -13,7 +13,7 @@ from typing import Literal
 
 import numpy as np
 
-from .config import type_fields
+from .config import NonNegative, type_fields
 from .dead_reckoning import _TIME_EPS, DrConfig
 from .errors import ValidationError
 from .kinematics import EntityState, angle_diff
@@ -29,29 +29,42 @@ def format_sig(x: float) -> str:
     return _SIG % x
 
 
+# The fixed bounds of each named profile; other bounds make a custom profile.
+NAMED_PROFILES = {
+    "tightly-coupled": {"max_latency": 0.100, "max_loss": 0.02, "max_error": math.inf},
+    "loosely-coupled": {"max_latency": 0.300, "max_loss": 0.05, "max_error": math.inf},
+}
+
+
+def fixed_bounds(name: str, key: str) -> ValidationError:
+    """The error for a bound, key, set in the named profile name."""
+    fixed = f"the {name} profile has fixed bounds; set them in a custom profile"
+    return ValidationError(f"key {key!r} in profile: {fixed}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class QosProfile:
     """The bounds a run is graded against: one of the two named classes, or
     custom bounds (the default name)."""
 
     name: Literal["tightly-coupled", "loosely-coupled", "custom"] = "custom"
-    max_latency: float
-    max_loss: float
-    max_error: float = math.inf
+    max_latency: NonNegative
+    max_loss: NonNegative
+    max_error: NonNegative = math.inf
 
     def __post_init__(self):
         type_fields(self, "profile")
-        for key in ("max_latency", "max_loss", "max_error"):
-            if not getattr(self, key) >= 0.0:  # NaN too: the verdict would skip its check
-                raise ValidationError(f"{key!r} in profile must be >= 0, got {getattr(self, key)}")
+        for key, bound in NAMED_PROFILES.get(self.name, {}).items():
+            if getattr(self, key) != bound:
+                raise fixed_bounds(self.name, key)
 
     @classmethod
     def tightly_coupled(cls) -> "QosProfile":
-        return cls(name="tightly-coupled", max_latency=0.100, max_loss=0.02)
+        return cls(name="tightly-coupled", **NAMED_PROFILES["tightly-coupled"])
 
     @classmethod
     def loosely_coupled(cls) -> "QosProfile":
-        return cls(name="loosely-coupled", max_latency=0.300, max_loss=0.05)
+        return cls(name="loosely-coupled", **NAMED_PROFILES["loosely-coupled"])
 
 
 class ErrorSeries:

@@ -92,7 +92,7 @@ class TestMembership:
         an integer >= 1, an unknown shape or a bad range fails, naming the input.
         config.convert types each value, as it types a loaded record's."""
         for shape, n_terms, match in [
-            ("bell", 0, "^input 'x': n_terms must be >= 1, got 0$"),
+            ("bell", 0, "^bad value for 'n_terms' in input 'x': expected an integer >= 1, got 0$"),
             ("bell", 1.5, "^bad value for 'n_terms' in input 'x': expected an integer, got 1.5$"),
             ("sigmoid", 7.0, "'n_terms' in input 'x': expected an integer, got 7.0$"),
             ("sigmoid", True, "'n_terms' in input 'x': expected an integer, got True$"),
@@ -736,7 +736,8 @@ class TestBundle:
              "expected an integer, got True"),
             ("bell", "network", "consequents", [0.0, 10**400], "'consequents' in network record: "
              "expected a number, got 1000"),
-            ("bell", None, "n_terms", 0, "^input 'velocity': n_terms must be >= 1, got 0$"),
+            ("bell", None, "n_terms", 0, "^bad value for 'n_terms' in input 'velocity': expected "
+             "an integer >= 1, got 0$"),
             ("sigmoid", None, "n_terms", 1.5, "'n_terms' in input 'velocity': expected an "
              "integer, got 1.5$"),
             ("bell", None, "n_terms", 5.0, "'n_terms' in input 'velocity': expected an integer, "
@@ -814,7 +815,12 @@ class TestTermCounts:
         assert listed.to_dict() == same.to_dict()
 
     @pytest.mark.parametrize(
-        "counts, match", [([7, 1], "one term count per input"), ([7, 0, 7], "n_terms must be >= 1")]
+        "counts, match",
+        [
+            ([7, 1], "one term count per input"),
+            pytest.param([7, 0, 7], "^bad value for 'n_terms' in input 'velocity': expected an "
+                         "integer >= 1, got 0$", id="counts1-n_terms must be >= 1"),
+        ],
     )
     def test_bad_counts_rejected(self, counts, match):
         with pytest.raises(ValidationError, match=match):

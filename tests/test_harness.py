@@ -1028,9 +1028,16 @@ class TestConfigKeys:
     @pytest.mark.parametrize(
         "where, key, value, match",
         [
-            ("train", "epochs", 0, "'epochs' in train must be >= 1"),
-            ("train", "n_terms", 0, "'n_terms' in train must be >= 1"),
-            ("train", "eta", -1.0, "'eta' in train must be >= 0"),
+            pytest.param("train", "epochs", 0,
+                         "^bad value for 'epochs' in train: expected an integer >= 1, got 0$",
+                         id="train-epochs-0-'epochs' in train must be >= 1"),
+            pytest.param("train", "n_terms", 0,
+                         "^bad value for 'n_terms' in train: expected an integer >= 1, got 0$",
+                         id="train-n_terms-0-'n_terms' in train must be >= 1"),
+            pytest.param("train", "eta", -1.0,
+                         r"^bad value for 'eta' in train: expected a number in \[0, inf\), "
+                         r"got -1.0$",
+                         id="train-eta--1.0-'eta' in train must be >= 0"),
             # a choice takes only one of its texts
             pytest.param("train", "rule_base", "grdi",
                          "^bad value for 'rule_base' in train: expected one of grid, got 'grdi'$",
@@ -1046,16 +1053,31 @@ class TestConfigKeys:
                          "^bad value for 'shape' in train: expected one of sigmoid, bell, "
                          "got 'bel'$",
                          id="train-shape-bel-unknown 'shape' in train: 'bel'"),
-            ("train", "obs_noise_pos", math.nan, "'obs_noise_pos' in train must be >= 0"),
-            ("study file", "seed", -1, "'seed' in study file must be >= 0"),
-            ("run file", "seed", -1, "seed must be >= 0"),  # the channel inherits it
-            ("channel", "seed", -1, "seed must be >= 0"),
+            pytest.param("train", "obs_noise_pos", math.nan,
+                         r"^bad value for 'obs_noise_pos' in train: expected a number in "
+                         r"\[0, inf\), got nan$",
+                         id="train-obs_noise_pos-nan-'obs_noise_pos' in train must be >= 0"),
+            pytest.param("study file", "seed", -1,
+                         "^bad value for 'seed' in study file: expected an integer >= 0, got -1$",
+                         id="study file-seed--1-'seed' in study file must be >= 0"),
+            pytest.param("channel", "seed", -1,
+                         "^bad value for 'seed' in channel: expected an integer >= 0, got -1$",
+                         id="channel-seed--1-seed must be >= 0"),
             # an integer key takes only an integer, a number key no flag or text
             ("train", "epochs", 2.7, "'epochs' in train: expected an integer, got 2.7"),
             ("train", "n_terms", 3.9, "'n_terms' in train: expected an integer, got 3.9"),
-            ("study file", "horizons", [1.5, 2], "'horizons' in study file: expected an integer"),
+            pytest.param("study file", "horizons", [1.5, 2],
+                         "'horizons' in study file: expected an integer",
+                         id="study file-horizons-value13-'horizons' in study file: expected an "
+                         "integer"),
             # a study that scores no predictor would write a table with no column
-            ("study file", "predictors", [], "'predictors' in study file lists no predictor"),
+            pytest.param("study file", "predictors", [],
+                         "^'predictors' in study file lists no predictor$",
+                         id="study file-predictors-value14-'predictors' in study file lists no "
+                         "predictor"),
+            pytest.param("study file", "horizons", [],
+                         "^'horizons' in study file lists no horizon$",
+                         id="study file-horizons-empty"),
             ("study file", "seed", 3.9, "'seed' in study file: expected an integer, got 3.9"),
             ("channel", "seed", True, "'seed' in channel: expected an integer, got True"),
             ("run file", "message_size_bytes", "144", "expected an integer, got '144'"),
@@ -1100,7 +1122,8 @@ class TestConfigKeys:
 
     def test_negative_run_seed_beside_a_channel_seed_rejected(self):
         # the channel's own seed is valid, so only the run's check can fail the file
-        with pytest.raises(ValidationError, match="'seed' in run file must be >= 0, got -1"):
+        match = "^bad value for 'seed' in run file: expected an integer >= 0, got -1$"
+        with pytest.raises(ValidationError, match=match):
             scenario_from_dict(dict(RUN_CFG, seed=-1, channel={"seed": 3}))
 
     @pytest.mark.parametrize("where", ["run file", "study file"])
@@ -1127,8 +1150,33 @@ class TestConfigKeys:
         # a second-order run would load the bundle and never read it
         fixed_bundle().save(tmp_path / "bundle.json")
         dr = {"predictor": "second", "anfis_net": "bundle.json"}
-        with pytest.raises(ValidationError, match="'anfis_net' needs the anfis predictor"):
+        match = "^'predictor' in dr is 'second', which reads no 'anfis_net'$"
+        with pytest.raises(ValidationError, match=match):
             scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "given, predictor, bundled, expected",
+        [
+            ("file", "anfis", False, "'anfis', which needs a bundle in 'anfis_net'"),
+            ("file", "first", True, "'first', which reads no 'anfis_net'"),
+            ("code", "anfis", False, "'anfis', which needs a bundle in 'anfis_bundle'"),
+            ("code", "second", True, "'second', which reads no 'anfis_bundle'"),
+        ],
+    )
+    def test_predictor_and_bundle_are_set_together(
+        self, tmp_path, given, predictor, bundled, expected
+    ):
+        """The anfis predictor takes a bundle and no other predictor does: the
+        error names 'predictor', and the bundle's key as it was set."""
+        fixed_bundle().save(tmp_path / "bundle.json")
+        dr = {"predictor": predictor} | ({"anfis_net": "bundle.json"} if bundled else {})
+        bundle = fixed_bundle() if bundled else None
+        with pytest.raises(ValidationError) as caught:
+            if given == "file":
+                scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
+            else:
+                DrConfig(predictor=predictor, anfis_bundle=bundle)
+        assert str(caught.value) == f"'predictor' in dr is {expected}"
 
     def test_anfis_net_that_fires_no_rule_rejected_at_load(self, tmp_path):
         """Bell terms of velocity on [-1, 1] m/s fire at a degree that rounds to
@@ -1166,20 +1214,132 @@ class TestConfigKeys:
             scenario_from_dict(dict(RUN_CFG, dr=dr), base_dir=tmp_path)
 
     @pytest.mark.parametrize(
-        "where, key, value",
+        "where, settings, expected",
         [
-            ("input", "n_terms", 1.5), ("input", "n_terms", True), ("input", "n_terms", "7"),
-            ("input", "lo", True), ("input", "lo", "low"), ("input", "shape", "triangle"),
-            ("anfis bundle", "h_ref", "0.1"), ("anfis bundle", "h_ref", True),
-            ("network record", "consequents", ["1", "2"]),
-            ("network record", "consequents", [True, False]),
-            ("dr", "anfis_net", 5), ("dr", "heartbeat", True), ("dr", "convergence", "blnd"),
-            ("dr", "predictor", "third"), ("channel", "seed", 1.5),
-            ("channel", "reorder_allowed", 1), ("profile", "max_latency", True),
-            ("profile", "name", "tight"), ("train", "n_terms", 2.5), ("train", "shape", "bel"),
-            ("run file", "seed", 1.5), ("run file", "message_size_bytes", "144"),
-            ("study file", "predictors", ["third"]), ("study file", "horizons", [1.5]),
-            ("trajectory", "freq", "1e-1"), ("trajectory", "amplitude", [1, True, 0]),
+            ("input", {"n_terms": 1.5},
+                "bad value for 'n_terms' in input 'velocity': expected an integer, got 1.5"),
+            ("input", {"n_terms": True},
+                "bad value for 'n_terms' in input 'velocity': expected an integer, got True"),
+            ("input", {"n_terms": "7"},
+                "bad value for 'n_terms' in input 'velocity': expected an integer, got '7'"),
+            ("input", {"lo": True},
+                "bad value for 'lo' in input 'velocity': expected a number, got True"),
+            ("input", {"lo": "low"},
+                "bad value for 'lo' in input 'velocity': expected a number, got 'low'"),
+            ("input", {"shape": "triangle"},
+                "bad value for 'shape' in input 'velocity': expected one of sigmoid, bell, got "
+                "'triangle'"),
+            ("anfis bundle", {"h_ref": "0.1"},
+                "bad value for 'h_ref' in anfis bundle: expected a number, got '0.1'"),
+            ("anfis bundle", {"h_ref": True},
+                "bad value for 'h_ref' in anfis bundle: expected a number, got True"),
+            ("network record", {"consequents": ["1", "2"]},
+                "bad value for 'consequents' in network record: expected a number, got '1'"),
+            ("network record", {"consequents": [True, False]},
+                "bad value for 'consequents' in network record: expected a number, got True"),
+            ("dr", {"anfis_net": 5}, "bad value for 'anfis_net' in dr: expected text, got 5"),
+            ("dr", {"heartbeat": True},
+                "bad value for 'heartbeat' in dr: expected a number, got True"),
+            ("dr", {"convergence": "blnd"},
+                "bad value for 'convergence' in dr: expected one of snap, blend, got 'blnd'"),
+            ("dr", {"predictor": "third"},
+                "bad value for 'predictor' in dr: expected one of first, second, anfis, got "
+                "'third'"),
+            ("channel", {"seed": 1.5},
+                "bad value for 'seed' in channel: expected an integer, got 1.5"),
+            ("channel", {"reorder_allowed": 1},
+                "bad value for 'reorder_allowed' in channel: expected true or false, got 1"),
+            ("profile", {"max_latency": True},
+                "bad value for 'max_latency' in profile: expected a number, got True"),
+            ("profile", {"name": "tight"},
+                "bad value for 'name' in profile: expected one of tightly-coupled, "
+                "loosely-coupled, custom, got 'tight'"),
+            ("train", {"n_terms": 2.5},
+                "bad value for 'n_terms' in train: expected an integer, got 2.5"),
+            ("train", {"shape": "bel"},
+                "bad value for 'shape' in train: expected one of sigmoid, bell, got 'bel'"),
+            ("run file", {"seed": 1.5},
+                "bad value for 'seed' in run file: expected an integer, got 1.5"),
+            ("run file", {"message_size_bytes": "144"},
+                "bad value for 'message_size_bytes' in run file: expected an integer, "
+                "got '144'"),
+            ("study file", {"predictors": ["third"]},
+                "bad value for 'predictors' in study file: expected one of first, second, "
+                "anfis, got 'third'"),
+            ("study file", {"horizons": [1.5]},
+                "bad value for 'horizons' in study file: expected an integer, got 1.5"),
+            ("trajectory", {"freq": "1e-1"},
+                "bad value for 'freq' in a sinusoid-weave trajectory: expected a number, got "
+                "'1e-1'"),
+            ("trajectory", {"amplitude": [1, True, 0]},
+                "bad value for 'amplitude' in a sinusoid-weave trajectory: expected a "
+                "number, got True"),
+            # a number out of its key's range
+            ("dr", {"th_pos": -1},
+                "bad value for 'th_pos' in dr: expected a number >= 0, got -1.0"),
+            ("dr", {"th_or": math.nan},
+                "bad value for 'th_or' in dr: expected a number >= 0, got nan"),
+            ("dr", {"heartbeat": math.inf},
+                "bad value for 'heartbeat' in dr: expected a number in (0, inf), got inf"),
+            ("dr", {"convergence": "blend", "blend_window": -1},
+                "bad value for 'blend_window' in dr: expected a number > 0, got -1.0"),
+            # under snap too: a window is never valid at or below zero
+            ("dr", {"blend_window": -1},
+                "bad value for 'blend_window' in dr: expected a number > 0, got -1.0"),
+            ("channel", {"base_delay": -0.1},
+                "bad value for 'base_delay' in channel: expected a number in [0, inf), "
+                "got -0.1"),
+            ("channel", {"jitter": math.inf},
+                "bad value for 'jitter' in channel: expected a number in [0, inf), got inf"),
+            ("channel", {"loss": 1.5},
+                "bad value for 'loss' in channel: expected a number in [0, 1], got 1.5"),
+            ("channel", {"seed": -1},
+                "bad value for 'seed' in channel: expected an integer >= 0, got -1"),
+            # the run's key, not the channel's, which inherits it
+            ("run file", {"seed": -1},
+                "bad value for 'seed' in run file: expected an integer >= 0, got -1"),
+            ("run file", {"message_size_bytes": 0},
+                "bad value for 'message_size_bytes' in run file: expected an integer >= 1, "
+                "got 0"),
+            ("run file", {"tick": -0.1},
+                "bad value for 'tick' in run file: expected a number in (0, inf), got -0.1"),
+            ("study file", {"seed": -1},
+                "bad value for 'seed' in study file: expected an integer >= 0, got -1"),
+            ("study file", {"tick": math.nan},
+                "bad value for 'tick' in study file: expected a number in (0, inf), got nan"),
+            ("study file", {"horizons": [0, 1]},
+                "bad value for 'horizons' in study file: expected an integer >= 1, got 0"),
+            ("profile", {"max_latency": -0.1},
+                "bad value for 'max_latency' in profile: expected a number >= 0, got -0.1"),
+            ("profile", {"max_loss": math.nan},
+                "bad value for 'max_loss' in profile: expected a number >= 0, got nan"),
+            ("profile", {"max_error": -1},
+                "bad value for 'max_error' in profile: expected a number >= 0, got -1.0"),
+            ("train", {"split": 1.0},
+                "bad value for 'split' in train: expected a number in (0, 1), got 1.0"),
+            ("train", {"epochs": 0},
+                "bad value for 'epochs' in train: expected an integer >= 1, got 0"),
+            ("train", {"n_terms": 0},
+                "bad value for 'n_terms' in train: expected an integer >= 1, got 0"),
+            ("train", {"eta": math.inf},
+                "bad value for 'eta' in train: expected a number in [0, inf), got inf"),
+            ("train", {"obs_noise_pos": -0.01},
+                "bad value for 'obs_noise_pos' in train: expected a number in [0, inf), "
+                "got -0.01"),
+            ("input", {"n_terms": 0},
+                "bad value for 'n_terms' in input 'velocity': expected an integer >= 1, got 0"),
+            ("trajectory", {"duration": math.inf},
+                "bad value for 'duration' in trajectory: expected a number in (0, inf), "
+                "got inf"),
+            ("anfis bundle", {"h_ref": 0.0},
+                "bad value for 'h_ref' in anfis bundle: expected a number in (0, inf), got 0.0"),
+            ("anfis bundle", {"feature_tick": -0.1},
+                "bad value for 'feature_tick' in anfis bundle: expected a number in "
+                "(0, inf), got -0.1"),
+            # a named profile's bounds are fixed, in code as in a file
+            ("profile", {"name": "tightly-coupled"},
+                "key 'max_latency' in profile: the tightly-coupled profile has fixed "
+                "bounds; set them in a custom profile"),
         ],
         ids=[
             "fractional-terms", "boolean-terms", "text-terms", "boolean-lo", "text-lo",
@@ -1189,29 +1349,42 @@ class TestConfigKeys:
             "boolean-max_latency", "unknown-profile-name", "fractional-train-n_terms",
             "unknown-train-shape", "fractional-run-seed", "text-message_size_bytes",
             "unknown-study-predictor", "fractional-horizon", "text-freq", "boolean-amplitude-cell",
+            "negative-th_pos", "nan-th_or", "infinite-heartbeat", "negative-blend_window",
+            "negative-blend_window-under-snap", "negative-base_delay", "infinite-jitter",
+            "loss-above-one", "negative-channel-seed", "negative-seed",
+            "zero-message_size_bytes", "negative-run-tick", "negative-study-seed",
+            "nan-study-tick", "zero-horizon", "negative-max_latency", "nan-max_loss",
+            "negative-max_error", "split-of-one", "zero-epochs", "zero-train-n_terms",
+            "infinite-eta", "negative-obs_noise_pos", "zero-terms", "infinite-trajectory-duration",
+            "zero-h_ref", "negative-feature_tick", "named-profile-with-other-bounds",
         ],
     )
-    def test_bad_value_reads_the_same_from_code_and_file(self, tmp_path, where, key, value):
-        """config.convert types every value, and each section types its own fields
-        with it, so a value built in code fails with the message the same value
-        gives in a file, in every section: where names the section or record."""
+    def test_bad_value_reads_the_same_from_code_and_file(self, tmp_path, where, settings, expected):
+        """config.convert types every value, and checks its range, and each
+        section types its own fields with it, so a value built in code fails with
+        the message the same value gives in a file, in every section: where names
+        the section or record, and settings its keys set, the last one bad."""
         bundle = fixed_bundle()
         if where in ("input", "anfis bundle", "network record"):
             doc, load, path = bundle.to_dict(), AnfisBundle.load, tmp_path / "bundle.json"
             network = doc["networks"][0]
             record = {"input": network["inputs"][1], "network record": network}.get(where, doc)
+            ticks = {"h_ref": bundle.h_ref, "feature_tick": bundle.feature_tick}
             in_code = {
                 "input": lambda: InputSpec(**record),
-                "anfis bundle": lambda: AnfisBundle(bundle.networks, value, bundle.feature_tick),
-                "network record": lambda: anfis.AnfisNetwork(bundle.networks[0].inputs, value),
+                "anfis bundle": lambda: AnfisBundle(bundle.networks, **{**ticks, **settings}),
+                "network record": lambda: anfis.AnfisNetwork(
+                    bundle.networks[0].inputs, record["consequents"]
+                ),
             }[where]
         elif where in ("train", "study file"):
             path, load = tiny_study_file(tmp_path), load_study
             doc = yaml.safe_load(path.read_text(encoding="utf-8"))
             record = doc["train"] if where == "train" else doc
+            study = {"trajectory": weave(60.0), "tick": 0.1, "duration": 60.0}
             in_code = {
-                "train": lambda: TrainSpec(**{key: value}),
-                "study file": lambda: ComparisonStudy(weave(60.0), 0.1, 60.0, **{key: value}),
+                "train": lambda: TrainSpec(**settings),
+                "study file": lambda: ComparisonStudy(**{**study, **settings}),
             }[where]
         else:
             doc, load = yaml.safe_load(yaml.safe_dump(RUN_CFG)), load_scenario
@@ -1223,22 +1396,23 @@ class TestConfigKeys:
                 "dr": lambda: DrConfig(**record),
                 "channel": lambda: ChannelConfig(**record),
                 "profile": lambda: QosProfile(**record),
-                "run file": lambda: scenario(tick=0.1, duration=1.0, **{key: value}),
+                "run file": lambda: scenario(**{"tick": 0.1, "duration": 1.0, **settings}),
                 "trajectory": lambda: Trajectory(
-                    "sinusoid-weave", {k: v for k, v in record.items() if k != "kind"}, 1.0
+                    "sinusoid-weave",
+                    {k: v for k, v in record.items() if k not in ("kind", "duration")},
+                    record.get("duration", 1.0),
                 ),
             }[where]
-            if key == "anfis_net":  # no constructor takes a path: the run's dict is the code
+            if "anfis_net" in settings:  # no constructor takes a path: the run's dict is the code
                 doc["dr"]["predictor"], in_code = "anfis", lambda: scenario_from_dict(doc)
-        record[key] = value
+        record.update(settings)
         path.write_text(json.dumps(doc) if path.suffix == ".json" else yaml.safe_dump(doc))
         messages = []
         for make in (in_code, lambda: load(path)):
             with pytest.raises(ValidationError) as caught:
                 make()
             messages.append(str(caught.value))
-        assert messages[0] == messages[1]
-        assert messages[0].startswith(f"bad value for {key!r} in ")
+        assert messages == [expected] * 2
 
     @pytest.mark.parametrize(
         "where, key, value, expected",
@@ -1287,7 +1461,9 @@ class TestConfigKeys:
     @pytest.mark.parametrize("tick", [0.0, -0.1, math.nan])
     def test_study_tick_must_be_positive(self, tmp_path, tick):
         cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
-        with pytest.raises(ValidationError, match="tick must be positive"):
+        key = "'tick' in study file"
+        match = rf"^bad value for {key}: expected a number in \(0, inf\), got {tick}$"
+        with pytest.raises(ValidationError, match=match):
             study_from_dict(dict(cfg, tick=tick))
 
     def test_study_longer_than_trajectory_rejected(self):
@@ -1362,7 +1538,8 @@ class TestConfigKeys:
     def test_noisy_study_checks_its_seed_before_drawing(self, tmp_path):
         cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
         cfg["seed"], cfg["train"]["obs_noise_pos"] = -1, 0.01
-        with pytest.raises(ValidationError, match="'seed' in study file must be >= 0"):
+        match = "^bad value for 'seed' in study file: expected an integer >= 0, got -1$"
+        with pytest.raises(ValidationError, match=match):
             study_from_dict(cfg)
 
     def test_section_must_be_a_mapping(self, tmp_path):
