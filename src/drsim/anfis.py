@@ -28,7 +28,8 @@ from typing import Literal
 
 import numpy as np
 
-from .config import FinitePositive, PositiveInt, convert, read_section, type_fields
+from .config import Finite, FiniteNonNegative, FinitePositive, PositiveInt, convert, read_section
+from .config import type_fields
 from .errors import DegenerateFiringError, ValidationError
 from .kinematics import Correction, EntityState, StateArrays, predict_positions
 from .kinematics import extrapolate  # noqa: F401 -- bench/tracer.py wraps it here
@@ -76,15 +77,15 @@ class InputSpec:
     of one shape, whose centers _grid spaces equally over that range."""
 
     name: str
-    lo: float
-    hi: float
+    lo: Finite
+    hi: Finite
     shape: Shape
     n_terms: PositiveInt
 
     def __post_init__(self):
         where = f"input {self.name!r}"  # each field typed as a loaded record's (from_dict)
         type_fields(self, where)
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
+        if not self.hi > self.lo:
             raise ValidationError(f"bad range [{self.lo}, {self.hi}] for {where}")
 
     def normalize(self, x):
@@ -376,8 +377,7 @@ class AnfisBundle:
         The newest two samples must be one feature tick apart, up to tick-grid rounding."""
         if not history:
             raise ValidationError("history must contain at least one state")
-        if not (math.isfinite(horizon) and horizon >= 0.0):
-            raise ValidationError(f"horizon must be finite and >= 0, got {horizon}")
+        horizon = convert(FiniteNonNegative, horizon, "horizon", "AnfisBundle.predict")
         t, tick = history[-1].time, self.feature_tick
         gap = t - history[-2].time if len(history) > 1 else tick
         if not abs(gap - tick) <= 1e-9 * max(tick, abs(t)):

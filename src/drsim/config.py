@@ -2,6 +2,11 @@
 trajectory parameters and saved bundle records. convert alone decides what a
 value is, from a file or from code (each section types its own fields with
 type_fields), and every failure is a ValidationError naming section and key.
+Its types: a flag, an integer, a number, text, a choice (Literal), a list
+(tuple[X, ...]), and these bounded: the numbers Finite, NonNegative, Positive,
+FiniteNonNegative, FinitePositive, Probability and OpenFraction, the integers
+NonNegativeInt and PositiveInt, and the lists Vec3 (three finite numbers) and
+Waypoints (one or more rows [t, x, y, z] of finite numbers, t increasing).
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ _KINDS = {
 }
 
 
-# The bounded types of section fields, each range declared once: the text an
-# error prints and the test. NaN fails every test; inf passes >= 0 and > 0.
+# The bounded types of values, each range declared once: the text an error
+# prints and the test. NaN fails every test; inf passes >= 0 and > 0.
+Finite = Annotated[float, ("in (-inf, inf)", math.isfinite)]
 NonNegative = Annotated[float, (">= 0", lambda x: x >= 0.0)]  # inf: no threshold or bound
 Positive = Annotated[float, ("> 0", lambda x: x > 0.0)]
 FiniteNonNegative = Annotated[float, ("in [0, inf)", lambda x: 0.0 <= x < math.inf)]
@@ -38,6 +44,10 @@ Probability = Annotated[float, ("in [0, 1]", lambda x: 0.0 <= x <= 1.0)]
 OpenFraction = Annotated[float, ("in (0, 1)", lambda x: 0.0 < x < 1.0)]
 NonNegativeInt = Annotated[int, (">= 0", lambda x: x >= 0)]
 PositiveInt = Annotated[int, (">= 1", lambda x: x >= 1)]
+Vec3 = Annotated[tuple[Finite, ...], ("of 3 numbers", lambda v: len(v) == 3)]
+_Row = Annotated[tuple[Finite, ...], ("of 4 numbers [t, x, y, z]", lambda row: len(row) == 4)]
+Waypoints = Annotated[tuple[_Row, ...], ("of one or more rows, t increasing", lambda rows: (
+    len(rows) > 0 and all(a[0] < b[0] for a, b in zip(rows, rows[1:]))))]
 
 
 def bad_value(key: str, where: str, what: str, value) -> ValidationError:
@@ -47,10 +57,10 @@ def bad_value(key: str, where: str, what: str, value) -> ValidationError:
 
 def convert(tp, value, key: str, where: str):
     """value, that of key in where, as tp: a type of _KINDS (a list is left for
-    the caller to read), Annotated[int or float, (text, test)] for one that
-    passes test, tuple[X, ...] for a list of X (a numpy array reads as its
-    list), a Literal of texts for one of them, or object or a dataclass (a
-    section) for any value the caller reads. A number must fit a float."""
+    the caller to read), tuple[X, ...] for a list of X (a numpy array reads as
+    its list), Annotated[int, float or a tuple, (text, test)] for one that
+    passes test, a Literal of texts for one of them, or object or a dataclass
+    (a section) for any value the caller reads. A number must fit a float."""
     if type(value) is tp in (float, int, str):  # fast: a network has hundreds of consequents
         return value
     if tp is object or dataclasses.is_dataclass(tp):
@@ -58,10 +68,11 @@ def convert(tp, value, key: str, where: str):
     origin = typing.get_origin(tp)
     if origin is Annotated:
         kind, (text, test) = typing.get_args(tp)
-        value = convert(kind, value, key, where)
-        if test(value):
-            return value
-        what = f"{_KINDS[kind][1]} {text}"
+        typed = convert(kind, value, key, where)
+        if test(typed):
+            return typed
+        value, noun = (typed, _KINDS[kind][1]) if kind in _KINDS else (value, "a list")
+        what = f"{noun} {text}"  # a number as typed, a list as given
     elif origin is tuple:
         element = typing.get_args(tp)[0]
         value = value.tolist() if isinstance(value, np.ndarray) else value

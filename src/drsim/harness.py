@@ -50,7 +50,7 @@ class Scenario:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     profile: QosProfile = field(default_factory=QosProfile.loosely_coupled)
     tick: FinitePositive
-    duration: float
+    duration: FinitePositive
     seed: NonNegativeInt = 0
     message_size_bytes: PositiveInt = 144  # bytes per update, order of a full entity-state packet
     truth: StateArrays = field(init=False, repr=False, compare=False)  # at every tick
@@ -78,7 +78,7 @@ class Scenario:
 
 def _checked_truth(config: Scenario | ComparisonStudy, what: str) -> StateArrays:
     """The truth of config, a run or a study, at t = 0 and each whole tick, after
-    checking that a finite duration holds a tick, that its trajectory covers the
+    checking that its duration holds a tick, that its trajectory covers the
     last one before any array is made, and that truth is finite at each. The
     tick count is floored (3.5 s at a 1 s tick is 3) after a relative 1e-9
     allowance, so that a multiple whose quotient rounds low counts (0.3 / 0.1)."""
@@ -86,8 +86,7 @@ def _checked_truth(config: Scenario | ComparisonStudy, what: str) -> StateArrays
     ticks = duration / tick * (1.0 + 1e-9)
     if not (duration >= tick and math.isfinite(ticks)):
         raise ValidationError(
-            f"duration must be finite and at least one tick, and hold a finite count of "
-            f"{tick} s ticks, got {duration}"
+            f"duration must hold a finite count of {tick} s ticks, at least one, got {duration}"
         )
     count = math.floor(ticks)  # checked against the trajectory before any array is made
     last_tick = count * tick
@@ -332,7 +331,7 @@ class TrainSpec:
 class ComparisonStudy:
     trajectory: Trajectory
     tick: FinitePositive
-    duration: float
+    duration: FinitePositive
     horizons: tuple[PositiveInt, ...] = tuple(range(1, 11))
     predictors: tuple[Predictor, ...] = ("second", "anfis")
     train: TrainSpec = field(default_factory=TrainSpec)

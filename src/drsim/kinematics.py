@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import FinitePositive, read_section, type_fields
+from .config import Finite, FinitePositive, Vec3, Waypoints, read_section, type_fields
 from .errors import RangeError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -72,7 +72,6 @@ class EntityState:
 
 
 _ORIGIN = (0.0, 0.0, 0.0)
-_VECTORS = frozenset({"p0", "v", "v0", "a", "amplitude", "drift", "center"})
 
 # Each kind's parameters with their defaults; None marks a required parameter.
 TRAJECTORY_PARAMS = {
@@ -85,25 +84,23 @@ TRAJECTORY_PARAMS = {
     "circular": {"radius": None, "omega": None, "center": _ORIGIN, "phase0": 0.0},
     "waypoint-script": {"waypoints": None, "theta0": 0.0, "omega": 0.0},
 }
+# read_section's {key: type} per kind: its required parameters, then all (Finite if unlisted).
+_TYPES = dict.fromkeys(("p0", "v", "v0", "a", "amplitude", "drift", "center"), Vec3)
+_TYPES["waypoints"] = Waypoints
+_SPECS = {
+    kind: ({k: _TYPES.get(k, Finite) for k, d in table.items() if d is None},
+           {k: _TYPES.get(k, Finite) for k in table})
+    for kind, table in TRAJECTORY_PARAMS.items()
+}
 
 
-def _param(kind: str, key: str, value):
-    """A parameter convert typed, as the motion law reads it: a read-only 3-vector
-    if key is in _VECTORS, the read-only (K, 4) waypoint table, else a float. It
-    checks what convert cannot: a vector's length, finiteness, the table's rows."""
-    name = f"{key!r} in a {kind} trajectory"
-    if key in _VECTORS:
-        return _vec3(value, name)
-    if key != "waypoints":
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        return value
-    rows = value if value and all(len(row) == 4 for row in value) else [[math.nan] * 4]
-    arr = np.array(rows)  # a table of no row, or of another width, fails the check below
-    if not (np.all(np.isfinite(arr)) and np.all(np.diff(arr[:, 0]) > 0.0)):
-        raise ValidationError(f"{name} must be finite [t, x, y, z] rows, t increasing, got {value!r}")
-    arr.flags.writeable = False
-    return arr
+def _param(value):
+    """A typed parameter as the motion law reads it: a list (a 3-vector, or the
+    (K, 4) waypoint table) as a read-only array, a number as it is."""
+    if isinstance(value, tuple):
+        value = np.array(value)
+        value.flags.writeable = False
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,16 +117,12 @@ class Trajectory:
 
     def __post_init__(self):
         type_fields(self, "trajectory")
-        table = TRAJECTORY_PARAMS.get(self.kind)
-        if table is None:
+        if self.kind not in TRAJECTORY_PARAMS:
             raise ValidationError(f"unknown trajectory kind {self.kind!r}")
-        vector = tuple[float, ...]  # a vector parameter, and each row of the waypoint table
-        types = {k: vector if k in _VECTORS else tuple[vector, ...] if k == "waypoints" else float
-                 for k in table}
-        required = {key: types[key] for key, default in table.items() if default is None}
+        required, types = _SPECS[self.kind]
         given = read_section(required, self.params, f"a {self.kind} trajectory", raw=types)
-        params = {**table, **given}
-        object.__setattr__(self, "params", {k: _param(self.kind, k, v) for k, v in params.items()})
+        params = {**TRAJECTORY_PARAMS[self.kind], **given}
+        object.__setattr__(self, "params", {k: _param(v) for k, v in params.items()})
 
     def covers(self, t: float) -> bool:
         """Whether t lies in [0, duration], allowing for rounding in tick times."""

@@ -13,7 +13,7 @@ from typing import Literal
 
 import numpy as np
 
-from .config import NonNegative, type_fields
+from .config import FinitePositive, NonNegative, convert, type_fields
 from .dead_reckoning import _TIME_EPS, DrConfig
 from .errors import ValidationError
 from .kinematics import EntityState, angle_diff
@@ -72,9 +72,7 @@ class ErrorSeries:
     three float64 arrays."""
 
     def __init__(self, tick: float):
-        if not (math.isfinite(tick) and tick > 0.0):
-            raise ValidationError(f"tick must be positive, got {tick}")
-        self.tick = tick
+        self.tick = convert(FinitePositive, tick, "tick", "ErrorSeries")
         self.times = self.e_pos = self.e_or = np.empty(0)
 
     @classmethod
@@ -146,8 +144,7 @@ class ViolationWindow:
 
 def violation_windows(series: ErrorSeries, th_pos: float) -> list[ViolationWindow]:
     """Maximal contiguous runs of samples with positional error above th_pos."""
-    if th_pos < 0.0:
-        raise ValidationError(f"th_pos must be >= 0, got {th_pos}")
+    th_pos = convert(NonNegative, th_pos, "th_pos", "violation_windows")
     e = series.e_pos
     above = np.concatenate(([False], e > th_pos, [False]))
     edges = np.flatnonzero(above[1:] != above[:-1])  # each window's start, then its stop
@@ -231,8 +228,7 @@ def check_emax_bound(
     error for at most one heartbeat plus one worst-case transit; and the
     velocity mismatch present at a send keeps acting during transit.
     """
-    if accel_bound < 0.0:
-        raise ValidationError(f"accel bound must be >= 0, got {accel_bound}")
+    accel_bound = convert(NonNegative, accel_bound, "accel_bound", "check_emax_bound")
     dt_max = channel.base_delay + channel.jitter
     bound = (
         dr.th_pos

@@ -106,7 +106,10 @@ class TestMembership:
                 InputSpec("x", -1.0, 1.0, shape, n_terms)
         for lo, hi, match in (
             (1.0, 1.0, r"^bad range \[1.0, 1.0\] for input 'x'$"),
-            (-math.inf, 1.0, r"^bad range \[-inf, 1.0\] for input 'x'$"),
+            (-math.inf, 1.0,
+             r"^bad value for 'lo' in input 'x': expected a number in \(-inf, inf\), got -inf$"),
+            (0.0, math.nan,
+             r"^bad value for 'hi' in input 'x': expected a number in \(-inf, inf\), got nan$"),
             ("low", 1.0, "^bad value for 'lo' in input 'x': expected a number, got 'low'$"),
         ):
             with pytest.raises(ValidationError, match=match):
@@ -636,7 +639,9 @@ class TestBundle:
     @pytest.mark.parametrize("horizon", [math.nan, math.inf])
     def test_non_finite_horizon_rejected(self, horizon):
         s = EntityState([1, 2, 0], [0.5, -1, 0], [0.2, 0, 0], 0.3, 0.05, 4.0)
-        with pytest.raises(ValidationError, match="horizon must be finite and >= 0"):
+        match = (r"^bad value for 'horizon' in AnfisBundle.predict: expected a number in "
+                 rf"\[0, inf\), got {horizon}$")
+        with pytest.raises(ValidationError, match=match):
             self._bundle().predict([s], horizon)
 
     # A gap of a stock run: ticks are row * tick, and a gap is their difference.

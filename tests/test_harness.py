@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -861,6 +862,12 @@ RUN_CFG = {
     "channel": {"base_delay": 0.1},
 }
 
+# What a trajectory parameter that is a finite number, a waypoint row and the
+# waypoint table are expected to be, as a bad one's error says.
+FINITE = "a number in (-inf, inf)"
+ROW = "a list of 4 numbers [t, x, y, z]"
+TABLE = "a list of one or more rows, t increasing"
+
 
 class TestConfigKeys:
     """A misspelt or misplaced key fails at load time and names the key."""
@@ -926,67 +933,79 @@ class TestConfigKeys:
             load_scenario(path)
 
     @pytest.mark.parametrize(
-        "kind, params, key, match",
+        "kind, params, key, what, got",
         [
-            ("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0]}, "v", "3-vector"),
-            ("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0, 0]}, "v", "3-vector"),
-            ("constant-velocity", {"p0": [0, 0], "v": [1, 0, 0]}, "p0", "3-vector"),
-            ("constant-velocity", {"p0": [0, 0, 0, 0], "v": [1, 0, 0]}, "p0", "3-vector"),
-            ("constant-velocity", {"p0": [0, 0, 0], "v": "fast"}, "v",
-             "^bad value for 'v' in a constant-velocity trajectory: expected a list, got 'fast'$"),
-            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": "abc"}, "freq",
-             "^bad value for 'freq' in a sinusoid-weave trajectory: expected a number, got 'abc'$"),
-            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": math.nan}, "freq", "finite number"),
-            ("sinusoid-weave", {"amplitude": [1, 0], "freq": 1.0}, "amplitude", "3-vector"),
-            ("circular", {"radius": [1, 2], "omega": 1.0}, "radius",
-             r"^bad value for 'radius' in a circular trajectory: expected a number, got \[1, 2\]$"),
-            ("circular", {"radius": 1, "omega": 1, "center": [0, math.nan, 0]}, "center", "finite"),
+            ("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0]}, "v", "a list of 3 numbers",
+             "[1, 0]"),
+            ("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0, 0]}, "v",
+             "a list of 3 numbers", "[1, 0, 0, 0]"),
+            ("constant-velocity", {"p0": [0, 0], "v": [1, 0, 0]}, "p0", "a list of 3 numbers",
+             "[0, 0]"),
+            ("constant-velocity", {"p0": [0, 0, 0, 0], "v": [1, 0, 0]}, "p0",
+             "a list of 3 numbers", "[0, 0, 0, 0]"),
+            ("constant-velocity", {"p0": [0, 0, 0], "v": "fast"}, "v", "a list", "'fast'"),
+            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": "abc"}, "freq", "a number",
+             "'abc'"),
+            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": math.nan}, "freq", FINITE, "nan"),
+            ("sinusoid-weave", {"amplitude": [1, 0], "freq": 1.0}, "amplitude",
+             "a list of 3 numbers", "[1, 0]"),
+            ("circular", {"radius": [1, 2], "omega": 1.0}, "radius", "a number", "[1, 2]"),
+            ("circular", {"radius": 1, "omega": 1, "center": [0, math.nan, 0]}, "center", FINITE,
+             "nan"),
             ("constant-acceleration", {"p0": [0, 0, 0], "v0": [0, 0, 0], "a": [math.inf, 0, 0]},
-             "a", "finite"),
+             "a", FINITE, "inf"),
             ("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0], "theta0": "x"}, "theta0",
-             "^bad value for 'theta0' in a constant-velocity trajectory: expected a number, "
-             "got 'x'$"),
-            ("waypoint-script", {"waypoints": []}, "waypoints", "rows"),
-            ("waypoint-script", {"waypoints": [[0, 0, 0], [1, 1, 0]]}, "waypoints", "rows"),
-            ("waypoint-script", {"waypoints": [[1, 0, 0, 0], [0, 1, 0, 0]]}, "waypoints",
-             "t increasing"),
+             "a number", "'x'"),
+            ("waypoint-script", {"waypoints": []}, "waypoints", TABLE, "[]"),
+            ("waypoint-script", {"waypoints": [[0, 0, 0], [1, 1, 0]]}, "waypoints", ROW,
+             "[0, 0, 0]"),
+            ("waypoint-script", {"waypoints": [[1, 0, 0, 0], [0, 1, 0, 0]]}, "waypoints", TABLE,
+             "[[1, 0, 0, 0], [0, 1, 0, 0]]"),
             # a flag or text is no number, as in every other section
-            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": "1e-1"}, "freq",
-             "^bad value for 'freq' in a sinusoid-weave trajectory: expected a number, "
-             "got '1e-1'$"),
-            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": True}, "freq",
-             "^bad value for 'freq' in a sinusoid-weave trajectory: expected a number, got True$"),
+            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": "1e-1"}, "freq", "a number",
+             "'1e-1'"),
+            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": True}, "freq", "a number",
+             "True"),
             ("sinusoid-weave", {"amplitude": ["1", True, 0], "freq": 0.1}, "amplitude",
-             "^bad value for 'amplitude' in a sinusoid-weave trajectory: expected a number, "
-             "got '1'$"),
-            ("constant-velocity", {"p0": [0, 0, 0], "v": [1, False, 0]}, "v",
-             "^bad value for 'v' in a constant-velocity trajectory: expected a number, got False$"),
+             "a number", "'1'"),
+            ("constant-velocity", {"p0": [0, 0, 0], "v": [1, False, 0]}, "v", "a number",
+             "False"),
             ("waypoint-script", {"waypoints": [[0, 0, 0, 0], [1, "2", 0, 0]]}, "waypoints",
-             "^bad value for 'waypoints' in a waypoint-script trajectory: expected a number, "
-             "got '2'$"),
+             "a number", "'2'"),
             ("waypoint-script", {"waypoints": [[0, 0, 0, 0], [True, 1, 0, 0]]}, "waypoints",
-             "^bad value for 'waypoints' in a waypoint-script trajectory: expected a number, "
-             "got True$"),
+             "a number", "True"),
             # an integer too large for a float, as in every other section
-            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 10**400}, "freq",
-             "^bad value for 'freq' in a sinusoid-weave trajectory: expected a number, got 1000"),
+            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 10**400}, "freq", "a number",
+             str(10**400)),
+            # non-finite scalars and cells, and a waypoint table whose t repeats
+            ("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": math.inf}, "freq", FINITE, "inf"),
+            ("circular", {"radius": -math.inf, "omega": 1.0}, "radius", FINITE, "-inf"),
+            ("waypoint-script", {"waypoints": [[0, 0, 0, 0], [1, 0, math.nan, 0]]}, "waypoints",
+             FINITE, "nan"),
+            ("waypoint-script", {"waypoints": [[0, 0, 0, 0], [0, 1, 0, 0]]}, "waypoints", TABLE,
+             "[[0, 0, 0, 0], [0, 1, 0, 0]]"),
         ],
         ids=[
             "v-2", "v-4", "p0-2", "p0-4", "v-text", "freq-text", "freq-nan", "amplitude-2",
             "radius-list", "center-nan", "a-inf", "theta0-text", "waypoints-empty",
             "waypoints-3-columns", "waypoints-decreasing", "freq-numeric-text", "freq-flag",
             "amplitude-text-and-flag", "v-flag", "waypoint-text-cell", "waypoint-flag-time",
-            "freq-400-digits",
+            "freq-400-digits", "freq-inf", "radius-minus-inf", "waypoint-nan-cell",
+            "waypoints-repeated-time",
         ],
     )
-    def test_bad_trajectory_parameter_rejected(self, kind, params, key, match):
-        """A value convert rejects fails as in every other section (match is the
-        whole message); a value it types fails the motion law's own checks."""
+    def test_bad_trajectory_parameter_rejected(self, tmp_path, kind, params, key, what, got):
+        """A bad parameter fails in one form, naming key and kind, the same from a
+        file and from code: the value as a file gives it, a number as typed."""
+        match = f"^{re.escape(f'bad value for {key!r} in a {kind} trajectory: expected {what}')}"
+        match += f", got {re.escape(got)}$"
+        path = tmp_path / "sc.yaml"
         cfg = dict(RUN_CFG, trajectory={"kind": kind, **params})
-        if not match.startswith("^"):
-            match = f"'{key}' in a {kind} trajectory must .*{match}"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
         with pytest.raises(ValidationError, match=match):
-            scenario_from_dict(cfg)
+            load_scenario(path)
+        with pytest.raises(ValidationError, match=match):
+            Trajectory(kind, params, 10.0)
 
     @pytest.mark.parametrize(
         "params, named",
@@ -1085,8 +1104,14 @@ class TestConfigKeys:
             ("train", "split", "0.7", "'split' in train: expected a number, got '0.7'"),
             ("run file", "tick", "1e-1", "'tick' in run file: expected a number, got '1e-1'"),
             # the trajectory keeps its own, finite duration
-            ("run file", "duration", math.inf, "duration must be finite"),
-            ("study file", "duration", math.inf, "duration must be finite"),
+            pytest.param("run file", "duration", math.inf,
+                         r"^bad value for 'duration' in run file: expected a number in "
+                         r"\(0, inf\), got inf$",
+                         id="run file-duration-inf-duration must be finite"),
+            pytest.param("study file", "duration", math.inf,
+                         r"^bad value for 'duration' in study file: expected a number in "
+                         r"\(0, inf\), got inf$",
+                         id="study file-duration-inf-duration must be finite"),
             # a finite duration of more ticks than a float counts
             ("run file", None, {"tick": 1e-10, "duration": 1e300}, r"duration .* got 1e\+300$"),
             ("study file", None, {"tick": 1e-10, "duration": 1e300}, r"duration .* got 1e\+300$"),
@@ -1119,6 +1144,30 @@ class TestConfigKeys:
         target.update(value if key is None else {key: value})  # None: value sets several keys
         with pytest.raises(ValidationError, match=match):
             load(cfg)
+
+    @pytest.mark.parametrize("where", ["run file", "study file"])
+    @pytest.mark.parametrize("duration", [-1, math.inf])
+    def test_bad_duration_is_named_in_its_file(self, tmp_path, where, duration):
+        """A trajectory with no duration of its own takes the file's only once
+        that is typed, so a bad one names the file, not the trajectory; the
+        same section built in code fails alike."""
+        if where == "run file":
+            cfg, load = yaml.safe_load(yaml.safe_dump(RUN_CFG)), load_scenario
+        else:
+            cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
+            load = load_study
+        assert "duration" not in cfg["trajectory"]
+        cfg["duration"] = duration
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        match = (rf"^bad value for 'duration' in {where}: expected a number in \(0, inf\), "
+                 rf"got {float(duration)}$")
+        with pytest.raises(ValidationError, match=match):
+            load(path)
+        trajectory = Trajectory("constant-velocity", MINIMAL_PARAMS["constant-velocity"], 10.0)
+        section = Scenario if where == "run file" else ComparisonStudy
+        with pytest.raises(ValidationError, match=match):
+            section(trajectory=trajectory, tick=0.1, duration=duration)
 
     def test_negative_run_seed_beside_a_channel_seed_rejected(self):
         # the channel's own seed is valid, so only the run's check can fail the file

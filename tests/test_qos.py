@@ -56,6 +56,13 @@ class TestRecordError:
         s.record(state([0, 0, 0], theta=3.1), state([0, 0, 0], theta=-3.1))
         assert s.e_or[0] == pytest.approx(2 * math.pi - 6.2, abs=1e-12)
 
+    @pytest.mark.parametrize("tick", [0.0, math.nan, math.inf])
+    def test_bad_tick_rejected(self, tick):
+        match = (r"^bad value for 'tick' in ErrorSeries: expected a number in \(0, inf\), "
+                 rf"got {tick}$")
+        with pytest.raises(ValidationError, match=match):
+            ErrorSeries(tick)
+
     def test_time_mismatch_rejected(self):
         s = ErrorSeries(0.1)
         with pytest.raises(ValidationError):
@@ -157,6 +164,14 @@ class TestViolationWindows:
         covered = sum(round(w.length / 0.1) + 1 for w in windows)
         assert covered == 3  # the three strictly positive samples
 
+    @pytest.mark.parametrize("th", [math.nan, -0.5])
+    def test_bad_threshold_rejected(self, th):
+        # a NaN threshold compares false with every error, so it would report a clean run
+        match = (r"^bad value for 'th_pos' in violation_windows: expected a number >= 0, "
+                 rf"got {th}$")
+        with pytest.raises(ValidationError, match=match):
+            violation_windows(series_from_errors([1.0, 3.0]), th)
+
     @given(st.lists(st.floats(0, 2), min_size=1, max_size=60), st.floats(0, 1.5))
     @settings(max_examples=80)
     def test_matches_bruteforce_scan(self, errors, th):
@@ -181,6 +196,11 @@ class TestViolationWindows:
             assert w.start == pytest.approx(start)
             assert w.end == pytest.approx(end)
             assert w.peak == pytest.approx(peak)
+
+
+EMAX_BOUND_ERROR = (
+    r"^bad value for 'accel_bound' in check_emax_bound: expected a number >= 0, got {}$"
+)
 
 
 class TestEmaxBound:
@@ -214,8 +234,13 @@ class TestEmaxBound:
         assert not ok  # bound is th_pos = 1.0 < observed 2.0
 
     def test_negative_accel_bound_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=EMAX_BOUND_ERROR.format(-1.0)):
             check_emax_bound(CoherenceReport(), ChannelConfig(), DrConfig(), -1.0)
+
+    def test_nan_accel_bound_rejected(self):
+        # a NaN bound makes the bound NaN, which no run respects
+        with pytest.raises(ValidationError, match=EMAX_BOUND_ERROR.format("nan")):
+            check_emax_bound(CoherenceReport(), ChannelConfig(), DrConfig(), math.nan)
 
 
 class TestVerdict:
