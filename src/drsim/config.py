@@ -57,14 +57,17 @@ def bad_value(key: str, where: str, what: str, value) -> ValidationError:
 
 def convert(tp, value, key: str, where: str):
     """value, that of key in where, as tp: a type of _KINDS (a list is left for
-    the caller to read), tuple[X, ...] for a list of X (a numpy array reads as
-    its list), Annotated[int, float or a tuple, (text, test)] for one that
-    passes test, a Literal of texts for one of them, or object or a dataclass
-    (a section) for any value the caller reads. A number must fit a float."""
+    the caller to read), tuple[X, ...] for a list of X, Annotated[int, float
+    or a tuple, (text, test)] for one that passes test, a Literal of texts for
+    one of them, or object or a dataclass (a section) for any value the caller
+    reads. A numpy array of one or more dimensions reads, and fails, as its
+    list. A number must fit a float."""
     if type(value) is tp in (float, int, str):  # fast: a network has hundreds of consequents
         return value
     if tp is object or dataclasses.is_dataclass(tp):
         return value
+    if isinstance(value, np.ndarray) and value.ndim:
+        value = value.tolist()
     origin = typing.get_origin(tp)
     if origin is Annotated:
         kind, (text, test) = typing.get_args(tp)
@@ -75,7 +78,6 @@ def convert(tp, value, key: str, where: str):
         what = f"{noun} {text}"  # a number as typed, a list as given
     elif origin is tuple:
         element = typing.get_args(tp)[0]
-        value = value.tolist() if isinstance(value, np.ndarray) else value
         if isinstance(value, (list, tuple)):
             return tuple(convert(element, v, key, where) for v in value)
         what = "a list"

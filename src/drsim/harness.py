@@ -59,7 +59,7 @@ class Scenario:
 
     def __post_init__(self):
         type_fields(self, "run file")
-        object.__setattr__(self, "truth", _checked_truth(self, "scenario"))
+        object.__setattr__(self, "truth", _checked_truth(self))
         bundle, correction = self.dr.anfis_bundle, None  # a bundle comes with the anfis predictor
         if bundle is not None:
             if bundle.feature_tick != self.tick:
@@ -76,32 +76,27 @@ class Scenario:
         object.__setattr__(self, "correction", correction)
 
 
-def _checked_truth(config: Scenario | ComparisonStudy, what: str) -> StateArrays:
+def _checked_truth(config: Scenario | ComparisonStudy) -> StateArrays:
     """The truth of config, a run or a study, at t = 0 and each whole tick, after
-    checking that its duration holds a tick, that its trajectory covers the
-    last one before any array is made, and that truth is finite at each. The
-    tick count is floored (3.5 s at a 1 s tick is 3) after a relative 1e-9
-    allowance, so that a multiple whose quotient rounds low counts (0.3 / 0.1)."""
+    checking that its duration holds a tick before any array is made, and that
+    truth is finite at each. The tick count is floored (3.5 s at a 1 s tick is
+    3) after a relative 1e-9 allowance, so that a multiple whose quotient rounds
+    low counts (0.3 / 0.1); a last tick that rounds past the duration is taken
+    at the duration (7 x 0.1 s is 0.7000000000000001 s)."""
     tick, duration, trajectory = config.tick, config.duration, config.trajectory
     ticks = duration / tick * (1.0 + 1e-9)
     if not (duration >= tick and math.isfinite(ticks)):
         raise ValidationError(
             f"duration must hold a finite count of {tick} s ticks, at least one, got {duration}"
         )
-    count = math.floor(ticks)  # checked against the trajectory before any array is made
-    last_tick = count * tick
-    if not trajectory.covers(last_tick):
-        raise ValidationError(
-            f"{what} duration {duration} s is longer than its trajectory's "
-            f"duration {trajectory.duration} s (last tick at t={last_tick})"
-        )
+    times = np.minimum(np.arange(math.floor(ticks) + 1) * tick, duration)
     try:  # fail at load, and without numpy's warning, on a motion law that overflows
         with np.errstate(all="ignore"):
-            return truth_arrays(trajectory, np.arange(count + 1) * tick)
+            return truth_arrays(trajectory, times)
     except ValidationError as exc:
         given = ", ".join(f"{k}={np.asarray(v).tolist()}" for k, v in trajectory.params.items())
         raise ValidationError(
-            f"a {trajectory.kind} trajectory with {given} overflows by t = {last_tick}: {exc}"
+            f"a {trajectory.kind} trajectory with {given} overflows by t = {times[-1]}: {exc}"
         ) from None
 
 
@@ -109,15 +104,13 @@ def _keys(cls) -> frozenset:
     return frozenset(f.name for f in dataclasses.fields(cls) if f.init)
 
 
-def _trajectory_from_config(cfg, duration: float) -> Trajectory:
-    """kind and duration, by default the run's, are the section's own keys;
-    the others are parameters of the kind, which Trajectory checks."""
+def _trajectory_from_config(cfg) -> Trajectory:
+    """kind is the section's own key; the others are parameters of the kind,
+    which Trajectory checks."""
     cfg = mapping(cfg, "trajectory")
-    own = {key: cfg[key] for key in ("kind", "duration") if key in cfg}
-    params = {key: value for key, value in cfg.items() if key not in own}
-    return Trajectory(
-        **read_section(Trajectory, {"duration": duration, **own}, "trajectory"), params=params
-    )
+    own = {key: value for key, value in cfg.items() if key == "kind"}
+    params = {key: value for key, value in cfg.items() if key != "kind"}
+    return Trajectory(**read_section(Trajectory, own, "trajectory"), params=params)
 
 
 def _dr_from_config(cfg, base_dir: Path | None) -> DrConfig:
@@ -151,7 +144,7 @@ def scenario_from_dict(cfg: dict, base_dir: Path | None = None) -> Scenario:
                 f"key {study_only[0]!r} belongs to a study file; use drsim compare or drsim train"
             )
     run = read_section(Scenario, cfg, "run file")
-    run["trajectory"] = _trajectory_from_config(run["trajectory"], run["duration"])
+    run["trajectory"] = _trajectory_from_config(run["trajectory"])
     if "dr" in run:
         run["dr"] = _dr_from_config(run["dr"], base_dir)
     if "profile" in run:
@@ -340,7 +333,7 @@ class ComparisonStudy:
 
     def __post_init__(self):
         type_fields(self, "study file")
-        truth = _checked_truth(self, "study")
+        truth = _checked_truth(self)
         for key, values in (("horizons", self.horizons), ("predictors", self.predictors)):
             if not values:
                 raise ValidationError(f"{key!r} in study file lists no {key[:-1]}")
@@ -353,7 +346,7 @@ class ComparisonStudy:
 
 def study_from_dict(cfg: dict) -> ComparisonStudy:
     study = read_section(ComparisonStudy, cfg, "study file")
-    study["trajectory"] = _trajectory_from_config(study["trajectory"], study["duration"])
+    study["trajectory"] = _trajectory_from_config(study["trajectory"])
     study["train"] = TrainSpec(**read_section(TrainSpec, study.get("train", {}), "train"))
     return ComparisonStudy(**study)
 

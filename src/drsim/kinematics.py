@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import Finite, FinitePositive, Vec3, Waypoints, read_section, type_fields
+from .config import Finite, Vec3, Waypoints, read_section, type_fields
 from .errors import RangeError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -105,7 +105,9 @@ def _param(value):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Analytic motion law: kind plus a kind-specific numeric parameter record.
+    """Analytic motion law: kind plus a kind-specific numeric parameter record,
+    defined at every t >= 0 (a waypoint script holds its last point). How long
+    it is sampled is the run's or the study's to say.
 
     params may hold only the parameters TRAJECTORY_PARAMS lists for the kind, read
     as a file's are; after construction it holds all of them, defaults filled in.
@@ -113,7 +115,6 @@ class Trajectory:
 
     kind: str
     params: dict[str, object]
-    duration: FinitePositive
 
     def __post_init__(self):
         type_fields(self, "trajectory")
@@ -123,11 +124,6 @@ class Trajectory:
         given = read_section(required, self.params, f"a {self.kind} trajectory", raw=types)
         params = {**TRAJECTORY_PARAMS[self.kind], **given}
         object.__setattr__(self, "params", {k: _param(v) for k, v in params.items()})
-
-    def covers(self, t: float) -> bool:
-        """Whether t lies in [0, duration], allowing for rounding in tick times."""
-        tol = 1e-9 * max(1.0, self.duration)
-        return -tol <= t <= self.duration + tol
 
 
 def _theta_law(params: Mapping[str, object], t: np.ndarray) -> tuple[np.ndarray, float]:
@@ -170,10 +166,12 @@ class StateArrays:
 
 
 def _motion(traj: Trajectory, t: np.ndarray):
-    """The motion law at clamped times t (N,): position, velocity and
-    acceleration (N, 3), heading (N,) wrapped once, angular rate (N,). Each is
-    a contiguous array of its own, a constant one included: arithmetic on a
-    stride-0 broadcast view runs several times slower."""
+    """The motion law at times t (N,), a RangeError if one is not >= 0:
+    position, velocity and acceleration (N, 3), heading (N,) wrapped once,
+    angular rate (N,). Each is a contiguous array of its own, a constant one
+    included: arithmetic on a stride-0 broadcast view runs several times slower."""
+    if not t.min(initial=0.0) >= 0.0:  # NaN fails too
+        raise RangeError(f"t={t.min()} outside [0, inf)")
     p, kind, n = traj.params, traj.kind, len(t)
     tc = t[:, None]
 
@@ -231,23 +229,16 @@ def _motion(traj: Trajectory, t: np.ndarray):
     return pos, vel, acc, wrap_angles(theta), omega
 
 
-def _clamped(traj: Trajectory, t: np.ndarray) -> np.ndarray:
-    for bound in (t.min(initial=0.0), t.max(initial=0.0)):
-        if not traj.covers(bound):
-            raise RangeError(f"t={bound} outside [0, {traj.duration}]")
-    return np.minimum(np.maximum(t, 0.0), traj.duration)
-
-
 def sample_truth(traj: Trajectory, t: float) -> EntityState:
-    """Exact entity state at time t in [0, duration]."""
-    t = _clamped(traj, np.array([float(t)]))
+    """Exact entity state at time t >= 0."""
+    t = np.array([float(t)])
     pos, vel, acc, theta, omega = _motion(traj, t)
     return EntityState(pos[0], vel[0], acc[0], theta[0], omega[0], t[0])
 
 
 def truth_arrays(traj: Trajectory, times: np.ndarray) -> StateArrays:
-    """Exact entity states at every time in [0, duration]: sample_truth by rows."""
-    t = _clamped(traj, np.asarray(times, dtype=float))
+    """Exact entity states at every time t >= 0: sample_truth by rows."""
+    t = np.array(times, dtype=float)  # a copy: the rows own their times
     pos, vel, acc, theta, omega = _motion(traj, t)
     # Typed parameters fix every shape, but a product of finite ones can overflow.
     names = ("position", "velocity", "acceleration", "orientation", "angular_rate")
@@ -317,13 +308,13 @@ def extrapolate(base: EntityState, t: float, predictor: str = "second") -> Entit
     return EntityState(pos, vel, base.acceleration, theta, base.angular_rate, t)
 
 
-def max_speed_bound(traj: Trajectory) -> float:
-    """Analytic upper bound on ||velocity|| over the trajectory."""
+def max_speed_bound(traj: Trajectory, duration: float) -> float:
+    """Analytic upper bound on ||velocity|| over t in [0, duration]."""
     p = traj.params
     if traj.kind == "constant-velocity":
         return float(np.linalg.norm(p["v"]))
     if traj.kind == "constant-acceleration":
-        return float(np.linalg.norm(p["v0"]) + np.linalg.norm(p["a"]) * traj.duration)
+        return float(np.linalg.norm(p["v0"]) + np.linalg.norm(p["a"]) * duration)
     if traj.kind == "sinusoid-weave":
         return float(np.linalg.norm(p["drift"]) + np.linalg.norm(p["amplitude"]) * abs(p["freq"]))
     if traj.kind == "circular":

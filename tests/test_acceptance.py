@@ -69,7 +69,6 @@ def test_criterion_01_extrapolation_exactness():
     traj = Trajectory(
         "constant-acceleration",
         {"p0": [0, 0, 0], "v0": [2, 1, 0], "a": [1.0, 0.0, 0.0]},
-        duration=60.0,
     )
     ticks = np.arange(0, 601) * 0.1
     bases = [sample_truth(traj, t) for t in ticks]
@@ -101,7 +100,6 @@ def test_criterion_03_threshold_gating():
     traj = Trajectory(
         "sinusoid-weave",
         {"amplitude": [0, 2, 0], "drift": [1, 0, 0], "freq": 0.8},
-        duration=60.0,
     )
     base = load_scenario(SCENARIO_DIR / "sinusoid_tight.yaml")
     zero_delay = dataclasses.replace(
@@ -112,7 +110,7 @@ def test_criterion_03_threshold_gating():
         duration=60.0,
     )
     run = run_scenario(zero_delay)
-    slack = max_speed_bound(traj) * zero_delay.tick
+    slack = max_speed_bound(traj, zero_delay.duration) * zero_delay.tick
     assert max(run.series.e_pos) <= 0.5 + slack
     rows = sweep(zero_delay, "th_pos", [0.1, 0.2, 0.5, 1.0])
     counts = [r.messages_sent for r in rows]
@@ -179,7 +177,7 @@ def test_criterion_06_anfis_algebra():
 
 
 def test_criterion_07_training_progress():
-    traj = Trajectory("sinusoid-weave", {"amplitude": [1.0, 0, 0], "freq": 1.0}, duration=120.0)
+    traj = Trajectory("sinusoid-weave", {"amplitude": [1.0, 0, 0], "freq": 1.0})
     net, data = make_residual_task(
         traj, tick=0.1, duration=120.0, horizon_ticks=10, n_samples=500
     )
@@ -274,7 +272,7 @@ def gated_reports():
     sc = load_scenario(SCENARIO_DIR / "sinusoid_tight.yaml")
     kind, params = sc.trajectory.kind, sc.trajectory.params
     study = ComparisonStudy(
-        trajectory=Trajectory(kind, params, duration=300.0),
+        trajectory=Trajectory(kind, params),
         tick=sc.tick,
         duration=300.0,
         horizons=(10,),
@@ -284,7 +282,7 @@ def gated_reports():
     learned = dataclasses.replace(sc.dr, predictor="anfis", anfis_bundle=train_bundle(study, 10))
     reports = {}
     for name, change in GATED_VARIANTS.items():
-        run = dataclasses.replace(sc, trajectory=Trajectory(kind, {**params, **change}, sc.duration))
+        run = dataclasses.replace(sc, trajectory=Trajectory(kind, {**params, **change}))
         reports[name] = tuple(
             run_scenario(dataclasses.replace(run, dr=dr)).report for dr in (sc.dr, learned)
         )

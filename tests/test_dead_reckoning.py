@@ -185,7 +185,6 @@ class TestMirrorSymmetry:
         traj = Trajectory(
             "sinusoid-weave",
             {"amplitude": [0, 2, 0], "drift": [1, 0, 0], "freq": 0.8},
-            duration=20.0,
         )
         sender, recv = SenderModel(cfg), ReceiverModel(cfg)
         for i in range(201):
@@ -201,10 +200,10 @@ class TestMirrorSymmetry:
 
 
 class TestGateProperties:
-    def _run(self, cfg, traj, tick=0.1):
+    def _run(self, cfg, traj, duration, tick=0.1):
         sender, recv = SenderModel(cfg), ReceiverModel(cfg)
         errors, send_times = [], []
-        n = int(round(traj.duration / tick))
+        n = int(round(duration / tick))
         for i in range(n + 1):
             truth = sample_truth(traj, i * tick)
             msg = sender.step(truth, truth.time)
@@ -220,34 +219,32 @@ class TestGateProperties:
         traj = Trajectory(
             "sinusoid-weave",
             {"amplitude": [0, 2, 0], "drift": [1, 0, 0], "freq": 0.8},
-            duration=40.0,
         )
-        errors, _ = self._run(cfg, traj)
+        errors, _ = self._run(cfg, traj, 40.0)
         assert max(errors) < cfg.th_pos
 
     def test_heartbeat_liveness(self):
         cfg = DrConfig(th_pos=math.inf, heartbeat=5.0)
-        traj = Trajectory("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0]}, duration=47.0)
-        _, send_times = self._run(cfg, traj)
+        traj = Trajectory("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0]})
+        _, send_times = self._run(cfg, traj, 47.0)
         gaps = np.diff(send_times)
         assert np.all(gaps <= 5.0 + 0.1 + 1e-9)
 
     def test_infinite_threshold_message_count(self):
         # ceil(duration / heartbeat) heartbeats plus the initial update
         cfg = DrConfig(th_pos=math.inf, heartbeat=5.0)
-        traj = Trajectory("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0]}, duration=60.0)
-        _, send_times = self._run(cfg, traj)
+        traj = Trajectory("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0]})
+        _, send_times = self._run(cfg, traj, 60.0)
         assert len(send_times) == 13
 
     def test_message_count_monotone_in_threshold(self):
         traj = Trajectory(
             "sinusoid-weave",
             {"amplitude": [0, 2, 0], "drift": [1, 0, 0], "freq": 0.8},
-            duration=30.0,
         )
         counts = []
         for th in (0.1, 0.2, 0.5, 1.0, 2.0):
-            _, send_times = self._run(DrConfig(th_pos=th), traj)
+            _, send_times = self._run(DrConfig(th_pos=th), traj, 30.0)
             counts.append(len(send_times))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 

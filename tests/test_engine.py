@@ -88,8 +88,8 @@ def reference_run(sc: Scenario, stale_counts: list | None = None) -> RunResult:
         max_prop = max(max_prop, due - msg.sent_at)
 
     handlers = {"deliver": on_deliver}
-    for i in range(int(round(sc.duration / sc.tick)) + 1):
-        truth = sample_truth(sc.trajectory, i * sc.tick)
+    for t in sc.truth.time:  # the run's tick times, the last clamped to its duration
+        truth = sample_truth(sc.trajectory, t)
         msg = sender.step(truth, truth.time)
         if msg is not None:
             channel.send(queue, msg, truth.time)
@@ -119,7 +119,7 @@ def reference_run(sc: Scenario, stale_counts: list | None = None) -> RunResult:
 
 
 def scenario(kind: str, dr: DrConfig, channel: ChannelConfig = JITTERY, tick=0.1) -> Scenario:
-    traj = Trajectory(kind, TRAJECTORIES[kind], duration=DURATION)
+    traj = Trajectory(kind, TRAJECTORIES[kind])
     return Scenario(
         name=kind,
         trajectory=traj,
@@ -304,7 +304,7 @@ def test_heading_on_the_wrap_seam(predictor, th_or):
     dr = DrConfig(th_pos=0.5, th_or=th_or, predictor=predictor, anfis_bundle=bundle)
     sc = Scenario(
         name="wrap-seam",
-        trajectory=Trajectory("constant-velocity", params, duration=DURATION),
+        trajectory=Trajectory("constant-velocity", params),
         dr=dr,
         channel=JITTERY,
         tick=0.1,
@@ -531,7 +531,7 @@ def test_rounding_decides_the_sends(kind, params, predictor, th_pos, th_or):
     the test must stay live, and the run equal the reference."""
     sc = Scenario(
         name=kind,
-        trajectory=Trajectory(kind, params, duration=DURATION),
+        trajectory=Trajectory(kind, params),
         dr=DrConfig(th_pos=th_pos, th_or=th_or, predictor=predictor),
         channel=JITTERY,
         tick=0.1,

@@ -50,18 +50,17 @@ from test_engine import assert_same_run, corrector_passes, fixed_bundle
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def weave(duration=30.0):
+def weave():
     return Trajectory(
         "sinusoid-weave",
         {"amplitude": [0, 2, 0], "drift": [1, 0, 0], "freq": 0.8},
-        duration=duration,
     )
 
 
 def scenario(traj=None, dr=None, channel=None, tick=0.1, duration=30.0, **kw):
     return Scenario(
         name=kw.pop("name", "test"),
-        trajectory=traj or weave(duration),
+        trajectory=traj or weave(),
         dr=dr or DrConfig(th_pos=0.5),
         channel=channel or ChannelConfig(),
         profile=kw.pop("profile", QosProfile.loosely_coupled()),
@@ -73,7 +72,7 @@ def scenario(traj=None, dr=None, channel=None, tick=0.1, duration=30.0, **kw):
 
 class TestRunScenario:
     def test_constant_velocity_first_order_only_heartbeats(self):
-        traj = Trajectory("constant-velocity", {"p0": [0, 0, 0], "v": [2, 0, 0]}, duration=60.0)
+        traj = Trajectory("constant-velocity", {"p0": [0, 0, 0], "v": [2, 0, 0]})
         sc = scenario(traj=traj, dr=DrConfig(th_pos=1.0, predictor="first"), duration=60.0)
         run = run_scenario(sc)
         assert run.report.messages_sent == 13  # initial + 12 heartbeats
@@ -126,9 +125,22 @@ class TestRunScenario:
             candidates = sends[(sends <= w.start + 1e-9) & (sends >= w.start - dt - 1e-9)]
             assert candidates.size, f"window at {w.start} has no in-flight update"
 
+    def test_last_tick_past_the_duration_is_sampled_at_it(self):
+        """7 ticks of 0.1 s end at 0.7000000000000001 s: the run samples its
+        last truth row at its duration, 0.7 s, bit for bit."""
+        traj = weave()
+        past = 7 * 0.1
+        assert past > 0.7
+        truth = scenario(traj=traj, duration=0.7).truth
+        last = truth_arrays(traj, [0.7])
+        assert len(truth.time) == 8 and truth.time[-1] == 0.7
+        assert truth_arrays(traj, [past]).position.tobytes() != last.position.tobytes()
+        for f in dataclasses.fields(last):
+            assert getattr(truth, f.name)[-1:].tobytes() == getattr(last, f.name).tobytes(), f.name
+
     def test_stale_heartbeat_read_is_exact_at_message_time(self):
         # quiet period: the display at the message timestamp equals the message state
-        traj = Trajectory("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0]}, duration=10.0)
+        traj = Trajectory("constant-velocity", {"p0": [0, 0, 0], "v": [1, 0, 0]})
         sc = scenario(traj=traj, dr=DrConfig(th_pos=math.inf), duration=10.0)
         run = run_scenario(sc)
         assert run.report.max_error < 1e-12
@@ -362,7 +374,6 @@ class TestComparison:
         traj = Trajectory(
             "constant-acceleration",
             {"p0": [0, 0, 0], "v0": [1, 0, 0], "a": [0.5, 0, 0]},
-            duration=40.0,
         )
         study = ComparisonStudy(
             trajectory=traj,
@@ -376,7 +387,7 @@ class TestComparison:
 
     def test_second_order_error_grows_with_horizon(self):
         study = ComparisonStudy(
-            trajectory=weave(60.0),
+            trajectory=weave(),
             tick=0.1,
             duration=60.0,
             horizons=tuple(range(1, 8)),
@@ -389,7 +400,7 @@ class TestComparison:
 
     def test_csv_mirrors_table_shape(self):
         study = ComparisonStudy(
-            trajectory=weave(40.0),
+            trajectory=weave(),
             tick=0.1,
             duration=40.0,
             horizons=(1, 2),
@@ -404,7 +415,6 @@ class TestComparison:
         traj = Trajectory(
             "sinusoid-weave",
             {"amplitude": [1.0, 0, 0], "freq": 1.0, "yaw_amp": 1.0},
-            duration=120.0,
         )
         study = ComparisonStudy(
             trajectory=traj,
@@ -425,7 +435,6 @@ class TestComparison:
         traj = Trajectory(
             "sinusoid-weave",
             {"amplitude": [0, 2, 0], "drift": [1, 0, 0], "freq": 0.8, "yaw_amp": 0.6},
-            duration=40.0,
         )
         study = ComparisonStudy(
             trajectory=traj, tick=tick, duration=40.0, horizons=horizons,
@@ -483,7 +492,7 @@ class TestComparison:
         # 301 rows split at row 297: horizon 3 holds out row 297 alone, 4 none.
         def study(horizons):
             train = TrainSpec(n_terms=3, split=0.99)
-            return ComparisonStudy(weave(30.0), 0.1, 30.0, horizons=horizons, train=train)
+            return ComparisonStudy(weave(), 0.1, 30.0, horizons=horizons, train=train)
 
         counts = count_training_events(monkeypatch)
         with pytest.raises(ValidationError, match="^no test samples left at horizon 4$"):
@@ -495,7 +504,7 @@ class TestComparison:
 
 class TestResidualTask:
     def test_shapes_and_determinism(self):
-        traj = Trajectory("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 1.0}, duration=120.0)
+        traj = Trajectory("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 1.0})
         net, data = make_residual_task(traj, 0.1, 120.0, horizon_ticks=10, n_samples=500)
         assert len(data) == 500
         assert data.inputs.shape == (500, 3)
@@ -505,7 +514,7 @@ class TestResidualTask:
         assert np.array_equal(data.targets, data2.targets)
 
     def test_too_short_trajectory_rejected(self):
-        traj = Trajectory("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 1.0}, duration=5.0)
+        traj = Trajectory("sinusoid-weave", {"amplitude": [1, 0, 0], "freq": 1.0})
         with pytest.raises(ValidationError):
             make_residual_task(traj, 0.1, 5.0, horizon_ticks=10, n_samples=500)
 
@@ -519,7 +528,7 @@ def spike_study(horizons=(1, 2, 6, 8), **train) -> ComparisonStudy:
     horizons."""
     waypoints = [[float(t), float(t % 2), 0.5 * (t % 2), 0.0] for t in range(21)]
     waypoints += [[20.75, 0.75, 0.0, 0.0], [20.85, 3.75, 0.0, 0.0], [30.0, 3.75, 0.0, 0.0]]
-    traj = Trajectory("waypoint-script", {"waypoints": waypoints, "omega": 0.05}, duration=30.0)
+    traj = Trajectory("waypoint-script", {"waypoints": waypoints, "omega": 0.05})
     return ComparisonStudy(
         traj, 0.1, 30.0, horizons=horizons, predictors=("anfis",), train=TrainSpec(**train)
     )
@@ -567,7 +576,7 @@ class TestHorizonsTrainedTogether:
         # and 67 rows more; the plain loop sums the same blocks.
         monkeypatch.setattr(anfis, "_GRAM_ROWS", 69)
         study = ComparisonStudy(
-            weave(40.0), 0.1, 40.0, horizons=(1, 3, 5), predictors=("anfis",),
+            weave(), 0.1, 40.0, horizons=(1, 3, 5), predictors=("anfis",),
             train=TrainSpec(n_terms=5),
         )
         self.check(study, passes)
@@ -591,7 +600,7 @@ class TestHorizonsTrainedTogether:
     ])
     def test_study_too_short_names_its_longest_horizon(self, horizon, match):
         study = ComparisonStudy(
-            weave(40.0), 0.1, 40.0, horizons=(1,), train=TrainSpec(n_terms=5, split=0.01)
+            weave(), 0.1, 40.0, horizons=(1,), train=TrainSpec(n_terms=5, split=0.01)
         )
         with pytest.raises(ValidationError, match=match):
             train_bundle(study, horizon)
@@ -668,7 +677,7 @@ def test_epochs_and_eta_leave_training_unchanged():
     bundles = [
         train_bundle(
             ComparisonStudy(
-                weave(40.0), 0.1, 40.0, horizons=(1, 3), train=TrainSpec(n_terms=3, **train)
+                weave(), 0.1, 40.0, horizons=(1, 3), train=TrainSpec(n_terms=3, **train)
             ),
             (1, 3),
         )
@@ -832,17 +841,6 @@ class TestConfigFiles:
         path.write_text(text, encoding="utf-8")
         assert math.isinf(load_scenario(path).dr.th_pos)
 
-    def test_scenario_longer_than_trajectory_rejected(self, tmp_path):
-        cfg = yaml.safe_load((SCENARIO_DIR / "sinusoid_tight.yaml").read_text(encoding="utf-8"))
-        cfg["trajectory"]["duration"] = 60.0
-        cfg["duration"] = 90.0
-        path = tmp_path / "long.yaml"
-        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
-        with pytest.raises(ValidationError, match=r"duration 90\.0 s .* duration 60\.0 s"):
-            load_scenario(path)
-        cfg["duration"] = 60.0
-        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
-        assert len(load_scenario(path).truth.time) - 1 == 600
 
 
 # Each trajectory kind with only the parameters it requires.
@@ -892,6 +890,26 @@ class TestConfigKeys:
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
         with pytest.raises(ValidationError, match="unknown key 'freq' in a constant-velocity"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("where", ["run file", "study file"])
+    def test_trajectory_duration_is_a_retired_key(self, tmp_path, where):
+        """Only the run or the study says how long its trajectory is sampled, so
+        a duration in the trajectory section is no key of the kind."""
+        if where == "run file":
+            cfg, load = yaml.safe_load(yaml.safe_dump(RUN_CFG)), load_scenario
+        else:
+            cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
+            load = load_study
+        kind = cfg["trajectory"]["kind"]
+        cfg["trajectory"]["duration"] = cfg["duration"]
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        keys = ", ".join(sorted(TRAJECTORY_PARAMS[kind]))
+        with pytest.raises(ValidationError) as caught:
+            load(path)
+        assert str(caught.value) == (
+            f"unknown key 'duration' in a {kind} trajectory; expected one of {keys}"
+        )
 
     @pytest.mark.parametrize("kind", sorted(MINIMAL_PARAMS))
     def test_each_kind_loads_with_only_its_required_parameters(self, kind):
@@ -984,6 +1002,9 @@ class TestConfigKeys:
              FINITE, "nan"),
             ("waypoint-script", {"waypoints": [[0, 0, 0, 0], [0, 1, 0, 0]]}, "waypoints", TABLE,
              "[[0, 0, 0, 0], [0, 1, 0, 0]]"),
+            # a numpy array built in code reads as its list, as a file gives it
+            ("constant-velocity", {"p0": np.zeros(3), "v": np.array([1.0, 0])}, "v",
+             "a list of 3 numbers", "[1.0, 0.0]"),
         ],
         ids=[
             "v-2", "v-4", "p0-2", "p0-4", "v-text", "freq-text", "freq-nan", "amplitude-2",
@@ -991,7 +1012,7 @@ class TestConfigKeys:
             "waypoints-3-columns", "waypoints-decreasing", "freq-numeric-text", "freq-flag",
             "amplitude-text-and-flag", "v-flag", "waypoint-text-cell", "waypoint-flag-time",
             "freq-400-digits", "freq-inf", "radius-minus-inf", "waypoint-nan-cell",
-            "waypoints-repeated-time",
+            "waypoints-repeated-time", "v-2-array",
         ],
     )
     def test_bad_trajectory_parameter_rejected(self, tmp_path, kind, params, key, what, got):
@@ -1000,12 +1021,13 @@ class TestConfigKeys:
         match = f"^{re.escape(f'bad value for {key!r} in a {kind} trajectory: expected {what}')}"
         match += f", got {re.escape(got)}$"
         path = tmp_path / "sc.yaml"
-        cfg = dict(RUN_CFG, trajectory={"kind": kind, **params})
+        listed = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in params.items()}
+        cfg = dict(RUN_CFG, trajectory={"kind": kind, **listed})
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
         with pytest.raises(ValidationError, match=match):
             load_scenario(path)
         with pytest.raises(ValidationError, match=match):
-            Trajectory(kind, params, 10.0)
+            Trajectory(kind, params)
 
     @pytest.mark.parametrize(
         "params, named",
@@ -1036,11 +1058,11 @@ class TestConfigKeys:
             scenario_from_dict(cfg)
 
     def test_trajectory_parameters_are_read_only_arrays_and_floats(self):
-        traj = Trajectory("waypoint-script", {"waypoints": [[0, 0, 0, 0], [2, 1, 0, 0]]}, 2.0)
+        traj = Trajectory("waypoint-script", {"waypoints": [[0, 0, 0, 0], [2, 1, 0, 0]]})
         assert traj.params["waypoints"].shape == (2, 4)
         assert not traj.params["waypoints"].flags.writeable
         assert type(traj.params["omega"]) is float
-        circle = Trajectory("circular", {"radius": 1, "omega": 2}, 2.0)
+        circle = Trajectory("circular", {"radius": 1, "omega": 2})
         assert not circle.params["center"].flags.writeable
         assert type(circle.params["radius"]) is float
 
@@ -1103,7 +1125,7 @@ class TestConfigKeys:
             ("train", "eta", True, "'eta' in train: expected a number, got True"),
             ("train", "split", "0.7", "'split' in train: expected a number, got '0.7'"),
             ("run file", "tick", "1e-1", "'tick' in run file: expected a number, got '1e-1'"),
-            # the trajectory keeps its own, finite duration
+            # a run or study duration is finite
             pytest.param("run file", "duration", math.inf,
                          r"^bad value for 'duration' in run file: expected a number in "
                          r"\(0, inf\), got inf$",
@@ -1139,7 +1161,6 @@ class TestConfigKeys:
         else:
             cfg = yaml.safe_load(yaml.safe_dump(RUN_CFG))
             load = scenario_from_dict
-        cfg["trajectory"].setdefault("duration", cfg["duration"])
         target = cfg[where] if where in ("train", "channel", "dr") else cfg
         target.update(value if key is None else {key: value})  # None: value sets several keys
         with pytest.raises(ValidationError, match=match):
@@ -1148,15 +1169,13 @@ class TestConfigKeys:
     @pytest.mark.parametrize("where", ["run file", "study file"])
     @pytest.mark.parametrize("duration", [-1, math.inf])
     def test_bad_duration_is_named_in_its_file(self, tmp_path, where, duration):
-        """A trajectory with no duration of its own takes the file's only once
-        that is typed, so a bad one names the file, not the trajectory; the
-        same section built in code fails alike."""
+        """A bad run or study duration names the file, and the same section
+        built in code fails alike."""
         if where == "run file":
             cfg, load = yaml.safe_load(yaml.safe_dump(RUN_CFG)), load_scenario
         else:
             cfg = yaml.safe_load(tiny_study_file(tmp_path).read_text(encoding="utf-8"))
             load = load_study
-        assert "duration" not in cfg["trajectory"]
         cfg["duration"] = duration
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
@@ -1164,7 +1183,7 @@ class TestConfigKeys:
                  rf"got {float(duration)}$")
         with pytest.raises(ValidationError, match=match):
             load(path)
-        trajectory = Trajectory("constant-velocity", MINIMAL_PARAMS["constant-velocity"], 10.0)
+        trajectory = Trajectory("constant-velocity", MINIMAL_PARAMS["constant-velocity"])
         section = Scenario if where == "run file" else ComparisonStudy
         with pytest.raises(ValidationError, match=match):
             section(trajectory=trajectory, tick=0.1, duration=duration)
@@ -1377,9 +1396,6 @@ class TestConfigKeys:
                 "got -0.01"),
             ("input", {"n_terms": 0},
                 "bad value for 'n_terms' in input 'velocity': expected an integer >= 1, got 0"),
-            ("trajectory", {"duration": math.inf},
-                "bad value for 'duration' in trajectory: expected a number in (0, inf), "
-                "got inf"),
             ("anfis bundle", {"h_ref": 0.0},
                 "bad value for 'h_ref' in anfis bundle: expected a number in (0, inf), got 0.0"),
             ("anfis bundle", {"feature_tick": -0.1},
@@ -1404,7 +1420,7 @@ class TestConfigKeys:
             "zero-message_size_bytes", "negative-run-tick", "negative-study-seed",
             "nan-study-tick", "zero-horizon", "negative-max_latency", "nan-max_loss",
             "negative-max_error", "split-of-one", "zero-epochs", "zero-train-n_terms",
-            "infinite-eta", "negative-obs_noise_pos", "zero-terms", "infinite-trajectory-duration",
+            "infinite-eta", "negative-obs_noise_pos", "zero-terms",
             "zero-h_ref", "negative-feature_tick", "named-profile-with-other-bounds",
         ],
     )
@@ -1430,7 +1446,7 @@ class TestConfigKeys:
             path, load = tiny_study_file(tmp_path), load_study
             doc = yaml.safe_load(path.read_text(encoding="utf-8"))
             record = doc["train"] if where == "train" else doc
-            study = {"trajectory": weave(60.0), "tick": 0.1, "duration": 60.0}
+            study = {"trajectory": weave(), "tick": 0.1, "duration": 60.0}
             in_code = {
                 "train": lambda: TrainSpec(**settings),
                 "study file": lambda: ComparisonStudy(**{**study, **settings}),
@@ -1448,8 +1464,7 @@ class TestConfigKeys:
                 "run file": lambda: scenario(**{"tick": 0.1, "duration": 1.0, **settings}),
                 "trajectory": lambda: Trajectory(
                     "sinusoid-weave",
-                    {k: v for k, v in record.items() if k not in ("kind", "duration")},
-                    record.get("duration", 1.0),
+                    {k: v for k, v in record.items() if k != "kind"},
                 ),
             }[where]
             if "anfis_net" in settings:  # no constructor takes a path: the run's dict is the code
@@ -1481,7 +1496,7 @@ class TestConfigKeys:
         section = {key: value}
         make = {
             "run file": lambda: Scenario(trajectory=weave(), tick=0.1, duration=1.0, **section),
-            "study file": lambda: ComparisonStudy(weave(60.0), 0.1, 60.0, **section),
+            "study file": lambda: ComparisonStudy(weave(), 0.1, 60.0, **section),
             "dr": lambda: DrConfig(predictor="anfis", **section),
         }[where]
         with pytest.raises(ValidationError) as caught:
@@ -1514,16 +1529,6 @@ class TestConfigKeys:
         match = rf"^bad value for {key}: expected a number in \(0, inf\), got {tick}$"
         with pytest.raises(ValidationError, match=match):
             study_from_dict(dict(cfg, tick=tick))
-
-    def test_study_longer_than_trajectory_rejected(self):
-        study_file = SCENARIO_DIR / "sinusoid_comparison.yaml"
-        cfg = yaml.safe_load(study_file.read_text(encoding="utf-8"))
-        cfg["trajectory"]["duration"] = 10.0
-        cfg["duration"] = 60.0
-        with pytest.raises(ValidationError, match=r"duration 60\.0 s .* duration 10\.0 s"):
-            study_from_dict(cfg)
-        cfg["duration"] = 10.0
-        assert study_from_dict(cfg).duration == 10.0
 
     @pytest.mark.parametrize("key", ["horizons", "train", "predictors"])
     def test_study_key_in_run_file_rejected(self, tmp_path, key):
