@@ -28,7 +28,7 @@ from .errors import DegenerateFiringError, ValidationError
 from .kinematics import Correction, StateArrays, Trajectory, predict_positions
 from .kinematics import truth_arrays, wrap_angles
 from .kinematics import sample_truth  # noqa: F401 -- bench/tracer.py wraps it here
-from .netsim import Channel, ChannelConfig
+from .netsim import ChannelConfig, fates
 from .qos_metrics import (
     NAMED_PROFILES,
     NOTHING_DISPLAYED,
@@ -194,8 +194,7 @@ def _deliver(
     verdict."""
     truth = sc.truth
     send_times = truth.time[log.rows].tolist()
-    channel = Channel(link)
-    due = channel.transit_all(send_times)
+    due = fates(link, send_times)
     first, shown_pos, shown_or = display(truth, log, due, dr, correction)
     series = ErrorSeries.from_arrays(
         sc.tick,
@@ -207,10 +206,10 @@ def _deliver(
     delivered = np.flatnonzero(np.isfinite(due))
     delivery_times = np.sort(due[delivered]).tolist()
     report = CoherenceReport()
-    report.messages_sent = channel.sent
+    report.messages_sent = len(due)
     report.messages_delivered = len(delivered)
-    report.messages_dropped = channel.dropped
-    report.bytes_sent = channel.sent * sc.message_size_bytes
+    report.messages_dropped = len(due) - len(delivered)
+    report.bytes_sent = len(due) * sc.message_size_bytes
     report.heartbeats = log.heartbeats
     report.v_dev_max_send = log.v_dev_max
     if len(delivered):

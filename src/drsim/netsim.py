@@ -1,8 +1,10 @@
-"""Seeded discrete-event channel: per-packet delay, jitter and Bernoulli loss.
+"""Seeded lossy channel: per-packet delay, jitter and Bernoulli loss.
 
-The event queue is the single source of simulated time. Everything random is
-drawn from one seeded generator per channel, so a (config, scenario) pair
-fully determines the event trace.
+A run draws the fates of all its updates at once through fates. Channel and
+EventQueue are the per-message reference it is held to: Channel draws one
+fate at a time and EventQueue, the single source of simulated time, delivers
+it. Everything random is drawn from one seeded generator per link, so a
+(config, scenario) pair fully determines the event trace.
 """
 
 from __future__ import annotations
@@ -82,8 +84,38 @@ class EventQueue:
         return count
 
 
+def fates(link: ChannelConfig, times: list[float]) -> np.ndarray:
+    """The fates of messages sent at times over link, in send order: each due
+    time, inf for a lost message. Bit for bit what a fresh Channel(link)'s loop
+    of transit gives them.
+
+    One block of draws serves them all. Each message takes the next draw for
+    its loss and, when kept on a jittery link, the next for its jitter, which it
+    maps as Generator.uniform does."""
+    loss, base, jitter = link.loss, link.base_delay, link.jitter
+    span = jitter - (-jitter)
+    rng = np.random.default_rng(link.seed)
+    draws = iter(rng.random(len(times) * (2 if jitter > 0.0 else 1)).tolist())
+    due, last = [], -math.inf
+    for now in times:
+        if next(draws) < loss:
+            due.append(math.inf)
+            continue
+        delay = base
+        if jitter > 0.0:
+            delay += -jitter + span * next(draws)
+        d = now + delay
+        if not link.reorder_allowed:
+            d = max(d, last)
+        last = d
+        due.append(d)
+    return np.array(due, dtype=float)
+
+
 class Channel:
-    """Unicast point-to-point link with seeded loss and uniform jitter."""
+    """Unicast point-to-point link with seeded loss and uniform jitter, one
+    message at a time: the per-message reference that runs are held to. A run
+    draws all its fates at once through fates."""
 
     def __init__(self, config: ChannelConfig):
         self.config = config
@@ -107,36 +139,6 @@ class Channel:
             due = max(due, self._last_due)
         self._last_due = due
         return due
-
-    def transit_all(self, times: list[float]) -> np.ndarray:
-        """The fates of messages sent at times, in send order, as transit draws
-        them one by one, bit for bit: each due time, inf for a lost message.
-
-        One block of draws serves them all. Each message takes the next draw
-        for its loss and, when kept on a jittery link, the next for its jitter,
-        which it maps as Generator.uniform does. The generator ends past the
-        draws no message took, so later draws differ from a transit loop's."""
-        cfg = self.config
-        loss, base, jitter = cfg.loss, cfg.base_delay, cfg.jitter
-        span = jitter - (-jitter)
-        draws = iter(self.rng.random(len(times) * (2 if jitter > 0.0 else 1)).tolist())
-        due, last = [], self._last_due
-        for now in times:
-            if next(draws) < loss:
-                self.dropped += 1
-                due.append(math.inf)
-                continue
-            delay = base
-            if jitter > 0.0:
-                delay += -jitter + span * next(draws)
-            d = now + delay
-            if not cfg.reorder_allowed:
-                d = max(d, last)
-            last = d
-            due.append(d)
-        self.sent += len(times)
-        self._last_due = last
-        return np.array(due, dtype=float)
 
     def send(self, queue: EventQueue, msg, now: float) -> bool:
         """Drop or enqueue one message; returns True when delivery is scheduled."""

@@ -135,7 +135,6 @@ def integrated_error(series: ErrorSeries) -> float:
 class ViolationWindow:
     start: float
     end: float
-    peak: float
 
     @property
     def length(self) -> float:
@@ -145,18 +144,11 @@ class ViolationWindow:
 def violation_windows(series: ErrorSeries, th_pos: float) -> list[ViolationWindow]:
     """Maximal contiguous runs of samples with positional error above th_pos."""
     th_pos = convert(NonNegative, th_pos, "th_pos", "violation_windows")
-    e = series.e_pos
-    above = np.concatenate(([False], e > th_pos, [False]))
+    above = np.concatenate(([False], series.e_pos > th_pos, [False]))
     edges = np.flatnonzero(above[1:] != above[:-1])  # each window's start, then its stop
-    # A sample outside every window reads -inf, so the maximum from a window's
-    # start up to the next window's start, or the end, is its peak.
-    peaks = np.maximum.reduceat(np.where(above[1:-1], e, -math.inf), edges[::2])
     edges[1::2] -= 1  # each window's last sample
     bounds = series.times[edges].tolist()
-    return [
-        ViolationWindow(start, end, peak)
-        for start, end, peak in zip(bounds[::2], bounds[1::2], peaks.tolist())
-    ]
+    return [ViolationWindow(start, end) for start, end in zip(bounds[::2], bounds[1::2])]
 
 
 @dataclass

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from drsim.dead_reckoning import UpdateMessage
 from drsim.errors import RangeError, SimulationError, ValidationError
 from drsim.kinematics import EntityState
-from drsim.netsim import Channel, ChannelConfig, EventQueue
+from drsim.netsim import Channel, ChannelConfig, EventQueue, fates
 
 
 def msg(t, seq=0):
@@ -185,14 +185,11 @@ def links(draw):
 @given(links())
 @example((ChannelConfig(base_delay=1.0, jitter=0.9, loss=0.1, seed=11), []))
 @example((ChannelConfig(base_delay=1.0, jitter=0.9, loss=0.3, seed=11), np.arange(50.0).tolist()))
-def test_transit_all_draws_every_fate_as_transit(link):
-    """One block of draws gives each message the fate a loop of transit gives
-    it, bit for bit, and leaves the same counts and running maximum."""
+def test_fates_draws_every_fate_as_transit(link):
+    """One block of draws gives each message the fate a fresh channel's loop of
+    transit gives it, bit for bit, with inf for a lost message."""
     config, times = link
-    one, block = Channel(config), Channel(config)
-    fates = [one.transit(now) for now in times]
-    due = block.transit_all(times)
-    expected = np.array([math.inf if d is None else d for d in fates], dtype=float)
+    one = Channel(config)
+    expected = np.array([math.inf if d is None else d for d in map(one.transit, times)], dtype=float)
+    due = fates(config, times)
     assert (due.dtype, due.tobytes()) == (expected.dtype, expected.tobytes())
-    assert (block.sent, block.dropped) == (one.sent, one.dropped) == (len(times), fates.count(None))
-    assert np.float64(block._last_due).tobytes() == np.float64(one._last_due).tobytes()

@@ -155,7 +155,6 @@ class TestViolationWindows:
         w = windows[0]
         assert w.start == pytest.approx(0.2)
         assert w.end == pytest.approx(0.3)
-        assert w.peak == pytest.approx(3.0)
         assert w.length == pytest.approx(0.1)
 
     def test_zero_threshold_covers_positive_samples(self):
@@ -187,15 +186,14 @@ class TestViolationWindows:
                 j = i
                 while j + 1 < len(recorded) and recorded[j + 1] > th:
                     j += 1
-                runs.append((i * tick, j * tick, max(recorded[i : j + 1])))
+                runs.append((i * tick, j * tick))
                 i = j + 1
             else:
                 i += 1
         assert len(windows) == len(runs)
-        for w, (start, end, peak) in zip(windows, runs):
+        for w, (start, end) in zip(windows, runs):
             assert w.start == pytest.approx(start)
             assert w.end == pytest.approx(end)
-            assert w.peak == pytest.approx(peak)
 
 
 EMAX_BOUND_ERROR = (
